@@ -19,7 +19,7 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
@@ -30,7 +30,7 @@ from .geometry import Point2
 from .mechanism import (MechanismParams, point_e, pose_from_trig,
                         residual_pair)
 from .polynomials import CPolynomial, back_substitute, poly_roots, \
-    polymatrix_det, solve_dense
+    poly_roots_batch, polymatrix_det, solve_dense
 from .solutions import (EquilibriumSolution, mark_real, pair_conjugates,
                         sort_solutions)
 
@@ -49,40 +49,141 @@ def _require_pattern(params: MechanismParams) -> None:
             f"need L01 > 0 and L02 = L03 = 0, got {params.free_lengths}")
 
 
-@dataclass(frozen=True)
-class UnsquaredTerms:
-    """Values of the pair A L1 = B, C L1 = D at one (L, beta) sample,
-    together with the squared first-spring length."""
+class _UnsquaredPair:
+    """The pair A L1 = B, C L1 = D of one mechanism as a function of
+    (L, cos beta, sin beta), with the squared first-spring length L1^2.
 
-    force_coef: complex       # A
-    force_rhs: complex        # B
-    moment_coef: complex      # C
-    moment_rhs: complex       # D
-    l1_squared: complex
+    The per-mechanism constants are read once, at construction. The
+    arithmetic is that of pose_from_trig and Point2, operation for
+    operation, without building the intermediate points, so the values
+    are bit-identical to the pose-based residual forms. It accepts complex
+    scalars and, elementwise, complex arrays.
+    """
+
+    __slots__ = ("params", "e", "ca", "sa", "ex", "ey", "px2", "py2", "d2",
+                 "o1x", "o1y", "a1x", "a1y", "k1", "k2", "k3", "kl",
+                 "radius", "fast_nodes", "fast_inverse")
+
+    def __init__(self, params: MechanismParams, e: Point2):
+        self.params, self.e = params, e
+        self.ca = math.cos(params.surface_angle)
+        self.sa = math.sin(params.surface_angle)
+        self.ex, self.ey = e.x, e.y
+        self.px2, self.py2 = params.p_in_top.x, params.p_in_top.y
+        self.d2 = params.d_o2a2
+        self.o1x, self.o1y = params.base_origin.x, params.base_origin.y
+        a1 = params.a1_fixed
+        self.a1x, self.a1y = a1.x, a1.y
+        self.k1, self.k2, self.k3 = params.stiffness
+        self.kl = self.k1 * params.free_lengths[0]
+        self.radius = probe_radius(params, e)
+        self.fast_nodes, self.fast_inverse = _fast_probe(self.radius)
+
+    def terms(self, length, cos_beta, sin_beta):
+        """(A, B, C, D, L1^2) at one sample."""
+        ca, sa = self.ca, self.sa
+        # the pose: rotation by (surface_angle + beta), pin P on the
+        # surface at L, top origin O2 and anchor A2
+        cab = ca * cos_beta - sa * sin_beta
+        sab = sa * cos_beta + ca * sin_beta
+        px = self.ex + length * ca
+        py = self.ey + length * sa
+        o2x = px + cab * self.px2 - sab * self.py2
+        o2y = py + sab * self.px2 + cab * self.py2
+        a2x = o2x - self.d2 * cab
+        a2y = o2y - self.d2 * sab
+        # spring vectors O1->O2, O1->A2, A1->A2 and arms P->O1, P->A1
+        x1, y1 = o2x - self.o1x, o2y - self.o1y
+        x2, y2 = a2x - self.o1x, a2y - self.o1y
+        x3, y3 = a2x - self.a1x, a2y - self.a1y
+        k1, k2, k3 = self.k1, self.k2, self.k3
+        force_coef = ((k1 * x1 + k2 * x2 + k3 * x3) * ca
+                      + (k1 * y1 + k2 * y2 + k3 * y3) * sa)
+        r1x, r1y = self.o1x - px, self.o1y - py
+        r3x, r3y = self.a1x - px, self.a1y - py
+        moment_coef = ((r1x * (y1 * k1) - r1y * (x1 * k1))
+                       + (r1x * (y2 * k2) - r1y * (x2 * k2))
+                       + (r3x * (y3 * k3) - r3y * (x3 * k3)))
+        force_rhs = self.kl * (x1 * ca + y1 * sa)
+        moment_rhs = self.kl * (r1x * y1 - r1y * x1)
+        l1_sq = x1 * x1 + y1 * y1
+        return force_coef, force_rhs, moment_coef, moment_rhs, l1_sq
+
+    def squared(self, length, cos_beta, sin_beta):
+        """The squared pair (F, M) = (A^2 L1^2 - B^2, C^2 L1^2 - D^2)."""
+        a, b, c, d, l1_sq = self.terms(length, cos_beta, sin_beta)
+        return a ** 2 * l1_sq - b ** 2, c ** 2 * l1_sq - d ** 2
+
+    def squared_scaled(self, length, cos_beta, sin_beta):
+        """(F, M, F scale, M scale), each scale the sum of the magnitudes
+        of its two terms."""
+        a, b, c, d, l1_sq = self.terms(length, cos_beta, sin_beta)
+        f = a ** 2 * l1_sq - b ** 2
+        m = c ** 2 * l1_sq - d ** 2
+        f_scale = abs(a ** 2 * l1_sq) + abs(b ** 2)
+        m_scale = abs(c ** 2 * l1_sq) + abs(d ** 2)
+        return f, m, f_scale, m_scale
+
+    def quartic_pair(self, cos_beta, sin_beta, dtype=complex):
+        """Ascending coefficients (F, M), each a quartic in L, at fixed
+        beta trig values; arrays of them give stacks of coefficients.
+
+        Coefficients are recovered from five probe evaluations on a circle
+        of L values (an interpolation that is exact for a quartic) and
+        validated at three held-out L nodes; samples that fail the
+        validation are re-probed once on a shifted circle before
+        ProbeSingularity is raised.
+        """
+        if np.ndim(cos_beta):
+            cb = np.asarray(cos_beta, dtype=dtype)
+            sb = np.asarray(sin_beta, dtype=dtype)
+        else:
+            cb, sb = dtype(cos_beta), dtype(sin_beta)
+        f, m, ok = self._probe(cb, sb, self.radius, dtype)
+        if np.all(ok):
+            return f, m
+        radius = 1.55 * self.radius
+        f2, m2, ok2 = self._probe(cb, sb, radius, dtype)
+        if not np.all(ok | ok2):
+            raise ProbeSingularity(
+                f"probe circle radius {radius} failed held-out check")
+        keep = np.asarray(ok)[..., None]
+        return np.where(keep, f, f2), np.where(keep, m, m2)
+
+    def _probe(self, cb, sb, radius, dtype):
+        """Quartic pair interpolated on one probe circle, and whether it
+        passed the held-out check."""
+        nodes = [dtype(radius) * dtype(cmath.exp(2j * cmath.pi * j / 5))
+                 for j in range(5)]
+        values = [self.squared(node, cb, sb) for node in nodes]
+        # interpolate through the actual nodes (an exact Vandermonde solve,
+        # so node roundoff cannot leak across the coefficient scales)
+        vander = np.array([[node ** k for k in range(5)] for node in nodes],
+                          dtype=dtype)
+        samples = np.stack([np.stack(column, axis=-1)
+                            for column in zip(*values)]).astype(dtype)
+        f_coeffs, m_coeffs = solve_dense(vander, samples)
+        f_sum = np.sum(np.abs(f_coeffs), axis=-1).astype(float)
+        m_sum = np.sum(np.abs(m_coeffs), axis=-1).astype(float)
+        ok = True
+        for held in (0.61 * radius, dtype(1.42j) * dtype(radius) / 2,
+                     dtype(-0.83 + 0.4j) * dtype(radius)):
+            direct_f, direct_m = self.squared(dtype(held), cb, sb)
+            interp_f = _horner(f_coeffs, dtype(held))
+            interp_m = _horner(m_coeffs, dtype(held))
+            # blend in the coefficient magnitude at the node so cancelling
+            # held-out values do not turn roundoff into a spurious mismatch
+            mag = float(max(1.0, abs(complex(held))) ** 4)
+            scale_f = abs(direct_f) + 1e-3 * f_sum * mag
+            scale_m = abs(direct_m) + 1e-3 * m_sum * mag
+            ok = ok & ~((abs(interp_f - direct_f) > 1e-9 * scale_f)
+                        | (abs(interp_m - direct_m) > 1e-9 * scale_m))
+        return f_coeffs, m_coeffs, ok
 
 
-def _terms_from_trig(length, cos_beta, sin_beta, params: MechanismParams,
-                     e: Point2) -> UnsquaredTerms:
-    ca = math.cos(params.surface_angle)
-    sa = math.sin(params.surface_angle)
-    k1, k2, k3 = params.stiffness
-    l01 = params.free_lengths[0]
-    pose = pose_from_trig(length, cos_beta, sin_beta, params, e)
-    o1 = params.base_origin
-    a1 = params.a1_fixed
-    d_o2 = pose.o2 - o1
-    d_a2o1 = pose.a2 - o1
-    d_a2a1 = pose.a2 - a1
-    force_coef = ((k1 * d_o2.x + k2 * d_a2o1.x + k3 * d_a2a1.x) * ca
-                  + (k1 * d_o2.y + k2 * d_a2o1.y + k3 * d_a2a1.y) * sa)
-    r1 = o1 - pose.p
-    r3 = a1 - pose.p
-    moment_coef = (r1.cross(k1 * d_o2) + r1.cross(k2 * d_a2o1)
-                   + r3.cross(k3 * d_a2a1))
-    force_rhs = k1 * l01 * (d_o2.x * ca + d_o2.y * sa)
-    moment_rhs = k1 * l01 * r1.cross(d_o2)
-    l1_sq = d_o2.x * d_o2.x + d_o2.y * d_o2.y
-    return UnsquaredTerms(force_coef, force_rhs, moment_coef, moment_rhs, l1_sq)
+def _tan_half_trig(x):
+    """(cos beta, sin beta) at the tan-half value x = tan(beta / 2)."""
+    return (1 - x * x) / (1 + x * x), 2 * x / (1 + x * x)
 
 
 def abcd_at(length, beta, params: MechanismParams, e: Point2):
@@ -92,17 +193,7 @@ def abcd_at(length, beta, params: MechanismParams, e: Point2):
     _require_pattern(params)
     cb, sb = (cmath.cos(beta), cmath.sin(beta)) if isinstance(beta, complex) \
         else (math.cos(beta), math.sin(beta))
-    t = _terms_from_trig(length, cb, sb, params, e)
-    return t.force_coef, t.force_rhs, t.moment_coef, t.moment_rhs
-
-
-def _squared_pair_values(length, cos_beta, sin_beta, params, e):
-    t = _terms_from_trig(length, cos_beta, sin_beta, params, e)
-    f = t.force_coef ** 2 * t.l1_squared - t.force_rhs ** 2
-    m = t.moment_coef ** 2 * t.l1_squared - t.moment_rhs ** 2
-    f_scale = abs(t.force_coef ** 2 * t.l1_squared) + abs(t.force_rhs ** 2)
-    m_scale = abs(t.moment_coef ** 2 * t.l1_squared) + abs(t.moment_rhs ** 2)
-    return f, m, f_scale, m_scale
+    return _UnsquaredPair(params, e).terms(length, cb, sb)[:4]
 
 
 def probe_radius(params: MechanismParams, e: Point2) -> float:
@@ -115,56 +206,16 @@ def probe_radius(params: MechanismParams, e: Point2) -> float:
 def quartic_pair(cos_beta, sin_beta, params: MechanismParams, e: Point2,
                  dtype=complex):
     """Ascending coefficients (F, M), each a quartic in L, of the squared
-    pair at fixed beta trig values.
-
-    Coefficients are recovered from five probe evaluations on a circle of
-    L values (an interpolation that is exact for a quartic) and validated
-    at three held-out L nodes; a failed validation re-probes once on a
-    shifted circle before raising ProbeSingularity.
-    """
-    cb, sb = dtype(cos_beta), dtype(sin_beta)
-    last_err = None
-    base_radius = probe_radius(params, e)
-    for radius in (base_radius, 1.55 * base_radius):
-        nodes = [dtype(radius) * dtype(cmath.exp(2j * cmath.pi * j / 5))
-                 for j in range(5)]
-        f_vals, m_vals = [], []
-        for node in nodes:
-            t = _terms_from_trig(node, cb, sb, params, e)
-            f_vals.append(t.force_coef ** 2 * t.l1_squared - t.force_rhs ** 2)
-            m_vals.append(t.moment_coef ** 2 * t.l1_squared - t.moment_rhs ** 2)
-        # interpolate through the actual nodes (an exact Vandermonde solve,
-        # so node roundoff cannot leak across the coefficient scales)
-        vander = np.array([[node ** k for k in range(5)] for node in nodes],
-                          dtype=dtype)
-        f_coeffs = solve_dense(vander, np.array(f_vals, dtype=dtype))
-        m_coeffs = solve_dense(vander, np.array(m_vals, dtype=dtype))
-        ok = True
-        for held in (0.61 * radius, dtype(1.42j) * dtype(radius) / 2,
-                     dtype(-0.83 + 0.4j) * dtype(radius)):
-            t = _terms_from_trig(dtype(held), cb, sb, params, e)
-            direct_f = t.force_coef ** 2 * t.l1_squared - t.force_rhs ** 2
-            direct_m = t.moment_coef ** 2 * t.l1_squared - t.moment_rhs ** 2
-            interp_f = _horner(f_coeffs, dtype(held))
-            interp_m = _horner(m_coeffs, dtype(held))
-            # blend in the coefficient magnitude at the node so cancelling
-            # held-out values do not turn roundoff into a spurious mismatch
-            mag = float(max(1.0, abs(complex(held))) ** 4)
-            scale_f = abs(direct_f) + 1e-3 * float(np.sum(np.abs(f_coeffs))) * mag
-            scale_m = abs(direct_m) + 1e-3 * float(np.sum(np.abs(m_coeffs))) * mag
-            if (abs(interp_f - direct_f) > 1e-9 * scale_f
-                    or abs(interp_m - direct_m) > 1e-9 * scale_m):
-                ok = False
-                break
-        if ok:
-            return f_coeffs, m_coeffs
-        last_err = f"probe circle radius {radius} failed held-out check"
-    raise ProbeSingularity(last_err or "probing failed")
+    pair at fixed beta trig values (see _UnsquaredPair.quartic_pair)."""
+    return _UnsquaredPair(params, e).quartic_pair(cos_beta, sin_beta, dtype)
 
 
 def _horner(coeffs, x):
-    acc = coeffs[-1]
-    for c in coeffs[-2::-1]:
+    """Value of ascending coefficients (..., n) at x; one-dimensional
+    coefficients evaluate in scalar arithmetic."""
+    columns = coeffs.T
+    acc = columns[-1]
+    for c in columns[-2::-1]:
         acc = acc * x + c
     return acc
 
@@ -175,9 +226,7 @@ def quartic_pair_at(x_beta, params: MechanismParams,
     _require_pattern(params)
     if e is None:
         e = point_e(params)
-    cb = (1 - x_beta * x_beta) / (1 + x_beta * x_beta)
-    sb = 2 * x_beta / (1 + x_beta * x_beta)
-    return quartic_pair(cb, sb, params, e)
+    return quartic_pair(*_tan_half_trig(x_beta), params, e)
 
 
 def resultant_polynomial(params: MechanismParams,
@@ -191,33 +240,32 @@ def resultant_polynomial(params: MechanismParams,
     deflated; if the effective degree still differs from the expected 48 a
     DegreeMismatch warning is issued and the actual-degree polynomial is
     returned. Determinant samples run in extended precision when the
-    platform provides it.
+    platform provides it, all sample points of one fit as one array.
     """
     _require_pattern(params)
     if e is None:
         e = point_e(params)
+    pair = _UnsquaredPair(params, e)
     dtype = np.clongdouble if _LONGDOUBLE_OK else complex
+
+    def evaluate(xs):
+        cb, sb = _tan_half_trig(np.asarray(xs).astype(dtype))
+        f_coeffs, m_coeffs = pair.quartic_pair(cb, sb, dtype=dtype)
+        matrix = np.zeros(cb.shape + (8, 8), dtype=dtype)
+        fd = f_coeffs[..., ::-1]
+        md = m_coeffs[..., ::-1]
+        for shift in range(4):
+            matrix[..., 2 * shift, 3 - shift: 8 - shift] = fd
+            matrix[..., 2 * shift + 1, 3 - shift: 8 - shift] = md
+        return matrix
 
     last_exc: Exception | None = None
     for extra in range(3):
         exponent = CLEAR_EXPONENT + extra
         bound = RESULTANT_DEGREE + 2 * extra
 
-        def evaluate(x):
-            xd = dtype(x)
-            cb = (dtype(1) - xd * xd) / (dtype(1) + xd * xd)
-            sb = dtype(2) * xd / (dtype(1) + xd * xd)
-            f_coeffs, m_coeffs = quartic_pair(cb, sb, params, e, dtype=dtype)
-            matrix = np.zeros((8, 8), dtype=dtype)
-            fd = f_coeffs[::-1]
-            md = m_coeffs[::-1]
-            for shift in range(4):
-                matrix[2 * shift, 3 - shift: 8 - shift] = fd
-                matrix[2 * shift + 1, 3 - shift: 8 - shift] = md
-            return matrix
-
-        def clear(x, _exp=exponent):
-            xd = dtype(x)
+        def clear(xs, _exp=exponent):
+            xd = np.asarray(xs).astype(dtype)
             return (dtype(1) + xd * xd) ** _exp
 
         try:
@@ -245,7 +293,7 @@ def resultant_polynomial(params: MechanismParams,
     raise last_exc if last_exc is not None else InterpolationMismatch("no fit")
 
 
-def _polish_squared(x, length, params, e, steps: int = 40):
+def _polish_squared(x, length, pair, steps: int = 40):
     """Damped Newton on the exact squared pair in (x, L).
 
     The iteration differentiates the raw (holomorphic) pair and keeps a
@@ -253,12 +301,10 @@ def _polish_squared(x, length, params, e, steps: int = 40):
     not actual solutions (pole artifacts) stay put.
     """
     def values(xv, lv):
-        cb = (1 - xv * xv) / (1 + xv * xv)
-        sb = 2 * xv / (1 + xv * xv)
-        return _squared_pair_values(lv, cb, sb, params, e)
+        return pair.squared(lv, *_tan_half_trig(xv))
 
     try:
-        f, m, _, _ = values(x, length)
+        f, m = values(x, length)
     except ZeroDivisionError:
         return x, length
     norm = abs(f) + abs(m)
@@ -268,8 +314,8 @@ def _polish_squared(x, length, params, e, steps: int = 40):
         hx = 1e-7 * (1 + abs(x))
         hl = 1e-7 * (1 + abs(length))
         try:
-            fx, mx, _, _ = values(x + hx, length)
-            fl, ml, _, _ = values(x, length + hl)
+            fx, mx = values(x + hx, length)
+            fl, ml = values(x, length + hl)
         except ZeroDivisionError:
             break
         j11, j12 = (fx - f) / hx, (fl - f) / hl
@@ -285,7 +331,7 @@ def _polish_squared(x, length, params, e, steps: int = 40):
             dx *= scale
             dl *= scale
         try:
-            nf, nm, _, _ = values(x - dx, length - dl)
+            nf, nm = values(x - dx, length - dl)
         except ZeroDivisionError:
             break
         if abs(nf) + abs(nm) >= norm:
@@ -297,10 +343,8 @@ def _polish_squared(x, length, params, e, steps: int = 40):
     return x, length
 
 
-def _squared_rel(x, length, params, e) -> float:
-    cb = (1 - x * x) / (1 + x * x)
-    sb = 2 * x / (1 + x * x)
-    f, m, fs, ms = _squared_pair_values(length, cb, sb, params, e)
+def _squared_rel(x, length, pair) -> float:
+    f, m, fs, ms = pair.squared_scaled(length, *_tan_half_trig(x))
     return max(abs(f) / (fs + 1e-30), abs(m) / (ms + 1e-30))
 
 
@@ -312,37 +356,46 @@ def _fast_probe(radius: float):
     return nodes, inv
 
 
-def _quartic_pair_fast(x, params, e):
+def _quartic_pair_fast(x, pair):
     """Quartic pair at a tan-half value without held-out validation; used
     inside refinement loops after the sampling stage has already validated
     the construction many times over."""
-    nodes, vander_inv = _fast_probe(probe_radius(params, e))
-    cb = (1 - x * x) / (1 + x * x)
-    sb = 2 * x / (1 + x * x)
+    cb, sb = _tan_half_trig(x)
     f_vals = np.empty(5, dtype=complex)
     m_vals = np.empty(5, dtype=complex)
-    for i, node in enumerate(nodes):
-        t = _terms_from_trig(node, cb, sb, params, e)
-        f_vals[i] = t.force_coef ** 2 * t.l1_squared - t.force_rhs ** 2
-        m_vals[i] = t.moment_coef ** 2 * t.l1_squared - t.moment_rhs ** 2
-    return vander_inv @ f_vals, vander_inv @ m_vals
+    for i, node in enumerate(pair.fast_nodes):
+        f_vals[i], m_vals[i] = pair.squared(node, cb, sb)
+    return pair.fast_inverse @ f_vals, pair.fast_inverse @ m_vals
 
 
-def _branch_state(x, near_length, params, e):
-    """(length, m_value, m_scale) on the first-quartic root branch nearest
-    to near_length, or Nones when the quartic cannot be solved."""
-    f_coeffs, m_coeffs = _quartic_pair_fast(x, params, e)
-    try:
-        roots = poly_roots(CPolynomial(f_coeffs))
-    except MechanismError:
-        return None, None, None
-    length = roots[int(np.argmin(np.abs(roots - near_length)))]
-    m_val = _horner(m_coeffs, length)
-    m_scale = float(np.sum(np.abs(m_coeffs))) * max(1.0, abs(length)) ** 4
-    return length, m_val, m_scale
+def _branch_state(x, near_length, pair):
+    """(length, m_value, m_scale, slope) on the first-quartic root branch
+    nearest to near_length, where slope is the finite-difference
+    derivative of m_value along that branch (None when the quartic at the
+    offset point cannot be solved); None when the quartic at x cannot be
+    solved. The quartics at x and at the offset point share one root
+    solve."""
+    delta = 1e-7 * (1 + abs(x))
+    quartics = [_quartic_pair_fast(x, pair), _quartic_pair_fast(x + delta, pair)]
+    states = []
+    for (f_coeffs, m_coeffs), roots in zip(quartics, poly_roots_batch(
+            [CPolynomial(f_coeffs) for f_coeffs, _ in quartics])):
+        if isinstance(roots, MechanismError):
+            states.append(None)
+            continue
+        length = roots[int(np.argmin(np.abs(roots - near_length)))]
+        m_val = _horner(m_coeffs, length)
+        states.append((length, m_val, float(np.sum(np.abs(m_coeffs)))
+                       * max(1.0, abs(length)) ** 4))
+        near_length = length
+    here, ahead = states
+    if here is None:
+        return None
+    slope = None if ahead is None else (ahead[1] - here[1]) / delta
+    return here + (slope,)
 
 
-def _follow_branch(x0, length_seed, params, e, steps: int = 30):
+def _follow_branch(x0, length_seed, pair, steps: int = 30):
     """Refine a squared-pair solution by tracking one root branch of the
     first quartic while driving the second quartic to zero in x.
 
@@ -352,18 +405,14 @@ def _follow_branch(x0, length_seed, params, e, steps: int = 30):
     None when the iteration leaves the neighbourhood or fails to converge.
     """
     x = complex(x0)
-    length, m_val, m_scale = _branch_state(x, length_seed, params, e)
-    if length is None:
+    state = _branch_state(x, length_seed, pair)
+    if state is None:
         return None
     for _ in range(steps):
+        length, m_val, m_scale, derivative = state
         if abs(m_val) <= 1e-12 * m_scale:
             return x, length
-        delta = 1e-7 * (1 + abs(x))
-        length_d, m_d, _ = _branch_state(x + delta, length, params, e)
-        if length_d is None:
-            return None
-        derivative = (m_d - m_val) / delta
-        if derivative == 0:
+        if derivative is None or derivative == 0:
             return None
         step = m_val / derivative
         cap = 0.1 * (1 + abs(x))
@@ -372,59 +421,70 @@ def _follow_branch(x0, length_seed, params, e, steps: int = 30):
         x = x - step
         if abs(x - x0) > 0.5 * (1 + abs(x0)):
             return None  # left the candidate's neighbourhood
-        length, m_val, m_scale = _branch_state(x, length, params, e)
-        if length is None:
+        state = _branch_state(x, length, pair)
+        if state is None:
             return None
+    length, m_val, m_scale, _ = state
     return (x, length) if abs(m_val) <= 1e-10 * m_scale else None
 
 
-def _gap_grid_rescue(x0, params, e, radius: float, grid: int = 7):
+def _gap_grid_rescue(x0, pair, radius: float, grid: int = 7):
     """Locate the best common-root point on a small grid around x0 and
     refine from there; the last resort for candidates whose neighbourhood
     holds near-double solutions."""
+    points = [x0 + dx + 1j * dy
+              for dx in np.linspace(-radius, radius, grid)
+              for dy in np.linspace(-radius, radius, grid)]
+    quartics = [_quartic_pair_fast(x, pair) for x in points]
     best = None
-    for dx in np.linspace(-radius, radius, grid):
-        for dy in np.linspace(-radius, radius, grid):
-            x = x0 + dx + 1j * dy
-            f_coeffs, m_coeffs = _quartic_pair_fast(x, params, e)
-            try:
-                roots = poly_roots(CPolynomial(f_coeffs))
-            except MechanismError:
-                continue
-            m_scale = float(np.sum(np.abs(m_coeffs))) + 1e-30
-            for root in roots:
-                gap = abs(_horner(m_coeffs, root)) / \
-                    (m_scale * max(1.0, abs(root)) ** 4)
-                if best is None or gap < best[0]:
-                    best = (gap, x, root)
+    for x, (f_coeffs, m_coeffs), roots in zip(points, quartics, poly_roots_batch(
+            [CPolynomial(f_coeffs) for f_coeffs, _ in quartics])):
+        if isinstance(roots, MechanismError):
+            continue
+        m_scale = float(np.sum(np.abs(m_coeffs))) + 1e-30
+        for root in roots:
+            gap = abs(_horner(m_coeffs, root)) / \
+                (m_scale * max(1.0, abs(root)) ** 4)
+            if best is None or gap < best[0]:
+                best = (gap, x, root)
     if best is None:
         return None
-    return _follow_branch(best[1], best[2], params, e)
+    return _follow_branch(best[1], best[2], pair)
 
 
-def _classify_root(x, length, params, e, accept_tol) -> EquilibriumSolution:
-    cb = (1 - x * x) / (1 + x * x)
-    sb = 2 * x / (1 + x * x)
-    t = _terms_from_trig(length, cb, sb, params, e)
-    l1 = cmath.sqrt(t.l1_squared)
-    rf = abs(t.force_coef * l1 - t.force_rhs)
-    rm = abs(t.moment_coef * l1 - t.moment_rhs)
-    f_scale = abs(t.force_coef * l1) + abs(t.force_rhs) + 1e-30
-    m_scale = abs(t.moment_coef * l1) + abs(t.moment_rhs) + 1e-30
+def _relative_residuals(length, cb, sb, pair):
+    """(unsquared, squared) scale-normalized residuals at one sample."""
+    a, b, c, d, l1_sq = pair.terms(length, cb, sb)
+    l1 = cmath.sqrt(l1_sq)
+    rf = abs(a * l1 - b)
+    rm = abs(c * l1 - d)
+    f_scale = abs(a * l1) + abs(b) + 1e-30
+    m_scale = abs(c * l1) + abs(d) + 1e-30
     rel = max(rf / f_scale, rm / m_scale)
-    fsq, msq, fs, ms = _squared_pair_values(length, cb, sb, params, e)
-    sq_rel = max(abs(fsq) / (fs + 1e-30), abs(msq) / (ms + 1e-30))
+    fsq, msq, fs, ms = pair.squared_scaled(length, cb, sb)
+    return rel, max(abs(fsq) / (fs + 1e-30), abs(msq) / (ms + 1e-30))
+
+
+def _mechanism_residuals(length, cb, sb, pair):
+    """Magnitudes of the force and moment residuals of the pose, infinite
+    where the springs are degenerate."""
+    pose = pose_from_trig(length, cb, sb, pair.params, pair.e)
+    try:
+        fres, mres = residual_pair(pose, pair.params)
+    except MechanismError:
+        return math.inf, math.inf
+    return abs(fres), abs(mres)
+
+
+def _classify_root(x, length, pair, accept_tol) -> EquilibriumSolution:
+    cb, sb = _tan_half_trig(x)
+    rel, sq_rel = _relative_residuals(length, cb, sb, pair)
     beta = 2 * cmath.atan(x)
     real = mark_real(beta, complex(length))
     if real:
         beta = complex(beta.real)
         length = complex(complex(length).real)
-    pose = pose_from_trig(length, cb, sb, params, e)
-    try:
-        fres, mres = residual_pair(pose, params)
-        residual_force, residual_moment = abs(fres), abs(mres)
-    except MechanismError:
-        residual_force = residual_moment = math.inf
+    residual_force, residual_moment = _mechanism_residuals(length, cb, sb, pair)
     return EquilibriumSolution(
         beta=complex(beta), length=complex(length),
         residual_force=float(residual_force),
@@ -447,8 +507,8 @@ def solve_one_nonzero_free_length(params: MechanismParams,
     appended separately.
     """
     _require_pattern(params)
-    e = point_e(params)
-    poly = resultant_polynomial(params, e)
+    pair = _UnsquaredPair(params, point_e(params))
+    poly = resultant_polynomial(params, pair.e)
     roots = poly_roots(poly)
 
     # Refinement. Eliminant roots inside flat clusters carry errors far
@@ -464,8 +524,8 @@ def solve_one_nonzero_free_length(params: MechanismParams,
     def try_point(point, record):
         if point is None:
             return
-        x, length = _polish_squared(point[0], point[1], params, e, steps=4)
-        sq = _squared_rel(x, length, params, e)
+        x, length = _polish_squared(point[0], point[1], pair, steps=4)
+        sq = _squared_rel(x, length, pair)
         if sq <= CONVERGED_SQ_TOL:
             pool.append((x, length, sq))
         elif record["fail"] is None or sq < record["fail"][2]:
@@ -478,12 +538,12 @@ def solve_one_nonzero_free_length(params: MechanismParams,
             "note": "",
             "fail": None,
         }
-        f_coeffs, m_coeffs = quartic_pair_at(x0, params, e)
+        f_coeffs, m_coeffs = pair.quartic_pair(*_tan_half_trig(x0))
         try:
             back = back_substitute(f_coeffs, m_coeffs)
             if back.used_fallback:
                 record["note"] = "back-substitution fallback"
-            try_point(_polish_squared(x0, back.length, params, e), record)
+            try_point(_polish_squared(x0, back.length, pair), record)
         except MechanismError as exc:
             record["note"] = f"back-substitution failed: {exc}"
         records.append(record)
@@ -521,15 +581,15 @@ def solve_one_nonzero_free_length(params: MechanismParams,
     for i in retry:
         record = records[i]
         x0 = record["x0"]
-        f_coeffs, _ = _quartic_pair_fast(x0, params, e)
+        f_coeffs, _ = _quartic_pair_fast(x0, pair)
         try:
             branch_seeds = poly_roots(CPolynomial(f_coeffs))
         except MechanismError:
             branch_seeds = []
         for seed in branch_seeds:
-            try_point(_follow_branch(x0, seed, params, e), record)
+            try_point(_follow_branch(x0, seed, pair), record)
         radius = min(max(0.05, 2.0 * spacing[i]), 0.15)
-        try_point(_gap_grid_rescue(x0, params, e, radius), record)
+        try_point(_gap_grid_rescue(x0, pair, radius), record)
     if retry:
         assignment = assign()
 
@@ -538,10 +598,10 @@ def solve_one_nonzero_free_length(params: MechanismParams,
         x0, note = record["x0"], record["note"]
         if i in assignment:
             x, length = assignment[i]
-            sol = _classify_root(x, length, params, e, accept_tol)
+            sol = _classify_root(x, length, pair, accept_tol)
         elif record["fail"] is not None:
             sol = _classify_root(record["fail"][0], record["fail"][1],
-                                 params, e, accept_tol)
+                                 pair, accept_tol)
             note = (note + "; " if note else "") + "refinement not converged"
         else:
             sol = EquilibriumSolution(
@@ -557,11 +617,11 @@ def solve_one_nonzero_free_length(params: MechanismParams,
             sol = replace(sol, note=note)
         solutions.append(sol)
 
-    solutions.extend(_beta_pi_solutions(params, e, accept_tol))
+    solutions.extend(_beta_pi_solutions(pair, accept_tol))
     return sort_solutions(pair_conjugates(solutions))
 
 
-def _beta_pi_solutions(params, e, accept_tol):
+def _beta_pi_solutions(pair, accept_tol):
     """Common roots of the quartic pair at beta = pi, checked directly.
 
     Both quartics inherit the zeros of the squared first-spring length (a
@@ -569,7 +629,7 @@ def _beta_pi_solutions(params, e, accept_tol):
     so roots there are always nearly common without being mechanism
     solutions; they are excluded explicitly.
     """
-    f_coeffs, m_coeffs = quartic_pair(-1.0, 0.0, params, e)
+    f_coeffs, m_coeffs = pair.quartic_pair(-1.0, 0.0)
     out = []
     try:
         f_roots = poly_roots(CPolynomial(f_coeffs))
@@ -580,35 +640,17 @@ def _beta_pi_solutions(params, e, accept_tol):
         m_val = _horner(np.asarray(m_coeffs, dtype=complex), root)
         if abs(m_val) > 1e-8 * m_scale * max(1.0, abs(root)) ** 4:
             continue
-        t = _terms_from_trig(root, -1.0, 0.0, params, e)
-        if abs(t.l1_squared) < 1e-6 * (1.0 + abs(root) ** 2):
+        if abs(pair.terms(root, -1.0, 0.0)[4]) < 1e-6 * (1.0 + abs(root) ** 2):
             continue  # zero-length-spring artifact, not an equilibrium
-        sol = _classify_root_beta_pi(root, params, e, accept_tol)
-        out.append(sol)
+        rel, sq_rel = _relative_residuals(root, -1.0, 0.0, pair)
+        residual_force, residual_moment = _mechanism_residuals(
+            root, -1.0, 0.0, pair)
+        out.append(EquilibriumSolution(
+            beta=complex(math.pi), length=complex(root),
+            residual_force=float(residual_force),
+            residual_moment=float(residual_moment),
+            rel_residual=float(rel),
+            is_real=bool(abs(complex(root).imag) <= 1e-8),
+            accepted=bool(rel <= accept_tol), squared_residual=float(sq_rel),
+            note="beta = pi branch"))
     return out
-
-
-def _classify_root_beta_pi(length, params, e, accept_tol):
-    t = _terms_from_trig(length, -1.0, 0.0, params, e)
-    l1 = cmath.sqrt(t.l1_squared)
-    rf = abs(t.force_coef * l1 - t.force_rhs)
-    rm = abs(t.moment_coef * l1 - t.moment_rhs)
-    f_scale = abs(t.force_coef * l1) + abs(t.force_rhs) + 1e-30
-    m_scale = abs(t.moment_coef * l1) + abs(t.moment_rhs) + 1e-30
-    rel = max(rf / f_scale, rm / m_scale)
-    fsq, msq, fs, ms = _squared_pair_values(length, -1.0, 0.0, params, e)
-    sq_rel = max(abs(fsq) / (fs + 1e-30), abs(msq) / (ms + 1e-30))
-    real = abs(complex(length).imag) <= 1e-8
-    pose = pose_from_trig(length, -1.0, 0.0, params, e)
-    try:
-        fres, mres = residual_pair(pose, params)
-        residual_force, residual_moment = abs(fres), abs(mres)
-    except MechanismError:
-        residual_force = residual_moment = math.inf
-    return EquilibriumSolution(
-        beta=complex(math.pi), length=complex(length),
-        residual_force=float(residual_force),
-        residual_moment=float(residual_moment),
-        rel_residual=float(rel), is_real=bool(real),
-        accepted=bool(rel <= accept_tol), squared_residual=float(sq_rel),
-        note="beta = pi branch")

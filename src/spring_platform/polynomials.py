@@ -152,6 +152,19 @@ def _quadratic_roots(c0, c1, c2):
     return [r1, r2]
 
 
+def companion_roots(stack: np.ndarray) -> np.ndarray:
+    """Roots of a stack of polynomials of one degree >= 1, given as
+    ascending coefficient rows with a nonzero leading entry: eigenvalues of
+    their companion matrices, built as numpy.roots builds them and
+    computed in one eigvals call. A stack of one is numpy.roots."""
+    desc = np.asarray(stack)[..., ::-1]
+    deg = desc.shape[-1] - 1
+    companion = np.zeros(desc.shape[:-1] + (deg, deg), dtype=desc.dtype)
+    companion[..., np.arange(1, deg), np.arange(deg - 1)] = 1
+    companion[..., 0, :] = -desc[..., 1:] / desc[..., :1]
+    return np.linalg.eigvals(companion)
+
+
 def poly_roots(p: CPolynomial, max_iter: int = 500) -> np.ndarray:
     """All roots of p, with multiplicity, sorted by (real, imag).
 
@@ -164,19 +177,53 @@ def poly_roots(p: CPolynomial, max_iter: int = 500) -> np.ndarray:
     Raises ZeroPolynomial for an identically zero input and NonConvergence
     when any root fails the residual bound.
     """
+    (found,) = poly_roots_batch([p], max_iter)
+    if isinstance(found, Exception):
+        raise found
+    return found
+
+
+def poly_roots_batch(polys: Sequence[CPolynomial], max_iter: int = 500,
+                     ) -> list:
+    """poly_roots of every polynomial in polys, each entry either its root
+    array or the exception poly_roots would raise for it. The companion
+    eigenvalues of all moderate-degree members come from one
+    companion_roots call per degree."""
+    prepared = [_normalized(p) for p in polys]
+    primary: dict[int, list[int]] = {}
+    for i, item in enumerate(prepared):
+        if not isinstance(item, Exception) and 3 <= len(item[0]) - 1 <= 64:
+            primary.setdefault(len(item[0]) - 1, []).append(i)
+    eigenvalues: dict[int, np.ndarray] = {}
+    for members in primary.values():
+        for i, roots in zip(members, companion_roots(
+                np.array([prepared[i][0] for i in members]))):
+            eigenvalues[i] = roots
+    return [item if isinstance(item, Exception)
+            else _checked_roots(p, *item, eigenvalues.get(i), max_iter)
+            for i, (p, item) in enumerate(zip(polys, prepared))]
+
+
+def _normalized(p: CPolynomial):
+    """(coefficients scaled to unit maximum with the roots at the origin
+    factored out, number of those roots), or ZeroPolynomial."""
     if p.is_zero():
-        raise ZeroPolynomial("all coefficients are numerically zero")
+        return ZeroPolynomial("all coefficients are numerically zero")
     if p.degree < 1:
-        raise ZeroPolynomial("constant polynomial has no roots")
+        return ZeroPolynomial("constant polynomial has no roots")
     c = p.coeffs.copy()
     top = np.max(np.abs(c))
     c = c / top
-    # factor out roots at the origin
-    nz = np.nonzero(np.abs(c) > TRIM_RELATIVE)[0]
-    zeros_at_origin = nz[0]
-    c = c[zeros_at_origin:]
-    roots = [0j] * zeros_at_origin
+    zeros_at_origin = np.nonzero(np.abs(c) > TRIM_RELATIVE)[0][0]
+    return c[zeros_at_origin:], zeros_at_origin
 
+
+def _checked_roots(p: CPolynomial, c: np.ndarray, zeros_at_origin: int,
+                   eigenvalues, max_iter: int):
+    """Roots of p from its normalized coefficients c and, at moderate
+    degree, the companion eigenvalues of c; NonConvergence when no solver
+    meets the residual bound."""
+    roots = [0j] * zeros_at_origin
     deg = len(c) - 1
 
     def attempt(solver):
@@ -185,7 +232,7 @@ def poly_roots(p: CPolynomial, max_iter: int = 500) -> np.ndarray:
             found.append(-c[0] / c[1])
         elif deg == 2:
             found.extend(_quadratic_roots(c[0], c[1], c[2]))
-        else:
+        elif deg > 2:
             found.extend(solver())
         if p.wide is not None and len(p.wide) == len(p.coeffs):
             found = [_refine_wide(p.wide, r) for r in found]
@@ -206,7 +253,7 @@ def poly_roots(p: CPolynomial, max_iter: int = 500) -> np.ndarray:
     # degree (simultaneous iteration can land two iterates on one root of
     # a tight pair); Aberth covers high degrees and acts as the fallback
     if deg <= 64:
-        found = attempt(lambda: np.roots(c[::-1]))
+        found = attempt(lambda: eigenvalues)
         excess = residual_excess(found)
         if excess > 1.0:
             found = attempt(lambda: _aberth(c, max_iter))
@@ -215,10 +262,10 @@ def poly_roots(p: CPolynomial, max_iter: int = 500) -> np.ndarray:
         found = attempt(lambda: _aberth(c, max_iter))
         excess = residual_excess(found)
         if excess > 1.0:
-            found = attempt(lambda: np.roots(c[::-1]))
+            found = attempt(lambda: companion_roots(c))
             excess = residual_excess(found)
     if excess > 1.0:
-        raise NonConvergence(
+        return NonConvergence(
             f"root residuals exceed the bound (worst ratio {excess:.2e})")
     return found
 
@@ -337,27 +384,54 @@ def dialytic_matrix(p, q) -> np.ndarray:
     return m
 
 
+def _cmul(a, b):
+    """Elementwise complex product with separately rounded real products,
+    which is how scalar complex arithmetic computes it; numpy's vectorised
+    complex128 multiply fuses them and can differ in the last bit."""
+    out = np.empty(np.broadcast(a, b).shape, dtype=np.result_type(a, b))
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+def _swap_rows(stack: np.ndarray, row: int, pivots: np.ndarray) -> None:
+    """Exchange row `row` with row pivots[k] in each matrix k of a stack
+    of matrices (or of vectors)."""
+    moved = np.nonzero(pivots != row)[0]
+    if moved.size:
+        upper = stack[moved, row].copy()
+        stack[moved, row] = stack[moved, pivots[moved]]
+        stack[moved, pivots[moved]] = upper
+
+
 def solve_dense(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Gaussian elimination with partial pivoting in the matrix dtype, for
-    extended-precision systems the LAPACK wrappers cannot take."""
-    a = matrix.copy()
-    b = rhs.copy()
-    n = len(b)
+    extended-precision systems the LAPACK wrappers cannot take.
+
+    Solves a stack of systems over the leading axes of matrix (..., n, n)
+    and rhs (..., n), which broadcast against each other; a single system
+    is a stack of one. Every system gets the arithmetic of its own scalar
+    elimination."""
+    rhs = np.asarray(rhs)
+    n = rhs.shape[-1]
+    batch = np.broadcast_shapes(matrix.shape[:-2], rhs.shape[:-1])
+    a = np.broadcast_to(matrix, batch + (n, n)).reshape(-1, n, n).copy()
+    b = np.broadcast_to(rhs, batch + (n,)).reshape(-1, n).copy()
     for i in range(n):
-        pivot_row = i + int(np.argmax(np.abs(a[i:, i])))
-        if pivot_row != i:
-            a[[i, pivot_row]] = a[[pivot_row, i]]
-            b[[i, pivot_row]] = b[[pivot_row, i]]
-        if a[i, i] == 0:
+        pivots = i + np.argmax(np.abs(a[:, i:, i]), axis=-1)
+        _swap_rows(a, i, pivots)
+        _swap_rows(b, i, pivots)
+        if np.any(a[:, i, i] == 0):
             raise ZeroDivisionError("singular system")
         for j in range(i + 1, n):
-            factor = a[j, i] / a[i, i]
-            a[j, i:] -= factor * a[i, i:]
-            b[j] -= factor * b[i]
+            factor = a[:, j, i] / a[:, i, i]
+            a[:, j, i:] -= factor[:, None] * a[:, i, i:]
+            b[:, j] -= _cmul(factor, b[:, i])
     x = np.zeros_like(b)
     for i in range(n - 1, -1, -1):
-        x[i] = (b[i] - a[i, i + 1:] @ x[i + 1:]) / a[i, i]
-    return x
+        dot = np.matmul(a[:, i, None, i + 1:], x[:, i + 1:, None])[:, 0, 0]
+        x[:, i] = (b[:, i] - dot) / a[:, i, i]
+    return x.reshape(batch + (n,))
 
 
 def lu_det(matrix: np.ndarray):
@@ -366,35 +440,41 @@ def lu_det(matrix: np.ndarray):
 
     Rows and columns are pre-scaled by powers of two (exact in binary
     floating point) so a wide entry-magnitude spread does not inflate the
-    condition number seen by the elimination.
+    condition number seen by the elimination. A stack of matrices
+    (..., n, n) gives the stack of determinants; a single matrix is a
+    stack of one.
     """
-    m = matrix.copy()
-    n = m.shape[0]
+    batch = matrix.shape[:-2]
+    n = matrix.shape[-1]
+    m = matrix.reshape(-1, n, n).copy()
+    vanishing = np.zeros(len(m), dtype=bool)  # a zero row, column or pivot
     shift = 0
-    for axis in (1, 0):
+    for axis in (-1, -2):
         top = np.max(np.abs(m), axis=axis)
-        if np.any(top == 0):
-            return m.dtype.type(0)  # a zero row or column
+        vanishing |= np.any(top == 0, axis=-1)
+        top[vanishing] = 1
         exps = np.floor(np.log2(top)).astype(int)
         scale = np.ldexp(np.ones_like(exps, dtype=float), exps)
-        if axis == 1:
-            m = m / scale[:, None]
+        if axis == -1:
+            m = m / scale[:, :, None]
         else:
-            m = m / scale[None, :]
-        shift += int(np.sum(exps))
-    det = m.dtype.type(1)
+            m = m / scale[:, None, :]
+        shift = shift + np.sum(exps, axis=-1)
+    det = np.ones(len(m), dtype=m.dtype)
     for i in range(n):
-        pivot_row = i + int(np.argmax(np.abs(m[i:, i])))
-        if pivot_row != i:
-            m[[i, pivot_row]] = m[[pivot_row, i]]
-            det = -det
-        pivot = m[i, i]
-        if pivot == 0:
-            return m.dtype.type(0)
-        det = det * pivot
+        pivots = i + np.argmax(np.abs(m[:, i:, i]), axis=-1)
+        _swap_rows(m, i, pivots)
+        flipped = pivots != i
+        det[flipped] = -det[flipped]
+        pivot = m[:, i, i]
+        vanishing |= pivot == 0
+        pivot = np.where(vanishing, 1, pivot)
+        det = _cmul(det, pivot)
         for j in range(i + 1, n):
-            m[j, i:] -= (m[j, i] / pivot) * m[i, i:]
-    return det * m.dtype.type(2.0) ** shift
+            m[:, j, i:] -= (m[:, j, i] / pivot)[:, None] * m[:, i, i:]
+    det = _cmul(det, np.power(m.dtype.type(2.0), shift))
+    det[vanishing] = 0
+    return det.reshape(batch)[()]
 
 
 @dataclass
@@ -413,11 +493,13 @@ class PolyMatrix:
         return len(self.entries)
 
     def eval(self, x) -> np.ndarray:
+        """Entry values at x, or the stack of them for an array of x."""
         n = self.dimension
-        out = np.zeros((n, n), dtype=complex)
+        x = np.asarray(x)
+        out = np.zeros(x.shape + (n, n), dtype=complex)
         for i in range(n):
             for j in range(n):
-                out[i, j] = self.entries[i][j](x)
+                out[..., i, j] = self.entries[i][j](x)
         return out
 
     def degree_bound(self) -> int:
@@ -438,9 +520,9 @@ def _holdout_points(rng_seed: int = 20240817) -> np.ndarray:
     return np.array(pts)
 
 
-def polymatrix_det(evaluate: Callable[[complex], np.ndarray],
+def polymatrix_det(evaluate: Callable[[np.ndarray], np.ndarray],
                    degree_bound: int,
-                   clear: Callable[[complex], complex] | None = None,
+                   clear: Callable[[np.ndarray], np.ndarray] | None = None,
                    ) -> CPolynomial:
     """Determinant of a matrix-valued function of x as a polynomial.
 
@@ -448,7 +530,9 @@ def polymatrix_det(evaluate: Callable[[complex], np.ndarray],
     factor at nodes on the unit circle (offset off the axes, 25 percent
     oversampled), recovers coefficients by the adjoint discrete transform
     (the least-squares solution on these nodes) and validates against 16
-    held-out points at HOLDOUT_REL relative accuracy.
+    held-out points at HOLDOUT_REL relative accuracy. Both callables take
+    an array of x: evaluate returns the stack of matrices and clear the
+    factors, one per x.
     """
     n_nodes = int(math.ceil(1.25 * (degree_bound + 1)))
     if n_nodes % 2:
@@ -464,14 +548,14 @@ def polymatrix_det(evaluate: Callable[[complex], np.ndarray],
     angles = 2 * pi_wide * (np.arange(n_nodes) + offset) / n_nodes
     nodes = np.cos(angles).astype(wide) + 1j * np.sin(angles).astype(wide)
 
-    def sample(x):
-        m = evaluate(x)
-        d = lu_det(np.asarray(m))
+    def sample(xs):
+        m = np.asarray(evaluate(xs))
+        d = lu_det(m)
         if clear is not None:
-            d = d * m.dtype.type(clear(x))
+            d = d * np.asarray(clear(xs)).astype(m.dtype)
         return d
 
-    values = np.array([sample(x) for x in nodes], dtype=wide)
+    values = sample(nodes).astype(wide)
     inv_nodes = np.ones_like(nodes)
     step = 1.0 / nodes
     coeffs = np.zeros(degree_bound + 1, dtype=wide)
@@ -487,8 +571,8 @@ def polymatrix_det(evaluate: Callable[[complex], np.ndarray],
     # tolerance times the local magnitude bound
     scale = float(np.sum(np.abs(coeffs)))
     worst = 0.0
-    for x in _holdout_points():
-        direct = sample(x)
+    held = _holdout_points()
+    for x, direct in zip(held, sample(held)):
         approx = poly(x)
         magnitude = scale * max(1.0, abs(x)) ** degree_bound
         rel = float(abs(approx - direct) / (abs(direct) + HOLDOUT_REL * magnitude))
@@ -555,12 +639,12 @@ def back_substitute(f_coeffs, m_coeffs) -> BackSubResult:
     pm = CPolynomial(np.asarray(m_coeffs if not isinstance(m_coeffs, CPolynomial)
                                 else m_coeffs.coeffs, dtype=complex))
     fallback = None
-    try:
-        pair = _nearest_pair(poly_roots(pf), poly_roots(pm))
+    f_roots, m_roots = poly_roots_batch([pf, pm])
+    if not isinstance(f_roots, Exception) \
+            and not isinstance(m_roots, Exception):
+        pair = _nearest_pair(f_roots, m_roots)
         if pair is not None:
             fallback = (pair[1] + pair[2]) / 2
-    except (ZeroPolynomial, NonConvergence):
-        pass
 
     # equilibrate: rows by their largest entry, columns likewise (columns
     # span L^7 .. L, whose natural magnitude spread otherwise inflates the

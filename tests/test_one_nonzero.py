@@ -135,9 +135,9 @@ def test_beta_pi_not_a_solution(params_one):
     # solution (the near-shared large complex root is the first-spring
     # zero-length factor both quartics inherit, and the unsquared filter
     # rejects it)
-    from spring_platform.one_nonzero import _beta_pi_solutions
-    e = point_e(params_one)
-    candidates = _beta_pi_solutions(params_one, e, 1e-6)
+    from spring_platform.one_nonzero import _beta_pi_solutions, _UnsquaredPair
+    pair = _UnsquaredPair(params_one, point_e(params_one))
+    candidates = _beta_pi_solutions(pair, 1e-6)
     assert all(not s.accepted for s in candidates)
 
 
