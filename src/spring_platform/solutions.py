@@ -3,6 +3,7 @@ conjugate pairing and residual-margin helpers."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 REAL_IMAG_TOL = 1e-8
@@ -52,7 +53,8 @@ def pair_conjugates(solutions: list[EquilibriumSolution],
     exactly closed under conjugation of (beta, L).
 
     Real-flagged solutions are left untouched. Pairing is greedy on the
-    joint distance between one solution and the conjugate of another.
+    joint distance between one solution and the conjugate of another;
+    solutions with non-finite components are never paired.
     """
     out = list(solutions)
     used = [False] * len(out)
@@ -66,6 +68,8 @@ def pair_conjugates(solutions: list[EquilibriumSolution],
             sj = out[j]
             d = (abs(si.beta - sj.beta.conjugate())
                  + abs(si.length - sj.length.conjugate()))
+            if not math.isfinite(d):
+                continue  # a NaN distance would pass the tolerance test
             if best_d is None or d < best_d:
                 best_j, best_d = j, d
         if best_j is None:
