@@ -1,5 +1,7 @@
+import cmath
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,8 +11,9 @@ from _support import nearest_match, random_params, reference_params
 from spring_platform import (WrongFreeLengthPattern, abcd_at, quartic_pair_at,
                              residual_margin, resultant_polynomial,
                              solve_one_nonzero_free_length)
-from spring_platform.mechanism import point_e, pose_from, residual_pair
-from spring_platform.one_nonzero import quartic_pair
+from spring_platform.mechanism import (point_e, pose_from, pose_from_trig,
+                                      residual_pair)
+from spring_platform.one_nonzero import _UnsquaredPair, quartic_pair
 from spring_platform.polynomials import poly_roots
 
 
@@ -239,3 +242,85 @@ def test_random_case_sets_accepted_residuals():
         for s in solutions:
             if s.accepted:
                 assert s.rel_residual <= 1e-6
+
+
+def pose_based_terms(length, cos_beta, sin_beta, params, e):
+    """(A, B, C, D, L1^2) written against the pose and Point2 arithmetic:
+    the reference the allocation-free evaluation reproduces bit for bit."""
+    ca = math.cos(params.surface_angle)
+    sa = math.sin(params.surface_angle)
+    k1, k2, k3 = params.stiffness
+    l01 = params.free_lengths[0]
+    pose = pose_from_trig(length, cos_beta, sin_beta, params, e)
+    o1 = params.base_origin
+    a1 = params.a1_fixed
+    d_o2 = pose.o2 - o1
+    d_a2o1 = pose.a2 - o1
+    d_a2a1 = pose.a2 - a1
+    force_coef = ((k1 * d_o2.x + k2 * d_a2o1.x + k3 * d_a2a1.x) * ca
+                  + (k1 * d_o2.y + k2 * d_a2o1.y + k3 * d_a2a1.y) * sa)
+    r1 = o1 - pose.p
+    r3 = a1 - pose.p
+    moment_coef = (r1.cross(k1 * d_o2) + r1.cross(k2 * d_a2o1)
+                   + r3.cross(k3 * d_a2a1))
+    force_rhs = k1 * l01 * (d_o2.x * ca + d_o2.y * sa)
+    moment_rhs = k1 * l01 * r1.cross(d_o2)
+    l1_sq = d_o2.x * d_o2.x + d_o2.y * d_o2.y
+    return force_coef, force_rhs, moment_coef, moment_rhs, l1_sq
+
+
+def test_unsquared_pair_is_bit_identical_to_pose_forms(params_one):
+    e = point_e(params_one)
+    pair = _UnsquaredPair(params_one, e)
+    rng = np.random.default_rng(67)
+    lengths, betas = [], []
+    for _ in range(40):
+        length = complex(rng.uniform(-5, 15), rng.uniform(-8, 8))
+        beta = complex(rng.uniform(-3, 3), rng.uniform(-2, 2))
+        for kind in (float, complex, np.complex128, np.clongdouble):
+            value_l = kind(length.real) if kind is float else kind(length)
+            value_b = beta.real if kind is float else beta
+            trig = (math.cos, math.sin) if kind is float else (cmath.cos, cmath.sin)
+            cb, sb = (kind(f(value_b)) for f in trig)
+            got = pair.terms(value_l, cb, sb)
+            want = pose_based_terms(value_l, cb, sb, params_one, e)
+            for g, w in zip(got, want):
+                assert type(g) is type(w) and g == w
+        lengths.append(length)
+        betas.append(beta)
+    # elementwise over extended-precision arrays, as the eliminant samples
+    wide = np.clongdouble
+    ls = np.array(lengths, dtype=wide)
+    cbs = np.array([cmath.cos(b) for b in betas], dtype=wide)
+    sbs = np.array([cmath.sin(b) for b in betas], dtype=wide)
+    arrays = pair.terms(ls, cbs, sbs)
+    for k in range(len(lengths)):
+        want = pose_based_terms(ls[k], cbs[k], sbs[k], params_one, e)
+        assert all(g[k] == w for g, w in zip(arrays, want))
+
+
+# accepted roots of the first ten mechanisms of the seed-2026 corpus
+CORPUS_ACCEPTED = (10, 10, 8, 6, 9, 8, 7, 10, 10, 6)
+
+
+def test_seeded_corpus_recall():
+    """Mechanism 8 used to accept a root averaged into NaN length with a
+    pole-artifact candidate and lost its conjugate."""
+    rng = np.random.default_rng(2026)
+    for expected in CORPUS_ACCEPTED:
+        params = random_params(rng, l01=float(rng.uniform(0.2, 2.0)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            solutions = solve_one_nonzero_free_length(params)
+        points = [(s.beta, s.length) for s in solutions if s.accepted]
+        assert len(points) == expected
+        for i, (beta, length) in enumerate(points):
+            assert cmath.isfinite(beta) and cmath.isfinite(length)
+            scale = 1.0 + abs(beta) + abs(length)
+            distances = [abs(b - beta) + abs(l - length)
+                         for b, l in points[i + 1:]]
+            assert min(distances, default=1.0) > 1e-6 * scale
+            if beta.imag != 0 or length.imag != 0:
+                assert any(abs(b - beta.conjugate())
+                           + abs(l - length.conjugate()) <= 1e-9 * scale
+                           for b, l in points)

@@ -6,7 +6,8 @@ import pytest
 from spring_platform import (CPolynomial, InterpolationMismatch, PolyMatrix,
                              ZeroPolynomial, back_substitute, dialytic_matrix,
                              poly_roots, polymatrix_det)
-from spring_platform.polynomials import lu_det
+from spring_platform import polynomials
+from spring_platform.polynomials import lu_det, poly_roots_batch, solve_dense
 
 
 def sorted_roots(values):
@@ -80,6 +81,68 @@ def test_roots_at_origin():
     roots = sorted_roots(list(poly_roots(p)))
     assert abs(roots[0] + 6.0) < 1e-10
     assert abs(roots[1]) < 1e-12 and abs(roots[2]) < 1e-12
+
+
+# the wide-range inputs overflow inside the residual check, as they do
+# one polynomial at a time
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_batched_roots_equal_single_calls(monkeypatch):
+    # bitwise: one eigvals call on stacked companions gives what one call
+    # per polynomial gives, on every branch of poly_roots
+    aberth_degrees = []
+    aberth = polynomials._aberth
+
+    def spy(c, max_iter):
+        aberth_degrees.append(len(c) - 1)
+        return aberth(c, max_iter)
+
+    monkeypatch.setattr(polynomials, "_aberth", spy)
+    rng = np.random.default_rng(5)
+    polys = []
+    for _ in range(250):
+        # wide coefficient ranges: two of these fail the residual bound on
+        # their companion eigenvalues and take the Aberth fallback
+        deg = int(rng.integers(3, 30))
+        polys.append(CPolynomial(10.0 ** rng.uniform(-7, 7, deg + 1)
+                                 * np.exp(2j * np.pi * rng.uniform(size=deg + 1))))
+    for zeros in range(4):
+        polys.append(CPolynomial([0.0] * zeros + list(rng.normal(size=5))))
+    polys += [CPolynomial([2.0, 1.0]), CPolynomial([1.0, 0.0, 1.0]),
+              CPolynomial([0.0, 0.0, 0.0, 0.0, 1.0]), CPolynomial([0.0]),
+              CPolynomial([3.0]), CPolynomial.from_roots(rng.normal(size=6)),
+              CPolynomial([-1.0] + [0.0] * 69 + [1.0])]  # Aberth first
+    batched = poly_roots_batch(polys)
+    assert sorted(set(aberth_degrees)) == [11, 22, 70]
+    for p, got in zip(polys, batched):
+        try:
+            single = poly_roots(p)
+        except ZeroPolynomial as exc:
+            assert type(got) is type(exc) and str(got) == str(exc)
+            continue
+        assert got.dtype == single.dtype and np.array_equal(got, single)
+
+
+def test_stacked_dense_solvers_equal_single_calls():
+    rng = np.random.default_rng(7)
+    for dtype in (np.complex128, np.clongdouble):
+        for n in (1, 3, 5, 8):
+            shape = (6, n, n)
+            a = (rng.normal(size=shape) + 1j * rng.normal(size=shape)).astype(dtype)
+            a[:, 0] *= 1e9
+            a[:, :, -1] *= 1e-7
+            a[2, :, 0] = 0  # a singular member: zero determinant
+            b = (rng.normal(size=(6, n)) + 1j * rng.normal(size=(6, n))).astype(dtype)
+            dets = lu_det(a)
+            assert dets.dtype == dtype and dets[2] == 0
+            solved = solve_dense(a[[0, 1, 3, 4, 5]], b[[0, 1, 3, 4, 5]])
+            for k in range(6):
+                assert dets[k] == lu_det(a[k])
+            for k, row in enumerate((0, 1, 3, 4, 5)):
+                assert np.array_equal(solved[k], solve_dense(a[row], b[row]))
+            # one matrix against a stack of right-hand sides
+            shared = solve_dense(a[0], b)
+            for k in range(6):
+                assert np.array_equal(shared[k], solve_dense(a[0], b[k]))
 
 
 def test_dialytic_layout():
