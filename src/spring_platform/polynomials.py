@@ -186,88 +186,100 @@ def poly_roots(p: CPolynomial, max_iter: int = 500) -> np.ndarray:
 def poly_roots_batch(polys: Sequence[CPolynomial], max_iter: int = 500,
                      ) -> list:
     """poly_roots of every polynomial in polys, each entry either its root
-    array or the exception poly_roots would raise for it. The companion
-    eigenvalues of all moderate-degree members come from one
-    companion_roots call per degree."""
-    prepared = [_normalized(p) for p in polys]
-    primary: dict[int, list[int]] = {}
-    for i, item in enumerate(prepared):
-        if not isinstance(item, Exception) and 3 <= len(item[0]) - 1 <= 64:
-            primary.setdefault(len(item[0]) - 1, []).append(i)
-    eigenvalues: dict[int, np.ndarray] = {}
-    for members in primary.values():
-        for i, roots in zip(members, companion_roots(
-                np.array([prepared[i][0] for i in members]))):
-            eigenvalues[i] = roots
-    return [item if isinstance(item, Exception)
-            else _checked_roots(p, *item, eigenvalues.get(i), max_iter)
-            for i, (p, item) in enumerate(zip(polys, prepared))]
+    array or the exception poly_roots would raise for it.
 
-
-def _normalized(p: CPolynomial):
-    """(coefficients scaled to unit maximum with the roots at the origin
-    factored out, number of those roots), or ZeroPolynomial."""
-    if p.is_zero():
-        return ZeroPolynomial("all coefficients are numerically zero")
-    if p.degree < 1:
-        return ZeroPolynomial("constant polynomial has no roots")
-    c = p.coeffs.copy()
-    top = np.max(np.abs(c))
-    c = c / top
-    zeros_at_origin = np.nonzero(np.abs(c) > TRIM_RELATIVE)[0][0]
-    return c[zeros_at_origin:], zeros_at_origin
-
-
-def _checked_roots(p: CPolynomial, c: np.ndarray, zeros_at_origin: int,
-                   eigenvalues, max_iter: int):
-    """Roots of p from its normalized coefficients c and, at moderate
-    degree, the companion eigenvalues of c; NonConvergence when no solver
-    meets the residual bound."""
-    roots = [0j] * zeros_at_origin
-    deg = len(c) - 1
-
-    def attempt(solver):
-        found = list(roots)
-        if deg == 1:
-            found.append(-c[0] / c[1])
-        elif deg == 2:
-            found.extend(_quadratic_roots(c[0], c[1], c[2]))
-        elif deg > 2:
-            found.extend(solver())
-        if p.wide is not None and len(p.wide) == len(p.coeffs):
-            found = [_refine_wide(p.wide, r) for r in found]
-        return np.array(sorted(found, key=lambda z: (z.real, z.imag)),
-                        dtype=complex)
-
-    def residual_excess(candidates):
-        # acceptance: |p(r)| <= tol * sum|c| * max(1, |r|)^deg
-        csum = np.sum(np.abs(p.coeffs))
-        vals = np.abs(p(candidates))
-        bounds = ROOT_RESIDUAL_REL * csum \
-            * np.maximum(1.0, np.abs(candidates)) ** p.degree
-        with np.errstate(invalid="ignore", over="ignore"):
-            ratios = vals / bounds
-        return float(np.nanmax(ratios)) if len(ratios) else 0.0
+    The companion eigenvalues of all moderate-degree members come from one
+    companion_roots call per degree, and the residual bound is checked for
+    all members of one degree at once.
+    """
+    out: list = [None] * len(polys)
+    for i, p in enumerate(polys):
+        if p.is_zero():
+            out[i] = ZeroPolynomial("all coefficients are numerically zero")
+        elif p.degree < 1:
+            out[i] = ZeroPolynomial("constant polynomial has no roots")
+    live = [i for i, item in enumerate(out) if item is None]
+    normalized = {i: _normalized(polys[i].coeffs) for i in live}
+    by_degree: dict[int, list[int]] = {}
+    for i in live:
+        if 3 <= len(normalized[i]) - 1 <= 64:
+            by_degree.setdefault(len(normalized[i]) - 1, []).append(i)
+    eigenvalues = {}
+    for members in by_degree.values():
+        stack = np.array([normalized[i] for i in members])
+        eigenvalues.update(zip(members, companion_roots(stack)))
 
     # companion eigenvalues are the more accurate primary at moderate
     # degree (simultaneous iteration can land two iterates on one root of
     # a tight pair); Aberth covers high degrees and acts as the fallback
-    if deg <= 64:
-        found = attempt(lambda: eigenvalues)
-        excess = residual_excess(found)
-        if excess > 1.0:
-            found = attempt(lambda: _aberth(c, max_iter))
-            excess = residual_excess(found)
-    else:
-        found = attempt(lambda: _aberth(c, max_iter))
-        excess = residual_excess(found)
-        if excess > 1.0:
-            found = attempt(lambda: companion_roots(c))
-            excess = residual_excess(found)
-    if excess > 1.0:
-        return NonConvergence(
-            f"root residuals exceed the bound (worst ratio {excess:.2e})")
-    return found
+    def solvers(i):
+        c = normalized[i]
+        aberth = (lambda: _aberth(c, max_iter))
+        if len(c) - 1 <= 64:
+            return (lambda: eigenvalues[i]), aberth
+        return aberth, (lambda: companion_roots(c))
+
+    found = {i: _attempt(polys[i], normalized[i], solvers(i)[0])
+             for i in live}
+    excess = _residual_excess(polys, found)
+    for i in live:
+        if excess[i] > 1.0:
+            found[i] = _attempt(polys[i], normalized[i], solvers(i)[1])
+            excess.update(_residual_excess(polys, {i: found[i]}))
+        out[i] = found[i] if not excess[i] > 1.0 else NonConvergence(
+            f"root residuals exceed the bound (worst ratio {excess[i]:.2e})")
+    return out
+
+
+def _normalized(coeffs: np.ndarray) -> np.ndarray:
+    """Coefficients scaled to unit maximum, with ascending entries up to
+    the first one above TRIM_RELATIVE dropped; the number dropped is the
+    multiplicity of the root at the origin."""
+    c = coeffs / np.max(np.abs(coeffs))
+    return c[np.nonzero(np.abs(c) > TRIM_RELATIVE)[0][0]:]
+
+
+def _attempt(p: CPolynomial, c: np.ndarray, solver) -> np.ndarray:
+    """Roots of p, sorted, from its normalized coefficients c: the roots
+    at the origin that c leaves out, closed forms at degrees one and two,
+    and the solver's roots above; refined on p's wide coefficients when it
+    carries them."""
+    found = [0j] * (p.degree - (len(c) - 1))
+    deg = len(c) - 1
+    if deg == 1:
+        found.append(-c[0] / c[1])
+    elif deg == 2:
+        found.extend(_quadratic_roots(c[0], c[1], c[2]))
+    elif deg > 2:
+        found.extend(solver())
+    if p.wide is not None and len(p.wide) == len(p.coeffs):
+        found = [_refine_wide(p.wide, r) for r in found]
+    return np.array(sorted(found, key=lambda z: (z.real, z.imag)),
+                    dtype=complex)
+
+
+def _residual_excess(polys: Sequence[CPolynomial],
+                     found: dict[int, np.ndarray]) -> dict[int, float]:
+    """Largest ratio |p(r)| / (ROOT_RESIDUAL_REL * sum|c| * max(1, |r|)^deg)
+    over the roots r found for each polys[i]; acceptance needs it <= 1.
+    Polynomials of one degree are evaluated as one array."""
+    groups: dict[int, list[int]] = {}
+    for i in found:
+        groups.setdefault(polys[i].degree, []).append(i)
+    excess = {}
+    for degree, members in groups.items():
+        coeffs = np.array([polys[i].coeffs for i in members])
+        roots = np.array([found[i] for i in members])
+        values = np.repeat(coeffs[:, -1:], degree, axis=1)
+        for k in range(degree - 1, -1, -1):
+            values = values * roots + coeffs[:, k:k + 1]
+        csum = np.sum(np.abs(coeffs), axis=1, keepdims=True)
+        bounds = ROOT_RESIDUAL_REL * csum \
+            * np.maximum(1.0, np.abs(roots)) ** degree
+        with np.errstate(invalid="ignore", over="ignore"):
+            ratios = np.abs(values) / bounds
+        excess.update(zip(members, np.nanmax(ratios, axis=1).tolist()))
+    return excess
 
 
 def _refine_wide(wide: np.ndarray, root: complex, steps: int = 6) -> complex:
@@ -423,10 +435,10 @@ def solve_dense(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         _swap_rows(b, i, pivots)
         if np.any(a[:, i, i] == 0):
             raise ZeroDivisionError("singular system")
-        for j in range(i + 1, n):
-            factor = a[:, j, i] / a[:, i, i]
-            a[:, j, i:] -= factor[:, None] * a[:, i, i:]
-            b[:, j] -= _cmul(factor, b[:, i])
+        # rows below the pivot are eliminated independently of each other
+        factors = a[:, i + 1:, i] / a[:, i, i, None]
+        a[:, i + 1:, i:] -= factors[:, :, None] * a[:, i, None, i:]
+        b[:, i + 1:] -= _cmul(factors, b[:, i, None])
     x = np.zeros_like(b)
     for i in range(n - 1, -1, -1):
         dot = np.matmul(a[:, i, None, i + 1:], x[:, i + 1:, None])[:, 0, 0]
@@ -470,8 +482,8 @@ def lu_det(matrix: np.ndarray):
         vanishing |= pivot == 0
         pivot = np.where(vanishing, 1, pivot)
         det = _cmul(det, pivot)
-        for j in range(i + 1, n):
-            m[:, j, i:] -= (m[:, j, i] / pivot)[:, None] * m[:, i, i:]
+        factors = m[:, i + 1:, i] / pivot[:, None]
+        m[:, i + 1:, i:] -= factors[:, :, None] * m[:, i, None, i:]
     det = _cmul(det, np.power(m.dtype.type(2.0), shift))
     det[vanishing] = 0
     return det.reshape(batch)[()]
