@@ -20,7 +20,6 @@ import cmath
 import math
 import warnings
 from dataclasses import replace
-from functools import lru_cache
 
 import numpy as np
 
@@ -348,7 +347,6 @@ def _squared_rel(x, length, pair) -> float:
     return max(abs(f) / (fs + 1e-30), abs(m) / (ms + 1e-30))
 
 
-@lru_cache(maxsize=8)
 def _fast_probe(radius: float):
     """Probe nodes on one circle plus the inverse of their Vandermonde."""
     nodes = tuple(radius * cmath.exp(2j * cmath.pi * j / 5) for j in range(5))

@@ -422,17 +422,21 @@ def solve_dense(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
     Solves a stack of systems over the leading axes of matrix (..., n, n)
     and rhs (..., n), which broadcast against each other; a single system
-    is a stack of one. Every system gets the arithmetic of its own scalar
-    elimination."""
+    is a stack of one, and a single matrix is eliminated once for a whole
+    stack of right-hand sides. Every system gets the arithmetic of its own
+    scalar elimination."""
     rhs = np.asarray(rhs)
     n = rhs.shape[-1]
     batch = np.broadcast_shapes(matrix.shape[:-2], rhs.shape[:-1])
-    a = np.broadcast_to(matrix, batch + (n, n)).reshape(-1, n, n).copy()
+    if matrix.ndim == 2:
+        a = matrix[None].copy()
+    else:
+        a = np.broadcast_to(matrix, batch + (n, n)).reshape(-1, n, n).copy()
     b = np.broadcast_to(rhs, batch + (n,)).reshape(-1, n).copy()
     for i in range(n):
         pivots = i + np.argmax(np.abs(a[:, i:, i]), axis=-1)
         _swap_rows(a, i, pivots)
-        _swap_rows(b, i, pivots)
+        _swap_rows(b, i, np.broadcast_to(pivots, len(b)))
         if np.any(a[:, i, i] == 0):
             raise ZeroDivisionError("singular system")
         # rows below the pivot are eliminated independently of each other
@@ -468,9 +472,9 @@ def lu_det(matrix: np.ndarray):
         exps = np.floor(np.log2(top)).astype(int)
         scale = np.ldexp(np.ones_like(exps, dtype=float), exps)
         if axis == -1:
-            m = m / scale[:, :, None]
+            m /= scale[:, :, None]
         else:
-            m = m / scale[:, None, :]
+            m /= scale[:, None, :]
         shift = shift + np.sum(exps, axis=-1)
     det = np.ones(len(m), dtype=m.dtype)
     for i in range(n):
