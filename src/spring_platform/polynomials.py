@@ -273,11 +273,12 @@ def _residual_excess(polys: Sequence[CPolynomial],
         values = np.repeat(coeffs[:, -1:], degree, axis=1)
         for k in range(degree - 1, -1, -1):
             values = values * roots + coeffs[:, k:k + 1]
+        values = np.abs(values)
         csum = np.sum(np.abs(coeffs), axis=1, keepdims=True)
         bounds = ROOT_RESIDUAL_REL * csum \
             * np.maximum(1.0, np.abs(roots)) ** degree
         with np.errstate(invalid="ignore", over="ignore"):
-            ratios = np.abs(values) / bounds
+            ratios = values / bounds
         excess.update(zip(members, np.nanmax(ratios, axis=1).tolist()))
     return excess
 
