@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from spring_platform import (CPolynomial, InterpolationMismatch, PolyMatrix,
-                             ZeroPolynomial, back_substitute, dialytic_matrix,
-                             poly_roots, polymatrix_det)
+from spring_platform import (CPolynomial, InterpolationMismatch,
+                             MechanismError, PolyMatrix, ZeroPolynomial,
+                             back_substitute, dialytic_matrix, poly_roots,
+                             polymatrix_det)
 from spring_platform import polynomials
 from spring_platform.polynomials import lu_det, poly_roots_batch, solve_dense
 
@@ -100,7 +101,7 @@ def test_batched_roots_equal_single_calls(monkeypatch):
     rng = np.random.default_rng(5)
     polys = []
     for _ in range(250):
-        # wide coefficient ranges: two of these fail the residual bound on
+        # wide coefficient ranges: some of these fail the residual bound on
         # their companion eigenvalues and take the Aberth fallback
         deg = int(rng.integers(3, 30))
         polys.append(CPolynomial(10.0 ** rng.uniform(-7, 7, deg + 1)
@@ -112,11 +113,13 @@ def test_batched_roots_equal_single_calls(monkeypatch):
               CPolynomial([3.0]), CPolynomial.from_roots(rng.normal(size=6)),
               CPolynomial([-1.0] + [0.0] * 69 + [1.0])]  # Aberth first
     batched = poly_roots_batch(polys)
-    assert sorted(set(aberth_degrees)) == [11, 22, 70]
+    # both orders ran: a companion primary fell back, a degree-70 input
+    # started with Aberth
+    assert min(aberth_degrees) <= 64 and 70 in aberth_degrees
     for p, got in zip(polys, batched):
         try:
             single = poly_roots(p)
-        except ZeroPolynomial as exc:
+        except MechanismError as exc:
             assert type(got) is type(exc) and str(got) == str(exc)
             continue
         assert got.dtype == single.dtype and np.array_equal(got, single)
