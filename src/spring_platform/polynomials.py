@@ -487,8 +487,10 @@ def lu_det(matrix: np.ndarray):
         vanishing |= pivot == 0
         pivot = np.where(vanishing, 1, pivot)
         det = _cmul(det, pivot)
-        factors = m[:, i + 1:, i] / pivot[:, None]
-        m[:, i + 1:, i:] -= factors[:, :, None] * m[:, i, None, i:]
+        # row by row: numpy buffers broadcast extended-precision operands
+        # in full, which for a whole stack costs far more memory
+        for j in range(i + 1, n):
+            m[:, j, i:] -= (m[:, j, i] / pivot)[:, None] * m[:, i, i:]
     det = _cmul(det, np.power(m.dtype.type(2.0), shift))
     det[vanishing] = 0
     return det.reshape(batch)[()]
