@@ -138,7 +138,7 @@ def test_beta_pi_not_a_solution(params_one):
     # solution (the near-shared large complex root is the first-spring
     # zero-length factor both quartics inherit, and the unsquared filter
     # rejects it)
-    from spring_platform.one_nonzero import _beta_pi_solutions, _UnsquaredPair
+    from spring_platform.one_nonzero import _beta_pi_solutions
     pair = _UnsquaredPair(params_one, point_e(params_one))
     candidates = _beta_pi_solutions(pair, 1e-6)
     assert all(not s.accepted for s in candidates)
