@@ -27,13 +27,11 @@ from .mechanism import (ContactPose, MechanismParams, SpringState,
 from .one_nonzero import (abcd_at, quartic_pair_at, resultant_polynomial,
                           solve_one_nonzero_free_length)
 from .output import emit_tables, render_svg, report_to_dict
-from .polynomials import (BackSubResult, CPolynomial, PolyMatrix,
-                          back_substitute, dialytic_matrix, poly_roots,
-                          polymatrix_det)
+from .polynomials import (BackSubResult, CPolynomial, back_substitute,
+                          dialytic_matrix, poly_roots, polymatrix_det)
 from .solutions import EquilibriumSolution, residual_margin
 from .zero_free_lengths import (LinearizedEquilibrium, linearize,
                                 quartic_coefficients,
                                 solve_zero_free_lengths)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

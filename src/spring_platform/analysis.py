@@ -9,9 +9,8 @@ from dataclasses import dataclass, field
 from .config import CASE_ONE, CASE_ZERO, RunConfig, free_length_case
 from .errors import (AnalysisError, MechanismError, NotAssemblable,
                      UnsupportedFreeLengthPattern)
-from .free_pose import free_pose, select_candidate
-from .geometry import Contact, Point2, Transform2H, classify_contact, \
-    make_plane
+from .free_pose import free_pose, select_candidate, top_in_fixed
+from .geometry import Contact, Point2, classify_contact, make_plane
 from .mechanism import point_e
 from .one_nonzero import solve_one_nonzero_free_length
 from .solutions import EquilibriumSolution, residual_margin
@@ -45,10 +44,7 @@ def _free_pose_stage(config: RunConfig):
     except NotAssemblable:
         return None
     idx = select_candidate(result, config.free_pose_branch)
-    top_in_base = Transform2H(result.phi2_candidates[idx],
-                              result.o2_candidates[idx])
-    base_in_fixed = Transform2H(params.base_angle, params.base_origin)
-    fixed = base_in_fixed.compose(top_in_base)
+    fixed = top_in_fixed(params, result, idx)
     p_fixed = fixed.apply(params.p_in_top)
     o2_fixed = fixed.apply(Point2(0.0, 0.0))
     plane = make_plane(params.surface_angle, params.surface_point)

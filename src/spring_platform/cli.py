@@ -11,7 +11,7 @@ import sys
 from dataclasses import replace
 
 from .analysis import run_analysis
-from .config import CASE_ONE, CASE_ZERO, load_config
+from .config import CASE_ONE, CASE_ZERO, FORMATS, load_config
 from .errors import MechanismError, ParseError, ValidationError
 from .output import emit_tables, render_svg
 
@@ -49,7 +49,7 @@ def main(argv=None) -> int:
             config = replace(config, output_dir=args.out)
         if args.format:
             formats = tuple(f.strip() for f in args.format.split(",") if f.strip())
-            bad = set(formats) - {"json", "csv", "svg"}
+            bad = set(formats) - set(FORMATS)
             if bad or not formats:
                 raise ValidationError("format", f"unsupported: {sorted(bad)}")
             config = replace(config, formats=formats)

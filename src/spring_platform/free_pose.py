@@ -123,13 +123,20 @@ def select_candidate(result: FreePoseResult, branch: int | None = None) -> int:
     return branch
 
 
+def top_in_fixed(params: MechanismParams, result: FreePoseResult,
+                 index: int) -> Transform2H:
+    """Top-frame to fixed-frame transform of the free pose's O2 candidate
+    at index, through the top-in-base and base-in-fixed transforms."""
+    top_in_base = Transform2H(result.phi2_candidates[index],
+                              result.o2_candidates[index])
+    base_in_fixed = Transform2H(params.base_angle, params.base_origin)
+    return base_in_fixed.compose(top_in_base)
+
+
 def free_point_p_fixed(params: MechanismParams,
                        branch: int | None = None) -> Point2:
     """Fixed-frame coordinates of the pin P with all springs at free
     length, through the base-frame and top-frame transforms."""
     result = free_pose(params)
     idx = select_candidate(result, branch)
-    top_in_base = Transform2H(result.phi2_candidates[idx],
-                              result.o2_candidates[idx])
-    base_in_fixed = Transform2H(params.base_angle, params.base_origin)
-    return base_in_fixed.compose(top_in_base).apply(params.p_in_top)
+    return top_in_fixed(params, result, idx).apply(params.p_in_top)

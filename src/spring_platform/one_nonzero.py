@@ -28,8 +28,8 @@ from .errors import (DegreeMismatch, InterpolationMismatch, MechanismError,
 from .geometry import Point2
 from .mechanism import (MechanismParams, point_e, pose_from_trig,
                         residual_pair)
-from .polynomials import CPolynomial, back_substitute, poly_roots, \
-    poly_roots_batch, polymatrix_det, solve_dense
+from .polynomials import CPolynomial, back_substitute, dialytic_matrix, \
+    horner, poly_roots, poly_roots_batch, polymatrix_det, solve_dense
 from .solutions import (EquilibriumSolution, mark_real, pair_conjugates,
                         sort_solutions)
 
@@ -168,8 +168,8 @@ class _UnsquaredPair:
         for held in (0.61 * radius, dtype(1.42j) * dtype(radius) / 2,
                      dtype(-0.83 + 0.4j) * dtype(radius)):
             direct_f, direct_m = self.squared(dtype(held), cb, sb)
-            interp_f = _horner(f_coeffs, dtype(held))
-            interp_m = _horner(m_coeffs, dtype(held))
+            interp_f = horner(f_coeffs, dtype(held))
+            interp_m = horner(m_coeffs, dtype(held))
             # blend in the coefficient magnitude at the node so cancelling
             # held-out values do not turn roundoff into a spurious mismatch
             mag = float(max(1.0, abs(complex(held))) ** 4)
@@ -209,16 +209,6 @@ def quartic_pair(cos_beta, sin_beta, params: MechanismParams, e: Point2,
     return _UnsquaredPair(params, e).quartic_pair(cos_beta, sin_beta, dtype)
 
 
-def _horner(coeffs, x):
-    """Value of ascending coefficients (..., n) at x; one-dimensional
-    coefficients evaluate in scalar arithmetic."""
-    columns = coeffs.T
-    acc = columns[-1]
-    for c in columns[-2::-1]:
-        acc = acc * x + c
-    return acc
-
-
 def quartic_pair_at(x_beta, params: MechanismParams,
                     e: Point2 | None = None):
     """Quartic pair at a tan-half value (10 ascending complex numbers)."""
@@ -249,14 +239,7 @@ def resultant_polynomial(params: MechanismParams,
 
     def evaluate(xs):
         cb, sb = _tan_half_trig(np.asarray(xs).astype(dtype))
-        f_coeffs, m_coeffs = pair.quartic_pair(cb, sb, dtype=dtype)
-        matrix = np.zeros(cb.shape + (8, 8), dtype=dtype)
-        fd = f_coeffs[..., ::-1]
-        md = m_coeffs[..., ::-1]
-        for shift in range(4):
-            matrix[..., 2 * shift, 3 - shift: 8 - shift] = fd
-            matrix[..., 2 * shift + 1, 3 - shift: 8 - shift] = md
-        return matrix
+        return dialytic_matrix(*pair.quartic_pair(cb, sb, dtype=dtype))
 
     last_exc: Exception | None = None
     for extra in range(3):
@@ -382,7 +365,7 @@ def _branch_state(x, near_length, pair):
             states.append(None)
             continue
         length = roots[int(np.argmin(np.abs(roots - near_length)))]
-        m_val = _horner(m_coeffs, length)
+        m_val = horner(m_coeffs, length)
         states.append((length, m_val, float(np.sum(np.abs(m_coeffs)))
                        * max(1.0, abs(length)) ** 4))
         near_length = length
@@ -441,7 +424,7 @@ def _gap_grid_rescue(x0, pair, radius: float, grid: int = 7):
             continue
         m_scale = float(np.sum(np.abs(m_coeffs))) + 1e-30
         for root in roots:
-            gap = abs(_horner(m_coeffs, root)) / \
+            gap = abs(horner(m_coeffs, root)) / \
                 (m_scale * max(1.0, abs(root)) ** 4)
             if best is None or gap < best[0]:
                 best = (gap, x, root)
@@ -635,7 +618,7 @@ def _beta_pi_solutions(pair, accept_tol):
         return out
     m_scale = float(np.sum(np.abs(m_coeffs))) + 1e-30
     for root in f_roots:
-        m_val = _horner(np.asarray(m_coeffs, dtype=complex), root)
+        m_val = horner(np.asarray(m_coeffs, dtype=complex), root)
         if abs(m_val) > 1e-8 * m_scale * max(1.0, abs(root)) ** 4:
             continue
         if abs(pair.terms(root, -1.0, 0.0)[4]) < 1e-6 * (1.0 + abs(root) ** 2):

@@ -81,13 +81,11 @@ class CPolynomial:
         return len(self.coeffs) == 0
 
     def __call__(self, x):
-        if self.is_zero():
-            return np.zeros_like(np.asarray(x, dtype=complex)) if np.ndim(x) else 0j
-        acc = np.full_like(np.asarray(x, dtype=complex), self.coeffs[-1]) \
-            if np.ndim(x) else self.coeffs[-1]
-        for c in self.coeffs[-2::-1]:
-            acc = acc * x + c
-        return acc
+        if self.degree < 1:
+            value = 0j if self.is_zero() else self.coeffs[0]
+            return np.full_like(np.asarray(x, dtype=complex), value) \
+                if np.ndim(x) else value
+        return horner(self.coeffs, x)
 
     def derivative(self) -> "CPolynomial":
         if self.degree < 1:
@@ -138,6 +136,18 @@ class CPolynomial:
 
     def __repr__(self) -> str:
         return f"CPolynomial(degree={self.degree})"
+
+
+def horner(coeffs, x):
+    """Value at x of the ascending coefficients along the last axis of
+    coeffs; a stack of coefficient rows gives the stack of values. One row
+    at a scalar x evaluates in scalar arithmetic, because vectorised
+    complex128 products can differ from scalar ones in the last bit."""
+    columns = coeffs.transpose(-1, *range(coeffs.ndim - 1))
+    acc = columns[-1]
+    for c in columns[-2::-1]:
+        acc = acc * x + c
+    return acc
 
 
 def _quadratic_roots(c0, c1, c2):
@@ -270,10 +280,7 @@ def _residual_excess(polys: Sequence[CPolynomial],
     for degree, members in groups.items():
         coeffs = np.array([polys[i].coeffs for i in members])
         roots = np.array([found[i] for i in members])
-        values = np.repeat(coeffs[:, -1:], degree, axis=1)
-        for k in range(degree - 1, -1, -1):
-            values = values * roots + coeffs[:, k:k + 1]
-        values = np.abs(values)
+        values = np.abs(horner(coeffs[:, None, :], roots))
         csum = np.sum(np.abs(coeffs), axis=1, keepdims=True)
         bounds = ROOT_RESIDUAL_REL * csum \
             * np.maximum(1.0, np.abs(roots)) ** degree
@@ -288,13 +295,6 @@ def _refine_wide(wide: np.ndarray, root: complex, steps: int = 6) -> complex:
     double coefficients round to ~1e-16 relative, which sensitive root
     sets amplify far beyond that; the wide representation restores them."""
     dwide = wide[1:] * np.arange(1, len(wide), dtype=wide.dtype)
-
-    def horner(coeffs, z):
-        acc = coeffs[-1]
-        for ck in coeffs[-2::-1]:
-            acc = acc * z + ck
-        return acc
-
     x = wide.dtype.type(root)
     pv = horner(wide, x)
     for _ in range(steps):
@@ -322,13 +322,6 @@ def _aberth(c: np.ndarray, max_iter: int) -> list[complex]:
         radius = min(1.0, bound)
     angles = 2 * np.pi * np.arange(deg) / deg + 0.7
     x = radius * np.exp(1j * angles)
-
-    def horner(coeffs, z):
-        acc = np.full_like(z, coeffs[-1])
-        for ck in coeffs[-2::-1]:
-            acc = acc * z + ck
-        return acc
-
     tiny = np.finfo(float).tiny
     csum = np.sum(np.abs(c))
     prev_step = math.inf
@@ -368,14 +361,9 @@ def _aberth(c: np.ndarray, max_iter: int) -> list[complex]:
     return list(x)
 
 
-def _pad_descending(coeffs, length: int = 5) -> np.ndarray:
-    """Ascending input padded to `length` and reversed to descending."""
-    c = np.asarray(coeffs, dtype=complex)
-    if len(c) > length:
-        raise ValueError(f"degree exceeds {length - 1}")
-    out = np.zeros(length, dtype=complex)
-    out[: len(c)] = c
-    return out[::-1]
+def _coefficients(p) -> np.ndarray:
+    """Ascending coefficients of a CPolynomial or of a coefficient array."""
+    return p.coeffs if isinstance(p, CPolynomial) else np.asarray(p)
 
 
 def dialytic_matrix(p, q) -> np.ndarray:
@@ -383,17 +371,19 @@ def dialytic_matrix(p, q) -> np.ndarray:
     common root of the two quartics; the two base rows are shifted down in
     interleaved pairs (multiplication by L, L^2, L^3).
 
-    Accepts CPolynomial instances or ascending coefficient sequences of
-    degree at most 4.
+    Accepts CPolynomial instances or ascending coefficients of degree at
+    most 4; stacks of coefficients (..., <=5) give the stack of matrices,
+    in the coefficients' precision.
     """
-    pc = p.coeffs if isinstance(p, CPolynomial) else p
-    qc = q.coeffs if isinstance(q, CPolynomial) else q
-    pd = _pad_descending(pc)
-    qd = _pad_descending(qc)
-    m = np.zeros((8, 8), dtype=complex)
+    pc, qc = _coefficients(p), _coefficients(q)
+    if max(pc.shape[-1], qc.shape[-1]) > 5:
+        raise ValueError("degree exceeds 4")
+    batch = np.broadcast_shapes(pc.shape[:-1], qc.shape[:-1])
+    m = np.zeros(batch + (8, 8), dtype=np.result_type(pc, qc, complex))
     for shift in range(4):
-        m[2 * shift, 3 - shift: 8 - shift] = pd
-        m[2 * shift + 1, 3 - shift: 8 - shift] = qd
+        m[..., 2 * shift, 8 - shift - pc.shape[-1]: 8 - shift] = pc[..., ::-1]
+        m[..., 2 * shift + 1, 8 - shift - qc.shape[-1]: 8 - shift] = \
+            qc[..., ::-1]
     return m
 
 
@@ -494,39 +484,6 @@ def lu_det(matrix: np.ndarray):
     det = _cmul(det, np.power(m.dtype.type(2.0), shift))
     det[vanishing] = 0
     return det.reshape(batch)[()]
-
-
-@dataclass
-class PolyMatrix:
-    """Square matrix whose entries are polynomials in one variable."""
-
-    entries: list[list[CPolynomial]]
-
-    def __post_init__(self):
-        n = len(self.entries)
-        if any(len(row) != n for row in self.entries):
-            raise ValueError("entries must form a square matrix")
-
-    @property
-    def dimension(self) -> int:
-        return len(self.entries)
-
-    def eval(self, x) -> np.ndarray:
-        """Entry values at x, or the stack of them for an array of x."""
-        n = self.dimension
-        x = np.asarray(x)
-        out = np.zeros(x.shape + (n, n), dtype=complex)
-        for i in range(n):
-            for j in range(n):
-                out[..., i, j] = self.entries[i][j](x)
-        return out
-
-    def degree_bound(self) -> int:
-        return sum(max(max(e.degree, 0) for e in row) for row in self.entries)
-
-    def det_polynomial(self, degree_bound: int | None = None) -> CPolynomial:
-        bound = self.degree_bound() if degree_bound is None else degree_bound
-        return polymatrix_det(self.eval, bound)
 
 
 def _holdout_points(rng_seed: int = 20240817) -> np.ndarray:
@@ -636,27 +593,16 @@ def back_substitute(f_coeffs, m_coeffs) -> BackSubResult:
     when ill-conditioned or in disagreement) the nearest pair among the
     two quartics' root sets.
     """
-    fd = _pad_descending(f_coeffs if not isinstance(f_coeffs, CPolynomial)
-                         else f_coeffs.coeffs)
-    md = _pad_descending(m_coeffs if not isinstance(m_coeffs, CPolynomial)
-                         else m_coeffs.coeffs)
-    rows = []
-    for shift in range(4):
-        rf = np.zeros(8, dtype=complex)
-        rf[3 - shift: 8 - shift] = fd
-        rm = np.zeros(8, dtype=complex)
-        rm[3 - shift: 8 - shift] = md
-        rows.extend([rf, rm])
-    m7 = np.array([rows[i][:7] for i in range(7)])
+    fc, mc = (np.asarray(_coefficients(p), dtype=complex)
+              for p in (f_coeffs, m_coeffs))
+    dialytic = dialytic_matrix(fc, mc)
+    m7 = dialytic[:7, :7]
+    # only the two base rows reach the constant column
     rhs = np.zeros(7, dtype=complex)
-    rhs[0] = -fd[4]  # constant coefficient of the first quartic
-    rhs[1] = -md[4]
+    rhs[:2] = -dialytic[:2, 7]
 
     # fallback: directly match roots of the two quartics
-    pf = CPolynomial(np.asarray(f_coeffs if not isinstance(f_coeffs, CPolynomial)
-                                else f_coeffs.coeffs, dtype=complex))
-    pm = CPolynomial(np.asarray(m_coeffs if not isinstance(m_coeffs, CPolynomial)
-                                else m_coeffs.coeffs, dtype=complex))
+    pf, pm = CPolynomial(fc), CPolynomial(mc)
     fallback = None
     f_roots, m_roots = poly_roots_batch([pf, pm])
     if not isinstance(f_roots, Exception) \

@@ -3,10 +3,12 @@
 With every free length zero both equilibrium residuals are affine in the
 basis [L, L cos(beta), L sin(beta), cos(beta), sin(beta), 1]. The
 coefficients are extracted by probing the exact residual functions at
-canonical (L, beta) points rather than transcribing closed forms, the
-tan-half substitution turns the two equations into polynomials linear in
-L, and eliminating L leaves a quartic whose roots (complex included) are
-verified by substitution back into the exact residuals.
+canonical (L, beta) points rather than transcribing closed forms. In the
+isotropic variable z = exp(i beta) every first-harmonic form times z is a
+quadratic in z, so eliminating L through the force equation leaves a
+quartic in z with no excluded angle. Its roots (complex included) give
+beta = -i log z and L from the force equation, and are verified by
+substitution back into the exact residuals.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from .solutions import (EquilibriumSolution, mark_real, pair_conjugates,
                         sort_solutions)
 
 RESIDUAL_REL_TOL = 1e-8
-POLE_AGREE_REL = 1e-8  # L agreement needed to accept the beta = pi branch
 
 # probe points; the moment equation needs (1, pi) to split the L*cos term
 # from the pure-L term
@@ -100,42 +101,24 @@ def linearize(params: MechanismParams, e: Point2) -> LinearizedEquilibrium:
         moment_cos=mc[3], moment_sin=mc[4])
 
 
+def _harmonic(a0, a1, a2) -> np.ndarray:
+    """a0 + a1 cos(beta) + a2 sin(beta), times z, as ascending coefficients
+    of a quadratic in z = exp(i beta)."""
+    return np.array([(a1 + 1j * a2) / 2, a0, (a1 - 1j * a2) / 2])
+
+
 def quartic_coefficients(lin: LinearizedEquilibrium) -> np.ndarray:
-    """Ascending coefficients of the quartic in x = tan(beta/2) left after
-    eliminating L from the two cleared equations."""
-    # each equation times (1 + x^2): p(x) * L + q(x) = 0
-    p1 = np.array([lin.force_l, 0.0, lin.force_l])
-    q1 = np.array([lin.force_cos + lin.force_const,
-                   2.0 * lin.force_sin,
-                   lin.force_const - lin.force_cos])
-    p2 = np.array([lin.moment_l + lin.moment_l_cos,
-                   2.0 * lin.moment_l_sin,
-                   lin.moment_l - lin.moment_l_cos])
-    q2 = np.array([lin.moment_cos, 2.0 * lin.moment_sin, -lin.moment_cos])
-    return np.polynomial.polynomial.polymul(q1, p2) \
-        - np.polynomial.polynomial.polymul(q2, p1)
-
-
-def _tan_half(x):
-    return (1 - x * x) / (1 + x * x), 2 * x / (1 + x * x)
-
-
-def _length_from_linear(lin: LinearizedEquilibrium, x):
-    """L from whichever cleared linear equation is better conditioned,
-    plus both candidates for the agreement check."""
-    one_plus = 1 + x * x
-    p1 = lin.force_l * one_plus
-    q1 = ((lin.force_cos + lin.force_const) + 2 * lin.force_sin * x
-          + (lin.force_const - lin.force_cos) * x * x)
-    p2 = ((lin.moment_l + lin.moment_l_cos) + 2 * lin.moment_l_sin * x
-          + (lin.moment_l - lin.moment_l_cos) * x * x)
-    q2 = (lin.moment_cos + 2 * lin.moment_sin * x - lin.moment_cos * x * x)
-    l1 = -q1 / p1 if p1 != 0 else None
-    l2 = -q2 / p2 if p2 != 0 else None
-    if l1 is None and l2 is None:
-        return None, (None, None)
-    primary = l1 if (l2 is None or (l1 is not None and abs(p1) >= abs(p2))) else l2
-    return primary, (l1, l2)
+    """Ascending coefficients of the quartic in z = exp(i beta) left after
+    eliminating L through the force equation: z^2 times
+    force_l * (moment_cos cos + moment_sin sin)
+    - (moment_l + moment_l_cos cos + moment_l_sin sin)
+    * (force_cos cos + force_sin sin + force_const)."""
+    moment_free = _harmonic(0.0, lin.moment_cos, lin.moment_sin)
+    moment_length = _harmonic(lin.moment_l, lin.moment_l_cos, lin.moment_l_sin)
+    force_free = _harmonic(lin.force_const, lin.force_cos, lin.force_sin)
+    # convolving with z keeps the first product at five coefficients
+    return (lin.force_l * np.convolve(moment_free, [0.0, 1.0, 0.0])
+            - np.convolve(moment_length, force_free))
 
 
 def _polish(lin: LinearizedEquilibrium, beta, length, steps: int = 8):
@@ -170,7 +153,7 @@ def _polish(lin: LinearizedEquilibrium, beta, length, steps: int = 8):
 
 def _build_solution(params: MechanismParams, e: Point2,
                     lin: LinearizedEquilibrium, beta, length,
-                    residual_tol: float, note: str = "") -> EquilibriumSolution:
+                    residual_tol: float) -> EquilibriumSolution:
     beta, length = _polish(lin, beta, length)
     pose = pose_from_trig(length, cmath.cos(beta), cmath.sin(beta), params, e)
     f, m = residual_pair(pose, params)
@@ -186,7 +169,14 @@ def _build_solution(params: MechanismParams, e: Point2,
         beta=complex(beta), length=complex(length),
         residual_force=float(abs(f)), residual_moment=float(abs(m)),
         rel_residual=float(rel), is_real=real,
-        accepted=bool(rel <= residual_tol), note=note)
+        accepted=bool(rel <= residual_tol))
+
+
+def _no_finite_beta(beta) -> EquilibriumSolution:
+    return EquilibriumSolution(
+        beta=beta, length=complex("nan"), residual_force=math.inf,
+        residual_moment=math.inf, rel_residual=math.inf, is_real=False,
+        accepted=False, note="no finite beta")
 
 
 def solve_zero_free_lengths(params: MechanismParams,
@@ -195,9 +185,10 @@ def solve_zero_free_lengths(params: MechanismParams,
     """All equilibrium configurations for the all-zero-free-length case.
 
     Returns the quartic's four roots (with multiplicity, complex included)
-    as verified solutions sorted by beta; a genuine beta = pi equilibrium,
-    invisible to the tan-half variable, is appended when both cleared
-    equations agree there.
+    as verified solutions sorted by beta. The z^0 and z^4 coefficients
+    vanish together, exactly when the force residual does not depend on
+    beta; a root at z = 0, or one lost to that degree drop, has no finite
+    beta and is reported as a rejected row of NaN length.
     """
     e = point_e(params)
     lin = linearize(params, e)
@@ -208,46 +199,17 @@ def solve_zero_free_lengths(params: MechanismParams,
     if scale <= 1e-14 * max(ref, 1.0):
         raise DegenerateQuartic("eliminated polynomial is identically zero")
 
-    quartic = CPolynomial(coeffs)
-    solutions = []
-    for x in poly_roots(quartic):
-        pole_gap = abs(1 + x * x)
-        if pole_gap < 1e-12 * (1 + abs(x) ** 2):
-            solutions.append(EquilibriumSolution(
-                beta=cmath.pi + 0j, length=complex("nan"),
-                residual_force=math.inf, residual_moment=math.inf,
-                rel_residual=math.inf, is_real=False, accepted=False,
-                note="tan-half pole artifact"))
+    roots = poly_roots(CPolynomial(coeffs))
+    # beta = -i log z runs to -i infinity as z does
+    solutions = [_no_finite_beta(complex(0.0, -math.inf))] * (4 - len(roots))
+    for z in roots:
+        if z == 0:
+            solutions.append(_no_finite_beta(complex(0.0, math.inf)))
             continue
-        beta = 2 * cmath.atan(x)
-        length, (l1, l2) = _length_from_linear(lin, x)
-        if length is None:
-            continue
-        note = ""
-        if l1 is not None and l2 is not None:
-            gap = abs(l1 - l2) / max(1.0, abs(l1), abs(l2))
-            if gap > 1e-6:
-                note = f"linear L estimates disagree ({gap:.1e})"
+        beta = -1j * cmath.log(z)
+        # the L coefficient of the force equation is k1 + k2 + k3 > 0
+        length = -lin.force_value(0.0, cmath.cos(beta), cmath.sin(beta)) \
+            / lin.force_l
         solutions.append(_build_solution(params, e, lin, beta, length,
-                                         residual_tol, note))
-
-    pole = _beta_pi_solution(params, e, lin, residual_tol)
-    if pole is not None:
-        solutions.append(pole)
+                                         residual_tol))
     return sort_solutions(pair_conjugates(solutions))
-
-
-def _beta_pi_solution(params, e, lin, residual_tol):
-    """The tan-half substitution cannot represent beta = pi; check that
-    branch directly through the two linear-in-L equations."""
-    denom_f = lin.force_l
-    denom_m = lin.moment_l - lin.moment_l_cos
-    if denom_f == 0 or abs(denom_m) < 1e-14 * (abs(lin.moment_l)
-                                               + abs(lin.moment_l_cos) + 1e-30):
-        return None
-    l_force = (lin.force_cos - lin.force_const) / denom_f
-    l_moment = lin.moment_cos / denom_m
-    if abs(l_force - l_moment) > POLE_AGREE_REL * max(1.0, abs(l_force)):
-        return None
-    return _build_solution(params, e, lin, math.pi, (l_force + l_moment) / 2,
-                           residual_tol, note="beta = pi branch")

@@ -78,6 +78,24 @@ REFERENCE_CONFIG = {
 }
 
 
+def polynomial_matrix(entries):
+    """(evaluate, degree bound) of a square matrix whose entries are
+    CPolynomials, in the form polymatrix_det takes: evaluate maps an array
+    of x to the stack of entry-value matrices."""
+    n = len(entries)
+
+    def evaluate(x):
+        x = np.asarray(x)
+        out = np.zeros(x.shape + (n, n), dtype=complex)
+        for i, row in enumerate(entries):
+            for j, entry in enumerate(row):
+                out[..., i, j] = entry(x)
+        return out
+
+    bound = sum(max(max(e.degree, 0) for e in row) for row in entries)
+    return evaluate, bound
+
+
 def random_params(rng, l01=0.0):
     """Random geometrically sane mechanism with the given first free
     length; the base axis is kept clearly non-parallel to the surface."""

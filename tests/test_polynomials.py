@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from _support import polynomial_matrix
+
 from spring_platform import (CPolynomial, InterpolationMismatch,
-                             MechanismError, PolyMatrix, ZeroPolynomial,
+                             MechanismError, ZeroPolynomial,
                              back_substitute, dialytic_matrix, poly_roots,
                              polymatrix_det)
 from spring_platform import polynomials
@@ -201,8 +203,7 @@ def test_dialytic_determinant_matches_resultant_product():
 def test_polymatrix_det_two_by_two():
     x = CPolynomial([0.0, 1.0])
     one = CPolynomial([1.0])
-    m = PolyMatrix([[x, one], [one, x]])
-    det = m.det_polynomial()
+    det = polymatrix_det(*polynomial_matrix([[x, one], [one, x]]))
     assert det.degree == 2
     assert abs(det.coeffs[2] - 1.0) < 1e-9
     assert abs(det.coeffs[1]) < 1e-9
@@ -210,8 +211,8 @@ def test_polymatrix_det_two_by_two():
 
 
 def test_polymatrix_det_one_by_one():
-    m = PolyMatrix([[CPolynomial([2.0, 0.0, 0.0, 1.0])]])
-    det = m.det_polynomial()
+    det = polymatrix_det(
+        *polynomial_matrix([[CPolynomial([2.0, 0.0, 0.0, 1.0])]]))
     assert det.degree == 3
     assert abs(det.coeffs[0] - 2.0) < 1e-10
     assert abs(det.coeffs[3] - 1.0) < 1e-10
@@ -221,20 +222,20 @@ def test_polymatrix_det_agrees_with_direct_evaluation():
     rng = np.random.default_rng(41)
     entries = [[CPolynomial(rng.uniform(-2, 2, rng.integers(1, 4)))
                 for _ in range(3)] for _ in range(3)]
-    m = PolyMatrix(entries)
-    det = m.det_polynomial()
+    evaluate, bound = polynomial_matrix(entries)
+    det = polymatrix_det(evaluate, bound)
     for _ in range(20):
         x = complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
-        direct = np.linalg.det(m.eval(x))
+        direct = np.linalg.det(evaluate(x))
         assert abs(det(x) - direct) <= 1e-8 * max(1.0, abs(direct))
 
 
 def test_polymatrix_det_rejects_wrong_degree_bound():
     x = CPolynomial([0.0, 1.0])
-    m = PolyMatrix([[x * x * x, CPolynomial([1.0])],
-                    [CPolynomial([1.0]), x * x * x]])
+    evaluate, _ = polynomial_matrix([[x * x * x, CPolynomial([1.0])],
+                                     [CPolynomial([1.0]), x * x * x]])
     with pytest.raises(InterpolationMismatch):
-        polymatrix_det(m.eval, degree_bound=3)  # true degree is 6
+        polymatrix_det(evaluate, degree_bound=3)  # true degree is 6
 
 
 def test_back_substitute_shared_root():

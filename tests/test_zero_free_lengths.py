@@ -1,3 +1,4 @@
+import cmath
 import dataclasses
 import math
 
@@ -6,9 +7,9 @@ import pytest
 
 from _support import TABLE_ZERO, nearest_match, random_params, reference_params
 
-from spring_platform import (DegenerateQuartic, NonZeroFreeLength, Point2,
-                             linearize, quartic_coefficients,
-                             solve_zero_free_lengths)
+from spring_platform import (DegenerateQuartic, MechanismParams,
+                             NonZeroFreeLength, Point2, linearize,
+                             quartic_coefficients, solve_zero_free_lengths)
 from spring_platform.mechanism import point_e, pose_from, residual_pair
 
 
@@ -48,20 +49,20 @@ def test_linearized_identities_random_samples():
 
 
 def test_quartic_formulations_agree(params_zero):
-    # coefficient expansion against direct cross-multiplied evaluation
+    # the z = exp(i beta) expansion against e^{2 i beta} times the
+    # trigonometric form of the eliminant, at complex beta
     lin = linearize(params_zero, point_e(params_zero))
     coeffs = quartic_coefficients(lin)
     rng = np.random.default_rng(53)
     for _ in range(20):
-        x = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
-        poly_val = sum(c * x ** k for k, c in enumerate(coeffs))
-        p1 = lin.force_l * (1 + x * x)
-        q1 = ((lin.force_cos + lin.force_const) + 2 * lin.force_sin * x
-              + (lin.force_const - lin.force_cos) * x * x)
-        p2 = ((lin.moment_l + lin.moment_l_cos) + 2 * lin.moment_l_sin * x
-              + (lin.moment_l - lin.moment_l_cos) * x * x)
-        q2 = lin.moment_cos + 2 * lin.moment_sin * x - lin.moment_cos * x * x
-        direct = q1 * p2 - q2 * p1
+        beta = complex(rng.uniform(-math.pi, math.pi), rng.uniform(-1.5, 1.5))
+        z = cmath.exp(1j * beta)
+        cb, sb = cmath.cos(beta), cmath.sin(beta)
+        poly_val = sum(c * z ** k for k, c in enumerate(coeffs))
+        trig = (lin.force_l * (lin.moment_cos * cb + lin.moment_sin * sb)
+                - (lin.moment_l + lin.moment_l_cos * cb + lin.moment_l_sin * sb)
+                * (lin.force_cos * cb + lin.force_sin * sb + lin.force_const))
+        direct = z * z * trig
         assert abs(poly_val - direct) <= 1e-10 * max(1.0, abs(direct))
 
 
@@ -101,7 +102,6 @@ def test_deterministic_ordering(params_zero):
 
 def test_both_cleared_equations_give_same_length(solutions_zero, params_zero):
     # at each root the two linear-in-L equations agree on L
-    import cmath
     lin = linearize(params_zero, point_e(params_zero))
     for s in solutions_zero:
         x = cmath.tan(s.beta / 2)
@@ -191,6 +191,55 @@ def test_random_parameter_sets_verified():
         assert len(finite) >= 4
         for s in finite:
             assert s.rel_residual <= 1e-8
+
+
+def test_real_root_at_beta_pi():
+    # a real equilibrium at beta = pi, where the tan-half variable has its
+    # pole; the z form finds it among the quartic's roots with no special case
+    params = MechanismParams(
+        surface_point=Point2(6.0786140476331285, 0.7505332117827734),
+        surface_angle=3.237885993554064,
+        a1_in_base=Point2(3.8593124379399906, 0.0),
+        a2_in_top=Point2(1.3169263573171162, 0.0),
+        p_in_top=Point2(0.971626778987843, 3.99711640272775),
+        base_origin=Point2(3.4807984506438405, -1.9513673782922885),
+        base_angle=1.7957430321414596,
+        stiffness=(1.9093059432330257, 3.904488915059245, 3.6214071500016307),
+        free_lengths=(0.0, 0.0, 0.0))
+    solutions = solve_zero_free_lengths(params)
+    assert len(solutions) == 4
+    assert all(s.accepted and s.is_real and s.note == "" for s in solutions)
+    at_pi = [s for s in solutions
+             if abs(math.remainder(s.beta.real - math.pi, 2 * math.pi)) <= 1e-9]
+    assert len(at_pi) == 1
+    assert abs(at_pi[0].length - (-0.204368908200156)) <= 1e-9
+
+
+def test_balanced_pin_has_no_finite_beta_roots(params_zero):
+    # with the pin at x = (k2 + k3) d_o2a2 / (k1 + k2 + k3) on the top X
+    # axis the force residual does not depend on beta: z^0 and z^4 vanish
+    k1, k2, k3 = params_zero.stiffness
+    params = dataclasses.replace(params_zero, p_in_top=Point2(
+        (k2 + k3) * params_zero.d_o2a2 / (k1 + k2 + k3), 0.0))
+    solutions = solve_zero_free_lengths(params)
+    assert len(solutions) == 4
+    infinite = [s for s in solutions if not cmath.isfinite(s.beta)]
+    assert len(infinite) == 2
+    for s in infinite:
+        assert not s.accepted and math.isnan(s.length.real)
+        assert s.note == "no finite beta"
+    finite = [s for s in solutions if cmath.isfinite(s.beta)]
+    assert all(s.accepted and s.rel_residual <= 1e-8 for s in finite)
+
+
+def test_seeded_corpus_real_roots():
+    # real accepted roots of the first 100 seed-59 mechanisms, as the
+    # tan-half formulation found them
+    rng = np.random.default_rng(59)
+    real = sum(s.accepted and s.is_real
+               for _ in range(100)
+               for s in solve_zero_free_lengths(random_params(rng)))
+    assert real == 242
 
 
 def test_degenerate_inputs_raise():
