@@ -28,8 +28,10 @@ from .errors import (DegreeMismatch, InterpolationMismatch, MechanismError,
 from .geometry import Point2
 from .mechanism import (MechanismParams, point_e, pose_from_trig,
                         residual_pair)
-from .polynomials import CPolynomial, back_substitute, dialytic_matrix, \
-    horner, poly_roots, poly_roots_batch, polymatrix_det, solve_dense
+from .polynomials import (CPolynomial, _cabs, _cmul, _first_min, _mul,
+                          _pydiv, _root_table, back_substitute_batch,
+                          dialytic_matrix, horner, poly_roots,
+                          poly_roots_batch, polymatrix_det, solve_dense)
 from .solutions import (EquilibriumSolution, mark_real, pair_conjugates,
                         sort_solutions)
 
@@ -56,7 +58,8 @@ class _UnsquaredPair:
     arithmetic is that of pose_from_trig and Point2, operation for
     operation, without building the intermediate points, so the values
     are bit-identical to the pose-based residual forms. It accepts complex
-    scalars and, elementwise, complex arrays.
+    scalars and, elementwise, complex arrays; complex128 products go
+    through _cmul so that each element keeps its scalar value.
     """
 
     __slots__ = ("params", "e", "ca", "sa", "ex", "ey", "px2", "py2", "d2",
@@ -100,28 +103,31 @@ class _UnsquaredPair:
                       + (k1 * y1 + k2 * y2 + k3 * y3) * sa)
         r1x, r1y = self.o1x - px, self.o1y - py
         r3x, r3y = self.a1x - px, self.a1y - py
-        moment_coef = ((r1x * (y1 * k1) - r1y * (x1 * k1))
-                       + (r1x * (y2 * k2) - r1y * (x2 * k2))
-                       + (r3x * (y3 * k3) - r3y * (x3 * k3)))
+        moment_coef = ((_mul(r1x, y1 * k1) - _mul(r1y, x1 * k1))
+                       + (_mul(r1x, y2 * k2) - _mul(r1y, x2 * k2))
+                       + (_mul(r3x, y3 * k3) - _mul(r3y, x3 * k3)))
         force_rhs = self.kl * (x1 * ca + y1 * sa)
-        moment_rhs = self.kl * (r1x * y1 - r1y * x1)
-        l1_sq = x1 * x1 + y1 * y1
+        moment_rhs = self.kl * (_mul(r1x, y1) - _mul(r1y, x1))
+        l1_sq = _mul(x1, x1) + _mul(y1, y1)
         return force_coef, force_rhs, moment_coef, moment_rhs, l1_sq
+
+    def _squared_terms(self, length, cos_beta, sin_beta):
+        """(A^2 L1^2, B^2, C^2 L1^2, D^2)."""
+        a, b, c, d, l1_sq = self.terms(length, cos_beta, sin_beta)
+        return (_mul(_mul(a, a), l1_sq), _mul(b, b),
+                _mul(_mul(c, c), l1_sq), _mul(d, d))
 
     def squared(self, length, cos_beta, sin_beta):
         """The squared pair (F, M) = (A^2 L1^2 - B^2, C^2 L1^2 - D^2)."""
-        a, b, c, d, l1_sq = self.terms(length, cos_beta, sin_beta)
-        return a ** 2 * l1_sq - b ** 2, c ** 2 * l1_sq - d ** 2
+        fa, fb, ma, mb = self._squared_terms(length, cos_beta, sin_beta)
+        return fa - fb, ma - mb
 
     def squared_scaled(self, length, cos_beta, sin_beta):
         """(F, M, F scale, M scale), each scale the sum of the magnitudes
         of its two terms."""
-        a, b, c, d, l1_sq = self.terms(length, cos_beta, sin_beta)
-        f = a ** 2 * l1_sq - b ** 2
-        m = c ** 2 * l1_sq - d ** 2
-        f_scale = abs(a ** 2 * l1_sq) + abs(b ** 2)
-        m_scale = abs(c ** 2 * l1_sq) + abs(d ** 2)
-        return f, m, f_scale, m_scale
+        fa, fb, ma, mb = self._squared_terms(length, cos_beta, sin_beta)
+        return (fa - fb, ma - mb, _cabs(fa) + _cabs(fb),
+                _cabs(ma) + _cabs(mb))
 
     def quartic_pair(self, cos_beta, sin_beta, dtype=complex):
         """Ascending coefficients (F, M), each a quartic in L, at fixed
@@ -168,21 +174,36 @@ class _UnsquaredPair:
         for held in (0.61 * radius, dtype(1.42j) * dtype(radius) / 2,
                      dtype(-0.83 + 0.4j) * dtype(radius)):
             direct_f, direct_m = self.squared(dtype(held), cb, sb)
-            interp_f = horner(f_coeffs, dtype(held))
-            interp_m = horner(m_coeffs, dtype(held))
+            interp_f = horner(f_coeffs, dtype(held), _mul)
+            interp_m = horner(m_coeffs, dtype(held), _mul)
             # blend in the coefficient magnitude at the node so cancelling
             # held-out values do not turn roundoff into a spurious mismatch
             mag = float(max(1.0, abs(complex(held))) ** 4)
-            scale_f = abs(direct_f) + 1e-3 * f_sum * mag
-            scale_m = abs(direct_m) + 1e-3 * m_sum * mag
-            ok = ok & ~((abs(interp_f - direct_f) > 1e-9 * scale_f)
-                        | (abs(interp_m - direct_m) > 1e-9 * scale_m))
+            scale_f = _cabs(direct_f) + 1e-3 * f_sum * mag
+            scale_m = _cabs(direct_m) + 1e-3 * m_sum * mag
+            ok = ok & ~((_cabs(interp_f - direct_f) > 1e-9 * scale_f)
+                        | (_cabs(interp_m - direct_m) > 1e-9 * scale_m))
         return f_coeffs, m_coeffs, ok
 
 
-def _tan_half_trig(x):
-    """(cos beta, sin beta) at the tan-half value x = tan(beta / 2)."""
-    return (1 - x * x) / (1 + x * x), 2 * x / (1 + x * x)
+def _tan_half_trig(x, cpython=None):
+    """(cos beta, sin beta) at the tan-half value x = tan(beta / 2).
+
+    A complex128 stack divides as numpy scalars do, except the elements
+    flagged in the boolean mask `cpython`: those divide as Python complex
+    numbers do (see polynomials._pydiv). Branch following starts from
+    Python complex points, and points it returns unmoved keep that
+    rounding through polishing and classification.
+    """
+    if not (isinstance(x, np.ndarray) and x.dtype == complex):
+        return (1 - x * x) / (1 + x * x), 2 * x / (1 + x * x)
+    xx = _cmul(x, x)
+    num_c, num_s, den = 1 - xx, 2 * x, 1 + xx
+    cos_b, sin_b = num_c / den, num_s / den
+    if cpython is not None and cpython.any():
+        cos_b[cpython] = _pydiv(num_c[cpython], den[cpython])
+        sin_b[cpython] = _pydiv(num_s[cpython], den[cpython])
+    return cos_b, sin_b
 
 
 def abcd_at(length, beta, params: MechanismParams, e: Point2):
@@ -275,162 +296,205 @@ def resultant_polynomial(params: MechanismParams,
     raise last_exc if last_exc is not None else InterpolationMismatch("no fit")
 
 
-def _polish_squared(x, length, pair, steps: int = 40):
-    """Damped Newton on the exact squared pair in (x, L).
+def _polish_squared(x, length, cpython, pair, steps: int = 40):
+    """Damped Newton on the exact squared pair in (x, L), run in lockstep
+    over a stack of starts; cpython is the _tan_half_trig mask of x.
 
     The iteration differentiates the raw (holomorphic) pair and keeps a
     step only when the residual magnitude drops, so candidates that are
-    not actual solutions (pole artifacts) stay put.
+    not actual solutions (pole artifacts) stay put. Returns (x, L,
+    cpython), the mask cleared where a step was taken.
     """
-    def values(xv, lv):
-        return pair.squared(lv, *_tan_half_trig(xv))
+    def evaluate(xs, ls, cp):
+        """The pair at (x, L), (x + hx, L) and (x, L + hl), stacked (F or
+        M, point, member), with the steps hx and hl. A trial point is
+        evaluated with its difference points, which the next step needs
+        exactly when the trial point is kept."""
+        hx, hl = 1e-7 * (1 + _cabs(xs)), 1e-7 * (1 + _cabs(ls))
+        f, m = pair.squared(np.concatenate([ls, ls, ls + hl]),
+                            *_tan_half_trig(np.concatenate([xs, xs + hx, xs]),
+                                            np.tile(cp, 3)))
+        return np.stack([f, m]).reshape(2, 3, len(xs)), hx, hl
 
-    try:
-        f, m = values(x, length)
-    except ZeroDivisionError:
-        return x, length
-    norm = abs(f) + abs(m)
+    x, length, cpython = x.copy(), length.copy(), cpython.copy()
+    values, hx, hl = evaluate(x, length, cpython)
+    norm = _cabs(values[0, 0]) + _cabs(values[1, 0])
+    active = np.ones(len(x), dtype=bool)
     for _ in range(steps):
-        if norm == 0:
+        active &= norm != 0
+        idx = np.nonzero(active)[0]
+        if not idx.size:
             break
-        hx = 1e-7 * (1 + abs(x))
-        hl = 1e-7 * (1 + abs(length))
-        try:
-            fx, mx = values(x + hx, length)
-            fl, ml = values(x, length + hl)
-        except ZeroDivisionError:
-            break
-        j11, j12 = (fx - f) / hx, (fl - f) / hl
-        j21, j22 = (mx - m) / hx, (ml - m) / hl
-        det = j11 * j22 - j12 * j21
-        if det == 0:
-            break
-        dx = (f * j22 - m * j12) / det
-        dl = (j11 * m - j21 * f) / det
-        cap = 1.0 + abs(x)
-        if abs(dx) > cap:
-            scale = cap / abs(dx)
-            dx *= scale
-            dl *= scale
-        try:
-            nf, nm = values(x - dx, length - dl)
-        except ZeroDivisionError:
-            break
-        if abs(nf) + abs(nm) >= norm:
-            break
-        x, length = x - dx, length - dl
-        f, m, norm = nf, nm, abs(nf) + abs(nm)
-        if abs(dx) + abs(dl) < 1e-15 * (1 + abs(x) + abs(length)):
-            break
-    return x, length
+        (f, fx, fl), (m, mx, ml) = values[:, :, idx]
+        j11, j12 = (fx - f) / hx[idx], (fl - f) / hl[idx]
+        j21, j22 = (mx - m) / hx[idx], (ml - m) / hl[idx]
+        det = _cmul(j11, j22) - _cmul(j12, j21)
+        live = det != 0
+        if not live.all():
+            active[idx[~live]] = False
+            idx = idx[live]
+            f, m, j11, j12, j21, j22, det = (
+                v[live] for v in (f, m, j11, j12, j21, j22, det))
+        xi, li = x[idx], length[idx]
+        dx = (_cmul(f, j22) - _cmul(m, j12)) / det
+        dl = (_cmul(j11, m) - _cmul(j21, f)) / det
+        cap = 1.0 + _cabs(xi)
+        size = _cabs(dx)
+        big = size > cap
+        scale = cap[big] / size[big]
+        dx[big] *= scale
+        dl[big] *= scale
+        nx, nl = xi - dx, li - dl
+        trial, nhx, nhl = evaluate(nx, nl, np.zeros(len(idx), dtype=bool))
+        new_norm = _cabs(trial[0, 0]) + _cabs(trial[1, 0])
+        take = ~(new_norm >= norm[idx])
+        moved = idx[take]
+        x[moved], length[moved], cpython[moved] = nx[take], nl[take], False
+        values[:, :, moved], norm[moved] = trial[:, :, take], new_norm[take]
+        hx[moved], hl[moved] = nhx[take], nhl[take]
+        settled = _cabs(dx[take]) + _cabs(dl[take]) \
+            < 1e-15 * (1 + _cabs(nx[take]) + _cabs(nl[take]))
+        active[idx[~take]] = False
+        active[moved[settled]] = False
+    return x, length, cpython
 
 
-def _squared_rel(x, length, pair) -> float:
-    f, m, fs, ms = pair.squared_scaled(length, *_tan_half_trig(x))
-    return max(abs(f) / (fs + 1e-30), abs(m) / (ms + 1e-30))
+def _squared_rel(x, length, cpython, pair):
+    """Scale-normalized squared-pair residual of each point of a stack."""
+    f, m, fs, ms = pair.squared_scaled(length, *_tan_half_trig(x, cpython))
+    rel_f, rel_m = _cabs(f) / (fs + 1e-30), _cabs(m) / (ms + 1e-30)
+    return np.where(rel_m > rel_f, rel_m, rel_f)  # max() keeps a NaN rel_f
 
 
 def _fast_probe(radius: float):
     """Probe nodes on one circle plus the inverse of their Vandermonde."""
-    nodes = tuple(radius * cmath.exp(2j * cmath.pi * j / 5) for j in range(5))
+    nodes = [radius * cmath.exp(2j * cmath.pi * j / 5) for j in range(5)]
     inv = np.linalg.inv(np.array([[n ** k for k in range(5)] for n in nodes]))
-    return nodes, inv
+    return np.array(nodes), inv
 
 
-def _quartic_pair_fast(x, pair):
-    """Quartic pair at a tan-half value without held-out validation; used
-    inside refinement loops after the sampling stage has already validated
+def _quartic_pair_fast(x, cpython, pair):
+    """Quartic pairs (F, M), coefficient rows (n, 5), at a stack of tan-half
+    values (cpython as in _tan_half_trig), without held-out validation;
+    used inside refinement after the sampling stage has already validated
     the construction many times over."""
-    cb, sb = _tan_half_trig(x)
-    f_vals = np.empty(5, dtype=complex)
-    m_vals = np.empty(5, dtype=complex)
-    for i, node in enumerate(pair.fast_nodes):
-        f_vals[i], m_vals[i] = pair.squared(node, cb, sb)
-    return pair.fast_inverse @ f_vals, pair.fast_inverse @ m_vals
+    cb, sb = _tan_half_trig(x, cpython)
+    # all five probe nodes at once: (node, n) per function
+    values = np.array(pair.squared(pair.fast_nodes[:, None], cb, sb))
+    # one matrix-vector product per row, the product a single row gets
+    # (a matrix-matrix product over the rows rounds differently)
+    samples = values.transpose(0, 2, 1)[..., None]
+    f_rows, m_rows = np.matmul(pair.fast_inverse, samples)[..., 0]
+    return f_rows, m_rows
 
 
-def _branch_state(x, near_length, pair):
-    """(length, m_value, m_scale, slope) on the first-quartic root branch
-    nearest to near_length, where slope is the finite-difference
-    derivative of m_value along that branch (None when the quartic at the
-    offset point cannot be solved); None when the quartic at x cannot be
-    solved. The quartics at x and at the offset point share one root
-    solve."""
-    delta = 1e-7 * (1 + abs(x))
-    quartics = [_quartic_pair_fast(x, pair), _quartic_pair_fast(x + delta, pair)]
-    states = []
-    for (f_coeffs, m_coeffs), roots in zip(quartics, poly_roots_batch(
-            [CPolynomial(f_coeffs) for f_coeffs, _ in quartics])):
-        if isinstance(roots, MechanismError):
-            states.append(None)
-            continue
-        length = roots[int(np.argmin(np.abs(roots - near_length)))]
-        m_val = horner(m_coeffs, length)
-        states.append((length, m_val, float(np.sum(np.abs(m_coeffs)))
-                       * max(1.0, abs(length)) ** 4))
-        near_length = length
-    here, ahead = states
-    if here is None:
-        return None
-    slope = None if ahead is None else (ahead[1] - here[1]) / delta
-    return here + (slope,)
+def _above_one_pow4(v):
+    """max(1, v) ** 4 per element, with the rounding of Python's pow;
+    numpy's vectorised power can differ in the last bit."""
+    return np.array([t ** 4 if t > 1.0 else 1.0 for t in v.tolist()])
+
+
+def _nearest_roots(roots, valid, near):
+    """Per row, the root nearest to near (the first on ties)."""
+    dist = np.where(valid, np.abs(roots - near[:, None]), np.inf)
+    return roots[np.arange(len(roots)), np.argmin(dist, axis=1)]
+
+
+def _branch_state(x, near_length, cpython, pair):
+    """Per tan-half value of a stack, the state on the first-quartic root
+    branch nearest to near_length: (ok, length, m_value, m_scale, slope,
+    has_slope). slope is the finite-difference derivative of m_value along
+    that branch; has_slope is False when the quartic at the offset point
+    cannot be solved, ok False when the quartic at x cannot be. The
+    quartics at x and at the offset points share one root solve."""
+    count = len(x)
+    delta = 1e-7 * (1 + _cabs(x))
+    f_rows, m_rows = _quartic_pair_fast(np.concatenate([x, x + delta]),
+                                        np.concatenate([cpython, cpython]),
+                                        pair)
+    roots, valid = _root_table(poly_roots_batch(f_rows), 4)
+    ok = valid.any(axis=1)
+    length = _nearest_roots(roots[:count], valid[:count], near_length)
+    ahead = _nearest_roots(roots[count:], valid[count:], length)
+    m_val = horner(m_rows, np.concatenate([length, ahead]), _cmul)
+    m_scale = np.sum(np.abs(m_rows[:count]), axis=1) \
+        * _above_one_pow4(_cabs(length))
+    slope = (m_val[count:] - m_val[:count]) / delta
+    return ok[:count], length, m_val[:count], m_scale, slope, ok[count:]
 
 
 def _follow_branch(x0, length_seed, pair, steps: int = 30):
-    """Refine a squared-pair solution by tracking one root branch of the
-    first quartic while driving the second quartic to zero in x.
+    """Refine squared-pair solutions by tracking one root branch of the
+    first quartic while driving the second quartic to zero in x, in
+    lockstep over a stack of starts (x0, length_seed).
 
     Along the branch the first equation holds exactly, so the problem is a
     one-dimensional root find for the second; this stays robust where the
-    joint Newton stalls between near-double solutions. Returns (x, L) or
-    None when the iteration leaves the neighbourhood or fails to converge.
+    joint Newton stalls between near-double solutions. Returns (x, L,
+    cpython, converged): converged is False where the iteration leaves the
+    neighbourhood or fails to converge, and cpython marks the results
+    still at their start, a Python complex point (see _tan_half_trig).
     """
-    x = complex(x0)
-    state = _branch_state(x, length_seed, pair)
-    if state is None:
-        return None
+    count = len(x0)
+    x = x0.copy()
+    cpython = np.ones(count, dtype=bool)
+    ok, length, m_val, m_scale, slope, has_slope = _branch_state(
+        x, length_seed, cpython, pair)
+    converged = np.zeros(count, dtype=bool)
+    active = ok
     for _ in range(steps):
-        length, m_val, m_scale, derivative = state
-        if abs(m_val) <= 1e-12 * m_scale:
-            return x, length
-        if derivative is None or derivative == 0:
-            return None
-        step = m_val / derivative
-        cap = 0.1 * (1 + abs(x))
-        if abs(step) > cap:
-            step *= cap / abs(step)
-        x = x - step
-        if abs(x - x0) > 0.5 * (1 + abs(x0)):
-            return None  # left the candidate's neighbourhood
-        state = _branch_state(x, length, pair)
-        if state is None:
-            return None
-    length, m_val, m_scale, _ = state
-    return (x, length) if abs(m_val) <= 1e-10 * m_scale else None
-
-
-def _gap_grid_rescue(x0, pair, radius: float, grid: int = 7):
-    """Locate the best common-root point on a small grid around x0 and
-    refine from there; the last resort for candidates whose neighbourhood
-    holds near-double solutions."""
-    points = [x0 + dx + 1j * dy
-              for dx in np.linspace(-radius, radius, grid)
-              for dy in np.linspace(-radius, radius, grid)]
-    quartics = [_quartic_pair_fast(x, pair) for x in points]
-    best = None
-    for x, (f_coeffs, m_coeffs), roots in zip(points, quartics, poly_roots_batch(
-            [CPolynomial(f_coeffs) for f_coeffs, _ in quartics])):
-        if isinstance(roots, MechanismError):
+        idx = np.nonzero(active)[0]
+        if not idx.size:
+            break
+        done = _cabs(m_val[idx]) <= 1e-12 * m_scale[idx]
+        converged[idx[done]] = True
+        go = ~done & has_slope[idx] & (slope[idx] != 0)
+        active[idx[~go]] = False
+        idx = idx[go]
+        step = m_val[idx] / slope[idx]
+        cap = 0.1 * (1 + _cabs(x[idx]))
+        size = _cabs(step)
+        big = size > cap
+        step[big] *= cap[big] / size[big]
+        x[idx] = x[idx] - step
+        cpython[idx] = False
+        # leaving the candidate's neighbourhood ends the iteration
+        left = _cabs(x[idx] - x0[idx]) > 0.5 * (1 + _cabs(x0[idx]))
+        active[idx[left]] = False
+        idx = idx[~left]
+        if not idx.size:
             continue
-        m_scale = float(np.sum(np.abs(m_coeffs))) + 1e-30
-        for root in roots:
-            gap = abs(horner(m_coeffs, root)) / \
-                (m_scale * max(1.0, abs(root)) ** 4)
-            if best is None or gap < best[0]:
-                best = (gap, x, root)
-    if best is None:
-        return None
-    return _follow_branch(best[1], best[2], pair)
+        state = _branch_state(x[idx], length[idx], cpython[idx], pair)
+        active[idx[~state[0]]] = False
+        length[idx], m_val[idx], m_scale[idx], slope[idx], has_slope[idx] = \
+            state[1:]
+    idx = np.nonzero(active)[0]
+    converged[idx] = _cabs(m_val[idx]) <= 1e-10 * m_scale[idx]
+    return x, length, cpython, converged
+
+
+def _gap_grid_rescue(x0, radius, pair, grid: int = 7):
+    """Per start x0 of a stack, the best common-root point on a small grid
+    around it: the grid point and first-quartic root with the smallest
+    relative second-quartic value, the seed of a last-resort branch
+    following for candidates whose neighbourhood holds near-double
+    solutions. Returns (x, L, found)."""
+    offsets = np.array([np.linspace(-r, r, grid) for r in radius])
+    points = x0[:, None] + np.repeat(offsets, grid, axis=1) \
+        + 1j * np.tile(offsets, grid)
+    f_rows, m_rows = _quartic_pair_fast(
+        points.ravel(), np.zeros(points.size, dtype=bool), pair)
+    roots, valid = _root_table(poly_roots_batch(f_rows), 4)
+    m_scale = np.sum(np.abs(m_rows), axis=1) + 1e-30
+    gaps = _cabs(horner(m_rows[:, None, :], roots, _cmul)) \
+        / (m_scale[:, None] * _above_one_pow4(_cabs(roots).ravel())
+           .reshape(roots.shape))
+    # (point, root) in the order of a scan over points, then their roots
+    best = _first_min(gaps.reshape(len(x0), -1), valid.reshape(len(x0), -1))
+    point, root = np.divmod(np.maximum(best, 0), roots.shape[1])
+    every = np.arange(len(x0))
+    return (points[every, point], roots[every * grid * grid + point, root],
+            best >= 0)
 
 
 def _relative_residuals(length, cb, sb, pair):
@@ -498,36 +562,44 @@ def solve_one_nonzero_free_length(params: MechanismParams,
     # entry per root). A cheap first pass handles well-conditioned roots;
     # candidates still unassigned afterwards explore the root branches of
     # the first quartic, where the second quartic reduces to a
-    # one-dimensional root find, plus a local grid rescue.
-    records = []
+    # one-dimensional root find, plus a local grid rescue. Each stage runs
+    # once over all the candidates that need it; the points it yields
+    # enter the pool in candidate order.
+    records = [{"x0": x0,
+                "near_pole": min(abs(x0 - 1j), abs(x0 + 1j)) < 0.15,
+                "note": "", "fail": None} for x0 in roots]
     pool: list[tuple[complex, complex, float]] = []
 
-    def try_point(point, record):
-        if point is None:
-            return
-        x, length = _polish_squared(point[0], point[1], pair, steps=4)
-        sq = _squared_rel(x, length, pair)
-        if sq <= CONVERGED_SQ_TOL:
-            pool.append((x, length, sq))
-        elif record["fail"] is None or sq < record["fail"][2]:
-            record["fail"] = (x, length, sq)
+    def try_points(x, length, cpython):
+        """Polished points (x, L, squared residual), with x a Python
+        complex where cpython is still set."""
+        x, length, cpython = _polish_squared(x, length, cpython, pair,
+                                             steps=4)
+        sq = _squared_rel(x, length, cpython, pair)
+        return [(complex(x[k]) if cpython[k] else x[k], length[k], sq[k])
+                for k in range(len(x))]
 
-    for x0 in roots:
-        record = {
-            "x0": x0,
-            "near_pole": min(abs(x0 - 1j), abs(x0 + 1j)) < 0.15,
-            "note": "",
-            "fail": None,
-        }
-        f_coeffs, m_coeffs = pair.quartic_pair(*_tan_half_trig(x0))
-        try:
-            back = back_substitute(f_coeffs, m_coeffs)
-            if back.used_fallback:
-                record["note"] = "back-substitution fallback"
-            try_point(_polish_squared(x0, back.length, pair), record)
-        except MechanismError as exc:
-            record["note"] = f"back-substitution failed: {exc}"
-        records.append(record)
+    def add_point(point, record):
+        if point[2] <= CONVERGED_SQ_TOL:
+            pool.append(point)
+        elif record["fail"] is None or point[2] < record["fail"][2]:
+            record["fail"] = point
+
+    backs = back_substitute_batch(*pair.quartic_pair(*_tan_half_trig(roots)))
+    solved = [i for i, back in enumerate(backs)
+              if not isinstance(back, MechanismError)]
+    unmoved = np.zeros(len(solved), dtype=bool)
+    x, length, _ = _polish_squared(
+        roots[solved], np.array([backs[i].length for i in solved],
+                                dtype=complex), unmoved, pair)
+    points = dict(zip(solved, try_points(x, length, unmoved)))
+    for i, (record, back) in enumerate(zip(records, backs)):
+        if isinstance(back, MechanismError):
+            record["note"] = f"back-substitution failed: {back}"
+            continue
+        if back.used_fallback:
+            record["note"] = "back-substitution fallback"
+        add_point(points[i], record)
 
     def assign():
         distinct: list[tuple[complex, complex]] = []
@@ -551,27 +623,38 @@ def solve_one_nonzero_free_length(params: MechanismParams,
         return assignment
 
     assignment = assign()
-    spacing = {}
-    for i, record in enumerate(records):
-        others = [abs(record["x0"] - r["x0"]) for k, r in enumerate(records)
-                  if k != i]
-        spacing[i] = min(others) if others else 0.1
-
     retry = [i for i, record in enumerate(records)
              if i not in assignment and not record["near_pole"]]
-    for i in retry:
-        record = records[i]
-        x0 = record["x0"]
-        f_coeffs, _ = _quartic_pair_fast(x0, pair)
-        try:
-            branch_seeds = poly_roots(CPolynomial(f_coeffs))
-        except MechanismError:
-            branch_seeds = []
-        for seed in branch_seeds:
-            try_point(_follow_branch(x0, seed, pair), record)
-        radius = min(max(0.05, 2.0 * spacing[i]), 0.15)
-        try_point(_gap_grid_rescue(x0, pair, radius), record)
     if retry:
+        x0 = roots[retry]
+        # distance to the nearest other candidate sets the grid size
+        spacing = [0.1] * len(retry)
+        if len(roots) > 1:
+            distance = _cabs(x0[:, None] - roots[None, :])
+            distance[np.arange(len(retry)), retry] = np.inf
+            spacing = np.min(distance, axis=1).tolist()
+        radius = [min(max(0.05, 2.0 * gap), 0.15) for gap in spacing]
+        seeds = poly_roots_batch(
+            _quartic_pair_fast(x0, np.zeros(len(retry), dtype=bool), pair)[0])
+        grid_x, grid_length, grid_found = _gap_grid_rescue(x0, radius, pair)
+        # (retried candidate, start, length seed): every branch seed of
+        # every candidate, then each grid optimum
+        starts = [(k, x0[k], seed) for k, found in enumerate(seeds)
+                  if not isinstance(found, MechanismError) for seed in found]
+        starts += [(k, grid_x[k], grid_length[k])
+                   for k in np.nonzero(grid_found)[0]]
+        results = [None] * len(starts)
+        if starts:
+            _, x, length = (np.array(column) for column in zip(*starts))
+            x, length, cpython, converged = _follow_branch(x, length, pair)
+            kept = np.nonzero(converged)[0]
+            for k, point in zip(kept, try_points(x[kept], length[kept],
+                                                 cpython[kept])):
+                results[k] = point
+        # pool order: candidate by candidate, its seeds, then its grid
+        for k in sorted(range(len(starts)), key=lambda k: starts[k][0]):
+            if results[k] is not None:
+                add_point(results[k], records[retry[starts[k][0]]])
         assignment = assign()
 
     solutions = []

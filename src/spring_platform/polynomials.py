@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -138,15 +139,16 @@ class CPolynomial:
         return f"CPolynomial(degree={self.degree})"
 
 
-def horner(coeffs, x):
+def horner(coeffs, x, mul=operator.mul):
     """Value at x of the ascending coefficients along the last axis of
     coeffs; a stack of coefficient rows gives the stack of values. One row
-    at a scalar x evaluates in scalar arithmetic, because vectorised
-    complex128 products can differ from scalar ones in the last bit."""
+    at a scalar x evaluates in scalar arithmetic. mul is the product: pass
+    _mul where each row of a complex128 stack must get its single-row
+    value, which numpy's vectorised complex multiply does not give."""
     columns = coeffs.transpose(-1, *range(coeffs.ndim - 1))
     acc = columns[-1]
     for c in columns[-2::-1]:
-        acc = acc * x + c
+        acc = mul(acc, x) + c
     return acc
 
 
@@ -193,101 +195,130 @@ def poly_roots(p: CPolynomial, max_iter: int = 500) -> np.ndarray:
     return found
 
 
-def poly_roots_batch(polys: Sequence[CPolynomial], max_iter: int = 500,
-                     ) -> list:
+def poly_roots_batch(polys, max_iter: int = 500) -> list:
     """poly_roots of every polynomial in polys, each entry either its root
     array or the exception poly_roots would raise for it.
 
-    The companion eigenvalues of all moderate-degree members come from one
-    companion_roots call per degree, and the residual bound is checked for
-    all members of one degree at once.
+    polys is a sequence of CPolynomial or a stack (n, k) of ascending
+    coefficient rows, each read as CPolynomial(row). Polynomials of one
+    coefficient length are trimmed and normalized as one stack. The
+    companion eigenvalues of the members with one degree and one root
+    count at the origin come from one companion_roots call, and their
+    sorting and residual bound are array passes.
     """
+    if isinstance(polys, np.ndarray):
+        rows = polys.astype(complex, copy=False)
+        mags = np.abs(rows)
+        top = mags.max(axis=1, initial=0.0)
+        # CPolynomial's trim: the effective length ends after the last
+        # entry above TRIM_RELATIVE of the largest magnitude
+        ends = np.max((mags > TRIM_RELATIVE * top[:, None])
+                      * np.arange(1, rows.shape[1] + 1), axis=1, initial=0)
+        return _trimmed_roots(rows, ends, [None] * len(rows), max_iter)
     out: list = [None] * len(polys)
+    by_length: dict[int, list[int]] = {}
     for i, p in enumerate(polys):
-        if p.is_zero():
-            out[i] = ZeroPolynomial("all coefficients are numerically zero")
-        elif p.degree < 1:
-            out[i] = ZeroPolynomial("constant polynomial has no roots")
-    live = [i for i, item in enumerate(out) if item is None]
-    normalized = {i: _normalized(polys[i].coeffs) for i in live}
-    by_degree: dict[int, list[int]] = {}
-    for i in live:
-        if 3 <= len(normalized[i]) - 1 <= 64:
-            by_degree.setdefault(len(normalized[i]) - 1, []).append(i)
-    eigenvalues = {}
-    for members in by_degree.values():
-        stack = np.array([normalized[i] for i in members])
-        eigenvalues.update(zip(members, companion_roots(stack)))
-
-    # companion eigenvalues are the more accurate primary at moderate
-    # degree (simultaneous iteration can land two iterates on one root of
-    # a tight pair); Aberth covers high degrees and acts as the fallback
-    def solvers(i):
-        c = normalized[i]
-        aberth = (lambda: _aberth(c, max_iter))
-        if len(c) - 1 <= 64:
-            return (lambda: eigenvalues[i]), aberth
-        return aberth, (lambda: companion_roots(c))
-
-    found = {i: _attempt(polys[i], normalized[i], solvers(i)[0])
-             for i in live}
-    excess = _residual_excess(polys, found)
-    for i in live:
-        if excess[i] > 1.0:
-            found[i] = _attempt(polys[i], normalized[i], solvers(i)[1])
-            excess.update(_residual_excess(polys, {i: found[i]}))
-        out[i] = found[i] if not excess[i] > 1.0 else NonConvergence(
-            f"root residuals exceed the bound (worst ratio {excess[i]:.2e})")
+        by_length.setdefault(len(p.coeffs), []).append(i)
+    for length, members in by_length.items():
+        rows = np.array([polys[i].coeffs for i in members],
+                        dtype=complex).reshape(len(members), length)
+        wide = [polys[i].wide if polys[i].wide is not None
+                and len(polys[i].wide) == length else None for i in members]
+        found = _trimmed_roots(rows, np.full(len(members), length), wide,
+                               max_iter)
+        for i, roots in zip(members, found):
+            out[i] = roots
     return out
 
 
-def _normalized(coeffs: np.ndarray) -> np.ndarray:
-    """Coefficients scaled to unit maximum, with ascending entries up to
-    the first one above TRIM_RELATIVE dropped; the number dropped is the
-    multiplicity of the root at the origin."""
-    c = coeffs / np.max(np.abs(coeffs))
-    return c[np.nonzero(np.abs(c) > TRIM_RELATIVE)[0][0]:]
+def _trimmed_roots(rows: np.ndarray, ends: np.ndarray, wide: list,
+                   max_iter: int) -> list:
+    """poly_roots_batch of the coefficient rows (n, k) whose effective
+    lengths are ends, row r refined on wide[r] when that is not None."""
+    out: list = [None] * len(rows)
+    live = np.nonzero(ends > 1)[0]
+    if len(live) < len(rows):
+        for i in np.nonzero(ends < 2)[0]:
+            out[i] = ZeroPolynomial("all coefficients are numerically zero"
+                                    if ends[i] == 0 else
+                                    "constant polynomial has no roots")
+        if not len(live):
+            return out
+        rows, ends, wide = rows[live], ends[live], [wide[i] for i in live]
+    # scaled to unit maximum; the leading entries up to the first one above
+    # TRIM_RELATIVE are roots at the origin
+    normalized = rows / np.abs(rows).max(axis=1)[:, None]
+    zeros = np.argmax(np.abs(normalized) > TRIM_RELATIVE, axis=1)
+    groups: dict[tuple[int, int], list[int]] = {}
+    for j, key in enumerate(zip(ends.tolist(), zeros.tolist())):
+        groups.setdefault(key, []).append(j)
+    for (end, low), js in groups.items():
+        pick = js if len(groups) > 1 else slice(None)
+        c, coeffs = normalized[pick, low:end], rows[pick, :end]
+        group_wide = [wide[j] for j in js]
+        # companion eigenvalues are the more accurate primary at moderate
+        # degree (simultaneous iteration can land two iterates on one root
+        # of a tight pair); Aberth covers high degrees and is the fallback
+        companion_first = end - 1 - low <= 64
+        found = _attempt(c, low, group_wide, companion_first, max_iter)
+        excess = _residual_excess(coeffs, found)
+        for k, j in enumerate(js):
+            roots, ratio = found[k], excess[k]
+            if ratio > 1.0:
+                roots = _attempt(c[k:k + 1], low, group_wide[k:k + 1],
+                                 not companion_first, max_iter)[0]
+                ratio = _residual_excess(coeffs[k:k + 1], roots[None])[0]
+            out[live[j]] = roots if not ratio > 1.0 else NonConvergence(
+                f"root residuals exceed the bound (worst ratio {ratio:.2e})")
+    return out
 
 
-def _attempt(p: CPolynomial, c: np.ndarray, solver) -> np.ndarray:
-    """Roots of p, sorted, from its normalized coefficients c: the roots
-    at the origin that c leaves out, closed forms at degrees one and two,
-    and the solver's roots above; refined on p's wide coefficients when it
-    carries them."""
-    found = [0j] * (p.degree - (len(c) - 1))
-    deg = len(c) - 1
+def _attempt(c: np.ndarray, zeros: int, wide: list, companion: bool,
+             max_iter: int) -> np.ndarray:
+    """Roots, each row sorted by (real, imag), of the polynomials with
+    normalized coefficient rows c and `zeros` further roots at the origin:
+    closed forms at degrees one and two, and above that the companion
+    eigenvalues or Aberth iteration; a row is refined on its wide
+    coefficients when it carries them."""
+    count, deg = c.shape[0], c.shape[1] - 1
     if deg == 1:
-        found.append(-c[0] / c[1])
+        found = (-c[:, 0] / c[:, 1])[:, None]
     elif deg == 2:
-        found.extend(_quadratic_roots(c[0], c[1], c[2]))
+        found = np.array([_quadratic_roots(*row) for row in c], dtype=complex)
+    elif deg > 2 and companion:
+        found = companion_roots(c)
     elif deg > 2:
-        found.extend(solver())
-    if p.wide is not None and len(p.wide) == len(p.coeffs):
-        found = [_refine_wide(p.wide, r) for r in found]
-    return np.array(sorted(found, key=lambda z: (z.real, z.imag)),
-                    dtype=complex)
+        found = np.array([_aberth(row, max_iter) for row in c], dtype=complex)
+    else:
+        found = np.empty((count, 0), dtype=complex)
+    if zeros:
+        found = np.concatenate(
+            [np.zeros((count, zeros), dtype=complex), found], axis=1)
+    for r, coeffs in enumerate(wide):
+        if coeffs is not None:
+            found[r] = [_refine_wide(coeffs, z) for z in found[r]]
+    ordered = found[np.arange(count)[:, None],
+                    np.lexsort((found.imag, found.real), axis=-1)]
+    if np.isnan(found).any():
+        # lexsort puts NaN last, where sorted leaves it in place
+        for r in np.nonzero(np.isnan(found).any(axis=1))[0]:
+            ordered[r] = sorted(found[r], key=lambda z: (z.real, z.imag))
+    return ordered
 
 
-def _residual_excess(polys: Sequence[CPolynomial],
-                     found: dict[int, np.ndarray]) -> dict[int, float]:
-    """Largest ratio |p(r)| / (ROOT_RESIDUAL_REL * sum|c| * max(1, |r|)^deg)
-    over the roots r found for each polys[i]; acceptance needs it <= 1.
-    Polynomials of one degree are evaluated as one array."""
-    groups: dict[int, list[int]] = {}
-    for i in found:
-        groups.setdefault(polys[i].degree, []).append(i)
-    excess = {}
-    for degree, members in groups.items():
-        coeffs = np.array([polys[i].coeffs for i in members])
-        roots = np.array([found[i] for i in members])
-        values = np.abs(horner(coeffs[:, None, :], roots))
-        csum = np.sum(np.abs(coeffs), axis=1, keepdims=True)
-        bounds = ROOT_RESIDUAL_REL * csum \
-            * np.maximum(1.0, np.abs(roots)) ** degree
-        with np.errstate(invalid="ignore", over="ignore"):
-            ratios = values / bounds
-        excess.update(zip(members, np.nanmax(ratios, axis=1).tolist()))
-    return excess
+def _residual_excess(coeffs: np.ndarray, roots: np.ndarray) -> list[float]:
+    """Per row of coefficients (n, deg + 1) with their roots (n, deg), the
+    largest ratio |p(r)| / (ROOT_RESIDUAL_REL * sum|c| * max(1, |r|)^deg);
+    acceptance needs it <= 1."""
+    degree = coeffs.shape[1] - 1
+    values = np.abs(horner(coeffs[:, None, :], roots))
+    csum = np.sum(np.abs(coeffs), axis=1, keepdims=True)
+    bounds = ROOT_RESIDUAL_REL * csum \
+        * np.maximum(1.0, np.abs(roots)) ** degree
+    with np.errstate(invalid="ignore", over="ignore"):
+        ratios = values / bounds
+    # the largest ratio that is not NaN, as numpy.nanmax
+    return np.fmax.reduce(ratios, axis=1).tolist()
 
 
 def _refine_wide(wide: np.ndarray, root: complex, steps: int = 6) -> complex:
@@ -391,10 +422,68 @@ def _cmul(a, b):
     """Elementwise complex product with separately rounded real products,
     which is how scalar complex arithmetic computes it; numpy's vectorised
     complex128 multiply fuses them and can differ in the last bit."""
-    out = np.empty(np.broadcast(a, b).shape, dtype=np.result_type(a, b))
-    out.real = a.real * b.real - a.imag * b.imag
-    out.imag = a.real * b.imag + a.imag * b.real
+    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+    re = ar * br
+    out = np.empty(re.shape, dtype=np.result_type(a, b))
+    np.subtract(re, ai * bi, out=out.real)
+    np.add(ar * bi, ai * br, out=out.imag)
     return out
+
+
+def _mul(a, b):
+    """a * b, through _cmul when the product is a complex128 array."""
+    if (isinstance(a, np.ndarray) or isinstance(b, np.ndarray)) \
+            and np.result_type(a, b) == complex:
+        return _cmul(a, b)
+    return a * b
+
+
+def _cabs(z):
+    """|z| as scalar abs computes it (hypot of the parts); numpy's
+    vectorised complex abs can differ in the last bit."""
+    return np.hypot(z.real, z.imag) if isinstance(z, np.ndarray) else abs(z)
+
+
+def _pydiv(a, b):
+    """Elementwise a / b of complex128 arrays as CPython divides Python
+    complex numbers (_Py_c_quot), which rounds differently from numpy's
+    complex division. A zero divisor gives NaN instead of raising."""
+    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+    by_real = np.abs(br) >= np.abs(bi)
+    with np.errstate(all="ignore"):
+        ratio = np.where(by_real, bi / br, br / bi)
+        denom = np.where(by_real, br + bi * ratio, br * ratio + bi)
+        out = np.empty(np.broadcast(a, b).shape, dtype=complex)
+        out.real = np.where(by_real, ar + ai * ratio, ar * ratio + ai) / denom
+        out.imag = np.where(by_real, ai - ar * ratio, ai * ratio - ar) / denom
+    return out
+
+
+def _root_table(found: list, width: int):
+    """poly_roots_batch results as one array (n, width) of roots, zero
+    past the roots of a row and in rows that raised, and the mask of the
+    entries that are roots."""
+    width = max(width, 1)
+    roots = np.zeros((len(found), width), dtype=complex)
+    valid = np.zeros(roots.shape, dtype=bool)
+    for i, row in enumerate(found):
+        if not isinstance(row, Exception):
+            roots[i, :len(row)] = row
+            valid[i, :len(row)] = True
+    return roots, valid
+
+
+def _first_min(values: np.ndarray, valid: np.ndarray) -> np.ndarray:
+    """Per row, the index a scalar scan `if best is None or v < best`
+    keeps over the valid entries: the first minimum, or the first valid
+    entry when it is NaN; -1 for a row with no valid entry."""
+    rows = np.arange(len(values))
+    first = np.argmax(valid, axis=1)
+    usable = valid & ~np.isnan(values)
+    filled = np.where(usable, values, np.inf)
+    best = np.argmin(filled, axis=1)
+    stay = ~usable[rows, first] | (filled[rows, best] == np.inf)
+    return np.where(valid.any(axis=1), np.where(stay, first, best), -1)
 
 
 def _swap_rows(stack: np.ndarray, row: int, pivots: np.ndarray) -> None:
@@ -574,63 +663,81 @@ class BackSubResult:
     fallback_gap: float | None = None  # |linear - fallback| when both exist
 
 
-def _nearest_pair(f_roots: np.ndarray, m_roots: np.ndarray):
-    best = None
-    for rf in f_roots:
-        for rm in m_roots:
-            d = abs(rf - rm)
-            if best is None or d < best[0]:
-                best = (d, rf, rm)
-    return best
-
-
 def back_substitute(f_coeffs, m_coeffs) -> BackSubResult:
-    """Second-unknown recovery for a quartic pair that shares a root.
+    """Second-unknown recovery for one quartic pair that shares a root:
+    back_substitute_batch of a stack of one, raising its exception."""
+    (result,) = back_substitute_batch(
+        *(np.asarray(_coefficients(p), dtype=complex)[None]
+          for p in (f_coeffs, m_coeffs)))
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def back_substitute_batch(f_rows, m_rows) -> list:
+    """Second-unknown recovery for each pair of rows of two stacks of
+    ascending quartic coefficients (n, <=5), each entry a BackSubResult or
+    the exception back_substitute raises for that pair.
 
     Solves the square 7x7 system made of the first seven dialytic rows
     with the constant column moved to the right side and reads the shared
     root off the last component; cross-checked against (and replaced by,
     when ill-conditioned or in disagreement) the nearest pair among the
-    two quartics' root sets.
+    two quartics' root sets. All pairs run as one stack.
     """
-    fc, mc = (np.asarray(_coefficients(p), dtype=complex)
-              for p in (f_coeffs, m_coeffs))
+    fc, mc = (np.asarray(rows, dtype=complex) for rows in (f_rows, m_rows))
+    count = len(fc)
     dialytic = dialytic_matrix(fc, mc)
-    m7 = dialytic[:7, :7]
+    m7 = dialytic[:, :7, :7]
     # only the two base rows reach the constant column
-    rhs = np.zeros(7, dtype=complex)
-    rhs[:2] = -dialytic[:2, 7]
+    rhs = np.zeros((count, 7), dtype=complex)
+    rhs[:, :2] = -dialytic[:, :2, 7]
 
-    # fallback: directly match roots of the two quartics
-    pf, pm = CPolynomial(fc), CPolynomial(mc)
-    fallback = None
-    f_roots, m_roots = poly_roots_batch([pf, pm])
-    if not isinstance(f_roots, Exception) \
-            and not isinstance(m_roots, Exception):
-        pair = _nearest_pair(f_roots, m_roots)
-        if pair is not None:
-            fallback = (pair[1] + pair[2]) / 2
+    # fallback: directly match roots of the two quartics, the first
+    # nearest pair in (f root, m root) order
+    width_m = max(mc.shape[1] - 1, 1)
+    f_roots, f_valid = _root_table(poly_roots_batch(fc), fc.shape[1] - 1)
+    m_roots, m_valid = _root_table(poly_roots_batch(mc), width_m)
+    nearest = _first_min(
+        _cabs(f_roots[:, :, None] - m_roots[:, None, :]).reshape(count, -1),
+        (f_valid[:, :, None] & m_valid[:, None, :]).reshape(count, -1))
+    has_fallback = nearest >= 0
+    pick = np.maximum(nearest, 0)
+    every = np.arange(count)
+    fallback = (f_roots[every, pick // width_m]
+                + m_roots[every, pick % width_m]) / 2
 
     # equilibrate: rows by their largest entry, columns likewise (columns
     # span L^7 .. L, whose natural magnitude spread otherwise inflates the
     # condition number by orders of magnitude)
-    row_scale = np.max(np.abs(m7), axis=1)
+    row_scale = np.max(np.abs(m7), axis=2)
     row_scale[row_scale == 0] = 1.0
-    m7_eq = m7 / row_scale[:, None]
-    col_scale = np.max(np.abs(m7_eq), axis=0)
+    m7_eq = m7 / row_scale[:, :, None]
+    col_scale = np.max(np.abs(m7_eq), axis=1)
     col_scale[col_scale == 0] = 1.0
-    m7_eq = m7_eq / col_scale[None, :]
-    cond = float(np.linalg.cond(m7_eq))
-    if math.isfinite(cond) and cond <= BACKSUB_COND_LIMIT:
-        z = np.linalg.solve(m7_eq, rhs / row_scale) / col_scale
-        length = z[-1]
-        gap = None if fallback is None \
-            else abs(length - fallback) / max(1.0, abs(fallback))
-        # a large gap flags inexact input coefficients; the linear solve
-        # stays the better seed and callers refine and filter
-        return BackSubResult(length, False, cond, gap)
-    if fallback is None:
-        raise NonConvergence("back-substitution failed and no fallback pair")
-    warnings.warn("back-substitution ill-conditioned; using quartic root "
-                  "matching", IllConditionedBackSub, stacklevel=2)
-    return BackSubResult(fallback, True, cond, None)
+    m7_eq = m7_eq / col_scale[:, None, :]
+    cond = np.linalg.cond(m7_eq)
+    linear = np.isfinite(cond) & (cond <= BACKSUB_COND_LIMIT)
+    lengths = np.zeros(count, dtype=complex)
+    if linear.any():
+        z = np.linalg.solve(m7_eq[linear],
+                            (rhs / row_scale)[linear, :, None])[..., 0]
+        lengths[linear] = z[:, -1] / col_scale[linear, -1]
+
+    out: list = []
+    for i in range(count):
+        if linear[i]:
+            length, near = lengths[i], fallback[i]
+            gap = abs(length - near) / max(1.0, abs(near)) \
+                if has_fallback[i] else None
+            # a large gap flags inexact input coefficients; the linear
+            # solve stays the better seed and callers refine and filter
+            out.append(BackSubResult(length, False, float(cond[i]), gap))
+        elif not has_fallback[i]:
+            out.append(NonConvergence(
+                "back-substitution failed and no fallback pair"))
+        else:
+            warnings.warn("back-substitution ill-conditioned; using quartic "
+                          "root matching", IllConditionedBackSub, stacklevel=2)
+            out.append(BackSubResult(fallback[i], True, float(cond[i]), None))
+    return out

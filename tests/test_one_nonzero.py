@@ -8,13 +8,17 @@ import pytest
 
 from _support import nearest_match, random_params, reference_params
 
-from spring_platform import (WrongFreeLengthPattern, abcd_at, quartic_pair_at,
+from spring_platform import (CPolynomial, MechanismError,
+                             WrongFreeLengthPattern, abcd_at, quartic_pair_at,
                              residual_margin, resultant_polynomial,
                              solve_one_nonzero_free_length)
 from spring_platform.mechanism import (point_e, pose_from, pose_from_trig,
                                       residual_pair)
-from spring_platform.one_nonzero import _UnsquaredPair, quartic_pair
-from spring_platform.polynomials import poly_roots
+from spring_platform.one_nonzero import (_UnsquaredPair, _follow_branch,
+                                         _gap_grid_rescue, _polish_squared,
+                                         _quartic_pair_fast, _squared_rel,
+                                         quartic_pair)
+from spring_platform.polynomials import horner, poly_roots, poly_roots_batch
 
 
 def test_pattern_enforced(params_zero):
@@ -297,6 +301,197 @@ def test_unsquared_pair_is_bit_identical_to_pose_forms(params_one):
     for k in range(len(lengths)):
         want = pose_based_terms(ls[k], cbs[k], sbs[k], params_one, e)
         assert all(g[k] == w for g, w in zip(arrays, want))
+    # elementwise over complex128 stacks, as refinement evaluates them: the
+    # terms and the squared pair, with one stack per argument and with a
+    # column of lengths broadcast against a row of angles
+    ls = np.array(lengths)
+    cbs = np.array([cmath.cos(b) for b in betas])
+    sbs = np.array([cmath.sin(b) for b in betas])
+    arrays = pair.terms(ls, cbs, sbs)
+    squares = pair.squared(ls, cbs, sbs)
+    grid = pair.squared(ls[:8, None], cbs[None, :], sbs[None, :])
+    for k in range(len(lengths)):
+        want = pose_based_terms(ls[k], cbs[k], sbs[k], params_one, e)
+        assert all(g[k] == w for g, w in zip(arrays, want))
+        a, b, c, d, l1_sq = want
+        assert squares[0][k] == a ** 2 * l1_sq - b ** 2
+        assert squares[1][k] == c ** 2 * l1_sq - d ** 2
+        for j in range(8):
+            a, b, c, d, l1_sq = pose_based_terms(ls[j], cbs[k], sbs[k],
+                                                 params_one, e)
+            assert grid[0][j, k] == a ** 2 * l1_sq - b ** 2
+            assert grid[1][j, k] == c ** 2 * l1_sq - d ** 2
+
+
+# One-candidate references for the stacked refinement stages, in scalar
+# arithmetic: Python complex where a point starts as one, numpy scalars
+# elsewhere.
+
+def _tan_half_one(x):
+    return (1 - x * x) / (1 + x * x), 2 * x / (1 + x * x)
+
+
+def _quartic_pair_one(x, pair):
+    cb, sb = _tan_half_one(x)
+    f_vals, m_vals = np.empty(5, dtype=complex), np.empty(5, dtype=complex)
+    for i, node in enumerate(pair.fast_nodes):
+        f_vals[i], m_vals[i] = pair.squared(complex(node), cb, sb)
+    return pair.fast_inverse @ f_vals, pair.fast_inverse @ m_vals
+
+
+def _squared_rel_one(x, length, pair):
+    f, m, fs, ms = pair.squared_scaled(length, *_tan_half_one(x))
+    return max(abs(f) / (fs + 1e-30), abs(m) / (ms + 1e-30))
+
+
+def _polish_one(x, length, pair, steps=40):
+    def values(xv, lv):
+        return pair.squared(lv, *_tan_half_one(xv))
+
+    f, m = values(x, length)
+    norm = abs(f) + abs(m)
+    for _ in range(steps):
+        if norm == 0:
+            break
+        hx, hl = 1e-7 * (1 + abs(x)), 1e-7 * (1 + abs(length))
+        fx, mx = values(x + hx, length)
+        fl, ml = values(x, length + hl)
+        j11, j12 = (fx - f) / hx, (fl - f) / hl
+        j21, j22 = (mx - m) / hx, (ml - m) / hl
+        det = j11 * j22 - j12 * j21
+        if det == 0:
+            break
+        dx = (f * j22 - m * j12) / det
+        dl = (j11 * m - j21 * f) / det
+        cap = 1.0 + abs(x)
+        if abs(dx) > cap:
+            scale = cap / abs(dx)
+            dx *= scale
+            dl *= scale
+        nf, nm = values(x - dx, length - dl)
+        if abs(nf) + abs(nm) >= norm:
+            break
+        x, length = x - dx, length - dl
+        f, m, norm = nf, nm, abs(nf) + abs(nm)
+        if abs(dx) + abs(dl) < 1e-15 * (1 + abs(x) + abs(length)):
+            break
+    return x, length
+
+
+def _branch_state_one(x, near, pair):
+    delta = 1e-7 * (1 + abs(x))
+    states = []
+    for f, m in (_quartic_pair_one(x, pair), _quartic_pair_one(x + delta, pair)):
+        try:
+            roots = poly_roots(CPolynomial(f))
+        except MechanismError:
+            states.append(None)
+            continue
+        near = roots[int(np.argmin(np.abs(roots - near)))]
+        states.append((near, horner(m, near),
+                       float(np.sum(np.abs(m))) * max(1.0, abs(near)) ** 4))
+    here, ahead = states
+    if here is None:
+        return None
+    return here + (None if ahead is None else (ahead[1] - here[1]) / delta,)
+
+
+def _follow_one(x0, seed, pair, steps=30):
+    x = complex(x0)
+    state = _branch_state_one(x, seed, pair)
+    for _ in range(steps):
+        if state is None:
+            return None
+        length, m_val, m_scale, slope = state
+        if abs(m_val) <= 1e-12 * m_scale:
+            return x, length
+        if slope is None or slope == 0:
+            return None
+        step = m_val / slope
+        cap = 0.1 * (1 + abs(x))
+        if abs(step) > cap:
+            step *= cap / abs(step)
+        x = x - step
+        if abs(x - x0) > 0.5 * (1 + abs(x0)):
+            return None
+        state = _branch_state_one(x, length, pair)
+    if state is None or abs(state[1]) > 1e-10 * state[2]:
+        return None
+    return x, state[0]
+
+
+def _grid_one(x0, radius, pair, grid=7):
+    best = None
+    for dx in np.linspace(-radius, radius, grid):
+        for dy in np.linspace(-radius, radius, grid):
+            x = x0 + dx + 1j * dy
+            f, m = _quartic_pair_one(x, pair)
+            try:
+                roots = poly_roots(CPolynomial(f))
+            except MechanismError:
+                continue
+            m_scale = float(np.sum(np.abs(m))) + 1e-30
+            for root in roots:
+                gap = abs(horner(m, root)) / (m_scale * max(1.0, abs(root)) ** 4)
+                if best is None or gap < best[0]:
+                    best = (gap, x, root)
+    return best
+
+
+def _same(got, want):
+    """==, with NaN equal to NaN."""
+    return got == want or (cmath.isnan(got) and cmath.isnan(want))
+
+
+def test_refinement_stacks_equal_single_candidates(params_one):
+    """Polishing, branch following and the grid rescue of a stack give
+    each member what the one-candidate scalar iteration gives it,
+    failures included."""
+    rng = np.random.default_rng(2026)
+    mechanisms = [params_one] + [
+        random_params(rng, l01=float(rng.uniform(0.2, 2.0))) for _ in range(2)]
+    for params in mechanisms:
+        pair = _UnsquaredPair(params, point_e(params))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            roots = poly_roots(resultant_polynomial(params, pair.e))
+        count = len(roots)
+        # every other candidate starts as a Python complex
+        cpython = np.arange(count) % 2 == 0
+        starts = [complex(x) if cp else x for x, cp in zip(roots, cpython)]
+        f_rows, m_rows = _quartic_pair_fast(roots, cpython, pair)
+        # one branch seed per candidate, a different branch each time
+        seeds = poly_roots_batch(f_rows)
+        follow = [(x, found[k % len(found)])
+                  for k, (x, found) in enumerate(zip(roots, seeds))
+                  if not isinstance(found, Exception)]
+        lengths = np.resize([seed for _, seed in follow], count)
+        radius = 0.05 + 0.1 * rng.uniform(size=count)
+        x, length, held = _polish_squared(roots, lengths, cpython, pair)
+        rel = _squared_rel(roots, lengths, cpython, pair)
+        grid_x, grid_length, grid_found = _gap_grid_rescue(roots, radius, pair)
+        for k, start in enumerate(starts):
+            f_one, m_one = _quartic_pair_one(start, pair)
+            assert all(map(_same, f_rows[k], f_one))
+            assert all(map(_same, m_rows[k], m_one))
+            x_one, length_one = _polish_one(start, lengths[k], pair)
+            assert _same(x[k], x_one) and _same(length[k], length_one)
+            assert held[k] == (type(x_one) is complex)
+            assert _same(rel[k], _squared_rel_one(start, lengths[k], pair))
+            best = _grid_one(roots[k], radius[k], pair)
+            assert grid_found[k] == (best is not None)
+            if best is not None:
+                assert grid_x[k] == best[1] and grid_length[k] == best[2]
+        x, length, held, converged = _follow_branch(
+            np.array([x for x, _ in follow]),
+            np.array([seed for _, seed in follow]), pair)
+        assert converged.any() and not converged.all()
+        for k, (x0, seed) in enumerate(follow):
+            one = _follow_one(x0, seed, pair)
+            assert converged[k] == (one is not None)
+            if one is not None:
+                assert x[k] == one[0] and length[k] == one[1]
+                assert held[k] == (type(one[0]) is complex)
 
 
 # accepted roots of the first ten mechanisms of the seed-2026 corpus

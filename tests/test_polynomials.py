@@ -118,6 +118,29 @@ def test_batched_roots_equal_single_calls(monkeypatch):
     # both orders ran: a companion primary fell back, a degree-70 input
     # started with Aberth
     assert min(aberth_degrees) <= 64 and 70 in aberth_degrees
+    _assert_single_calls(polys, batched)
+
+    # a stack of coefficient rows is read as CPolynomial(row) each: roots
+    # at the origin, trimmed trailing coefficients, mixed effective
+    # degrees, constant and zero rows, and wide ranges that fall back
+    rows = rng.normal(size=(72, 31)) + 1j * rng.normal(size=(72, 31))
+    rows[::6, :2] = 0.0
+    rows[1::6, -1] = 1e-15
+    rows[2::6, 3:] = 0.0
+    rows[3::6, 2:] = 0.0
+    rows[3::12, 1:] = 0.0
+    rows[4::6, 1] = 0.0
+    rows[4::12, 0] = 0.0
+    rows[5::12] = 0.0
+    rows = np.concatenate([rows, 10.0 ** rng.uniform(-7, 7, (200, 31))
+                           * np.exp(2j * np.pi * rng.uniform(size=(200, 31)))])
+    del aberth_degrees[:]
+    stacked = poly_roots_batch(rows)
+    assert aberth_degrees
+    _assert_single_calls([CPolynomial(row) for row in rows], stacked)
+
+
+def _assert_single_calls(polys, batched):
     for p, got in zip(polys, batched):
         try:
             single = poly_roots(p)
@@ -125,6 +148,39 @@ def test_batched_roots_equal_single_calls(monkeypatch):
             assert type(got) is type(exc) and str(got) == str(exc)
             continue
         assert got.dtype == single.dtype and np.array_equal(got, single)
+
+
+def test_array_helpers_round_as_scalar_code():
+    # each element of the stacked helpers equals the scalar operation it
+    # stands in for, bit for bit
+    rng = np.random.default_rng(8)
+    parts = rng.normal(size=(2, 2, 4000)) \
+        * 10.0 ** rng.uniform(-4, 4, (2, 2, 4000))
+    a, b = parts[:, 0] + 1j * parts[:, 1]
+    products = polynomials._cmul(a, b)
+    quotients = polynomials._pydiv(a, b)
+    magnitudes = polynomials._cabs(a)
+    for k in range(len(a)):
+        x, y = complex(a[k]), complex(b[k])
+        assert products[k] == x * y and quotients[k] == x / y
+        assert magnitudes[k] == abs(x)
+    # a stack of rows evaluates each row as one row alone does
+    rows = a[:3000].reshape(600, 5)
+    at = b[:600]
+    values = polynomials.horner(rows, at, polynomials._mul)
+    assert all(values[k] == polynomials.horner(rows[k], at[k])
+               for k in range(600))
+    # the first minimum a scalar scan keeps, NaN first entries included
+    scores = rng.integers(0, 4, (500, 6)).astype(float)
+    scores[rng.uniform(size=scores.shape) < 0.2] = np.nan
+    valid = rng.uniform(size=scores.shape) < 0.8
+    picked = polynomials._first_min(scores, valid)
+    for row, ok, got in zip(scores, valid, picked):
+        best = None
+        for k in np.nonzero(ok)[0]:
+            if best is None or row[k] < row[best]:
+                best = k
+        assert got == (-1 if best is None else best)
 
 
 def test_stacked_dense_solvers_equal_single_calls():
