@@ -698,9 +698,10 @@ def back_substitute_batch(f_rows, m_rows) -> list:
     width_m = max(mc.shape[1] - 1, 1)
     f_roots, f_valid = _root_table(poly_roots_batch(fc), fc.shape[1] - 1)
     m_roots, m_valid = _root_table(poly_roots_batch(mc), width_m)
+    pairs = (count, f_roots.shape[1] * width_m)
     nearest = _first_min(
-        _cabs(f_roots[:, :, None] - m_roots[:, None, :]).reshape(count, -1),
-        (f_valid[:, :, None] & m_valid[:, None, :]).reshape(count, -1))
+        _cabs(f_roots[:, :, None] - m_roots[:, None, :]).reshape(pairs),
+        (f_valid[:, :, None] & m_valid[:, None, :]).reshape(pairs))
     has_fallback = nearest >= 0
     pick = np.maximum(nearest, 0)
     every = np.arange(count)
