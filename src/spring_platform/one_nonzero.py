@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 import warnings
 from dataclasses import replace
 
@@ -58,16 +59,18 @@ class _UnsquaredPair:
     arithmetic is that of pose_from_trig and Point2, operation for
     operation, without building the intermediate points, so the values
     are bit-identical to the pose-based residual forms. It accepts complex
-    scalars and, elementwise, complex arrays; complex128 products go
-    through _cmul so that each element keeps its scalar value.
+    scalars and, elementwise, complex arrays. Complex products go through
+    `mul`: the default _mul gives each element of a complex128 stack its
+    scalar value, which refinement needs; the eliminant's sampling passes
+    operator.mul, numpy's own product, which it has always used.
     """
 
     __slots__ = ("params", "e", "ca", "sa", "ex", "ey", "px2", "py2", "d2",
                  "o1x", "o1y", "a1x", "a1y", "k1", "k2", "k3", "kl",
-                 "radius", "fast_nodes", "fast_inverse")
+                 "radius", "fast_nodes", "fast_inverse", "mul")
 
-    def __init__(self, params: MechanismParams, e: Point2):
-        self.params, self.e = params, e
+    def __init__(self, params: MechanismParams, e: Point2, mul=_mul):
+        self.params, self.e, self.mul = params, e, mul
         self.ca = math.cos(params.surface_angle)
         self.sa = math.sin(params.surface_angle)
         self.ex, self.ey = e.x, e.y
@@ -103,19 +106,19 @@ class _UnsquaredPair:
                       + (k1 * y1 + k2 * y2 + k3 * y3) * sa)
         r1x, r1y = self.o1x - px, self.o1y - py
         r3x, r3y = self.a1x - px, self.a1y - py
-        moment_coef = ((_mul(r1x, y1 * k1) - _mul(r1y, x1 * k1))
-                       + (_mul(r1x, y2 * k2) - _mul(r1y, x2 * k2))
-                       + (_mul(r3x, y3 * k3) - _mul(r3y, x3 * k3)))
+        moment_coef = ((self.mul(r1x, y1 * k1) - self.mul(r1y, x1 * k1))
+                       + (self.mul(r1x, y2 * k2) - self.mul(r1y, x2 * k2))
+                       + (self.mul(r3x, y3 * k3) - self.mul(r3y, x3 * k3)))
         force_rhs = self.kl * (x1 * ca + y1 * sa)
-        moment_rhs = self.kl * (_mul(r1x, y1) - _mul(r1y, x1))
-        l1_sq = _mul(x1, x1) + _mul(y1, y1)
+        moment_rhs = self.kl * (self.mul(r1x, y1) - self.mul(r1y, x1))
+        l1_sq = self.mul(x1, x1) + self.mul(y1, y1)
         return force_coef, force_rhs, moment_coef, moment_rhs, l1_sq
 
     def _squared_terms(self, length, cos_beta, sin_beta):
         """(A^2 L1^2, B^2, C^2 L1^2, D^2)."""
         a, b, c, d, l1_sq = self.terms(length, cos_beta, sin_beta)
-        return (_mul(_mul(a, a), l1_sq), _mul(b, b),
-                _mul(_mul(c, c), l1_sq), _mul(d, d))
+        return (self.mul(self.mul(a, a), l1_sq), self.mul(b, b),
+                self.mul(self.mul(c, c), l1_sq), self.mul(d, d))
 
     def squared(self, length, cos_beta, sin_beta):
         """The squared pair (F, M) = (A^2 L1^2 - B^2, C^2 L1^2 - D^2)."""
@@ -174,8 +177,8 @@ class _UnsquaredPair:
         for held in (0.61 * radius, dtype(1.42j) * dtype(radius) / 2,
                      dtype(-0.83 + 0.4j) * dtype(radius)):
             direct_f, direct_m = self.squared(dtype(held), cb, sb)
-            interp_f = horner(f_coeffs, dtype(held), _mul)
-            interp_m = horner(m_coeffs, dtype(held), _mul)
+            interp_f = horner(f_coeffs, dtype(held), self.mul)
+            interp_m = horner(m_coeffs, dtype(held), self.mul)
             # blend in the coefficient magnitude at the node so cancelling
             # held-out values do not turn roundoff into a spurious mismatch
             mag = float(max(1.0, abs(complex(held))) ** 4)
@@ -186,18 +189,17 @@ class _UnsquaredPair:
         return f_coeffs, m_coeffs, ok
 
 
-def _tan_half_trig(x, cpython=None):
+def _tan_half_trig(x, cpython=None, mul=_mul):
     """(cos beta, sin beta) at the tan-half value x = tan(beta / 2).
 
-    A complex128 stack divides as numpy scalars do, except the elements
-    flagged in the boolean mask `cpython`: those divide as Python complex
-    numbers do (see polynomials._pydiv). Branch following starts from
-    Python complex points, and points it returns unmoved keep that
-    rounding through polishing and classification.
+    x * x is formed by `mul`, as in _UnsquaredPair. A complex128 stack
+    divides as numpy scalars do, except the elements flagged in the
+    boolean mask `cpython`: those divide as Python complex numbers do (see
+    polynomials._pydiv). Branch following starts from Python complex
+    points, and points it returns unmoved keep that rounding through
+    polishing and classification.
     """
-    if not (isinstance(x, np.ndarray) and x.dtype == complex):
-        return (1 - x * x) / (1 + x * x), 2 * x / (1 + x * x)
-    xx = _cmul(x, x)
+    xx = mul(x, x)
     num_c, num_s, den = 1 - xx, 2 * x, 1 + xx
     cos_b, sin_b = num_c / den, num_s / den
     if cpython is not None and cpython.any():
@@ -255,11 +257,11 @@ def resultant_polynomial(params: MechanismParams,
     _require_pattern(params)
     if e is None:
         e = point_e(params)
-    pair = _UnsquaredPair(params, e)
+    pair = _UnsquaredPair(params, e, mul=operator.mul)
     dtype = np.clongdouble if _LONGDOUBLE_OK else complex
 
     def evaluate(xs):
-        cb, sb = _tan_half_trig(np.asarray(xs).astype(dtype))
+        cb, sb = _tan_half_trig(np.asarray(xs).astype(dtype), mul=operator.mul)
         return dialytic_matrix(*pair.quartic_pair(cb, sb, dtype=dtype))
 
     last_exc: Exception | None = None

@@ -317,8 +317,7 @@ def _residual_excess(coeffs: np.ndarray, roots: np.ndarray) -> list[float]:
         * np.maximum(1.0, np.abs(roots)) ** degree
     with np.errstate(invalid="ignore", over="ignore"):
         ratios = values / bounds
-    # the largest ratio that is not NaN, as numpy.nanmax
-    return np.fmax.reduce(ratios, axis=1).tolist()
+    return np.nanmax(ratios, axis=1).tolist()
 
 
 def _refine_wide(wide: np.ndarray, root: complex, steps: int = 6) -> complex:
@@ -668,16 +667,17 @@ def back_substitute(f_coeffs, m_coeffs) -> BackSubResult:
     back_substitute_batch of a stack of one, raising its exception."""
     (result,) = back_substitute_batch(
         *(np.asarray(_coefficients(p), dtype=complex)[None]
-          for p in (f_coeffs, m_coeffs)))
+          for p in (f_coeffs, m_coeffs)), stacklevel=3)
     if isinstance(result, Exception):
         raise result
     return result
 
 
-def back_substitute_batch(f_rows, m_rows) -> list:
+def back_substitute_batch(f_rows, m_rows, stacklevel: int = 2) -> list:
     """Second-unknown recovery for each pair of rows of two stacks of
     ascending quartic coefficients (n, <=5), each entry a BackSubResult or
-    the exception back_substitute raises for that pair.
+    the exception back_substitute raises for that pair. IllConditionedBackSub
+    warnings are attributed `stacklevel` frames up, as warnings.warn does.
 
     Solves the square 7x7 system made of the first seven dialytic rows
     with the constant column moved to the right side and reads the shared
@@ -739,6 +739,7 @@ def back_substitute_batch(f_rows, m_rows) -> list:
                 "back-substitution failed and no fallback pair"))
         else:
             warnings.warn("back-substitution ill-conditioned; using quartic "
-                          "root matching", IllConditionedBackSub, stacklevel=2)
+                          "root matching", IllConditionedBackSub,
+                          stacklevel=stacklevel)
             out.append(BackSubResult(fallback[i], True, float(cond[i]), None))
     return out

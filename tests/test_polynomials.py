@@ -321,6 +321,16 @@ def test_back_substitute_common_factor_quartics():
     assert abs(out.length - 2.0) < 1e-6 or out.used_fallback
 
 
+def test_back_substitute_warning_names_its_caller():
+    # identical quartics make the linear system singular; the fallback
+    # warning points at this call, not into the polynomials module
+    p = CPolynomial.from_roots([2.0, 3.0, -1.0, -5.0])
+    with pytest.warns(polynomials.IllConditionedBackSub) as record:
+        out = back_substitute(p, p)
+    assert out.used_fallback
+    assert [w.filename for w in record] == [__file__]
+
+
 def test_lu_det_matches_numpy():
     rng = np.random.default_rng(47)
     for n in (2, 4, 8):
