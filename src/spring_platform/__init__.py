@@ -2,10 +2,12 @@
 mechanism pressed against a rigid surface.
 
 The library re-derives the equilibrium conditions from the mechanism
-geometry and solves them by dialytic elimination: a quartic when all
-spring free lengths are zero, and a degree-48 eliminant when exactly one
-free length is nonzero, with extraneous roots removed by residual
-verification.
+geometry and solves them by elimination in z = exp(i beta): a quartic
+when all spring free lengths are zero, and, when exactly one free length
+is nonzero, the 6x6 Sylvester eliminant left after the signed length of
+that spring is eliminated. Roots are refined on the exact equations and
+verified by their residuals; the paper's degree-48 dialytic eliminant is
+kept as a cross-check.
 """
 
 from .analysis import AnalysisReport, run_analysis
@@ -13,7 +15,7 @@ from .config import RunConfig, config_from_dict, dump_config, load_config
 from .errors import (AnalysisError, DegenerateQuartic, InterpolationMismatch,
                      MechanismError, NonConvergence, NotAssemblable,
                      NonZeroFreeLength, OriginOnPlane, ParallelLines,
-                     ParseError, ProbeSingularity, UnsupportedFreeLengthPattern,
+                     ParseError, UnsupportedFreeLengthPattern,
                      ValidationError, WrongFreeLengthPattern,
                      ZeroLengthSpring, ZeroPolynomial)
 from .free_pose import (FreePoseResult, dialytic_residual, free_point_p_fixed,

@@ -45,10 +45,6 @@ class InterpolationMismatch(MechanismError):
     """Held-out validation of an interpolated determinant failed."""
 
 
-class ProbeSingularity(MechanismError):
-    """Coefficient probing hit an ill-conditioned node set twice."""
-
-
 class ParseError(MechanismError):
     """Config file is not parseable."""
 

@@ -2,44 +2,55 @@
 (base origin to top origin) has a nonzero free length.
 
 The free length makes the force and moment equations rational in the first
-spring length L1. Multiplying through by L1 gives the unsquared pair
-A L1 = B and C L1 = D, built here from the exact zero-free-length residual
-forms so the defining identities hold to machine precision. Squaring and
-substituting the closed form of L1 squared turns the pair into two
-quartics in L whose coefficients depend on beta only; the 8x8 dialytic
-determinant over the tan-half variable then yields a degree-48 polynomial.
-Every root is back-substituted, polished on the exact squared pair, and
-finally filtered by the unsquared residuals: squaring admits sign-flipped
-root sets and the tan-half pole contributes its own factor, so a
-substantial share of the 48 candidates is extraneous by construction.
+spring length L1. Multiplying through by the signed length s (s^2 = L1^2)
+gives the unsquared pair A s = B and C s = D, built here from the exact
+zero-free-length residual forms so the defining identities hold to
+machine precision. In z = exp(i beta) each of z A, z B, z C, z D and
+z L1^2 is a polynomial of degree at most 2 in L and in z, recovered
+exactly from a 3x3 grid of samples.
+
+Eliminating s leaves F = z^3 (A^2 L1^2 - B^2), quartic in L, and
+G = z^2 (A D - B C) / (k1 L01), quadratic in L. The 6x6 Sylvester
+determinant of the two is a polynomial in z whose roots are the
+equilibria with one sign of s in both equations; G with A D + B C gives
+the mixed-sign roots, which squaring the pair also admits. Both
+eliminants carry two known point pairs in closed form, O2 = O1 and
+A = B = 0, which are dropped before each root is refined by Newton's
+method on the exact 3x3 system in (L, z, s).
+
+The paper squares the pair instead and eliminates over the tan-half
+variable; its degree-48 eliminant (resultant_polynomial, kept as a
+cross-check) has the same roots plus the O2 = O1 points four times each
+and 12 roots at the tan-half pole, where beta is not finite. The solve
+reports all 48: 14 same-sign, 14 mixed-sign, 8 O2 = O1 and 12 pole rows.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import operator
 import warnings
-from dataclasses import replace
 
 import numpy as np
 
-from .errors import (DegreeMismatch, InterpolationMismatch, MechanismError,
-                     ProbeSingularity, WrongFreeLengthPattern)
+from .errors import (DegenerateQuartic, DegreeMismatch, InterpolationMismatch,
+                     MechanismError, WrongFreeLengthPattern)
 from .geometry import Point2
 from .mechanism import (MechanismParams, point_e, pose_from_trig,
                         residual_pair)
-from .polynomials import (CPolynomial, _cabs, _cmul, _first_min, _mul,
-                          _pydiv, _root_table, back_substitute_batch,
-                          dialytic_matrix, horner, poly_roots,
-                          poly_roots_batch, polymatrix_det, solve_dense)
+from .polynomials import (CPolynomial, _quadratic_roots, companion_roots,
+                          dialytic_matrix, horner, lu_det, polymatrix_det)
 from .solutions import (EquilibriumSolution, mark_real, pair_conjugates,
                         sort_solutions)
 
 ACCEPT_REL_TOL = 1e-6
 RESULTANT_DEGREE = 48
 CLEAR_EXPONENT = 24          # trig-degree bound: three pole orders per row
-CONVERGED_SQ_TOL = 1e-9      # squared-pair residual that counts as converged
+SAMPLES = 64                 # unit-circle samples of the z eliminants
+SUPPORT = slice(3, 26)       # their structural support, z^3 .. z^25
+NEWTON_STEPS = 4
+POLE_ROWS = 6                # tan-half pole roots at z = 0, and at infinity
+COINCIDENT_MULTIPLICITY = 4  # of each O2 = O1 point in the degree-48 eliminant
 
 _LONGDOUBLE_OK = np.finfo(np.longdouble).eps < 1e-18
 
@@ -59,18 +70,14 @@ class _UnsquaredPair:
     arithmetic is that of pose_from_trig and Point2, operation for
     operation, without building the intermediate points, so the values
     are bit-identical to the pose-based residual forms. It accepts complex
-    scalars and, elementwise, complex arrays. Complex products go through
-    `mul`: the default _mul gives each element of a complex128 stack its
-    scalar value, which refinement needs; the eliminant's sampling passes
-    operator.mul, numpy's own product, which it has always used.
+    scalars and, elementwise, complex arrays of any precision.
     """
 
     __slots__ = ("params", "e", "ca", "sa", "ex", "ey", "px2", "py2", "d2",
-                 "o1x", "o1y", "a1x", "a1y", "k1", "k2", "k3", "kl",
-                 "radius", "fast_nodes", "fast_inverse", "mul")
+                 "o1x", "o1y", "a1x", "a1y", "k1", "k2", "k3", "kl")
 
-    def __init__(self, params: MechanismParams, e: Point2, mul=_mul):
-        self.params, self.e, self.mul = params, e, mul
+    def __init__(self, params: MechanismParams, e: Point2):
+        self.params, self.e = params, e
         self.ca = math.cos(params.surface_angle)
         self.sa = math.sin(params.surface_angle)
         self.ex, self.ey = e.x, e.y
@@ -81,8 +88,6 @@ class _UnsquaredPair:
         self.a1x, self.a1y = a1.x, a1.y
         self.k1, self.k2, self.k3 = params.stiffness
         self.kl = self.k1 * params.free_lengths[0]
-        self.radius = probe_radius(params, e)
-        self.fast_nodes, self.fast_inverse = _fast_probe(self.radius)
 
     def terms(self, length, cos_beta, sin_beta):
         """(A, B, C, D, L1^2) at one sample."""
@@ -106,106 +111,290 @@ class _UnsquaredPair:
                       + (k1 * y1 + k2 * y2 + k3 * y3) * sa)
         r1x, r1y = self.o1x - px, self.o1y - py
         r3x, r3y = self.a1x - px, self.a1y - py
-        moment_coef = ((self.mul(r1x, y1 * k1) - self.mul(r1y, x1 * k1))
-                       + (self.mul(r1x, y2 * k2) - self.mul(r1y, x2 * k2))
-                       + (self.mul(r3x, y3 * k3) - self.mul(r3y, x3 * k3)))
+        moment_coef = ((r1x * (y1 * k1) - r1y * (x1 * k1))
+                       + (r1x * (y2 * k2) - r1y * (x2 * k2))
+                       + (r3x * (y3 * k3) - r3y * (x3 * k3)))
         force_rhs = self.kl * (x1 * ca + y1 * sa)
-        moment_rhs = self.kl * (self.mul(r1x, y1) - self.mul(r1y, x1))
-        l1_sq = self.mul(x1, x1) + self.mul(y1, y1)
+        moment_rhs = self.kl * (r1x * y1 - r1y * x1)
+        l1_sq = x1 * x1 + y1 * y1
         return force_coef, force_rhs, moment_coef, moment_rhs, l1_sq
 
-    def _squared_terms(self, length, cos_beta, sin_beta):
-        """(A^2 L1^2, B^2, C^2 L1^2, D^2)."""
-        a, b, c, d, l1_sq = self.terms(length, cos_beta, sin_beta)
-        return (self.mul(self.mul(a, a), l1_sq), self.mul(b, b),
-                self.mul(self.mul(c, c), l1_sq), self.mul(d, d))
-
-    def squared(self, length, cos_beta, sin_beta):
-        """The squared pair (F, M) = (A^2 L1^2 - B^2, C^2 L1^2 - D^2)."""
-        fa, fb, ma, mb = self._squared_terms(length, cos_beta, sin_beta)
-        return fa - fb, ma - mb
-
     def squared_scaled(self, length, cos_beta, sin_beta):
-        """(F, M, F scale, M scale), each scale the sum of the magnitudes
-        of its two terms."""
-        fa, fb, ma, mb = self._squared_terms(length, cos_beta, sin_beta)
-        return (fa - fb, ma - mb, _cabs(fa) + _cabs(fb),
-                _cabs(ma) + _cabs(mb))
+        """The squared pair (F, M) = (A^2 L1^2 - B^2, C^2 L1^2 - D^2) and
+        the scales of F and M, each the sum of the magnitudes of its two
+        terms."""
+        a, b, c, d, l1_sq = self.terms(length, cos_beta, sin_beta)
+        fa, fb, ma, mb = a * a * l1_sq, b * b, c * c * l1_sq, d * d
+        return fa - fb, ma - mb, abs(fa) + abs(fb), abs(ma) + abs(mb)
 
-    def quartic_pair(self, cos_beta, sin_beta, dtype=complex):
-        """Ascending coefficients (F, M), each a quartic in L, at fixed
-        beta trig values; arrays of them give stacks of coefficients.
+    def foot(self) -> float:
+        """L of the pin position closest to O1, the origin that balances
+        the coefficients of polynomials in L."""
+        return (self.o1x - self.ex) * self.ca + (self.o1y - self.ey) * self.sa
 
-        Coefficients are recovered from five probe evaluations on a circle
-        of L values (an interpolation that is exact for a quartic) and
-        validated at three held-out L nodes; samples that fail the
-        validation are re-probed once on a shifted circle before
-        ProbeSingularity is raised.
-        """
-        if np.ndim(cos_beta):
-            cb = np.asarray(cos_beta, dtype=dtype)
-            sb = np.asarray(sin_beta, dtype=dtype)
-        else:
-            cb, sb = dtype(cos_beta), dtype(sin_beta)
-        f, m, ok = self._probe(cb, sb, self.radius, dtype)
-        if np.all(ok):
-            return f, m
-        radius = 1.55 * self.radius
-        f2, m2, ok2 = self._probe(cb, sb, radius, dtype)
-        if not np.all(ok | ok2):
-            raise ProbeSingularity(
-                f"probe circle radius {radius} failed held-out check")
-        keep = np.asarray(ok)[..., None]
-        return np.where(keep, f, f2), np.where(keep, m, m2)
-
-    def _probe(self, cb, sb, radius, dtype):
-        """Quartic pair interpolated on one probe circle, and whether it
-        passed the held-out check."""
-        nodes = [dtype(radius) * dtype(cmath.exp(2j * cmath.pi * j / 5))
-                 for j in range(5)]
-        values = [self.squared(node, cb, sb) for node in nodes]
-        # interpolate through the actual nodes (an exact Vandermonde solve,
-        # so node roundoff cannot leak across the coefficient scales)
-        vander = np.array([[node ** k for k in range(5)] for node in nodes],
-                          dtype=dtype)
-        samples = np.stack([np.stack(column, axis=-1)
-                            for column in zip(*values)]).astype(dtype)
-        f_coeffs, m_coeffs = solve_dense(vander, samples)
-        f_sum = np.sum(np.abs(f_coeffs), axis=-1).astype(float)
-        m_sum = np.sum(np.abs(m_coeffs), axis=-1).astype(float)
-        ok = True
-        for held in (0.61 * radius, dtype(1.42j) * dtype(radius) / 2,
-                     dtype(-0.83 + 0.4j) * dtype(radius)):
-            direct_f, direct_m = self.squared(dtype(held), cb, sb)
-            interp_f = horner(f_coeffs, dtype(held), self.mul)
-            interp_m = horner(m_coeffs, dtype(held), self.mul)
-            # blend in the coefficient magnitude at the node so cancelling
-            # held-out values do not turn roundoff into a spurious mismatch
-            mag = float(max(1.0, abs(complex(held))) ** 4)
-            scale_f = _cabs(direct_f) + 1e-3 * f_sum * mag
-            scale_m = _cabs(direct_m) + 1e-3 * m_sum * mag
-            ok = ok & ~((_cabs(interp_f - direct_f) > 1e-9 * scale_f)
-                        | (_cabs(interp_m - direct_m) > 1e-9 * scale_m))
-        return f_coeffs, m_coeffs, ok
+    def tensors(self, origin=0.0, dtype=complex) -> np.ndarray:
+        """Coefficients t[k, i, j] of (L - origin)^i z^j in z T_k, for
+        T = (A, B, C, D, L1^2) and z = exp(i beta), all of degree <= 2 in
+        both: the inverse discrete transform of their values on a grid of
+        third roots of unity, in the given complex precision."""
+        real = np.finfo(dtype).dtype.type
+        nodes = np.exp(2j * np.arccos(real(-1)) * np.arange(3, dtype=real) / 3)
+        z = nodes[None, :]
+        values = self.terms(origin + nodes[:, None], (z + 1 / z) / 2,
+                            (z - 1 / z) / 2j)
+        inverse = np.conj(nodes[None, :] ** np.arange(3)[:, None]) / 3
+        return np.stack([inverse @ (v * z) @ inverse.T for v in values])
 
 
-def _tan_half_trig(x, cpython=None, mul=_mul):
-    """(cos beta, sin beta) at the tan-half value x = tan(beta / 2).
+def _in_length(tensors, z):
+    """Rows (..., 5, 3): coefficients in L of each z T_k at the z values."""
+    z = np.asarray(z)[..., None, None]
+    return tensors[..., 0] + z * (tensors[..., 1] + z * tensors[..., 2])
 
-    x * x is formed by `mul`, as in _UnsquaredPair. A complex128 stack
-    divides as numpy scalars do, except the elements flagged in the
-    boolean mask `cpython`: those divide as Python complex numbers do (see
-    polynomials._pydiv). Branch following starts from Python complex
-    points, and points it returns unmoved keep that rounding through
-    polishing and classification.
+
+def _product(p, q):
+    """Coefficient rows of the products of polynomials p and q (ascending
+    along the last axis)."""
+    out = np.zeros(np.broadcast_shapes(p.shape[:-1], q.shape[:-1])
+                   + (p.shape[-1] + q.shape[-1] - 1,),
+                   dtype=np.result_type(p, q))
+    for i in range(p.shape[-1]):
+        out[..., i:i + q.shape[-1]] += p[..., i, None] * q
+    return out
+
+
+def _split(rows):
+    """(A, B, C, D, L1^2) coefficient rows; A to D are affine in L (the
+    L^2 terms of the moment cross products cancel)."""
+    a, b, c, d, l1_sq = (rows[..., k, :] for k in range(5))
+    return a[..., :2], b[..., :2], c[..., :2], d[..., :2], l1_sq
+
+
+def _squared(a, b, l1_sq, z):
+    """Coefficients in L of z^3 (T^2 L1^2 - U^2) from the rows of z T,
+    z U and z L1^2 at the z values."""
+    out = _product(_product(a, a), l1_sq)
+    out[..., :3] -= np.asarray(z)[..., None] * _product(b, b)
+    return out
+
+
+def _quartic_pair(tensors, z):
+    """Coefficients in L of the squared pair (A^2 L1^2 - B^2,
+    C^2 L1^2 - D^2) at the z values."""
+    a, b, c, d, l1_sq = _split(_in_length(tensors, z))
+    cube = np.asarray(z)[..., None] ** 3
+    return _squared(a, b, l1_sq, z) / cube, _squared(c, d, l1_sq, z) / cube
+
+
+def _eliminated_pair(rows, z, kl, sign):
+    """Coefficients in L of F = z^3 (A^2 L1^2 - B^2), a quartic, and of
+    G = z^2 (A D - sign B C) / kl, a quadratic, from the rows of z T at
+    the z values."""
+    a, b, c, d, l1_sq = _split(rows)
+    return (_squared(a, b, l1_sq, z),
+            (_product(a, d) - sign * _product(b, c)) / kl)
+
+
+def _sylvester(f, g):
+    """6x6 Sylvester matrices of quartics f and quadratics g in L."""
+    m = np.zeros(np.broadcast_shapes(f.shape[:-1], g.shape[:-1]) + (6, 6),
+                 dtype=np.result_type(f, g))
+    for shift in range(2):
+        m[..., shift, shift:shift + 5] = f[..., ::-1]
+    for shift in range(4):
+        m[..., 2 + shift, shift:shift + 3] = g[..., ::-1]
+    return m
+
+
+def _eliminant_roots(tensors, kl, signs):
+    """Roots in z of the Sylvester eliminant of (F, G) for each sign of G:
+    the determinant is sampled on the unit circle, transformed, and cut to
+    its structural support. The end coefficients can sit many decades
+    below the largest one, so no magnitude threshold decides the degree."""
+    z = np.exp(2j * np.pi * np.arange(SAMPLES) / SAMPLES)
+    dets = lu_det(_sylvester(*_eliminated_pair(
+        _in_length(tensors, z), z, kl, signs[:, None, None])))
+    coeffs = np.fft.fft(dets, axis=-1) / SAMPLES
+    return companion_roots(coeffs[:, SUPPORT])
+
+
+def _coincident_points(pair: _UnsquaredPair):
+    """(z, L) of the two poses where O2 coincides with O1, in complex
+    coordinates: w = exp(i alpha) along the surface, d = E - O1 and
+    p = P in the top frame, with conjugates continued to complex beta.
+    O2 - O1 = d + L w + w z p and its conjugate both vanish there."""
+    w = complex(pair.ca, pair.sa)
+    d = complex(pair.ex - pair.o1x, pair.ey - pair.o1y)
+    p = complex(pair.px2, pair.py2)
+    if p == 0:
+        raise DegenerateQuartic("the pin is at the top-frame origin: O2 does "
+                                "not turn with beta, so the eliminants in z "
+                                "lose their structural degree")
+    z = np.array(_quadratic_roots(-p.conjugate(),
+                                  w.conjugate() * d - w * d.conjugate(), p))
+    return z, -w.conjugate() * d - z * p
+
+
+def _balanced_points(pair: _UnsquaredPair, tensors):
+    """z of the two poses with A = B = 0: A - (k1 + k2 + k3) B / (k1 L01)
+    does not depend on L, and its zeros are those of z times it, a
+    quadratic in z."""
+    stiffness = pair.k1 + pair.k2 + pair.k3
+    quadratic = tensors[0, 0] - stiffness / pair.kl * tensors[1, 0]
+    return np.array(_quadratic_roots(*quadratic))
+
+
+def _drop_double_roots(roots, known):
+    """Each row of roots without the two roots nearest to each known
+    value, a double root of every row."""
+    keep = np.ones(roots.shape, dtype=bool)
+    for value in known:
+        distance = np.where(keep, np.abs(roots - value), np.inf)
+        nearest = np.argsort(distance, axis=-1)[..., :2]
+        np.put_along_axis(keep, nearest, False, axis=-1)
+    return roots[keep].reshape(len(roots), -1)
+
+
+def _newton(pair, tensors, origin, u, z, s, sign, steps: int = NEWTON_STEPS):
+    """Newton's method on z (A s - B), z (C s - sign D) and z (s^2 - L1^2)
+    in (u, z, s), L = origin + u, run on a stack of starts. The residuals
+    are the exact pose forms; the Jacobian comes from the tensors."""
+    powers = np.arange(3)
+    lower = np.maximum(powers - 1, 0)
+    for _ in range(steps):
+        a, b, c, d, l1_sq = pair.terms(origin + u, (z + 1 / z) / 2,
+                                       (z - 1 / z) / 2j)
+        d = sign * d
+        residual = np.stack([z * (a * s - b), z * (c * s - d),
+                             z * (s * s - l1_sq)], axis=-1)
+        u_pow, z_pow = u[:, None] ** powers, z[:, None] ** powers
+        du_pow, dz_pow = (powers * v[:, None] ** lower for v in (u, z))
+        # z T, d(z T)/du and d(z T)/dz for each T, D with the sign applied
+        parts = [np.einsum("kij,ni,nj->kn", tensors, up, zp)
+                 for up, zp in ((u_pow, z_pow), (du_pow, z_pow),
+                                (u_pow, dz_pow))]
+        for part in parts:
+            part[3] *= sign
+        (za, _, zc, _, _), (au, bu, cu, du, lu), (az, bz, cz, dz, lz) = parts
+        jacobian = np.stack([
+            np.stack([au * s - bu, az * s - bz, za], axis=-1),
+            np.stack([cu * s - du, cz * s - dz, zc], axis=-1),
+            np.stack([-lu, s * s - lz, 2 * z * s], axis=-1)], axis=-2)
+        step = np.linalg.solve(jacobian, residual[..., None])[..., 0]
+        u, z, s = u - step[:, 0], z - step[:, 1], s - step[:, 2]
+    return u, z, s
+
+
+def _relative_residuals(length, cb, sb, pair, l1=None):
+    """(unsquared, squared) scale-normalized residuals at one sample; the
+    unsquared pair takes the principal L1 unless l1 is given."""
+    a, b, c, d, l1_sq = pair.terms(length, cb, sb)
+    if l1 is None:
+        l1 = cmath.sqrt(l1_sq)
+    rf = abs(a * l1 - b)
+    rm = abs(c * l1 - d)
+    f_scale = abs(a * l1) + abs(b) + 1e-30
+    m_scale = abs(c * l1) + abs(d) + 1e-30
+    rel = max(rf / f_scale, rm / m_scale)
+    fsq, msq, fs, ms = pair.squared_scaled(length, cb, sb)
+    return rel, max(abs(fsq) / (fs + 1e-30), abs(msq) / (ms + 1e-30))
+
+
+def _mechanism_residuals(length, cb, sb, pair):
+    """Magnitudes of the force and moment residuals of the pose, infinite
+    where the springs are degenerate."""
+    pose = pose_from_trig(length, cb, sb, pair.params, pair.e)
+    try:
+        fres, mres = residual_pair(pose, pair.params)
+    except MechanismError:
+        return math.inf, math.inf
+    return abs(fres), abs(mres)
+
+
+def _classify_root(length, z, s, same_sign, pair,
+                   accept_tol) -> EquilibriumSolution:
+    beta = -1j * cmath.log(z)
+    cb, sb = cmath.cos(beta), cmath.sin(beta)
+    rel, sq_rel = _relative_residuals(length, cb, sb, pair)
+    accepted = bool(rel <= accept_tol)
+    note = "" if accepted else "mixed sign"
+    if same_sign and not accepted:
+        own, _ = _relative_residuals(length, cb, sb, pair, l1=s)
+        note = "other branch" if own <= accept_tol \
+            else "refinement not converged"
+    real = mark_real(beta, complex(length))
+    if real:
+        beta = complex(beta.real)
+        length = complex(complex(length).real)
+    residual_force, residual_moment = _mechanism_residuals(length, cb, sb, pair)
+    return EquilibriumSolution(
+        beta=complex(beta), length=complex(length),
+        residual_force=float(residual_force),
+        residual_moment=float(residual_moment),
+        rel_residual=float(rel), is_real=real, accepted=accepted,
+        squared_residual=float(sq_rel), note=note)
+
+
+def _structural_row(beta, length, squared_residual,
+                    note: str) -> EquilibriumSolution:
+    """A rejected candidate known in closed form, whose unsquared
+    residuals are undefined (a zero-length first spring or no finite
+    beta)."""
+    return EquilibriumSolution(
+        beta=complex(beta), length=complex(length), residual_force=math.inf,
+        residual_moment=math.inf, rel_residual=math.inf,
+        is_real=mark_real(complex(beta), complex(length)), accepted=False,
+        squared_residual=squared_residual, note=note)
+
+
+def solve_one_nonzero_free_length(params: MechanismParams,
+                                  accept_tol: float = ACCEPT_REL_TOL,
+                                  ) -> list[EquilibriumSolution]:
+    """All equilibrium candidates for the one-nonzero-free-length case.
+
+    Returns the 48 candidates of the degree-48 eliminant with accepted or
+    rejected status: accepted roots satisfy the unsquared pair with the
+    principal L1 to accept_tol (scale-normalized). The rejected ones are
+    same-sign roots on the other branch of L1, the mixed-sign roots that
+    squaring introduces, the two O2 = O1 points four times each and the
+    12 tan-half pole roots with no finite beta; the squared-pair residual
+    is recorded for reporting.
     """
-    xx = mul(x, x)
-    num_c, num_s, den = 1 - xx, 2 * x, 1 + xx
-    cos_b, sin_b = num_c / den, num_s / den
-    if cpython is not None and cpython.any():
-        cos_b[cpython] = _pydiv(num_c[cpython], den[cpython])
-        sin_b[cpython] = _pydiv(num_s[cpython], den[cpython])
-    return cos_b, sin_b
+    _require_pattern(params)
+    pair = _UnsquaredPair(params, point_e(params))
+    origin = pair.foot()
+    tensors = pair.tensors(origin)
+    signs = np.array([1.0, -1.0])
+    coincident_z, coincident_length = _coincident_points(pair)
+    roots = _drop_double_roots(
+        _eliminant_roots(tensors, pair.kl, signs),
+        np.concatenate([coincident_z, _balanced_points(pair, tensors)]))
+
+    # per root: of the two roots L of G the one where F is smaller, and
+    # s = B / A there
+    sign = np.repeat(signs, roots.shape[1])
+    z = roots.ravel()
+    rows = _in_length(tensors, z)
+    f, g = _eliminated_pair(rows, z, pair.kl, sign[:, None])
+    candidates = np.array([_quadratic_roots(*row) for row in g])
+    values = np.abs(horner(f[:, None, :], candidates))
+    u = candidates[np.arange(len(z)), np.argmin(values, axis=1)]
+    a, b = (horner(row, u) for row in _split(rows)[:2])
+    u, z, s = _newton(pair, tensors, origin, u, z, b / a, sign)
+
+    solutions = [_classify_root(origin + u[k], z[k], s[k], sign[k] > 0, pair,
+                                accept_tol) for k in range(len(z))]
+    # both squared quartics vanish where O2 = O1
+    for zk, length in zip(coincident_z, coincident_length):
+        solutions += [_structural_row(
+            -1j * cmath.log(zk), length, 0.0,
+            "O2 = O1 (first spring of zero length)")] * COINCIDENT_MULTIPLICITY
+    # beta = -i log z runs to +i infinity at z = 0 and -i infinity at z = oo
+    for beta_im in (math.inf, -math.inf):
+        solutions += [_structural_row(
+            complex(0.0, beta_im), complex("nan"), math.inf,
+            "no finite beta (tan-half pole artifact)")] * POLE_ROWS
+    return sort_solutions(pair_conjugates(solutions))
 
 
 def abcd_at(length, beta, params: MechanismParams, e: Point2):
@@ -218,32 +407,31 @@ def abcd_at(length, beta, params: MechanismParams, e: Point2):
     return _UnsquaredPair(params, e).terms(length, cb, sb)[:4]
 
 
-def probe_radius(params: MechanismParams, e: Point2) -> float:
-    """L-probe circle radius matched to the geometry scale, which keeps
-    the quartic coefficient extraction well balanced."""
-    d = e - params.base_origin
-    return max(2.0, 0.5 * abs(d.norm()) + params.d_o2a2)
-
-
 def quartic_pair(cos_beta, sin_beta, params: MechanismParams, e: Point2,
                  dtype=complex):
     """Ascending coefficients (F, M), each a quartic in L, of the squared
-    pair at fixed beta trig values (see _UnsquaredPair.quartic_pair)."""
-    return _UnsquaredPair(params, e).quartic_pair(cos_beta, sin_beta, dtype)
+    pair A^2 L1^2 - B^2, C^2 L1^2 - D^2 at fixed beta trig values; arrays
+    of them give stacks of coefficients."""
+    cb = np.asarray(cos_beta, dtype=dtype)
+    return _quartic_pair(_UnsquaredPair(params, e).tensors(dtype=dtype),
+                         cb + 1j * np.asarray(sin_beta, dtype=dtype))
 
 
 def quartic_pair_at(x_beta, params: MechanismParams,
                     e: Point2 | None = None):
-    """Quartic pair at a tan-half value (10 ascending complex numbers)."""
+    """Quartic pair at a tan-half value x = tan(beta / 2) (10 ascending
+    complex numbers)."""
     _require_pattern(params)
     if e is None:
         e = point_e(params)
-    return quartic_pair(*_tan_half_trig(x_beta), params, e)
+    return _quartic_pair(_UnsquaredPair(params, e).tensors(),
+                         (1 + 1j * x_beta) / (1 - 1j * x_beta))
 
 
 def resultant_polynomial(params: MechanismParams,
                          e: Point2 | None = None) -> CPolynomial:
-    """Eliminant of the squared quartic pair over the tan-half variable.
+    """The paper's eliminant: the squared quartic pair eliminated over the
+    tan-half variable x = tan(beta / 2).
 
     Samples the 8x8 dialytic determinant, clears the tan-half denominators
     with (1 + x^2) to the trig-degree power, and interpolates; the clearing
@@ -257,12 +445,12 @@ def resultant_polynomial(params: MechanismParams,
     _require_pattern(params)
     if e is None:
         e = point_e(params)
-    pair = _UnsquaredPair(params, e, mul=operator.mul)
     dtype = np.clongdouble if _LONGDOUBLE_OK else complex
+    tensors = _UnsquaredPair(params, e).tensors(dtype=dtype)
 
     def evaluate(xs):
-        cb, sb = _tan_half_trig(np.asarray(xs).astype(dtype), mul=operator.mul)
-        return dialytic_matrix(*pair.quartic_pair(cb, sb, dtype=dtype))
+        ix = 1j * np.asarray(xs).astype(dtype)
+        return dialytic_matrix(*_quartic_pair(tensors, (1 + ix) / (1 - ix)))
 
     last_exc: Exception | None = None
     for extra in range(3):
@@ -296,427 +484,3 @@ def resultant_polynomial(params: MechanismParams,
                 f"(expected {RESULTANT_DEGREE})", DegreeMismatch, stacklevel=2)
         return poly
     raise last_exc if last_exc is not None else InterpolationMismatch("no fit")
-
-
-def _polish_squared(x, length, cpython, pair, steps: int = 40):
-    """Damped Newton on the exact squared pair in (x, L), run in lockstep
-    over a stack of starts; cpython is the _tan_half_trig mask of x.
-
-    The iteration differentiates the raw (holomorphic) pair and keeps a
-    step only when the residual magnitude drops, so candidates that are
-    not actual solutions (pole artifacts) stay put. Returns (x, L,
-    cpython), the mask cleared where a step was taken.
-    """
-    def evaluate(xs, ls, cp):
-        """The pair at (x, L), (x + hx, L) and (x, L + hl), stacked (F or
-        M, point, member), with the steps hx and hl. A trial point is
-        evaluated with its difference points, which the next step needs
-        exactly when the trial point is kept."""
-        hx, hl = 1e-7 * (1 + _cabs(xs)), 1e-7 * (1 + _cabs(ls))
-        f, m = pair.squared(np.concatenate([ls, ls, ls + hl]),
-                            *_tan_half_trig(np.concatenate([xs, xs + hx, xs]),
-                                            np.tile(cp, 3)))
-        return np.stack([f, m]).reshape(2, 3, len(xs)), hx, hl
-
-    x, length, cpython = x.copy(), length.copy(), cpython.copy()
-    values, hx, hl = evaluate(x, length, cpython)
-    norm = _cabs(values[0, 0]) + _cabs(values[1, 0])
-    active = np.ones(len(x), dtype=bool)
-    for _ in range(steps):
-        active &= norm != 0
-        idx = np.nonzero(active)[0]
-        if not idx.size:
-            break
-        (f, fx, fl), (m, mx, ml) = values[:, :, idx]
-        j11, j12 = (fx - f) / hx[idx], (fl - f) / hl[idx]
-        j21, j22 = (mx - m) / hx[idx], (ml - m) / hl[idx]
-        det = _cmul(j11, j22) - _cmul(j12, j21)
-        live = det != 0
-        if not live.all():
-            active[idx[~live]] = False
-            idx = idx[live]
-            f, m, j11, j12, j21, j22, det = (
-                v[live] for v in (f, m, j11, j12, j21, j22, det))
-        xi, li = x[idx], length[idx]
-        dx = (_cmul(f, j22) - _cmul(m, j12)) / det
-        dl = (_cmul(j11, m) - _cmul(j21, f)) / det
-        cap = 1.0 + _cabs(xi)
-        size = _cabs(dx)
-        big = size > cap
-        scale = cap[big] / size[big]
-        dx[big] *= scale
-        dl[big] *= scale
-        nx, nl = xi - dx, li - dl
-        trial, nhx, nhl = evaluate(nx, nl, np.zeros(len(idx), dtype=bool))
-        new_norm = _cabs(trial[0, 0]) + _cabs(trial[1, 0])
-        take = ~(new_norm >= norm[idx])
-        moved = idx[take]
-        x[moved], length[moved], cpython[moved] = nx[take], nl[take], False
-        values[:, :, moved], norm[moved] = trial[:, :, take], new_norm[take]
-        hx[moved], hl[moved] = nhx[take], nhl[take]
-        settled = _cabs(dx[take]) + _cabs(dl[take]) \
-            < 1e-15 * (1 + _cabs(nx[take]) + _cabs(nl[take]))
-        active[idx[~take]] = False
-        active[moved[settled]] = False
-    return x, length, cpython
-
-
-def _squared_rel(x, length, cpython, pair):
-    """Scale-normalized squared-pair residual of each point of a stack."""
-    f, m, fs, ms = pair.squared_scaled(length, *_tan_half_trig(x, cpython))
-    rel_f, rel_m = _cabs(f) / (fs + 1e-30), _cabs(m) / (ms + 1e-30)
-    return np.where(rel_m > rel_f, rel_m, rel_f)  # max() keeps a NaN rel_f
-
-
-def _fast_probe(radius: float):
-    """Probe nodes on one circle plus the inverse of their Vandermonde."""
-    nodes = [radius * cmath.exp(2j * cmath.pi * j / 5) for j in range(5)]
-    inv = np.linalg.inv(np.array([[n ** k for k in range(5)] for n in nodes]))
-    return np.array(nodes), inv
-
-
-def _quartic_pair_fast(x, cpython, pair):
-    """Quartic pairs (F, M), coefficient rows (n, 5), at a stack of tan-half
-    values (cpython as in _tan_half_trig), without held-out validation;
-    used inside refinement after the sampling stage has already validated
-    the construction many times over."""
-    cb, sb = _tan_half_trig(x, cpython)
-    # all five probe nodes at once: (node, n) per function
-    values = np.array(pair.squared(pair.fast_nodes[:, None], cb, sb))
-    # one matrix-vector product per row, the product a single row gets
-    # (a matrix-matrix product over the rows rounds differently)
-    samples = values.transpose(0, 2, 1)[..., None]
-    f_rows, m_rows = np.matmul(pair.fast_inverse, samples)[..., 0]
-    return f_rows, m_rows
-
-
-def _above_one_pow4(v):
-    """max(1, v) ** 4 per element, with the rounding of Python's pow;
-    numpy's vectorised power can differ in the last bit."""
-    return np.array([t ** 4 if t > 1.0 else 1.0 for t in v.tolist()])
-
-
-def _nearest_roots(roots, valid, near):
-    """Per row, the root nearest to near (the first on ties)."""
-    dist = np.where(valid, np.abs(roots - near[:, None]), np.inf)
-    return roots[np.arange(len(roots)), np.argmin(dist, axis=1)]
-
-
-def _branch_state(x, near_length, cpython, pair):
-    """Per tan-half value of a stack, the state on the first-quartic root
-    branch nearest to near_length: (ok, length, m_value, m_scale, slope,
-    has_slope). slope is the finite-difference derivative of m_value along
-    that branch; has_slope is False when the quartic at the offset point
-    cannot be solved, ok False when the quartic at x cannot be. The
-    quartics at x and at the offset points share one root solve."""
-    count = len(x)
-    delta = 1e-7 * (1 + _cabs(x))
-    f_rows, m_rows = _quartic_pair_fast(np.concatenate([x, x + delta]),
-                                        np.concatenate([cpython, cpython]),
-                                        pair)
-    roots, valid = _root_table(poly_roots_batch(f_rows), 4)
-    ok = valid.any(axis=1)
-    length = _nearest_roots(roots[:count], valid[:count], near_length)
-    ahead = _nearest_roots(roots[count:], valid[count:], length)
-    m_val = horner(m_rows, np.concatenate([length, ahead]), _cmul)
-    m_scale = np.sum(np.abs(m_rows[:count]), axis=1) \
-        * _above_one_pow4(_cabs(length))
-    slope = (m_val[count:] - m_val[:count]) / delta
-    return ok[:count], length, m_val[:count], m_scale, slope, ok[count:]
-
-
-def _follow_branch(x0, length_seed, pair, steps: int = 30):
-    """Refine squared-pair solutions by tracking one root branch of the
-    first quartic while driving the second quartic to zero in x, in
-    lockstep over a stack of starts (x0, length_seed).
-
-    Along the branch the first equation holds exactly, so the problem is a
-    one-dimensional root find for the second; this stays robust where the
-    joint Newton stalls between near-double solutions. Returns (x, L,
-    cpython, converged): converged is False where the iteration leaves the
-    neighbourhood or fails to converge, and cpython marks the results
-    still at their start, a Python complex point (see _tan_half_trig).
-    """
-    count = len(x0)
-    x = x0.copy()
-    cpython = np.ones(count, dtype=bool)
-    ok, length, m_val, m_scale, slope, has_slope = _branch_state(
-        x, length_seed, cpython, pair)
-    converged = np.zeros(count, dtype=bool)
-    active = ok
-    for _ in range(steps):
-        idx = np.nonzero(active)[0]
-        if not idx.size:
-            break
-        done = _cabs(m_val[idx]) <= 1e-12 * m_scale[idx]
-        converged[idx[done]] = True
-        go = ~done & has_slope[idx] & (slope[idx] != 0)
-        active[idx[~go]] = False
-        idx = idx[go]
-        step = m_val[idx] / slope[idx]
-        cap = 0.1 * (1 + _cabs(x[idx]))
-        size = _cabs(step)
-        big = size > cap
-        step[big] *= cap[big] / size[big]
-        x[idx] = x[idx] - step
-        cpython[idx] = False
-        # leaving the candidate's neighbourhood ends the iteration
-        left = _cabs(x[idx] - x0[idx]) > 0.5 * (1 + _cabs(x0[idx]))
-        active[idx[left]] = False
-        idx = idx[~left]
-        if not idx.size:
-            continue
-        state = _branch_state(x[idx], length[idx], cpython[idx], pair)
-        active[idx[~state[0]]] = False
-        length[idx], m_val[idx], m_scale[idx], slope[idx], has_slope[idx] = \
-            state[1:]
-    idx = np.nonzero(active)[0]
-    converged[idx] = _cabs(m_val[idx]) <= 1e-10 * m_scale[idx]
-    return x, length, cpython, converged
-
-
-def _gap_grid_rescue(x0, radius, pair, grid: int = 7):
-    """Per start x0 of a stack, the best common-root point on a small grid
-    around it: the grid point and first-quartic root with the smallest
-    relative second-quartic value, the seed of a last-resort branch
-    following for candidates whose neighbourhood holds near-double
-    solutions. Returns (x, L, found)."""
-    offsets = np.array([np.linspace(-r, r, grid) for r in radius])
-    points = x0[:, None] + np.repeat(offsets, grid, axis=1) \
-        + 1j * np.tile(offsets, grid)
-    f_rows, m_rows = _quartic_pair_fast(
-        points.ravel(), np.zeros(points.size, dtype=bool), pair)
-    roots, valid = _root_table(poly_roots_batch(f_rows), 4)
-    m_scale = np.sum(np.abs(m_rows), axis=1) + 1e-30
-    gaps = _cabs(horner(m_rows[:, None, :], roots, _cmul)) \
-        / (m_scale[:, None] * _above_one_pow4(_cabs(roots).ravel())
-           .reshape(roots.shape))
-    # (point, root) in the order of a scan over points, then their roots
-    best = _first_min(gaps.reshape(len(x0), -1), valid.reshape(len(x0), -1))
-    point, root = np.divmod(np.maximum(best, 0), roots.shape[1])
-    every = np.arange(len(x0))
-    return (points[every, point], roots[every * grid * grid + point, root],
-            best >= 0)
-
-
-def _relative_residuals(length, cb, sb, pair):
-    """(unsquared, squared) scale-normalized residuals at one sample."""
-    a, b, c, d, l1_sq = pair.terms(length, cb, sb)
-    l1 = cmath.sqrt(l1_sq)
-    rf = abs(a * l1 - b)
-    rm = abs(c * l1 - d)
-    f_scale = abs(a * l1) + abs(b) + 1e-30
-    m_scale = abs(c * l1) + abs(d) + 1e-30
-    rel = max(rf / f_scale, rm / m_scale)
-    fsq, msq, fs, ms = pair.squared_scaled(length, cb, sb)
-    return rel, max(abs(fsq) / (fs + 1e-30), abs(msq) / (ms + 1e-30))
-
-
-def _mechanism_residuals(length, cb, sb, pair):
-    """Magnitudes of the force and moment residuals of the pose, infinite
-    where the springs are degenerate."""
-    pose = pose_from_trig(length, cb, sb, pair.params, pair.e)
-    try:
-        fres, mres = residual_pair(pose, pair.params)
-    except MechanismError:
-        return math.inf, math.inf
-    return abs(fres), abs(mres)
-
-
-def _classify_root(x, length, pair, accept_tol) -> EquilibriumSolution:
-    cb, sb = _tan_half_trig(x)
-    rel, sq_rel = _relative_residuals(length, cb, sb, pair)
-    beta = 2 * cmath.atan(x)
-    real = mark_real(beta, complex(length))
-    if real:
-        beta = complex(beta.real)
-        length = complex(complex(length).real)
-    residual_force, residual_moment = _mechanism_residuals(length, cb, sb, pair)
-    return EquilibriumSolution(
-        beta=complex(beta), length=complex(length),
-        residual_force=float(residual_force),
-        residual_moment=float(residual_moment),
-        rel_residual=float(rel), is_real=real,
-        accepted=bool(rel <= accept_tol), squared_residual=float(sq_rel))
-
-
-def solve_one_nonzero_free_length(params: MechanismParams,
-                                  accept_tol: float = ACCEPT_REL_TOL,
-                                  ) -> list[EquilibriumSolution]:
-    """All equilibrium candidates for the one-nonzero-free-length case.
-
-    Every root of the degree-48 eliminant is returned with accepted or
-    rejected status: accepted roots satisfy the unsquared pair to
-    accept_tol (scale-normalized), rejected ones are the extraneous roots
-    that squaring and the tan-half pole introduced (their squared-pair
-    residuals are recorded for reporting). A genuine beta = pi common root
-    of the quartic pair, invisible to the tan-half variable, would be
-    appended separately.
-    """
-    _require_pattern(params)
-    pair = _UnsquaredPair(params, point_e(params))
-    poly = resultant_polynomial(params, pair.e)
-    roots = poly_roots(poly)
-
-    # Refinement. Eliminant roots inside flat clusters carry errors far
-    # above the coefficient noise, so converged points are pooled,
-    # deduplicated, and assigned back to the nearest candidate roots (one
-    # entry per root). A cheap first pass handles well-conditioned roots;
-    # candidates still unassigned afterwards explore the root branches of
-    # the first quartic, where the second quartic reduces to a
-    # one-dimensional root find, plus a local grid rescue. Each stage runs
-    # once over all the candidates that need it; the points it yields
-    # enter the pool in candidate order.
-    records = [{"x0": x0,
-                "near_pole": min(abs(x0 - 1j), abs(x0 + 1j)) < 0.15,
-                "note": "", "fail": None} for x0 in roots]
-    pool: list[tuple[complex, complex, float]] = []
-
-    def try_points(x, length, cpython):
-        """Polished points (x, L, squared residual), with x a Python
-        complex where cpython is still set."""
-        x, length, cpython = _polish_squared(x, length, cpython, pair,
-                                             steps=4)
-        sq = _squared_rel(x, length, cpython, pair)
-        return [(complex(x[k]) if cpython[k] else x[k], length[k], sq[k])
-                for k in range(len(x))]
-
-    def add_point(point, record):
-        if point[2] <= CONVERGED_SQ_TOL:
-            pool.append(point)
-        elif record["fail"] is None or point[2] < record["fail"][2]:
-            record["fail"] = point
-
-    backs = back_substitute_batch(*pair.quartic_pair(*_tan_half_trig(roots)))
-    solved = [i for i, back in enumerate(backs)
-              if not isinstance(back, MechanismError)]
-    unmoved = np.zeros(len(solved), dtype=bool)
-    x, length, _ = _polish_squared(
-        roots[solved], np.array([backs[i].length for i in solved],
-                                dtype=complex), unmoved, pair)
-    points = dict(zip(solved, try_points(x, length, unmoved)))
-    for i, (record, back) in enumerate(zip(records, backs)):
-        if isinstance(back, MechanismError):
-            record["note"] = f"back-substitution failed: {back}"
-            continue
-        if back.used_fallback:
-            record["note"] = "back-substitution fallback"
-        add_point(points[i], record)
-
-    def assign():
-        distinct: list[tuple[complex, complex]] = []
-        for x, length, sq in sorted(pool, key=lambda t: t[2]):
-            if not any(abs(x - xd) + abs(length - ld)
-                       < 1e-6 * (1 + abs(xd) + abs(ld))
-                       for xd, ld in distinct):
-                distinct.append((x, length))
-        order = sorted(
-            ((abs(records[i]["x0"] - xd), i, j)
-             for j, (xd, ld) in enumerate(distinct)
-             for i in range(len(records))),
-            key=lambda t: t[0])
-        assignment: dict[int, tuple[complex, complex]] = {}
-        taken: set[int] = set()
-        for _, i, j in order:
-            if i in assignment or j in taken:
-                continue
-            assignment[i] = distinct[j]
-            taken.add(j)
-        return assignment
-
-    assignment = assign()
-    retry = [i for i, record in enumerate(records)
-             if i not in assignment and not record["near_pole"]]
-    if retry:
-        x0 = roots[retry]
-        # distance to the nearest other candidate sets the grid size
-        spacing = [0.1] * len(retry)
-        if len(roots) > 1:
-            distance = _cabs(x0[:, None] - roots[None, :])
-            distance[np.arange(len(retry)), retry] = np.inf
-            spacing = np.min(distance, axis=1).tolist()
-        radius = [min(max(0.05, 2.0 * gap), 0.15) for gap in spacing]
-        seeds = poly_roots_batch(
-            _quartic_pair_fast(x0, np.zeros(len(retry), dtype=bool), pair)[0])
-        grid_x, grid_length, grid_found = _gap_grid_rescue(x0, radius, pair)
-        # (retried candidate, start, length seed): every branch seed of
-        # every candidate, then each grid optimum
-        starts = [(k, x0[k], seed) for k, found in enumerate(seeds)
-                  if not isinstance(found, MechanismError) for seed in found]
-        starts += [(k, grid_x[k], grid_length[k])
-                   for k in np.nonzero(grid_found)[0]]
-        results = [None] * len(starts)
-        if starts:
-            _, x, length = (np.array(column) for column in zip(*starts))
-            x, length, cpython, converged = _follow_branch(x, length, pair)
-            kept = np.nonzero(converged)[0]
-            for k, point in zip(kept, try_points(x[kept], length[kept],
-                                                 cpython[kept])):
-                results[k] = point
-        # pool order: candidate by candidate, its seeds, then its grid
-        for k in sorted(range(len(starts)), key=lambda k: starts[k][0]):
-            if results[k] is not None:
-                add_point(results[k], records[retry[starts[k][0]]])
-        assignment = assign()
-
-    solutions = []
-    for i, record in enumerate(records):
-        x0, note = record["x0"], record["note"]
-        if i in assignment:
-            x, length = assignment[i]
-            sol = _classify_root(x, length, pair, accept_tol)
-        elif record["fail"] is not None:
-            sol = _classify_root(record["fail"][0], record["fail"][1],
-                                 pair, accept_tol)
-            note = (note + "; " if note else "") + "refinement not converged"
-        else:
-            sol = EquilibriumSolution(
-                beta=2 * cmath.atan(x0) if abs(1 + x0 * x0) > 1e-12
-                else complex(math.pi),
-                length=complex("nan"), residual_force=math.inf,
-                residual_moment=math.inf, rel_residual=math.inf,
-                is_real=False, accepted=False, squared_residual=math.inf)
-        if record["near_pole"] and not sol.accepted \
-                and sol.squared_residual > accept_tol:
-            note = (note + "; " if note else "") + "tan-half pole artifact"
-        if note:
-            sol = replace(sol, note=note)
-        solutions.append(sol)
-
-    solutions.extend(_beta_pi_solutions(pair, accept_tol))
-    return sort_solutions(pair_conjugates(solutions))
-
-
-def _beta_pi_solutions(pair, accept_tol):
-    """Common roots of the quartic pair at beta = pi, checked directly.
-
-    Both quartics inherit the zeros of the squared first-spring length (a
-    zero-length spring annihilates the free-length terms on both sides),
-    so roots there are always nearly common without being mechanism
-    solutions; they are excluded explicitly.
-    """
-    f_coeffs, m_coeffs = pair.quartic_pair(-1.0, 0.0)
-    out = []
-    try:
-        f_roots = poly_roots(CPolynomial(f_coeffs))
-    except MechanismError:
-        return out
-    m_scale = float(np.sum(np.abs(m_coeffs))) + 1e-30
-    for root in f_roots:
-        m_val = horner(np.asarray(m_coeffs, dtype=complex), root)
-        if abs(m_val) > 1e-8 * m_scale * max(1.0, abs(root)) ** 4:
-            continue
-        if abs(pair.terms(root, -1.0, 0.0)[4]) < 1e-6 * (1.0 + abs(root) ** 2):
-            continue  # zero-length-spring artifact, not an equilibrium
-        rel, sq_rel = _relative_residuals(root, -1.0, 0.0, pair)
-        residual_force, residual_moment = _mechanism_residuals(
-            root, -1.0, 0.0, pair)
-        out.append(EquilibriumSolution(
-            beta=complex(math.pi), length=complex(root),
-            residual_force=float(residual_force),
-            residual_moment=float(residual_moment),
-            rel_residual=float(rel),
-            is_real=bool(abs(complex(root).imag) <= 1e-8),
-            accepted=bool(rel <= accept_tol), squared_residual=float(sq_rel),
-            note="beta = pi branch"))
-    return out

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import operator
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -139,16 +138,14 @@ class CPolynomial:
         return f"CPolynomial(degree={self.degree})"
 
 
-def horner(coeffs, x, mul=operator.mul):
+def horner(coeffs, x):
     """Value at x of the ascending coefficients along the last axis of
     coeffs; a stack of coefficient rows gives the stack of values. One row
-    at a scalar x evaluates in scalar arithmetic. mul is the product: pass
-    _mul where each row of a complex128 stack must get its single-row
-    value, which numpy's vectorised complex multiply does not give."""
+    at a scalar x evaluates in scalar arithmetic."""
     columns = coeffs.transpose(-1, *range(coeffs.ndim - 1))
     acc = columns[-1]
     for c in columns[-2::-1]:
-        acc = mul(acc, x) + c
+        acc = acc * x + c
     return acc
 
 
@@ -429,62 +426,6 @@ def _cmul(a, b):
     return out
 
 
-def _mul(a, b):
-    """a * b, through _cmul when the product is a complex128 array."""
-    if (isinstance(a, np.ndarray) or isinstance(b, np.ndarray)) \
-            and np.result_type(a, b) == complex:
-        return _cmul(a, b)
-    return a * b
-
-
-def _cabs(z):
-    """|z| as scalar abs computes it (hypot of the parts); numpy's
-    vectorised complex abs can differ in the last bit."""
-    return np.hypot(z.real, z.imag) if isinstance(z, np.ndarray) else abs(z)
-
-
-def _pydiv(a, b):
-    """Elementwise a / b of complex128 arrays as CPython divides Python
-    complex numbers (_Py_c_quot), which rounds differently from numpy's
-    complex division. A zero divisor gives NaN instead of raising."""
-    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
-    by_real = np.abs(br) >= np.abs(bi)
-    with np.errstate(all="ignore"):
-        ratio = np.where(by_real, bi / br, br / bi)
-        denom = np.where(by_real, br + bi * ratio, br * ratio + bi)
-        out = np.empty(np.broadcast(a, b).shape, dtype=complex)
-        out.real = np.where(by_real, ar + ai * ratio, ar * ratio + ai) / denom
-        out.imag = np.where(by_real, ai - ar * ratio, ai * ratio - ar) / denom
-    return out
-
-
-def _root_table(found: list, width: int):
-    """poly_roots_batch results as one array (n, width) of roots, zero
-    past the roots of a row and in rows that raised, and the mask of the
-    entries that are roots."""
-    width = max(width, 1)
-    roots = np.zeros((len(found), width), dtype=complex)
-    valid = np.zeros(roots.shape, dtype=bool)
-    for i, row in enumerate(found):
-        if not isinstance(row, Exception):
-            roots[i, :len(row)] = row
-            valid[i, :len(row)] = True
-    return roots, valid
-
-
-def _first_min(values: np.ndarray, valid: np.ndarray) -> np.ndarray:
-    """Per row, the index a scalar scan `if best is None or v < best`
-    keeps over the valid entries: the first minimum, or the first valid
-    entry when it is NaN; -1 for a row with no valid entry."""
-    rows = np.arange(len(values))
-    first = np.argmax(valid, axis=1)
-    usable = valid & ~np.isnan(values)
-    filled = np.where(usable, values, np.inf)
-    best = np.argmin(filled, axis=1)
-    stay = ~usable[rows, first] | (filled[rows, best] == np.inf)
-    return np.where(valid.any(axis=1), np.where(stay, first, best), -1)
-
-
 def _swap_rows(stack: np.ndarray, row: int, pivots: np.ndarray) -> None:
     """Exchange row `row` with row pivots[k] in each matrix k of a stack
     of matrices (or of vectors)."""
@@ -493,40 +434,6 @@ def _swap_rows(stack: np.ndarray, row: int, pivots: np.ndarray) -> None:
         upper = stack[moved, row].copy()
         stack[moved, row] = stack[moved, pivots[moved]]
         stack[moved, pivots[moved]] = upper
-
-
-def solve_dense(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Gaussian elimination with partial pivoting in the matrix dtype, for
-    extended-precision systems the LAPACK wrappers cannot take.
-
-    Solves a stack of systems over the leading axes of matrix (..., n, n)
-    and rhs (..., n), which broadcast against each other; a single system
-    is a stack of one, and a single matrix is eliminated once for a whole
-    stack of right-hand sides. Every system gets the arithmetic of its own
-    scalar elimination."""
-    rhs = np.asarray(rhs)
-    n = rhs.shape[-1]
-    batch = np.broadcast_shapes(matrix.shape[:-2], rhs.shape[:-1])
-    if matrix.ndim == 2:
-        a = matrix[None].copy()
-    else:
-        a = np.broadcast_to(matrix, batch + (n, n)).reshape(-1, n, n).copy()
-    b = np.broadcast_to(rhs, batch + (n,)).reshape(-1, n).copy()
-    for i in range(n):
-        pivots = i + np.argmax(np.abs(a[:, i:, i]), axis=-1)
-        _swap_rows(a, i, pivots)
-        _swap_rows(b, i, np.broadcast_to(pivots, len(b)))
-        if np.any(a[:, i, i] == 0):
-            raise ZeroDivisionError("singular system")
-        # rows below the pivot are eliminated independently of each other
-        factors = a[:, i + 1:, i] / a[:, i, i, None]
-        a[:, i + 1:, i:] -= factors[:, :, None] * a[:, i, None, i:]
-        b[:, i + 1:] -= _cmul(factors, b[:, i, None])
-    x = np.zeros_like(b)
-    for i in range(n - 1, -1, -1):
-        dot = np.matmul(a[:, i, None, i + 1:], x[:, i + 1:, None])[:, 0, 0]
-        x[:, i] = (b[:, i] - dot) / a[:, i, i]
-    return x.reshape(batch + (n,))
 
 
 def lu_det(matrix: np.ndarray):
@@ -663,83 +570,50 @@ class BackSubResult:
 
 
 def back_substitute(f_coeffs, m_coeffs) -> BackSubResult:
-    """Second-unknown recovery for one quartic pair that shares a root:
-    back_substitute_batch of a stack of one, raising its exception."""
-    (result,) = back_substitute_batch(
-        *(np.asarray(_coefficients(p), dtype=complex)[None]
-          for p in (f_coeffs, m_coeffs)), stacklevel=3)
-    if isinstance(result, Exception):
-        raise result
-    return result
-
-
-def back_substitute_batch(f_rows, m_rows, stacklevel: int = 2) -> list:
-    """Second-unknown recovery for each pair of rows of two stacks of
-    ascending quartic coefficients (n, <=5), each entry a BackSubResult or
-    the exception back_substitute raises for that pair. IllConditionedBackSub
-    warnings are attributed `stacklevel` frames up, as warnings.warn does.
+    """Second-unknown recovery for a quartic pair that shares a root.
 
     Solves the square 7x7 system made of the first seven dialytic rows
     with the constant column moved to the right side and reads the shared
     root off the last component; cross-checked against (and replaced by,
-    when ill-conditioned or in disagreement) the nearest pair among the
-    two quartics' root sets. All pairs run as one stack.
+    when ill-conditioned) the nearest pair among the two quartics' root
+    sets.
     """
-    fc, mc = (np.asarray(rows, dtype=complex) for rows in (f_rows, m_rows))
-    count = len(fc)
+    fc, mc = (np.asarray(_coefficients(p), dtype=complex)
+              for p in (f_coeffs, m_coeffs))
     dialytic = dialytic_matrix(fc, mc)
-    m7 = dialytic[:, :7, :7]
+    m7 = dialytic[:7, :7]
     # only the two base rows reach the constant column
-    rhs = np.zeros((count, 7), dtype=complex)
-    rhs[:, :2] = -dialytic[:, :2, 7]
+    rhs = np.zeros(7, dtype=complex)
+    rhs[:2] = -dialytic[:2, 7]
 
-    # fallback: directly match roots of the two quartics, the first
-    # nearest pair in (f root, m root) order
-    width_m = max(mc.shape[1] - 1, 1)
-    f_roots, f_valid = _root_table(poly_roots_batch(fc), fc.shape[1] - 1)
-    m_roots, m_valid = _root_table(poly_roots_batch(mc), width_m)
-    pairs = (count, f_roots.shape[1] * width_m)
-    nearest = _first_min(
-        _cabs(f_roots[:, :, None] - m_roots[:, None, :]).reshape(pairs),
-        (f_valid[:, :, None] & m_valid[:, None, :]).reshape(pairs))
-    has_fallback = nearest >= 0
-    pick = np.maximum(nearest, 0)
-    every = np.arange(count)
-    fallback = (f_roots[every, pick // width_m]
-                + m_roots[every, pick % width_m]) / 2
+    # fallback: the nearest pair of roots of the two quartics
+    fallback = None
+    f_roots, m_roots = poly_roots_batch([CPolynomial(fc), CPolynomial(mc)])
+    if not isinstance(f_roots, Exception) and len(f_roots) \
+            and not isinstance(m_roots, Exception) and len(m_roots):
+        gaps = np.abs(f_roots[:, None] - m_roots[None, :])
+        i, j = np.unravel_index(np.argmin(gaps), gaps.shape)
+        fallback = (f_roots[i] + m_roots[j]) / 2
 
     # equilibrate: rows by their largest entry, columns likewise (columns
     # span L^7 .. L, whose natural magnitude spread otherwise inflates the
     # condition number by orders of magnitude)
-    row_scale = np.max(np.abs(m7), axis=2)
+    row_scale = np.max(np.abs(m7), axis=1)
     row_scale[row_scale == 0] = 1.0
-    m7_eq = m7 / row_scale[:, :, None]
-    col_scale = np.max(np.abs(m7_eq), axis=1)
+    m7_eq = m7 / row_scale[:, None]
+    col_scale = np.max(np.abs(m7_eq), axis=0)
     col_scale[col_scale == 0] = 1.0
-    m7_eq = m7_eq / col_scale[:, None, :]
-    cond = np.linalg.cond(m7_eq)
-    linear = np.isfinite(cond) & (cond <= BACKSUB_COND_LIMIT)
-    lengths = np.zeros(count, dtype=complex)
-    if linear.any():
-        z = np.linalg.solve(m7_eq[linear],
-                            (rhs / row_scale)[linear, :, None])[..., 0]
-        lengths[linear] = z[:, -1] / col_scale[linear, -1]
-
-    out: list = []
-    for i in range(count):
-        if linear[i]:
-            length, near = lengths[i], fallback[i]
-            gap = abs(length - near) / max(1.0, abs(near)) \
-                if has_fallback[i] else None
-            # a large gap flags inexact input coefficients; the linear
-            # solve stays the better seed and callers refine and filter
-            out.append(BackSubResult(length, False, float(cond[i]), gap))
-        elif not has_fallback[i]:
-            out.append(NonConvergence(
-                "back-substitution failed and no fallback pair"))
-        else:
-            warnings.warn("back-substitution ill-conditioned; using quartic "
-                          "root matching", IllConditionedBackSub,
-                          stacklevel=stacklevel)
-            out.append(BackSubResult(fallback[i], True, float(cond[i]), None))
-    return out
+    m7_eq = m7_eq / col_scale[None, :]
+    cond = float(np.linalg.cond(m7_eq))
+    if math.isfinite(cond) and cond <= BACKSUB_COND_LIMIT:
+        length = (np.linalg.solve(m7_eq, rhs / row_scale) / col_scale)[-1]
+        gap = None if fallback is None \
+            else abs(length - fallback) / max(1.0, abs(fallback))
+        # a large gap flags inexact input coefficients; the linear solve
+        # stays the better seed and callers refine and filter
+        return BackSubResult(length, False, cond, gap)
+    if fallback is None:
+        raise NonConvergence("back-substitution failed and no fallback pair")
+    warnings.warn("back-substitution ill-conditioned; using quartic root "
+                  "matching", IllConditionedBackSub, stacklevel=2)
+    return BackSubResult(fallback, True, cond, None)

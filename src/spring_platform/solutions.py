@@ -17,9 +17,10 @@ class EquilibriumSolution:
     equilibrium residuals at the root; rel_residual is the larger of the
     two after scale normalization and drives the accepted flag. For the
     one-nonzero-free-length case squared_residual records how well the
-    root satisfies the squared quartic pair (the elimination object), so
-    extraneous roots introduced by squaring or by the tan-half pole are
-    distinguishable in reports.
+    root satisfies the squared quartic pair (the paper's elimination
+    object), so roots that squaring introduced are distinguishable in
+    reports; note names the kind of a rejected row (other branch, mixed
+    sign, O2 = O1, no finite beta).
     """
 
     beta: complex

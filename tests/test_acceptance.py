@@ -161,33 +161,54 @@ def test_free_pose_suite():
             solve_a2(1.0, 1.0, 5.0)
 
 
+def rigid_frame(params, rng):
+    """params seen from a random rigid frame (rotation and shift)."""
+    import dataclasses
+    theta = rng.uniform(-math.pi, math.pi)
+    t = Point2(*rng.uniform(-20, 20, 2))
+    c, s = math.cos(theta), math.sin(theta)
+
+    def rot(p):
+        return Point2(c * p.x - s * p.y + t.x, s * p.x + c * p.y + t.y)
+
+    return dataclasses.replace(
+        params, surface_point=rot(params.surface_point),
+        base_origin=rot(params.base_origin),
+        surface_angle=params.surface_angle + theta,
+        base_angle=params.base_angle + theta)
+
+
 def test_frame_invariance(params_zero, solutions_zero):
-    with criterion("frame invariance (50 rigid transforms, 1e-9)"):
-        import dataclasses
+    with criterion("frame invariance (50 rigid transforms, 1e-9; 5 "
+                   "one-nonzero mechanisms x 4, accepted sets to 1e-8)"):
         rng = np.random.default_rng(107)
         reference = sorted(((s.beta, s.length) for s in solutions_zero),
                            key=lambda t: (t[0].real, t[0].imag))
         for _ in range(50):
-            theta = rng.uniform(-math.pi, math.pi)
-            t = Point2(*rng.uniform(-20, 20, 2))
-            c, s = math.cos(theta), math.sin(theta)
-
-            def rot(p, c=c, s=s, t=t):
-                return Point2(c * p.x - s * p.y + t.x,
-                              s * p.x + c * p.y + t.y)
-
-            moved = dataclasses.replace(
-                params_zero,
-                surface_point=rot(params_zero.surface_point),
-                base_origin=rot(params_zero.base_origin),
-                surface_angle=params_zero.surface_angle + theta,
-                base_angle=params_zero.base_angle + theta)
+            moved = rigid_frame(params_zero, rng)
             got = sorted(((s.beta, s.length)
                           for s in solve_zero_free_lengths(moved)),
                          key=lambda t: (t[0].real, t[0].imag))
             for (b0, l0), (b1, l1) in zip(reference, got):
                 assert abs(b0 - b1) <= 1e-9 * max(1.0, abs(b0))
                 assert abs(l0 - l1) <= 1e-9 * max(1.0, abs(l0))
+        # one-nonzero mechanisms: the accepted set does not move either
+        corpus = np.random.default_rng(2026)
+        frames = np.random.default_rng(113)
+        for _ in range(5):
+            params = random_params(corpus,
+                                   l01=float(corpus.uniform(0.2, 2.0)))
+            reference = [(s.beta, s.length)
+                         for s in solve_one_nonzero_free_length(params)
+                         if s.accepted]
+            for _ in range(4):
+                got = [(s.beta, s.length) for s in
+                       solve_one_nonzero_free_length(rigid_frame(params, frames))
+                       if s.accepted]
+                assert len(got) == len(reference)
+                for b0, l0 in reference:
+                    assert min(abs(b0 - b1) + abs(l0 - l1) for b1, l1 in got) \
+                        <= 1e-8 * (1.0 + abs(b0) + abs(l0))
 
 
 def test_resultant_engine():

@@ -10,7 +10,7 @@ from spring_platform import (CPolynomial, InterpolationMismatch,
                              back_substitute, dialytic_matrix, poly_roots,
                              polymatrix_det)
 from spring_platform import polynomials
-from spring_platform.polynomials import lu_det, poly_roots_batch, solve_dense
+from spring_platform.polynomials import lu_det, poly_roots_batch
 
 
 def sorted_roots(values):
@@ -151,36 +151,15 @@ def _assert_single_calls(polys, batched):
 
 
 def test_array_helpers_round_as_scalar_code():
-    # each element of the stacked helpers equals the scalar operation it
+    # each element of the stacked product equals the scalar product it
     # stands in for, bit for bit
     rng = np.random.default_rng(8)
     parts = rng.normal(size=(2, 2, 4000)) \
         * 10.0 ** rng.uniform(-4, 4, (2, 2, 4000))
     a, b = parts[:, 0] + 1j * parts[:, 1]
     products = polynomials._cmul(a, b)
-    quotients = polynomials._pydiv(a, b)
-    magnitudes = polynomials._cabs(a)
     for k in range(len(a)):
-        x, y = complex(a[k]), complex(b[k])
-        assert products[k] == x * y and quotients[k] == x / y
-        assert magnitudes[k] == abs(x)
-    # a stack of rows evaluates each row as one row alone does
-    rows = a[:3000].reshape(600, 5)
-    at = b[:600]
-    values = polynomials.horner(rows, at, polynomials._mul)
-    assert all(values[k] == polynomials.horner(rows[k], at[k])
-               for k in range(600))
-    # the first minimum a scalar scan keeps, NaN first entries included
-    scores = rng.integers(0, 4, (500, 6)).astype(float)
-    scores[rng.uniform(size=scores.shape) < 0.2] = np.nan
-    valid = rng.uniform(size=scores.shape) < 0.8
-    picked = polynomials._first_min(scores, valid)
-    for row, ok, got in zip(scores, valid, picked):
-        best = None
-        for k in np.nonzero(ok)[0]:
-            if best is None or row[k] < row[best]:
-                best = k
-        assert got == (-1 if best is None else best)
+        assert products[k] == complex(a[k]) * complex(b[k])
 
 
 def test_stacked_dense_solvers_equal_single_calls():
@@ -192,18 +171,10 @@ def test_stacked_dense_solvers_equal_single_calls():
             a[:, 0] *= 1e9
             a[:, :, -1] *= 1e-7
             a[2, :, 0] = 0  # a singular member: zero determinant
-            b = (rng.normal(size=(6, n)) + 1j * rng.normal(size=(6, n))).astype(dtype)
             dets = lu_det(a)
             assert dets.dtype == dtype and dets[2] == 0
-            solved = solve_dense(a[[0, 1, 3, 4, 5]], b[[0, 1, 3, 4, 5]])
             for k in range(6):
                 assert dets[k] == lu_det(a[k])
-            for k, row in enumerate((0, 1, 3, 4, 5)):
-                assert np.array_equal(solved[k], solve_dense(a[row], b[row]))
-            # one matrix against a stack of right-hand sides
-            shared = solve_dense(a[0], b)
-            for k in range(6):
-                assert np.array_equal(shared[k], solve_dense(a[0], b[k]))
 
 
 def test_dialytic_layout():

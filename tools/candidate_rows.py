@@ -1,19 +1,20 @@
-"""Print every candidate row of a fixed set of solves, for diffing.
+"""Print every candidate row of a fixed set of solves: a before/after
+dump for comparing two versions of the solvers.
 
 Solves both committed configs, the first 40 mechanisms of
 ``bench/inputs.one_nonzero_mechanisms`` (seed 2026) and 160 mechanisms
 drawn from ``numpy.random.default_rng(777)`` (L01 ~ U(0.2, 2) first, then
 ``inputs.random_mechanism``). It prints one ``repr`` line per candidate
 row, an accepted count per set, and the warnings of all solves counted by
-category. A change that is meant to keep the output bit for bit must keep
-this output byte for byte::
+category. Dump the version before a change and the one after it and
+compare their rows, for example that every accepted root before is an
+accepted root after::
 
     python3 tools/candidate_rows.py > after.txt
-    diff before.txt after.txt
 
 The script reads the ``src/`` and ``bench/`` directories next to it, so a
 copy placed in another checkout reports that checkout. It takes a few
-minutes.
+seconds.
 """
 
 from __future__ import annotations
