@@ -48,7 +48,8 @@ RESULTANT_DEGREE = 48
 CLEAR_EXPONENT = 24          # trig-degree bound: three pole orders per row
 SAMPLES = 64                 # unit-circle samples of the z eliminants
 SUPPORT = slice(3, 26)       # their structural support, z^3 .. z^25
-NEWTON_STEPS = 4
+NEWTON_STEPS = 20            # at most; near-double roots converge slowly
+STEP_TOL = 1e-12             # relative Newton step that ends the iteration
 POLE_ROWS = 6                # tan-half pole roots at z = 0, and at infinity
 COINCIDENT_MULTIPLICITY = 4  # of each O2 = O1 point in the degree-48 eliminant
 
@@ -255,13 +256,14 @@ def _drop_double_roots(roots, known):
     return roots[keep].reshape(len(roots), -1)
 
 
-def _newton(pair, tensors, origin, u, z, s, sign, steps: int = NEWTON_STEPS):
+def _newton(pair, tensors, origin, u, z, s, sign):
     """Newton's method on z (A s - B), z (C s - sign D) and z (s^2 - L1^2)
-    in (u, z, s), L = origin + u, run on a stack of starts. The residuals
-    are the exact pose forms; the Jacobian comes from the tensors."""
+    in (u, z, s), L = origin + u, run on a stack of starts until every
+    step is below STEP_TOL relative. The residuals are the exact pose
+    forms; the Jacobian comes from the tensors."""
     powers = np.arange(3)
     lower = np.maximum(powers - 1, 0)
-    for _ in range(steps):
+    for _ in range(NEWTON_STEPS):
         a, b, c, d, l1_sq = pair.terms(origin + u, (z + 1 / z) / 2,
                                        (z - 1 / z) / 2j)
         d = sign * d
@@ -282,6 +284,9 @@ def _newton(pair, tensors, origin, u, z, s, sign, steps: int = NEWTON_STEPS):
             np.stack([-lu, s * s - lz, 2 * z * s], axis=-1)], axis=-2)
         step = np.linalg.solve(jacobian, residual[..., None])[..., 0]
         u, z, s = u - step[:, 0], z - step[:, 1], s - step[:, 2]
+        if np.all(np.abs(step) <= STEP_TOL * (1 + np.abs(
+                np.stack([u, z, s], axis=-1)))):
+            break
     return u, z, s
 
 
