@@ -14,9 +14,9 @@ G = z^2 (A D - B C) / (k1 L01), quadratic in L. The 6x6 Sylvester
 determinant of the two is a polynomial in z whose roots are the
 equilibria with one sign of s in both equations; G with A D + B C gives
 the mixed-sign roots, which squaring the pair also admits. Both
-eliminants carry two known point pairs in closed form, O2 = O1 and
-A = B = 0, which are dropped before each root is refined by Newton's
-method on the exact 3x3 system in (L, z, s).
+eliminants carry two point pairs known in closed form as double roots,
+O2 = O1 and A = B = 0, which are divided out before each root is refined
+by Newton's method on the exact 3x3 system in (L, z, s).
 
 The paper squares the pair instead and eliminates over the tan-half
 variable; its degree-48 eliminant (resultant_polynomial, kept as a
@@ -30,6 +30,7 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 
@@ -207,16 +208,16 @@ def _sylvester(f, g):
     return m
 
 
-def _eliminant_roots(tensors, kl, signs):
-    """Roots in z of the Sylvester eliminant of (F, G) for each sign of G:
-    the determinant is sampled on the unit circle, transformed, and cut to
-    its structural support. The end coefficients can sit many decades
-    below the largest one, so no magnitude threshold decides the degree."""
+def _eliminants(tensors, kl, signs):
+    """Coefficients in z of the Sylvester eliminant of (F, G) for each sign
+    of G: the determinant is sampled on the unit circle, transformed, and
+    cut to its structural support. The end coefficients can sit many
+    decades below the largest one, so no magnitude threshold decides the
+    degree."""
     z = np.exp(2j * np.pi * np.arange(SAMPLES) / SAMPLES)
     dets = lu_det(_sylvester(*_eliminated_pair(
         _in_length(tensors, z), z, kl, signs[:, None, None])))
-    coeffs = np.fft.fft(dets, axis=-1) / SAMPLES
-    return companion_roots(coeffs[:, SUPPORT])
+    return (np.fft.fft(dets, axis=-1) / SAMPLES)[:, SUPPORT]
 
 
 def _coincident_points(pair: _UnsquaredPair):
@@ -245,15 +246,19 @@ def _balanced_points(pair: _UnsquaredPair, tensors):
     return np.array(_quadratic_roots(*quadratic))
 
 
-def _drop_double_roots(roots, known):
-    """Each row of roots without the two roots nearest to each known
-    value, a double root of every row."""
-    keep = np.ones(roots.shape, dtype=bool)
+def _deflate(coeffs, known):
+    """Coefficient rows divided by the product of (z - r)^2 over the known
+    double roots r: the least-squares quotient. Dividing the roots out
+    exactly keeps the roots beside them well conditioned, which picking
+    the computed roots nearest to r does not."""
+    factor = np.ones(1, dtype=complex)
     for value in known:
-        distance = np.where(keep, np.abs(roots - value), np.inf)
-        nearest = np.argsort(distance, axis=-1)[..., :2]
-        np.put_along_axis(keep, nearest, False, axis=-1)
-    return roots[keep].reshape(len(roots), -1)
+        factor = np.convolve(factor, [value * value, -2 * value, 1])
+    width = coeffs.shape[-1] - len(factor) + 1
+    product = np.zeros((coeffs.shape[-1], width), dtype=complex)
+    for shift in range(width):
+        product[shift:shift + len(factor), shift] = factor
+    return np.linalg.lstsq(product, coeffs.T, rcond=None)[0].T
 
 
 def _newton(pair, tensors, origin, u, z, s, sign):
@@ -371,9 +376,9 @@ def solve_one_nonzero_free_length(params: MechanismParams,
     tensors = pair.tensors(origin)
     signs = np.array([1.0, -1.0])
     coincident_z, coincident_length = _coincident_points(pair)
-    roots = _drop_double_roots(
-        _eliminant_roots(tensors, pair.kl, signs),
-        np.concatenate([coincident_z, _balanced_points(pair, tensors)]))
+    roots = companion_roots(_deflate(
+        _eliminants(tensors, pair.kl, signs),
+        np.concatenate([coincident_z, _balanced_points(pair, tensors)])))
 
     # per root: of the two roots L of G the one where F is smaller, and
     # s = B / A there
@@ -389,6 +394,17 @@ def solve_one_nonzero_free_length(params: MechanismParams,
 
     solutions = [_classify_root(origin + u[k], z[k], s[k], sign[k] > 0, pair,
                                 accept_tol) for k in range(len(z))]
+    # where the structure degenerates (a pin at an anchor, say), two
+    # starts can converge onto one equilibrium; it is accepted once
+    accepted: list[EquilibriumSolution] = []
+    for k, sol in enumerate(solutions):
+        if sol.accepted and any(
+                abs(sol.beta - other.beta) + abs(sol.length - other.length)
+                <= 1e-8 * (1 + abs(sol.beta) + abs(sol.length))
+                for other in accepted):
+            solutions[k] = replace(sol, accepted=False, note="repeated root")
+        elif sol.accepted:
+            accepted.append(sol)
     # both squared quartics vanish where O2 = O1
     for zk, length in zip(coincident_z, coincident_length):
         solutions += [_structural_row(

@@ -26,13 +26,18 @@ def test_pattern_enforced(params_zero):
         solve_one_nonzero_free_length(bad)
 
 
-def test_pin_at_top_origin_rejected():
-    # O2 then does not turn with beta and the eliminants in z lose their
-    # structural degree; the solve says so instead of returning bad rows
-    params = dataclasses.replace(reference_params(l01=1.0),
-                                 p_in_top=Point2(0.0, 0.0))
+def test_degenerate_pins():
+    # at the top-frame origin O2 does not turn with beta and the eliminants
+    # in z lose their structural degree: the solve says so instead of
+    # returning bad rows
+    params = reference_params(l01=1.0)
     with pytest.raises(DegenerateQuartic):
-        solve_one_nonzero_free_length(params)
+        solve_one_nonzero_free_length(
+            dataclasses.replace(params, p_in_top=Point2(0.0, 0.0)))
+    # at the anchor A2 the moment equation factors; no equilibrium is
+    # accepted twice
+    assert_distinct_and_closed(accepted_points(
+        dataclasses.replace(params, p_in_top=params.a2_in_top)))
 
 
 def test_unsquared_identity_against_residuals(params_one):
