@@ -86,3 +86,8 @@ class InterpolationNoise(UserWarning):
 
 class IllConditionedBackSub(UserWarning):
     """Linear back-substitution was unreliable; fallback value used."""
+
+
+class LostRoots(UserWarning):
+    """Fewer roots of the one-nonzero case converged than its equations
+    have for a generic mechanism."""

@@ -14,6 +14,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional
 
 from .errors import ZeroLengthSpring
@@ -75,7 +76,7 @@ class MechanismParams:
     def d_o2a2(self) -> float:
         return self.a2_in_top.x
 
-    @property
+    @cached_property
     def a1_fixed(self) -> Point2:
         """Anchor A1 in the fixed frame via the base pose."""
         return self.base_origin + self.d_o1a1 * unit_vector(self.base_angle)
@@ -171,27 +172,23 @@ def spring_state(pose: ContactPose, params: MechanismParams) -> SpringState:
 def force_projection_residual(pose: ContactPose, params: MechanismParams):
     """Net spring force projected on the surface direction; zero at
     equilibrium."""
-    state = spring_state(pose, params)
-    u = unit_vector(params.surface_angle)
-    total = 0.0
-    for f, s in zip(state.forces, state.directions):
-        total = total + f * s.dot(u)
-    return total
+    return residual_pair(pose, params)[0]
 
 
 def moment_residual(pose: ContactPose, params: MechanismParams):
     """Moment of the three spring forces about the contact pin P (the force
     line through each spring makes the anchor-side form equivalent to the
     attachment-side form); zero at equilibrium."""
-    state = spring_state(pose, params)
-    anchors = (params.base_origin, params.base_origin, params.a1_fixed)
-    total = 0.0
-    for anchor, f, s in zip(anchors, state.forces, state.directions):
-        r = anchor - pose.p
-        total = total + r.cross(f * s)
-    return total
+    return residual_pair(pose, params)[1]
 
 
 def residual_pair(pose: ContactPose, params: MechanismParams):
     """Both equilibrium residuals from one spring evaluation."""
-    return force_projection_residual(pose, params), moment_residual(pose, params)
+    state = spring_state(pose, params)
+    u = unit_vector(params.surface_angle)
+    anchors = (params.base_origin, params.base_origin, params.a1_fixed)
+    force = moment = 0.0
+    for anchor, f, s in zip(anchors, state.forces, state.directions):
+        force = force + f * s.dot(u)
+        moment = moment + (anchor - pose.p).cross(f * s)
+    return force, moment

@@ -16,7 +16,10 @@ equilibria with one sign of s in both equations; G with A D + B C gives
 the mixed-sign roots, which squaring the pair also admits. Both
 eliminants carry two point pairs known in closed form as double roots,
 O2 = O1 and A = B = 0, which are divided out before each root is refined
-by Newton's method on the exact 3x3 system in (L, z, s).
+by Newton's method on the exact 3x3 system in (L, z, s). Each stage
+works on all roots at once, down to the classification: one evaluation
+of the pair gives every residual, the spring model's A - B / L1 and
+C - D / L1 included.
 
 The paper squares the pair instead and eliminates over the tan-half
 variable; its degree-48 eliminant (resultant_polynomial, kept as a
@@ -30,18 +33,17 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import fields
 
 import numpy as np
 
 from .errors import (DegenerateQuartic, DegreeMismatch, InterpolationMismatch,
-                     MechanismError, WrongFreeLengthPattern)
+                     LostRoots, WrongFreeLengthPattern)
 from .geometry import Point2
-from .mechanism import (MechanismParams, point_e, pose_from_trig,
-                        residual_pair)
+from .mechanism import TOL_ZERO_LENGTH, MechanismParams, point_e
 from .polynomials import (CPolynomial, _quadratic_roots, companion_roots,
-                          dialytic_matrix, horner, lu_det, polymatrix_det)
-from .solutions import (EquilibriumSolution, mark_real, pair_conjugates,
+                          dialytic_matrix, equilibrate, horner, polymatrix_det)
+from .solutions import (EquilibriumSolution, mark_real, pair_conjugate_points,
                         sort_solutions)
 
 ACCEPT_REL_TOL = 1e-6
@@ -53,6 +55,7 @@ NEWTON_STEPS = 20            # at most; near-double roots converge slowly
 STEP_TOL = 1e-12             # relative Newton step that ends the iteration
 POLE_ROWS = 6                # tan-half pole roots at z = 0, and at infinity
 COINCIDENT_MULTIPLICITY = 4  # of each O2 = O1 point in the degree-48 eliminant
+SAME_SIGN_ROOTS = 14         # of a generic mechanism, on either branch of L1
 
 _LONGDOUBLE_OK = np.finfo(np.longdouble).eps < 1e-18
 
@@ -75,19 +78,17 @@ class _UnsquaredPair:
     scalars and, elementwise, complex arrays of any precision.
     """
 
-    __slots__ = ("params", "e", "ca", "sa", "ex", "ey", "px2", "py2", "d2",
-                 "o1x", "o1y", "a1x", "a1y", "k1", "k2", "k3", "kl")
+    __slots__ = ("ca", "sa", "ex", "ey", "px2", "py2", "d2", "o1x", "o1y",
+                 "a1x", "a1y", "k1", "k2", "k3", "kl")
 
     def __init__(self, params: MechanismParams, e: Point2):
-        self.params, self.e = params, e
         self.ca = math.cos(params.surface_angle)
         self.sa = math.sin(params.surface_angle)
         self.ex, self.ey = e.x, e.y
         self.px2, self.py2 = params.p_in_top.x, params.p_in_top.y
         self.d2 = params.d_o2a2
         self.o1x, self.o1y = params.base_origin.x, params.base_origin.y
-        a1 = params.a1_fixed
-        self.a1x, self.a1y = a1.x, a1.y
+        self.a1x, self.a1y = params.a1_fixed.x, params.a1_fixed.y
         self.k1, self.k2, self.k3 = params.stiffness
         self.kl = self.k1 * params.free_lengths[0]
 
@@ -120,14 +121,6 @@ class _UnsquaredPair:
         moment_rhs = self.kl * (r1x * y1 - r1y * x1)
         l1_sq = x1 * x1 + y1 * y1
         return force_coef, force_rhs, moment_coef, moment_rhs, l1_sq
-
-    def squared_scaled(self, length, cos_beta, sin_beta):
-        """The squared pair (F, M) = (A^2 L1^2 - B^2, C^2 L1^2 - D^2) and
-        the scales of F and M, each the sum of the magnitudes of its two
-        terms."""
-        a, b, c, d, l1_sq = self.terms(length, cos_beta, sin_beta)
-        fa, fb, ma, mb = a * a * l1_sq, b * b, c * c * l1_sq, d * d
-        return fa - fb, ma - mb, abs(fa) + abs(fb), abs(ma) + abs(mb)
 
     def foot(self) -> float:
         """L of the pin position closest to O1, the origin that balances
@@ -210,13 +203,14 @@ def _sylvester(f, g):
 
 def _eliminants(tensors, kl, signs):
     """Coefficients in z of the Sylvester eliminant of (F, G) for each sign
-    of G: the determinant is sampled on the unit circle, transformed, and
-    cut to its structural support. The end coefficients can sit many
-    decades below the largest one, so no magnitude threshold decides the
-    degree."""
+    of G: the determinant is sampled on the unit circle (by LAPACK, after
+    an exact equilibration), transformed, and cut to its structural
+    support. The end coefficients can sit many decades below the largest
+    one, so no magnitude threshold decides the degree."""
     z = np.exp(2j * np.pi * np.arange(SAMPLES) / SAMPLES)
-    dets = lu_det(_sylvester(*_eliminated_pair(
+    m, shift = equilibrate(_sylvester(*_eliminated_pair(
         _in_length(tensors, z), z, kl, signs[:, None, None])))
+    dets = np.linalg.det(m) * np.ldexp(1.0, shift)
     return (np.fft.fft(dets, axis=-1) / SAMPLES)[:, SUPPORT]
 
 
@@ -295,66 +289,67 @@ def _newton(pair, tensors, origin, u, z, s, sign):
     return u, z, s
 
 
-def _relative_residuals(length, cb, sb, pair, l1=None):
-    """(unsquared, squared) scale-normalized residuals at one sample; the
-    unsquared pair takes the principal L1 unless l1 is given."""
-    a, b, c, d, l1_sq = pair.terms(length, cb, sb)
-    if l1 is None:
-        l1 = cmath.sqrt(l1_sq)
-    rf = abs(a * l1 - b)
-    rm = abs(c * l1 - d)
-    f_scale = abs(a * l1) + abs(b) + 1e-30
-    m_scale = abs(c * l1) + abs(d) + 1e-30
-    rel = max(rf / f_scale, rm / m_scale)
-    fsq, msq, fs, ms = pair.squared_scaled(length, cb, sb)
-    return rel, max(abs(fsq) / (fs + 1e-30), abs(msq) / (ms + 1e-30))
+def _classify(pair, length, z, s, same_sign, accept_tol) -> dict:
+    """Ledger columns, keyed by EquilibriumSolution field, of the refined
+    roots (L, z, s), from one evaluation of the pair at all of them.
+
+    A root is accepted when the unsquared pair holds with the principal
+    L1 to accept_tol (scale-normalized); a rejected same-sign root lies on
+    the other branch when the pair holds with its own s. The force and
+    moment residuals A - B / L1 and C - D / L1 are those of the spring
+    model, infinite where the first spring has no length.
+    """
+    beta = -1j * np.log(z)
+    a, b, c, d, l1_sq = pair.terms(length, np.cos(beta), np.sin(beta))
+    l1 = np.sqrt(l1_sq)
+
+    def relative(force, force_scale, moment, moment_scale):
+        return np.maximum(np.abs(force) / (force_scale + 1e-30),
+                          np.abs(moment) / (moment_scale + 1e-30))
+
+    def unsquared(l1):
+        return relative(a * l1 - b, np.abs(a * l1) + np.abs(b),
+                        c * l1 - d, np.abs(c * l1) + np.abs(d))
+
+    fa, fb, ma, mb = a * a * l1_sq, b * b, c * c * l1_sq, d * d
+    rel = unsquared(l1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        spring = np.abs(l1) >= TOL_ZERO_LENGTH
+        force = np.where(spring, np.abs(a - b / l1), math.inf)
+        moment = np.where(spring, np.abs(c - d / l1), math.inf)
+    real = mark_real(beta, length)
+    beta = np.where(real, beta.real, beta)
+    length = np.where(real, length.real, length)
+    # where the structure degenerates (a pin at an anchor, say), two
+    # starts can converge onto one equilibrium; it is accepted once
+    accepted = rel <= accept_tol
+    repeated = accepted & np.any(accepted & np.tril(
+        np.abs(beta[:, None] - beta) + np.abs(length[:, None] - length)
+        <= 1e-8 * (1 + np.abs(beta) + np.abs(length))[:, None], -1), axis=1)
+    note = np.where(accepted, np.where(repeated, "repeated root", ""),
+                    np.where(~same_sign, "mixed sign", np.where(
+                        unsquared(s) <= accept_tol, "other branch",
+                        "refinement not converged")))
+    return dict(
+        beta=beta, length=length, residual_force=force,
+        residual_moment=moment, rel_residual=rel, is_real=real,
+        accepted=accepted & ~repeated,
+        squared_residual=relative(fa - fb, np.abs(fa) + np.abs(fb),
+                                  ma - mb, np.abs(ma) + np.abs(mb)),
+        note=note)
 
 
-def _mechanism_residuals(length, cb, sb, pair):
-    """Magnitudes of the force and moment residuals of the pose, infinite
-    where the springs are degenerate."""
-    pose = pose_from_trig(length, cb, sb, pair.params, pair.e)
-    try:
-        fres, mres = residual_pair(pose, pair.params)
-    except MechanismError:
-        return math.inf, math.inf
-    return abs(fres), abs(mres)
-
-
-def _classify_root(length, z, s, same_sign, pair,
-                   accept_tol) -> EquilibriumSolution:
-    beta = -1j * cmath.log(z)
-    cb, sb = cmath.cos(beta), cmath.sin(beta)
-    rel, sq_rel = _relative_residuals(length, cb, sb, pair)
-    accepted = bool(rel <= accept_tol)
-    note = "" if accepted else "mixed sign"
-    if same_sign and not accepted:
-        own, _ = _relative_residuals(length, cb, sb, pair, l1=s)
-        note = "other branch" if own <= accept_tol \
-            else "refinement not converged"
-    real = mark_real(beta, complex(length))
-    if real:
-        beta = complex(beta.real)
-        length = complex(complex(length).real)
-    residual_force, residual_moment = _mechanism_residuals(length, cb, sb, pair)
-    return EquilibriumSolution(
-        beta=complex(beta), length=complex(length),
-        residual_force=float(residual_force),
-        residual_moment=float(residual_moment),
-        rel_residual=float(rel), is_real=real, accepted=accepted,
-        squared_residual=float(sq_rel), note=note)
-
-
-def _structural_row(beta, length, squared_residual,
-                    note: str) -> EquilibriumSolution:
-    """A rejected candidate known in closed form, whose unsquared
-    residuals are undefined (a zero-length first spring or no finite
-    beta)."""
-    return EquilibriumSolution(
-        beta=complex(beta), length=complex(length), residual_force=math.inf,
-        residual_moment=math.inf, rel_residual=math.inf,
-        is_real=mark_real(complex(beta), complex(length)), accepted=False,
-        squared_residual=squared_residual, note=note)
+def _structural_rows(beta, length, squared_residual, note: str) -> dict:
+    """Ledger columns of rejected candidates known in closed form, whose
+    unsquared residuals are undefined (a zero-length first spring or no
+    finite beta)."""
+    undefined = np.full(len(beta), math.inf)
+    return dict(beta=beta, length=length, residual_force=undefined,
+                residual_moment=undefined, rel_residual=undefined,
+                is_real=mark_real(beta, length),
+                accepted=np.zeros(len(beta), dtype=bool),
+                squared_residual=np.full(len(beta), squared_residual),
+                note=np.full(len(beta), note))
 
 
 def solve_one_nonzero_free_length(params: MechanismParams,
@@ -368,7 +363,8 @@ def solve_one_nonzero_free_length(params: MechanismParams,
     same-sign roots on the other branch of L1, the mixed-sign roots that
     squaring introduces, the two O2 = O1 points four times each and the
     12 tan-half pole roots with no finite beta; the squared-pair residual
-    is recorded for reporting.
+    is recorded for reporting. A LostRoots warning says when fewer than
+    the 14 same-sign roots converged.
     """
     _require_pattern(params)
     pair = _UnsquaredPair(params, point_e(params))
@@ -386,36 +382,40 @@ def solve_one_nonzero_free_length(params: MechanismParams,
     z = roots.ravel()
     rows = _in_length(tensors, z)
     f, g = _eliminated_pair(rows, z, pair.kl, sign[:, None])
-    candidates = np.array([_quadratic_roots(*row) for row in g])
+    candidates = np.stack(_quadratic_roots(*g.T), axis=-1)
     values = np.abs(horner(f[:, None, :], candidates))
     u = candidates[np.arange(len(z)), np.argmin(values, axis=1)]
     a, b = (horner(row, u) for row in _split(rows)[:2])
     u, z, s = _newton(pair, tensors, origin, u, z, b / a, sign)
 
-    solutions = [_classify_root(origin + u[k], z[k], s[k], sign[k] > 0, pair,
-                                accept_tol) for k in range(len(z))]
-    # where the structure degenerates (a pin at an anchor, say), two
-    # starts can converge onto one equilibrium; it is accepted once
-    accepted: list[EquilibriumSolution] = []
-    for k, sol in enumerate(solutions):
-        if sol.accepted and any(
-                abs(sol.beta - other.beta) + abs(sol.length - other.length)
-                <= 1e-8 * (1 + abs(sol.beta) + abs(sol.length))
-                for other in accepted):
-            solutions[k] = replace(sol, accepted=False, note="repeated root")
-        elif sol.accepted:
-            accepted.append(sol)
-    # both squared quartics vanish where O2 = O1
-    for zk, length in zip(coincident_z, coincident_length):
-        solutions += [_structural_row(
-            -1j * cmath.log(zk), length, 0.0,
-            "O2 = O1 (first spring of zero length)")] * COINCIDENT_MULTIPLICITY
-    # beta = -i log z runs to +i infinity at z = 0 and -i infinity at z = oo
-    for beta_im in (math.inf, -math.inf):
-        solutions += [_structural_row(
-            complex(0.0, beta_im), complex("nan"), math.inf,
-            "no finite beta (tan-half pole artifact)")] * POLE_ROWS
-    return sort_solutions(pair_conjugates(solutions))
+    same_sign = sign > 0
+    ledger = _classify(pair, origin + u, z, s, same_sign, accept_tol)
+    converged = np.count_nonzero(same_sign & (
+        ledger["accepted"] | (ledger["note"] == "other branch")))
+    if converged < SAME_SIGN_ROOTS:
+        warnings.warn(f"{converged} of the {SAME_SIGN_ROOTS} same-sign roots "
+                      "converged", LostRoots, stacklevel=2)
+    structural = [
+        # both squared quartics vanish where O2 = O1
+        _structural_rows(
+            np.repeat(-1j * np.log(coincident_z), COINCIDENT_MULTIPLICITY),
+            np.repeat(coincident_length, COINCIDENT_MULTIPLICITY), 0.0,
+            "O2 = O1 (first spring of zero length)"),
+        # beta = -i log z runs to +i infinity at z = 0 and -i infinity at
+        # z = oo
+        _structural_rows(
+            np.repeat([complex(0, math.inf), complex(0, -math.inf)],
+                      POLE_ROWS),
+            np.full(2 * POLE_ROWS, complex("nan")), math.inf,
+            "no finite beta (tan-half pole artifact)")]
+    for name in ledger:
+        ledger[name] = np.concatenate(
+            [ledger[name]] + [extra[name] for extra in structural])
+    ledger["beta"], ledger["length"], _ = pair_conjugate_points(
+        ledger["beta"], ledger["length"], ledger["is_real"])
+    names = [field.name for field in fields(EquilibriumSolution)]
+    return sort_solutions([EquilibriumSolution(*row) for row in zip(
+        *(ledger[name].tolist() for name in names))])
 
 
 def abcd_at(length, beta, params: MechanismParams, e: Point2):

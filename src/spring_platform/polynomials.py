@@ -7,7 +7,6 @@ back-substitution that reads the second unknown off a 7x7 subsystem.
 
 from __future__ import annotations
 
-import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -150,15 +149,16 @@ def horner(coeffs, x):
 
 
 def _quadratic_roots(c0, c1, c2):
-    # numerically stable complex quadratic
-    disc = cmath.sqrt(c1 * c1 - 4 * c2 * c0)
-    if abs(c1 + disc) >= abs(c1 - disc):
-        q = -(c1 + disc) / 2
-    else:
-        q = -(c1 - disc) / 2
+    """Both roots of c2 x^2 + c1 x + c0, numerically stable, for complex
+    scalars or elementwise for arrays of coefficients."""
+    c0, c1, c2 = (np.asarray(c, dtype=complex) for c in (c0, c1, c2))
+    disc = np.sqrt(c1 * c1 - 4 * c2 * c0)
+    q = -(c1 + np.where(np.abs(c1 + disc) >= np.abs(c1 - disc), disc,
+                        -disc)) / 2
     r1 = q / c2
-    r2 = c0 / q if q != 0 else -c1 / c2 - r1
-    return [r1, r2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r2 = np.where(q != 0, c0 / q, -c1 / c2 - r1)
+    return r1[()], r2[()]
 
 
 def companion_roots(stack: np.ndarray) -> np.ndarray:
@@ -193,70 +193,53 @@ def poly_roots(p: CPolynomial, max_iter: int = 500) -> np.ndarray:
 
 
 def poly_roots_batch(polys, max_iter: int = 500) -> list:
-    """poly_roots of every polynomial in polys, each entry either its root
-    array or the exception poly_roots would raise for it.
+    """poly_roots of every CPolynomial in polys, each entry either its
+    root array or the exception poly_roots would raise for it.
 
-    polys is a sequence of CPolynomial or a stack (n, k) of ascending
-    coefficient rows, each read as CPolynomial(row). Polynomials of one
-    coefficient length are trimmed and normalized as one stack. The
+    Polynomials of one coefficient length are normalized as one stack. The
     companion eigenvalues of the members with one degree and one root
     count at the origin come from one companion_roots call, and their
     sorting and residual bound are array passes.
     """
-    if isinstance(polys, np.ndarray):
-        rows = polys.astype(complex, copy=False)
-        mags = np.abs(rows)
-        top = mags.max(axis=1, initial=0.0)
-        # CPolynomial's trim: the effective length ends after the last
-        # entry above TRIM_RELATIVE of the largest magnitude
-        ends = np.max((mags > TRIM_RELATIVE * top[:, None])
-                      * np.arange(1, rows.shape[1] + 1), axis=1, initial=0)
-        return _trimmed_roots(rows, ends, [None] * len(rows), max_iter)
     out: list = [None] * len(polys)
     by_length: dict[int, list[int]] = {}
     for i, p in enumerate(polys):
         by_length.setdefault(len(p.coeffs), []).append(i)
     for length, members in by_length.items():
-        rows = np.array([polys[i].coeffs for i in members],
-                        dtype=complex).reshape(len(members), length)
+        if length < 2:
+            for i in members:
+                out[i] = ZeroPolynomial("all coefficients are numerically zero"
+                                        if length == 0 else
+                                        "constant polynomial has no roots")
+            continue
+        rows = np.array([polys[i].coeffs for i in members], dtype=complex)
         wide = [polys[i].wide if polys[i].wide is not None
                 and len(polys[i].wide) == length else None for i in members]
-        found = _trimmed_roots(rows, np.full(len(members), length), wide,
-                               max_iter)
-        for i, roots in zip(members, found):
+        for i, roots in zip(members, _stack_roots(rows, wide, max_iter)):
             out[i] = roots
     return out
 
 
-def _trimmed_roots(rows: np.ndarray, ends: np.ndarray, wide: list,
-                   max_iter: int) -> list:
-    """poly_roots_batch of the coefficient rows (n, k) whose effective
-    lengths are ends, row r refined on wide[r] when that is not None."""
+def _stack_roots(rows: np.ndarray, wide: list, max_iter: int) -> list:
+    """poly_roots_batch of the coefficient rows (n, k), k >= 2, each with
+    a nonzero last entry, row r refined on wide[r] when that is not
+    None."""
     out: list = [None] * len(rows)
-    live = np.nonzero(ends > 1)[0]
-    if len(live) < len(rows):
-        for i in np.nonzero(ends < 2)[0]:
-            out[i] = ZeroPolynomial("all coefficients are numerically zero"
-                                    if ends[i] == 0 else
-                                    "constant polynomial has no roots")
-        if not len(live):
-            return out
-        rows, ends, wide = rows[live], ends[live], [wide[i] for i in live]
     # scaled to unit maximum; the leading entries up to the first one above
     # TRIM_RELATIVE are roots at the origin
     normalized = rows / np.abs(rows).max(axis=1)[:, None]
     zeros = np.argmax(np.abs(normalized) > TRIM_RELATIVE, axis=1)
-    groups: dict[tuple[int, int], list[int]] = {}
-    for j, key in enumerate(zip(ends.tolist(), zeros.tolist())):
-        groups.setdefault(key, []).append(j)
-    for (end, low), js in groups.items():
+    groups: dict[int, list[int]] = {}
+    for j, low in enumerate(zeros.tolist()):
+        groups.setdefault(low, []).append(j)
+    for low, js in groups.items():
         pick = js if len(groups) > 1 else slice(None)
-        c, coeffs = normalized[pick, low:end], rows[pick, :end]
+        c, coeffs = normalized[pick, low:], rows[pick]
         group_wide = [wide[j] for j in js]
         # companion eigenvalues are the more accurate primary at moderate
         # degree (simultaneous iteration can land two iterates on one root
         # of a tight pair); Aberth covers high degrees and is the fallback
-        companion_first = end - 1 - low <= 64
+        companion_first = rows.shape[1] - 1 - low <= 64
         found = _attempt(c, low, group_wide, companion_first, max_iter)
         excess = _residual_excess(coeffs, found)
         for k, j in enumerate(js):
@@ -265,7 +248,7 @@ def _trimmed_roots(rows: np.ndarray, ends: np.ndarray, wide: list,
                 roots = _attempt(c[k:k + 1], low, group_wide[k:k + 1],
                                  not companion_first, max_iter)[0]
                 ratio = _residual_excess(coeffs[k:k + 1], roots[None])[0]
-            out[live[j]] = roots if not ratio > 1.0 else NonConvergence(
+            out[j] = roots if not ratio > 1.0 else NonConvergence(
                 f"root residuals exceed the bound (worst ratio {ratio:.2e})")
     return out
 
@@ -281,7 +264,7 @@ def _attempt(c: np.ndarray, zeros: int, wide: list, companion: bool,
     if deg == 1:
         found = (-c[:, 0] / c[:, 1])[:, None]
     elif deg == 2:
-        found = np.array([_quadratic_roots(*row) for row in c], dtype=complex)
+        found = np.stack(_quadratic_roots(*c.T), axis=-1)
     elif deg > 2 and companion:
         found = companion_roots(c)
     elif deg > 2:
@@ -436,6 +419,18 @@ def _swap_rows(stack: np.ndarray, row: int, pivots: np.ndarray) -> None:
         stack[moved, pivots[moved]] = upper
 
 
+def equilibrate(m: np.ndarray):
+    """A stack of matrices with rows, then columns, scaled by powers of
+    two (exact in binary floating point) to largest magnitudes in [1/2, 1),
+    and the sum of the exponents taken out of each matrix."""
+    shift = 0
+    for axis in (-1, -2):
+        _, exps = np.frexp(np.max(np.abs(m), axis=axis))
+        m = m * np.expand_dims(np.ldexp(1.0, -exps), axis)
+        shift = shift + np.sum(exps, axis=-1)
+    return m, shift
+
+
 def lu_det(matrix: np.ndarray):
     """Determinant by LU with partial pivoting; works for any complex
     dtype, including extended precision.
@@ -448,20 +443,8 @@ def lu_det(matrix: np.ndarray):
     """
     batch = matrix.shape[:-2]
     n = matrix.shape[-1]
-    m = matrix.reshape(-1, n, n).copy()
-    vanishing = np.zeros(len(m), dtype=bool)  # a zero row, column or pivot
-    shift = 0
-    for axis in (-1, -2):
-        top = np.max(np.abs(m), axis=axis)
-        vanishing |= np.any(top == 0, axis=-1)
-        top[vanishing] = 1
-        exps = np.floor(np.log2(top)).astype(int)
-        scale = np.ldexp(np.ones_like(exps, dtype=float), exps)
-        if axis == -1:
-            m /= scale[:, :, None]
-        else:
-            m /= scale[:, None, :]
-        shift = shift + np.sum(exps, axis=-1)
+    m, shift = equilibrate(matrix.reshape(-1, n, n))
+    vanishing = np.zeros(len(m), dtype=bool)  # a zero pivot
     det = np.ones(len(m), dtype=m.dtype)
     for i in range(n):
         pivots = i + np.argmax(np.abs(m[:, i:, i]), axis=-1)

@@ -3,8 +3,9 @@ conjugate pairing and residual-margin helpers."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
+
+import numpy as np
 
 REAL_IMAG_TOL = 1e-8
 
@@ -38,9 +39,10 @@ class EquilibriumSolution:
         return not self.accepted
 
 
-def mark_real(beta: complex, length: complex,
-              tol: float = REAL_IMAG_TOL) -> bool:
-    return bool(abs(beta.imag) <= tol and abs(length.imag) <= tol)
+def mark_real(beta, length, tol: float = REAL_IMAG_TOL):
+    """Whether (beta, L) is real to tol; elementwise for arrays."""
+    real = (np.abs(np.imag(beta)) <= tol) & (np.abs(np.imag(length)) <= tol)
+    return real if np.ndim(real) else bool(real)
 
 
 def sort_solutions(solutions: list[EquilibriumSolution]) -> list[EquilibriumSolution]:
@@ -48,43 +50,51 @@ def sort_solutions(solutions: list[EquilibriumSolution]) -> list[EquilibriumSolu
                                             s.length.real, s.length.imag))
 
 
+def pair_conjugate_points(beta: np.ndarray, length: np.ndarray,
+                          is_real: np.ndarray, rel_tol: float = 1e-6):
+    """Copies of the (beta, L) arrays with near-conjugate complex pairs
+    symmetrized, so the set is exactly closed under conjugation, and the
+    indices of the points that moved.
+
+    Real-flagged points are left untouched. Pairing is greedy in index
+    order on the joint distance between one point and the conjugate of
+    another; points with non-finite components are never paired.
+    """
+    live = np.flatnonzero(~is_real & np.isfinite(beta) & np.isfinite(length))
+    b, l = beta[live], length[live]
+    gap = np.abs(b[:, None] - np.conj(b)) + np.abs(l[:, None] - np.conj(l))
+    np.fill_diagonal(gap, np.inf)
+    rows, cols = np.nonzero(
+        gap <= rel_tol * (np.abs(b) + np.abs(l) + 1.0)[:, None])
+    # row by row, each unused point takes its nearest unused partner
+    # within the tolerance (the lower index on a tie)
+    first, second, used = [], [], set()
+    for i, _, j in sorted(zip(rows.tolist(), gap[rows, cols].tolist(),
+                              cols.tolist())):
+        if i not in used and j not in used:
+            used.update((i, j))
+            first.append(i)
+            second.append(j)
+    first, second = live[first], live[second]
+    beta, length = beta.copy(), length.copy()
+    for values in (beta, length):
+        mean = (values[first] + np.conj(values[second])) / 2
+        values[first], values[second] = mean, np.conj(mean)
+    return beta, length, np.concatenate([first, second])
+
+
 def pair_conjugates(solutions: list[EquilibriumSolution],
                     rel_tol: float = 1e-6) -> list[EquilibriumSolution]:
-    """Symmetrize near-conjugate complex pairs so the returned set is
-    exactly closed under conjugation of (beta, L).
-
-    Real-flagged solutions are left untouched. Pairing is greedy on the
-    joint distance between one solution and the conjugate of another;
-    solutions with non-finite components are never paired.
-    """
+    """The solutions with near-conjugate complex pairs symmetrized by
+    pair_conjugate_points."""
+    beta, length, moved = pair_conjugate_points(
+        np.array([s.beta for s in solutions], dtype=complex),
+        np.array([s.length for s in solutions], dtype=complex),
+        np.array([s.is_real for s in solutions], dtype=bool), rel_tol)
     out = list(solutions)
-    used = [False] * len(out)
-    for i, si in enumerate(out):
-        if used[i] or si.is_real:
-            continue
-        best_j, best_d = None, None
-        for j in range(len(out)):
-            if j == i or used[j] or out[j].is_real:
-                continue
-            sj = out[j]
-            d = (abs(si.beta - sj.beta.conjugate())
-                 + abs(si.length - sj.length.conjugate()))
-            if not math.isfinite(d):
-                continue  # a NaN distance would pass the tolerance test
-            if best_d is None or d < best_d:
-                best_j, best_d = j, d
-        if best_j is None:
-            continue
-        sj = out[best_j]
-        scale = abs(si.beta) + abs(si.length) + 1.0
-        if best_d > rel_tol * scale:
-            continue
-        beta = (si.beta + sj.beta.conjugate()) / 2
-        length = (si.length + sj.length.conjugate()) / 2
-        out[i] = replace(si, beta=beta, length=length)
-        out[best_j] = replace(sj, beta=beta.conjugate(),
-                              length=length.conjugate())
-        used[i] = used[best_j] = True
+    for k in moved.tolist():
+        out[k] = replace(out[k], beta=beta[k].item(),
+                         length=length[k].item())
     return out
 
 

@@ -8,7 +8,9 @@ import pytest
 from _support import TABLE_ZERO, reference_params
 
 from spring_platform import Point2, ZeroLengthSpring
-from spring_platform.mechanism import (MechanismParams, point_e, pose_from,
+from spring_platform.mechanism import (MechanismParams,
+                                       force_projection_residual,
+                                       moment_residual, point_e, pose_from,
                                        residual_pair, spring_state)
 
 
@@ -215,3 +217,31 @@ def test_complex_pose_evaluation(params_zero):
     f, m = residual_pair(pose, params_zero)
     assert isinstance(f, complex)
     assert cmath.isfinite(f) and cmath.isfinite(m)
+
+
+def test_residual_pair_equals_single_residuals():
+    # one spring evaluation serves both residuals, with the arithmetic of
+    # the per-residual sums over the springs
+    rng = np.random.default_rng(12)
+    for params in (reference_params(l01=0.0), reference_params(l01=1.0)):
+        e = point_e(params)
+        u = Point2(math.cos(params.surface_angle),
+                   math.sin(params.surface_angle))
+        anchors = (params.base_origin, params.base_origin, params.a1_fixed)
+        for _ in range(20):
+            length = rng.uniform(-5, 15)
+            beta = rng.uniform(-math.pi, math.pi)
+            for pose in (pose_from(length, beta, params, e),
+                         pose_from(complex(length, rng.uniform(-5, 5)),
+                                   complex(beta, rng.uniform(-2, 2)),
+                                   params, e)):
+                state = spring_state(pose, params)
+                force = moment = 0.0
+                for f, s in zip(state.forces, state.directions):
+                    force = force + f * s.dot(u)
+                for anchor, f, s in zip(anchors, state.forces,
+                                        state.directions):
+                    moment = moment + (anchor - pose.p).cross(f * s)
+                assert residual_pair(pose, params) == (force, moment) == (
+                    force_projection_residual(pose, params),
+                    moment_residual(pose, params))

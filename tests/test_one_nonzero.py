@@ -12,6 +12,7 @@ from spring_platform import (DegenerateQuartic, Point2, WrongFreeLengthPattern,
                              abcd_at, quartic_pair_at, residual_margin,
                              resultant_polynomial,
                              solve_one_nonzero_free_length)
+from spring_platform.errors import LostRoots
 from spring_platform.mechanism import (point_e, pose_from, pose_from_trig,
                                       residual_pair, spring_state)
 from spring_platform.one_nonzero import _UnsquaredPair, quartic_pair
@@ -38,6 +39,47 @@ def test_degenerate_pins():
     # accepted twice
     assert_distinct_and_closed(accepted_points(
         dataclasses.replace(params, p_in_top=params.a2_in_top)))
+
+
+def test_lost_roots_warn():
+    # near the top-frame origin most same-sign starts no longer converge
+    params = dataclasses.replace(reference_params(l01=1.0),
+                                 p_in_top=Point2(1e-9, 0.0))
+    with pytest.warns(LostRoots):
+        solve_one_nonzero_free_length(params)
+
+
+def test_no_lost_roots_on_generic_mechanisms(params_one):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", LostRoots)
+        for params in [params_one] + corpus(2026, 40):
+            solve_one_nonzero_free_length(params)
+
+
+def _abs_point(p):
+    return math.hypot(abs(p.x), abs(p.y))
+
+
+def test_residual_fields_are_spring_model_residuals(params_one):
+    # the solve reads the residuals off the pair as A - B / L1 and
+    # C - D / L1; the spring model evaluates them pose by pose
+    complex_rows = 0
+    for params in [params_one] + corpus(2026, 5):
+        e = point_e(params)
+        rows = [s for s in solve_one_nonzero_free_length(params)
+                if math.isfinite(s.residual_force)]
+        assert len(rows) == 28
+        for s in rows:
+            pose = pose_from(s.length, s.beta, params, e)
+            force, moment = residual_pair(pose, params)
+            forces = spring_state(pose, params).forces
+            arms = (params.base_origin, params.base_origin, params.a1_fixed)
+            assert abs(abs(force) - s.residual_force) \
+                <= 1e-9 * sum(abs(f) for f in forces)
+            assert abs(abs(moment) - s.residual_moment) <= 1e-9 * sum(
+                abs(f) * _abs_point(a - pose.p) for f, a in zip(forces, arms))
+            complex_rows += not s.is_real
+    assert complex_rows >= 100
 
 
 def test_unsquared_identity_against_residuals(params_one):

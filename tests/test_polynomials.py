@@ -120,9 +120,9 @@ def test_batched_roots_equal_single_calls(monkeypatch):
     assert min(aberth_degrees) <= 64 and 70 in aberth_degrees
     _assert_single_calls(polys, batched)
 
-    # a stack of coefficient rows is read as CPolynomial(row) each: roots
-    # at the origin, trimmed trailing coefficients, mixed effective
-    # degrees, constant and zero rows, and wide ranges that fall back
+    # polynomials of many lengths after trimming: roots at the origin,
+    # trimmed trailing coefficients, mixed effective degrees, constant and
+    # zero rows, and wide ranges that fall back
     rows = rng.normal(size=(72, 31)) + 1j * rng.normal(size=(72, 31))
     rows[::6, :2] = 0.0
     rows[1::6, -1] = 1e-15
@@ -135,9 +135,10 @@ def test_batched_roots_equal_single_calls(monkeypatch):
     rows = np.concatenate([rows, 10.0 ** rng.uniform(-7, 7, (200, 31))
                            * np.exp(2j * np.pi * rng.uniform(size=(200, 31)))])
     del aberth_degrees[:]
-    stacked = poly_roots_batch(rows)
+    polys = [CPolynomial(row) for row in rows]
+    batched = poly_roots_batch(polys)
     assert aberth_degrees
-    _assert_single_calls([CPolynomial(row) for row in rows], stacked)
+    _assert_single_calls(polys, batched)
 
 
 def _assert_single_calls(polys, batched):

@@ -6,11 +6,18 @@ Solves both committed configs, the first 40 mechanisms of
 drawn from ``numpy.random.default_rng(777)`` (L01 ~ U(0.2, 2) first, then
 ``inputs.random_mechanism``). It prints one ``repr`` line per candidate
 row, an accepted count per set, and the warnings of all solves counted by
-category. Dump the version before a change and the one after it and
-compare their rows, for example that every accepted root before is an
-accepted root after::
+category. Dump the version before a change and the one after it, then
+compare the two dumps::
 
     python3 tools/candidate_rows.py > after.txt
+    python3 tools/candidate_rows.py --compare before.txt after.txt
+
+The comparison matches the accepted roots of each solve as sets, to
+MATCH_REL_TOL relative, since a change of rounding moves every residual
+and a byte diff then shows nothing. It prints the accepted count of each
+set in both dumps, every unmatched root and the worst matched gap, and
+exits 1 when an accepted root of the first dump has no match in the
+second.
 
 The script reads the ``src/`` and ``bench/`` directories next to it, so a
 copy placed in another checkout reports that checkout. It takes a few
@@ -19,6 +26,8 @@ seconds.
 
 from __future__ import annotations
 
+import argparse
+import re
 import sys
 import warnings
 from collections import Counter
@@ -34,6 +43,10 @@ from spring_platform import RunConfig, load_config, run_analysis  # noqa: E402
 
 MECHANISMS_2026 = 40
 MECHANISMS_777 = 160
+MATCH_REL_TOL = 1e-8         # on |d beta| + |d L| over 1 + |beta| + |L|
+
+_SOLVE = re.compile(r"# (\S+) (\d+)$")
+_ROW = re.compile(r"beta=([^,]+), length=([^,]+),.* accepted=(True|False)")
 
 
 def seed_777_mechanisms(count: int):
@@ -45,7 +58,51 @@ def seed_777_mechanisms(count: int):
     return out
 
 
-def main() -> int:
+def read_dump(path) -> dict:
+    """Accepted (beta, L) of every solve of a dump, keyed by (set, index)."""
+    solves: dict = {}
+    for line in Path(path).read_text().splitlines():
+        if header := _SOLVE.match(line):
+            key = (header[1], int(header[2]))
+            solves[key] = []
+        elif (row := _ROW.search(line)) and row[3] == "True":
+            solves[key].append((complex(row[1]), complex(row[2])))
+    return solves
+
+
+def compare(before_path, after_path) -> int:
+    before, after = read_dump(before_path), read_dump(after_path)
+    for name in dict.fromkeys(name for name, _ in before | after):
+        counts = [sum(len(points) for (set_name, _), points in dump.items()
+                      if set_name == name) for dump in (before, after)]
+        print(f"# {name}: {counts[0]} accepted before, {counts[1]} after")
+    missing = worst = 0
+    for key in sorted(before.keys() | after.keys()):
+        unmatched = list(after.get(key, []))
+        for beta, length in before.get(key, []):
+            gaps = [(abs(beta - b) + abs(length - l))
+                    / (1 + abs(beta) + abs(length)) for b, l in unmatched]
+            best = min(range(len(gaps)), key=gaps.__getitem__, default=None)
+            if best is not None and gaps[best] <= MATCH_REL_TOL:
+                worst = max(worst, gaps[best])
+                del unmatched[best]
+            else:
+                missing += 1
+                print(f"missing in after: {key[0]} {key[1]} beta={beta} "
+                      f"L={length}")
+        for beta, length in unmatched:
+            print(f"new in after: {key[0]} {key[1]} beta={beta} L={length}")
+    print(f"# worst matched gap {worst:.2e}, {missing} missing")
+    return 1 if missing else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--compare", nargs=2, metavar=("BEFORE", "AFTER"),
+                        help="compare the accepted roots of two dumps")
+    args = parser.parse_args(argv)
+    if args.compare:
+        return compare(*args.compare)
     sets = [
         ("config", [load_config(ROOT / inputs.REFERENCE_ZERO),
                     load_config(ROOT / inputs.REFERENCE_ONE)]),
