@@ -1,15 +1,19 @@
 """Report emission: CSV and JSON tables plus SVG configuration drawings.
 
-Output is deterministic: re-running the same configuration produces
-byte-identical files (the in-memory timing is deliberately left out of
-the JSON report).
+Each file is built as text and written in one call; re-running a
+configuration gives byte-identical files (timing stays out of the JSON).
+``report.json`` holds ``json.dumps(report_to_dict(report), indent=2,
+sort_keys=True)`` with non-finite floats as null. The json module encodes
+with ``indent`` in pure Python, so here each flat object or array, and the
+whole table of solution rows, goes through its C encoder in one call with
+the indentation as item separator. The SVG is written without an XML tree.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-import xml.etree.ElementTree as ET
 from pathlib import Path
 
 from .analysis import AnalysisReport
@@ -19,31 +23,11 @@ from .solutions import EquilibriumSolution
 
 CSV_HEADER = ("index,beta_re,beta_im,L_re,L_im,residual_force,"
               "residual_moment,real_flag,accepted_flag")
+_CSV_ROW = "%d,%.6f,%.6f,%.6f,%.6f,%.6e,%.6e,%d,%d"
 
 SPRING_COLORS = ("#b22222", "#2e8b57", "#6a5acd")
 SOLUTION_COLORS = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728",
                    "#9467bd", "#8c564b", "#e377c2", "#7f7f7f")
-
-
-def _fmt(value: float) -> str:
-    return f"{value:.6f}"
-
-
-def _fmt_resid(value: float) -> str:
-    return f"{value:.6e}"
-
-
-def solution_rows(solutions: list[EquilibriumSolution]) -> list[str]:
-    rows = []
-    for i, s in enumerate(solutions, start=1):
-        rows.append(",".join([
-            str(i),
-            _fmt(s.beta.real), _fmt(s.beta.imag),
-            _fmt(s.length.real), _fmt(s.length.imag),
-            _fmt_resid(s.residual_force), _fmt_resid(s.residual_moment),
-            str(int(s.is_real)), str(int(s.accepted)),
-        ]))
-    return rows
 
 
 def report_to_dict(report: AnalysisReport) -> dict:
@@ -76,15 +60,57 @@ def report_to_dict(report: AnalysisReport) -> dict:
     }
 
 
-def _sanitize(obj):
-    """Replace non-finite floats so the JSON stays valid and stable."""
+_CONTAINERS = frozenset((dict, list, tuple))
+
+
+def _flat(values) -> bool:
+    return _CONTAINERS.isdisjoint(map(type, values))
+
+
+def _finite_copy(obj):
+    """Flat object or array with non-finite floats as None (valid JSON)."""
     if isinstance(obj, dict):
-        return {k: _sanitize(v) for k, v in obj.items()}
-    if isinstance(obj, list):
-        return [_sanitize(v) for v in obj]
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return None
-    return obj
+        return {k: None if isinstance(v, float) and not math.isfinite(v)
+                else v for k, v in obj.items()}
+    return [None if isinstance(v, float) and not math.isfinite(v) else v
+            for v in obj]
+
+
+@functools.cache
+def _flat_encoder(depth: int):
+    """C encoder of a scalar or of a flat object or array at ``depth``."""
+    return json.JSONEncoder(sort_keys=True,
+                            separators=(",\n" + "  " * depth, ": ")).encode
+
+
+def _json(obj, depth: int = 0) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)`` with non-finite
+    floats as null, for ``obj`` nested ``depth`` levels deep. Containers
+    must be plain dicts, lists or tuples, as ``report_to_dict`` builds."""
+    if type(obj) not in _CONTAINERS:
+        return _flat_encoder(0)(_finite_copy([obj])[0])
+    if not obj:
+        return "{}" if isinstance(obj, dict) else "[]"
+    is_dict = isinstance(obj, dict)
+    indent = "  " * (depth + 1)
+    if _flat(obj.values() if is_dict else obj):
+        body = _flat_encoder(depth + 1)(_finite_copy(obj))[1:-1]
+    elif not is_dict and all(type(row) is dict and row and _flat(row.values())
+                             for row in obj):
+        # a table such as the solution rows, in one C call split where the
+        # separator meets "}" and "{" (no string holds a raw line break)
+        row_indent = "  " * (depth + 2)
+        text = _flat_encoder(depth + 2)([_finite_copy(row) for row in obj])
+        body = f",\n{indent}".join(
+            f"{{\n{row_indent}{row}\n{indent}}}"
+            for row in text[2:-2].split(f"}},\n{row_indent}{{"))
+    else:
+        items = ([f"{_json(k)}: {_json(v, depth + 1)}"
+                  for k, v in sorted(obj.items())] if is_dict
+                 else [_json(v, depth + 1) for v in obj])
+        body = f",\n{indent}".join(items)
+    opening, closing = "{}" if is_dict else "[]"
+    return f"{opening}\n{indent}{body}\n{'  ' * depth}{closing}"
 
 
 def emit_tables(report: AnalysisReport, out_dir,
@@ -94,52 +120,51 @@ def emit_tables(report: AnalysisReport, out_dir,
     written = []
     if "csv" in formats:
         path = out / "solutions.csv"
-        lines = [CSV_HEADER] + solution_rows(report.solutions)
+        lines = [CSV_HEADER]
+        lines += [_CSV_ROW % (i, s.beta.real, s.beta.imag, s.length.real,
+                              s.length.imag, s.residual_force,
+                              s.residual_moment, s.is_real, s.accepted)
+                  for i, s in enumerate(report.solutions, start=1)]
         path.write_text("\n".join(lines) + "\n")
         written.append(path)
     if "json" in formats:
         path = out / "report.json"
-        payload = _sanitize(report_to_dict(report))
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        path.write_text(_json(report_to_dict(report)) + "\n")
         written.append(path)
     return written
 
 
 # --- SVG rendering -------------------------------------------------------
+# Every attribute value and text is a number, a colour or a fixed name, so
+# nothing needs XML escaping.
 
 def _mechanism_points(params: MechanismParams, solution: EquilibriumSolution,
                       e: Point2):
     pose = pose_from(solution.length.real, solution.beta.real, params, e)
-    return {
-        "O1": params.base_origin,
-        "A1": params.a1_fixed,
-        "O2": Point2(pose.o2.x, pose.o2.y),
-        "A2": Point2(pose.a2.x, pose.a2.y),
-        "P": Point2(pose.p.x, pose.p.y),
-    }
+    return {"O1": params.base_origin, "A1": params.a1_fixed,
+            "O2": pose.o2, "A2": pose.a2, "P": pose.p}
 
 
-def _spring_polyline(p_from: Point2, p_to: Point2, coils: int = 6,
-                     width_ratio: float = 0.08) -> str:
-    """Zigzag polyline between two points with straight lead-in segments."""
+def _spring_points(p_from: Point2, p_to: Point2, coils: int = 6,
+                   width_ratio: float = 0.08) -> list[tuple[float, float]]:
+    """Zigzag between two points with straight lead-in segments, in world
+    coordinates rounded to 4 decimals."""
     dx, dy = p_to.x - p_from.x, p_to.y - p_from.y
     length = math.hypot(dx, dy)
     if length == 0:
-        return f"{p_from.x},{p_from.y}"
-    ux, uy = dx / length, dy / length
-    nx, ny = -uy, ux
+        return [(p_from.x, p_from.y)]
+    nx, ny = -dy / length, dx / length
     amp = width_ratio * length
-    pts = [(p_from.x, p_from.y)]
     lead = 0.15
-    pts.append((p_from.x + lead * dx, p_from.y + lead * dy))
+    pts = [(p_from.x, p_from.y), (p_from.x + lead * dx, p_from.y + lead * dy)]
     for i in range(coils):
         t = lead + (1 - 2 * lead) * (i + 0.5) / coils
         side = 1.0 if i % 2 == 0 else -1.0
         pts.append((p_from.x + t * dx + side * amp * nx,
                     p_from.y + t * dy + side * amp * ny))
-    pts.append((p_from.x + (1 - lead) * dx, p_from.y + (1 - lead) * dy))
-    pts.append((p_to.x, p_to.y))
-    return " ".join(f"{x:.4f},{y:.4f}" for x, y in pts)
+    pts += [(p_from.x + (1 - lead) * dx, p_from.y + (1 - lead) * dy),
+            (p_to.x, p_to.y)]
+    return [(round(x, 4), round(y, 4)) for x, y in pts]
 
 
 class _Canvas:
@@ -153,52 +178,24 @@ class _Canvas:
         self.scale = 640.0 / max(self.x1 - self.x0, 1e-9)
         self.height = (self.y1 - self.y0) * self.scale
 
-    def map(self, p: Point2) -> tuple[float, float]:
-        return ((p.x - self.x0) * self.scale,
-                (self.y1 - p.y) * self.scale)
-
-    def root(self) -> ET.Element:
-        width = (self.x1 - self.x0) * self.scale
-        return ET.Element("svg", {
-            "xmlns": "http://www.w3.org/2000/svg",
-            "viewBox": f"0 0 {width:.1f} {self.height:.1f}",
-            "width": f"{width:.0f}", "height": f"{self.height:.0f}",
-        })
+    def map(self, x: float, y: float) -> tuple[float, float]:
+        return ((x - self.x0) * self.scale, (self.y1 - y) * self.scale)
 
 
-def _draw_line(parent, canvas, p1, p2, stroke, width="2", dash=None):
-    x1, y1 = canvas.map(p1)
-    x2, y2 = canvas.map(p2)
-    attrs = {"x1": f"{x1:.2f}", "y1": f"{y1:.2f}", "x2": f"{x2:.2f}",
-             "y2": f"{y2:.2f}", "stroke": stroke, "stroke-width": width}
-    if dash:
-        attrs["stroke-dasharray"] = dash
-    ET.SubElement(parent, "line", attrs)
+def _draw_line(parts, canvas, p1, p2, stroke, width="2"):
+    x1, y1 = canvas.map(p1.x, p1.y)
+    x2, y2 = canvas.map(p2.x, p2.y)
+    parts.append(f'<line x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" '
+                 f'y2="{y2:.2f}" stroke="{stroke}" stroke-width="{width}" />')
 
 
-def _draw_polyline(parent, canvas, world_points_str, stroke):
-    pts = []
-    for pair in world_points_str.split():
-        x, y = map(float, pair.split(","))
-        sx, sy = canvas.map(Point2(x, y))
-        pts.append(f"{sx:.2f},{sy:.2f}")
-    ET.SubElement(parent, "polyline", {
-        "points": " ".join(pts), "fill": "none", "stroke": stroke,
-        "stroke-width": "1.5"})
-
-
-def _draw_label(parent, canvas, p, text, color="#000000"):
-    x, y = canvas.map(p)
-    el = ET.SubElement(parent, "text", {
-        "x": f"{x + 6:.2f}", "y": f"{y - 6:.2f}", "font-size": "13",
-        "fill": color, "font-family": "sans-serif"})
-    el.text = text
-
-
-def _draw_point(parent, canvas, p, color="#000000", radius="3.5"):
-    x, y = canvas.map(p)
-    ET.SubElement(parent, "circle", {
-        "cx": f"{x:.2f}", "cy": f"{y:.2f}", "r": radius, "fill": color})
+def _draw_point(parts, canvas, p, color="#000000", label=None):
+    x, y = canvas.map(p.x, p.y)
+    parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="3.5" '
+                 f'fill="{color}" />')
+    if label:
+        parts.append(f'<text x="{x + 6:.2f}" y="{y - 6:.2f}" font-size="13" '
+                     f'fill="{color}" font-family="sans-serif">{label}</text>')
 
 
 def _surface_segment(params: MechanismParams, canvas_pts: list[Point2]):
@@ -210,22 +207,44 @@ def _surface_segment(params: MechanismParams, canvas_pts: list[Point2]):
     return m - span * d, m + span * d
 
 
-def _draw_solution(parent, canvas, params, pts, color="#1f77b4",
-                   label_points=True):
+def _open_drawing(params, canvas_pts, surface_pts, e):
+    """Canvas and first fragments of a drawing: the XML declaration, the
+    svg start tag, the surface and, when there is one, point E."""
+    canvas = _Canvas(canvas_pts)
+    width = (canvas.x1 - canvas.x0) * canvas.scale
+    parts = ["<?xml version='1.0' encoding='utf-8'?>\n"
+             f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 '
+             f'{width:.1f} {canvas.height:.1f}" width="{width:.0f}" '
+             f'height="{canvas.height:.0f}">']
+    _draw_line(parts, canvas, *_surface_segment(params, surface_pts),
+               "#000000", "5")
+    if e is not None:
+        _draw_point(parts, canvas, e, "#555555", "E")
+    return canvas, parts
+
+
+def _write_svg(path: Path, parts: list[str]) -> Path:
+    parts.append("</svg>")
+    path.write_text("".join(parts), encoding="utf-8")
+    return path
+
+
+def _draw_solution(parts, canvas, pts, color="#1f77b4", label_points=True):
     o1, a1 = pts["O1"], pts["A1"]
     o2, a2, p = pts["O2"], pts["A2"], pts["P"]
-    _draw_line(parent, canvas, o1, a1, "#333333", "4")
+    _draw_line(parts, canvas, o1, a1, "#333333", "4")
     # top platform triangle
-    _draw_line(parent, canvas, o2, a2, color, "3")
-    _draw_line(parent, canvas, o2, p, color, "3")
-    _draw_line(parent, canvas, a2, p, color, "3")
+    _draw_line(parts, canvas, o2, a2, color, "3")
+    _draw_line(parts, canvas, o2, p, color, "3")
+    _draw_line(parts, canvas, a2, p, color, "3")
     for (s_from, s_to), scolor in zip(((o1, o2), (o1, a2), (a1, a2)),
                                       SPRING_COLORS):
-        _draw_polyline(parent, canvas, _spring_polyline(s_from, s_to), scolor)
+        spring = " ".join("%.2f,%.2f" % canvas.map(x, y)
+                          for x, y in _spring_points(s_from, s_to))
+        parts.append(f'<polyline points="{spring}" fill="none" '
+                     f'stroke="{scolor}" stroke-width="1.5" />')
     for name, point in pts.items():
-        _draw_point(parent, canvas, point, color="#000000")
-        if label_points:
-            _draw_label(parent, canvas, point, name)
+        _draw_point(parts, canvas, point, label=label_points and name)
 
 
 def render_svg(report: AnalysisReport, out_dir) -> list[Path]:
@@ -241,64 +260,43 @@ def render_svg(report: AnalysisReport, out_dir) -> list[Path]:
                      if s.accepted and s.is_real]
     if e is None:
         # no contact solve ran; nothing but an empty overview to draw
-        canvas = _Canvas([params.base_origin, params.a1_fixed,
-                          params.surface_point])
-        root = canvas.root()
-        s0, s1 = _surface_segment(params, [params.base_origin,
-                                           params.surface_point])
-        _draw_line(root, canvas, s0, s1, "#000000", "5")
-        path = out / "overview.svg"
-        ET.ElementTree(root).write(path, xml_declaration=True,
-                                   encoding="unicode")
-        return [path]
+        _, parts = _open_drawing(
+            params, [params.base_origin, params.a1_fixed,
+                     params.surface_point],
+            [params.base_origin, params.surface_point], None)
+        return [_write_svg(out / "overview.svg", parts)]
 
     solution_points = {i: _mechanism_points(params, s, e)
                        for i, s in real_accepted}
     world = [params.base_origin, params.a1_fixed, params.surface_point, e]
-    for pts in solution_points.values():
-        world.extend(pts.values())
-
+    world += [p for pts in solution_points.values() for p in pts.values()]
     plane = make_plane(params.surface_angle, params.surface_point)
 
     for idx, sol in real_accepted:
-        pts = solution_points[idx]
-        canvas = _Canvas(list(pts.values())
-                         + [params.base_origin, params.a1_fixed, e,
-                            params.surface_point])
-        root = canvas.root()
-        s0, s1 = _surface_segment(params, list(pts.values()))
-        _draw_line(root, canvas, s0, s1, "#000000", "5")
-        _draw_point(root, canvas, e, "#555555")
-        _draw_label(root, canvas, e, "E", "#555555")
-        _draw_solution(root, canvas, params, pts)
-        title = ET.SubElement(root, "title")
-        title.text = (f"solution {idx}: beta={sol.beta.real:.4f}, "
-                      f"L={sol.length.real:.4f}")
-        path = out / f"solution_{idx}.svg"
-        ET.ElementTree(root).write(path, xml_declaration=True,
-                                   encoding="unicode")
-        written.append(path)
+        pts = list(solution_points[idx].values())
+        canvas, parts = _open_drawing(
+            params, pts + [params.base_origin, params.a1_fixed, e,
+                           params.surface_point], pts, e)
+        _draw_solution(parts, canvas, solution_points[idx])
+        parts.append(f"<title>solution {idx}: beta={sol.beta.real:.4f}, "
+                     f"L={sol.length.real:.4f}</title>")
+        written.append(_write_svg(out / f"solution_{idx}.svg", parts))
 
-    canvas = _Canvas(world)
-    root = canvas.root()
-    s0, s1 = _surface_segment(params, world)
-    _draw_line(root, canvas, s0, s1, "#000000", "5")
-    _draw_point(root, canvas, e, "#555555")
-    _draw_label(root, canvas, e, "E", "#555555")
+    canvas, parts = _open_drawing(params, world, world, e)
     sides = {"positive": [], "negative": []}
     for k, (idx, sol) in enumerate(real_accepted):
         pts = solution_points[idx]
         side = "positive" if plane.evaluate(pts["O2"]) > 0 else "negative"
         sides[side].append((idx, pts, SOLUTION_COLORS[k % len(SOLUTION_COLORS)]))
     for side, members in sides.items():
-        group = ET.SubElement(root, "g", {
-            "id": f"side_{side}", "data-solutions": str(len(members))})
+        parts.append(f'<g id="side_{side}" data-solutions="{len(members)}"'
+                     + (">" if members else " />"))
         for idx, pts, color in members:
-            sub = ET.SubElement(group, "g",
-                                {"id": f"solution_{idx}", "class": "solution"})
-            _draw_solution(sub, canvas, params, pts, color=color,
+            parts.append(f'<g id="solution_{idx}" class="solution">')
+            _draw_solution(parts, canvas, pts, color=color,
                            label_points=False)
-    path = out / "overview.svg"
-    ET.ElementTree(root).write(path, xml_declaration=True, encoding="unicode")
-    written.append(path)
+            parts.append("</g>")
+        if members:
+            parts.append("</g>")
+    written.append(_write_svg(out / "overview.svg", parts))
     return written

@@ -1,15 +1,111 @@
+import dataclasses
 import json
+import math
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
+import pytest
 from _support import REFERENCE_CONFIG
 
-from spring_platform import (config_from_dict, emit_tables, render_svg,
-                             report_to_dict, run_analysis)
+import spring_platform
+from spring_platform import (Point2, RunConfig, config_from_dict, emit_tables,
+                             render_svg, report_to_dict, run_analysis)
+from spring_platform.mechanism import MechanismParams
 from spring_platform.output import CSV_HEADER
+
+SVG = {"svg": "http://www.w3.org/2000/svg"}
 
 
 def _report(l0=(0.0, 0.0, 0.0)):
     return run_analysis(config_from_dict(dict(REFERENCE_CONFIG, L0=list(l0))))
+
+
+def _no_contact_report():
+    params = MechanismParams(
+        surface_point=Point2(100.0, 0.0), surface_angle=math.radians(90.0),
+        a1_in_base=Point2(2.0, 0.0), a2_in_top=Point2(1.0, 0.0),
+        p_in_top=Point2(1.0, 1.0), base_origin=Point2(1.0, 0.5),
+        base_angle=0.2, stiffness=(1.0, 1.0, 1.0),
+        free_lengths=(1.2, 2.0, 2.2))
+    return run_analysis(RunConfig(params=params))
+
+
+def _balanced_pin_report():
+    # the pin where the zero case's force residual loses beta: two rows
+    # with infinite beta_im and a NaN length
+    k1, k2, k3 = REFERENCE_CONFIG["k"]
+    x = (k2 + k3) * REFERENCE_CONFIG["P_A2_in2"][0] / (k1 + k2 + k3)
+    report = run_analysis(config_from_dict(
+        dict(REFERENCE_CONFIG, P_P_in2=[x, 0.0])))
+    assert any(s.note == "no finite beta" and math.isinf(s.beta.imag)
+               and math.isnan(s.length.real) for s in report.solutions)
+    return report
+
+
+def _free_pose_and_notes_report():
+    # a solve runs only when the free pose is not assemblable or touches
+    # the surface, so the free pose of the no-contact mechanism is lent
+    report = _report((1.0, 0.0, 0.0))
+    free_pose = _no_contact_report().free_pose
+    assert report.notes and free_pose is not None
+    return dataclasses.replace(report, free_pose=free_pose,
+                               notes=report.notes + ['a "quoted" note'])
+
+
+def _null_non_finite(obj):
+    if isinstance(obj, dict):
+        return {k: _null_non_finite(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_null_non_finite(v) for v in obj]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    return obj
+
+
+def _csv_line(i, s):
+    return ",".join([
+        str(i),
+        f"{s.beta.real:.6f}", f"{s.beta.imag:.6f}",
+        f"{s.length.real:.6f}", f"{s.length.imag:.6f}",
+        f"{s.residual_force:.6e}", f"{s.residual_moment:.6e}",
+        str(int(s.is_real)), str(int(s.accepted))])
+
+
+TABLE_REPORTS = {
+    "reference-zero": _report,
+    "reference-one": lambda: _report((1.0, 0.0, 0.0)),
+    "no-contact": _no_contact_report,
+    "no-finite-beta": _balanced_pin_report,
+    "free-pose-and-notes": _free_pose_and_notes_report,
+}
+
+
+@pytest.mark.parametrize("name", TABLE_REPORTS)
+def test_tables_match_json_module_and_csv_format(tmp_path, name):
+    report = TABLE_REPORTS[name]()
+    json_path, csv_path = (tmp_path / "report.json",
+                           tmp_path / "solutions.csv")
+    assert emit_tables(report, tmp_path, ("csv", "json")) == [csv_path,
+                                                                json_path]
+    expected = json.dumps(_null_non_finite(report_to_dict(report)),
+                          indent=2, sort_keys=True) + "\n"
+    assert json_path.read_text() == expected
+    lines = [CSV_HEADER] + [_csv_line(i, s) for i, s in
+                            enumerate(report.solutions, start=1)]
+    assert csv_path.read_text() == "\n".join(lines) + "\n"
+
+
+def test_import_loads_no_xml_tree():
+    src = Path(spring_platform.__file__).resolve().parents[1]
+    code = ("import sys, spring_platform; "
+            "print('xml.etree.ElementTree' in sys.modules)")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=120, check=True,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert run.stdout.strip() == "False"
 
 
 def test_csv_rows_and_columns(tmp_path):
@@ -34,16 +130,7 @@ def test_csv_one_nonzero_rows(tmp_path):
 
 
 def test_empty_solve_gives_header_only(tmp_path):
-    import math
-    from spring_platform import Point2, RunConfig
-    from spring_platform.mechanism import MechanismParams
-    params = MechanismParams(
-        surface_point=Point2(100.0, 0.0), surface_angle=math.radians(90.0),
-        a1_in_base=Point2(2.0, 0.0), a2_in_top=Point2(1.0, 0.0),
-        p_in_top=Point2(1.0, 1.0), base_origin=Point2(1.0, 0.5),
-        base_angle=0.2, stiffness=(1.0, 1.0, 1.0),
-        free_lengths=(1.2, 2.0, 2.2))
-    report = run_analysis(RunConfig(params=params))
+    report = _no_contact_report()
     files = emit_tables(report, tmp_path, ("csv",))
     assert files[0].read_text().strip() == CSV_HEADER
 
@@ -110,3 +197,55 @@ def test_svg_contains_mechanism_elements(tmp_path):
     assert len(polylines) == 3  # three springs
     labels = {t.text for t in root.findall(".//svg:text", ns)}
     assert {"O1", "A1", "O2", "A2", "P", "E"} <= labels
+
+
+def _near(p, q):
+    # two coordinates each rounded to 0.01 px
+    return max(abs(p[0] - q[0]), abs(p[1] - q[1])) <= 0.01 + 1e-9
+
+
+def _points(polyline):
+    return [tuple(map(float, pair.split(",")))
+            for pair in polyline.get("points").split()]
+
+
+@pytest.mark.parametrize("l0", [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0)])
+def test_svg_structure(tmp_path, l0):
+    report = _report(l0)
+    emit_tables(report, tmp_path, ("csv",))
+    csv_rows = (tmp_path / "solutions.csv").read_text().splitlines()[1:]
+    files = render_svg(report, tmp_path)
+    solutions = [f for f in files if f.name.startswith("solution_")]
+    assert len(solutions) == report.counts["real"] > 0
+    for path in solutions:
+        root = ET.parse(path).getroot()
+        assert len(root.findall("svg:line", SVG)) == 5
+        circles = [(float(c.get("cx")), float(c.get("cy")))
+                   for c in root.findall("svg:circle", SVG)]
+        assert len(circles) == 6
+        # each label sits 6 px right of and above its circle
+        at = {}
+        for t in root.findall("svg:text", SVG):
+            x, y = float(t.get("x")) - 6, float(t.get("y")) + 6
+            at[t.text] = next(c for c in circles if _near(c, (x, y)))
+        assert set(at) == {"O1", "A1", "O2", "A2", "P", "E"}
+        polylines = root.findall("svg:polyline", SVG)
+        assert len(polylines) == 3
+        for line, (a, b) in zip(polylines,
+                                (("O1", "O2"), ("O1", "A2"), ("A1", "A2"))):
+            pts = _points(line)
+            assert len(pts) == 10
+            assert _near(pts[0], at[a]) and _near(pts[-1], at[b])
+        index = int(path.stem.split("_")[1])
+        row = csv_rows[index - 1].split(",")
+        title = root.find("svg:title", SVG).text
+        assert title.startswith(f"solution {index}: ")
+        beta, length = (float(part.split("=")[1])
+                        for part in title.split(": ")[1].split(", "))
+        assert abs(beta - float(row[1])) <= 5.1e-5
+        assert abs(length - float(row[3])) <= 5.1e-5
+    overview = ET.parse(tmp_path / "overview.svg").getroot()
+    sides = [int(g.get("data-solutions"))
+             for g in overview.findall("svg:g", SVG)
+             if g.get("id", "").startswith("side_")]
+    assert sum(sides) == report.counts["real"]

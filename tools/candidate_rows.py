@@ -1,5 +1,5 @@
 """Print every candidate row of a fixed set of solves: a before/after
-dump for comparing two versions of the solvers.
+dump for comparing two versions of the solvers, or of their report files.
 
 Solves both committed configs, the first 40 mechanisms of
 ``bench/inputs.one_nonzero_mechanisms`` (seed 2026) and 160 mechanisms
@@ -19,6 +19,17 @@ set in both dumps, every unmatched root and the worst matched gap, and
 exits 1 when an accepted root of the first dump has no match in the
 second.
 
+``--digests`` prints the report files instead of the rows. For each solve
+of the corpus above, plus the first ZERO_DIGESTS mechanisms of
+``inputs.zero_corpus(1, ·)``, it writes the files the CLI writes
+(``solutions.csv``, ``report.json`` and the SVG drawings) into a temporary
+directory and prints one ``sha256  <solve> <file>`` line per file, then
+the file count. A plain ``diff`` of the dumps of two versions is the
+byte-identity check of the output layer::
+
+    python3 tools/candidate_rows.py --digests > after.txt
+    diff before.txt after.txt
+
 The script reads the ``src/`` and ``bench/`` directories next to it, so a
 copy placed in another checkout reports that checkout. It takes a few
 seconds.
@@ -27,8 +38,10 @@ seconds.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import re
 import sys
+import tempfile
 import warnings
 from collections import Counter
 from pathlib import Path
@@ -39,10 +52,12 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 import inputs  # noqa: E402
-from spring_platform import RunConfig, load_config, run_analysis  # noqa: E402
+from spring_platform import (RunConfig, emit_tables, load_config,  # noqa: E402
+                             render_svg, run_analysis)
 
 MECHANISMS_2026 = 40
 MECHANISMS_777 = 160
+ZERO_DIGESTS = 100
 MATCH_REL_TOL = 1e-8         # on |d beta| + |d L| over 1 + |beta| + |L|
 
 _SOLVE = re.compile(r"# (\S+) (\d+)$")
@@ -96,10 +111,31 @@ def compare(before_path, after_path) -> int:
     return 1 if missing else 0
 
 
+def digests(sets) -> int:
+    """Print the sha256 of every report file each solve writes."""
+    files = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, configs in sets:
+            for index, config in enumerate(configs):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    report = run_analysis(config)
+                out = Path(tmp) / f"{name}-{index}"
+                for path in (emit_tables(report, out, ("json", "csv"))
+                             + render_svg(report, out)):
+                    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+                    print(f"{digest}  {name}/{index} {path.name}")
+                    files += 1
+    print(f"# {files} files")
+    return 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--compare", nargs=2, metavar=("BEFORE", "AFTER"),
                         help="compare the accepted roots of two dumps")
+    parser.add_argument("--digests", action="store_true",
+                        help="print the sha256 of every report file written")
     args = parser.parse_args(argv)
     if args.compare:
         return compare(*args.compare)
@@ -111,6 +147,10 @@ def main(argv=None) -> int:
         ("seed-777", [RunConfig(params=p) for p in
                       seed_777_mechanisms(MECHANISMS_777)]),
     ]
+    if args.digests:
+        sets.append(("zero-1", [RunConfig(params=p) for p in
+                                inputs.zero_corpus(1, ZERO_DIGESTS)]))
+        return digests(sets)
     caught: Counter = Counter()
     for name, configs in sets:
         accepted = 0
