@@ -2,12 +2,14 @@
 mechanism pressed against a rigid surface.
 
 The library re-derives the equilibrium conditions from the mechanism
-geometry and solves them by elimination in z = exp(i beta): a quartic
-when all spring free lengths are zero, and, when exactly one free length
-is nonzero, the 6x6 Sylvester eliminant left after the signed length of
-that spring is eliminated. Roots are refined on the exact equations and
-verified by their residuals; the paper's degree-48 dialytic eliminant is
-kept as a cross-check.
+geometry and solves them by elimination in z = exp(i beta). Both
+supported cases share one engine: exact tensors of the unsquared pair
+A s = B, C s = D (s the signed first-spring length), Newton's method on
+the 3x3 system in (L, z, s), and one ledger of candidate rows. With all
+spring free lengths zero, B = D = 0 and the eliminant is a quartic; when
+only the first free length is nonzero it is the 6x6 Sylvester eliminant
+left after s is eliminated. Roots are verified by their residuals; the
+paper's degree-48 dialytic eliminant is kept as a cross-check.
 """
 
 from .analysis import AnalysisReport, run_analysis
@@ -29,11 +31,9 @@ from .mechanism import (ContactPose, MechanismParams, SpringState,
 from .one_nonzero import (abcd_at, quartic_pair_at, resultant_polynomial,
                           solve_one_nonzero_free_length)
 from .output import emit_tables, render_svg, report_to_dict
-from .polynomials import (BackSubResult, CPolynomial, back_substitute,
-                          dialytic_matrix, poly_roots, polymatrix_det)
+from .polynomials import (CPolynomial, dialytic_matrix, poly_roots,
+                          polymatrix_det)
 from .solutions import EquilibriumSolution, residual_margin
-from .zero_free_lengths import (LinearizedEquilibrium, linearize,
-                                quartic_coefficients,
-                                solve_zero_free_lengths)
+from .zero_free_lengths import solve_zero_free_lengths
 
 __version__ = "0.1.0"

@@ -84,10 +84,6 @@ class InterpolationNoise(UserWarning):
     accuracy; the interpolated coefficients carry extra sampling noise."""
 
 
-class IllConditionedBackSub(UserWarning):
-    """Linear back-substitution was unreliable; fallback value used."""
-
-
 class LostRoots(UserWarning):
     """Fewer roots of the one-nonzero case converged than its equations
     have for a generic mechanism."""

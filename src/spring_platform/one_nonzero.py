@@ -19,7 +19,8 @@ O2 = O1 and A = B = 0, which are divided out before each root is refined
 by Newton's method on the exact 3x3 system in (L, z, s). Each stage
 works on all roots at once, down to the classification: one evaluation
 of the pair gives every residual, the spring model's A - B / L1 and
-C - D / L1 included.
+C - D / L1 included. The all-zero-free-length solver runs on the same
+pair, Newton's method and ledger at k1 L01 = 0.
 
 The paper squares the pair instead and eliminates over the tan-half
 variable; its degree-48 eliminant (resultant_polynomial, kept as a
@@ -33,7 +34,6 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from dataclasses import fields
 
 import numpy as np
 
@@ -43,8 +43,7 @@ from .geometry import Point2
 from .mechanism import TOL_ZERO_LENGTH, MechanismParams, point_e
 from .polynomials import (CPolynomial, _quadratic_roots, companion_roots,
                           dialytic_matrix, equilibrate, horner, polymatrix_det)
-from .solutions import (EquilibriumSolution, mark_real, pair_conjugate_points,
-                        sort_solutions)
+from .solutions import EquilibriumSolution, ledger, mark_real
 
 ACCEPT_REL_TOL = 1e-6
 RESULTANT_DEGREE = 48
@@ -67,7 +66,7 @@ def _require_pattern(params: MechanismParams) -> None:
             f"need L01 > 0 and L02 = L03 = 0, got {params.free_lengths}")
 
 
-class _UnsquaredPair:
+class UnsquaredPair:
     """The pair A L1 = B, C L1 = D of one mechanism as a function of
     (L, cos beta, sin beta), with the squared first-spring length L1^2.
 
@@ -214,7 +213,7 @@ def _eliminants(tensors, kl, signs):
     return (np.fft.fft(dets, axis=-1) / SAMPLES)[:, SUPPORT]
 
 
-def _coincident_points(pair: _UnsquaredPair):
+def _coincident_points(pair: UnsquaredPair):
     """(z, L) of the two poses where O2 coincides with O1, in complex
     coordinates: w = exp(i alpha) along the surface, d = E - O1 and
     p = P in the top frame, with conjugates continued to complex beta.
@@ -231,7 +230,7 @@ def _coincident_points(pair: _UnsquaredPair):
     return z, -w.conjugate() * d - z * p
 
 
-def _balanced_points(pair: _UnsquaredPair, tensors):
+def _balanced_points(pair: UnsquaredPair, tensors):
     """z of the two poses with A = B = 0: A - (k1 + k2 + k3) B / (k1 L01)
     does not depend on L, and its zeros are those of z times it, a
     quadratic in z."""
@@ -255,7 +254,7 @@ def _deflate(coeffs, known):
     return np.linalg.lstsq(product, coeffs.T, rcond=None)[0].T
 
 
-def _newton(pair, tensors, origin, u, z, s, sign):
+def newton(pair, tensors, origin, u, z, s, sign):
     """Newton's method on z (A s - B), z (C s - sign D) and z (s^2 - L1^2)
     in (u, z, s), L = origin + u, run on a stack of starts until every
     step is below STEP_TOL relative. The residuals are the exact pose
@@ -339,7 +338,7 @@ def _classify(pair, length, z, s, same_sign, accept_tol) -> dict:
         note=note)
 
 
-def _structural_rows(beta, length, squared_residual, note: str) -> dict:
+def structural_rows(beta, length, squared_residual, note: str) -> dict:
     """Ledger columns of rejected candidates known in closed form, whose
     unsquared residuals are undefined (a zero-length first spring or no
     finite beta)."""
@@ -367,7 +366,7 @@ def solve_one_nonzero_free_length(params: MechanismParams,
     the 14 same-sign roots converged.
     """
     _require_pattern(params)
-    pair = _UnsquaredPair(params, point_e(params))
+    pair = UnsquaredPair(params, point_e(params))
     origin = pair.foot()
     tensors = pair.tensors(origin)
     signs = np.array([1.0, -1.0])
@@ -386,36 +385,29 @@ def solve_one_nonzero_free_length(params: MechanismParams,
     values = np.abs(horner(f[:, None, :], candidates))
     u = candidates[np.arange(len(z)), np.argmin(values, axis=1)]
     a, b = (horner(row, u) for row in _split(rows)[:2])
-    u, z, s = _newton(pair, tensors, origin, u, z, b / a, sign)
+    u, z, s = newton(pair, tensors, origin, u, z, b / a, sign)
 
     same_sign = sign > 0
-    ledger = _classify(pair, origin + u, z, s, same_sign, accept_tol)
+    columns = _classify(pair, origin + u, z, s, same_sign, accept_tol)
     converged = np.count_nonzero(same_sign & (
-        ledger["accepted"] | (ledger["note"] == "other branch")))
+        columns["accepted"] | (columns["note"] == "other branch")))
     if converged < SAME_SIGN_ROOTS:
         warnings.warn(f"{converged} of the {SAME_SIGN_ROOTS} same-sign roots "
                       "converged", LostRoots, stacklevel=2)
-    structural = [
+    return ledger(
+        columns,
         # both squared quartics vanish where O2 = O1
-        _structural_rows(
+        structural_rows(
             np.repeat(-1j * np.log(coincident_z), COINCIDENT_MULTIPLICITY),
             np.repeat(coincident_length, COINCIDENT_MULTIPLICITY), 0.0,
             "O2 = O1 (first spring of zero length)"),
         # beta = -i log z runs to +i infinity at z = 0 and -i infinity at
         # z = oo
-        _structural_rows(
+        structural_rows(
             np.repeat([complex(0, math.inf), complex(0, -math.inf)],
                       POLE_ROWS),
             np.full(2 * POLE_ROWS, complex("nan")), math.inf,
-            "no finite beta (tan-half pole artifact)")]
-    for name in ledger:
-        ledger[name] = np.concatenate(
-            [ledger[name]] + [extra[name] for extra in structural])
-    ledger["beta"], ledger["length"], _ = pair_conjugate_points(
-        ledger["beta"], ledger["length"], ledger["is_real"])
-    names = [field.name for field in fields(EquilibriumSolution)]
-    return sort_solutions([EquilibriumSolution(*row) for row in zip(
-        *(ledger[name].tolist() for name in names))])
+            "no finite beta (tan-half pole artifact)"))
 
 
 def abcd_at(length, beta, params: MechanismParams, e: Point2):
@@ -425,7 +417,7 @@ def abcd_at(length, beta, params: MechanismParams, e: Point2):
     _require_pattern(params)
     cb, sb = (cmath.cos(beta), cmath.sin(beta)) if isinstance(beta, complex) \
         else (math.cos(beta), math.sin(beta))
-    return _UnsquaredPair(params, e).terms(length, cb, sb)[:4]
+    return UnsquaredPair(params, e).terms(length, cb, sb)[:4]
 
 
 def quartic_pair(cos_beta, sin_beta, params: MechanismParams, e: Point2,
@@ -434,7 +426,7 @@ def quartic_pair(cos_beta, sin_beta, params: MechanismParams, e: Point2,
     pair A^2 L1^2 - B^2, C^2 L1^2 - D^2 at fixed beta trig values; arrays
     of them give stacks of coefficients."""
     cb = np.asarray(cos_beta, dtype=dtype)
-    return _quartic_pair(_UnsquaredPair(params, e).tensors(dtype=dtype),
+    return _quartic_pair(UnsquaredPair(params, e).tensors(dtype=dtype),
                          cb + 1j * np.asarray(sin_beta, dtype=dtype))
 
 
@@ -445,7 +437,7 @@ def quartic_pair_at(x_beta, params: MechanismParams,
     _require_pattern(params)
     if e is None:
         e = point_e(params)
-    return _quartic_pair(_UnsquaredPair(params, e).tensors(),
+    return _quartic_pair(UnsquaredPair(params, e).tensors(),
                          (1 + 1j * x_beta) / (1 - 1j * x_beta))
 
 
@@ -467,7 +459,7 @@ def resultant_polynomial(params: MechanismParams,
     if e is None:
         e = point_e(params)
     dtype = np.clongdouble if _LONGDOUBLE_OK else complex
-    tensors = _UnsquaredPair(params, e).tensors(dtype=dtype)
+    tensors = UnsquaredPair(params, e).tensors(dtype=dtype)
 
     def evaluate(xs):
         ix = 1j * np.asarray(xs).astype(dtype)

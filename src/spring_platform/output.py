@@ -14,6 +14,8 @@ from __future__ import annotations
 import functools
 import json
 import math
+import os
+import re
 from pathlib import Path
 
 from .analysis import AnalysisReport
@@ -28,6 +30,7 @@ _CSV_ROW = "%d,%.6f,%.6f,%.6f,%.6f,%.6e,%.6e,%d,%d"
 SPRING_COLORS = ("#b22222", "#2e8b57", "#6a5acd")
 SOLUTION_COLORS = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728",
                    "#9467bd", "#8c564b", "#e377c2", "#7f7f7f")
+_DRAWING = re.compile(r"solution_\d+\.svg")
 
 
 def report_to_dict(report: AnalysisReport) -> dict:
@@ -247,10 +250,25 @@ def _draw_solution(parts, canvas, pts, color="#1f77b4", label_points=True):
         _draw_point(parts, canvas, point, label=label_points and name)
 
 
+def _remove_stale_drawings(out: Path, written: list[Path]) -> list[Path]:
+    """Delete the drawings solution_<k>.svg in out that are not among the
+    files just written, left there by an earlier run; the written files
+    are returned."""
+    keep = {path.name for path in written}
+    with os.scandir(out) as entries:
+        stale = [entry.path for entry in entries
+                 if entry.name not in keep and _DRAWING.fullmatch(entry.name)
+                 and not entry.is_dir(follow_symlinks=False)]
+    for path in stale:
+        Path(path).unlink(missing_ok=True)
+    return written
+
+
 def render_svg(report: AnalysisReport, out_dir) -> list[Path]:
     """One drawing per real accepted solution plus an overview that
     overlays them, grouped by which side of the surface holds the top
-    platform origin."""
+    platform origin. Drawings of an earlier run in out_dir that this run
+    does not rewrite are deleted once the new files are written."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     params = report.config.params
@@ -264,7 +282,8 @@ def render_svg(report: AnalysisReport, out_dir) -> list[Path]:
             params, [params.base_origin, params.a1_fixed,
                      params.surface_point],
             [params.base_origin, params.surface_point], None)
-        return [_write_svg(out / "overview.svg", parts)]
+        return _remove_stale_drawings(
+            out, [_write_svg(out / "overview.svg", parts)])
 
     solution_points = {i: _mechanism_points(params, s, e)
                        for i, s in real_accepted}
@@ -299,4 +318,4 @@ def render_svg(report: AnalysisReport, out_dir) -> list[Path]:
         if members:
             parts.append("</g>")
     written.append(_write_svg(out / "overview.svg", parts))
-    return written
+    return _remove_stale_drawings(out, written)

@@ -1,25 +1,22 @@
 """Complex univariate polynomials and the elimination machinery built on
 them: an all-roots simultaneous-iteration solver, the 8x8 dialytic matrix
-of a quartic pair, determinants of polynomial-valued matrices recovered by
-evaluation plus interpolation on the unit circle, and the linear
-back-substitution that reads the second unknown off a 7x7 subsystem.
+of a quartic pair, and determinants of polynomial-valued matrices
+recovered by evaluation plus interpolation on the unit circle.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (IllConditionedBackSub, InterpolationMismatch,
-                     InterpolationNoise, NonConvergence, ZeroPolynomial)
+from .errors import (InterpolationMismatch, InterpolationNoise,
+                     NonConvergence, ZeroPolynomial)
 
 TRIM_RELATIVE = 1e-13        # trailing-coefficient cutoff
 ROOT_RESIDUAL_REL = 1e-8     # per-root residual bound for poly_roots
-BACKSUB_COND_LIMIT = 1e12
 HOLDOUT_NODES = 16
 HOLDOUT_REL = 1e-7           # target held-out accuracy
 HOLDOUT_STRUCTURAL = 1e-3    # beyond this the degree bound itself is wrong
@@ -85,12 +82,6 @@ class CPolynomial:
             return np.full_like(np.asarray(x, dtype=complex), value) \
                 if np.ndim(x) else value
         return horner(self.coeffs, x)
-
-    def derivative(self) -> "CPolynomial":
-        if self.degree < 1:
-            return CPolynomial([])
-        k = np.arange(1, len(self.coeffs))
-        return CPolynomial(self.coeffs[1:] * k)
 
     def __mul__(self, other: "CPolynomial") -> "CPolynomial":
         if self.is_zero() or other.is_zero():
@@ -542,61 +533,3 @@ def polymatrix_det(evaluate: Callable[[np.ndarray], np.ndarray],
                       f"{HOLDOUT_REL:.0e} target", InterpolationNoise,
                       stacklevel=2)
     return poly
-
-
-@dataclass(frozen=True)
-class BackSubResult:
-    length: complex
-    used_fallback: bool
-    condition: float
-    fallback_gap: float | None = None  # |linear - fallback| when both exist
-
-
-def back_substitute(f_coeffs, m_coeffs) -> BackSubResult:
-    """Second-unknown recovery for a quartic pair that shares a root.
-
-    Solves the square 7x7 system made of the first seven dialytic rows
-    with the constant column moved to the right side and reads the shared
-    root off the last component; cross-checked against (and replaced by,
-    when ill-conditioned) the nearest pair among the two quartics' root
-    sets.
-    """
-    fc, mc = (np.asarray(_coefficients(p), dtype=complex)
-              for p in (f_coeffs, m_coeffs))
-    dialytic = dialytic_matrix(fc, mc)
-    m7 = dialytic[:7, :7]
-    # only the two base rows reach the constant column
-    rhs = np.zeros(7, dtype=complex)
-    rhs[:2] = -dialytic[:2, 7]
-
-    # fallback: the nearest pair of roots of the two quartics
-    fallback = None
-    f_roots, m_roots = poly_roots_batch([CPolynomial(fc), CPolynomial(mc)])
-    if not isinstance(f_roots, Exception) and len(f_roots) \
-            and not isinstance(m_roots, Exception) and len(m_roots):
-        gaps = np.abs(f_roots[:, None] - m_roots[None, :])
-        i, j = np.unravel_index(np.argmin(gaps), gaps.shape)
-        fallback = (f_roots[i] + m_roots[j]) / 2
-
-    # equilibrate: rows by their largest entry, columns likewise (columns
-    # span L^7 .. L, whose natural magnitude spread otherwise inflates the
-    # condition number by orders of magnitude)
-    row_scale = np.max(np.abs(m7), axis=1)
-    row_scale[row_scale == 0] = 1.0
-    m7_eq = m7 / row_scale[:, None]
-    col_scale = np.max(np.abs(m7_eq), axis=0)
-    col_scale[col_scale == 0] = 1.0
-    m7_eq = m7_eq / col_scale[None, :]
-    cond = float(np.linalg.cond(m7_eq))
-    if math.isfinite(cond) and cond <= BACKSUB_COND_LIMIT:
-        length = (np.linalg.solve(m7_eq, rhs / row_scale) / col_scale)[-1]
-        gap = None if fallback is None \
-            else abs(length - fallback) / max(1.0, abs(fallback))
-        # a large gap flags inexact input coefficients; the linear solve
-        # stays the better seed and callers refine and filter
-        return BackSubResult(length, False, cond, gap)
-    if fallback is None:
-        raise NonConvergence("back-substitution failed and no fallback pair")
-    warnings.warn("back-substitution ill-conditioned; using quartic root "
-                  "matching", IllConditionedBackSub, stacklevel=2)
-    return BackSubResult(fallback, True, cond, None)

@@ -1,9 +1,10 @@
 """Solution records shared by the two case solvers, plus ordering,
-conjugate pairing and residual-margin helpers."""
+conjugate pairing, the ledger that turns solver columns into records, and
+residual-margin helpers."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -39,6 +40,9 @@ class EquilibriumSolution:
         return not self.accepted
 
 
+_FIELDS = [field.name for field in fields(EquilibriumSolution)]
+
+
 def mark_real(beta, length, tol: float = REAL_IMAG_TOL):
     """Whether (beta, L) is real to tol; elementwise for arrays."""
     real = (np.abs(np.imag(beta)) <= tol) & (np.abs(np.imag(length)) <= tol)
@@ -53,8 +57,7 @@ def sort_solutions(solutions: list[EquilibriumSolution]) -> list[EquilibriumSolu
 def pair_conjugate_points(beta: np.ndarray, length: np.ndarray,
                           is_real: np.ndarray, rel_tol: float = 1e-6):
     """Copies of the (beta, L) arrays with near-conjugate complex pairs
-    symmetrized, so the set is exactly closed under conjugation, and the
-    indices of the points that moved.
+    symmetrized, so the set is exactly closed under conjugation.
 
     Real-flagged points are left untouched. Pairing is greedy in index
     order on the joint distance between one point and the conjugate of
@@ -80,22 +83,19 @@ def pair_conjugate_points(beta: np.ndarray, length: np.ndarray,
     for values in (beta, length):
         mean = (values[first] + np.conj(values[second])) / 2
         values[first], values[second] = mean, np.conj(mean)
-    return beta, length, np.concatenate([first, second])
+    return beta, length
 
 
-def pair_conjugates(solutions: list[EquilibriumSolution],
-                    rel_tol: float = 1e-6) -> list[EquilibriumSolution]:
-    """The solutions with near-conjugate complex pairs symmetrized by
-    pair_conjugate_points."""
-    beta, length, moved = pair_conjugate_points(
-        np.array([s.beta for s in solutions], dtype=complex),
-        np.array([s.length for s in solutions], dtype=complex),
-        np.array([s.is_real for s in solutions], dtype=bool), rel_tol)
-    out = list(solutions)
-    for k in moved.tolist():
-        out[k] = replace(out[k], beta=beta[k].item(),
-                         length=length[k].item())
-    return out
+def ledger(*parts: dict) -> list[EquilibriumSolution]:
+    """The records of the candidates in parts, each a dict of columns keyed
+    by every EquilibriumSolution field: the parts joined, near-conjugate
+    complex pairs symmetrized by pair_conjugate_points, and sorted."""
+    columns = {name: np.concatenate([part[name] for part in parts])
+               for name in _FIELDS}
+    columns["beta"], columns["length"] = pair_conjugate_points(
+        columns["beta"], columns["length"], columns["is_real"])
+    return sort_solutions([EquilibriumSolution(*row) for row in zip(
+        *(column.tolist() for column in columns.values()))])
 
 
 def residual_margin(solutions: list[EquilibriumSolution]):

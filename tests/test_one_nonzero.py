@@ -15,7 +15,7 @@ from spring_platform import (DegenerateQuartic, Point2, WrongFreeLengthPattern,
 from spring_platform.errors import LostRoots
 from spring_platform.mechanism import (point_e, pose_from, pose_from_trig,
                                       residual_pair, spring_state)
-from spring_platform.one_nonzero import _UnsquaredPair, quartic_pair
+from spring_platform.one_nonzero import UnsquaredPair, quartic_pair
 from spring_platform.polynomials import poly_roots
 
 
@@ -317,7 +317,7 @@ def pose_based_terms(length, cos_beta, sin_beta, params, e):
 
 def test_unsquared_pair_is_bit_identical_to_pose_forms(params_one):
     e = point_e(params_one)
-    pair = _UnsquaredPair(params_one, e)
+    pair = UnsquaredPair(params_one, e)
     rng = np.random.default_rng(67)
     lengths, betas = [], []
     for _ in range(40):

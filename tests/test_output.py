@@ -161,44 +161,6 @@ def test_report_dict_counts_match():
         sum(1 for s in data["solutions"] if s["accepted"])
 
 
-def test_svg_zero_case(tmp_path):
-    report = _report()
-    files = render_svg(report, tmp_path)
-    names = sorted(f.name for f in files)
-    assert "overview.svg" in names
-    solution_files = [n for n in names if n.startswith("solution_")]
-    assert len(solution_files) == 2  # one per real accepted solution
-    for f in files:
-        ET.parse(f)  # well-formed XML
-
-
-def test_svg_one_nonzero_case(tmp_path):
-    report = _report((1.0, 0.0, 0.0))
-    files = render_svg(report, tmp_path)
-    solution_files = [f for f in files if f.name.startswith("solution_")]
-    assert len(solution_files) == report.counts["real"]
-    overview = next(f for f in files if f.name == "overview.svg")
-    tree = ET.parse(overview)
-    ns = {"svg": "http://www.w3.org/2000/svg"}
-    groups = {g.get("id"): int(g.get("data-solutions"))
-              for g in tree.getroot().findall("svg:g", ns)
-              if g.get("id", "").startswith("side_")}
-    assert set(groups) == {"side_positive", "side_negative"}
-    assert sum(groups.values()) == report.counts["real"]
-
-
-def test_svg_contains_mechanism_elements(tmp_path):
-    report = _report()
-    files = render_svg(report, tmp_path)
-    solution = next(f for f in files if f.name.startswith("solution_"))
-    root = ET.parse(solution).getroot()
-    ns = {"svg": "http://www.w3.org/2000/svg"}
-    polylines = root.findall(".//svg:polyline", ns)
-    assert len(polylines) == 3  # three springs
-    labels = {t.text for t in root.findall(".//svg:text", ns)}
-    assert {"O1", "A1", "O2", "A2", "P", "E"} <= labels
-
-
 def _near(p, q):
     # two coordinates each rounded to 0.01 px
     return max(abs(p[0] - q[0]), abs(p[1] - q[1])) <= 0.01 + 1e-9
@@ -244,8 +206,22 @@ def test_svg_structure(tmp_path, l0):
                         for part in title.split(": ")[1].split(", "))
         assert abs(beta - float(row[1])) <= 5.1e-5
         assert abs(length - float(row[3])) <= 5.1e-5
+    assert tmp_path / "overview.svg" in files
     overview = ET.parse(tmp_path / "overview.svg").getroot()
-    sides = [int(g.get("data-solutions"))
+    sides = {g.get("id"): int(g.get("data-solutions"))
              for g in overview.findall("svg:g", SVG)
-             if g.get("id", "").startswith("side_")]
-    assert sum(sides) == report.counts["real"]
+             if g.get("id", "").startswith("side_")}
+    assert set(sides) == {"side_positive", "side_negative"}
+    assert sum(sides.values()) == report.counts["real"]
+
+
+def test_svg_rerun_removes_stale_drawings(tmp_path):
+    # the two configs draw different solution indices; a second run into
+    # the same directory leaves only its own drawings, and files that are
+    # not drawings stay
+    other = tmp_path / "solution_3.svg.txt"
+    other.write_text("kept")
+    first = render_svg(_report(), tmp_path)
+    second = render_svg(_report((1.0, 0.0, 0.0)), tmp_path)
+    assert {path.name for path in first} - {path.name for path in second}
+    assert sorted(tmp_path.iterdir()) == sorted(second + [other])

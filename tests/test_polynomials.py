@@ -6,9 +6,8 @@ import pytest
 from _support import polynomial_matrix
 
 from spring_platform import (CPolynomial, InterpolationMismatch,
-                             MechanismError, ZeroPolynomial,
-                             back_substitute, dialytic_matrix, poly_roots,
-                             polymatrix_det)
+                             MechanismError, ZeroPolynomial, dialytic_matrix,
+                             poly_roots, polymatrix_det)
 from spring_platform import polynomials
 from spring_platform.polynomials import lu_det, poly_roots_batch
 
@@ -264,43 +263,6 @@ def test_polymatrix_det_rejects_wrong_degree_bound():
                                      [CPolynomial([1.0]), x * x * x]])
     with pytest.raises(InterpolationMismatch):
         polymatrix_det(evaluate, degree_bound=3)  # true degree is 6
-
-
-def test_back_substitute_shared_root():
-    p = CPolynomial.from_roots([2.0, 3.0, 4.0, 5.0])
-    q = CPolynomial.from_roots([2.0, 6.0, 7.0, 8.0])
-    out = back_substitute(p, q)
-    assert abs(out.length - 2.0) < 1e-9
-    assert not out.used_fallback
-
-
-def test_back_substitute_complex_shared_root():
-    rng = np.random.default_rng(43)
-    for _ in range(20):
-        shared = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-        p = CPolynomial.from_roots([shared] + list(rng.uniform(3, 9, 3)))
-        q = CPolynomial.from_roots([shared] + list(-rng.uniform(3, 9, 3)))
-        out = back_substitute(p, q)
-        assert abs(out.length - shared) < 1e-7 * max(1.0, abs(shared))
-
-
-def test_back_substitute_common_factor_quartics():
-    # both quartics share the factor (L - 2)
-    cubic = CPolynomial.from_roots([5.0, 6.0, 7.0])
-    shared = CPolynomial.from_roots([2.0])
-    p = shared * cubic
-    out = back_substitute(p, p)
-    assert abs(out.length - 2.0) < 1e-6 or out.used_fallback
-
-
-def test_back_substitute_warning_names_its_caller():
-    # identical quartics make the linear system singular; the fallback
-    # warning points at this call, not into the polynomials module
-    p = CPolynomial.from_roots([2.0, 3.0, -1.0, -5.0])
-    with pytest.warns(polynomials.IllConditionedBackSub) as record:
-        out = back_substitute(p, p)
-    assert out.used_fallback
-    assert [w.filename for w in record] == [__file__]
 
 
 def test_lu_det_matches_numpy():

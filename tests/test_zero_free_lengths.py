@@ -8,61 +8,47 @@ import pytest
 from _support import TABLE_ZERO, nearest_match, random_params, reference_params
 
 from spring_platform import (DegenerateQuartic, MechanismParams,
-                             NonZeroFreeLength, Point2, linearize,
-                             quartic_coefficients, solve_zero_free_lengths)
-from spring_platform.mechanism import point_e, pose_from, residual_pair
+                             NonZeroFreeLength, Point2, solve_zero_free_lengths)
+from spring_platform.mechanism import (point_e, pose_from, residual_pair,
+                                       spring_state)
+from spring_platform.one_nonzero import UnsquaredPair
+
+
+def trig_rows(params, beta):
+    """(A0, A1), (C0, C1) with A = A0 + L A1 and C = C0 + L C1 the force
+    and moment residuals at beta, from the pose forms at L = 0 and 1."""
+    e = point_e(params)
+    (f0, m0), (f1, m1) = (residual_pair(pose_from(length, beta, params, e),
+                                        params) for length in (0.0, 1.0))
+    return (f0, f1 - f0), (m0, m1 - m0)
 
 
 def test_linearize_rejects_nonzero_free_length():
-    params = reference_params(l01=1.0)
     with pytest.raises(NonZeroFreeLength):
-        linearize(params, point_e(params))
+        solve_zero_free_lengths(reference_params(l01=1.0))
 
 
 def test_force_length_coefficient_is_total_stiffness(params_zero):
-    lin = linearize(params_zero, point_e(params_zero))
-    assert abs(lin.force_l - 4.8) < 1e-9
-
-
-def test_probe_identity_at_origin(params_zero):
-    e = point_e(params_zero)
-    lin = linearize(params_zero, e)
-    f, _ = residual_pair(pose_from(0.0, 0.0, params_zero, e), params_zero)
-    assert abs(f - (lin.force_cos + lin.force_const)) < 1e-9
-
-
-def test_linearized_identities_random_samples():
-    rng = np.random.default_rng(51)
-    for _ in range(10):
-        params = random_params(rng)
-        e = point_e(params)
-        lin = linearize(params, e)
-        for _ in range(20):
-            length = rng.uniform(-10, 15)
-            beta = rng.uniform(-math.pi, math.pi)
-            f, m = residual_pair(pose_from(length, beta, params, e), params)
-            cb, sb = math.cos(beta), math.sin(beta)
-            f_hat = lin.force_value(length, cb, sb)
-            m_hat = lin.moment_value(length, cb, sb)
-            assert abs(f - f_hat) <= 1e-9 * max(1.0, abs(f))
-            assert abs(m - m_hat) <= 1e-9 * max(1.0, abs(m))
+    # the L coefficient of z A is (k1 + k2 + k3) z
+    pair = UnsquaredPair(params_zero, point_e(params_zero))
+    assert np.allclose(pair.tensors(pair.foot())[0, 1], [0.0, 4.8, 0.0],
+                       rtol=0.0, atol=1e-12)
 
 
 def test_quartic_formulations_agree(params_zero):
-    # the z = exp(i beta) expansion against e^{2 i beta} times the
-    # trigonometric form of the eliminant, at complex beta
-    lin = linearize(params_zero, point_e(params_zero))
-    coeffs = quartic_coefficients(lin)
+    # the 2x2 Sylvester determinant of the tensor rows of z A and z C
+    # against e^{2 i beta} times the trigonometric form of the eliminant,
+    # at complex beta
+    pair = UnsquaredPair(params_zero, point_e(params_zero))
+    (a0, a1), (c0, c1) = pair.tensors(pair.foot())[[0, 2], :2]
+    coeffs = np.convolve(a0, c1) - np.convolve(a1, c0)
     rng = np.random.default_rng(53)
     for _ in range(20):
         beta = complex(rng.uniform(-math.pi, math.pi), rng.uniform(-1.5, 1.5))
         z = cmath.exp(1j * beta)
-        cb, sb = cmath.cos(beta), cmath.sin(beta)
         poly_val = sum(c * z ** k for k, c in enumerate(coeffs))
-        trig = (lin.force_l * (lin.moment_cos * cb + lin.moment_sin * sb)
-                - (lin.moment_l + lin.moment_l_cos * cb + lin.moment_l_sin * sb)
-                * (lin.force_cos * cb + lin.force_sin * sb + lin.force_const))
-        direct = z * z * trig
+        (f0, f1), (m0, m1) = trig_rows(params_zero, beta)
+        direct = z * z * (f0 * m1 - f1 * m0)
         assert abs(poly_val - direct) <= 1e-10 * max(1.0, abs(direct))
 
 
@@ -102,17 +88,10 @@ def test_deterministic_ordering(params_zero):
 
 def test_both_cleared_equations_give_same_length(solutions_zero, params_zero):
     # at each root the two linear-in-L equations agree on L
-    lin = linearize(params_zero, point_e(params_zero))
     for s in solutions_zero:
-        x = cmath.tan(s.beta / 2)
-        p1 = lin.force_l * (1 + x * x)
-        q1 = ((lin.force_cos + lin.force_const) + 2 * lin.force_sin * x
-              + (lin.force_const - lin.force_cos) * x * x)
-        p2 = ((lin.moment_l + lin.moment_l_cos) + 2 * lin.moment_l_sin * x
-              + (lin.moment_l - lin.moment_l_cos) * x * x)
-        q2 = lin.moment_cos + 2 * lin.moment_sin * x - lin.moment_cos * x * x
-        l_force = -q1 / p1
-        l_moment = -q2 / p2
+        (f0, f1), (m0, m1) = trig_rows(params_zero, s.beta)
+        l_force = -f0 / f1
+        l_moment = -m0 / m1
         assert abs(l_force - l_moment) <= 1e-8 * max(1.0, abs(l_force))
         assert abs(l_force - s.length) <= 1e-8 * max(1.0, abs(s.length))
 
@@ -186,11 +165,23 @@ def test_random_parameter_sets_verified():
     rng = np.random.default_rng(59)
     for _ in range(25):
         params = random_params(rng)
+        e = point_e(params)
         solutions = solve_zero_free_lengths(params)
         finite = [s for s in solutions if math.isfinite(s.rel_residual)]
         assert len(finite) >= 4
         for s in finite:
             assert s.rel_residual <= 1e-8
+            # the pose forms, independent of the solver's tensors, against
+            # the magnitudes of the spring forces and of their moments
+            pose = pose_from(s.length, s.beta, params, e)
+            f, m = residual_pair(pose, params)
+            state = spring_state(pose, params)
+            forces = [abs(force) for force in state.forces]
+            arms = [abs((anchor - pose.p).norm()) for anchor in (
+                params.base_origin, params.base_origin, params.a1_fixed)]
+            assert abs(f) <= 1e-8 * sum(forces)
+            assert abs(m) <= 1e-8 * sum(
+                force * arm for force, arm in zip(forces, arms))
 
 
 def test_real_root_at_beta_pi():

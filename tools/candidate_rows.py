@@ -2,12 +2,13 @@
 dump for comparing two versions of the solvers, or of their report files.
 
 Solves both committed configs, the first 40 mechanisms of
-``bench/inputs.one_nonzero_mechanisms`` (seed 2026) and 160 mechanisms
-drawn from ``numpy.random.default_rng(777)`` (L01 ~ U(0.2, 2) first, then
-``inputs.random_mechanism``). It prints one ``repr`` line per candidate
-row, an accepted count per set, and the warnings of all solves counted by
-category. Dump the version before a change and the one after it, then
-compare the two dumps::
+``bench/inputs.one_nonzero_mechanisms`` (seed 2026), 160 mechanisms drawn
+from ``numpy.random.default_rng(777)`` (L01 ~ U(0.2, 2) first, then
+``inputs.random_mechanism``) and the first ZERO_MECHANISMS all-zero
+mechanisms of ``inputs.zero_corpus(1, ·)``. It prints one ``repr`` line
+per candidate row, an accepted count per set, and the warnings of all
+solves counted by category. Dump the version before a change and the one
+after it, then compare the two dumps::
 
     python3 tools/candidate_rows.py > after.txt
     python3 tools/candidate_rows.py --compare before.txt after.txt
@@ -20,8 +21,7 @@ exits 1 when an accepted root of the first dump has no match in the
 second.
 
 ``--digests`` prints the report files instead of the rows. For each solve
-of the corpus above, plus the first ZERO_DIGESTS mechanisms of
-``inputs.zero_corpus(1, ·)``, it writes the files the CLI writes
+of the corpus above it writes the files the CLI writes
 (``solutions.csv``, ``report.json`` and the SVG drawings) into a temporary
 directory and prints one ``sha256  <solve> <file>`` line per file, then
 the file count. A plain ``diff`` of the dumps of two versions is the
@@ -57,7 +57,7 @@ from spring_platform import (RunConfig, emit_tables, load_config,  # noqa: E402
 
 MECHANISMS_2026 = 40
 MECHANISMS_777 = 160
-ZERO_DIGESTS = 100
+ZERO_MECHANISMS = 100
 MATCH_REL_TOL = 1e-8         # on |d beta| + |d L| over 1 + |beta| + |L|
 
 _SOLVE = re.compile(r"# (\S+) (\d+)$")
@@ -146,10 +146,10 @@ def main(argv=None) -> int:
                        inputs.one_nonzero_mechanisms(MECHANISMS_2026)]),
         ("seed-777", [RunConfig(params=p) for p in
                       seed_777_mechanisms(MECHANISMS_777)]),
+        ("zero-1", [RunConfig(params=p) for p in
+                    inputs.zero_corpus(1, ZERO_MECHANISMS)]),
     ]
     if args.digests:
-        sets.append(("zero-1", [RunConfig(params=p) for p in
-                                inputs.zero_corpus(1, ZERO_DIGESTS)]))
         return digests(sets)
     caught: Counter = Counter()
     for name, configs in sets:
