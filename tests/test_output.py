@@ -161,6 +161,42 @@ def test_report_dict_counts_match():
         sum(1 for s in data["solutions"] if s["accepted"])
 
 
+def test_svg_zero_case(tmp_path):
+    report = _report()
+    files = render_svg(report, tmp_path)
+    names = sorted(f.name for f in files)
+    assert "overview.svg" in names
+    solution_files = [n for n in names if n.startswith("solution_")]
+    assert len(solution_files) == 2  # one per real accepted solution
+    for f in files:
+        ET.parse(f)  # well-formed XML
+
+
+def test_svg_one_nonzero_case(tmp_path):
+    report = _report((1.0, 0.0, 0.0))
+    files = render_svg(report, tmp_path)
+    solution_files = [f for f in files if f.name.startswith("solution_")]
+    assert len(solution_files) == report.counts["real"]
+    overview = next(f for f in files if f.name == "overview.svg")
+    tree = ET.parse(overview)
+    groups = {g.get("id"): int(g.get("data-solutions"))
+              for g in tree.getroot().findall("svg:g", SVG)
+              if g.get("id", "").startswith("side_")}
+    assert set(groups) == {"side_positive", "side_negative"}
+    assert sum(groups.values()) == report.counts["real"]
+
+
+def test_svg_contains_mechanism_elements(tmp_path):
+    report = _report()
+    files = render_svg(report, tmp_path)
+    solution = next(f for f in files if f.name.startswith("solution_"))
+    root = ET.parse(solution).getroot()
+    polylines = root.findall(".//svg:polyline", SVG)
+    assert len(polylines) == 3  # three springs
+    labels = {t.text for t in root.findall(".//svg:text", SVG)}
+    assert {"O1", "A1", "O2", "A2", "P", "E"} <= labels
+
+
 def _near(p, q):
     # two coordinates each rounded to 0.01 px
     return max(abs(p[0] - q[0]), abs(p[1] - q[1])) <= 0.01 + 1e-9
