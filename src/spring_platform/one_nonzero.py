@@ -32,6 +32,7 @@ reports all 48: 14 same-sign, 14 mixed-sign, 8 O2 = O1 and 12 pole rows.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import warnings
 
@@ -48,7 +49,7 @@ from .solutions import EquilibriumSolution, ledger, mark_real
 ACCEPT_REL_TOL = 1e-6
 RESULTANT_DEGREE = 48
 CLEAR_EXPONENT = 24          # trig-degree bound: three pole orders per row
-SAMPLES = 64                 # unit-circle samples of the z eliminants
+SAMPLES = 32                 # unit-circle samples of the z eliminants
 SUPPORT = slice(3, 26)       # their structural support, z^3 .. z^25
 NEWTON_STEPS = 20            # at most; near-double roots converge slowly
 STEP_TOL = 1e-12             # relative Newton step that ends the iteration
@@ -57,6 +58,9 @@ COINCIDENT_MULTIPLICITY = 4  # of each O2 = O1 point in the degree-48 eliminant
 SAME_SIGN_ROOTS = 14         # of a generic mechanism, on either branch of L1
 
 _LONGDOUBLE_OK = np.finfo(np.longdouble).eps < 1e-18
+# the eliminants have degree at most 2 * 6 + 4 * 4 = 28 in z (F's rows have
+# degree 6, G's 4), below SAMPLES, so their transform aliases nothing
+_SAMPLE_Z = np.exp(2j * np.pi * np.arange(SAMPLES) / SAMPLES)
 
 
 def _require_pattern(params: MechanismParams) -> None:
@@ -131,13 +135,20 @@ class UnsquaredPair:
         T = (A, B, C, D, L1^2) and z = exp(i beta), all of degree <= 2 in
         both: the inverse discrete transform of their values on a grid of
         third roots of unity, in the given complex precision."""
-        real = np.finfo(dtype).dtype.type
-        nodes = np.exp(2j * np.arccos(real(-1)) * np.arange(3, dtype=real) / 3)
+        nodes, inverse = _third_roots(np.dtype(dtype))
         z = nodes[None, :]
-        values = self.terms(origin + nodes[:, None], (z + 1 / z) / 2,
-                            (z - 1 / z) / 2j)
-        inverse = np.conj(nodes[None, :] ** np.arange(3)[:, None]) / 3
-        return np.stack([inverse @ (v * z) @ inverse.T for v in values])
+        values = np.stack(self.terms(origin + nodes[:, None],
+                                     (z + 1 / z) / 2, (z - 1 / z) / 2j))
+        return inverse @ (values * z) @ inverse.T
+
+
+@functools.cache
+def _third_roots(dtype):
+    """The third roots of unity and the inverse of their 3x3 transform, in
+    the complex precision dtype."""
+    real = np.finfo(dtype).dtype.type
+    nodes = np.exp(2j * np.arccos(real(-1)) * np.arange(3, dtype=real) / 3)
+    return nodes, np.conj(nodes[None, :] ** np.arange(3)[:, None]) / 3
 
 
 def _in_length(tensors, z):
@@ -146,15 +157,20 @@ def _in_length(tensors, z):
     return tensors[..., 0] + z * (tensors[..., 1] + z * tensors[..., 2])
 
 
+@functools.cache
+def _collect(m, n):
+    """0/1 matrix (m n, m + n - 1) that sums the flattened outer product of
+    coefficient rows of lengths m and n by degree."""
+    degree = np.add.outer(np.arange(m), np.arange(n)).ravel()
+    return (degree[:, None] == np.arange(m + n - 1)).astype(float)
+
+
 def _product(p, q):
     """Coefficient rows of the products of polynomials p and q (ascending
     along the last axis)."""
-    out = np.zeros(np.broadcast_shapes(p.shape[:-1], q.shape[:-1])
-                   + (p.shape[-1] + q.shape[-1] - 1,),
-                   dtype=np.result_type(p, q))
-    for i in range(p.shape[-1]):
-        out[..., i:i + q.shape[-1]] += p[..., i, None] * q
-    return out
+    outer = p[..., :, None] * q[..., None, :]
+    return outer.reshape(outer.shape[:-2] + (-1,)) \
+        @ _collect(p.shape[-1], q.shape[-1])
 
 
 def _split(rows):
@@ -180,13 +196,10 @@ def _quartic_pair(tensors, z):
     return _squared(a, b, l1_sq, z) / cube, _squared(c, d, l1_sq, z) / cube
 
 
-def _eliminated_pair(rows, z, kl, sign):
-    """Coefficients in L of F = z^3 (A^2 L1^2 - B^2), a quartic, and of
-    G = z^2 (A D - sign B C) / kl, a quadratic, from the rows of z T at
-    the z values."""
-    a, b, c, d, l1_sq = _split(rows)
-    return (_squared(a, b, l1_sq, z),
-            (_product(a, d) - sign * _product(b, c)) / kl)
+def _mixed(a, b, c, d, kl, sign):
+    """Coefficients in L of G = z^2 (A D - sign B C) / kl, a quadratic,
+    from the rows of z A, z B, z C and z D."""
+    return (_product(a, d) - sign * _product(b, c)) / kl
 
 
 def _sylvester(f, g):
@@ -206,9 +219,10 @@ def _eliminants(tensors, kl, signs):
     an exact equilibration), transformed, and cut to its structural
     support. The end coefficients can sit many decades below the largest
     one, so no magnitude threshold decides the degree."""
-    z = np.exp(2j * np.pi * np.arange(SAMPLES) / SAMPLES)
-    m, shift = equilibrate(_sylvester(*_eliminated_pair(
-        _in_length(tensors, z), z, kl, signs[:, None, None])))
+    a, b, c, d, l1_sq = _split(_in_length(tensors, _SAMPLE_Z))
+    m, shift = equilibrate(_sylvester(
+        _squared(a, b, l1_sq, _SAMPLE_Z),
+        _mixed(a, b, c, d, kl, signs[:, None, None])))
     dets = np.linalg.det(m) * np.ldexp(1.0, shift)
     return (np.fft.fft(dets, axis=-1) / SAMPLES)[:, SUPPORT]
 
@@ -260,26 +274,25 @@ def newton(pair, tensors, origin, u, z, s, sign):
     step is below STEP_TOL relative. The residuals are the exact pose
     forms; the Jacobian comes from the tensors."""
     powers = np.arange(3)
-    lower = np.maximum(powers - 1, 0)
+    # the tensors of z T, d(z T)/du and d(z T)/dz in the powers of u and z
+    derived = np.zeros((3,) + tensors.shape, dtype=tensors.dtype)
+    derived[0] = tensors
+    derived[1, :, :2] = tensors[:, 1:] * powers[1:, None]
+    derived[2, :, :, :2] = tensors[:, :, 1:] * powers[1:]
     for _ in range(NEWTON_STEPS):
         a, b, c, d, l1_sq = pair.terms(origin + u, (z + 1 / z) / 2,
                                        (z - 1 / z) / 2j)
         d = sign * d
         residual = np.stack([z * (a * s - b), z * (c * s - d),
                              z * (s * s - l1_sq)], axis=-1)
-        u_pow, z_pow = u[:, None] ** powers, z[:, None] ** powers
-        du_pow, dz_pow = (powers * v[:, None] ** lower for v in (u, z))
-        # z T, d(z T)/du and d(z T)/dz for each T, D with the sign applied
-        parts = [np.einsum("kij,ni,nj->kn", tensors, up, zp)
-                 for up, zp in ((u_pow, z_pow), (du_pow, z_pow),
-                                (u_pow, dz_pow))]
-        for part in parts:
-            part[3] *= sign
+        parts = np.einsum("pkij,ni,nj->pkn", derived, u[:, None] ** powers,
+                          z[:, None] ** powers)
+        parts[:, 3] *= sign
         (za, _, zc, _, _), (au, bu, cu, du, lu), (az, bz, cz, dz, lz) = parts
-        jacobian = np.stack([
-            np.stack([au * s - bu, az * s - bz, za], axis=-1),
-            np.stack([cu * s - du, cz * s - dz, zc], axis=-1),
-            np.stack([-lu, s * s - lz, 2 * z * s], axis=-1)], axis=-2)
+        jacobian = np.stack([au * s - bu, az * s - bz, za,
+                             cu * s - du, cz * s - dz, zc,
+                             -lu, s * s - lz, 2 * z * s],
+                            axis=-1).reshape(-1, 3, 3)
         step = np.linalg.solve(jacobian, residual[..., None])[..., 0]
         u, z, s = u - step[:, 0], z - step[:, 1], s - step[:, 2]
         if np.all(np.abs(step) <= STEP_TOL * (1 + np.abs(
@@ -375,17 +388,19 @@ def solve_one_nonzero_free_length(params: MechanismParams,
         _eliminants(tensors, pair.kl, signs),
         np.concatenate([coincident_z, _balanced_points(pair, tensors)])))
 
-    # per root: of the two roots L of G the one where F is smaller, and
-    # s = B / A there
+    # per root: of the two roots L of G the one where
+    # F = (z A)^2 (z L1^2) - z (z B)^2 is smaller, and s = B / A there
     sign = np.repeat(signs, roots.shape[1])
     z = roots.ravel()
-    rows = _in_length(tensors, z)
-    f, g = _eliminated_pair(rows, z, pair.kl, sign[:, None])
-    candidates = np.stack(_quadratic_roots(*g.T), axis=-1)
-    values = np.abs(horner(f[:, None, :], candidates))
-    u = candidates[np.arange(len(z)), np.argmin(values, axis=1)]
-    a, b = (horner(row, u) for row in _split(rows)[:2])
-    u, z, s = newton(pair, tensors, origin, u, z, b / a, sign)
+    a, b, c, d, l1_sq = _split(_in_length(tensors, z))
+    candidates = np.stack(_quadratic_roots(
+        *_mixed(a, b, c, d, pair.kl, sign[:, None]).T), axis=-1)
+    a, b, l1_sq = (horner(row[:, None, :], candidates)
+                   for row in (a, b, l1_sq))
+    pick = np.arange(len(z)), np.argmin(
+        np.abs(a * a * l1_sq - z[:, None] * b * b), axis=1)
+    u, z, s = newton(pair, tensors, origin, candidates[pick], z,
+                     b[pick] / a[pick], sign)
 
     same_sign = sign > 0
     columns = _classify(pair, origin + u, z, s, same_sign, accept_tol)

@@ -30,6 +30,7 @@ _CSV_ROW = "%d,%.6f,%.6f,%.6f,%.6f,%.6e,%.6e,%d,%d"
 SPRING_COLORS = ("#b22222", "#2e8b57", "#6a5acd")
 SOLUTION_COLORS = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728",
                    "#9467bd", "#8c564b", "#e377c2", "#7f7f7f")
+_POINT_NAMES = ("O1", "A1", "O2", "A2", "P")
 _DRAWING = re.compile(r"solution_\d+\.svg")
 
 
@@ -143,9 +144,13 @@ def emit_tables(report: AnalysisReport, out_dir,
 
 def _mechanism_points(params: MechanismParams, solution: EquilibriumSolution,
                       e: Point2):
+    """The named points of a drawn pose and the world coordinates of its
+    three spring zigzags, which every drawing of the pose shares."""
     pose = pose_from(solution.length.real, solution.beta.real, params, e)
-    return {"O1": params.base_origin, "A1": params.a1_fixed,
-            "O2": pose.o2, "A2": pose.a2, "P": pose.p}
+    o1, a1 = params.base_origin, params.a1_fixed
+    points = dict(zip(_POINT_NAMES, (o1, a1, pose.o2, pose.a2, pose.p)))
+    return points, [_spring_points(s_from, s_to) for s_from, s_to in
+                    ((o1, pose.o2), (o1, pose.a2), (a1, pose.a2))]
 
 
 def _spring_points(p_from: Point2, p_to: Point2, coils: int = 6,
@@ -232,22 +237,44 @@ def _write_svg(path: Path, parts: list[str]) -> Path:
     return path
 
 
-def _draw_solution(parts, canvas, pts, color="#1f77b4", label_points=True):
-    o1, a1 = pts["O1"], pts["A1"]
-    o2, a2, p = pts["O2"], pts["A2"], pts["P"]
-    _draw_line(parts, canvas, o1, a1, "#333333", "4")
-    # top platform triangle
-    _draw_line(parts, canvas, o2, a2, color, "3")
-    _draw_line(parts, canvas, o2, p, color, "3")
-    _draw_line(parts, canvas, a2, p, color, "3")
-    for (s_from, s_to), scolor in zip(((o1, o2), (o1, a2), (a1, a2)),
-                                      SPRING_COLORS):
-        spring = " ".join("%.2f,%.2f" % canvas.map(x, y)
-                          for x, y in _spring_points(s_from, s_to))
-        parts.append(f'<polyline points="{spring}" fill="none" '
+@functools.cache
+def _pose_template(color: str, label_points: bool, counts: tuple) -> str:
+    """%-format template of one drawn pose, as _draw_line and _draw_point
+    draw it: the base line O1-A1, the platform triangle O2, A2, P, the
+    three springs with their point counts and the named points."""
+    line = ('<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" stroke="{}" '
+            'stroke-width="{}" />')
+    parts = [line.format("#333333", "4")] + [line.format(color, "3")] * 3
+    for scolor, count in zip(SPRING_COLORS, counts):
+        points = " ".join(["%.2f,%.2f"] * count)
+        parts.append(f'<polyline points="{points}" fill="none" '
                      f'stroke="{scolor}" stroke-width="1.5" />')
-    for name, point in pts.items():
-        _draw_point(parts, canvas, point, label=label_points and name)
+    for name in _POINT_NAMES:
+        parts.append('<circle cx="%.2f" cy="%.2f" r="3.5" fill="#000000" />')
+        if label_points:
+            parts.append('<text x="%.2f" y="%.2f" font-size="13" '
+                         f'fill="#000000" font-family="sans-serif">{name}'
+                         '</text>')
+    return "".join(parts)
+
+
+def _draw_solution(parts, canvas, pose, color="#1f77b4", label_points=True):
+    """Append a pose, (points, springs) from _mechanism_points, in one
+    format of its template."""
+    points, springs = pose
+    x0, y1, scale = canvas.x0, canvas.y1, canvas.scale
+    o1, a1, o2, a2, p = mapped = [canvas.map(pt.x, pt.y)
+                                  for pt in points.values()]
+    # the base line, then the top platform triangle
+    values = [*o1, *a1, *o2, *a2, *o2, *p, *a2, *p]
+    for spring in springs:
+        for x, y in spring:
+            values += ((x - x0) * scale, (y1 - y) * scale)
+    for x, y in mapped:
+        values += (x, y, x + 6, y - 6) if label_points else (x, y)
+    parts.append(_pose_template(color, label_points,
+                                tuple(map(len, springs)))
+                 % tuple(values))
 
 
 def _remove_stale_drawings(out: Path, written: list[Path]) -> list[Path]:
@@ -285,18 +312,17 @@ def render_svg(report: AnalysisReport, out_dir) -> list[Path]:
         return _remove_stale_drawings(
             out, [_write_svg(out / "overview.svg", parts)])
 
-    solution_points = {i: _mechanism_points(params, s, e)
-                       for i, s in real_accepted}
+    poses = {i: _mechanism_points(params, s, e) for i, s in real_accepted}
     world = [params.base_origin, params.a1_fixed, params.surface_point, e]
-    world += [p for pts in solution_points.values() for p in pts.values()]
+    world += [p for pts, _ in poses.values() for p in pts.values()]
     plane = make_plane(params.surface_angle, params.surface_point)
 
     for idx, sol in real_accepted:
-        pts = list(solution_points[idx].values())
+        pts = list(poses[idx][0].values())
         canvas, parts = _open_drawing(
             params, pts + [params.base_origin, params.a1_fixed, e,
                            params.surface_point], pts, e)
-        _draw_solution(parts, canvas, solution_points[idx])
+        _draw_solution(parts, canvas, poses[idx])
         parts.append(f"<title>solution {idx}: beta={sol.beta.real:.4f}, "
                      f"L={sol.length.real:.4f}</title>")
         written.append(_write_svg(out / f"solution_{idx}.svg", parts))
@@ -304,15 +330,16 @@ def render_svg(report: AnalysisReport, out_dir) -> list[Path]:
     canvas, parts = _open_drawing(params, world, world, e)
     sides = {"positive": [], "negative": []}
     for k, (idx, sol) in enumerate(real_accepted):
-        pts = solution_points[idx]
-        side = "positive" if plane.evaluate(pts["O2"]) > 0 else "negative"
-        sides[side].append((idx, pts, SOLUTION_COLORS[k % len(SOLUTION_COLORS)]))
+        pose = poses[idx]
+        side = "positive" if plane.evaluate(pose[0]["O2"]) > 0 else "negative"
+        sides[side].append((idx, pose,
+                            SOLUTION_COLORS[k % len(SOLUTION_COLORS)]))
     for side, members in sides.items():
         parts.append(f'<g id="side_{side}" data-solutions="{len(members)}"'
                      + (">" if members else " />"))
-        for idx, pts, color in members:
+        for idx, pose, color in members:
             parts.append(f'<g id="solution_{idx}" class="solution">')
-            _draw_solution(parts, canvas, pts, color=color,
+            _draw_solution(parts, canvas, pose, color=color,
                            label_points=False)
             parts.append("</g>")
         if members:

@@ -6,6 +6,7 @@ recovered by evaluation plus interpolation on the unit circle.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from typing import Callable, Sequence
@@ -177,118 +178,66 @@ def poly_roots(p: CPolynomial, max_iter: int = 500) -> np.ndarray:
     Raises ZeroPolynomial for an identically zero input and NonConvergence
     when any root fails the residual bound.
     """
-    (found,) = poly_roots_batch([p], max_iter)
-    if isinstance(found, Exception):
-        raise found
-    return found
-
-
-def poly_roots_batch(polys, max_iter: int = 500) -> list:
-    """poly_roots of every CPolynomial in polys, each entry either its
-    root array or the exception poly_roots would raise for it.
-
-    Polynomials of one coefficient length are normalized as one stack. The
-    companion eigenvalues of the members with one degree and one root
-    count at the origin come from one companion_roots call, and their
-    sorting and residual bound are array passes.
-    """
-    out: list = [None] * len(polys)
-    by_length: dict[int, list[int]] = {}
-    for i, p in enumerate(polys):
-        by_length.setdefault(len(p.coeffs), []).append(i)
-    for length, members in by_length.items():
-        if length < 2:
-            for i in members:
-                out[i] = ZeroPolynomial("all coefficients are numerically zero"
-                                        if length == 0 else
-                                        "constant polynomial has no roots")
-            continue
-        rows = np.array([polys[i].coeffs for i in members], dtype=complex)
-        wide = [polys[i].wide if polys[i].wide is not None
-                and len(polys[i].wide) == length else None for i in members]
-        for i, roots in zip(members, _stack_roots(rows, wide, max_iter)):
-            out[i] = roots
-    return out
-
-
-def _stack_roots(rows: np.ndarray, wide: list, max_iter: int) -> list:
-    """poly_roots_batch of the coefficient rows (n, k), k >= 2, each with
-    a nonzero last entry, row r refined on wide[r] when that is not
-    None."""
-    out: list = [None] * len(rows)
+    length = len(p.coeffs)
+    if length < 2:
+        raise ZeroPolynomial("all coefficients are numerically zero"
+                             if length == 0 else
+                             "constant polynomial has no roots")
+    wide = p.wide if p.wide is not None and len(p.wide) == length else None
     # scaled to unit maximum; the leading entries up to the first one above
     # TRIM_RELATIVE are roots at the origin
-    normalized = rows / np.abs(rows).max(axis=1)[:, None]
-    zeros = np.argmax(np.abs(normalized) > TRIM_RELATIVE, axis=1)
-    groups: dict[int, list[int]] = {}
-    for j, low in enumerate(zeros.tolist()):
-        groups.setdefault(low, []).append(j)
-    for low, js in groups.items():
-        pick = js if len(groups) > 1 else slice(None)
-        c, coeffs = normalized[pick, low:], rows[pick]
-        group_wide = [wide[j] for j in js]
-        # companion eigenvalues are the more accurate primary at moderate
-        # degree (simultaneous iteration can land two iterates on one root
-        # of a tight pair); Aberth covers high degrees and is the fallback
-        companion_first = rows.shape[1] - 1 - low <= 64
-        found = _attempt(c, low, group_wide, companion_first, max_iter)
-        excess = _residual_excess(coeffs, found)
-        for k, j in enumerate(js):
-            roots, ratio = found[k], excess[k]
-            if ratio > 1.0:
-                roots = _attempt(c[k:k + 1], low, group_wide[k:k + 1],
-                                 not companion_first, max_iter)[0]
-                ratio = _residual_excess(coeffs[k:k + 1], roots[None])[0]
-            out[j] = roots if not ratio > 1.0 else NonConvergence(
-                f"root residuals exceed the bound (worst ratio {ratio:.2e})")
-    return out
+    normalized = p.coeffs / np.max(np.abs(p.coeffs))
+    low = int(np.argmax(np.abs(normalized) > TRIM_RELATIVE))
+    # companion eigenvalues are the more accurate primary at moderate
+    # degree (simultaneous iteration can land two iterates on one root of
+    # a tight pair); Aberth covers high degrees and is the fallback
+    companion_first = length - 1 - low <= 64
+    for companion in (companion_first, not companion_first):
+        roots = _attempt(normalized[low:], low, wide, companion, max_iter)
+        ratio = _residual_excess(p.coeffs, roots)
+        if not ratio > 1.0:
+            return roots
+    raise NonConvergence(
+        f"root residuals exceed the bound (worst ratio {ratio:.2e})")
 
 
-def _attempt(c: np.ndarray, zeros: int, wide: list, companion: bool,
+def _attempt(c: np.ndarray, zeros: int, wide, companion: bool,
              max_iter: int) -> np.ndarray:
-    """Roots, each row sorted by (real, imag), of the polynomials with
-    normalized coefficient rows c and `zeros` further roots at the origin:
-    closed forms at degrees one and two, and above that the companion
-    eigenvalues or Aberth iteration; a row is refined on its wide
-    coefficients when it carries them."""
-    count, deg = c.shape[0], c.shape[1] - 1
+    """Roots, sorted by (real, imag), of the polynomial with normalized
+    coefficients c and `zeros` further roots at the origin: closed forms
+    at degrees one and two, and above that the companion eigenvalues or
+    Aberth iteration; refined on the wide coefficients when given."""
+    deg = len(c) - 1
     if deg == 1:
-        found = (-c[:, 0] / c[:, 1])[:, None]
+        found = np.array([-c[0] / c[1]])
     elif deg == 2:
-        found = np.stack(_quadratic_roots(*c.T), axis=-1)
+        found = np.array(_quadratic_roots(*c))
     elif deg > 2 and companion:
         found = companion_roots(c)
     elif deg > 2:
-        found = np.array([_aberth(row, max_iter) for row in c], dtype=complex)
+        found = np.array(_aberth(c, max_iter), dtype=complex)
     else:
-        found = np.empty((count, 0), dtype=complex)
-    if zeros:
-        found = np.concatenate(
-            [np.zeros((count, zeros), dtype=complex), found], axis=1)
-    for r, coeffs in enumerate(wide):
-        if coeffs is not None:
-            found[r] = [_refine_wide(coeffs, z) for z in found[r]]
-    ordered = found[np.arange(count)[:, None],
-                    np.lexsort((found.imag, found.real), axis=-1)]
+        found = np.empty(0, dtype=complex)
+    found = np.concatenate([np.zeros(zeros, dtype=complex), found])
+    if wide is not None:
+        found = np.array([_refine_wide(wide, z) for z in found])
     if np.isnan(found).any():
         # lexsort puts NaN last, where sorted leaves it in place
-        for r in np.nonzero(np.isnan(found).any(axis=1))[0]:
-            ordered[r] = sorted(found[r], key=lambda z: (z.real, z.imag))
-    return ordered
+        return np.array(sorted(found, key=lambda z: (z.real, z.imag)))
+    return found[np.lexsort((found.imag, found.real))]
 
 
-def _residual_excess(coeffs: np.ndarray, roots: np.ndarray) -> list[float]:
-    """Per row of coefficients (n, deg + 1) with their roots (n, deg), the
-    largest ratio |p(r)| / (ROOT_RESIDUAL_REL * sum|c| * max(1, |r|)^deg);
-    acceptance needs it <= 1."""
-    degree = coeffs.shape[1] - 1
-    values = np.abs(horner(coeffs[:, None, :], roots))
-    csum = np.sum(np.abs(coeffs), axis=1, keepdims=True)
-    bounds = ROOT_RESIDUAL_REL * csum \
+def _residual_excess(coeffs: np.ndarray, roots: np.ndarray) -> float:
+    """The largest ratio |p(r)| / (ROOT_RESIDUAL_REL * sum|c| *
+    max(1, |r|)^deg) over the roots r of the polynomial with coefficients
+    coeffs; acceptance needs it <= 1."""
+    degree = len(coeffs) - 1
+    values = np.abs(horner(coeffs, roots))
+    bounds = ROOT_RESIDUAL_REL * np.sum(np.abs(coeffs)) \
         * np.maximum(1.0, np.abs(roots)) ** degree
     with np.errstate(invalid="ignore", over="ignore"):
         ratios = values / bounds
-    return np.nanmax(ratios, axis=1).tolist()
+    return float(np.nanmax(ratios))
 
 
 def _refine_wide(wide: np.ndarray, root: complex, steps: int = 6) -> complex:
@@ -413,13 +362,22 @@ def _swap_rows(stack: np.ndarray, row: int, pivots: np.ndarray) -> None:
 def equilibrate(m: np.ndarray):
     """A stack of matrices with rows, then columns, scaled by powers of
     two (exact in binary floating point) to largest magnitudes in [1/2, 1),
-    and the sum of the exponents taken out of each matrix."""
-    shift = 0
-    for axis in (-1, -2):
-        _, exps = np.frexp(np.max(np.abs(m), axis=axis))
-        m = m * np.expand_dims(np.ldexp(1.0, -exps), axis)
-        shift = shift + np.sum(exps, axis=-1)
-    return m, shift
+    and the sum of the exponents taken out of each matrix.
+
+    One magnitude pass: the maxima are elementwise maxima over the slices
+    of the short axes, and those of the columns are taken from the
+    row-scaled magnitudes, which the exact scaling makes those of the
+    row-scaled matrix."""
+    size = m.shape[-1]
+    magnitude = np.abs(m)
+    _, row_exps = np.frexp(functools.reduce(
+        np.maximum, (magnitude[..., j] for j in range(size))))
+    rows = np.ldexp(1.0, -row_exps)[..., None]
+    magnitude *= rows
+    _, col_exps = np.frexp(functools.reduce(
+        np.maximum, (magnitude[..., i, :] for i in range(m.shape[-2]))))
+    m = m * rows * np.ldexp(1.0, -col_exps)[..., None, :]
+    return m, np.sum(row_exps, axis=-1) + np.sum(col_exps, axis=-1)
 
 
 def lu_det(matrix: np.ndarray):

@@ -56,7 +56,8 @@ def solve_zero_free_lengths(params: MechanismParams,
     # L from the force row, whose L coefficient (k1 + k2 + k3) z vanishes
     # only at z = 0
     u = -horner(a0, z) / horner(a1, z)
-    l1_sq = pair.terms(origin + u, (z + 1 / z) / 2, (z - 1 / z) / 2j)[4]
+    # L1^2 from its tensor, the rows of z L1^2 in L at each z
+    l1_sq = horner(horner(tensors[4], z[:, None]), u) / z
     u, z, _ = newton(pair, tensors, origin, u, z, np.sqrt(l1_sq), 1.0)
 
     beta, length = -1j * np.log(z), origin + u

@@ -12,6 +12,7 @@ from spring_platform import (DegenerateQuartic, Point2, WrongFreeLengthPattern,
                              abcd_at, quartic_pair_at, residual_margin,
                              resultant_polynomial,
                              solve_one_nonzero_free_length)
+from spring_platform import one_nonzero
 from spring_platform.errors import LostRoots
 from spring_platform.mechanism import (point_e, pose_from, pose_from_trig,
                                       residual_pair, spring_state)
@@ -424,3 +425,35 @@ def test_seeded_corpus_real_equilibria():
         assert abs(force) <= 1e-9 * sum(abs(f) for f in forces)
         assert abs(moment) <= 1e-9 * sum(
             abs(f) * (a - pose.p).norm() for f, a in zip(forces, arms))
+
+
+def test_eliminant_samples_do_not_alias(monkeypatch, params_one):
+    # the z eliminants have degree at most 28: a 64-point transform has
+    # nothing above z^28, and its structural support z^3..z^25 is what
+    # the 32-point transform gives
+    signs = np.array([1.0, -1.0])
+    for params in [params_one] + corpus(2026, 5):
+        pair = UnsquaredPair(params, point_e(params))
+        tensors = pair.tensors(pair.foot())
+        support = one_nonzero._eliminants(tensors, pair.kl, signs)
+        with monkeypatch.context() as patch:
+            patch.setattr(one_nonzero, "SAMPLES", 64)
+            patch.setattr(one_nonzero, "_SAMPLE_Z",
+                          np.exp(2j * np.pi * np.arange(64) / 64))
+            patch.setattr(one_nonzero, "SUPPORT", slice(None))
+            full = one_nonzero._eliminants(tensors, pair.kl, signs)
+        largest = np.max(np.abs(full), axis=1, keepdims=True)
+        assert np.all(np.abs(full[:, 29:]) <= 1e-13 * largest)
+        assert np.all(np.abs(full[:, 3:26] - support) <= 1e-12 * largest)
+
+
+def test_product_is_row_convolution():
+    rng = np.random.default_rng(71)
+    for m, n in ((2, 2), (3, 3), (2, 3), (5, 3), (1, 4)):
+        p = rng.normal(size=(4, 6, m)) + 1j * rng.normal(size=(4, 6, m))
+        q = rng.normal(size=(6, n)) + 1j * rng.normal(size=(6, n))
+        got = one_nonzero._product(p, q)
+        for index in np.ndindex(p.shape[:-1]):
+            want = np.convolve(p[index], q[index[1:]])
+            assert np.allclose(got[index], want, rtol=1e-15, atol=1e-15 * (
+                np.sum(np.abs(p[index])) * np.sum(np.abs(q[index[1:]]))))

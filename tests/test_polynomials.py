@@ -6,10 +6,10 @@ import pytest
 from _support import polynomial_matrix
 
 from spring_platform import (CPolynomial, InterpolationMismatch,
-                             MechanismError, ZeroPolynomial, dialytic_matrix,
-                             poly_roots, polymatrix_det)
+                             ZeroPolynomial, dialytic_matrix, poly_roots,
+                             polymatrix_det)
 from spring_platform import polynomials
-from spring_platform.polynomials import lu_det, poly_roots_batch
+from spring_platform.polynomials import equilibrate, lu_det
 
 
 def sorted_roots(values):
@@ -85,12 +85,12 @@ def test_roots_at_origin():
     assert abs(roots[1]) < 1e-12 and abs(roots[2]) < 1e-12
 
 
-# the wide-range inputs overflow inside the residual check, as they do
-# one polynomial at a time
+# the wide-range inputs overflow inside the residual check
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_batched_roots_equal_single_calls(monkeypatch):
-    # bitwise: one eigvals call on stacked companions gives what one call
-    # per polynomial gives, on every branch of poly_roots
+def test_poly_roots_fallback_paths(monkeypatch):
+    # a companion primary that fails the residual bound falls back to
+    # Aberth, and a degree-70 input starts with Aberth; every root set
+    # meets the residual bound
     aberth_degrees = []
     aberth = polynomials._aberth
 
@@ -100,54 +100,17 @@ def test_batched_roots_equal_single_calls(monkeypatch):
 
     monkeypatch.setattr(polynomials, "_aberth", spy)
     rng = np.random.default_rng(5)
-    polys = []
-    for _ in range(250):
-        # wide coefficient ranges: some of these fail the residual bound on
-        # their companion eigenvalues and take the Aberth fallback
-        deg = int(rng.integers(3, 30))
-        polys.append(CPolynomial(10.0 ** rng.uniform(-7, 7, deg + 1)
-                                 * np.exp(2j * np.pi * rng.uniform(size=deg + 1))))
-    for zeros in range(4):
-        polys.append(CPolynomial([0.0] * zeros + list(rng.normal(size=5))))
-    polys += [CPolynomial([2.0, 1.0]), CPolynomial([1.0, 0.0, 1.0]),
-              CPolynomial([0.0, 0.0, 0.0, 0.0, 1.0]), CPolynomial([0.0]),
-              CPolynomial([3.0]), CPolynomial.from_roots(rng.normal(size=6)),
-              CPolynomial([-1.0] + [0.0] * 69 + [1.0])]  # Aberth first
-    batched = poly_roots_batch(polys)
-    # both orders ran: a companion primary fell back, a degree-70 input
-    # started with Aberth
+    polys = [CPolynomial(10.0 ** rng.uniform(-7, 7, deg + 1)
+                         * np.exp(2j * np.pi * rng.uniform(size=deg + 1)))
+             for deg in rng.integers(3, 30, 250)]
+    polys.append(CPolynomial([-1.0] + [0.0] * 69 + [1.0]))
+    for p in polys:
+        roots, c = poly_roots(p), p.coeffs
+        assert len(roots) == p.degree
+        bound = 1e-8 * np.sum(np.abs(c)) * np.maximum(1, np.abs(roots)) \
+            ** p.degree
+        assert np.all(np.abs(np.polyval(c[::-1], roots)) <= 1.01 * bound)
     assert min(aberth_degrees) <= 64 and 70 in aberth_degrees
-    _assert_single_calls(polys, batched)
-
-    # polynomials of many lengths after trimming: roots at the origin,
-    # trimmed trailing coefficients, mixed effective degrees, constant and
-    # zero rows, and wide ranges that fall back
-    rows = rng.normal(size=(72, 31)) + 1j * rng.normal(size=(72, 31))
-    rows[::6, :2] = 0.0
-    rows[1::6, -1] = 1e-15
-    rows[2::6, 3:] = 0.0
-    rows[3::6, 2:] = 0.0
-    rows[3::12, 1:] = 0.0
-    rows[4::6, 1] = 0.0
-    rows[4::12, 0] = 0.0
-    rows[5::12] = 0.0
-    rows = np.concatenate([rows, 10.0 ** rng.uniform(-7, 7, (200, 31))
-                           * np.exp(2j * np.pi * rng.uniform(size=(200, 31)))])
-    del aberth_degrees[:]
-    polys = [CPolynomial(row) for row in rows]
-    batched = poly_roots_batch(polys)
-    assert aberth_degrees
-    _assert_single_calls(polys, batched)
-
-
-def _assert_single_calls(polys, batched):
-    for p, got in zip(polys, batched):
-        try:
-            single = poly_roots(p)
-        except MechanismError as exc:
-            assert type(got) is type(exc) and str(got) == str(exc)
-            continue
-        assert got.dtype == single.dtype and np.array_equal(got, single)
 
 
 def test_array_helpers_round_as_scalar_code():
@@ -272,6 +235,34 @@ def test_lu_det_matches_numpy():
         m[0] *= 1e9
         m[:, 1] *= 1e-7
         assert abs(lu_det(m) - np.linalg.det(m)) <= 1e-9 * abs(np.linalg.det(m))
+
+
+def test_equilibrate_matches_two_pass_scaling():
+    # bit for bit against rows scaled by their maxima, then columns by
+    # theirs, on stacks spanning 24 decades with zero rows and columns
+    def two_pass(m):
+        shift = 0
+        for axis in (-1, -2):
+            _, exps = np.frexp(np.max(np.abs(m), axis=axis))
+            m = m * np.expand_dims(np.ldexp(1.0, -exps), axis)
+            shift = shift + np.sum(exps, axis=-1)
+        return m, shift
+
+    rng = np.random.default_rng(73)
+    for _ in range(20):
+        shape = (2, 16, 6, 6)
+        m = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) \
+            * 10.0 ** rng.uniform(-12, 12, shape)
+        m[0, 3, 2] = 0
+        m[1, 5, :, 4] = 0
+        got, shift = equilibrate(m)
+        want, want_shift = two_pass(m)
+        assert np.array_equal(got, want) and np.array_equal(shift, want_shift)
+        assert shift.shape == m.shape[:-2]
+        for axis in (-1, -2):
+            peak = np.max(np.abs(got), axis=axis)
+            nonzero = peak[peak > 0]
+            assert np.all((nonzero >= 0.5) & (nonzero < 1))
 
 
 def test_deflate_unit_quadratic():

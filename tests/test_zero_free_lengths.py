@@ -9,6 +9,7 @@ from _support import TABLE_ZERO, nearest_match, random_params, reference_params
 
 from spring_platform import (DegenerateQuartic, MechanismParams,
                              NonZeroFreeLength, Point2, solve_zero_free_lengths)
+from spring_platform import zero_free_lengths
 from spring_platform.mechanism import (point_e, pose_from, residual_pair,
                                        spring_state)
 from spring_platform.one_nonzero import UnsquaredPair
@@ -182,6 +183,49 @@ def test_random_parameter_sets_verified():
             assert abs(f) <= 1e-8 * sum(forces)
             assert abs(m) <= 1e-8 * sum(
                 force * arm for force, arm in zip(forces, arms))
+
+
+@pytest.mark.parametrize("displace", ["z", "L"])
+def test_displaced_roots_rejected_on_the_tensor_scale(monkeypatch, params_zero,
+                                                      displace):
+    # Newton's roots displaced by 1e-6 relative: in z, with L re-solved
+    # from the force row so that only C is off, or in L. Each row must be
+    # rejected, with rel_residual = max(|z A| / S_A, |z C| / S_C) and
+    # S_T = sum |t_ij| |u|^i |z|^j over the tensor terms of z T
+    refine = zero_free_lengths.newton
+
+    def displaced(pair, tensors, origin, u, z, s, sign):
+        u, z, s = refine(pair, tensors, origin, u, z, s, sign)
+        if displace == "z":
+            z = z * cmath.exp(1e-6j)
+            (a0, a1), _ = tensors[[0, 2], :2]
+            u = -np.polyval(a0[::-1], z) / np.polyval(a1[::-1], z)
+        else:
+            u = u + 1e-6 * (1 + np.abs(origin + u))
+        return u, z, s
+
+    monkeypatch.setattr(zero_free_lengths, "newton", displaced)
+    rng = np.random.default_rng(61)
+    for params in [params_zero] + [random_params(rng) for _ in range(20)]:
+        e = point_e(params)
+        pair = UnsquaredPair(params, e)
+        origin = pair.foot()
+        tensors = np.abs(pair.tensors(origin))
+        finite = [s for s in solve_zero_free_lengths(params)
+                  if cmath.isfinite(s.beta)]
+        assert len(finite) >= 2
+        for s in finite:
+            assert not s.accepted
+            z = cmath.exp(1j * s.beta)
+            u = abs(s.length - origin)
+            f, m = residual_pair(pose_from(s.length, s.beta, params, e),
+                                 params)
+            scale_a, scale_c = (
+                sum(tensors[k, i, j] * u ** i * abs(z) ** j
+                    for i in range(3) for j in range(3)) for k in (0, 2))
+            expected = max(abs(z * f) / scale_a, abs(z * m) / scale_c)
+            assert expected > 1e-8
+            assert abs(s.rel_residual - expected) <= 1e-6 * expected
 
 
 def test_real_root_at_beta_pi():

@@ -15,10 +15,13 @@ after it, then compare the two dumps::
 
 The comparison matches the accepted roots of each solve as sets, to
 MATCH_REL_TOL relative, since a change of rounding moves every residual
-and a byte diff then shows nothing. It prints the accepted count of each
-set in both dumps, every unmatched root and the worst matched gap, and
-exits 1 when an accepted root of the first dump has no match in the
-second.
+and a byte diff then shows nothing. For the same reason it compares, per
+solve, the count of rows of each class (accepted, real, note), which
+shows a row that changed its class. It prints the accepted count of each
+set in both dumps, every unmatched root, every solve whose class counts
+changed and the worst matched gap, and exits 1 when an accepted root of
+the first dump has no match in the second or a solve's class counts
+changed.
 
 ``--digests`` prints the report files instead of the rows. For each solve
 of the corpus above it writes the files the CLI writes
@@ -38,6 +41,7 @@ seconds.
 from __future__ import annotations
 
 import argparse
+import ast
 import hashlib
 import re
 import sys
@@ -61,7 +65,8 @@ ZERO_MECHANISMS = 100
 MATCH_REL_TOL = 1e-8         # on |d beta| + |d L| over 1 + |beta| + |L|
 
 _SOLVE = re.compile(r"# (\S+) (\d+)$")
-_ROW = re.compile(r"beta=([^,]+), length=([^,]+),.* accepted=(True|False)")
+_ROW = re.compile(r"beta=([^,]+), length=([^,]+),.* is_real=(True|False), "
+                  r"accepted=(True|False),.* note=(.*)\)$")
 
 
 def seed_777_mechanisms(count: int):
@@ -73,20 +78,26 @@ def seed_777_mechanisms(count: int):
     return out
 
 
-def read_dump(path) -> dict:
-    """Accepted (beta, L) of every solve of a dump, keyed by (set, index)."""
+def read_dump(path) -> tuple[dict, dict]:
+    """Accepted (beta, L) of every solve of a dump, and its count of rows
+    per (accepted, real, note), both keyed by (set, index)."""
     solves: dict = {}
+    classes: dict = {}
     for line in Path(path).read_text().splitlines():
         if header := _SOLVE.match(line):
             key = (header[1], int(header[2]))
-            solves[key] = []
-        elif (row := _ROW.search(line)) and row[3] == "True":
-            solves[key].append((complex(row[1]), complex(row[2])))
-    return solves
+            solves[key], classes[key] = [], Counter()
+        elif row := _ROW.search(line):
+            classes[key][row[4] == "True", row[3] == "True",
+                         ast.literal_eval(row[5])] += 1
+            if row[4] == "True":
+                solves[key].append((complex(row[1]), complex(row[2])))
+    return solves, classes
 
 
 def compare(before_path, after_path) -> int:
-    before, after = read_dump(before_path), read_dump(after_path)
+    (before, before_classes), (after, after_classes) = (
+        read_dump(before_path), read_dump(after_path))
     for name in dict.fromkeys(name for name, _ in before | after):
         counts = [sum(len(points) for (set_name, _), points in dump.items()
                       if set_name == name) for dump in (before, after)]
@@ -107,8 +118,23 @@ def compare(before_path, after_path) -> int:
                       f"L={length}")
         for beta, length in unmatched:
             print(f"new in after: {key[0]} {key[1]} beta={beta} L={length}")
-    print(f"# worst matched gap {worst:.2e}, {missing} missing")
-    return 1 if missing else 0
+    changed = 0
+    for key in sorted(before_classes.keys() | after_classes.keys()):
+        old, new = before_classes.get(key), after_classes.get(key)
+        if old != new:
+            changed += 1
+            print(f"classes changed: {key[0]} {key[1]} "
+                  f"before {_classes(old)} after {_classes(new)}")
+    print(f"# worst matched gap {worst:.2e}, {missing} missing, "
+          f"{changed} solves with changed row classes")
+    return 1 if missing or changed else 0
+
+
+def _classes(counts) -> str:
+    """(accepted, real, note): count pairs of one solve, or "absent"."""
+    if counts is None:
+        return "absent"
+    return ", ".join(f"{key}: {n}" for key, n in sorted(counts.items()))
 
 
 def digests(sets) -> int:
