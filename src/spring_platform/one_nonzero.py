@@ -17,10 +17,10 @@ the mixed-sign roots, which squaring the pair also admits. Both
 eliminants carry two point pairs known in closed form as double roots,
 O2 = O1 and A = B = 0, which are divided out before each root is refined
 by Newton's method on the exact 3x3 system in (L, z, s). Each stage
-works on all roots at once, down to the classification: one evaluation
-of the pair gives every residual, the spring model's A - B / L1 and
-C - D / L1 included. The all-zero-free-length solver runs on the same
-pair, Newton's method and ledger at k1 L01 = 0.
+works on all roots at once, down to the classification: Newton's last
+evaluation of the pair gives every residual, the spring model's
+A - B / L1 and C - D / L1 included. The all-zero-free-length solver runs
+on the same pair, Newton's method and ledger at k1 L01 = 0.
 
 The paper squares the pair instead and eliminates over the tan-half
 variable; its degree-48 eliminant (resultant_polynomial, kept as a
@@ -227,11 +227,13 @@ def _eliminants(tensors, kl, signs):
     return (np.fft.fft(dets, axis=-1) / SAMPLES)[:, SUPPORT]
 
 
-def _coincident_points(pair: UnsquaredPair):
-    """(z, L) of the two poses where O2 coincides with O1, in complex
-    coordinates: w = exp(i alpha) along the surface, d = E - O1 and
-    p = P in the top frame, with conjugates continued to complex beta.
-    O2 - O1 = d + L w + w z p and its conjugate both vanish there."""
+def _known_points(pair: UnsquaredPair, tensors):
+    """z of the two poses where O2 coincides with O1, then of the two with
+    A = B = 0, and L at the first two. In complex coordinates, w = exp(i
+    alpha) along the surface, d = E - O1 and p = P in the top frame, with
+    conjugates continued to complex beta, O2 - O1 = d + L w + w z p and its
+    conjugate both vanish at the first; A - (k1 + k2 + k3) B / (k1 L01)
+    does not depend on L and vanishes at the others."""
     w = complex(pair.ca, pair.sa)
     d = complex(pair.ex - pair.o1x, pair.ey - pair.o1y)
     p = complex(pair.px2, pair.py2)
@@ -239,18 +241,12 @@ def _coincident_points(pair: UnsquaredPair):
         raise DegenerateQuartic("the pin is at the top-frame origin: O2 does "
                                 "not turn with beta, so the eliminants in z "
                                 "lose their structural degree")
-    z = np.array(_quadratic_roots(-p.conjugate(),
-                                  w.conjugate() * d - w * d.conjugate(), p))
-    return z, -w.conjugate() * d - z * p
-
-
-def _balanced_points(pair: UnsquaredPair, tensors):
-    """z of the two poses with A = B = 0: A - (k1 + k2 + k3) B / (k1 L01)
-    does not depend on L, and its zeros are those of z times it, a
-    quadratic in z."""
     stiffness = pair.k1 + pair.k2 + pair.k3
-    quadratic = tensors[0, 0] - stiffness / pair.kl * tensors[1, 0]
-    return np.array(_quadratic_roots(*quadratic))
+    quadratics = np.array([
+        [-p.conjugate(), w.conjugate() * d - w * d.conjugate(), p],
+        tensors[0, 0] - stiffness / pair.kl * tensors[1, 0]])
+    z = np.stack(_quadratic_roots(*quadratics.T), axis=-1).ravel()
+    return z, -w.conjugate() * d - z[:2] * p
 
 
 def _deflate(coeffs, known):
@@ -270,8 +266,11 @@ def _deflate(coeffs, known):
 
 def newton(pair, tensors, origin, u, z, s, sign):
     """Newton's method on z (A s - B), z (C s - sign D) and z (s^2 - L1^2)
-    in (u, z, s), L = origin + u, run on a stack of starts until every
-    step is below STEP_TOL relative. The residuals are the exact pose
+    in (u, z, s), L = origin + u, run on a stack of starts. It stops at the
+    first point where every step it computes is at most STEP_TOL relative,
+    without taking that step, or at the point NEWTON_STEPS steps reach,
+    and returns that point with the pair's terms there, (A, B, C, D, L1^2)
+    as UnsquaredPair.terms gives them. The residuals are the exact pose
     forms; the Jacobian comes from the tensors."""
     powers = np.arange(3)
     # the tensors of z T, d(z T)/du and d(z T)/dz in the powers of u and z
@@ -279,9 +278,9 @@ def newton(pair, tensors, origin, u, z, s, sign):
     derived[0] = tensors
     derived[1, :, :2] = tensors[:, 1:] * powers[1:, None]
     derived[2, :, :, :2] = tensors[:, :, 1:] * powers[1:]
+    terms = pair.terms(origin + u, (z + 1 / z) / 2, (z - 1 / z) / 2j)
     for _ in range(NEWTON_STEPS):
-        a, b, c, d, l1_sq = pair.terms(origin + u, (z + 1 / z) / 2,
-                                       (z - 1 / z) / 2j)
+        a, b, c, d, l1_sq = terms
         d = sign * d
         residual = np.stack([z * (a * s - b), z * (c * s - d),
                              z * (s * s - l1_sq)], axis=-1)
@@ -294,16 +293,17 @@ def newton(pair, tensors, origin, u, z, s, sign):
                              -lu, s * s - lz, 2 * z * s],
                             axis=-1).reshape(-1, 3, 3)
         step = np.linalg.solve(jacobian, residual[..., None])[..., 0]
-        u, z, s = u - step[:, 0], z - step[:, 1], s - step[:, 2]
         if np.all(np.abs(step) <= STEP_TOL * (1 + np.abs(
                 np.stack([u, z, s], axis=-1)))):
             break
-    return u, z, s
+        u, z, s = u - step[:, 0], z - step[:, 1], s - step[:, 2]
+        terms = pair.terms(origin + u, (z + 1 / z) / 2, (z - 1 / z) / 2j)
+    return u, z, s, terms
 
 
-def _classify(pair, length, z, s, same_sign, accept_tol) -> dict:
+def _classify(length, z, s, terms, same_sign, accept_tol) -> dict:
     """Ledger columns, keyed by EquilibriumSolution field, of the refined
-    roots (L, z, s), from one evaluation of the pair at all of them.
+    roots (L, z, s), from the pair's terms there, as newton returns them.
 
     A root is accepted when the unsquared pair holds with the principal
     L1 to accept_tol (scale-normalized); a rejected same-sign root lies on
@@ -312,7 +312,7 @@ def _classify(pair, length, z, s, same_sign, accept_tol) -> dict:
     model, infinite where the first spring has no length.
     """
     beta = -1j * np.log(z)
-    a, b, c, d, l1_sq = pair.terms(length, np.cos(beta), np.sin(beta))
+    a, b, c, d, l1_sq = terms
     l1 = np.sqrt(l1_sq)
 
     def relative(force, force_scale, moment, moment_scale):
@@ -383,10 +383,9 @@ def solve_one_nonzero_free_length(params: MechanismParams,
     origin = pair.foot()
     tensors = pair.tensors(origin)
     signs = np.array([1.0, -1.0])
-    coincident_z, coincident_length = _coincident_points(pair)
-    roots = companion_roots(_deflate(
-        _eliminants(tensors, pair.kl, signs),
-        np.concatenate([coincident_z, _balanced_points(pair, tensors)])))
+    known_z, coincident_length = _known_points(pair, tensors)
+    roots = companion_roots(_deflate(_eliminants(tensors, pair.kl, signs),
+                                     known_z))
 
     # per root: of the two roots L of G the one where
     # F = (z A)^2 (z L1^2) - z (z B)^2 is smaller, and s = B / A there
@@ -399,11 +398,11 @@ def solve_one_nonzero_free_length(params: MechanismParams,
                    for row in (a, b, l1_sq))
     pick = np.arange(len(z)), np.argmin(
         np.abs(a * a * l1_sq - z[:, None] * b * b), axis=1)
-    u, z, s = newton(pair, tensors, origin, candidates[pick], z,
-                     b[pick] / a[pick], sign)
+    u, z, s, terms = newton(pair, tensors, origin, candidates[pick], z,
+                            b[pick] / a[pick], sign)
 
     same_sign = sign > 0
-    columns = _classify(pair, origin + u, z, s, same_sign, accept_tol)
+    columns = _classify(origin + u, z, s, terms, same_sign, accept_tol)
     converged = np.count_nonzero(same_sign & (
         columns["accepted"] | (columns["note"] == "other branch")))
     if converged < SAME_SIGN_ROOTS:
@@ -413,7 +412,7 @@ def solve_one_nonzero_free_length(params: MechanismParams,
         columns,
         # both squared quartics vanish where O2 = O1
         structural_rows(
-            np.repeat(-1j * np.log(coincident_z), COINCIDENT_MULTIPLICITY),
+            np.repeat(-1j * np.log(known_z[:2]), COINCIDENT_MULTIPLICITY),
             np.repeat(coincident_length, COINCIDENT_MULTIPLICITY), 0.0,
             "O2 = O1 (first spring of zero length)"),
         # beta = -i log z runs to +i infinity at z = 0 and -i infinity at

@@ -4,9 +4,10 @@ Each file is built as text and written in one call; re-running a
 configuration gives byte-identical files (timing stays out of the JSON).
 ``report.json`` holds ``json.dumps(report_to_dict(report), indent=2,
 sort_keys=True)`` with non-finite floats as null. The json module encodes
-with ``indent`` in pure Python, so here each flat object or array, and the
-whole table of solution rows, goes through its C encoder in one call with
-the indentation as item separator. The SVG is written without an XML tree.
+with ``indent`` in pure Python, so here each flat object or array goes
+through its C encoder in one call with the indentation as item separator,
+and each solution row is one %-format of a cached template. The SVG is
+written without an XML tree.
 """
 
 from __future__ import annotations
@@ -14,8 +15,10 @@ from __future__ import annotations
 import functools
 import json
 import math
+import operator
 import os
 import re
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .analysis import AnalysisReport
@@ -34,22 +37,38 @@ _POINT_NAMES = ("O1", "A1", "O2", "A2", "P")
 _DRAWING = re.compile(r"solution_\d+\.svg")
 
 
-def report_to_dict(report: AnalysisReport) -> dict:
-    """JSON-ready view of the report (timing excluded for determinism)."""
-    sols = []
-    for i, s in enumerate(report.solutions, start=1):
-        sols.append({
-            "index": i,
-            "beta_re": s.beta.real, "beta_im": s.beta.imag,
-            "L_re": s.length.real, "L_im": s.length.imag,
-            "residual_force": s.residual_force,
-            "residual_moment": s.residual_moment,
-            "rel_residual": s.rel_residual,
-            "squared_residual": s.squared_residual,
-            "real": s.is_real,
-            "accepted": s.accepted,
-            "note": s.note,
-        })
+def _number(value) -> str:
+    """JSON text of a number: its repr, or null when it is not finite."""
+    return repr(value) if math.isfinite(value) else "null"
+
+
+_boolean = ("false", "true").__getitem__
+
+# the keys of a solution row of report.json, in the order of _row_values,
+# each with the function that writes its value as JSON text
+_ROW_KEYS = (("index", repr), ("beta_re", _number), ("beta_im", _number),
+             ("L_re", _number), ("L_im", _number),
+             ("residual_force", _number), ("residual_moment", _number),
+             ("rel_residual", _number), ("squared_residual", _number),
+             ("real", _boolean), ("accepted", _boolean),
+             ("note", encode_basestring_ascii))
+_SORTED_ROW = sorted(range(len(_ROW_KEYS)), key=lambda k: _ROW_KEYS[k][0])
+_pick_sorted = operator.itemgetter(*_SORTED_ROW)
+_ROW_WRITERS = [_ROW_KEYS[k][1] for k in _SORTED_ROW]
+# a solution row as report.json nests it, two levels deep: one %s per key,
+# in sorted order
+_ROW_TEMPLATE = ("{\n      " + ",\n      ".join(
+    f'"{key}": %s' for key, _ in sorted(_ROW_KEYS)) + "\n    }")
+
+
+def _row_values(index: int, s: EquilibriumSolution) -> tuple:
+    return (index, s.beta.real, s.beta.imag, s.length.real, s.length.imag,
+            s.residual_force, s.residual_moment, s.rel_residual,
+            s.squared_residual, s.is_real, s.accepted, s.note)
+
+
+def _report_fields(report: AnalysisReport, solutions: list) -> dict:
+    """report_to_dict with the given solution rows."""
     e = report.point_e
     return {
         "contact": report.contact,
@@ -58,13 +77,26 @@ def report_to_dict(report: AnalysisReport) -> dict:
         "free_pose": report.free_pose,
         "counts": report.counts,
         "margin": report.margin,
-        "solutions": sols,
+        "solutions": solutions,
         "notes": report.notes,
         "params": report.config.to_dict(),
     }
 
 
-_CONTAINERS = frozenset((dict, list, tuple))
+def report_to_dict(report: AnalysisReport) -> dict:
+    """JSON-ready view of the report (timing excluded for determinism)."""
+    keys = [key for key, _ in _ROW_KEYS]
+    return _report_fields(report, [
+        dict(zip(keys, _row_values(i, s)))
+        for i, s in enumerate(report.solutions, start=1)])
+
+
+class _Encoded(str):
+    """JSON text that _json writes as it is."""
+
+
+# the types _json does not pass to the C encoder as values
+_CONTAINERS = frozenset((dict, list, tuple, _Encoded))
 
 
 def _flat(values) -> bool:
@@ -90,7 +122,10 @@ def _flat_encoder(depth: int):
 def _json(obj, depth: int = 0) -> str:
     """``json.dumps(obj, indent=2, sort_keys=True)`` with non-finite
     floats as null, for ``obj`` nested ``depth`` levels deep. Containers
-    must be plain dicts, lists or tuples, as ``report_to_dict`` builds."""
+    must be plain dicts, lists or tuples, as ``report_to_dict`` builds;
+    _Encoded text is written as it is."""
+    if type(obj) is _Encoded:
+        return obj
     if type(obj) not in _CONTAINERS:
         return _flat_encoder(0)(_finite_copy([obj])[0])
     if not obj:
@@ -99,15 +134,6 @@ def _json(obj, depth: int = 0) -> str:
     indent = "  " * (depth + 1)
     if _flat(obj.values() if is_dict else obj):
         body = _flat_encoder(depth + 1)(_finite_copy(obj))[1:-1]
-    elif not is_dict and all(type(row) is dict and row and _flat(row.values())
-                             for row in obj):
-        # a table such as the solution rows, in one C call split where the
-        # separator meets "}" and "{" (no string holds a raw line break)
-        row_indent = "  " * (depth + 2)
-        text = _flat_encoder(depth + 2)([_finite_copy(row) for row in obj])
-        body = f",\n{indent}".join(
-            f"{{\n{row_indent}{row}\n{indent}}}"
-            for row in text[2:-2].split(f"}},\n{row_indent}{{"))
     else:
         items = ([f"{_json(k)}: {_json(v, depth + 1)}"
                   for k, v in sorted(obj.items())] if is_dict
@@ -133,7 +159,10 @@ def emit_tables(report: AnalysisReport, out_dir,
         written.append(path)
     if "json" in formats:
         path = out / "report.json"
-        path.write_text(_json(report_to_dict(report)) + "\n")
+        rows = [_Encoded(_ROW_TEMPLATE % tuple([write(v) for write, v in zip(
+                    _ROW_WRITERS, _pick_sorted(_row_values(i, s)))]))
+                for i, s in enumerate(report.solutions, start=1)]
+        path.write_text(_json(_report_fields(report, rows)) + "\n")
         written.append(path)
     return written
 

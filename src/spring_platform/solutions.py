@@ -1,18 +1,17 @@
-"""Solution records shared by the two case solvers, plus ordering,
-conjugate pairing, the ledger that turns solver columns into records, and
+"""Solution records shared by the two case solvers, plus conjugate
+pairing, the ledger that turns solver columns into ordered records, and
 residual-margin helpers."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
 REAL_IMAG_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class EquilibriumSolution:
+class EquilibriumSolution(NamedTuple):
     """One candidate root of an equilibrium solve.
 
     residual_force / residual_moment are the magnitudes of the two
@@ -35,23 +34,11 @@ class EquilibriumSolution:
     squared_residual: float = 0.0
     note: str = ""
 
-    @property
-    def rejected(self) -> bool:
-        return not self.accepted
-
-
-_FIELDS = [field.name for field in fields(EquilibriumSolution)]
-
 
 def mark_real(beta, length, tol: float = REAL_IMAG_TOL):
     """Whether (beta, L) is real to tol; elementwise for arrays."""
     real = (np.abs(np.imag(beta)) <= tol) & (np.abs(np.imag(length)) <= tol)
     return real if np.ndim(real) else bool(real)
-
-
-def sort_solutions(solutions: list[EquilibriumSolution]) -> list[EquilibriumSolution]:
-    return sorted(solutions, key=lambda s: (s.beta.real, s.beta.imag,
-                                            s.length.real, s.length.imag))
 
 
 def pair_conjugate_points(beta: np.ndarray, length: np.ndarray,
@@ -71,9 +58,9 @@ def pair_conjugate_points(beta: np.ndarray, length: np.ndarray,
         gap <= rel_tol * (np.abs(b) + np.abs(l) + 1.0)[:, None])
     # row by row, each unused point takes its nearest unused partner
     # within the tolerance (the lower index on a tie)
+    order = np.lexsort((cols, gap[rows, cols], rows))
     first, second, used = [], [], set()
-    for i, _, j in sorted(zip(rows.tolist(), gap[rows, cols].tolist(),
-                              cols.tolist())):
+    for i, j in zip(rows[order].tolist(), cols[order].tolist()):
         if i not in used and j not in used:
             used.update((i, j))
             first.append(i)
@@ -89,13 +76,18 @@ def pair_conjugate_points(beta: np.ndarray, length: np.ndarray,
 def ledger(*parts: dict) -> list[EquilibriumSolution]:
     """The records of the candidates in parts, each a dict of columns keyed
     by every EquilibriumSolution field: the parts joined, near-conjugate
-    complex pairs symmetrized by pair_conjugate_points, and sorted."""
+    complex pairs symmetrized by pair_conjugate_points, and ordered by
+    (beta.re, beta.im, L.re, L.im) in one np.lexsort. A NaN key sorts after
+    every number in its place (numpy's order), and rows equal in all four
+    keys keep the order of parts."""
     columns = {name: np.concatenate([part[name] for part in parts])
-               for name in _FIELDS}
-    columns["beta"], columns["length"] = pair_conjugate_points(
+               for name in EquilibriumSolution._fields}
+    beta, length = pair_conjugate_points(
         columns["beta"], columns["length"], columns["is_real"])
-    return sort_solutions([EquilibriumSolution(*row) for row in zip(
-        *(column.tolist() for column in columns.values()))])
+    columns["beta"], columns["length"] = beta, length
+    order = np.lexsort((length.imag, length.real, beta.imag, beta.real))
+    return list(map(EquilibriumSolution._make, zip(
+        *(column[order].tolist() for column in columns.values()))))
 
 
 def residual_margin(solutions: list[EquilibriumSolution]):

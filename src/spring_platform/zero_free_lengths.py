@@ -58,10 +58,10 @@ def solve_zero_free_lengths(params: MechanismParams,
     u = -horner(a0, z) / horner(a1, z)
     # L1^2 from its tensor, the rows of z L1^2 in L at each z
     l1_sq = horner(horner(tensors[4], z[:, None]), u) / z
-    u, z, _ = newton(pair, tensors, origin, u, z, np.sqrt(l1_sq), 1.0)
+    u, z, _, (force, _, moment, _, _) = newton(pair, tensors, origin, u, z,
+                                               np.sqrt(l1_sq), 1.0)
 
     beta, length = -1j * np.log(z), origin + u
-    force, _, moment, _, _ = pair.terms(length, np.cos(beta), np.sin(beta))
     # the sums of the magnitudes of the tensor terms of z A and z C
     scale = np.einsum("kij,ni,nj->kn", np.abs(rows),
                       np.abs(u)[:, None] ** np.arange(2),

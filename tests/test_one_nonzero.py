@@ -5,14 +5,16 @@ import warnings
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as P
 
 from _support import nearest_match, random_params, reference_params
 
 from spring_platform import (DegenerateQuartic, Point2, WrongFreeLengthPattern,
                              abcd_at, quartic_pair_at, residual_margin,
                              resultant_polynomial,
-                             solve_one_nonzero_free_length)
-from spring_platform import one_nonzero
+                             solve_one_nonzero_free_length,
+                             solve_zero_free_lengths)
+from spring_platform import one_nonzero, zero_free_lengths
 from spring_platform.errors import LostRoots
 from spring_platform.mechanism import (point_e, pose_from, pose_from_trig,
                                       residual_pair, spring_state)
@@ -457,3 +459,52 @@ def test_product_is_row_convolution():
             want = np.convolve(p[index], q[index[1:]])
             assert np.allclose(got[index], want, rtol=1e-15, atol=1e-15 * (
                 np.sum(np.abs(p[index])) * np.sum(np.abs(q[index[1:]]))))
+
+
+def _newton_step(tensors, origin, u, z, s, sign, terms):
+    """Newton's step at (u, z, s) on z (A s - B), z (C s - sign D) and
+    z (s^2 - L1^2): the residuals from the terms, the Jacobian from the
+    tensors by numpy's 2-d polynomial evaluation."""
+    def at(coeffs):
+        return np.array([P.polyval2d(u, z, c) for c in coeffs])
+
+    a, b, c, d, l1_sq = terms
+    residual = np.stack([z * (a * s - b), z * (c * s - sign * d),
+                         z * (s * s - l1_sq)], axis=-1)
+    za, _, zc, _, _ = at(tensors)
+    au, bu, cu, du, lu = at(P.polyder(tensors, axis=1))
+    az, bz, cz, dz, lz = at(P.polyder(tensors, axis=2))
+    jacobian = np.stack([au * s - bu, az * s - bz, za,
+                         cu * s - sign * du, cz * s - sign * dz, zc,
+                         -lu, s * s - lz, 2 * z * s], axis=-1)
+    return np.linalg.solve(jacobian.reshape(-1, 3, 3),
+                           residual[..., None])[..., 0]
+
+
+def test_newton_returns_its_last_evaluation(monkeypatch, params_zero,
+                                            params_one):
+    # newton stops at the first point where its step is at most STEP_TOL
+    # relative, without taking it, and returns the pair's terms there: the
+    # terms are those of the returned point, bit for bit, and one more
+    # step from it is at most STEP_TOL relative
+    calls, refine = [], one_nonzero.newton
+
+    def recorded(*args):
+        result = refine(*args)
+        calls.append((args, result))
+        return result
+
+    monkeypatch.setattr(one_nonzero, "newton", recorded)
+    monkeypatch.setattr(zero_free_lengths, "newton", recorded)
+    for params in [params_one] + corpus(2026, 5):
+        solve_one_nonzero_free_length(params)
+    solve_zero_free_lengths(params_zero)
+    assert len(calls) == 7
+    for (pair, tensors, origin, _, _, _, sign), (u, z, s, terms) in calls:
+        want = pair.terms(origin + u, (z + 1 / z) / 2, (z - 1 / z) / 2j)
+        for got, expected in zip(terms, want):
+            assert got.tobytes() == expected.tobytes()
+        step = _newton_step(tensors, origin, u, z, s, sign, terms)
+        point = np.stack([u, z, s], axis=-1)
+        assert np.all(np.abs(step) <= one_nonzero.STEP_TOL
+                      * (1 + np.abs(point)))

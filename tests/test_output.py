@@ -4,15 +4,18 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import numpy as np
 import pytest
-from _support import REFERENCE_CONFIG
+from _support import REFERENCE_CONFIG, random_params, reference_params
 
 import spring_platform
 from spring_platform import (Point2, RunConfig, config_from_dict, emit_tables,
                              render_svg, report_to_dict, run_analysis)
+from spring_platform.errors import LostRoots
 from spring_platform.mechanism import MechanismParams
 from spring_platform.output import CSV_HEADER
 
@@ -55,6 +58,29 @@ def _free_pose_and_notes_report():
                                notes=report.notes + ['a "quoted" note'])
 
 
+def _pin_at_anchor_report():
+    # a degenerate one-nonzero mechanism whose rows include the notes
+    # "repeated root" and "refinement not converged"
+    params = reference_params(l01=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", LostRoots)
+        report = run_analysis(RunConfig(params=dataclasses.replace(
+            params, p_in_top=params.a2_in_top)))
+    notes = {s.note for s in report.solutions}
+    assert {"repeated root", "refinement not converged"} <= notes
+    return report
+
+
+def _corpus_report(seed, index, one_nonzero):
+    """Report of mechanism index of a seed: L01 ~ U(0.2, 2) drawn first
+    for one-nonzero mechanisms, all free lengths zero otherwise."""
+    rng = np.random.default_rng(seed)
+    for _ in range(index + 1):
+        params = (random_params(rng, l01=float(rng.uniform(0.2, 2.0)))
+                  if one_nonzero else random_params(rng))
+    return run_analysis(RunConfig(params=params))
+
+
 def _null_non_finite(obj):
     if isinstance(obj, dict):
         return {k: _null_non_finite(v) for k, v in obj.items()}
@@ -80,7 +106,13 @@ TABLE_REPORTS = {
     "no-contact": _no_contact_report,
     "no-finite-beta": _balanced_pin_report,
     "free-pose-and-notes": _free_pose_and_notes_report,
+    "pin-at-anchor": _pin_at_anchor_report,
 }
+for _k in range(5):
+    TABLE_REPORTS[f"seed-2026-one-{_k}"] = (
+        lambda k=_k: _corpus_report(2026, k, one_nonzero=True))
+    TABLE_REPORTS[f"seed-59-zero-{_k}"] = (
+        lambda k=_k: _corpus_report(59, k, one_nonzero=False))
 
 
 @pytest.mark.parametrize("name", TABLE_REPORTS)

@@ -189,20 +189,22 @@ def test_random_parameter_sets_verified():
 def test_displaced_roots_rejected_on_the_tensor_scale(monkeypatch, params_zero,
                                                       displace):
     # Newton's roots displaced by 1e-6 relative: in z, with L re-solved
-    # from the force row so that only C is off, or in L. Each row must be
-    # rejected, with rel_residual = max(|z A| / S_A, |z C| / S_C) and
+    # from the force row so that only C is off, or in L, and returned with
+    # the pair's terms at the displaced point. Each row must be rejected,
+    # with rel_residual = max(|z A| / S_A, |z C| / S_C) and
     # S_T = sum |t_ij| |u|^i |z|^j over the tensor terms of z T
     refine = zero_free_lengths.newton
 
     def displaced(pair, tensors, origin, u, z, s, sign):
-        u, z, s = refine(pair, tensors, origin, u, z, s, sign)
+        u, z, s, _ = refine(pair, tensors, origin, u, z, s, sign)
         if displace == "z":
             z = z * cmath.exp(1e-6j)
             (a0, a1), _ = tensors[[0, 2], :2]
             u = -np.polyval(a0[::-1], z) / np.polyval(a1[::-1], z)
         else:
             u = u + 1e-6 * (1 + np.abs(origin + u))
-        return u, z, s
+        return u, z, s, pair.terms(origin + u, (z + 1 / z) / 2,
+                                   (z - 1 / z) / 2j)
 
     monkeypatch.setattr(zero_free_lengths, "newton", displaced)
     rng = np.random.default_rng(61)
