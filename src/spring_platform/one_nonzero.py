@@ -10,10 +10,11 @@ z L1^2 is a polynomial of degree at most 2 in L and in z, recovered
 exactly from a 3x3 grid of samples.
 
 Eliminating s leaves F = z^3 (A^2 L1^2 - B^2), quartic in L, and
-G = z^2 (A D - B C) / (k1 L01), quadratic in L. The 6x6 Sylvester
-determinant of the two is a polynomial in z whose roots are the
-equilibria with one sign of s in both equations; G with A D + B C gives
-the mixed-sign roots, which squaring the pair also admits. Both
+G = z^2 (A D - B C) / (k1 L01), quadratic in L. Their 6x6 Sylvester
+determinant, sampled in the product form g2^4 F(r1) F(r2) over the roots
+r of G, is a polynomial in z whose roots are the equilibria with one sign
+of s in both equations; G with A D + B C gives the mixed-sign roots,
+which squaring the pair also admits. Both
 eliminants carry two point pairs known in closed form as double roots,
 O2 = O1 and A = B = 0, which are divided out before each root is refined
 by Newton's method on the exact 3x3 system in (L, z, s). Each stage
@@ -43,7 +44,7 @@ from .errors import (DegenerateQuartic, DegreeMismatch, InterpolationMismatch,
 from .geometry import Point2
 from .mechanism import TOL_ZERO_LENGTH, MechanismParams, point_e
 from .polynomials import (CPolynomial, _quadratic_roots, companion_roots,
-                          dialytic_matrix, equilibrate, horner, polymatrix_det)
+                          dialytic_matrix, horner, polymatrix_det)
 from .solutions import EquilibriumSolution, ledger, mark_real
 
 ACCEPT_REL_TOL = 1e-6
@@ -202,29 +203,37 @@ def _mixed(a, b, c, d, kl, sign):
     return (_product(a, d) - sign * _product(b, c)) / kl
 
 
-def _sylvester(f, g):
-    """6x6 Sylvester matrices of quartics f and quadratics g in L."""
-    m = np.zeros(np.broadcast_shapes(f.shape[:-1], g.shape[:-1]) + (6, 6),
-                 dtype=np.result_type(f, g))
-    for shift in range(2):
-        m[..., shift, shift:shift + 5] = f[..., ::-1]
-    for shift in range(4):
-        m[..., 2 + shift, shift:shift + 3] = g[..., ::-1]
-    return m
-
-
 def _eliminants(tensors, kl, signs):
     """Coefficients in z of the Sylvester eliminant of (F, G) for each sign
-    of G: the determinant is sampled on the unit circle (by LAPACK, after
-    an exact equilibration), transformed, and cut to its structural
-    support. The end coefficients can sit many decades below the largest
-    one, so no magnitude threshold decides the degree."""
-    a, b, c, d, l1_sq = _split(_in_length(tensors, _SAMPLE_Z))
-    m, shift = equilibrate(_sylvester(
-        _squared(a, b, l1_sq, _SAMPLE_Z),
-        _mixed(a, b, c, d, kl, signs[:, None, None])))
-    dets = np.linalg.det(m) * np.ldexp(1.0, shift)
-    return (np.fft.fft(dets, axis=-1) / SAMPLES)[:, SUPPORT]
+    of G: its samples on the unit circle, transformed and cut to the
+    structural support. The end coefficients can sit many decades below
+    the largest one, so no magnitude threshold decides the degree."""
+    samples = _resultant_samples(tensors, kl, signs, _SAMPLE_Z)
+    return (np.fft.fft(samples, axis=-1) / SAMPLES)[:, SUPPORT]
+
+
+def _resultant_samples(tensors, kl, signs, z):
+    """The 6x6 Sylvester determinant of F and G at the z values, for each
+    sign of G, in product form: g2^4 F(r1) F(r2) over the roots r1 = q / g2
+    and r2 = g0 / q of G = g0 + g1 L + g2 L^2, q = -(g1 +- sqrt(disc)) / 2
+    with the sign _quadratic_roots chooses. Each factor is evaluated
+    homogeneously, as g2^4 F(q / g2) and q^4 F(g0 / q), so g2 divides
+    nothing; for the same sign it carries a factor sin beta and vanishes
+    at z = +-1 up to rounding."""
+    a, b, c, d, l1_sq = _split(_in_length(tensors, z))
+    g0, g1, g2 = np.moveaxis(_mixed(a, b, c, d, kl, signs[:, None, None]),
+                             -1, 0)
+    disc = np.sqrt(g1 * g1 - 4 * g2 * g0)
+    q = -(g1 + np.where(np.abs(g1 + disc) >= np.abs(g1 - disc), disc,
+                        -disc)) / 2
+    (a0, a1), (b0, b1), (l0, l1, l2) = a.T, b.T, l1_sq.T
+
+    def homogeneous(x, w):
+        # w^4 F(x / w), F = (z A)^2 (z L1^2) - z (z B)^2 in L
+        return ((a0 * w + a1 * x) ** 2 * (l0 * w * w + (l1 * w + l2 * x) * x)
+                - z * (w * (b0 * w + b1 * x)) ** 2)
+
+    return homogeneous(q, g2) * homogeneous(g0, q) / q ** 4
 
 
 def _known_points(pair: UnsquaredPair, tensors):

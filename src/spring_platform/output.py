@@ -4,18 +4,16 @@ Each file is built as text and written in one call; re-running a
 configuration gives byte-identical files (timing stays out of the JSON).
 ``report.json`` holds ``json.dumps(report_to_dict(report), indent=2,
 sort_keys=True)`` with non-finite floats as null. The json module encodes
-with ``indent`` in pure Python, so here each flat object or array goes
-through its C encoder in one call with the indentation as item separator,
-and each solution row is one %-format of a cached template. The SVG is
+with ``indent`` in pure Python, so here the solution table is formatted
+column by column, one pass per column, each row one %-format of a cached
+template, and the rest goes through a small recursive writer. The SVG is
 written without an XML tree.
 """
 
 from __future__ import annotations
 
 import functools
-import json
 import math
-import operator
 import os
 import re
 from json.encoder import encode_basestring_ascii
@@ -37,28 +35,14 @@ _POINT_NAMES = ("O1", "A1", "O2", "A2", "P")
 _DRAWING = re.compile(r"solution_\d+\.svg")
 
 
-def _number(value) -> str:
-    """JSON text of a number: its repr, or null when it is not finite."""
-    return repr(value) if math.isfinite(value) else "null"
-
-
-_boolean = ("false", "true").__getitem__
-
-# the keys of a solution row of report.json, in the order of _row_values,
-# each with the function that writes its value as JSON text
-_ROW_KEYS = (("index", repr), ("beta_re", _number), ("beta_im", _number),
-             ("L_re", _number), ("L_im", _number),
-             ("residual_force", _number), ("residual_moment", _number),
-             ("rel_residual", _number), ("squared_residual", _number),
-             ("real", _boolean), ("accepted", _boolean),
-             ("note", encode_basestring_ascii))
-_SORTED_ROW = sorted(range(len(_ROW_KEYS)), key=lambda k: _ROW_KEYS[k][0])
-_pick_sorted = operator.itemgetter(*_SORTED_ROW)
-_ROW_WRITERS = [_ROW_KEYS[k][1] for k in _SORTED_ROW]
+# the keys of a solution row of report.json, in the order of _row_values
+_ROW_KEYS = ("index", "beta_re", "beta_im", "L_re", "L_im", "residual_force",
+             "residual_moment", "rel_residual", "squared_residual", "real",
+             "accepted", "note")
 # a solution row as report.json nests it, two levels deep: one %s per key,
 # in sorted order
 _ROW_TEMPLATE = ("{\n      " + ",\n      ".join(
-    f'"{key}": %s' for key, _ in sorted(_ROW_KEYS)) + "\n    }")
+    f'"{key}": %s' for key in sorted(_ROW_KEYS)) + "\n    }")
 
 
 def _row_values(index: int, s: EquilibriumSolution) -> tuple:
@@ -85,9 +69,8 @@ def _report_fields(report: AnalysisReport, solutions: list) -> dict:
 
 def report_to_dict(report: AnalysisReport) -> dict:
     """JSON-ready view of the report (timing excluded for determinism)."""
-    keys = [key for key, _ in _ROW_KEYS]
     return _report_fields(report, [
-        dict(zip(keys, _row_values(i, s)))
+        dict(zip(_ROW_KEYS, _row_values(i, s)))
         for i, s in enumerate(report.solutions, start=1)])
 
 
@@ -95,74 +78,79 @@ class _Encoded(str):
     """JSON text that _json writes as it is."""
 
 
-# the types _json does not pass to the C encoder as values
-_CONTAINERS = frozenset((dict, list, tuple, _Encoded))
+_FLAGS = ("false", "true")
 
 
-def _flat(values) -> bool:
-    return _CONTAINERS.isdisjoint(map(type, values))
-
-
-def _finite_copy(obj):
-    """Flat object or array with non-finite floats as None (valid JSON)."""
-    if isinstance(obj, dict):
-        return {k: None if isinstance(v, float) and not math.isfinite(v)
-                else v for k, v in obj.items()}
-    return [None if isinstance(v, float) and not math.isfinite(v) else v
-            for v in obj]
-
-
-@functools.cache
-def _flat_encoder(depth: int):
-    """C encoder of a scalar or of a flat object or array at ``depth``."""
-    return json.JSONEncoder(sort_keys=True,
-                            separators=(",\n" + "  " * depth, ": ")).encode
-
-
-def _json(obj, depth: int = 0) -> str:
+def _json(obj, indent: str = "\n") -> str:
     """``json.dumps(obj, indent=2, sort_keys=True)`` with non-finite
-    floats as null, for ``obj`` nested ``depth`` levels deep. Containers
-    must be plain dicts, lists or tuples, as ``report_to_dict`` builds;
-    _Encoded text is written as it is."""
-    if type(obj) is _Encoded:
-        return obj
-    if type(obj) not in _CONTAINERS:
-        return _flat_encoder(0)(_finite_copy([obj])[0])
-    if not obj:
-        return "{}" if isinstance(obj, dict) else "[]"
-    is_dict = isinstance(obj, dict)
-    indent = "  " * (depth + 1)
-    if _flat(obj.values() if is_dict else obj):
-        body = _flat_encoder(depth + 1)(_finite_copy(obj))[1:-1]
+    floats as null, for ``obj`` nested where ``indent``, a newline and the
+    indentation, precedes its closing bracket. Containers are dicts with
+    str keys, lists and tuples; leaves are None, bools, strs, ints and
+    floats, their subclasses written as the json module's C encoder
+    writes them, by ``int.__repr__`` and ``float.__repr__``. _Encoded
+    text is written as it is."""
+    if isinstance(obj, str):
+        return obj if type(obj) is _Encoded else encode_basestring_ascii(obj)
+    if obj is True or obj is False:
+        return _FLAGS[obj]
+    if obj is None:
+        return "null"
+    if isinstance(obj, float):
+        return float.__repr__(obj) if math.isfinite(obj) else "null"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        items = [f"{encode_basestring_ascii(key)}: {_json(obj[key], inner)}"
+                 for key in sorted(obj)]
+        opening, closing = "{}"
+    elif isinstance(obj, (list, tuple)):
+        items = [_json(value, inner) for value in obj]
+        opening, closing = "[]"
     else:
-        items = ([f"{_json(k)}: {_json(v, depth + 1)}"
-                  for k, v in sorted(obj.items())] if is_dict
-                 else [_json(v, depth + 1) for v in obj])
-        body = f",\n{indent}".join(items)
-    opening, closing = "{}" if is_dict else "[]"
-    return f"{opening}\n{indent}{body}\n{'  ' * depth}{closing}"
+        raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+    if not items:
+        return opening + closing
+    return f"{opening}{inner}{f',{inner}'.join(items)}{indent}{closing}"
+
+
+def _numbers(values) -> list[str]:
+    """JSON text of each number: its repr, or null when it is not finite."""
+    return [float.__repr__(v) if v - v == 0 else "null" for v in values]
 
 
 def emit_tables(report: AnalysisReport, out_dir,
                 formats=("json", "csv")) -> list[Path]:
+    """Write solutions.csv and report.json, their rows formatted from the
+    columns of the solution table."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
+    (beta, length, force, moment, rel, real, accepted, squared,
+     note) = list(zip(*report.solutions)) or [()] * 9
+    index = range(1, len(beta) + 1)
+    beta_re, beta_im = [b.real for b in beta], [b.imag for b in beta]
+    length_re, length_im = [v.real for v in length], [v.imag for v in length]
     if "csv" in formats:
         path = out / "solutions.csv"
         lines = [CSV_HEADER]
-        lines += [_CSV_ROW % (i, s.beta.real, s.beta.imag, s.length.real,
-                              s.length.imag, s.residual_force,
-                              s.residual_moment, s.is_real, s.accepted)
-                  for i, s in enumerate(report.solutions, start=1)]
+        lines += map(_CSV_ROW.__mod__, zip(
+            index, beta_re, beta_im, length_re, length_im, force, moment,
+            real, accepted))
         path.write_text("\n".join(lines) + "\n")
         written.append(path)
     if "json" in formats:
         path = out / "report.json"
-        rows = [_Encoded(_ROW_TEMPLATE % tuple([write(v) for write, v in zip(
-                    _ROW_WRITERS, _pick_sorted(_row_values(i, s)))]))
-                for i, s in enumerate(report.solutions, start=1)]
-        path.write_text(_json(_report_fields(report, rows)) + "\n")
+        flag = _FLAGS.__getitem__
+        columns = dict(zip(_ROW_KEYS, (
+            index, *map(_numbers, (beta_re, beta_im, length_re, length_im,
+                                   force, moment, rel, squared)),
+            map(flag, real), map(flag, accepted),
+            map(encode_basestring_ascii, note))))
+        rows = map(_ROW_TEMPLATE.__mod__, zip(
+            *[columns[key] for key in sorted(_ROW_KEYS)]))
+        path.write_text(_json(_report_fields(
+            report, list(map(_Encoded, rows)))) + "\n")
         written.append(path)
     return written
 

@@ -96,6 +96,19 @@ def polynomial_matrix(entries):
     return evaluate, bound
 
 
+def sylvester(f, g):
+    """6x6 Sylvester matrices of stacks of quartics f and quadratics g in
+    L, given as ascending coefficient rows: two shifted rows of f above
+    four of g, each descending."""
+    m = np.zeros(np.broadcast_shapes(f.shape[:-1], g.shape[:-1]) + (6, 6),
+                 dtype=np.result_type(f, g))
+    for shift in range(2):
+        m[..., shift, shift:shift + 5] = f[..., ::-1]
+    for shift in range(4):
+        m[..., 2 + shift, shift:shift + 3] = g[..., ::-1]
+    return m
+
+
 def random_params(rng, l01=0.0):
     """Random geometrically sane mechanism with the given first free
     length; the base axis is kept clearly non-parallel to the surface."""

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as P
 
-from _support import nearest_match, random_params, reference_params
+from _support import (nearest_match, random_params, reference_params,
+                      sylvester)
 
 from spring_platform import (DegenerateQuartic, Point2, WrongFreeLengthPattern,
                              abcd_at, quartic_pair_at, residual_margin,
@@ -447,6 +448,50 @@ def test_eliminant_samples_do_not_alias(monkeypatch, params_one):
         largest = np.max(np.abs(full), axis=1, keepdims=True)
         assert np.all(np.abs(full[:, 29:]) <= 1e-13 * largest)
         assert np.all(np.abs(full[:, 3:26] - support) <= 1e-12 * largest)
+
+
+def _sylvester_dets(tensors, kl, signs, z):
+    """np.linalg.det of the 6x6 Sylvester matrices of F and G at z."""
+    a, b, c, d, l1_sq = one_nonzero._split(one_nonzero._in_length(tensors, z))
+    return np.linalg.det(sylvester(
+        one_nonzero._squared(a, b, l1_sq, z),
+        one_nonzero._mixed(a, b, c, d, kl, signs[:, None, None])))
+
+
+def _agree(got, want):
+    largest = np.max(np.abs(want), axis=-1, keepdims=True)
+    return np.all(np.abs(got - want) <= 1e-12 * largest)
+
+
+def test_resultant_samples_are_sylvester_determinants(monkeypatch,
+                                                      params_one):
+    # the product form g2^4 F(r1) F(r2) at the unit-circle samples, where
+    # the same-sign g2 nearly vanishes at z = +-1, and off the circle
+    signs = np.array([1.0, -1.0])
+    circle = np.exp(2j * np.pi * np.arange(16) / 16)
+    for params in [params_one] + corpus(2026, 5):
+        pair = UnsquaredPair(params, point_e(params))
+        tensors = pair.tensors(pair.foot())
+        for z in (one_nonzero._SAMPLE_Z, 0.5 * circle, 2 * circle):
+            assert _agree(
+                one_nonzero._resultant_samples(tensors, pair.kl, signs, z),
+                _sylvester_dets(tensors, pair.kl, signs, z))
+
+    # g2 exactly 0.0 at sample 0, for both signs: G's root at infinity
+    mixed = one_nonzero._mixed
+
+    def vanishing_g2(*args):
+        g = mixed(*args)
+        g[..., 0, 2] = 0.0
+        return g
+
+    monkeypatch.setattr(one_nonzero, "_mixed", vanishing_g2)
+    pair = UnsquaredPair(params_one, point_e(params_one))
+    tensors = pair.tensors(pair.foot())
+    z = one_nonzero._SAMPLE_Z
+    got = one_nonzero._resultant_samples(tensors, pair.kl, signs, z)
+    assert np.all(np.isfinite(got[:, 0]))
+    assert _agree(got, _sylvester_dets(tensors, pair.kl, signs, z))
 
 
 def test_product_is_row_convolution():

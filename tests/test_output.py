@@ -17,7 +17,7 @@ from spring_platform import (Point2, RunConfig, config_from_dict, emit_tables,
                              render_svg, report_to_dict, run_analysis)
 from spring_platform.errors import LostRoots
 from spring_platform.mechanism import MechanismParams
-from spring_platform.output import CSV_HEADER
+from spring_platform.output import CSV_HEADER, _json
 
 SVG = {"svg": "http://www.w3.org/2000/svg"}
 
@@ -128,6 +128,47 @@ def test_tables_match_json_module_and_csv_format(tmp_path, name):
     lines = [CSV_HEADER] + [_csv_line(i, s) for i, s in
                             enumerate(report.solutions, start=1)]
     assert csv_path.read_text() == "\n".join(lines) + "\n"
+
+
+_LEAF_FLOATS = (0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324,
+                -2.5e-310, 1e308, -1e308, np.float64(0.1),
+                np.float64(-math.inf), np.float64(math.nan))
+_LEAF_STRINGS = ("", "plain", 'a "quoted" word', "back\\slash\\",
+                 "\x00\x01\x1f\t\n\r\x7f", "caf\u00e9 \u2211 \u03b2",
+                 "\U0001f600 \ud800", "/</")
+
+
+def _random_json(rng, depth):
+    """Nested dicts, lists and tuples, each possibly empty, down to depth,
+    of the leaves above, random floats, big ints, bools and None."""
+    kind = rng.integers(0 if depth else 3, 9)
+    if kind < 3:
+        size = rng.integers(0, 5)
+        values = [_random_json(rng, depth - 1) for _ in range(size)]
+        if kind == 0:
+            return {_LEAF_STRINGS[rng.integers(len(_LEAF_STRINGS))]
+                    + str(k): v for k, v in enumerate(values)}
+        return values if kind == 1 else tuple(values)
+    if kind == 3:
+        return _LEAF_FLOATS[rng.integers(len(_LEAF_FLOATS))]
+    if kind == 4:
+        return float(rng.normal() * 10.0 ** rng.integers(-300, 300))
+    if kind == 5:
+        return int(rng.integers(-2 ** 62, 2 ** 62)) * 3 ** int(
+            rng.integers(0, 200))
+    if kind == 6:
+        return bool(rng.integers(2))
+    if kind == 7:
+        return None
+    return _LEAF_STRINGS[rng.integers(len(_LEAF_STRINGS))]
+
+
+def test_json_writer_matches_json_module():
+    rng = np.random.default_rng(2024)
+    for _ in range(300):
+        obj = _random_json(rng, int(rng.integers(0, 6)))
+        assert _json(obj) == json.dumps(
+            _null_non_finite(obj), indent=2, sort_keys=True)
 
 
 def test_import_loads_no_xml_tree():
