@@ -7,7 +7,7 @@ sort_keys=True)`` with non-finite floats as null. The json module encodes
 with ``indent`` in pure Python, so here the solution table is formatted
 column by column, one pass per column, each row one %-format of a cached
 template, and the rest goes through a small recursive writer. The SVG is
-written without an XML tree.
+written without an XML tree, from points as (x, y) tuples of floats.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .analysis import AnalysisReport
-from .geometry import Point2, make_plane, unit_vector
-from .mechanism import MechanismParams, pose_from
+from .geometry import Point2, make_plane
+from .mechanism import MechanismParams, pose_from_trig
 from .solutions import EquilibriumSolution
 
 CSV_HEADER = ("index,beta_re,beta_im,L_re,L_im,residual_force,"
@@ -157,95 +157,80 @@ def emit_tables(report: AnalysisReport, out_dir,
 
 # --- SVG rendering -------------------------------------------------------
 # Every attribute value and text is a number, a colour or a fixed name, so
-# nothing needs XML escaping.
+# nothing needs XML escaping. Points are (x, y) tuples of floats.
+
+_LEAD = 0.15                 # straight lead-in at each end of a spring
+_WIDTH_RATIO = 0.08          # zigzag amplitude over spring length
+# (fraction along the spring, side) of each of its six zigzag vertices
+_COILS = tuple((_LEAD + (1 - 2 * _LEAD) * (i + 0.5) / 6,
+                1.0 if i % 2 == 0 else -1.0) for i in range(6))
+
+
+def _xy(p: Point2) -> tuple[float, float]:
+    return p.x, p.y
+
 
 def _mechanism_points(params: MechanismParams, solution: EquilibriumSolution,
                       e: Point2):
-    """The named points of a drawn pose and the world coordinates of its
-    three spring zigzags, which every drawing of the pose shares."""
-    pose = pose_from(solution.length.real, solution.beta.real, params, e)
-    o1, a1 = params.base_origin, params.a1_fixed
-    points = dict(zip(_POINT_NAMES, (o1, a1, pose.o2, pose.a2, pose.p)))
-    return points, [_spring_points(s_from, s_to) for s_from, s_to in
-                    ((o1, pose.o2), (o1, pose.a2), (a1, pose.a2))]
+    """The named points of a drawn pose, in _POINT_NAMES order, and the
+    world coordinates of its three spring zigzags, which every drawing of
+    the pose shares."""
+    beta = solution.beta.real
+    pose = pose_from_trig(solution.length.real, math.cos(beta),
+                          math.sin(beta), params, e)
+    o1, a1, o2, a2 = map(_xy, (params.base_origin, params.a1_fixed, pose.o2,
+                               pose.a2))
+    return (o1, a1, o2, a2, _xy(pose.p)), [
+        _spring_points(*ends) for ends in ((o1, o2), (o1, a2), (a1, a2))]
 
 
-def _spring_points(p_from: Point2, p_to: Point2, coils: int = 6,
-                   width_ratio: float = 0.08) -> list[tuple[float, float]]:
+def _spring_points(p_from, p_to) -> list[tuple[float, float]]:
     """Zigzag between two points with straight lead-in segments, in world
-    coordinates rounded to 4 decimals."""
-    dx, dy = p_to.x - p_from.x, p_to.y - p_from.y
+    coordinates rounded to 4 decimals; a spring of zero length is its one
+    point, unrounded."""
+    (x, y), (x_to, y_to) = p_from, p_to
+    dx, dy = x_to - x, y_to - y
     length = math.hypot(dx, dy)
     if length == 0:
-        return [(p_from.x, p_from.y)]
+        return [p_from]
     nx, ny = -dy / length, dx / length
-    amp = width_ratio * length
-    lead = 0.15
-    pts = [(p_from.x, p_from.y), (p_from.x + lead * dx, p_from.y + lead * dy)]
-    for i in range(coils):
-        t = lead + (1 - 2 * lead) * (i + 0.5) / coils
-        side = 1.0 if i % 2 == 0 else -1.0
-        pts.append((p_from.x + t * dx + side * amp * nx,
-                    p_from.y + t * dy + side * amp * ny))
-    pts += [(p_from.x + (1 - lead) * dx, p_from.y + (1 - lead) * dy),
-            (p_to.x, p_to.y)]
+    amp = _WIDTH_RATIO * length
+    pts = [p_from, (x + _LEAD * dx, y + _LEAD * dy)]
+    pts += [(x + t * dx + side * amp * nx, y + t * dy + side * amp * ny)
+            for t, side in _COILS]
+    pts += [(x + (1 - _LEAD) * dx, y + (1 - _LEAD) * dy), p_to]
     return [(round(x, 4), round(y, 4)) for x, y in pts]
 
 
-class _Canvas:
-    """World-to-SVG mapping with a flipped y axis."""
-
-    def __init__(self, points: list[Point2], pad: float = 1.5):
-        xs = [p.x for p in points]
-        ys = [p.y for p in points]
-        self.x0, self.x1 = min(xs) - pad, max(xs) + pad
-        self.y0, self.y1 = min(ys) - pad, max(ys) + pad
-        self.scale = 640.0 / max(self.x1 - self.x0, 1e-9)
-        self.height = (self.y1 - self.y0) * self.scale
-
-    def map(self, x: float, y: float) -> tuple[float, float]:
-        return ((x - self.x0) * self.scale, (self.y1 - y) * self.scale)
-
-
-def _draw_line(parts, canvas, p1, p2, stroke, width="2"):
-    x1, y1 = canvas.map(p1.x, p1.y)
-    x2, y2 = canvas.map(p2.x, p2.y)
-    parts.append(f'<line x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" '
-                 f'y2="{y2:.2f}" stroke="{stroke}" stroke-width="{width}" />')
-
-
-def _draw_point(parts, canvas, p, color="#000000", label=None):
-    x, y = canvas.map(p.x, p.y)
-    parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="3.5" '
-                 f'fill="{color}" />')
-    if label:
-        parts.append(f'<text x="{x + 6:.2f}" y="{y - 6:.2f}" font-size="13" '
-                     f'fill="{color}" font-family="sans-serif">{label}</text>')
-
-
-def _surface_segment(params: MechanismParams, canvas_pts: list[Point2]):
-    m = params.surface_point
-    d = unit_vector(params.surface_angle)
-    span = max((max(p.x for p in canvas_pts) - min(p.x for p in canvas_pts)),
-               (max(p.y for p in canvas_pts) - min(p.y for p in canvas_pts)),
-               5.0) * 1.2
-    return m - span * d, m + span * d
-
-
-def _open_drawing(params, canvas_pts, surface_pts, e):
-    """Canvas and first fragments of a drawing: the XML declaration, the
-    svg start tag, the surface and, when there is one, point E."""
-    canvas = _Canvas(canvas_pts)
-    width = (canvas.x1 - canvas.x0) * canvas.scale
+def _open_drawing(params, canvas_pts, surface_pts, e, pad: float = 1.5):
+    """The world-to-SVG mapping of a drawing over canvas_pts, with a
+    flipped y axis, as (x0, y1, scale), and the drawing's first fragments:
+    the XML declaration, the svg start tag, the surface through M over 1.2
+    times the extent of surface_pts and, when there is one, point E."""
+    xs, ys = zip(*canvas_pts)
+    x0, x1 = min(xs) - pad, max(xs) + pad
+    y0, y1 = min(ys) - pad, max(ys) + pad
+    scale = 640.0 / max(x1 - x0, 1e-9)
+    width, height = (x1 - x0) * scale, (y1 - y0) * scale
+    xs, ys = zip(*surface_pts)
+    span = max(max(xs) - min(xs), max(ys) - min(ys), 5.0) * 1.2
+    dx = math.cos(params.surface_angle) * span
+    dy = math.sin(params.surface_angle) * span
+    mx, my = _xy(params.surface_point)
+    (ax, ay), (bx, by) = [((x - x0) * scale, (y1 - y) * scale)
+                          for x, y in ((mx - dx, my - dy), (mx + dx, my + dy))]
     parts = ["<?xml version='1.0' encoding='utf-8'?>\n"
              f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 '
-             f'{width:.1f} {canvas.height:.1f}" width="{width:.0f}" '
-             f'height="{canvas.height:.0f}">']
-    _draw_line(parts, canvas, *_surface_segment(params, surface_pts),
-               "#000000", "5")
+             f'{width:.1f} {height:.1f}" width="{width:.0f}" '
+             f'height="{height:.0f}"><line x1="{ax:.2f}" y1="{ay:.2f}" x2='
+             f'"{bx:.2f}" y2="{by:.2f}" stroke="#000000" stroke-width="5" />']
     if e is not None:
-        _draw_point(parts, canvas, e, "#555555", "E")
-    return canvas, parts
+        x, y = (e[0] - x0) * scale, (y1 - e[1]) * scale
+        parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="3.5" '
+                     f'fill="#555555" /><text x="{x + 6:.2f}" '
+                     f'y="{y - 6:.2f}" font-size="13" fill="#555555" '
+                     'font-family="sans-serif">E</text>')
+    return (x0, y1, scale), parts
 
 
 def _write_svg(path: Path, parts: list[str]) -> Path:
@@ -256,9 +241,9 @@ def _write_svg(path: Path, parts: list[str]) -> Path:
 
 @functools.cache
 def _pose_template(color: str, label_points: bool, counts: tuple) -> str:
-    """%-format template of one drawn pose, as _draw_line and _draw_point
-    draw it: the base line O1-A1, the platform triangle O2, A2, P, the
-    three springs with their point counts and the named points."""
+    """%-format template of one drawn pose: the base line O1-A1, the
+    platform triangle O2, A2, P, the three springs with their point counts
+    and the named points."""
     line = ('<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" stroke="{}" '
             'stroke-width="{}" />')
     parts = [line.format("#333333", "4")] + [line.format(color, "3")] * 3
@@ -279,9 +264,9 @@ def _draw_solution(parts, canvas, pose, color="#1f77b4", label_points=True):
     """Append a pose, (points, springs) from _mechanism_points, in one
     format of its template."""
     points, springs = pose
-    x0, y1, scale = canvas.x0, canvas.y1, canvas.scale
-    o1, a1, o2, a2, p = mapped = [canvas.map(pt.x, pt.y)
-                                  for pt in points.values()]
+    x0, y1, scale = canvas
+    o1, a1, o2, a2, p = mapped = [((x - x0) * scale, (y1 - y) * scale)
+                                  for x, y in points]
     # the base line, then the top platform triangle
     values = [*o1, *a1, *o2, *a2, *o2, *p, *a2, *p]
     for spring in springs:
@@ -316,39 +301,37 @@ def render_svg(report: AnalysisReport, out_dir) -> list[Path]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     params = report.config.params
-    e = report.point_e
+    o1, a1, m = map(_xy, (params.base_origin, params.a1_fixed,
+                          params.surface_point))
     written: list[Path] = []
     real_accepted = [(i, s) for i, s in enumerate(report.solutions, start=1)
                      if s.accepted and s.is_real]
-    if e is None:
+    if report.point_e is None:
         # no contact solve ran; nothing but an empty overview to draw
-        _, parts = _open_drawing(
-            params, [params.base_origin, params.a1_fixed,
-                     params.surface_point],
-            [params.base_origin, params.surface_point], None)
+        _, parts = _open_drawing(params, [o1, a1, m], [o1, m], None)
         return _remove_stale_drawings(
             out, [_write_svg(out / "overview.svg", parts)])
 
-    poses = {i: _mechanism_points(params, s, e) for i, s in real_accepted}
-    world = [params.base_origin, params.a1_fixed, params.surface_point, e]
-    world += [p for pts, _ in poses.values() for p in pts.values()]
-    plane = make_plane(params.surface_angle, params.surface_point)
+    e = _xy(report.point_e)
+    poses = {i: _mechanism_points(params, s, report.point_e)
+             for i, s in real_accepted}
+    world = [o1, a1, m, e] + [p for pts, _ in poses.values() for p in pts]
 
     for idx, sol in real_accepted:
-        pts = list(poses[idx][0].values())
-        canvas, parts = _open_drawing(
-            params, pts + [params.base_origin, params.a1_fixed, e,
-                           params.surface_point], pts, e)
+        pts = poses[idx][0]
+        canvas, parts = _open_drawing(params, [*pts, o1, a1, e, m], pts, e)
         _draw_solution(parts, canvas, poses[idx])
         parts.append(f"<title>solution {idx}: beta={sol.beta.real:.4f}, "
                      f"L={sol.length.real:.4f}</title>")
         written.append(_write_svg(out / f"solution_{idx}.svg", parts))
 
     canvas, parts = _open_drawing(params, world, world, e)
+    plane = make_plane(params.surface_angle, params.surface_point)
     sides = {"positive": [], "negative": []}
     for k, (idx, sol) in enumerate(real_accepted):
         pose = poses[idx]
-        side = "positive" if plane.evaluate(pose[0]["O2"]) > 0 else "negative"
+        o2 = Point2(*pose[0][2])
+        side = "positive" if plane.evaluate(o2) > 0 else "negative"
         sides[side].append((idx, pose,
                             SOLUTION_COLORS[k % len(SOLUTION_COLORS)]))
     for side, members in sides.items():

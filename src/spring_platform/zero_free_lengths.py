@@ -5,10 +5,17 @@ right-hand sides of the unsquared pair vanish (B = D = 0), so the force
 and moment residuals are A and C themselves, affine in L. In
 z = exp(i beta) the exact tensors give z A and z C as rows of degree 1 in
 L and at most 2 in z, and the 2x2 Sylvester determinant of the two rows
-is a quartic in z with no excluded angle. Each root gives beta = -i log z
-and L from the force row. Newton's method on the 3x3 system in (L, z, s)
-refines all roots at once: with B = D = 0 its roots with s != 0 are
-exactly those of A = C = 0.
+is a quartic in z with no excluded angle.
+
+The quartic's roots are the eigenvalues of its companion matrix, exact
+roots of monic coefficients moved by a small multiple of their norm
+(Edelman & Murakami, Math. Comp. 64, 1995), after a degree drop: the
+coefficients at or below TRIM_RELATIVE of the largest are dropped from
+both ends. Each coefficient dropped at the low end is a root at z = 0
+and each one dropped at the high end a root at infinity; neither has a
+finite beta. Each other root gives beta = -i log z and L from the force
+row. Newton's method on the 3x3 system in (L, z, s) refines all roots at
+once: with B = D = 0 its roots with s != 0 are exactly those of A = C = 0.
 """
 
 from __future__ import annotations
@@ -20,10 +27,19 @@ import numpy as np
 from .errors import DegenerateQuartic, NonZeroFreeLength
 from .mechanism import MechanismParams, point_e
 from .one_nonzero import UnsquaredPair, newton, structural_rows
-from .polynomials import CPolynomial, horner, poly_roots
+from .polynomials import TRIM_RELATIVE, companion_roots, horner
 from .solutions import EquilibriumSolution, ledger, mark_real
 
 RESIDUAL_REL_TOL = 1e-8
+
+
+def _quartic_roots(quartic: np.ndarray) -> tuple[np.ndarray, int, int]:
+    """(The other roots, the count at z = 0, the count at infinity) of the
+    ascending coefficients quartic, after the degree drop described above."""
+    size = np.abs(quartic)
+    low, high = np.flatnonzero(size > TRIM_RELATIVE * size.max())[[0, -1]]
+    return (companion_roots(quartic[low:high + 1]) if high > low else
+            np.empty(0, dtype=complex)), low, len(quartic) - 1 - high
 
 
 def solve_zero_free_lengths(params: MechanismParams,
@@ -35,9 +51,9 @@ def solve_zero_free_lengths(params: MechanismParams,
     as verified solutions sorted by beta. A root is accepted when A and C
     vanish to residual_tol relative to the sum of the magnitudes of their
     tensor terms there. The z^0 and z^4 coefficients vanish together,
-    exactly when the force residual does not depend on beta; a root at
-    z = 0, or one lost to that degree drop, has no finite beta and is
-    reported as a rejected row of NaN length.
+    exactly when the force residual does not depend on beta; the roots at
+    z = 0 and at infinity of that degree drop have no finite beta and are
+    reported as rejected rows of NaN length.
     """
     if any(l0 != 0 for l0 in params.free_lengths):
         raise NonZeroFreeLength(f"free lengths {params.free_lengths}")
@@ -51,8 +67,7 @@ def solve_zero_free_lengths(params: MechanismParams,
     if np.max(np.abs(quartic)) <= 1e-14 * np.max(magnitude):
         raise DegenerateQuartic("eliminated polynomial is identically zero")
 
-    roots = poly_roots(CPolynomial(quartic))
-    z = roots[roots != 0]
+    z, at_zero, at_infinity = _quartic_roots(quartic)
     # L from the force row, whose L coefficient (k1 + k2 + k3) z vanishes
     # only at z = 0
     u = -horner(a0, z) / horner(a1, z)
@@ -72,7 +87,7 @@ def solve_zero_free_lengths(params: MechanismParams,
     # beta = -i log z runs to +i infinity at z = 0 and to -i infinity as z
     # does
     infinite = np.repeat([complex(0, math.inf), complex(0, -math.inf)],
-                         [len(roots) - len(z), len(quartic) - 1 - len(roots)])
+                         [at_zero, at_infinity])
     return ledger(
         dict(beta=np.where(real, beta.real, beta),
              length=np.where(real, length.real, length),

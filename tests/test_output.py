@@ -16,7 +16,8 @@ import spring_platform
 from spring_platform import (Point2, RunConfig, config_from_dict, emit_tables,
                              render_svg, report_to_dict, run_analysis)
 from spring_platform.errors import LostRoots
-from spring_platform.mechanism import MechanismParams
+from spring_platform.mechanism import (MechanismParams, point_e,
+                                       pose_from_trig)
 from spring_platform.output import CSV_HEADER, _json
 
 SVG = {"svg": "http://www.w3.org/2000/svg"}
@@ -334,3 +335,48 @@ def test_svg_rerun_removes_stale_drawings(tmp_path):
     second = render_svg(_report((1.0, 0.0, 0.0)), tmp_path)
     assert {path.name for path in first} - {path.name for path in second}
     assert sorted(tmp_path.iterdir()) == sorted(second + [other])
+
+
+def test_svg_no_contact_draws_only_the_surface(tmp_path):
+    # no contact solve ran: the overview alone, with the surface line and
+    # nothing else
+    files = render_svg(_no_contact_report(), tmp_path)
+    assert files == [tmp_path / "overview.svg"]
+    assert sorted(tmp_path.iterdir()) == files
+    root = ET.parse(files[0]).getroot()
+    assert len(root.findall(".//svg:line", SVG)) == 1
+    for tag in ("circle", "text", "polyline", "g"):
+        assert root.findall(f".//svg:{tag}", SVG) == []
+
+
+def test_svg_zero_length_spring_is_one_point(tmp_path):
+    # a pose with O2 exactly on O1: the surface is y = 0, E lies on it,
+    # beta = 0 and L = -E.x put the pin at (0, 0) and O2 at O1 = (0, 2).
+    # The spring O1-O2 is drawn as a polyline of that one point, the others
+    # as zigzags of 10 points
+    params = MechanismParams(
+        surface_point=Point2(0.0, 0.0), surface_angle=0.0,
+        a1_in_base=Point2(3.0, 0.0), a2_in_top=Point2(1.5, 0.0),
+        p_in_top=Point2(0.0, 2.0), base_origin=Point2(0.0, 2.0),
+        base_angle=-math.pi / 2, stiffness=(1.0, 1.0, 1.0),
+        free_lengths=(0.0, 0.0, 0.0))
+    e = point_e(params)
+    assert e.y == 0.0
+    pose = pose_from_trig(-e.x, 1.0, 0.0, params, e)
+    assert (pose.o2.x, pose.o2.y) == (0.0, 2.0)
+    report = _report()
+    solution = report.solutions[0]._replace(
+        beta=0j, length=complex(-e.x), is_real=True, accepted=True)
+    report = dataclasses.replace(
+        report, config=RunConfig(params=params), point_e=e,
+        solutions=[solution])
+    render_svg(report, tmp_path)
+    for name in ("solution_1.svg", "overview.svg"):
+        root = ET.parse(tmp_path / name).getroot()
+        springs = [_points(line)
+                   for line in root.findall(".//svg:polyline", SVG)]
+        assert list(map(len, springs)) == [1, 10, 10]
+        # the one point is O1's circle
+        circles = [(float(c.get("cx")), float(c.get("cy")))
+                   for c in root.findall(".//svg:circle", SVG)]
+        assert _near(springs[0][0], circles[-5])

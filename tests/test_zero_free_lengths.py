@@ -1,18 +1,22 @@
 import cmath
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from _support import TABLE_ZERO, nearest_match, random_params, reference_params
 
-from spring_platform import (DegenerateQuartic, MechanismParams,
-                             NonZeroFreeLength, Point2, solve_zero_free_lengths)
+from spring_platform import (CPolynomial, DegenerateQuartic, MechanismParams,
+                             NonZeroFreeLength, Point2,
+                             solve_one_nonzero_free_length,
+                             solve_zero_free_lengths)
 from spring_platform import zero_free_lengths
 from spring_platform.mechanism import (point_e, pose_from, residual_pair,
                                        spring_state)
 from spring_platform.one_nonzero import UnsquaredPair
+from spring_platform.polynomials import poly_roots
 
 
 def trig_rows(params, beta):
@@ -230,10 +234,9 @@ def test_displaced_roots_rejected_on_the_tensor_scale(monkeypatch, params_zero,
             assert abs(s.rel_residual - expected) <= 1e-6 * expected
 
 
-def test_real_root_at_beta_pi():
-    # a real equilibrium at beta = pi, where the tan-half variable has its
-    # pole; the z form finds it among the quartic's roots with no special case
-    params = MechanismParams(
+def beta_pi_params():
+    """A mechanism with a real equilibrium at beta = pi."""
+    return MechanismParams(
         surface_point=Point2(6.0786140476331285, 0.7505332117827734),
         surface_angle=3.237885993554064,
         a1_in_base=Point2(3.8593124379399906, 0.0),
@@ -243,7 +246,21 @@ def test_real_root_at_beta_pi():
         base_angle=1.7957430321414596,
         stiffness=(1.9093059432330257, 3.904488915059245, 3.6214071500016307),
         free_lengths=(0.0, 0.0, 0.0))
-    solutions = solve_zero_free_lengths(params)
+
+
+def balanced_pin_params(params, shift=0.0):
+    """params with the pin on the top X axis at (1 + shift) times
+    x = (k2 + k3) d_o2a2 / (k1 + k2 + k3), where the force residual does
+    not depend on beta at shift 0."""
+    k1, k2, k3 = params.stiffness
+    x = (k2 + k3) * params.d_o2a2 / (k1 + k2 + k3)
+    return dataclasses.replace(params, p_in_top=Point2(x * (1 + shift), 0.0))
+
+
+def test_real_root_at_beta_pi():
+    # a real equilibrium at beta = pi, where the tan-half variable has its
+    # pole; the z form finds it among the quartic's roots with no special case
+    solutions = solve_zero_free_lengths(beta_pi_params())
     assert len(solutions) == 4
     assert all(s.accepted and s.is_real and s.note == "" for s in solutions)
     at_pi = [s for s in solutions
@@ -255,10 +272,7 @@ def test_real_root_at_beta_pi():
 def test_balanced_pin_has_no_finite_beta_roots(params_zero):
     # with the pin at x = (k2 + k3) d_o2a2 / (k1 + k2 + k3) on the top X
     # axis the force residual does not depend on beta: z^0 and z^4 vanish
-    k1, k2, k3 = params_zero.stiffness
-    params = dataclasses.replace(params_zero, p_in_top=Point2(
-        (k2 + k3) * params_zero.d_o2a2 / (k1 + k2 + k3), 0.0))
-    solutions = solve_zero_free_lengths(params)
+    solutions = solve_zero_free_lengths(balanced_pin_params(params_zero))
     assert len(solutions) == 4
     infinite = [s for s in solutions if not cmath.isfinite(s.beta)]
     assert len(infinite) == 2
@@ -267,6 +281,79 @@ def test_balanced_pin_has_no_finite_beta_roots(params_zero):
         assert s.note == "no finite beta"
     finite = [s for s in solutions if cmath.isfinite(s.beta)]
     assert all(s.accepted and s.rel_residual <= 1e-8 for s in finite)
+
+
+def test_no_solve_reaches_the_generic_root_finder(monkeypatch, params_zero):
+    # poly_roots raises from every module of the package that holds it; the
+    # zero solves above and the one-nonzero reference keep their accepted
+    # counts without it
+    def refuse(*args, **kwargs):
+        raise AssertionError("poly_roots was called")
+
+    holders = [(module, name) for key, module in list(sys.modules.items())
+               if key.split(".")[0] == "spring_platform"
+               for name, value in vars(module).items() if value is poly_roots]
+    assert len(holders) >= 2
+    for module, name in holders:
+        monkeypatch.setattr(module, name, refuse)
+    rng = np.random.default_rng(59)
+    zero = [params_zero, balanced_pin_params(params_zero), beta_pi_params()]
+    zero += [random_params(rng) for _ in range(20)]
+    accepted = [sum(s.accepted for s in solve_zero_free_lengths(params))
+                for params in zero]
+    assert accepted == [4, 2, 4] + [4] * 20
+    assert sum(s.accepted for s in solve_one_nonzero_free_length(
+        reference_params(l01=1.0))) == 10
+
+
+def _quartic(params):
+    pair = UnsquaredPair(params, point_e(params))
+    (a0, a1), (c0, c1) = pair.tensors(pair.foot())[[0, 2], :2]
+    return np.convolve(a0, c1) - np.convolve(a1, c0)
+
+
+def test_degree_drop_agrees_with_poly_roots(params_zero):
+    # the companion roots after the written-out degree drop against
+    # poly_roots, whose CPolynomial drops high coefficients and which
+    # returns each low one dropped as a root at 0. Pins moved off the
+    # balanced position put |z^0| and |z^4| on both sides of TRIM_RELATIVE
+    # of the largest coefficient
+    rng = np.random.default_rng(59)
+    quartics = [_quartic(random_params(rng)) for _ in range(100)]
+    shifts = [0.0] + [sign * 10.0 ** k for sign in (1, -1)
+                      for k in np.arange(-8.0, -4.9, 0.25)]
+    quartics += [_quartic(balanced_pin_params(params_zero, shift))
+                 for shift in shifts]
+    drops = set()
+    for quartic in quartics:
+        roots, at_zero, at_infinity = zero_free_lengths._quartic_roots(quartic)
+        expected = poly_roots(CPolynomial(quartic))
+        assert at_zero == np.sum(expected == 0)
+        assert at_infinity == 4 - len(expected)
+        drops.add(at_zero + at_infinity)
+        expected = expected[expected != 0]
+        assert len(roots) == len(expected)
+        # when z^0 and z^4 are kept just above the cutoff the companion
+        # eigenvalues are accurate only in norm: the two sets, from the
+        # quartic and from its normalization, differ by up to 4e-9
+        # relative near |z| = 1 and by up to 0.3 at |z| ~ 1e-12. Three
+        # Newton steps on the quartic take both to the roots its
+        # coefficients define
+        roots, expected = (_polished(quartic, z) for z in (roots, expected))
+        unmatched = list(expected)
+        for root in roots:
+            gaps = np.abs(np.array(unmatched) - root)
+            assert gaps.min() <= 1e-10 * abs(root)
+            unmatched.pop(int(np.argmin(gaps)))
+    assert drops == {0, 2}
+
+
+def _polished(quartic, z):
+    slope = np.polynomial.polynomial.polyder(quartic)
+    for _ in range(3):
+        z = z - (np.polynomial.polynomial.polyval(z, quartic)
+                 / np.polynomial.polynomial.polyval(z, slope))
+    return z
 
 
 def test_seeded_corpus_real_roots():
