@@ -8,18 +8,19 @@ A s = B, C s = D (s the signed first-spring length), Newton's method on
 the 3x3 system in (L, z, s), and one ledger of candidate rows. With all
 spring free lengths zero, B = D = 0 and the eliminant is a quartic; when
 only the first free length is nonzero it is the 6x6 Sylvester eliminant
-left after s is eliminated. Roots are verified by their residuals; the
-paper's degree-48 dialytic eliminant is kept as a cross-check.
+left after s is eliminated. Roots are verified by their residuals. The
+paper's degree-48 dialytic eliminant in the tan-half variable has the
+same finite roots plus the pole and O2 = O1 rows; the solve reports all
+48 of them.
 """
 
 from .analysis import AnalysisReport, run_analysis
 from .config import RunConfig, config_from_dict, dump_config, load_config
-from .errors import (AnalysisError, DegenerateQuartic, InterpolationMismatch,
-                     MechanismError, NonConvergence, NotAssemblable,
-                     NonZeroFreeLength, OriginOnPlane, ParallelLines,
-                     ParseError, UnsupportedFreeLengthPattern,
+from .errors import (AnalysisError, DegenerateQuartic, MechanismError,
+                     NotAssemblable, NonZeroFreeLength, OriginOnPlane,
+                     ParallelLines, ParseError, UnsupportedFreeLengthPattern,
                      ValidationError, WrongFreeLengthPattern,
-                     ZeroLengthSpring, ZeroPolynomial)
+                     ZeroLengthSpring)
 from .free_pose import (FreePoseResult, dialytic_residual, free_point_p_fixed,
                         free_pose, solve_a2, solve_o2)
 from .geometry import (Contact, Line2, PlaneSpec, Point2, Transform2H,
@@ -28,11 +29,8 @@ from .geometry import (Contact, Line2, PlaneSpec, Point2, Transform2H,
 from .mechanism import (ContactPose, MechanismParams, SpringState,
                         force_projection_residual, moment_residual, point_e,
                         pose_from, pose_from_trig, spring_state)
-from .one_nonzero import (abcd_at, quartic_pair_at, resultant_polynomial,
-                          solve_one_nonzero_free_length)
+from .one_nonzero import solve_one_nonzero_free_length
 from .output import emit_tables, render_svg, report_to_dict
-from .polynomials import (CPolynomial, dialytic_matrix, poly_roots,
-                          polymatrix_det)
 from .solutions import EquilibriumSolution, residual_margin
 from .zero_free_lengths import solve_zero_free_lengths
 

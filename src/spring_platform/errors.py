@@ -33,18 +33,6 @@ class DegenerateQuartic(MechanismError):
     """The eliminated polynomial is identically zero; no roots recoverable."""
 
 
-class ZeroPolynomial(MechanismError):
-    """All polynomial coefficients are (numerically) zero."""
-
-
-class NonConvergence(MechanismError):
-    """Root iteration finished without meeting the residual bound."""
-
-
-class InterpolationMismatch(MechanismError):
-    """Held-out validation of an interpolated determinant failed."""
-
-
 class ParseError(MechanismError):
     """Config file is not parseable."""
 
@@ -73,15 +61,6 @@ class AnalysisError(MechanismError):
         self.stage = stage
         self.cause = cause
         super().__init__(f"{stage}: {cause}")
-
-
-class DegreeMismatch(UserWarning):
-    """Pole deflation did not land on the expected polynomial degree."""
-
-
-class InterpolationNoise(UserWarning):
-    """Held-out validation passed structurally but above the target
-    accuracy; the interpolated coefficients carry extra sampling noise."""
 
 
 class LostRoots(UserWarning):

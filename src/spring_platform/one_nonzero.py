@@ -24,32 +24,27 @@ A - B / L1 and C - D / L1 included. The all-zero-free-length solver runs
 on the same pair, Newton's method and ledger at k1 L01 = 0.
 
 The paper squares the pair instead and eliminates over the tan-half
-variable; its degree-48 eliminant (resultant_polynomial, kept as a
-cross-check) has the same roots plus the O2 = O1 points four times each
-and 12 roots at the tan-half pole, where beta is not finite. The solve
-reports all 48: 14 same-sign, 14 mixed-sign, 8 O2 = O1 and 12 pole rows.
+variable; its degree-48 eliminant has the same roots plus the O2 = O1
+points four times each and 12 roots at the tan-half pole, where beta is
+not finite. The solve reports all 48: 14 same-sign, 14 mixed-sign, 8
+O2 = O1 and 12 pole rows.
 """
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 import warnings
 
 import numpy as np
 
-from .errors import (DegenerateQuartic, DegreeMismatch, InterpolationMismatch,
-                     LostRoots, WrongFreeLengthPattern)
+from .errors import DegenerateQuartic, LostRoots, WrongFreeLengthPattern
 from .geometry import Point2
 from .mechanism import TOL_ZERO_LENGTH, MechanismParams, point_e
-from .polynomials import (CPolynomial, _quadratic_roots, companion_roots,
-                          dialytic_matrix, horner, polymatrix_det)
+from .polynomials import _quadratic_roots, companion_roots, horner
 from .solutions import EquilibriumSolution, ledger, mark_real
 
 ACCEPT_REL_TOL = 1e-6
-RESULTANT_DEGREE = 48
-CLEAR_EXPONENT = 24          # trig-degree bound: three pole orders per row
 SAMPLES = 32                 # unit-circle samples of the z eliminants
 SUPPORT = slice(3, 26)       # their structural support, z^3 .. z^25
 NEWTON_STEPS = 20            # at most; near-double roots converge slowly
@@ -58,10 +53,12 @@ POLE_ROWS = 6                # tan-half pole roots at z = 0, and at infinity
 COINCIDENT_MULTIPLICITY = 4  # of each O2 = O1 point in the degree-48 eliminant
 SAME_SIGN_ROOTS = 14         # of a generic mechanism, on either branch of L1
 
-_LONGDOUBLE_OK = np.finfo(np.longdouble).eps < 1e-18
 # the eliminants have degree at most 2 * 6 + 4 * 4 = 28 in z (F's rows have
 # degree 6, G's 4), below SAMPLES, so their transform aliases nothing
 _SAMPLE_Z = np.exp(2j * np.pi * np.arange(SAMPLES) / SAMPLES)
+# the third roots of unity and the inverse of their 3x3 transform
+_THIRD_ROOTS = np.exp(2j * np.pi * np.arange(3.0) / 3)
+_THIRD_INVERSE = np.conj(_THIRD_ROOTS[None, :] ** np.arange(3)[:, None]) / 3
 
 
 def _require_pattern(params: MechanismParams) -> None:
@@ -131,25 +128,15 @@ class UnsquaredPair:
         the coefficients of polynomials in L."""
         return (self.o1x - self.ex) * self.ca + (self.o1y - self.ey) * self.sa
 
-    def tensors(self, origin=0.0, dtype=complex) -> np.ndarray:
+    def tensors(self, origin=0.0) -> np.ndarray:
         """Coefficients t[k, i, j] of (L - origin)^i z^j in z T_k, for
         T = (A, B, C, D, L1^2) and z = exp(i beta), all of degree <= 2 in
         both: the inverse discrete transform of their values on a grid of
-        third roots of unity, in the given complex precision."""
-        nodes, inverse = _third_roots(np.dtype(dtype))
-        z = nodes[None, :]
-        values = np.stack(self.terms(origin + nodes[:, None],
+        third roots of unity."""
+        z = _THIRD_ROOTS[None, :]
+        values = np.stack(self.terms(origin + _THIRD_ROOTS[:, None],
                                      (z + 1 / z) / 2, (z - 1 / z) / 2j))
-        return inverse @ (values * z) @ inverse.T
-
-
-@functools.cache
-def _third_roots(dtype):
-    """The third roots of unity and the inverse of their 3x3 transform, in
-    the complex precision dtype."""
-    real = np.finfo(dtype).dtype.type
-    nodes = np.exp(2j * np.arccos(real(-1)) * np.arange(3, dtype=real) / 3)
-    return nodes, np.conj(nodes[None, :] ** np.arange(3)[:, None]) / 3
+        return _THIRD_INVERSE @ (values * z) @ _THIRD_INVERSE.T
 
 
 def _in_length(tensors, z):
@@ -179,22 +166,6 @@ def _split(rows):
     L^2 terms of the moment cross products cancel)."""
     a, b, c, d, l1_sq = (rows[..., k, :] for k in range(5))
     return a[..., :2], b[..., :2], c[..., :2], d[..., :2], l1_sq
-
-
-def _squared(a, b, l1_sq, z):
-    """Coefficients in L of z^3 (T^2 L1^2 - U^2) from the rows of z T,
-    z U and z L1^2 at the z values."""
-    out = _product(_product(a, a), l1_sq)
-    out[..., :3] -= np.asarray(z)[..., None] * _product(b, b)
-    return out
-
-
-def _quartic_pair(tensors, z):
-    """Coefficients in L of the squared pair (A^2 L1^2 - B^2,
-    C^2 L1^2 - D^2) at the z values."""
-    a, b, c, d, l1_sq = _split(_in_length(tensors, z))
-    cube = np.asarray(z)[..., None] ** 3
-    return _squared(a, b, l1_sq, z) / cube, _squared(c, d, l1_sq, z) / cube
 
 
 def _mixed(a, b, c, d, kl, sign):
@@ -432,91 +403,3 @@ def solve_one_nonzero_free_length(params: MechanismParams,
             np.full(2 * POLE_ROWS, complex("nan")), math.inf,
             "no finite beta (tan-half pole artifact)"))
 
-
-def abcd_at(length, beta, params: MechanismParams, e: Point2):
-    """(A, B, C, D) of the unsquared pair at one (L, beta); complex
-    arguments are fine. A and C are the zero-free-length residual forms,
-    B and D carry the free-length correction."""
-    _require_pattern(params)
-    cb, sb = (cmath.cos(beta), cmath.sin(beta)) if isinstance(beta, complex) \
-        else (math.cos(beta), math.sin(beta))
-    return UnsquaredPair(params, e).terms(length, cb, sb)[:4]
-
-
-def quartic_pair(cos_beta, sin_beta, params: MechanismParams, e: Point2,
-                 dtype=complex):
-    """Ascending coefficients (F, M), each a quartic in L, of the squared
-    pair A^2 L1^2 - B^2, C^2 L1^2 - D^2 at fixed beta trig values; arrays
-    of them give stacks of coefficients."""
-    cb = np.asarray(cos_beta, dtype=dtype)
-    return _quartic_pair(UnsquaredPair(params, e).tensors(dtype=dtype),
-                         cb + 1j * np.asarray(sin_beta, dtype=dtype))
-
-
-def quartic_pair_at(x_beta, params: MechanismParams,
-                    e: Point2 | None = None):
-    """Quartic pair at a tan-half value x = tan(beta / 2) (10 ascending
-    complex numbers)."""
-    _require_pattern(params)
-    if e is None:
-        e = point_e(params)
-    return _quartic_pair(UnsquaredPair(params, e).tensors(),
-                         (1 + 1j * x_beta) / (1 - 1j * x_beta))
-
-
-def resultant_polynomial(params: MechanismParams,
-                         e: Point2 | None = None) -> CPolynomial:
-    """The paper's eliminant: the squared quartic pair eliminated over the
-    tan-half variable x = tan(beta / 2).
-
-    Samples the 8x8 dialytic determinant, clears the tan-half denominators
-    with (1 + x^2) to the trig-degree power, and interpolates; the clearing
-    exponent starts at the structural bound and grows until the held-out
-    validation passes. Factors of (1 + x^2) beyond the expected degree are
-    deflated; if the effective degree still differs from the expected 48 a
-    DegreeMismatch warning is issued and the actual-degree polynomial is
-    returned. Determinant samples run in extended precision when the
-    platform provides it, all sample points of one fit as one array.
-    """
-    _require_pattern(params)
-    if e is None:
-        e = point_e(params)
-    dtype = np.clongdouble if _LONGDOUBLE_OK else complex
-    tensors = UnsquaredPair(params, e).tensors(dtype=dtype)
-
-    def evaluate(xs):
-        ix = 1j * np.asarray(xs).astype(dtype)
-        return dialytic_matrix(*_quartic_pair(tensors, (1 + ix) / (1 - ix)))
-
-    last_exc: Exception | None = None
-    for extra in range(3):
-        exponent = CLEAR_EXPONENT + extra
-        bound = RESULTANT_DEGREE + 2 * extra
-
-        def clear(xs, _exp=exponent):
-            xd = np.asarray(xs).astype(dtype)
-            return (dtype(1) + xd * xd) ** _exp
-
-        try:
-            poly = polymatrix_det(evaluate, bound, clear=clear)
-        except InterpolationMismatch as exc:
-            last_exc = exc
-            continue
-        # all inputs are real, so the eliminant has real coefficients;
-        # dropping the imaginary sampling noise restores exact conjugate
-        # symmetry of the root set
-        wide = None
-        if poly.wide is not None:
-            wide = poly.wide.real.astype(poly.wide.dtype)
-        poly = CPolynomial(poly.coeffs.real, wide=wide)
-        while poly.degree > RESULTANT_DEGREE:
-            quotient, rem = poly.deflate_unit_quadratic()
-            if rem > 1e-7:
-                break
-            poly = quotient
-        if poly.degree != RESULTANT_DEGREE:
-            warnings.warn(
-                f"eliminant degree {poly.degree} after pole deflation "
-                f"(expected {RESULTANT_DEGREE})", DegreeMismatch, stacklevel=2)
-        return poly
-    raise last_exc if last_exc is not None else InterpolationMismatch("no fit")

@@ -1,12 +1,18 @@
 """Shared fixtures-in-spirit: reference inputs, published solution tables,
-random parameter generators, and the brute-force equilibrium oracle."""
+random parameter generators, the brute-force equilibrium oracle and the
+paper's degree-48 tan-half eliminant."""
 
+import functools
 import math
 
+import mpmath
 import numpy as np
 
 from spring_platform import MechanismParams, Point2
 from spring_platform.mechanism import point_e, pose_from, residual_pair
+from spring_platform.one_nonzero import (UnsquaredPair, _in_length, _product,
+                                         _split)
+from spring_platform.polynomials import TRIM_RELATIVE
 
 # reference mechanism (angles in radians here; configs carry degrees)
 def reference_params(l01=0.0):
@@ -78,24 +84,6 @@ REFERENCE_CONFIG = {
 }
 
 
-def polynomial_matrix(entries):
-    """(evaluate, degree bound) of a square matrix whose entries are
-    CPolynomials, in the form polymatrix_det takes: evaluate maps an array
-    of x to the stack of entry-value matrices."""
-    n = len(entries)
-
-    def evaluate(x):
-        x = np.asarray(x)
-        out = np.zeros(x.shape + (n, n), dtype=complex)
-        for i, row in enumerate(entries):
-            for j, entry in enumerate(row):
-                out[..., i, j] = entry(x)
-        return out
-
-    bound = sum(max(max(e.degree, 0) for e in row) for row in entries)
-    return evaluate, bound
-
-
 def sylvester(f, g):
     """6x6 Sylvester matrices of stacks of quartics f and quadratics g in
     L, given as ascending coefficient rows: two shifted rows of f above
@@ -107,6 +95,83 @@ def sylvester(f, g):
     for shift in range(4):
         m[..., 2 + shift, shift:shift + 3] = g[..., ::-1]
     return m
+
+
+def dialytic(p, q):
+    """8x8 dialytic matrices of stacks of quartics p and q in L, given as
+    ascending coefficient rows, over the basis [L^7 .. L^0]: the two base
+    rows shifted down in interleaved pairs (times L, L^2, L^3)."""
+    m = np.zeros(np.broadcast_shapes(p.shape[:-1], q.shape[:-1]) + (8, 8),
+                 dtype=np.result_type(p, q))
+    for shift in range(4):
+        m[..., 2 * shift, 3 - shift:8 - shift] = p[..., ::-1]
+        m[..., 2 * shift + 1, 3 - shift:8 - shift] = q[..., ::-1]
+    return m
+
+
+def squared(a, b, l1_sq, z):
+    """Coefficients in L of z^3 (T^2 L1^2 - U^2) from the rows of z T,
+    z U and z L1^2 at the z values, in their arithmetic (numpy or
+    mpmath)."""
+    out = _product(_product(a, a), l1_sq)
+    out[..., :3] -= np.asarray(z)[..., None] * _product(b, b)
+    return out
+
+
+def squared_pair(tensors, z):
+    """The paper's squared pair z^3 (A^2 L1^2 - B^2), z^3 (C^2 L1^2 - D^2)
+    at the z values, as coefficients in L, from UnsquaredPair tensors."""
+    a, b, c, d, l1_sq = _split(_in_length(tensors, z))
+    return squared(a, b, l1_sq, z), squared(c, d, l1_sq, z)
+
+
+@functools.cache
+def tan_half_eliminant(params):
+    """The paper's eliminant P(z), z = exp(i beta), as its 49 ascending
+    coefficients: the determinant of the dialytic matrix of the squared
+    pair (L from the foot point; a shift of L leaves it unchanged),
+    sampled at the 64th roots of unity in 25-digit arithmetic and
+    transformed there.
+
+    In x = tan(beta / 2), z = (1 + i x) / (1 - i x) and the paper's
+    eliminant is (1 - i x)^48 P(z). Its leading coefficient is P(-1), its
+    pole factor (1 + x^2)^6 is six vanishing coefficients at each end of
+    P, and its 36 finite roots are the roots of z^6 .. z^42."""
+    pair = UnsquaredPair(params, point_e(params))
+    with mpmath.workdps(25):
+        tensors = np.vectorize(mpmath.mpc, otypes=[object])(
+            pair.tensors(pair.foot()))
+        nodes = np.array(mpmath.unitroots(64), dtype=object)
+        values = np.array([mpmath.det(mpmath.matrix(m.tolist())) for m in
+                           dialytic(*squared_pair(tensors, nodes))])
+        transform = nodes[-np.outer(np.arange(49), np.arange(64)) % 64]
+        return (transform @ values / 64).astype(complex)
+
+
+def tan_half_degree(coeffs):
+    """Degree in x = tan(beta / 2) of the eliminant with coefficients
+    coeffs in z: 48 unless its leading coefficient P(-1) vanishes."""
+    value = np.polyval(coeffs[::-1], -1.0)
+    return 48 - int(abs(value) <= 1e-20 * np.max(np.abs(coeffs)))
+
+
+def sample_recoverable_roots(rng, count, lo=0.1, hi=10.0, min_gap=0.15):
+    """Annulus roots with a pairwise-separation floor and the ascending
+    coefficients of their monic polynomial, resampled until the leading
+    coefficient stays above TRIM_RELATIVE of the largest: crowded sets and
+    extreme coefficient ranges are unresolvable from coefficients in any
+    finite working precision, so they cannot witness root-finder
+    quality."""
+    while True:
+        roots = []
+        while len(roots) < count:
+            r = math.exp(rng.uniform(math.log(lo), math.log(hi))) \
+                * np.exp(1j * rng.uniform(0, 2 * math.pi))
+            if all(abs(r - q) >= min_gap for q in roots):
+                roots.append(r)
+        coeffs = np.poly(roots)[::-1]
+        if 1.0 > TRIM_RELATIVE * np.max(np.abs(coeffs)):
+            return np.array(roots), coeffs
 
 
 def random_params(rng, l01=0.0):

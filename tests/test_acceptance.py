@@ -21,16 +21,15 @@ import numpy as np
 import pytest
 
 from _support import (REFERENCE_CONFIG, TABLE_ONE, TABLE_ZERO,
-                      brute_force_real_equilibria, nearest_match,
-                      polynomial_matrix, random_params, reference_params)
+                      brute_force_real_equilibria, dialytic, nearest_match,
+                      random_params, sample_recoverable_roots,
+                      tan_half_degree, tan_half_eliminant)
 
-from spring_platform import (CPolynomial, NotAssemblable, Point2,
-                             dialytic_residual, poly_roots, polymatrix_det,
-                             residual_margin, resultant_polynomial,
-                             solve_one_nonzero_free_length,
+from spring_platform import (NotAssemblable, Point2, dialytic_residual,
+                             residual_margin, solve_one_nonzero_free_length,
                              solve_zero_free_lengths, solve_o2)
 from spring_platform.cli import main as cli_main
-from spring_platform.polynomials import lu_det
+from spring_platform.polynomials import companion_roots
 
 
 @contextlib.contextmanager
@@ -60,7 +59,7 @@ def test_table_zero_reproduction(params_zero):
 def test_table_one_reproduction(params_one):
     with criterion("table-one reproduction (deg 48, 48 cands, 36 acc, "
                    "8 real, 1e-3, <10 s)"):
-        poly = resultant_polynomial(params_one)
+        degree = tan_half_degree(tan_half_eliminant(params_one))
         start = time.perf_counter()
         solutions = solve_one_nonzero_free_length(params_one)
         elapsed = time.perf_counter() - start
@@ -69,7 +68,7 @@ def test_table_one_reproduction(params_one):
         real_accepted = [s for s in accepted if s.is_real]
         squared_ok = [s for s in solutions if s.squared_residual < 1e-6]
         pole = [s for s in solutions if "pole artifact" in s.note]
-        print(f"  eliminant degree: {poly.degree}")
+        print(f"  eliminant degree: {degree}")
         print(f"  candidates: {len(solutions)}, accepted by the unsquared "
               f"filter: {len(accepted)} ({len(real_accepted)} real)")
         print(f"  satisfying the squared pair: {len(squared_ok)}; tan-half "
@@ -83,7 +82,7 @@ def test_table_one_reproduction(params_one):
               f"(published values carry ~1e-2 errors against these "
               f"equations; see notes)")
 
-        assert poly.degree == 48
+        assert degree == 48
         assert len(solutions) == 48
         assert elapsed < 10.0, f"runtime {elapsed:.3f} s"
         assert len(accepted) == 36, \
@@ -212,41 +211,28 @@ def test_frame_invariance(params_zero, solutions_zero):
 
 
 def test_resultant_engine():
-    with criterion("resultant engine (det agreement, vanish-iff, deg-48 "
-                   "root recovery)"):
+    with criterion("resultant engine (vanish-iff, deg-48 root recovery)"):
         rng = np.random.default_rng(109)
-        # polymatrix_det equals direct determinant evaluation
-        entries = [[CPolynomial(rng.uniform(-2, 2, int(rng.integers(1, 5))))
-                    for _ in range(4)] for _ in range(4)]
-        evaluate, bound = polynomial_matrix(entries)
-        det = polymatrix_det(evaluate, bound)
-        for _ in range(20):
-            x = complex(rng.uniform(-1.2, 1.2), rng.uniform(-1.2, 1.2))
-            direct = np.linalg.det(evaluate(x))
-            assert abs(det(x) - direct) <= 1e-8 * max(1.0, abs(direct))
         # dialytic determinant vanishes iff the quartics share a root
-        from spring_platform import dialytic_matrix
         for k in range(100):
             pr = rng.uniform(-3, 3, 4) + 1j * rng.uniform(-3, 3, 4)
             qr = rng.uniform(-3, 3, 4) + 1j * rng.uniform(-3, 3, 4)
             share = k % 2 == 0
             if share:
                 qr[0] = pr[0]
-            p = CPolynomial.from_roots(pr)
-            q = CPolynomial.from_roots(qr)
-            value = lu_det(dialytic_matrix(p, q))
-            resultant = np.prod([q(r) for r in pr])
+            p, q = np.poly(pr)[::-1], np.poly(qr)[::-1]
+            value = np.linalg.det(dialytic(p, q))
+            resultant = np.prod(np.polyval(q[::-1], pr))
             hadamard = np.prod([np.linalg.norm(row)
-                                for row in dialytic_matrix(p, q)])
+                                for row in dialytic(p, q)])
             if share:
                 assert abs(value) <= 1e-8 * hadamard
             else:
                 assert abs(value - resultant) <= 1e-8 * abs(resultant)
         # constructed degree-48 root sets recovered
-        from test_polynomials import sample_recoverable_roots
         for _ in range(3):
-            roots, constructed = sample_recoverable_roots(rng, 48)
-            got = poly_roots(constructed)
+            roots, coeffs = sample_recoverable_roots(rng, 48)
+            got = companion_roots(coeffs)
             for r in roots:
                 assert min(abs(g - r) for g in got) <= 1e-6 * max(1.0, abs(r))
 

@@ -8,19 +8,18 @@ import pytest
 from numpy.polynomial import polynomial as P
 
 from _support import (nearest_match, random_params, reference_params,
-                      sylvester)
+                      squared, squared_pair, sylvester, tan_half_degree,
+                      tan_half_eliminant)
 
 from spring_platform import (DegenerateQuartic, Point2, WrongFreeLengthPattern,
-                             abcd_at, quartic_pair_at, residual_margin,
-                             resultant_polynomial,
-                             solve_one_nonzero_free_length,
+                             residual_margin, solve_one_nonzero_free_length,
                              solve_zero_free_lengths)
 from spring_platform import one_nonzero, zero_free_lengths
 from spring_platform.errors import LostRoots
 from spring_platform.mechanism import (point_e, pose_from, pose_from_trig,
                                       residual_pair, spring_state)
-from spring_platform.one_nonzero import UnsquaredPair, quartic_pair
-from spring_platform.polynomials import poly_roots
+from spring_platform.one_nonzero import UnsquaredPair
+from spring_platform.polynomials import companion_roots
 
 
 def test_pattern_enforced(params_zero):
@@ -89,11 +88,12 @@ def test_residual_fields_are_spring_model_residuals(params_one):
 def test_unsquared_identity_against_residuals(params_one):
     # A L1 - B must equal L1 times the force residual (same for moments)
     e = point_e(params_one)
+    pair = UnsquaredPair(params_one, e)
     rng = np.random.default_rng(61)
     for _ in range(50):
         length = rng.uniform(0.5, 12.0)
         beta = rng.uniform(-math.pi, math.pi)
-        a, b, c, d = abcd_at(length, beta, params_one, e)
+        a, b, c, d = pair.terms(length, math.cos(beta), math.sin(beta))[:4]
         pose = pose_from(length, beta, params_one, e)
         f_res, m_res = residual_pair(pose, params_one)
         o1 = params_one.base_origin
@@ -105,7 +105,8 @@ def test_unsquared_identity_against_residuals(params_one):
 def test_free_length_terms_vanish_in_limit():
     params = reference_params(l01=1e-9)
     e = point_e(params)
-    a, b, c, d = abcd_at(5.0, 0.7, params, e)
+    a, b, c, d = UnsquaredPair(params, e).terms(
+        5.0, math.cos(0.7), math.sin(0.7))[:4]
     assert abs(b) < 1e-7 and abs(d) < 1e-6
 
 
@@ -115,9 +116,10 @@ def test_unsquared_pair_at_true_equilibrium(params_one):
     # 1e-2 off these equations (a recorded source conflict), so the pair
     # is small there only at the percent level
     e = point_e(params_one)
+    pair = UnsquaredPair(params_one, e)
 
     def scaled(beta, length):
-        a, b, c, d = abcd_at(length, beta, params_one, e)
+        a, b, c, d = pair.terms(length, math.cos(beta), math.sin(beta))[:4]
         pose = pose_from(length, beta, params_one, e)
         o1 = params_one.base_origin
         l1 = math.hypot(pose.o2.x - o1.x, pose.o2.y - o1.y)
@@ -132,19 +134,21 @@ def test_unsquared_pair_at_true_equilibrium(params_one):
 
 def test_quartic_pair_interpolates_exactly(params_one):
     e = point_e(params_one)
+    pair = UnsquaredPair(params_one, e)
     rng = np.random.default_rng(67)
     for _ in range(10):
         beta = rng.uniform(-math.pi, math.pi)
-        f_coeffs, m_coeffs = quartic_pair(math.cos(beta), math.sin(beta),
-                                          params_one, e)
+        z = cmath.exp(1j * beta)
+        f_coeffs, m_coeffs = squared_pair(pair.tensors(), z)
         for _ in range(5):
             length = complex(rng.uniform(-6, 6), rng.uniform(-6, 6))
-            a, b, c, d = abcd_at(length, beta, params_one, e)
+            a, b, c, d = pair.terms(length, math.cos(beta),
+                                    math.sin(beta))[:4]
             pose = pose_from(length, beta, params_one, e)
             o1 = params_one.base_origin
             l1sq = (pose.o2.x - o1.x) ** 2 + (pose.o2.y - o1.y) ** 2
-            direct_f = a * a * l1sq - b * b
-            direct_m = c * c * l1sq - d * d
+            direct_f = z ** 3 * (a * a * l1sq - b * b)
+            direct_m = z ** 3 * (c * c * l1sq - d * d)
             interp_f = sum(ck * length ** k for k, ck in enumerate(f_coeffs))
             interp_m = sum(ck * length ** k for k, ck in enumerate(m_coeffs))
             assert abs(interp_f - direct_f) <= 1e-8 * max(1.0, abs(direct_f))
@@ -153,15 +157,15 @@ def test_quartic_pair_interpolates_exactly(params_one):
 
 def test_quartic_degree_bounded(params_one):
     # a sixth probe value must be consistent with the five-node quartic
-    e = point_e(params_one)
-    f_coeffs, m_coeffs = quartic_pair_at(0.37, params_one, e)
+    pair = UnsquaredPair(params_one, point_e(params_one))
+    f_coeffs, m_coeffs = squared_pair(pair.tensors(),
+                                      (1 + 0.37j) / (1 - 0.37j))
     assert len(f_coeffs) == 5 and len(m_coeffs) == 5
 
 
 def test_published_root_nearly_zeroes_quartics(params_one):
-    e = point_e(params_one)
-    f_coeffs, m_coeffs = quartic_pair(math.cos(-0.2255), math.sin(-0.2255),
-                                      params_one, e)
+    pair = UnsquaredPair(params_one, point_e(params_one))
+    f_coeffs, m_coeffs = squared_pair(pair.tensors(), cmath.exp(-0.2255j))
     scale_f = sum(abs(c) * 7.355 ** k for k, c in enumerate(f_coeffs))
     scale_m = sum(abs(c) * 7.355 ** k for k, c in enumerate(m_coeffs))
     f_val = sum(c * 7.355 ** k for k, c in enumerate(f_coeffs))
@@ -171,27 +175,43 @@ def test_published_root_nearly_zeroes_quartics(params_one):
 
 
 def test_resultant_degree(params_one):
-    poly = resultant_polynomial(params_one)
-    assert poly.degree == 48
+    assert tan_half_degree(tan_half_eliminant(params_one)) == 48
 
 
 def test_resultant_pole_factor(params_one):
-    # the cleared eliminant contains the tan-half pole factor with
-    # multiplicity six: exactly 12 of the 48 roots sit at +-i
-    poly = resultant_polynomial(params_one)
-    mult = 0
-    work = poly
-    while work.degree > 2:
-        quotient, rem = work.deflate_unit_quadratic()
-        if rem > 1e-6:
-            break
-        work = quotient
-        mult += 1
-    assert mult == 6
-    roots = poly_roots(poly)
-    near_pole = sum(1 for r in roots
-                    if min(abs(r - 1j), abs(r + 1j)) < 0.15)
-    assert near_pole == 12
+    # the tan-half pole factor (1 + x^2)^6 is six vanishing coefficients at
+    # each end in z: 12 of the 48 roots sit at z = 0 and z = oo, x = +-i
+    coeffs = np.abs(tan_half_eliminant(params_one))
+    vanishing = coeffs <= 1e-20 * np.max(coeffs)
+    assert list(np.flatnonzero(~vanishing)[[0, -1]]) == [6, 42]
+    assert np.count_nonzero(vanishing) == 12
+
+
+def _matched(roots, rows, tol):
+    """Pop from roots, for each z of rows, the root nearest to it, which
+    must lie within tol relative."""
+    for z in rows:
+        gaps = np.abs(np.array(roots) - z)
+        assert gaps.min() <= tol * abs(z)
+        roots.pop(int(np.argmin(gaps)))
+
+
+def test_tan_half_roots_are_the_ledger_rows(params_one, solutions_one):
+    # the 36 finite roots of the paper's eliminant are, one to one, the
+    # ledger's 14 same-sign and 14 mixed-sign rows and its two O2 = O1
+    # points four times each; a fourfold root moves with the fourth root
+    # of the coefficient rounding
+    roots = list(companion_roots(tan_half_eliminant(params_one)[6:43]))
+    coincident = "O2 = O1 (first spring of zero length)"
+    rows = {"": [], "mixed sign": [], coincident: []}
+    for s in solutions_one:
+        if "pole artifact" not in s.note:
+            kind = s.note if s.note in rows else ""
+            rows[kind].append(cmath.exp(1j * s.beta))
+    assert [len(z) for z in rows.values()] == [14, 14, 8]
+    _matched(roots, rows[""] + rows["mixed sign"], 1e-8)
+    _matched(roots, rows[coincident], 5e-3)
+    assert roots == []
 
 
 def test_candidate_count_and_flags(solutions_one):
@@ -265,16 +285,11 @@ def test_continuity_to_zero_free_length_case(params_zero):
     # with a tiny first free length every real accepted solution stays
     # near one of the zero-free-length equilibria; the eliminant loses all
     # structure in this limit (the squared pair degenerates to a shared
-    # factor), so conditioning may legitimately stop the solve
-    from spring_platform import InterpolationMismatch, solve_zero_free_lengths
+    # factor), so conditioning may legitimately lose the real roots
     tiny = dataclasses.replace(params_zero, free_lengths=(1e-4, 0.0, 0.0))
     reference = [s.beta.real for s in solve_zero_free_lengths(params_zero)
                  if s.is_real]
-    try:
-        solutions = solve_one_nonzero_free_length(tiny)
-    except InterpolationMismatch as exc:
-        pytest.skip(f"conditioning prevented the L01 = 1e-4 solve "
-                    f"(documented limitation): {exc}")
+    solutions = solve_one_nonzero_free_length(tiny)
     real_accepted = [s for s in solutions if s.accepted and s.is_real]
     if not real_accepted:
         pytest.skip("conditioning prevented real-solution recovery at "
@@ -338,7 +353,7 @@ def test_unsquared_pair_is_bit_identical_to_pose_forms(params_one):
                 assert type(g) is type(w) and g == w
         lengths.append(length)
         betas.append(beta)
-    # elementwise over extended-precision arrays, as the eliminant samples
+    # elementwise over extended-precision arrays
     wide = np.clongdouble
     ls = np.array(lengths, dtype=wide)
     cbs = np.array([cmath.cos(b) for b in betas], dtype=wide)
@@ -454,7 +469,7 @@ def _sylvester_dets(tensors, kl, signs, z):
     """np.linalg.det of the 6x6 Sylvester matrices of F and G at z."""
     a, b, c, d, l1_sq = one_nonzero._split(one_nonzero._in_length(tensors, z))
     return np.linalg.det(sylvester(
-        one_nonzero._squared(a, b, l1_sq, z),
+        squared(a, b, l1_sq, z),
         one_nonzero._mixed(a, b, c, d, kl, signs[:, None, None])))
 
 
