@@ -21,14 +21,13 @@ from .errors import (AnalysisError, DegenerateQuartic, MechanismError,
                      ParallelLines, ParseError, UnsupportedFreeLengthPattern,
                      ValidationError, WrongFreeLengthPattern,
                      ZeroLengthSpring)
-from .free_pose import (FreePoseResult, dialytic_residual, free_point_p_fixed,
-                        free_pose, solve_a2, solve_o2)
+from .free_pose import (FreePoseResult, dialytic_residual, free_pose, solve_a2,
+                        solve_o2)
 from .geometry import (Contact, Line2, PlaneSpec, Point2, Transform2H,
                        classify_contact, intersect_lines, line_through,
-                       make_plane, make_transform)
-from .mechanism import (ContactPose, MechanismParams, SpringState,
-                        force_projection_residual, moment_residual, point_e,
-                        pose_from, pose_from_trig, spring_state)
+                       make_plane)
+from .mechanism import (ContactPose, MechanismParams, SpringState, point_e,
+                        pose_from, pose_from_trig, residual_pair, spring_state)
 from .one_nonzero import solve_one_nonzero_free_length
 from .output import emit_tables, render_svg, report_to_dict
 from .solutions import EquilibriumSolution, residual_margin

@@ -12,7 +12,7 @@ from .errors import (AnalysisError, MechanismError, NotAssemblable,
 from .free_pose import free_pose, select_candidate, top_in_fixed
 from .geometry import Contact, Point2, classify_contact, make_plane
 from .mechanism import point_e
-from .one_nonzero import solve_one_nonzero_free_length
+from .one_nonzero import ACCEPT_REL_TOL, solve_one_nonzero_free_length
 from .solutions import EquilibriumSolution, residual_margin
 from .zero_free_lengths import solve_zero_free_lengths
 
@@ -37,7 +37,7 @@ def _free_pose_stage(config: RunConfig):
     """Free-length assembly and contact classification; None when the
     assembly is degenerate and contact must be assumed."""
     params = config.params
-    if all(l0 == 0 for l0 in params.free_lengths):
+    if free_length_case(params.free_lengths) == CASE_ZERO:
         return None  # zero-length legs cannot span the platform
     try:
         result = free_pose(params)
@@ -91,12 +91,9 @@ def run_analysis(config: RunConfig) -> AnalysisReport:
             counts={"total": 0, "accepted": 0, "rejected": 0, "real": 0},
             margin=None, timing_s=time.perf_counter() - t0, notes=notes)
 
-    case = config.case
-    if case not in (CASE_ZERO, CASE_ONE):
-        implied = free_length_case(config.params.free_lengths)
-        if implied is None:
-            raise AnalysisError("case-dispatch", UnsupportedFreeLengthPattern())
-        case = implied
+    case = free_length_case(config.params.free_lengths)
+    if case is None:
+        raise AnalysisError("case-dispatch", UnsupportedFreeLengthPattern())
 
     try:
         e = point_e(config.params)
@@ -107,10 +104,8 @@ def run_analysis(config: RunConfig) -> AnalysisReport:
         if case == CASE_ZERO:
             solutions = solve_zero_free_lengths(config.params)
         else:
-            kwargs = {}
-            if config.accept_tol is not None:
-                kwargs["accept_tol"] = config.accept_tol
-            solutions = solve_one_nonzero_free_length(config.params, **kwargs)
+            solutions = solve_one_nonzero_free_length(
+                config.params, config.accept_tol or ACCEPT_REL_TOL)
     except MechanismError as exc:
         raise AnalysisError(f"solve-{case}", exc) from exc
 

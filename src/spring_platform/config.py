@@ -37,6 +37,29 @@ class RunConfig:
     accept_tol: float | None = None
     free_pose_branch: int | None = None
 
+    def __post_init__(self):
+        """Checks that config files, the CLI's overrides and direct
+        construction share: the case is auto or the one the free lengths
+        imply, the formats are a nonempty subset of FORMATS, and a
+        tolerance is positive and set only for the one-nonzero case, the
+        only solver that takes one."""
+        implied = free_length_case(self.params.free_lengths)
+        if not self.formats or any(f not in FORMATS for f in self.formats):
+            raise ValidationError(
+                "formats", f"must be a nonempty subset of {FORMATS}")
+        if self.case not in CASES:
+            raise ValidationError("case", f"must be one of {CASES}")
+        if self.case not in (CASE_AUTO, implied):
+            raise ValidationError(
+                "case", f"free lengths {self.params.free_lengths} do not "
+                        f"match requested case {self.case!r}")
+        if self.accept_tol is not None:
+            if implied != CASE_ONE:
+                raise ValidationError("tolerances", "accept applies to the "
+                                      "one-nonzero case only")
+            if not self.accept_tol > 0:
+                raise ValidationError("tolerances", "accept must be positive")
+
     def to_dict(self) -> dict:
         p = self.params
         data = {
@@ -121,31 +144,21 @@ def config_from_dict(data: dict) -> RunConfig:
         raise ValidationError("params", str(exc)) from exc
 
     case = data.get("case", CASE_AUTO)
-    if case not in CASES:
-        raise ValidationError("case", f"must be one of {CASES}")
-    implied = free_length_case(params.free_lengths)
     if case == CASE_AUTO:
-        if implied is None:
+        case = free_length_case(params.free_lengths)
+        if case is None:
             raise UnsupportedFreeLengthPattern()
-        case = implied
-    elif implied != case:
-        raise ValidationError(
-            "case", f"free lengths {params.free_lengths} do not match "
-                    f"requested case {case!r}")
 
-    formats = data.get("formats", list(FORMATS))
-    if (not isinstance(formats, (list, tuple))
-            or not set(formats) <= set(FORMATS) or not formats):
-        raise ValidationError("formats", f"must be a nonempty subset of {FORMATS}")
+    formats = data.get("formats", FORMATS)
+    if not isinstance(formats, (list, tuple)):
+        raise ValidationError("formats", "expected a list")
 
     accept_tol = None
     tolerances = data.get("tolerances", {})
     if tolerances:
         if not isinstance(tolerances, dict) or set(tolerances) - {"accept"}:
             raise ValidationError("tolerances", "only 'accept' is supported")
-        accept_tol = float(tolerances["accept"])
-        if not accept_tol > 0:
-            raise ValidationError("tolerances", "accept must be positive")
+        accept_tol = _number(tolerances, "accept")
 
     branch = data.get("free_pose_branch")
     if branch is not None and (isinstance(branch, bool)

@@ -131,12 +131,3 @@ def top_in_fixed(params: MechanismParams, result: FreePoseResult,
                               result.o2_candidates[index])
     base_in_fixed = Transform2H(params.base_angle, params.base_origin)
     return base_in_fixed.compose(top_in_base)
-
-
-def free_point_p_fixed(params: MechanismParams,
-                       branch: int | None = None) -> Point2:
-    """Fixed-frame coordinates of the pin P with all springs at free
-    length, through the base-frame and top-frame transforms."""
-    result = free_pose(params)
-    idx = select_candidate(result, branch)
-    return top_in_fixed(params, result, idx).apply(params.p_in_top)

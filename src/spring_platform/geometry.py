@@ -69,10 +69,6 @@ class Transform2H:
         return Transform2H(self.angle + inner.angle, self.apply(inner.origin))
 
 
-def make_transform(angle: float, origin: Point2) -> Transform2H:
-    return Transform2H(angle, origin)
-
-
 @dataclass(frozen=True)
 class Line2:
     """Line given by a unit direction and its moment about the origin.
@@ -93,15 +89,16 @@ def line_through(point: Point2, angle: float) -> Line2:
     return Line2(d, point.x * d.y - point.y * d.x)
 
 
-def intersect_lines(l1: Line2, l2: Line2, tol: float = TOL_PARALLEL) -> Point2:
+def intersect_lines(l1: Line2, l2: Line2) -> Point2:
     """Intersection of two lines as the 2x2 linear solve.
 
-    Raises ParallelLines when the unit directions are parallel within tol.
+    Raises ParallelLines when the unit directions are parallel within
+    TOL_PARALLEL.
     """
     d1, d2 = l1.direction, l2.direction
     det = d1.cross(d2)  # equals the determinant of the 2x2 system below
-    if abs(det) <= tol:
-        raise ParallelLines(f"|cross| = {abs(det):.3e} <= {tol:.1e}")
+    if abs(det) <= TOL_PARALLEL:
+        raise ParallelLines(f"|cross| = {abs(det):.3e} <= {TOL_PARALLEL:.1e}")
     # rows: x*dy - y*dx = m
     x = (l1.moment * (-d2.x) - (-d1.x) * l2.moment) / det
     y = (d1.y * l2.moment - l1.moment * d2.y) / det
@@ -132,18 +129,17 @@ class Contact(Enum):
     IN_CONTACT = "in_contact"
 
 
-def classify_contact(p: Point2, plane: PlaneSpec,
-                     tol: float = TOL_ON_SURFACE) -> Contact:
+def classify_contact(p: Point2, plane: PlaneSpec) -> Contact:
     """Side-of-surface test for the unloaded pose.
 
     A point on the origin's side of the surface has not reached it
     (NO_CONTACT); the opposite side means the surface constrains it
     (IN_CONTACT). Undefined when the origin lies on the surface itself.
     """
-    if abs(plane.offset) <= tol:
+    if abs(plane.offset) <= TOL_ON_SURFACE:
         raise OriginOnPlane("plane passes through the origin")
     q = plane.evaluate(p)
-    if abs(q) <= tol:
+    if abs(q) <= TOL_ON_SURFACE:
         return Contact.ON_SURFACE
     if (q > 0) == (plane.offset > 0):
         return Contact.NO_CONTACT

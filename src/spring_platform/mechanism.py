@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
 
 from .errors import ZeroLengthSpring
 from .geometry import Line2, Point2, intersect_lines, line_through, unit_vector
@@ -81,9 +80,6 @@ class MechanismParams:
         """Anchor A1 in the fixed frame via the base pose."""
         return self.base_origin + self.d_o1a1 * unit_vector(self.base_angle)
 
-    def with_zero_free_lengths(self) -> "MechanismParams":
-        return replace(self, free_lengths=(0.0, 0.0, 0.0))
-
     def base_axis_line(self) -> Line2:
         return line_through(self.base_origin, self.base_angle)
 
@@ -109,33 +105,44 @@ class ContactPose:
     p: Point2
     o2: Point2
     a2: Point2
-    beta: Optional[complex] = None
-    phi2: Optional[complex] = None
+
+
+def pose_frame(params: MechanismParams, e: Point2) -> tuple:
+    """The constants of the pose map of one mechanism: the cosine and sine
+    of the surface angle, point E, the pin P in the top frame and the
+    distance O2-A2."""
+    return (math.cos(params.surface_angle), math.sin(params.surface_angle),
+            e.x, e.y, params.p_in_top.x, params.p_in_top.y, params.d_o2a2)
+
+
+def pose_points(frame: tuple, length, cos_beta, sin_beta) -> tuple:
+    """Fixed-frame (px, py, o2x, o2y, a2x, a2y) of the pin P, the top origin
+    O2 and the anchor A2 at L and the cosine and sine of beta, from the
+    constants of pose_frame; complex allowed, elementwise for arrays."""
+    ca, sa, ex, ey, px2, py2, d2 = frame
+    # rotation by (surface_angle + beta)
+    cab = ca * cos_beta - sa * sin_beta
+    sab = sa * cos_beta + ca * sin_beta
+    px = ex + length * ca
+    py = ey + length * sa
+    o2x = px + cab * px2 - sab * py2
+    o2y = py + sab * px2 + cab * py2
+    # the top X axis points along phi2 = surface_angle + beta + pi
+    return px, py, o2x, o2y, o2x - d2 * cab, o2y - d2 * sab
 
 
 def pose_from_trig(length, cos_beta, sin_beta, params: MechanismParams,
                    e: Point2) -> ContactPose:
     """Pose from L and the cosine/sine of beta (complex allowed)."""
-    ca, sa = math.cos(params.surface_angle), math.sin(params.surface_angle)
-    # rotation by (surface_angle + beta)
-    cab = ca * cos_beta - sa * sin_beta
-    sab = sa * cos_beta + ca * sin_beta
-    p = Point2(e.x + length * ca, e.y + length * sa)
-    px2, py2 = params.p_in_top.x, params.p_in_top.y
-    o2 = Point2(p.x + cab * px2 - sab * py2,
-                p.y + sab * px2 + cab * py2)
-    # the top X axis points along phi2 = surface_angle + beta + pi
-    d2 = params.d_o2a2
-    a2 = Point2(o2.x - d2 * cab, o2.y - d2 * sab)
-    return ContactPose(length, cos_beta, sin_beta, e, p, o2, a2)
+    px, py, o2x, o2y, a2x, a2y = pose_points(pose_frame(params, e), length,
+                                             cos_beta, sin_beta)
+    return ContactPose(length, cos_beta, sin_beta, e, Point2(px, py),
+                       Point2(o2x, o2y), Point2(a2x, a2y))
 
 
 def pose_from(length, beta, params: MechanismParams, e: Point2) -> ContactPose:
     """Pose from the (L, beta) parametrization (complex allowed)."""
-    cb, sb = _cos_sin(beta)
-    pose = pose_from_trig(length, cb, sb, params, e)
-    return replace(pose, beta=beta,
-                   phi2=params.surface_angle + beta + math.pi)
+    return pose_from_trig(length, *_cos_sin(beta), params, e)
 
 
 @dataclass(frozen=True)
@@ -167,19 +174,6 @@ def spring_state(pose: ContactPose, params: MechanismParams) -> SpringState:
         directions.append(Point2(d.x / length, d.y / length))
         forces.append(params.stiffness[i] * (length - params.free_lengths[i]))
     return SpringState(tuple(lengths), tuple(directions), tuple(forces))
-
-
-def force_projection_residual(pose: ContactPose, params: MechanismParams):
-    """Net spring force projected on the surface direction; zero at
-    equilibrium."""
-    return residual_pair(pose, params)[0]
-
-
-def moment_residual(pose: ContactPose, params: MechanismParams):
-    """Moment of the three spring forces about the contact pin P (the force
-    line through each spring makes the anchor-side form equivalent to the
-    attachment-side form); zero at equilibrium."""
-    return residual_pair(pose, params)[1]
 
 
 def residual_pair(pose: ContactPose, params: MechanismParams):

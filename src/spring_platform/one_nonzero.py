@@ -32,15 +32,16 @@ O2 = O1 and 12 pole rows.
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 
 import numpy as np
 
+from .config import CASE_ONE, free_length_case
 from .errors import DegenerateQuartic, LostRoots, WrongFreeLengthPattern
 from .geometry import Point2
-from .mechanism import TOL_ZERO_LENGTH, MechanismParams, point_e
+from .mechanism import (TOL_ZERO_LENGTH, MechanismParams, point_e,
+                        pose_frame, pose_points)
 from .polynomials import _quadratic_roots, companion_roots, horner
 from .solutions import EquilibriumSolution, ledger, mark_real
 
@@ -61,33 +62,24 @@ _THIRD_ROOTS = np.exp(2j * np.pi * np.arange(3.0) / 3)
 _THIRD_INVERSE = np.conj(_THIRD_ROOTS[None, :] ** np.arange(3)[:, None]) / 3
 
 
-def _require_pattern(params: MechanismParams) -> None:
-    l01, l02, l03 = params.free_lengths
-    if not (l01 > 0 and l02 == 0 and l03 == 0):
-        raise WrongFreeLengthPattern(
-            f"need L01 > 0 and L02 = L03 = 0, got {params.free_lengths}")
-
-
 class UnsquaredPair:
     """The pair A L1 = B, C L1 = D of one mechanism as a function of
     (L, cos beta, sin beta), with the squared first-spring length L1^2.
 
-    The per-mechanism constants are read once, at construction. The
-    arithmetic is that of pose_from_trig and Point2, operation for
-    operation, without building the intermediate points, so the values
-    are bit-identical to the pose-based residual forms. It accepts complex
-    scalars and, elementwise, complex arrays of any precision.
+    The per-mechanism constants are read once, at construction. The pose
+    is that of pose_from_trig, through the same pose_points, and the rest
+    is the arithmetic of Point2, operation for operation, without building
+    the points, so the values are bit-identical to the pose-based residual
+    forms. It accepts complex scalars and, elementwise, complex arrays of
+    any precision.
     """
 
-    __slots__ = ("ca", "sa", "ex", "ey", "px2", "py2", "d2", "o1x", "o1y",
+    __slots__ = ("frame", "ca", "sa", "ex", "ey", "px2", "py2", "o1x", "o1y",
                  "a1x", "a1y", "k1", "k2", "k3", "kl")
 
     def __init__(self, params: MechanismParams, e: Point2):
-        self.ca = math.cos(params.surface_angle)
-        self.sa = math.sin(params.surface_angle)
-        self.ex, self.ey = e.x, e.y
-        self.px2, self.py2 = params.p_in_top.x, params.p_in_top.y
-        self.d2 = params.d_o2a2
+        self.frame = pose_frame(params, e)
+        self.ca, self.sa, self.ex, self.ey, self.px2, self.py2, _ = self.frame
         self.o1x, self.o1y = params.base_origin.x, params.base_origin.y
         self.a1x, self.a1y = params.a1_fixed.x, params.a1_fixed.y
         self.k1, self.k2, self.k3 = params.stiffness
@@ -96,16 +88,8 @@ class UnsquaredPair:
     def terms(self, length, cos_beta, sin_beta):
         """(A, B, C, D, L1^2) at one sample."""
         ca, sa = self.ca, self.sa
-        # the pose: rotation by (surface_angle + beta), pin P on the
-        # surface at L, top origin O2 and anchor A2
-        cab = ca * cos_beta - sa * sin_beta
-        sab = sa * cos_beta + ca * sin_beta
-        px = self.ex + length * ca
-        py = self.ey + length * sa
-        o2x = px + cab * self.px2 - sab * self.py2
-        o2y = py + sab * self.px2 + cab * self.py2
-        a2x = o2x - self.d2 * cab
-        a2y = o2y - self.d2 * sab
+        px, py, o2x, o2y, a2x, a2y = pose_points(self.frame, length,
+                                                 cos_beta, sin_beta)
         # spring vectors O1->O2, O1->A2, A1->A2 and arms P->O1, P->A1
         x1, y1 = o2x - self.o1x, o2y - self.o1y
         x2, y2 = a2x - self.o1x, a2y - self.o1y
@@ -145,22 +129,6 @@ def _in_length(tensors, z):
     return tensors[..., 0] + z * (tensors[..., 1] + z * tensors[..., 2])
 
 
-@functools.cache
-def _collect(m, n):
-    """0/1 matrix (m n, m + n - 1) that sums the flattened outer product of
-    coefficient rows of lengths m and n by degree."""
-    degree = np.add.outer(np.arange(m), np.arange(n)).ravel()
-    return (degree[:, None] == np.arange(m + n - 1)).astype(float)
-
-
-def _product(p, q):
-    """Coefficient rows of the products of polynomials p and q (ascending
-    along the last axis)."""
-    outer = p[..., :, None] * q[..., None, :]
-    return outer.reshape(outer.shape[:-2] + (-1,)) \
-        @ _collect(p.shape[-1], q.shape[-1])
-
-
 def _split(rows):
     """(A, B, C, D, L1^2) coefficient rows; A to D are affine in L (the
     L^2 terms of the moment cross products cancel)."""
@@ -170,8 +138,12 @@ def _split(rows):
 
 def _mixed(a, b, c, d, kl, sign):
     """Coefficients in L of G = z^2 (A D - sign B C) / kl, a quadratic,
-    from the rows of z A, z B, z C and z D."""
-    return (_product(a, d) - sign * _product(b, c)) / kl
+    from the affine rows of z A, z B, z C and z D."""
+    def product(p, q):
+        (p0, p1), (q0, q1) = np.moveaxis(p, -1, 0), np.moveaxis(q, -1, 0)
+        return np.stack([p0 * q0, p0 * q1 + p1 * q0, p1 * q1], axis=-1)
+
+    return (product(a, d) - sign * product(b, c)) / kl
 
 
 def _eliminants(tensors, kl, signs):
@@ -358,7 +330,9 @@ def solve_one_nonzero_free_length(params: MechanismParams,
     is recorded for reporting. A LostRoots warning says when fewer than
     the 14 same-sign roots converged.
     """
-    _require_pattern(params)
+    if free_length_case(params.free_lengths) != CASE_ONE:
+        raise WrongFreeLengthPattern(
+            f"need L01 > 0 and L02 = L03 = 0, got {params.free_lengths}")
     pair = UnsquaredPair(params, point_e(params))
     origin = pair.foot()
     tensors = pair.tensors(origin)

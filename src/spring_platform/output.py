@@ -33,6 +33,7 @@ SOLUTION_COLORS = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728",
                    "#9467bd", "#8c564b", "#e377c2", "#7f7f7f")
 _POINT_NAMES = ("O1", "A1", "O2", "A2", "P")
 _DRAWING = re.compile(r"solution_\d+\.svg")
+_PAD = 1.5  # world margin around a drawing
 
 
 # the keys of a solution row of report.json, in the order of _row_values
@@ -202,14 +203,14 @@ def _spring_points(p_from, p_to) -> list[tuple[float, float]]:
     return [(round(x, 4), round(y, 4)) for x, y in pts]
 
 
-def _open_drawing(params, canvas_pts, surface_pts, e, pad: float = 1.5):
+def _open_drawing(params, canvas_pts, surface_pts, e):
     """The world-to-SVG mapping of a drawing over canvas_pts, with a
     flipped y axis, as (x0, y1, scale), and the drawing's first fragments:
     the XML declaration, the svg start tag, the surface through M over 1.2
     times the extent of surface_pts and, when there is one, point E."""
     xs, ys = zip(*canvas_pts)
-    x0, x1 = min(xs) - pad, max(xs) + pad
-    y0, y1 = min(ys) - pad, max(ys) + pad
+    x0, x1 = min(xs) - _PAD, max(xs) + _PAD
+    y0, y1 = min(ys) - _PAD, max(ys) + _PAD
     scale = 640.0 / max(x1 - x0, 1e-9)
     width, height = (x1 - x0) * scale, (y1 - y0) * scale
     xs, ys = zip(*surface_pts)

@@ -9,6 +9,7 @@ from typing import NamedTuple
 import numpy as np
 
 REAL_IMAG_TOL = 1e-8
+CONJUGATE_REL_TOL = 1e-6  # joint gap of a near-conjugate pair, relative
 
 
 class EquilibriumSolution(NamedTuple):
@@ -35,14 +36,14 @@ class EquilibriumSolution(NamedTuple):
     note: str = ""
 
 
-def mark_real(beta, length, tol: float = REAL_IMAG_TOL):
-    """Whether (beta, L) is real to tol; elementwise for arrays."""
-    real = (np.abs(np.imag(beta)) <= tol) & (np.abs(np.imag(length)) <= tol)
-    return real if np.ndim(real) else bool(real)
+def mark_real(beta, length):
+    """Whether (beta, L) is real to REAL_IMAG_TOL, elementwise."""
+    return ((np.abs(np.imag(beta)) <= REAL_IMAG_TOL)
+            & (np.abs(np.imag(length)) <= REAL_IMAG_TOL))
 
 
 def pair_conjugate_points(beta: np.ndarray, length: np.ndarray,
-                          is_real: np.ndarray, rel_tol: float = 1e-6):
+                          is_real: np.ndarray):
     """Copies of the (beta, L) arrays with near-conjugate complex pairs
     symmetrized, so the set is exactly closed under conjugation.
 
@@ -55,7 +56,7 @@ def pair_conjugate_points(beta: np.ndarray, length: np.ndarray,
     gap = np.abs(b[:, None] - np.conj(b)) + np.abs(l[:, None] - np.conj(l))
     np.fill_diagonal(gap, np.inf)
     rows, cols = np.nonzero(
-        gap <= rel_tol * (np.abs(b) + np.abs(l) + 1.0)[:, None])
+        gap <= CONJUGATE_REL_TOL * (np.abs(b) + np.abs(l) + 1.0)[:, None])
     # row by row, each unused point takes its nearest unused partner
     # within the tolerance (the lower index on a tie)
     order = np.lexsort((cols, gap[rows, cols], rows))

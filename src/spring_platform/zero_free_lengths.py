@@ -24,6 +24,7 @@ import math
 
 import numpy as np
 
+from .config import CASE_ZERO, free_length_case
 from .errors import DegenerateQuartic, NonZeroFreeLength
 from .mechanism import MechanismParams, point_e
 from .one_nonzero import UnsquaredPair, newton, structural_rows
@@ -42,20 +43,19 @@ def _quartic_roots(quartic: np.ndarray) -> tuple[np.ndarray, int, int]:
             np.empty(0, dtype=complex)), low, len(quartic) - 1 - high
 
 
-def solve_zero_free_lengths(params: MechanismParams,
-                            residual_tol: float = RESIDUAL_REL_TOL,
-                            ) -> list[EquilibriumSolution]:
+def solve_zero_free_lengths(
+        params: MechanismParams) -> list[EquilibriumSolution]:
     """All equilibrium configurations for the all-zero-free-length case.
 
     Returns the quartic's four roots (with multiplicity, complex included)
     as verified solutions sorted by beta. A root is accepted when A and C
-    vanish to residual_tol relative to the sum of the magnitudes of their
+    vanish to RESIDUAL_REL_TOL relative to the sum of the magnitudes of their
     tensor terms there. The z^0 and z^4 coefficients vanish together,
     exactly when the force residual does not depend on beta; the roots at
     z = 0 and at infinity of that degree drop have no finite beta and are
     reported as rejected rows of NaN length.
     """
-    if any(l0 != 0 for l0 in params.free_lengths):
+    if free_length_case(params.free_lengths) != CASE_ZERO:
         raise NonZeroFreeLength(f"free lengths {params.free_lengths}")
     pair = UnsquaredPair(params, point_e(params))
     origin = pair.foot()
@@ -92,7 +92,7 @@ def solve_zero_free_lengths(params: MechanismParams,
         dict(beta=np.where(real, beta.real, beta),
              length=np.where(real, length.real, length),
              residual_force=np.abs(force), residual_moment=np.abs(moment),
-             rel_residual=rel, is_real=real, accepted=rel <= residual_tol,
+             rel_residual=rel, is_real=real, accepted=rel <= RESIDUAL_REL_TOL,
              squared_residual=np.zeros(len(z)), note=np.full(len(z), "")),
         structural_rows(infinite, np.full(len(infinite), complex("nan")),
                         0.0, "no finite beta"))

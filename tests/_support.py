@@ -10,8 +10,7 @@ import numpy as np
 
 from spring_platform import MechanismParams, Point2
 from spring_platform.mechanism import point_e, pose_from, residual_pair
-from spring_platform.one_nonzero import (UnsquaredPair, _in_length, _product,
-                                         _split)
+from spring_platform.one_nonzero import UnsquaredPair, _in_length, _split
 from spring_platform.polynomials import TRIM_RELATIVE
 
 # reference mechanism (angles in radians here; configs carry degrees)
@@ -109,12 +108,24 @@ def dialytic(p, q):
     return m
 
 
+def product(p, q):
+    """Coefficient rows of the products of the polynomials p and q, given
+    as ascending rows along the last axis, in their arithmetic (numpy or
+    mpmath)."""
+    n = q.shape[-1]
+    out = np.zeros(np.broadcast_shapes(p.shape[:-1], q.shape[:-1])
+                   + (p.shape[-1] + n - 1,), dtype=np.result_type(p, q))
+    for i in range(p.shape[-1]):
+        out[..., i:i + n] += p[..., i, None] * q
+    return out
+
+
 def squared(a, b, l1_sq, z):
     """Coefficients in L of z^3 (T^2 L1^2 - U^2) from the rows of z T,
     z U and z L1^2 at the z values, in their arithmetic (numpy or
     mpmath)."""
-    out = _product(_product(a, a), l1_sq)
-    out[..., :3] -= np.asarray(z)[..., None] * _product(b, b)
+    out = product(product(a, a), l1_sq)
+    out[..., :3] -= np.asarray(z)[..., None] * product(b, b)
     return out
 
 

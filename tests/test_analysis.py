@@ -1,12 +1,16 @@
 import dataclasses
 import math
+import operator
 
 import pytest
 
-from _support import REFERENCE_CONFIG
+from _support import REFERENCE_CONFIG, reference_params
 
-from spring_platform import (Point2, RunConfig, config_from_dict,
-                             run_analysis)
+from spring_platform import (AnalysisError, MechanismError, NonZeroFreeLength,
+                             Point2, RunConfig, UnsupportedFreeLengthPattern,
+                             WrongFreeLengthPattern, config_from_dict,
+                             run_analysis, solve_one_nonzero_free_length,
+                             solve_zero_free_lengths)
 from spring_platform.config import CASE_ONE, CASE_ZERO
 from spring_platform.mechanism import MechanismParams
 
@@ -80,3 +84,43 @@ def test_counts_consistent():
 def test_timing_recorded():
     report = run_analysis(config_from_dict(dict(REFERENCE_CONFIG)))
     assert report.timing_s > 0
+
+
+# the free-length rule, one row per pattern: the case config_from_dict
+# resolves, the case of run_analysis on a RunConfig built directly (or the
+# stage its AnalysisError names; no pattern here assembles a free pose, so
+# contact is assumed), and the row count of each solver, or the error each
+# raises
+NO_CASE = (UnsupportedFreeLengthPattern, "case-dispatch",
+           WrongFreeLengthPattern, NonZeroFreeLength)
+FREE_LENGTH_RULE = {
+    "all zero": ((0.0, 0.0, 0.0),
+                 (CASE_ZERO, CASE_ZERO, WrongFreeLengthPattern, 4)),
+    "only L01": ((1.0, 0.0, 0.0), (CASE_ONE, CASE_ONE, 48, NonZeroFreeLength)),
+    "only L02": ((0.0, 1.0, 0.0), NO_CASE),
+    "only L03": ((0.0, 0.0, 1.0), NO_CASE),
+    "two nonzero": ((1.0, 1.0, 0.0), NO_CASE),
+}
+
+
+def _outcome(call, read):
+    try:
+        return read(call())
+    except AnalysisError as exc:
+        return exc.stage
+    except MechanismError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("free_lengths, expected",
+                         FREE_LENGTH_RULE.values(), ids=FREE_LENGTH_RULE)
+def test_free_length_rule(free_lengths, expected):
+    params = dataclasses.replace(reference_params(), free_lengths=free_lengths)
+    data = dict(REFERENCE_CONFIG, L0=list(free_lengths))
+    case = operator.attrgetter("case")
+    assert (
+        _outcome(lambda: config_from_dict(data), case),
+        _outcome(lambda: run_analysis(RunConfig(params=params)), case),
+        _outcome(lambda: solve_one_nonzero_free_length(params), len),
+        _outcome(lambda: solve_zero_free_lengths(params), len),
+    ) == expected

@@ -1,4 +1,5 @@
 import json
+import re
 
 from _support import REFERENCE_CONFIG
 
@@ -49,12 +50,20 @@ def test_bad_format_flag(tmp_path):
 
 
 def test_tolerance_flag(tmp_path, capsys):
-    cfg = write_config(tmp_path)
+    # the flag sets the one-nonzero acceptance tolerance; the zero case
+    # takes none, so there the flag is a configuration error
+    cfg = write_config(tmp_path, {"L0": [1.0, 0.0, 0.0]})
     out = tmp_path / "out"
-    code = main(["--config", str(cfg), "--out", str(out),
-                 "--format", "csv", "--tol-acc", "1e-9"])
-    assert code == 0
+    accepted = []
+    for flags in ([], ["--tol-acc", "1.0"]):
+        assert main(["--config", str(cfg), "--out", str(out),
+                     "--format", "csv", *flags]) == 0
+        accepted.append(re.search(r"accepted=(\d+)",
+                                  capsys.readouterr().out).group(1))
+    assert accepted == ["10", "24"]
     assert main(["--config", str(cfg), "--tol-acc", "-1"]) == 2
+    zero = write_config(tmp_path, name="zero.json")
+    assert main(["--config", str(zero), "--tol-acc", "1e-9"]) == 2
 
 
 def test_csv_only_writes_no_svg(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -5,9 +6,9 @@ import pytest
 
 from _support import REFERENCE_CONFIG
 
-from spring_platform import (ParseError, UnsupportedFreeLengthPattern,
-                             ValidationError, config_from_dict, dump_config,
-                             load_config)
+from spring_platform import (ParseError, RunConfig,
+                             UnsupportedFreeLengthPattern, ValidationError,
+                             config_from_dict, dump_config, load_config)
 from spring_platform.config import CASE_ONE, CASE_ZERO
 
 
@@ -79,13 +80,21 @@ def test_parse_error(tmp_path):
 
 
 def test_tolerance_override():
-    cfg = config_from_dict(dict(REFERENCE_CONFIG,
-                                tolerances={"accept": 1e-8}))
+    one = dict(REFERENCE_CONFIG, L0=[1.0, 0.0, 0.0])
+    cfg = config_from_dict(dict(one, tolerances={"accept": 1e-8}))
     assert cfg.accept_tol == 1e-8
+    for tolerances in ({"accept": -1}, {"other": 1}, {"accept": "1e-8"}):
+        with pytest.raises(ValidationError):
+            config_from_dict(dict(one, tolerances=tolerances))
+    # only the one-nonzero solver takes a tolerance: the zero case rejects
+    # one whether it comes from the file, a replace or the constructor
     with pytest.raises(ValidationError):
-        config_from_dict(dict(REFERENCE_CONFIG, tolerances={"accept": -1}))
+        config_from_dict(dict(REFERENCE_CONFIG, tolerances={"accept": 1e-8}))
+    zero = config_from_dict(REFERENCE_CONFIG)
     with pytest.raises(ValidationError):
-        config_from_dict(dict(REFERENCE_CONFIG, tolerances={"other": 1}))
+        dataclasses.replace(zero, accept_tol=1e-8)
+    with pytest.raises(ValidationError):
+        RunConfig(params=zero.params, accept_tol=1e-8)
 
 
 def test_formats_validated():
@@ -96,7 +105,7 @@ def test_formats_validated():
 
 
 def test_round_trip(tmp_path):
-    original = config_from_dict(dict(REFERENCE_CONFIG,
+    original = config_from_dict(dict(REFERENCE_CONFIG, L0=[1.0, 0.0, 0.0],
                                      formats=["json", "csv"],
                                      tolerances={"accept": 2e-7},
                                      output_dir="results"))

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from spring_platform import (NotAssemblable, Point2, dialytic_residual,
-                             free_point_p_fixed, free_pose, solve_a2,
-                             solve_o2)
+from spring_platform import (NotAssemblable, Point2, RunConfig,
+                             dialytic_residual, free_pose, solve_a2, solve_o2)
+from spring_platform.analysis import _free_pose_stage
 from spring_platform.free_pose import FreePoseResult
 from spring_platform.mechanism import MechanismParams
 
@@ -118,9 +118,10 @@ def _assemblable_params():
 
 def test_free_point_identity_case():
     # top frame coincident with the base frame: P lands at its own coords
-    p = free_point_p_fixed(_assemblable_params())
-    assert abs(p.x - 1.0) < 1e-9
-    assert abs(p.y - 1.0) < 1e-9
+    _, info = _free_pose_stage(RunConfig(params=_assemblable_params()))
+    x, y = info["p_fixed"]
+    assert abs(x - 1.0) < 1e-9
+    assert abs(y - 1.0) < 1e-9
 
 
 def test_free_point_matches_transform_chain():
@@ -131,7 +132,8 @@ def test_free_point_matches_transform_chain():
         base_origin=Point2(3.0, -1.0), base_angle=0.4)
     result = free_pose(params)
     assert isinstance(result, FreePoseResult)
-    p = free_point_p_fixed(params)
+    _, info = _free_pose_stage(RunConfig(params=params))
+    x, y = info["p_fixed"]
     # oracle: direct matrix chain with the first candidate
     o2 = result.o2_candidates[0]
     phi2 = result.phi2_candidates[0]
@@ -140,8 +142,8 @@ def test_free_point_matches_transform_chain():
     t12 = np.array([[c2, -s2, o2.x], [s2, c2, o2.y], [0, 0, 1]])
     tf1 = np.array([[c1, -s1, 3.0], [s1, c1, -1.0], [0, 0, 1]])
     expected = tf1 @ t12 @ np.array([1.0, 1.0, 1.0])
-    assert abs(p.x - expected[0]) < 1e-9
-    assert abs(p.y - expected[1]) < 1e-9
+    assert abs(x - expected[0]) < 1e-9
+    assert abs(y - expected[1]) < 1e-9
 
 
 def test_reference_zero_free_lengths_not_assemblable(params_zero):

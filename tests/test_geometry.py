@@ -5,17 +5,17 @@ import pytest
 
 from spring_platform import (Contact, ParallelLines, OriginOnPlane, Point2,
                              Transform2H, classify_contact, intersect_lines,
-                             line_through, make_plane, make_transform)
+                             line_through, make_plane)
 
 
 def test_identity_transform():
-    t = make_transform(0.0, Point2(0.0, 0.0))
+    t = Transform2H(0.0, Point2(0.0, 0.0))
     p = t.apply(Point2(3.0, 4.0))
     assert (p.x, p.y) == (3.0, 4.0)
 
 
 def test_quarter_turn_then_shift():
-    t = make_transform(math.pi / 2, Point2(1.0, 0.0))
+    t = Transform2H(math.pi / 2, Point2(1.0, 0.0))
     p = t.apply(Point2(1.0, 0.0))
     assert abs(p.x - 1.0) < 1e-15
     assert abs(p.y - 1.0) < 1e-15
@@ -24,8 +24,8 @@ def test_quarter_turn_then_shift():
 def test_transform_chain_matches_matrix_product():
     # compose the base transform with an inner one and compare against the
     # explicit homogeneous 3x3 product
-    outer = make_transform(math.radians(20.0), Point2(5.0, 3.5))
-    inner = make_transform(0.83, Point2(1.2, -0.4))
+    outer = Transform2H(math.radians(20.0), Point2(5.0, 3.5))
+    inner = Transform2H(0.83, Point2(1.2, -0.4))
     p2 = Point2(2.25, 2.5)
 
     def matrix(t):
@@ -41,8 +41,8 @@ def test_transform_chain_matches_matrix_product():
 def test_transform_composition_property():
     rng = np.random.default_rng(3)
     for _ in range(20):
-        t1 = make_transform(rng.uniform(-4, 4), Point2(*rng.uniform(-5, 5, 2)))
-        t2 = make_transform(rng.uniform(-4, 4), Point2(*rng.uniform(-5, 5, 2)))
+        t1 = Transform2H(rng.uniform(-4, 4), Point2(*rng.uniform(-5, 5, 2)))
+        t2 = Transform2H(rng.uniform(-4, 4), Point2(*rng.uniform(-5, 5, 2)))
         p = Point2(*rng.uniform(-5, 5, 2))
         a = t1.apply(t2.apply(p))
         b = t1.compose(t2).apply(p)
@@ -51,7 +51,7 @@ def test_transform_composition_property():
 
 def test_transform_preserves_distances():
     rng = np.random.default_rng(4)
-    t = make_transform(1.234, Point2(0.5, -8.0))
+    t = Transform2H(1.234, Point2(0.5, -8.0))
     for _ in range(10):
         p = Point2(*rng.uniform(-10, 10, 2))
         q = Point2(*rng.uniform(-10, 10, 2))

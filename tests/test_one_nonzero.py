@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as P
 
-from _support import (nearest_match, random_params, reference_params,
-                      squared, squared_pair, sylvester, tan_half_degree,
-                      tan_half_eliminant)
+from _support import (nearest_match, product, random_params,
+                      reference_params, squared, squared_pair, sylvester,
+                      tan_half_degree, tan_half_eliminant)
 
 from spring_platform import (DegenerateQuartic, Point2, WrongFreeLengthPattern,
                              residual_margin, solve_one_nonzero_free_length,
@@ -510,15 +510,26 @@ def test_resultant_samples_are_sylvester_determinants(monkeypatch,
 
 
 def test_product_is_row_convolution():
+    # the tests' product of coefficient rows, and the affine products of
+    # G's coefficients, against np.convolve row by row
     rng = np.random.default_rng(71)
     for m, n in ((2, 2), (3, 3), (2, 3), (5, 3), (1, 4)):
         p = rng.normal(size=(4, 6, m)) + 1j * rng.normal(size=(4, 6, m))
         q = rng.normal(size=(6, n)) + 1j * rng.normal(size=(6, n))
-        got = one_nonzero._product(p, q)
+        got = product(p, q)
         for index in np.ndindex(p.shape[:-1]):
             want = np.convolve(p[index], q[index[1:]])
             assert np.allclose(got[index], want, rtol=1e-15, atol=1e-15 * (
                 np.sum(np.abs(p[index])) * np.sum(np.abs(q[index[1:]]))))
+    a, b, c, d = (rng.normal(size=(4, 6, 2)) + 1j * rng.normal(size=(4, 6, 2))
+                  for _ in range(4))
+    for sign in (1.0, -1.0):
+        got = one_nonzero._mixed(a, b, c, d, 2.5, sign)
+        for index in np.ndindex(a.shape[:-1]):
+            ad, bc = np.convolve(a[index], d[index]), np.convolve(b[index],
+                                                                  c[index])
+            assert np.allclose(got[index], (ad - sign * bc) / 2.5, rtol=1e-15,
+                               atol=1e-15 * np.sum(np.abs(ad) + np.abs(bc)))
 
 
 def _newton_step(tensors, origin, u, z, s, sign, terms):

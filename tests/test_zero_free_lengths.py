@@ -2,6 +2,7 @@ import cmath
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -288,8 +289,8 @@ def _quartic(params):
 
 def _trimmed_roots(quartic):
     """The count of low coefficients at or below TRIM_RELATIVE of the
-    largest, and numpy.roots of the quartic with them and the high ones
-    there dropped one by one from the ends."""
+    largest, and the 60-digit mpmath.polyroots of the quartic with them and
+    the high ones there dropped one by one from the ends."""
     cutoff = TRIM_RELATIVE * np.max(np.abs(quartic))
     kept = quartic
     while abs(kept[-1]) <= cutoff:
@@ -297,13 +298,17 @@ def _trimmed_roots(quartic):
     low = 0
     while abs(kept[low]) <= cutoff:
         low += 1
-    return low, np.roots(kept[low:][::-1])
+    with mpmath.workdps(60):
+        roots = mpmath.polyroots([mpmath.mpc(c) for c in kept[low:][::-1]],
+                                 maxsteps=200, extraprec=200)
+    return low, np.array(roots, dtype=complex)
 
 
 def test_degree_drop_agrees_with_poly_roots(params_zero):
     # the companion roots after the written-out degree drop against a
-    # reference that drops the end coefficients one by one and counts each
-    # low one dropped as a root at 0. Pins moved off the balanced position
+    # 60-digit reference, which solves no companion eigenproblem, that
+    # drops the end coefficients one by one and counts each low one
+    # dropped as a root at 0. Pins moved off the balanced position
     # put |z^0| and |z^4| on both sides of TRIM_RELATIVE of the largest
     # coefficient
     rng = np.random.default_rng(59)

@@ -3,7 +3,9 @@
 ``solutions.csv`` text, the SVG text, the five file writes and the whole
 operation, for the committed one-nonzero config (reference-one) and for
 the first SWEEP_ZERO_INPUTS inputs of the sweep-zero workload (the
-committed zero config, then ``inputs.zero_corpus(SWEEP_ZERO_SEED, ·)``)::
+committed zero config, then ``inputs.zero_corpus(SWEEP_ZERO_SEED, ·)``),
+and the time of ``import spring_platform``, which every CLI run and
+every benchmark set-up pays once::
 
     python3 tools/stage_times.py
 
@@ -14,7 +16,9 @@ REFERENCE_CALLS calls), the stages in turn. The two text stages run with
 ``Path.write_text`` stubbed out. The writes are not timed in isolation:
 they are the whole operation minus the same operation with the writes
 stubbed, both run in the same round into the same output directory, so
-that they pay for rewriting the files the operation wrote before.
+that they pay for rewriting the files the operation wrote before. The
+import is timed inside each of REPEATS fresh interpreters, numpy's import
+included, and its row repeats the one figure in both columns.
 
 The script reads the ``src/`` and ``bench/`` directories next to it, so a
 copy placed in another checkout measures that checkout. It takes about a
@@ -31,6 +35,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import platform  # noqa: E402
 import statistics  # noqa: E402
+import subprocess  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 import time  # noqa: E402
@@ -105,6 +110,24 @@ def stage_times(paths: list[Path], out: Path) -> list[tuple[float, float]]:
                   for clock in (0, 1)) for k in range(len(STAGES))]
 
 
+# prints the wall and CPU seconds of the import in a fresh interpreter
+_IMPORT = ("import sys, time; sys.path.insert(0, sys.argv[1]); "
+           "w, c = time.perf_counter(), time.process_time(); "
+           "import spring_platform; "
+           "print(time.perf_counter() - w, time.process_time() - c)")
+
+
+def import_times() -> tuple[float, float]:
+    """Median (wall, CPU) milliseconds of ``import spring_platform`` over
+    REPEATS fresh interpreters."""
+    runs = [tuple(map(float, subprocess.run(
+        [sys.executable, "-c", _IMPORT, str(ROOT / "src")], check=True,
+        capture_output=True, text=True).stdout.split()))
+        for _ in range(REPEATS)]
+    return tuple(1e3 * statistics.median(run[clock] for run in runs)
+                 for clock in (0, 1))
+
+
 def main() -> int:
     print(f"# Python {platform.python_version()}, numpy {np.__version__}, "
           f"{os.cpu_count()} CPUs, {platform.machine()}; {ROOT}")
@@ -124,6 +147,9 @@ def main() -> int:
     for k, stage in enumerate(STAGES):
         cells = [f"{t:.2f}" for column in columns for t in column[k]]
         print(f"| {stage} | " + " | ".join(cells) + " |")
+    cells = [f"{t:.2f}" for t in import_times()] * 2
+    print("| `import spring_platform` (once per process) | "
+          + " | ".join(cells) + " |")
     return 0
 
 
