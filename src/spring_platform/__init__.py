@@ -15,12 +15,12 @@ same finite roots plus the pole and O2 = O1 rows; the solve reports all
 """
 
 from .analysis import AnalysisReport, run_analysis
-from .config import RunConfig, config_from_dict, dump_config, load_config
+from .config import (RunConfig, UnsupportedFreeLengthPattern,
+                     config_from_dict, dump_config, load_config)
 from .errors import (AnalysisError, DegenerateQuartic, MechanismError,
                      NotAssemblable, NonZeroFreeLength, OriginOnPlane,
-                     ParallelLines, ParseError, UnsupportedFreeLengthPattern,
-                     ValidationError, WrongFreeLengthPattern,
-                     ZeroLengthSpring)
+                     ParallelLines, ParseError, ValidationError,
+                     WrongFreeLengthPattern, ZeroLengthSpring)
 from .free_pose import (FreePoseResult, dialytic_residual, free_pose, solve_a2,
                         solve_o2)
 from .geometry import (Contact, Line2, PlaneSpec, Point2, Transform2H,

@@ -6,9 +6,9 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .config import CASE_ONE, CASE_ZERO, RunConfig, free_length_case
-from .errors import (AnalysisError, MechanismError, NotAssemblable,
-                     UnsupportedFreeLengthPattern)
+from .config import (CASE_ONE, CASE_ZERO, RunConfig,
+                     UnsupportedFreeLengthPattern, free_length_case)
+from .errors import AnalysisError, MechanismError, NotAssemblable
 from .free_pose import free_pose, select_candidate, top_in_fixed
 from .geometry import Contact, Point2, classify_contact, make_plane
 from .mechanism import point_e

@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import ParseError, UnsupportedFreeLengthPattern, ValidationError
+from .errors import ParseError, ValidationError
 from .geometry import Point2
 from .mechanism import MechanismParams
 
@@ -83,6 +84,19 @@ class RunConfig:
         return data
 
 
+# the free-length pattern of each solver case, as free_length_case tests it
+CASE_PATTERNS = {CASE_ZERO: "L01 = L02 = L03 = 0",
+                 CASE_ONE: "L01 > 0 and L02 = L03 = 0"}
+
+
+class UnsupportedFreeLengthPattern(ValidationError):
+    """Free-length pattern fits neither supported solver case."""
+
+    def __init__(self, field: str = "L0"):
+        super().__init__(field, "unsupported free-length pattern (need "
+                         + ", or ".join(CASE_PATTERNS.values()) + ")")
+
+
 def free_length_case(free_lengths) -> str | None:
     """Solver case implied by the free-length pattern, or None."""
     l01, l02, l03 = free_lengths
@@ -94,29 +108,23 @@ def free_length_case(free_lengths) -> str | None:
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    # finite: json passes NaN and Infinity on; an int can overflow a float
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
 
 
-def _point(data, key) -> Point2:
+def _floats(data, key, count: int) -> tuple[float, ...]:
     value = data[key]
-    if (not isinstance(value, (list, tuple)) or len(value) != 2
+    if (not isinstance(value, (list, tuple)) or len(value) != count
             or not all(_is_number(v) for v in value)):
-        raise ValidationError(key, "expected a pair of numbers")
-    return Point2(float(value[0]), float(value[1]))
-
-
-def _triple(data, key) -> tuple[float, float, float]:
-    value = data[key]
-    if (not isinstance(value, (list, tuple)) or len(value) != 3
-            or not all(_is_number(v) for v in value)):
-        raise ValidationError(key, "expected three numbers")
-    return (float(value[0]), float(value[1]), float(value[2]))
+        raise ValidationError(key, f"expected {count} finite numbers")
+    return tuple(map(float, value))
 
 
 def _number(data, key) -> float:
     value = data[key]
     if not _is_number(value):
-        raise ValidationError(key, "expected a number")
+        raise ValidationError(key, "expected a finite number")
     return float(value)
 
 
@@ -130,15 +138,15 @@ def config_from_dict(data: dict) -> RunConfig:
 
     try:
         params = MechanismParams(
-            surface_point=_point(data, "P_M"),
+            surface_point=Point2(*_floats(data, "P_M", 2)),
             surface_angle=math.radians(_number(data, "alpha_deg")),
-            a1_in_base=_point(data, "P_A1_in1"),
-            a2_in_top=_point(data, "P_A2_in2"),
-            p_in_top=_point(data, "P_P_in2"),
-            base_origin=_point(data, "P_O1"),
+            a1_in_base=Point2(*_floats(data, "P_A1_in1", 2)),
+            a2_in_top=Point2(*_floats(data, "P_A2_in2", 2)),
+            p_in_top=Point2(*_floats(data, "P_P_in2", 2)),
+            base_origin=Point2(*_floats(data, "P_O1", 2)),
             base_angle=math.radians(_number(data, "phi1_deg")),
-            stiffness=_triple(data, "k"),
-            free_lengths=_triple(data, "L0"),
+            stiffness=_floats(data, "k", 3),
+            free_lengths=_floats(data, "L0", 3),
         )
     except ValueError as exc:
         raise ValidationError("params", str(exc)) from exc
@@ -176,10 +184,9 @@ def config_from_dict(data: dict) -> RunConfig:
 
 def load_config(path) -> RunConfig:
     """Read and validate a run configuration file (JSON)."""
-    text = Path(path).read_text()
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ParseError(f"{path}: top level must be an object")

@@ -46,14 +46,6 @@ class ValidationError(MechanismError):
         super().__init__(f"{field}: {reason}")
 
 
-class UnsupportedFreeLengthPattern(ValidationError):
-    """Free-length pattern fits neither supported solver case."""
-
-    def __init__(self, field: str = "L0"):
-        super().__init__(field, "unsupported free-length pattern "
-                                "(need all zero, or only L01 nonzero)")
-
-
 class AnalysisError(MechanismError):
     """Pipeline failure wrapped with the name of the failing stage."""
 

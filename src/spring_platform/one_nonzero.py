@@ -37,12 +37,13 @@ import warnings
 
 import numpy as np
 
-from .config import CASE_ONE, free_length_case
+from .config import CASE_ONE, CASE_PATTERNS, free_length_case
 from .errors import DegenerateQuartic, LostRoots, WrongFreeLengthPattern
 from .geometry import Point2
 from .mechanism import (TOL_ZERO_LENGTH, MechanismParams, point_e,
                         pose_frame, pose_points)
-from .polynomials import _quadratic_roots, companion_roots, horner
+from .polynomials import (_quadratic_q, _quadratic_roots, companion_roots,
+                          horner)
 from .solutions import EquilibriumSolution, ledger, mark_real
 
 ACCEPT_REL_TOL = 1e-6
@@ -158,17 +159,15 @@ def _eliminants(tensors, kl, signs):
 def _resultant_samples(tensors, kl, signs, z):
     """The 6x6 Sylvester determinant of F and G at the z values, for each
     sign of G, in product form: g2^4 F(r1) F(r2) over the roots r1 = q / g2
-    and r2 = g0 / q of G = g0 + g1 L + g2 L^2, q = -(g1 +- sqrt(disc)) / 2
-    with the sign _quadratic_roots chooses. Each factor is evaluated
-    homogeneously, as g2^4 F(q / g2) and q^4 F(g0 / q), so g2 divides
-    nothing; for the same sign it carries a factor sin beta and vanishes
-    at z = +-1 up to rounding."""
+    and r2 = g0 / q of G = g0 + g1 L + g2 L^2, q from _quadratic_q, as
+    _quadratic_roots takes it. Each factor is evaluated homogeneously, as
+    g2^4 F(q / g2) and q^4 F(g0 / q), so g2 divides nothing; for the same
+    sign it carries a factor sin beta and vanishes at z = +-1 up to
+    rounding."""
     a, b, c, d, l1_sq = _split(_in_length(tensors, z))
     g0, g1, g2 = np.moveaxis(_mixed(a, b, c, d, kl, signs[:, None, None]),
                              -1, 0)
-    disc = np.sqrt(g1 * g1 - 4 * g2 * g0)
-    q = -(g1 + np.where(np.abs(g1 + disc) >= np.abs(g1 - disc), disc,
-                        -disc)) / 2
+    q = _quadratic_q(g0, g1, g2)
     (a0, a1), (b0, b1), (l0, l1, l2) = a.T, b.T, l1_sq.T
 
     def homogeneous(x, w):
@@ -332,7 +331,7 @@ def solve_one_nonzero_free_length(params: MechanismParams,
     """
     if free_length_case(params.free_lengths) != CASE_ONE:
         raise WrongFreeLengthPattern(
-            f"need L01 > 0 and L02 = L03 = 0, got {params.free_lengths}")
+            f"need {CASE_PATTERNS[CASE_ONE]}, got {params.free_lengths}")
     pair = UnsquaredPair(params, point_e(params))
     origin = pair.foot()
     tensors = pair.tensors(origin)

@@ -1,7 +1,8 @@
 """Report emission: CSV and JSON tables plus SVG configuration drawings.
 
-Each file is built as text and written in one call; re-running a
-configuration gives byte-identical files (timing stays out of the JSON).
+Each file is built as text and written by one primitive, _write, as
+bytes through os.open/os.write/os.close; re-running a configuration gives
+byte-identical files (timing stays out of the JSON).
 ``report.json`` holds ``json.dumps(report_to_dict(report), indent=2,
 sort_keys=True)`` with non-finite floats as null. The json module encodes
 with ``indent`` in pure Python, so here the solution table is formatted
@@ -120,12 +121,32 @@ def _numbers(values) -> list[str]:
     return [float.__repr__(v) if v - v == 0 else "null" for v in values]
 
 
+def _write(path: Path, text: str) -> Path:
+    """Write text to path, UTF-8 encoded, with the flags and mode of
+    open(path, "w"): made with 0o666 less the umask, truncated when it
+    exists (ext4 then flushes the rewrite), a symlink written through."""
+    data = text.encode()
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        while data:
+            data = data[os.write(fd, data):]
+    finally:
+        os.close(fd)
+    return path
+
+
+def _output_dir(out_dir) -> Path:
+    """out_dir, made with its parents when it is not a directory."""
+    if not os.path.isdir(out_dir):
+        os.makedirs(out_dir, exist_ok=True)
+    return Path(out_dir)
+
+
 def emit_tables(report: AnalysisReport, out_dir,
                 formats=("json", "csv")) -> list[Path]:
     """Write solutions.csv and report.json, their rows formatted from the
     columns of the solution table."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(out_dir)
     written = []
     (beta, length, force, moment, rel, real, accepted, squared,
      note) = list(zip(*report.solutions)) or [()] * 9
@@ -133,15 +154,12 @@ def emit_tables(report: AnalysisReport, out_dir,
     beta_re, beta_im = [b.real for b in beta], [b.imag for b in beta]
     length_re, length_im = [v.real for v in length], [v.imag for v in length]
     if "csv" in formats:
-        path = out / "solutions.csv"
         lines = [CSV_HEADER]
         lines += map(_CSV_ROW.__mod__, zip(
             index, beta_re, beta_im, length_re, length_im, force, moment,
             real, accepted))
-        path.write_text("\n".join(lines) + "\n")
-        written.append(path)
+        written.append(_write(out / "solutions.csv", "\n".join(lines) + "\n"))
     if "json" in formats:
-        path = out / "report.json"
         flag = _FLAGS.__getitem__
         columns = dict(zip(_ROW_KEYS, (
             index, *map(_numbers, (beta_re, beta_im, length_re, length_im,
@@ -150,9 +168,8 @@ def emit_tables(report: AnalysisReport, out_dir,
             map(encode_basestring_ascii, note))))
         rows = map(_ROW_TEMPLATE.__mod__, zip(
             *[columns[key] for key in sorted(_ROW_KEYS)]))
-        path.write_text(_json(_report_fields(
-            report, list(map(_Encoded, rows)))) + "\n")
-        written.append(path)
+        written.append(_write(out / "report.json", _json(_report_fields(
+            report, list(map(_Encoded, rows)))) + "\n"))
     return written
 
 
@@ -234,12 +251,6 @@ def _open_drawing(params, canvas_pts, surface_pts, e):
     return (x0, y1, scale), parts
 
 
-def _write_svg(path: Path, parts: list[str]) -> Path:
-    parts.append("</svg>")
-    path.write_text("".join(parts), encoding="utf-8")
-    return path
-
-
 @functools.cache
 def _pose_template(color: str, label_points: bool, counts: tuple) -> str:
     """%-format template of one drawn pose: the base line O1-A1, the
@@ -290,7 +301,10 @@ def _remove_stale_drawings(out: Path, written: list[Path]) -> list[Path]:
                  if entry.name not in keep and _DRAWING.fullmatch(entry.name)
                  and not entry.is_dir(follow_symlinks=False)]
     for path in stale:
-        Path(path).unlink(missing_ok=True)
+        try:
+            os.unlink(path)
+        except FileNotFoundError:
+            pass
     return written
 
 
@@ -299,8 +313,7 @@ def render_svg(report: AnalysisReport, out_dir) -> list[Path]:
     overlays them, grouped by which side of the surface holds the top
     platform origin. Drawings of an earlier run in out_dir that this run
     does not rewrite are deleted once the new files are written."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(out_dir)
     params = report.config.params
     o1, a1, m = map(_xy, (params.base_origin, params.a1_fixed,
                           params.surface_point))
@@ -311,7 +324,7 @@ def render_svg(report: AnalysisReport, out_dir) -> list[Path]:
         # no contact solve ran; nothing but an empty overview to draw
         _, parts = _open_drawing(params, [o1, a1, m], [o1, m], None)
         return _remove_stale_drawings(
-            out, [_write_svg(out / "overview.svg", parts)])
+            out, [_write(out / "overview.svg", "".join(parts) + "</svg>")])
 
     e = _xy(report.point_e)
     poses = {i: _mechanism_points(params, s, report.point_e)
@@ -324,7 +337,8 @@ def render_svg(report: AnalysisReport, out_dir) -> list[Path]:
         _draw_solution(parts, canvas, poses[idx])
         parts.append(f"<title>solution {idx}: beta={sol.beta.real:.4f}, "
                      f"L={sol.length.real:.4f}</title>")
-        written.append(_write_svg(out / f"solution_{idx}.svg", parts))
+        written.append(_write(out / f"solution_{idx}.svg",
+                              "".join(parts) + "</svg>"))
 
     canvas, parts = _open_drawing(params, world, world, e)
     plane = make_plane(params.surface_angle, params.surface_point)
@@ -345,5 +359,5 @@ def render_svg(report: AnalysisReport, out_dir) -> list[Path]:
             parts.append("</g>")
         if members:
             parts.append("</g>")
-    written.append(_write_svg(out / "overview.svg", parts))
+    written.append(_write(out / "overview.svg", "".join(parts) + "</svg>"))
     return _remove_stale_drawings(out, written)

@@ -21,13 +21,19 @@ def horner(coeffs, x):
     return acc
 
 
+def _quadratic_q(c0, c1, c2):
+    """q = -(c1 +- sqrt(c1^2 - 4 c2 c0)) / 2, the sign chosen so that
+    nothing cancels: the roots of c2 x^2 + c1 x + c0 are q / c2, c0 / q."""
+    disc = np.sqrt(c1 * c1 - 4 * c2 * c0)
+    return -(c1 + np.where(np.abs(c1 + disc) >= np.abs(c1 - disc), disc,
+                           -disc)) / 2
+
+
 def _quadratic_roots(c0, c1, c2):
     """Both roots of c2 x^2 + c1 x + c0, numerically stable, for complex
     scalars or elementwise for arrays of coefficients."""
     c0, c1, c2 = (np.asarray(c, dtype=complex) for c in (c0, c1, c2))
-    disc = np.sqrt(c1 * c1 - 4 * c2 * c0)
-    q = -(c1 + np.where(np.abs(c1 + disc) >= np.abs(c1 - disc), disc,
-                        -disc)) / 2
+    q = _quadratic_q(c0, c1, c2)
     r1 = q / c2
     with np.errstate(divide="ignore", invalid="ignore"):
         r2 = np.where(q != 0, c0 / q, -c1 / c2 - r1)

@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from .config import CASE_ZERO, free_length_case
+from .config import CASE_PATTERNS, CASE_ZERO, free_length_case
 from .errors import DegenerateQuartic, NonZeroFreeLength
 from .mechanism import MechanismParams, point_e
 from .one_nonzero import UnsquaredPair, newton, structural_rows
@@ -56,7 +56,8 @@ def solve_zero_free_lengths(
     reported as rejected rows of NaN length.
     """
     if free_length_case(params.free_lengths) != CASE_ZERO:
-        raise NonZeroFreeLength(f"free lengths {params.free_lengths}")
+        raise NonZeroFreeLength(
+            f"need {CASE_PATTERNS[CASE_ZERO]}, got {params.free_lengths}")
     pair = UnsquaredPair(params, point_e(params))
     origin = pair.foot()
     tensors = pair.tensors(origin)

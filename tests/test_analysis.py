@@ -11,7 +11,7 @@ from spring_platform import (AnalysisError, MechanismError, NonZeroFreeLength,
                              WrongFreeLengthPattern, config_from_dict,
                              run_analysis, solve_one_nonzero_free_length,
                              solve_zero_free_lengths)
-from spring_platform.config import CASE_ONE, CASE_ZERO
+from spring_platform.config import CASE_ONE, CASE_PATTERNS, CASE_ZERO
 from spring_platform.mechanism import MechanismParams
 
 
@@ -90,7 +90,8 @@ def test_timing_recorded():
 # resolves, the case of run_analysis on a RunConfig built directly (or the
 # stage its AnalysisError names; no pattern here assembles a free pose, so
 # contact is assumed), and the row count of each solver, or the error each
-# raises
+# raises. Each error's message states the patterns of CASE_PATTERNS it
+# refers to, the rule free_length_case tests
 NO_CASE = (UnsupportedFreeLengthPattern, "case-dispatch",
            WrongFreeLengthPattern, NonZeroFreeLength)
 FREE_LENGTH_RULE = {
@@ -103,13 +104,18 @@ FREE_LENGTH_RULE = {
 }
 
 
+RULE_WORDS = {UnsupportedFreeLengthPattern: tuple(CASE_PATTERNS.values()),
+              WrongFreeLengthPattern: (CASE_PATTERNS[CASE_ONE],),
+              NonZeroFreeLength: (CASE_PATTERNS[CASE_ZERO],)}
+
+
 def _outcome(call, read):
     try:
         return read(call())
-    except AnalysisError as exc:
-        return exc.stage
     except MechanismError as exc:
-        return type(exc)
+        error = exc.cause if isinstance(exc, AnalysisError) else exc
+        assert all(words in str(error) for words in RULE_WORDS[type(error)])
+        return exc.stage if isinstance(exc, AnalysisError) else type(exc)
 
 
 @pytest.mark.parametrize("free_lengths, expected",

@@ -39,6 +39,17 @@ def test_invalid_config_exit(tmp_path):
     assert main(["--config", str(cfg)]) == 2
 
 
+def test_config_errors_exit_2(tmp_path, capsys):
+    # a file that is not UTF-8 and a number json reads as NaN are
+    # configuration errors, reported on one error line
+    not_utf8 = tmp_path / "not_utf8.json"
+    not_utf8.write_bytes(b'{"output_dir": "\xff"}')
+    nan = write_config(tmp_path, {"P_M": [float("nan"), 6.25]})
+    for cfg in (not_utf8, nan):
+        assert main(["--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_case_flag_conflict(tmp_path):
     cfg = write_config(tmp_path)
     assert main(["--config", str(cfg), "--case", "one-nonzero"]) == 2

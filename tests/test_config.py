@@ -73,10 +73,42 @@ def test_bad_values_rejected():
 
 
 def test_parse_error(tmp_path):
+    # not JSON, and not UTF-8
     path = tmp_path / "broken.json"
-    path.write_text("{not json")
-    with pytest.raises(ParseError):
-        load_config(path)
+    for text in (b"{not json", json.dumps(REFERENCE_CONFIG).encode()[:-1]
+                 + b'\xff}'):
+        path.write_bytes(text)
+        with pytest.raises(ParseError):
+            load_config(path)
+
+
+# every number a config reads, as (key, index in its list or None, the
+# config it is set in); json reads NaN, Infinity and -Infinity as floats,
+# and an int past the float range overflows float()
+NUMBER_KEYS = [(key, index, REFERENCE_CONFIG)
+               for key, value in REFERENCE_CONFIG.items()
+               for index in (range(len(value)) if isinstance(value, list)
+                             else [None])]
+NUMBER_KEYS.append(("accept", None, dict(
+    REFERENCE_CONFIG, L0=[1.0, 0.0, 0.0], tolerances={"accept": 1e-6})))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10**400],
+                         ids=["NaN", "Infinity", "-Infinity", "10**400"])
+@pytest.mark.parametrize(
+    "key, index, config", NUMBER_KEYS,
+    ids=[key if index is None else f"{key}[{index}]"
+         for key, index, _ in NUMBER_KEYS])
+def test_non_finite_numbers_rejected(tmp_path, key, index, config, value):
+    data = json.loads(json.dumps(config))
+    holder = data["tolerances"] if key == "accept" else data
+    if index is None:
+        holder[key] = value
+    else:
+        holder[key][index] = value
+    with pytest.raises(ValidationError) as err:
+        load_config(write_config(tmp_path, data))
+    assert err.value.field == key
 
 
 def test_tolerance_override():

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 import warnings
@@ -347,3 +348,68 @@ def test_svg_zero_length_spring_is_one_point(tmp_path):
         circles = [(float(c.get("cx")), float(c.get("cy")))
                    for c in root.findall(".//svg:circle", SVG)]
         assert _near(springs[0][0], circles[-5])
+
+
+# --- the write path: every file is written with the flags and mode of
+# open(path, "w")
+
+def _write_all(report, out):
+    return emit_tables(report, out) + render_svg(report, out)
+
+
+def test_shorter_rewrite_leaves_only_its_bytes(tmp_path):
+    # the zero report's files written over the longer files of the
+    # one-nonzero report read as the zero report's files written alone
+    names = ("report.json", "solutions.csv", "overview.svg")
+    _write_all(_report(), tmp_path / "alone")
+    _write_all(_report((1.0, 0.0, 0.0)), tmp_path / "over")
+    longer = [(tmp_path / "over" / name).stat().st_size for name in names]
+    _write_all(_report(), tmp_path / "over")
+    for name, size in zip(names, longer):
+        alone = (tmp_path / "alone" / name).read_bytes()
+        assert len(alone) < size
+        assert (tmp_path / "over" / name).read_bytes() == alone
+
+
+def test_new_files_get_the_mode_of_open_w(tmp_path):
+    umask = os.umask(0o002)
+    try:
+        with open(tmp_path / "reference", "w"):
+            pass
+        files = _write_all(_report(), tmp_path)
+    finally:
+        os.umask(umask)
+    mode = stat.S_IMODE((tmp_path / "reference").stat().st_mode)
+    assert {stat.S_IMODE(path.stat().st_mode) for path in files} == {mode}
+
+
+def test_symlink_at_an_output_is_written_through(tmp_path):
+    expected = emit_tables(_report(), tmp_path / "alone", ("json",))[0]
+    target = tmp_path / "target.json"
+    target.write_text("an older and longer file " * 1000)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "report.json").symlink_to(target)
+    emit_tables(_report(), out, ("json",))
+    assert (out / "report.json").is_symlink()
+    assert target.read_bytes() == expected.read_bytes()
+
+
+WRITERS = {"emit_tables": emit_tables, "render_svg": render_svg}
+
+
+@pytest.mark.parametrize("write", WRITERS.values(), ids=WRITERS)
+def test_missing_nested_output_directory_is_made(tmp_path, write):
+    out = tmp_path / "a" / "b" / "c"
+    files = write(_report(), str(out))
+    assert files and all(path.parent == out and path.is_file()
+                         for path in files)
+
+
+@pytest.mark.parametrize("write", WRITERS.values(), ids=WRITERS)
+def test_output_path_that_is_a_file_raises(tmp_path, write):
+    out = tmp_path / "out"
+    out.write_text("a file")
+    with pytest.raises(OSError):
+        write(_report(), out)
+    assert out.read_text() == "a file"

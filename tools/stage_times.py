@@ -13,12 +13,13 @@ Each figure is the median over REPEATS rounds of the time per operation,
 in milliseconds, wall clock and process CPU time (user + sys), unscaled.
 In each round every stage runs once over the inputs (reference-one:
 REFERENCE_CALLS calls), the stages in turn. The two text stages run with
-``Path.write_text`` stubbed out. The writes are not timed in isolation:
-they are the whole operation minus the same operation with the writes
-stubbed, both run in the same round into the same output directory, so
-that they pay for rewriting the files the operation wrote before. The
-import is timed inside each of REPEATS fresh interpreters, numpy's import
-included, and its row repeats the one figure in both columns.
+the output layer's write primitive, ``output._write``, stubbed out. The
+writes are not timed in isolation: they are the whole operation minus the
+same operation with the writes stubbed, both run in the same round into
+the same output directory, so that they pay for rewriting the files the
+operation wrote before. The import is timed inside each of REPEATS fresh
+interpreters, numpy's import included, and its row repeats the one figure
+in both columns.
 
 The script reads the ``src/`` and ``bench/`` directories next to it, so a
 copy placed in another checkout measures that checkout. It takes about a
@@ -50,7 +51,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 import inputs  # noqa: E402
 from spring_platform import (emit_tables, load_config,  # noqa: E402
-                             render_svg, run_analysis)
+                             output, render_svg, run_analysis)
 
 SWEEP_ZERO_SEED = 1
 SWEEP_ZERO_INPUTS = 100
@@ -63,13 +64,13 @@ STAGES = ("`load_config`", "`run_analysis` (the solve)",
 
 @contextmanager
 def writes_stubbed():
-    """Path.write_text returns the length of its text and writes nothing."""
-    write_text = Path.write_text
-    Path.write_text = lambda self, data, *args, **kwargs: len(data)
+    """output._write returns its path and writes nothing."""
+    write = output._write
+    output._write = lambda path, text: path
     try:
         yield
     finally:
-        Path.write_text = write_text
+        output._write = write
 
 
 def operation(path: Path, out: Path) -> None:
