@@ -4,7 +4,7 @@ dispatch, solve, and verification bookkeeping."""
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .config import (CASE_ONE, CASE_ZERO, RunConfig,
                      UnsupportedFreeLengthPattern, free_length_case)
@@ -19,8 +19,7 @@ from .zero_free_lengths import solve_zero_free_lengths
 CONTACT_ASSUMED = "assumed"
 
 
-@dataclass
-class AnalysisReport:
+class AnalysisReport(NamedTuple):
     config: RunConfig
     contact: str
     case: str | None
@@ -30,15 +29,15 @@ class AnalysisReport:
     counts: dict
     margin: dict | None
     timing_s: float
-    notes: list[str] = field(default_factory=list)
+    notes: list[str]
 
 
 def _free_pose_stage(config: RunConfig):
     """Free-length assembly and contact classification; None when the
     assembly is degenerate and contact must be assumed."""
     params = config.params
-    if free_length_case(params.free_lengths) == CASE_ZERO:
-        return None  # zero-length legs cannot span the platform
+    if not any(params.free_lengths[1:]):
+        return None  # zero-length legs O1-A2 and A1-A2 cannot span O1-A1
     try:
         result = free_pose(params)
     except NotAssemblable:

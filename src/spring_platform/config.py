@@ -182,11 +182,20 @@ def config_from_dict(data: dict) -> RunConfig:
                      free_pose_branch=branch)
 
 
+def _object(pairs) -> dict:
+    """json's hook for an object, at any depth: a repeated key is an error."""
+    keys = [key for key, _ in pairs]
+    if len(set(keys)) < len(keys):
+        raise ValueError(f"duplicate key {max(keys, key=keys.count)!r}")
+    return dict(pairs)
+
+
 def load_config(path) -> RunConfig:
     """Read and validate a run configuration file (JSON)."""
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        data = json.loads(Path(path).read_text(encoding="utf-8"),
+                          object_pairs_hook=_object)
+    except ValueError as exc:  # not UTF-8, not JSON or a duplicate key
         raise ParseError(f"{path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ParseError(f"{path}: top level must be an object")

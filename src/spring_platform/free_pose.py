@@ -10,7 +10,7 @@ are cross-checked in tests against a radical-line intersection oracle).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import NotAssemblable
 from .geometry import Point2, Transform2H
@@ -19,8 +19,7 @@ from .mechanism import MechanismParams
 TOL_TANGENT = 1e-12  # relative slack on circle-intersection boundaries
 
 
-@dataclass(frozen=True)
-class FreePoseResult:
+class FreePoseResult(NamedTuple):
     """A2 in the base frame plus the O2 candidates (at most two) with the
     top-frame orientation each implies."""
 
@@ -103,12 +102,8 @@ def free_pose(params: MechanismParams) -> FreePoseResult:
     """Free-length assembly of the top platform in the base frame."""
     l01, l02, l03 = params.free_lengths
     a2 = solve_a2(l02, l03, params.d_o1a1)
-    candidates = solve_o2(a2, l01, params.d_o2a2)
-    return FreePoseResult(
-        a2,
-        tuple(p for p, _ in candidates),
-        tuple(phi for _, phi in candidates),
-    )
+    # the (point, angle) candidates transposed into points and angles
+    return FreePoseResult(a2, *zip(*solve_o2(a2, l01, params.d_o2a2)))
 
 
 def select_candidate(result: FreePoseResult, branch: int | None = None) -> int:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import OriginOnPlane, ParallelLines
 
@@ -51,8 +52,7 @@ def unit_vector(angle: float) -> Point2:
     return Point2(math.cos(angle), math.sin(angle))
 
 
-@dataclass(frozen=True)
-class Transform2H:
+class Transform2H(NamedTuple):
     """Rigid planar transform, the rotation-plus-translation form of the
     3x3 homogeneous matrix: apply(p) = R(angle) p + origin."""
 
@@ -69,8 +69,7 @@ class Transform2H:
         return Transform2H(self.angle + inner.angle, self.apply(inner.origin))
 
 
-@dataclass(frozen=True)
-class Line2:
+class Line2(NamedTuple):
     """Line given by a unit direction and its moment about the origin.
 
     A point p lies on the line iff p.x * direction.y - p.y * direction.x
@@ -105,8 +104,7 @@ def intersect_lines(l1: Line2, l2: Line2) -> Point2:
     return Point2(x, y)
 
 
-@dataclass(frozen=True)
-class PlaneSpec:
+class PlaneSpec(NamedTuple):
     """Oriented surface: unit normal plus offset, f(p) = p . normal + offset."""
 
     normal: Point2

@@ -15,6 +15,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import ZeroLengthSpring
 from .geometry import Line2, Point2, intersect_lines, line_through, unit_vector
@@ -92,8 +93,7 @@ def point_e(params: MechanismParams) -> Point2:
     return intersect_lines(params.base_axis_line(), params.surface_line())
 
 
-@dataclass(frozen=True)
-class ContactPose:
+class ContactPose(NamedTuple):
     """Top-platform pose parametrized by the surface coordinate L and the
     tilt beta; carries the derived fixed-frame points. Components may be
     complex during root verification."""
@@ -145,8 +145,7 @@ def pose_from(length, beta, params: MechanismParams, e: Point2) -> ContactPose:
     return pose_from_trig(length, *_cos_sin(beta), params, e)
 
 
-@dataclass(frozen=True)
-class SpringState:
+class SpringState(NamedTuple):
     """Lengths, unit directions and signed force magnitudes of the three
     springs (O1-O2, O1-A2, A1-A2)."""
 

@@ -48,7 +48,7 @@ from .solutions import EquilibriumSolution, ledger, mark_real
 
 ACCEPT_REL_TOL = 1e-6
 SAMPLES = 32                 # unit-circle samples of the z eliminants
-SUPPORT = slice(3, 26)       # their structural support, z^3 .. z^25
+SUPPORT = np.arange(3, 26)   # their structural support, z^3 .. z^25
 NEWTON_STEPS = 20            # at most; near-double roots converge slowly
 STEP_TOL = 1e-12             # relative Newton step that ends the iteration
 POLE_ROWS = 6                # tan-half pole roots at z = 0, and at infinity
@@ -58,6 +58,7 @@ SAME_SIGN_ROOTS = 14         # of a generic mechanism, on either branch of L1
 # the eliminants have degree at most 2 * 6 + 4 * 4 = 28 in z (F's rows have
 # degree 6, G's 4), below SAMPLES, so their transform aliases nothing
 _SAMPLE_Z = np.exp(2j * np.pi * np.arange(SAMPLES) / SAMPLES)
+_SAMPLE_DFT = np.conj(_SAMPLE_Z)[:, None] ** SUPPORT / SAMPLES
 # the third roots of unity and the inverse of their 3x3 transform
 _THIRD_ROOTS = np.exp(2j * np.pi * np.arange(3.0) / 3)
 _THIRD_INVERSE = np.conj(_THIRD_ROOTS[None, :] ** np.arange(3)[:, None]) / 3
@@ -152,8 +153,7 @@ def _eliminants(tensors, kl, signs):
     of G: its samples on the unit circle, transformed and cut to the
     structural support. The end coefficients can sit many decades below
     the largest one, so no magnitude threshold decides the degree."""
-    samples = _resultant_samples(tensors, kl, signs, _SAMPLE_Z)
-    return (np.fft.fft(samples, axis=-1) / SAMPLES)[:, SUPPORT]
+    return _resultant_samples(tensors, kl, signs, _SAMPLE_Z) @ _SAMPLE_DFT
 
 
 def _resultant_samples(tensors, kl, signs, z):

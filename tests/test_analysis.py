@@ -11,6 +11,7 @@ from spring_platform import (AnalysisError, MechanismError, NonZeroFreeLength,
                              WrongFreeLengthPattern, config_from_dict,
                              run_analysis, solve_one_nonzero_free_length,
                              solve_zero_free_lengths)
+from spring_platform import analysis
 from spring_platform.config import CASE_ONE, CASE_PATTERNS, CASE_ZERO
 from spring_platform.mechanism import MechanismParams
 
@@ -120,7 +121,15 @@ def _outcome(call, read):
 
 @pytest.mark.parametrize("free_lengths, expected",
                          FREE_LENGTH_RULE.values(), ids=FREE_LENGTH_RULE)
-def test_free_length_rule(free_lengths, expected):
+def test_free_length_rule(free_lengths, expected, monkeypatch):
+    # with L02 = L03 = 0 the free pose cannot be assembled and is not tried
+    assemble = analysis.free_pose
+
+    def free_pose(params):
+        assert params.free_lengths[1:] != (0.0, 0.0), "free pose assembled"
+        return assemble(params)
+
+    monkeypatch.setattr(analysis, "free_pose", free_pose)
     params = dataclasses.replace(reference_params(), free_lengths=free_lengths)
     data = dict(REFERENCE_CONFIG, L0=list(free_lengths))
     case = operator.attrgetter("case")

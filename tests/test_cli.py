@@ -40,12 +40,15 @@ def test_invalid_config_exit(tmp_path):
 
 
 def test_config_errors_exit_2(tmp_path, capsys):
-    # a file that is not UTF-8 and a number json reads as NaN are
-    # configuration errors, reported on one error line
+    # a file that is not UTF-8, a number json reads as NaN and a key given
+    # twice are configuration errors, reported on one error line
     not_utf8 = tmp_path / "not_utf8.json"
     not_utf8.write_bytes(b'{"output_dir": "\xff"}')
     nan = write_config(tmp_path, {"P_M": [float("nan"), 6.25]})
-    for cfg in (not_utf8, nan):
+    twice = tmp_path / "twice.json"
+    twice.write_text(json.dumps(dict(REFERENCE_CONFIG, L0=[1.0, 0.0, 0.0]))
+                     [:-1] + ', "L0": [0.0, 0.0, 0.0]}')
+    for cfg in (not_utf8, nan, twice):
         assert main(["--config", str(cfg)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 

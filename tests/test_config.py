@@ -73,10 +73,18 @@ def test_bad_values_rejected():
 
 
 def test_parse_error(tmp_path):
-    # not JSON, and not UTF-8
+    # not JSON, not UTF-8, and a key given twice, at the top level and
+    # nested; without its second copy each of the last two loads, and
+    # json.loads alone would keep the second value
+    one = dict(REFERENCE_CONFIG, L0=[1.0, 0.0, 0.0])
+    tolerance = dict(one, tolerances={"accept": 1e-6})
+    for valid in (one, tolerance):
+        assert load_config(write_config(tmp_path, valid)).case == CASE_ONE
     path = tmp_path / "broken.json"
     for text in (b"{not json", json.dumps(REFERENCE_CONFIG).encode()[:-1]
-                 + b'\xff}'):
+                 + b'\xff}',
+                 json.dumps(one).encode()[:-1] + b', "L0": [0, 0, 0]}',
+                 json.dumps(tolerance).encode()[:-2] + b', "accept": 1}}'):
         path.write_bytes(text)
         with pytest.raises(ParseError):
             load_config(path)

@@ -107,7 +107,7 @@ def test_zero_length_spring_raises():
     params = reference_params()
     e = point_e(params)
     pose = pose_from(5.0, 0.5, params, e)
-    squeezed = dataclasses.replace(pose, o2=params.base_origin)
+    squeezed = pose._replace(o2=params.base_origin)
     with pytest.raises(ZeroLengthSpring):
         spring_state(squeezed, params)
 

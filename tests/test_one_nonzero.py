@@ -1,7 +1,11 @@
 import cmath
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -445,24 +449,42 @@ def test_seeded_corpus_real_equilibria():
             abs(f) * (a - pose.p).norm() for f, a in zip(forces, arms))
 
 
-def test_eliminant_samples_do_not_alias(monkeypatch, params_one):
-    # the z eliminants have degree at most 28: a 64-point transform has
-    # nothing above z^28, and its structural support z^3..z^25 is what
-    # the 32-point transform gives
+def test_eliminant_samples_do_not_alias(params_one):
+    # the z eliminants have degree at most 28: a 64-point FFT of their
+    # samples has nothing above z^28, and its structural support
+    # z^3..z^25 is what the 32-point transform gives
     signs = np.array([1.0, -1.0])
+    z = np.exp(2j * np.pi * np.arange(64) / 64)
     for params in [params_one] + corpus(2026, 5):
         pair = UnsquaredPair(params, point_e(params))
         tensors = pair.tensors(pair.foot())
         support = one_nonzero._eliminants(tensors, pair.kl, signs)
-        with monkeypatch.context() as patch:
-            patch.setattr(one_nonzero, "SAMPLES", 64)
-            patch.setattr(one_nonzero, "_SAMPLE_Z",
-                          np.exp(2j * np.pi * np.arange(64) / 64))
-            patch.setattr(one_nonzero, "SUPPORT", slice(None))
-            full = one_nonzero._eliminants(tensors, pair.kl, signs)
+        full = np.fft.fft(one_nonzero._resultant_samples(
+            tensors, pair.kl, signs, z), axis=-1) / 64
         largest = np.max(np.abs(full), axis=1, keepdims=True)
         assert np.all(np.abs(full[:, 29:]) <= 1e-13 * largest)
         assert np.all(np.abs(full[:, 3:26] - support) <= 1e-12 * largest)
+
+
+def test_operation_loads_no_fft(tmp_path):
+    # one operation on the committed one-nonzero config as the CLI runs
+    # it, in a fresh interpreter: the eliminant transform is a product by
+    # a constant matrix, so numpy.fft, which numpy loads lazily, stays out
+    root = Path(__file__).resolve().parents[1]
+    code = ("import sys\n"
+            "from spring_platform import (emit_tables, load_config, "
+            "render_svg, run_analysis)\n"
+            "report = run_analysis(load_config(sys.argv[1]))\n"
+            "emit_tables(report, sys.argv[2], ('json', 'csv'))\n"
+            "render_svg(report, sys.argv[2])\n"
+            "print(report.counts['total'], 'numpy.fft' in sys.modules)")
+    run = subprocess.run(
+        [sys.executable, "-c", code,
+         str(root / "configs" / "one_nonzero_free_length.json"),
+         str(tmp_path)], capture_output=True, text=True, timeout=120,
+        check=True, env={**os.environ, "PYTHONPATH": str(root / "src")})
+    assert run.stdout.split() == ["48", "False"]
+    assert (tmp_path / "report.json").is_file()
 
 
 def _sylvester_dets(tensors, kl, signs, z):

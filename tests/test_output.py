@@ -56,8 +56,8 @@ def _free_pose_and_notes_report():
     report = _report((1.0, 0.0, 0.0))
     free_pose = _no_contact_report().free_pose
     assert report.notes and free_pose is not None
-    return dataclasses.replace(report, free_pose=free_pose,
-                               notes=report.notes + ['a "quoted" note'])
+    return report._replace(free_pose=free_pose,
+                           notes=report.notes + ['a "quoted" note'])
 
 
 def _pin_at_anchor_report():
@@ -335,9 +335,8 @@ def test_svg_zero_length_spring_is_one_point(tmp_path):
     report = _report()
     solution = report.solutions[0]._replace(
         beta=0j, length=complex(-e.x), is_real=True, accepted=True)
-    report = dataclasses.replace(
-        report, config=RunConfig(params=params), point_e=e,
-        solutions=[solution])
+    report = report._replace(
+        config=RunConfig(params=params), point_e=e, solutions=[solution])
     render_svg(report, tmp_path)
     for name in ("solution_1.svg", "overview.svg"):
         root = ET.parse(tmp_path / name).getroot()

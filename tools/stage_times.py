@@ -4,8 +4,8 @@
 operation, for the committed one-nonzero config (reference-one) and for
 the first SWEEP_ZERO_INPUTS inputs of the sweep-zero workload (the
 committed zero config, then ``inputs.zero_corpus(SWEEP_ZERO_SEED, ·)``),
-and the time of ``import spring_platform``, which every CLI run and
-every benchmark set-up pays once::
+and the times of ``import spring_platform`` and of the first operation
+after it, which every CLI run and every benchmark set-up pay once::
 
     python3 tools/stage_times.py
 
@@ -17,9 +17,13 @@ the output layer's write primitive, ``output._write``, stubbed out. The
 writes are not timed in isolation: they are the whole operation minus the
 same operation with the writes stubbed, both run in the same round into
 the same output directory, so that they pay for rewriting the files the
-operation wrote before. The import is timed inside each of REPEATS fresh
-interpreters, numpy's import included, and its row repeats the one figure
-in both columns.
+operation wrote before. The import and the first operation after it are
+timed inside REPEATS fresh interpreters per workload. The import is
+timed after numpy's and json's, which the library does not control and
+which vary by more than the library's own import from one interpreter
+to the next. The operation runs on the workload's first input and writes
+into a new directory; it is the part of a benchmark set-up timed after
+the import.
 
 The script reads the ``src/`` and ``bench/`` directories next to it, so a
 copy placed in another checkout measures that checkout. It takes about a
@@ -111,22 +115,37 @@ def stage_times(paths: list[Path], out: Path) -> list[tuple[float, float]]:
                   for clock in (0, 1)) for k in range(len(STAGES))]
 
 
-# prints the wall and CPU seconds of the import in a fresh interpreter
-_IMPORT = ("import sys, time; sys.path.insert(0, sys.argv[1]); "
-           "w, c = time.perf_counter(), time.process_time(); "
-           "import spring_platform; "
-           "print(time.perf_counter() - w, time.process_time() - c)")
+# in a fresh interpreter, prints the wall and CPU seconds of the import
+# (src directory argv[1]) and then of one operation on the config argv[2]
+# into the new directory argv[3]
+_FIRST = """\
+import json, sys, time, warnings
+import numpy
+sys.path.insert(0, sys.argv[1])
+w, c = time.perf_counter(), time.process_time()
+import spring_platform as lib
+w1, c1 = time.perf_counter(), time.process_time()
+warnings.simplefilter("ignore")
+report = lib.run_analysis(lib.load_config(sys.argv[2]))
+lib.emit_tables(report, sys.argv[3], ("json", "csv"))
+lib.render_svg(report, sys.argv[3])
+print(w1 - w, c1 - c, time.perf_counter() - w1, time.process_time() - c1)
+"""
 
 
-def import_times() -> tuple[float, float]:
-    """Median (wall, CPU) milliseconds of ``import spring_platform`` over
-    REPEATS fresh interpreters."""
-    runs = [tuple(map(float, subprocess.run(
-        [sys.executable, "-c", _IMPORT, str(ROOT / "src")], check=True,
-        capture_output=True, text=True).stdout.split()))
-        for _ in range(REPEATS)]
-    return tuple(1e3 * statistics.median(run[clock] for run in runs)
-                 for clock in (0, 1))
+def first_times(paths: list[Path], tmp: Path) -> list[list[float]]:
+    """Per config of paths, the median (wall, CPU) milliseconds of the
+    import and then of the first operation, over REPEATS fresh
+    interpreters each, which take the configs in turn."""
+    runs = [[] for _ in paths]
+    for k in range(REPEATS):
+        for i, path in enumerate(paths):
+            runs[i].append(tuple(map(float, subprocess.run(
+                [sys.executable, "-c", _FIRST, str(ROOT / "src"), str(path),
+                 str(tmp / f"first-{i}-{k}")], check=True,
+                capture_output=True, text=True).stdout.split())))
+    return [[1e3 * statistics.median(run[j] for run in column)
+             for j in range(4)] for column in runs]
 
 
 def main() -> int:
@@ -143,14 +162,16 @@ def main() -> int:
                 stage_times([ROOT / inputs.REFERENCE_ONE] * REFERENCE_CALLS,
                             tmp / "reference-one"),
                 stage_times(zero, tmp / "sweep-zero")]
+        first = first_times([ROOT / inputs.REFERENCE_ONE, zero[0]], tmp)
     print("| stage | reference-one | CPU | sweep-zero | CPU |")
     print("|---|---:|---:|---:|---:|")
     for k, stage in enumerate(STAGES):
         cells = [f"{t:.2f}" for column in columns for t in column[k]]
         print(f"| {stage} | " + " | ".join(cells) + " |")
-    cells = [f"{t:.2f}" for t in import_times()] * 2
-    print("| `import spring_platform` (once per process) | "
-          + " | ".join(cells) + " |")
+    for j, stage in ((0, "`import spring_platform` after numpy"),
+                     (2, "first operation after it")):
+        cells = [f"{t:.2f}" for column in first for t in column[j:j + 2]]
+        print(f"| {stage} (once per process) | " + " | ".join(cells) + " |")
     return 0
 
 
