@@ -1,7 +1,8 @@
 """Command line entry point.
 
-Exit codes: 0 on success, 2 for configuration problems, 3 for numerical
-failures.
+Exit codes: 0 on success, 2 for configuration problems (a config that
+cannot be read or is invalid, or an output path that cannot be written),
+3 for numerical failures.
 """
 
 from __future__ import annotations
@@ -60,10 +61,14 @@ def main(argv=None) -> int:
 
     written = []
     table_formats = [f for f in config.formats if f in ("json", "csv")]
-    if table_formats:
-        written += emit_tables(report, config.output_dir, table_formats)
-    if "svg" in config.formats:
-        written += render_svg(report, config.output_dir)
+    try:
+        if table_formats:
+            written += emit_tables(report, config.output_dir, table_formats)
+        if "svg" in config.formats:
+            written += render_svg(report, config.output_dir)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     c = report.counts
     print(f"contact: {report.contact}")

@@ -202,9 +202,11 @@ def _known_points(pair: UnsquaredPair, tensors):
 
 def _deflate(coeffs, known):
     """Coefficient rows divided by the product of (z - r)^2 over the known
-    double roots r: the least-squares quotient. Dividing the roots out
-    exactly keeps the roots beside them well conditioned, which picking
-    the computed roots nearest to r does not."""
+    double roots r: the least-squares quotient, solved by Householder QR
+    of the Toeplitz matrix that multiplies by that monic factor (full
+    column rank, so R is invertible) and one solve of R q = Q^H c. Dividing
+    the roots out exactly keeps the roots beside them well conditioned,
+    which picking the computed roots nearest to r does not."""
     factor = np.ones(1, dtype=complex)
     for value in known:
         factor = np.convolve(factor, [value * value, -2 * value, 1])
@@ -212,7 +214,8 @@ def _deflate(coeffs, known):
     product = np.zeros((coeffs.shape[-1], width), dtype=complex)
     for shift in range(width):
         product[shift:shift + len(factor), shift] = factor
-    return np.linalg.lstsq(product, coeffs.T, rcond=None)[0].T
+    q, r = np.linalg.qr(product)
+    return np.linalg.solve(r, q.conj().T @ coeffs.T).T
 
 
 def newton(pair, tensors, origin, u, z, s, sign):

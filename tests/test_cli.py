@@ -88,3 +88,19 @@ def test_csv_only_writes_no_svg(tmp_path):
     assert (out / "solutions.csv").exists()
     assert not list(out.glob("*.svg"))
     assert not (out / "report.json").exists()
+
+
+def test_unwritable_output_exit_2(tmp_path, capsys):
+    # an output path that is a regular file, or lies under one, is a
+    # configuration error for the tables and for the drawings alike
+    cfg = write_config(tmp_path)
+    regular = tmp_path / "regular"
+    regular.write_text("")
+    for out in (regular, regular / "out"):
+        for formats in ("json,csv", "svg"):
+            assert main(["--config", str(cfg), "--out", str(out),
+                         "--format", formats]) == 2
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error: ")
+            assert captured.err.count("\n") == 1
+    assert regular.read_text() == ""

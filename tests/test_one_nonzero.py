@@ -7,6 +7,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as P
@@ -16,7 +17,9 @@ from _support import (nearest_match, product, random_params,
                       tan_half_degree, tan_half_eliminant)
 
 from spring_platform import (DegenerateQuartic, Point2, WrongFreeLengthPattern,
-                             residual_margin, solve_one_nonzero_free_length,
+                             emit_tables, load_config, render_svg,
+                             residual_margin, run_analysis,
+                             solve_one_nonzero_free_length,
                              solve_zero_free_lengths)
 from spring_platform import one_nonzero, zero_free_lengths
 from spring_platform.errors import LostRoots
@@ -485,6 +488,65 @@ def test_operation_loads_no_fft(tmp_path):
         check=True, env={**os.environ, "PYTHONPATH": str(root / "src")})
     assert run.stdout.split() == ["48", "False"]
     assert (tmp_path / "report.json").is_file()
+
+
+def test_operation_uses_no_svd(monkeypatch, tmp_path):
+    # one operation on each committed config as the CLI runs it, with
+    # numpy's SVD-based solvers made to fail: the deflation is a QR solve
+    root = Path(__file__).resolve().parents[1]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an operation called an SVD-based solver")
+
+    for module in (np.linalg, np.linalg._linalg):
+        for name in ("lstsq", "svd", "pinv"):
+            monkeypatch.setattr(module, name, refuse)
+    for name, rows in (("one_nonzero_free_length", 48),
+                       ("all_zero_free_lengths", 4)):
+        out = tmp_path / name
+        report = run_analysis(load_config(root / "configs" / f"{name}.json"))
+        emit_tables(report, out, ("json", "csv"))
+        render_svg(report, out)
+        assert report.counts["total"] == rows
+        assert len((out / "solutions.csv").read_text().splitlines()) == rows + 1
+
+
+# mechanisms whose known factor has the worst-conditioned Toeplitz matrix
+# in tools/candidate_rows.py's sets (condition numbers about 2.8e3 and
+# 4.8e3), as (seed, draw)
+ILL_CONDITIONED_FACTORS = ((2026, 38), (777, 15))
+
+
+def test_deflate_is_the_least_squares_quotient(params_one):
+    # both signs' rows against the least-squares quotient by the monic
+    # known factor, that factor, its Toeplitz matrix and their Householder
+    # QR solve all in 40 digits
+    mechanisms = [params_one] + [corpus(seed, draw + 1)[draw]
+                                 for seed, draw in ILL_CONDITIONED_FACTORS]
+    for params in mechanisms:
+        pair = UnsquaredPair(params, point_e(params))
+        tensors = pair.tensors(pair.foot())
+        known, _ = one_nonzero._known_points(pair, tensors)
+        coeffs = one_nonzero._eliminants(tensors, pair.kl,
+                                         np.array([1.0, -1.0]))
+        got = one_nonzero._deflate(coeffs, known)
+        with mpmath.workdps(40):
+            factor = [mpmath.mpc(1)]
+            for value in map(mpmath.mpc, known):
+                factor = [sum(factor[k - i] * term
+                              for i, term in enumerate(
+                                  (value * value, -2 * value, 1))
+                              if 0 <= k - i < len(factor))
+                          for k in range(len(factor) + 2)]
+            product = mpmath.matrix(coeffs.shape[-1], got.shape[-1])
+            for shift in range(got.shape[-1]):
+                for k, term in enumerate(factor):
+                    product[shift + k, shift] = term
+            want = np.array([[complex(x) for x in mpmath.qr_solve(
+                product, mpmath.matrix(list(map(mpmath.mpc, row))))[0]]
+                for row in coeffs])
+        largest = np.max(np.abs(want), axis=1, keepdims=True)
+        assert np.all(np.abs(got - want) <= 1e-11 * largest)
 
 
 def _sylvester_dets(tensors, kl, signs, z):

@@ -5,7 +5,8 @@ operation, for the committed one-nonzero config (reference-one) and for
 the first SWEEP_ZERO_INPUTS inputs of the sweep-zero workload (the
 committed zero config, then ``inputs.zero_corpus(SWEEP_ZERO_SEED, ·)``),
 and the times of ``import spring_platform`` and of the first operation
-after it, which every CLI run and every benchmark set-up pay once::
+after it, which every CLI run and every benchmark set-up pay once, and
+the peak resident set size after that first operation::
 
     python3 tools/stage_times.py
 
@@ -23,7 +24,14 @@ timed after numpy's and json's, which the library does not control and
 which vary by more than the library's own import from one interpreter
 to the next. The operation runs on the workload's first input and writes
 into a new directory; it is the part of a benchmark set-up timed after
-the import.
+the import. The peak RSS row is the median over the same interpreters
+of the peak resident set size after the first operation, in MB (KiB /
+1024, as the benchmark's ``peak_rss_mb``): it shows what an operation
+pages in, per workload, without running the benchmark. It reads
+``VmHWM`` from ``/proc/self/status`` (Linux), the peak of the
+interpreter's own memory, not ``ru_maxrss``: a process keeps its
+spawner's ``ru_maxrss`` through ``exec``, so in an interpreter this
+script starts it reads this script's peak.
 
 The script reads the ``src/`` and ``bench/`` directories next to it, so a
 copy placed in another checkout measures that checkout. It takes about a
@@ -117,7 +125,7 @@ def stage_times(paths: list[Path], out: Path) -> list[tuple[float, float]]:
 
 # in a fresh interpreter, prints the wall and CPU seconds of the import
 # (src directory argv[1]) and then of one operation on the config argv[2]
-# into the new directory argv[3]
+# into the new directory argv[3], and the peak RSS in MB after it
 _FIRST = """\
 import json, sys, time, warnings
 import numpy
@@ -129,14 +137,18 @@ warnings.simplefilter("ignore")
 report = lib.run_analysis(lib.load_config(sys.argv[2]))
 lib.emit_tables(report, sys.argv[3], ("json", "csv"))
 lib.render_svg(report, sys.argv[3])
-print(w1 - w, c1 - c, time.perf_counter() - w1, time.process_time() - c1)
+with open("/proc/self/status") as status:
+    peak = next(line for line in status if line.startswith("VmHWM:"))
+print(w1 - w, c1 - c, time.perf_counter() - w1, time.process_time() - c1,
+      int(peak.split()[1]) / 1024.0)
 """
 
 
 def first_times(paths: list[Path], tmp: Path) -> list[list[float]]:
     """Per config of paths, the median (wall, CPU) milliseconds of the
-    import and then of the first operation, over REPEATS fresh
-    interpreters each, which take the configs in turn."""
+    import and then of the first operation, and the median peak RSS in MB
+    after it, over REPEATS fresh interpreters each, which take the configs
+    in turn."""
     runs = [[] for _ in paths]
     for k in range(REPEATS):
         for i, path in enumerate(paths):
@@ -145,7 +157,8 @@ def first_times(paths: list[Path], tmp: Path) -> list[list[float]]:
                  str(tmp / f"first-{i}-{k}")], check=True,
                 capture_output=True, text=True).stdout.split())))
     return [[1e3 * statistics.median(run[j] for run in column)
-             for j in range(4)] for column in runs]
+             for j in range(4)] + [statistics.median(run[4] for run in column)]
+            for column in runs]
 
 
 def main() -> int:
@@ -172,6 +185,9 @@ def main() -> int:
                      (2, "first operation after it")):
         cells = [f"{t:.2f}" for column in first for t in column[j:j + 2]]
         print(f"| {stage} (once per process) | " + " | ".join(cells) + " |")
+    cells = [cell for column in first for cell in (f"{column[4]:.2f} MB", "")]
+    print("| peak RSS after the first operation (once per process) | "
+          + " | ".join(cells) + " |")
     return 0
 
 
