@@ -18,13 +18,11 @@ from .analysis import AnalysisReport, run_analysis
 from .config import (RunConfig, UnsupportedFreeLengthPattern,
                      config_from_dict, dump_config, load_config)
 from .errors import (AnalysisError, DegenerateQuartic, MechanismError,
-                     NotAssemblable, NonZeroFreeLength, OriginOnPlane,
-                     ParallelLines, ParseError, ValidationError,
-                     WrongFreeLengthPattern, ZeroLengthSpring)
-from .free_pose import (FreePoseResult, dialytic_residual, free_pose, solve_a2,
-                        solve_o2)
-from .geometry import (Contact, Line2, PlaneSpec, Point2, Transform2H,
-                       classify_contact, intersect_lines, line_through,
+                     NotAssemblable, NonZeroFreeLength, ParallelLines,
+                     ParseError, ValidationError, WrongFreeLengthPattern,
+                     ZeroLengthSpring)
+from .free_pose import dialytic_residual, solve_a2, solve_o2
+from .geometry import (Line2, PlaneSpec, Point2, intersect_lines, line_through,
                        make_plane)
 from .mechanism import (ContactPose, MechanismParams, SpringState, point_e,
                         pose_from, pose_from_trig, residual_pair, spring_state)

@@ -1,16 +1,14 @@
-"""Pipeline orchestration: free pose, contact classification, case
-dispatch, solve, and verification bookkeeping."""
+"""Pipeline orchestration: the case solve and its verification
+bookkeeping."""
 
 from __future__ import annotations
 
 import time
 from typing import NamedTuple
 
-from .config import (CASE_ONE, CASE_ZERO, RunConfig,
-                     UnsupportedFreeLengthPattern, free_length_case)
-from .errors import AnalysisError, MechanismError, NotAssemblable
-from .free_pose import free_pose, select_candidate, top_in_fixed
-from .geometry import Contact, Point2, classify_contact, make_plane
+from .config import CASE_ONE, CASE_ZERO, RunConfig, free_length_case
+from .errors import AnalysisError, MechanismError
+from .geometry import Point2
 from .mechanism import point_e
 from .one_nonzero import ACCEPT_REL_TOL, solve_one_nonzero_free_length
 from .solutions import EquilibriumSolution, residual_margin
@@ -22,8 +20,8 @@ CONTACT_ASSUMED = "assumed"
 class AnalysisReport(NamedTuple):
     config: RunConfig
     contact: str
-    case: str | None
-    point_e: Point2 | None
+    case: str
+    point_e: Point2
     free_pose: dict | None
     solutions: list[EquilibriumSolution]
     counts: dict
@@ -32,68 +30,16 @@ class AnalysisReport(NamedTuple):
     notes: list[str]
 
 
-def _free_pose_stage(config: RunConfig):
-    """Free-length assembly and contact classification; None when the
-    assembly is degenerate and contact must be assumed."""
-    params = config.params
-    if not any(params.free_lengths[1:]):
-        return None  # zero-length legs O1-A2 and A1-A2 cannot span O1-A1
-    try:
-        result = free_pose(params)
-    except NotAssemblable:
-        return None
-    idx = select_candidate(result, config.free_pose_branch)
-    fixed = top_in_fixed(params, result, idx)
-    p_fixed = fixed.apply(params.p_in_top)
-    o2_fixed = fixed.apply(Point2(0.0, 0.0))
-    plane = make_plane(params.surface_angle, params.surface_point)
-    contact = classify_contact(p_fixed, plane)
-    info = {
-        "a2_in_base": [result.a2_in_base.x, result.a2_in_base.y],
-        "o2_candidates": [[p.x, p.y] for p in result.o2_candidates],
-        "selected_branch": idx,
-        "o2_fixed": [o2_fixed.x, o2_fixed.y],
-        "p_fixed": [p_fixed.x, p_fixed.y],
-        "phi2_in_base": result.phi2_candidates[idx],
-    }
-    return contact, info
-
-
 def run_analysis(config: RunConfig) -> AnalysisReport:
     """Full analysis for one configuration.
 
-    The unloaded (free-length) pose decides contact first: a pose on the
-    origin side of the surface ends the run with no equilibrium solve. A
-    degenerate free pose (zero-length legs) means the platform only exists
-    pressed against the surface, so contact is assumed and the case solver
-    runs directly.
+    Both supported cases have L02 = L03 = 0, so the legs O1-A2 and A1-A2
+    cannot span O1-A1: the platform has no unloaded pose, exists only
+    pressed against the surface, and contact is assumed. The case solver
+    the free lengths imply runs directly.
     """
     t0 = time.perf_counter()
-    notes: list[str] = []
-    contact = CONTACT_ASSUMED
-    free_info = None
-
-    try:
-        staged = _free_pose_stage(config)
-    except MechanismError as exc:
-        raise AnalysisError("free-pose", exc) from exc
-    if staged is None:
-        notes.append("free pose not assemblable; contact assumed")
-    else:
-        contact_enum, free_info = staged
-        contact = contact_enum.value
-
-    if contact == Contact.NO_CONTACT.value:
-        return AnalysisReport(
-            config=config, contact=contact, case=None, point_e=None,
-            free_pose=free_info, solutions=[],
-            counts={"total": 0, "accepted": 0, "rejected": 0, "real": 0},
-            margin=None, timing_s=time.perf_counter() - t0, notes=notes)
-
     case = free_length_case(config.params.free_lengths)
-    if case is None:
-        raise AnalysisError("case-dispatch", UnsupportedFreeLengthPattern())
-
     try:
         e = point_e(config.params)
     except MechanismError as exc:
@@ -123,6 +69,7 @@ def run_analysis(config: RunConfig) -> AnalysisReport:
                   "min_rejected_residual": best_rej,
                   "ratio": ratio}
     return AnalysisReport(
-        config=config, contact=contact, case=case, point_e=e,
-        free_pose=free_info, solutions=solutions, counts=counts,
-        margin=margin, timing_s=time.perf_counter() - t0, notes=notes)
+        config=config, contact=CONTACT_ASSUMED, case=case, point_e=e,
+        free_pose=None, solutions=solutions, counts=counts, margin=margin,
+        timing_s=time.perf_counter() - t0,
+        notes=["free pose not assemblable; contact assumed"])

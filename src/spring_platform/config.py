@@ -25,8 +25,7 @@ FORMATS = ("json", "csv", "svg")
 
 REQUIRED_KEYS = ("P_M", "alpha_deg", "P_A1_in1", "P_A2_in2", "P_P_in2",
                  "P_O1", "phi1_deg", "k", "L0")
-OPTIONAL_KEYS = ("case", "output_dir", "formats", "tolerances",
-                 "free_pose_branch")
+OPTIONAL_KEYS = ("case", "output_dir", "formats", "tolerances")
 
 
 @dataclass(frozen=True)
@@ -36,15 +35,16 @@ class RunConfig:
     output_dir: str = "out"
     formats: tuple[str, ...] = FORMATS
     accept_tol: float | None = None
-    free_pose_branch: int | None = None
 
     def __post_init__(self):
         """Checks that config files, the CLI's overrides and direct
-        construction share: the case is auto or the one the free lengths
-        imply, the formats are a nonempty subset of FORMATS, and a
-        tolerance is positive and set only for the one-nonzero case, the
-        only solver that takes one."""
+        construction share: the free lengths fit a solver case, the case
+        is auto or that one, the formats are a nonempty subset of FORMATS,
+        and a tolerance is finite, positive and set only for the
+        one-nonzero case, the only solver that takes one."""
         implied = free_length_case(self.params.free_lengths)
+        if implied is None:
+            raise UnsupportedFreeLengthPattern()
         if not self.formats or any(f not in FORMATS for f in self.formats):
             raise ValidationError(
                 "formats", f"must be a nonempty subset of {FORMATS}")
@@ -58,8 +58,9 @@ class RunConfig:
             if implied != CASE_ONE:
                 raise ValidationError("tolerances", "accept applies to the "
                                       "one-nonzero case only")
-            if not self.accept_tol > 0:
-                raise ValidationError("tolerances", "accept must be positive")
+            if not 0 < self.accept_tol < math.inf:
+                raise ValidationError("tolerances",
+                                      "accept must be finite and positive")
 
     def to_dict(self) -> dict:
         p = self.params
@@ -79,8 +80,6 @@ class RunConfig:
         }
         if self.accept_tol is not None:
             data["tolerances"] = {"accept": self.accept_tol}
-        if self.free_pose_branch is not None:
-            data["free_pose_branch"] = self.free_pose_branch
         return data
 
 
@@ -152,10 +151,8 @@ def config_from_dict(data: dict) -> RunConfig:
         raise ValidationError("params", str(exc)) from exc
 
     case = data.get("case", CASE_AUTO)
-    if case == CASE_AUTO:
+    if case == CASE_AUTO:  # RunConfig rejects None, a pattern with no case
         case = free_length_case(params.free_lengths)
-        if case is None:
-            raise UnsupportedFreeLengthPattern()
 
     formats = data.get("formats", FORMATS)
     if not isinstance(formats, (list, tuple)):
@@ -163,23 +160,18 @@ def config_from_dict(data: dict) -> RunConfig:
 
     accept_tol = None
     tolerances = data.get("tolerances", {})
+    if not isinstance(tolerances, dict) or set(tolerances) - {"accept"}:
+        raise ValidationError("tolerances", "expected an object whose only "
+                              "key is 'accept'")
     if tolerances:
-        if not isinstance(tolerances, dict) or set(tolerances) - {"accept"}:
-            raise ValidationError("tolerances", "only 'accept' is supported")
         accept_tol = _number(tolerances, "accept")
-
-    branch = data.get("free_pose_branch")
-    if branch is not None and (isinstance(branch, bool)
-                               or not isinstance(branch, int) or branch < 0):
-        raise ValidationError("free_pose_branch", "must be a nonnegative index")
 
     output_dir = data.get("output_dir", "out")
     if not isinstance(output_dir, str):
         raise ValidationError("output_dir", "must be a string")
 
     return RunConfig(params=params, case=case, output_dir=output_dir,
-                     formats=tuple(formats), accept_tol=accept_tol,
-                     free_pose_branch=branch)
+                     formats=tuple(formats), accept_tol=accept_tol)
 
 
 def _object(pairs) -> dict:

@@ -9,10 +9,6 @@ class ParallelLines(MechanismError):
     """Two lines have no (finite) intersection point."""
 
 
-class OriginOnPlane(MechanismError):
-    """Side classification relative to the origin is undefined."""
-
-
 class NotAssemblable(MechanismError):
     """The free-length circle constructions admit no real intersection."""
 

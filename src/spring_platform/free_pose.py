@@ -1,31 +1,23 @@
-"""Top-platform pose with every spring at its free length.
+"""Circle constructions for the top platform with springs at their free
+lengths.
 
-Anchor A2 comes from intersecting the two circles traced by the legs from
-O1 and A1; O2 then comes from a second circle pair. The O2 stage runs
+solve_a2 intersects the two circles traced by the legs from O1 and A1;
+solve_o2 intersects a second circle pair for O2. The O2 stage runs
 through the dialytic route: the 4x4 determinant condition collapses to a
 quadratic in o2x whose coefficients are re-derived here (the closed forms
 are cross-checked in tests against a radical-line intersection oracle).
+Neither runs in an analysis: both supported cases have L02 = L03 = 0, for
+which the legs to A2 cannot span O1-A1, so contact is assumed.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 from .errors import NotAssemblable
-from .geometry import Point2, Transform2H
-from .mechanism import MechanismParams
+from .geometry import Point2
 
 TOL_TANGENT = 1e-12  # relative slack on circle-intersection boundaries
-
-
-class FreePoseResult(NamedTuple):
-    """A2 in the base frame plus the O2 candidates (at most two) with the
-    top-frame orientation each implies."""
-
-    a2_in_base: Point2
-    o2_candidates: tuple[Point2, ...]
-    phi2_candidates: tuple[float, ...]
 
 
 def solve_a2(r_from_o1: float, r_from_a1: float, d_o1a1: float) -> Point2:
@@ -96,33 +88,3 @@ def solve_o2(a2: Point2, r_o2: float, d_o2a2: float) -> list[tuple[Point2, float
             points = [points[0]]
     points.sort(key=lambda p: -p.y)
     return [(p, math.atan2(a2.y - p.y, a2.x - p.x)) for p in points]
-
-
-def free_pose(params: MechanismParams) -> FreePoseResult:
-    """Free-length assembly of the top platform in the base frame."""
-    l01, l02, l03 = params.free_lengths
-    a2 = solve_a2(l02, l03, params.d_o1a1)
-    # the (point, angle) candidates transposed into points and angles
-    return FreePoseResult(a2, *zip(*solve_o2(a2, l01, params.d_o2a2)))
-
-
-def select_candidate(result: FreePoseResult, branch: int | None = None) -> int:
-    """Index of the O2 candidate to carry forward; the default takes the
-    larger o2y, mirroring the positive-y assembly convention for A2."""
-    if branch is None:
-        return 0  # candidates are ordered by descending o2y
-    if not 0 <= branch < len(result.o2_candidates):
-        raise IndexError(
-            f"free-pose branch {branch} out of range "
-            f"({len(result.o2_candidates)} candidate(s))")
-    return branch
-
-
-def top_in_fixed(params: MechanismParams, result: FreePoseResult,
-                 index: int) -> Transform2H:
-    """Top-frame to fixed-frame transform of the free pose's O2 candidate
-    at index, through the top-in-base and base-in-fixed transforms."""
-    top_in_base = Transform2H(result.phi2_candidates[index],
-                              result.o2_candidates[index])
-    base_in_fixed = Transform2H(params.base_angle, params.base_origin)
-    return base_in_fixed.compose(top_in_base)

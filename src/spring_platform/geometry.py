@@ -1,5 +1,5 @@
-"""Planar geometry: points, rigid transforms, lines, and the oriented
-surface treated as a plane for contact-side classification.
+"""Planar geometry: points, lines, and the oriented surface treated as a
+plane whose sign tells the two sides of the surface apart.
 
 All angles are radians. Points are immutable value objects; every function
 here is pure, so concurrent use needs no locking.
@@ -9,13 +9,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import NamedTuple
 
-from .errors import OriginOnPlane, ParallelLines
+from .errors import ParallelLines
 
 TOL_PARALLEL = 1e-9  # on the cross product of unit directions
-TOL_ON_SURFACE = 1e-9  # metres
 
 
 @dataclass(frozen=True)
@@ -50,23 +48,6 @@ class Point2:
 
 def unit_vector(angle: float) -> Point2:
     return Point2(math.cos(angle), math.sin(angle))
-
-
-class Transform2H(NamedTuple):
-    """Rigid planar transform, the rotation-plus-translation form of the
-    3x3 homogeneous matrix: apply(p) = R(angle) p + origin."""
-
-    angle: float
-    origin: Point2
-
-    def apply(self, p: Point2) -> Point2:
-        c, s = math.cos(self.angle), math.sin(self.angle)
-        return Point2(c * p.x - s * p.y + self.origin.x,
-                      s * p.x + c * p.y + self.origin.y)
-
-    def compose(self, inner: "Transform2H") -> "Transform2H":
-        """self applied after inner: apply(compose, p) == apply(self, apply(inner, p))."""
-        return Transform2H(self.angle + inner.angle, self.apply(inner.origin))
 
 
 class Line2(NamedTuple):
@@ -119,26 +100,3 @@ def make_plane(angle: float, surface_point: Point2) -> PlaneSpec:
     the normal is that direction rotated by -pi/2."""
     n = unit_vector(angle - math.pi / 2)
     return PlaneSpec(n, -surface_point.dot(n))
-
-
-class Contact(Enum):
-    ON_SURFACE = "on_surface"
-    NO_CONTACT = "no_contact"
-    IN_CONTACT = "in_contact"
-
-
-def classify_contact(p: Point2, plane: PlaneSpec) -> Contact:
-    """Side-of-surface test for the unloaded pose.
-
-    A point on the origin's side of the surface has not reached it
-    (NO_CONTACT); the opposite side means the surface constrains it
-    (IN_CONTACT). Undefined when the origin lies on the surface itself.
-    """
-    if abs(plane.offset) <= TOL_ON_SURFACE:
-        raise OriginOnPlane("plane passes through the origin")
-    q = plane.evaluate(p)
-    if abs(q) <= TOL_ON_SURFACE:
-        return Contact.ON_SURFACE
-    if (q > 0) == (plane.offset > 0):
-        return Contact.NO_CONTACT
-    return Contact.IN_CONTACT

@@ -59,7 +59,7 @@ def _report_fields(report: AnalysisReport, solutions: list) -> dict:
     return {
         "contact": report.contact,
         "case": report.case,
-        "point_E": None if e is None else [e.x, e.y],
+        "point_E": [e.x, e.y],
         "free_pose": report.free_pose,
         "counts": report.counts,
         "margin": report.margin,
@@ -149,7 +149,7 @@ def emit_tables(report: AnalysisReport, out_dir,
     out = _output_dir(out_dir)
     written = []
     (beta, length, force, moment, rel, real, accepted, squared,
-     note) = list(zip(*report.solutions)) or [()] * 9
+     note) = zip(*report.solutions)
     index = range(1, len(beta) + 1)
     beta_re, beta_im = [b.real for b in beta], [b.imag for b in beta]
     length_re, length_im = [v.real for v in length], [v.imag for v in length]
@@ -224,7 +224,7 @@ def _open_drawing(params, canvas_pts, surface_pts, e):
     """The world-to-SVG mapping of a drawing over canvas_pts, with a
     flipped y axis, as (x0, y1, scale), and the drawing's first fragments:
     the XML declaration, the svg start tag, the surface through M over 1.2
-    times the extent of surface_pts and, when there is one, point E."""
+    times the extent of surface_pts and point E."""
     xs, ys = zip(*canvas_pts)
     x0, x1 = min(xs) - _PAD, max(xs) + _PAD
     y0, y1 = min(ys) - _PAD, max(ys) + _PAD
@@ -242,12 +242,11 @@ def _open_drawing(params, canvas_pts, surface_pts, e):
              f'{width:.1f} {height:.1f}" width="{width:.0f}" '
              f'height="{height:.0f}"><line x1="{ax:.2f}" y1="{ay:.2f}" x2='
              f'"{bx:.2f}" y2="{by:.2f}" stroke="#000000" stroke-width="5" />']
-    if e is not None:
-        x, y = (e[0] - x0) * scale, (y1 - e[1]) * scale
-        parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="3.5" '
-                     f'fill="#555555" /><text x="{x + 6:.2f}" '
-                     f'y="{y - 6:.2f}" font-size="13" fill="#555555" '
-                     'font-family="sans-serif">E</text>')
+    x, y = (e[0] - x0) * scale, (y1 - e[1]) * scale
+    parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="3.5" '
+                 f'fill="#555555" /><text x="{x + 6:.2f}" '
+                 f'y="{y - 6:.2f}" font-size="13" fill="#555555" '
+                 'font-family="sans-serif">E</text>')
     return (x0, y1, scale), parts
 
 
@@ -320,12 +319,6 @@ def render_svg(report: AnalysisReport, out_dir) -> list[Path]:
     written: list[Path] = []
     real_accepted = [(i, s) for i, s in enumerate(report.solutions, start=1)
                      if s.accepted and s.is_real]
-    if report.point_e is None:
-        # no contact solve ran; nothing but an empty overview to draw
-        _, parts = _open_drawing(params, [o1, a1, m], [o1, m], None)
-        return _remove_stale_drawings(
-            out, [_write(out / "overview.svg", "".join(parts) + "</svg>")])
-
     e = _xy(report.point_e)
     poses = {i: _mechanism_points(params, s, report.point_e)
              for i, s in real_accepted}

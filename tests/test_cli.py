@@ -75,7 +75,10 @@ def test_tolerance_flag(tmp_path, capsys):
         accepted.append(re.search(r"accepted=(\d+)",
                                   capsys.readouterr().out).group(1))
     assert accepted == ["10", "24"]
-    assert main(["--config", str(cfg), "--tol-acc", "-1"]) == 2
+    # the tolerance must be finite and positive: inf would accept every row
+    for tol in ("-1", "inf"):
+        assert main(["--config", str(cfg), "--tol-acc", tol]) == 2
+        assert capsys.readouterr().err.count("error: ") == 1
     zero = write_config(tmp_path, name="zero.json")
     assert main(["--config", str(zero), "--tol-acc", "1e-9"]) == 2
 

@@ -123,9 +123,13 @@ def test_tolerance_override():
     one = dict(REFERENCE_CONFIG, L0=[1.0, 0.0, 0.0])
     cfg = config_from_dict(dict(one, tolerances={"accept": 1e-8}))
     assert cfg.accept_tol == 1e-8
-    for tolerances in ({"accept": -1}, {"other": 1}, {"accept": "1e-8"}):
-        with pytest.raises(ValidationError):
+    assert config_from_dict(dict(one, tolerances={})).accept_tol is None
+    # a value that is not an object is an error, not "no tolerance"
+    for tolerances in ({"accept": -1}, {"other": 1}, {"accept": "1e-8"},
+                       [], 0, False, None):
+        with pytest.raises(ValidationError) as err:
             config_from_dict(dict(one, tolerances=tolerances))
+        assert err.value.field in ("tolerances", "accept")
     # only the one-nonzero solver takes a tolerance: the zero case rejects
     # one whether it comes from the file, a replace or the constructor
     with pytest.raises(ValidationError):

@@ -3,11 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from spring_platform import (NotAssemblable, Point2, RunConfig,
-                             dialytic_residual, free_pose, solve_a2, solve_o2)
-from spring_platform.analysis import _free_pose_stage
-from spring_platform.free_pose import FreePoseResult
-from spring_platform.mechanism import MechanismParams
+from spring_platform import (NotAssemblable, Point2, dialytic_residual,
+                             solve_a2, solve_o2)
 
 
 def radical_line_intersection(center, r1, r2):
@@ -106,55 +103,17 @@ def test_dialytic_residual_vanishes_at_solver_output():
             assert abs(dialytic_residual(a, b, c)) <= 1e-9 * scale
 
 
-def _assemblable_params():
-    # identity-ish base pose with legs long enough to assemble
-    return MechanismParams(
-        surface_point=Point2(30.0, 0.0), surface_angle=math.radians(90.0),
-        a1_in_base=Point2(2.0, 0.0), a2_in_top=Point2(1.0, 0.0),
-        p_in_top=Point2(1.0, 1.0), base_origin=Point2(0.0, 0.0),
-        base_angle=0.0, stiffness=(1.0, 1.0, 1.0),
-        free_lengths=(0.0, 1.0, 1.0))
-
-
-def test_free_point_identity_case():
-    # top frame coincident with the base frame: P lands at its own coords
-    _, info = _free_pose_stage(RunConfig(params=_assemblable_params()))
-    x, y = info["p_fixed"]
-    assert abs(x - 1.0) < 1e-9
-    assert abs(y - 1.0) < 1e-9
-
-
-def test_free_point_matches_transform_chain():
-    import dataclasses
-    params = dataclasses.replace(
-        _assemblable_params(),
-        free_lengths=(1.2, 2.0, 2.2),
-        base_origin=Point2(3.0, -1.0), base_angle=0.4)
-    result = free_pose(params)
-    assert isinstance(result, FreePoseResult)
-    _, info = _free_pose_stage(RunConfig(params=params))
-    x, y = info["p_fixed"]
-    # oracle: direct matrix chain with the first candidate
-    o2 = result.o2_candidates[0]
-    phi2 = result.phi2_candidates[0]
-    c1, s1 = math.cos(0.4), math.sin(0.4)
-    c2, s2 = math.cos(phi2), math.sin(phi2)
-    t12 = np.array([[c2, -s2, o2.x], [s2, c2, o2.y], [0, 0, 1]])
-    tf1 = np.array([[c1, -s1, 3.0], [s1, c1, -1.0], [0, 0, 1]])
-    expected = tf1 @ t12 @ np.array([1.0, 1.0, 1.0])
-    assert abs(x - expected[0]) < 1e-9
-    assert abs(y - expected[1]) < 1e-9
-
-
 def test_reference_zero_free_lengths_not_assemblable(params_zero):
+    # zero-length legs from O1 and A1 cannot meet at an A2
+    _, l02, l03 = params_zero.free_lengths
     with pytest.raises(NotAssemblable):
-        free_pose(params_zero)
+        solve_a2(l02, l03, params_zero.d_o1a1)
 
 
 def test_free_pose_candidates_ordered_and_on_circles():
+    # A2 from the leg circles about O1 and A1, then O2 from the circles
+    # about O1 and A2, for a free pose built around random A2 and O2
     rng = np.random.default_rng(23)
-    import dataclasses
-    base = _assemblable_params()
     for _ in range(30):
         a2w = Point2(rng.uniform(-3, 3), rng.uniform(0.3, 4))
         o2w = Point2(rng.uniform(-3, 3), rng.uniform(-3, 3))
@@ -165,16 +124,13 @@ def test_free_pose_candidates_ordered_and_on_circles():
         d2 = (o2w - a2w).norm()
         if min(l01, d2) < 1e-2 or l02 < 1e-2 or l03 < 1e-2:
             continue
-        params = dataclasses.replace(
-            base, a1_in_base=Point2(d1, 0.0), a2_in_top=Point2(d2, 0.0),
-            free_lengths=(l01, l02, l03))
-        result = free_pose(params)
-        assert 1 <= len(result.o2_candidates) <= 2
-        ys = [p.y for p in result.o2_candidates]
+        a2 = solve_a2(l02, l03, d1)
+        candidates = [p for p, _ in solve_o2(a2, l01, d2)]
+        assert 1 <= len(candidates) <= 2
+        ys = [p.y for p in candidates]
         assert ys == sorted(ys, reverse=True)
-        a2 = result.a2_in_base
         assert abs(a2.norm() - l02) <= 1e-9 * max(1.0, l02)
         assert abs((a2 - Point2(d1, 0.0)).norm() - l03) <= 1e-9 * max(1.0, l03)
-        for o2 in result.o2_candidates:
+        for o2 in candidates:
             assert abs(o2.norm() - l01) <= 1e-8 * max(1.0, l01)
             assert abs((o2 - a2).norm() - d2) <= 1e-8 * max(1.0, d2)

@@ -3,61 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from spring_platform import (Contact, ParallelLines, OriginOnPlane, Point2,
-                             Transform2H, classify_contact, intersect_lines,
+from spring_platform import (ParallelLines, Point2, intersect_lines,
                              line_through, make_plane)
-
-
-def test_identity_transform():
-    t = Transform2H(0.0, Point2(0.0, 0.0))
-    p = t.apply(Point2(3.0, 4.0))
-    assert (p.x, p.y) == (3.0, 4.0)
-
-
-def test_quarter_turn_then_shift():
-    t = Transform2H(math.pi / 2, Point2(1.0, 0.0))
-    p = t.apply(Point2(1.0, 0.0))
-    assert abs(p.x - 1.0) < 1e-15
-    assert abs(p.y - 1.0) < 1e-15
-
-
-def test_transform_chain_matches_matrix_product():
-    # compose the base transform with an inner one and compare against the
-    # explicit homogeneous 3x3 product
-    outer = Transform2H(math.radians(20.0), Point2(5.0, 3.5))
-    inner = Transform2H(0.83, Point2(1.2, -0.4))
-    p2 = Point2(2.25, 2.5)
-
-    def matrix(t):
-        c, s = math.cos(t.angle), math.sin(t.angle)
-        return np.array([[c, -s, t.origin.x], [s, c, t.origin.y], [0, 0, 1.0]])
-
-    chained = outer.compose(inner).apply(p2)
-    direct = matrix(outer) @ matrix(inner) @ np.array([p2.x, p2.y, 1.0])
-    assert abs(chained.x - direct[0]) < 1e-12
-    assert abs(chained.y - direct[1]) < 1e-12
-
-
-def test_transform_composition_property():
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        t1 = Transform2H(rng.uniform(-4, 4), Point2(*rng.uniform(-5, 5, 2)))
-        t2 = Transform2H(rng.uniform(-4, 4), Point2(*rng.uniform(-5, 5, 2)))
-        p = Point2(*rng.uniform(-5, 5, 2))
-        a = t1.apply(t2.apply(p))
-        b = t1.compose(t2).apply(p)
-        assert abs(a.x - b.x) < 1e-12 and abs(a.y - b.y) < 1e-12
-
-
-def test_transform_preserves_distances():
-    rng = np.random.default_rng(4)
-    t = Transform2H(1.234, Point2(0.5, -8.0))
-    for _ in range(10):
-        p = Point2(*rng.uniform(-10, 10, 2))
-        q = Point2(*rng.uniform(-10, 10, 2))
-        before = (p - q).norm()
-        after = (t.apply(p) - t.apply(q)).norm()
-        assert abs(before - after) <= 1e-12 * max(1.0, before)
 
 
 def test_line_through_origin():
@@ -142,28 +89,3 @@ def test_plane_normal_orthogonal_to_direction():
         plane = make_plane(angle, Point2(*rng.uniform(-10, 10, 2)))
         d = Point2(math.cos(angle), math.sin(angle))
         assert abs(plane.normal.dot(d)) <= 1e-12
-
-
-def test_classify_contact_sides():
-    plane = make_plane(math.pi / 2, Point2(1.0, 0.0))  # vertical through x=1
-    assert classify_contact(Point2(0.5, 0.0), plane) is Contact.NO_CONTACT
-    assert classify_contact(Point2(2.0, 0.0), plane) is Contact.IN_CONTACT
-    assert classify_contact(Point2(1.0, 5.0), plane) is Contact.ON_SURFACE
-
-
-def test_classify_contact_origin_on_plane():
-    plane = make_plane(math.pi / 2, Point2(0.0, 3.0))
-    with pytest.raises(OriginOnPlane):
-        classify_contact(Point2(1.0, 1.0), plane)
-
-
-def test_classify_invariant_under_sliding_anchor():
-    rng = np.random.default_rng(13)
-    angle = math.radians(150.0)
-    anchor = Point2(19.5, 6.25)
-    d = Point2(math.cos(angle), math.sin(angle))
-    p = Point2(30.0, 30.0)
-    base = classify_contact(p, make_plane(angle, anchor))
-    for _ in range(20):
-        slid = anchor + rng.uniform(-10, 10) * d
-        assert classify_contact(p, make_plane(angle, slid)) is base

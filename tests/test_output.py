@@ -28,16 +28,6 @@ def _report(l0=(0.0, 0.0, 0.0)):
     return run_analysis(config_from_dict(dict(REFERENCE_CONFIG, L0=list(l0))))
 
 
-def _no_contact_report():
-    params = MechanismParams(
-        surface_point=Point2(100.0, 0.0), surface_angle=math.radians(90.0),
-        a1_in_base=Point2(2.0, 0.0), a2_in_top=Point2(1.0, 0.0),
-        p_in_top=Point2(1.0, 1.0), base_origin=Point2(1.0, 0.5),
-        base_angle=0.2, stiffness=(1.0, 1.0, 1.0),
-        free_lengths=(1.2, 2.0, 2.2))
-    return run_analysis(RunConfig(params=params))
-
-
 def _balanced_pin_report():
     # the pin where the zero case's force residual loses beta: two rows
     # with infinite beta_im and a NaN length
@@ -50,14 +40,10 @@ def _balanced_pin_report():
     return report
 
 
-def _free_pose_and_notes_report():
-    # a solve runs only when the free pose is not assemblable or touches
-    # the surface, so the free pose of the no-contact mechanism is lent
+def _quoted_note_report():
+    # a note with quotes, which report.json must escape
     report = _report((1.0, 0.0, 0.0))
-    free_pose = _no_contact_report().free_pose
-    assert report.notes and free_pose is not None
-    return report._replace(free_pose=free_pose,
-                           notes=report.notes + ['a "quoted" note'])
+    return report._replace(notes=report.notes + ['a "quoted" note'])
 
 
 def _pin_at_anchor_report():
@@ -105,9 +91,8 @@ def _csv_line(i, s):
 TABLE_REPORTS = {
     "reference-zero": _report,
     "reference-one": lambda: _report((1.0, 0.0, 0.0)),
-    "no-contact": _no_contact_report,
     "no-finite-beta": _balanced_pin_report,
-    "free-pose-and-notes": _free_pose_and_notes_report,
+    "quoted-note": _quoted_note_report,
     "pin-at-anchor": _pin_at_anchor_report,
 }
 for _k in range(5):
@@ -204,12 +189,6 @@ def test_csv_one_nonzero_rows(tmp_path):
     assert accepted == report.counts["accepted"]
 
 
-def test_empty_solve_gives_header_only(tmp_path):
-    report = _no_contact_report()
-    files = emit_tables(report, tmp_path, ("csv",))
-    assert files[0].read_text().strip() == CSV_HEADER
-
-
 def test_json_structure(tmp_path):
     report = _report()
     files = emit_tables(report, tmp_path, ("json",))
@@ -303,18 +282,6 @@ def test_svg_rerun_removes_stale_drawings(tmp_path):
     second = render_svg(_report((1.0, 0.0, 0.0)), tmp_path)
     assert {path.name for path in first} - {path.name for path in second}
     assert sorted(tmp_path.iterdir()) == sorted(second + [other])
-
-
-def test_svg_no_contact_draws_only_the_surface(tmp_path):
-    # no contact solve ran: the overview alone, with the surface line and
-    # nothing else
-    files = render_svg(_no_contact_report(), tmp_path)
-    assert files == [tmp_path / "overview.svg"]
-    assert sorted(tmp_path.iterdir()) == files
-    root = ET.parse(files[0]).getroot()
-    assert len(root.findall(".//svg:line", SVG)) == 1
-    for tag in ("circle", "text", "polyline", "g"):
-        assert root.findall(f".//svg:{tag}", SVG) == []
 
 
 def test_svg_zero_length_spring_is_one_point(tmp_path):
