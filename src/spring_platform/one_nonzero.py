@@ -96,14 +96,15 @@ class UnsquaredPair:
         x1, y1 = o2x - self.o1x, o2y - self.o1y
         x2, y2 = a2x - self.o1x, a2y - self.o1y
         x3, y3 = a2x - self.a1x, a2y - self.a1y
+        # the spring forces k (x, y), shared by the force and moment sums
         k1, k2, k3 = self.k1, self.k2, self.k3
-        force_coef = ((k1 * x1 + k2 * x2 + k3 * x3) * ca
-                      + (k1 * y1 + k2 * y2 + k3 * y3) * sa)
+        f1x, f1y, f2x, f2y = k1 * x1, k1 * y1, k2 * x2, k2 * y2
+        f3x, f3y = k3 * x3, k3 * y3
+        force_coef = (f1x + f2x + f3x) * ca + (f1y + f2y + f3y) * sa
         r1x, r1y = self.o1x - px, self.o1y - py
         r3x, r3y = self.a1x - px, self.a1y - py
-        moment_coef = ((r1x * (y1 * k1) - r1y * (x1 * k1))
-                       + (r1x * (y2 * k2) - r1y * (x2 * k2))
-                       + (r3x * (y3 * k3) - r3y * (x3 * k3)))
+        moment_coef = ((r1x * f1y - r1y * f1x) + (r1x * f2y - r1y * f2x)
+                       + (r3x * f3y - r3y * f3x))
         force_rhs = self.kl * (x1 * ca + y1 * sa)
         moment_rhs = self.kl * (r1x * y1 - r1y * x1)
         l1_sq = x1 * x1 + y1 * y1
@@ -120,7 +121,7 @@ class UnsquaredPair:
         both: the inverse discrete transform of their values on a grid of
         third roots of unity."""
         z = _THIRD_ROOTS[None, :]
-        values = np.stack(self.terms(origin + _THIRD_ROOTS[:, None],
+        values = np.array(self.terms(origin + _THIRD_ROOTS[:, None],
                                      (z + 1 / z) / 2, (z - 1 / z) / 2j))
         return _THIRD_INVERSE @ (values * z) @ _THIRD_INVERSE.T
 
@@ -140,10 +141,10 @@ def _split(rows):
 
 def _mixed(a, b, c, d, kl, sign):
     """Coefficients in L of G = z^2 (A D - sign B C) / kl, a quadratic,
-    from the affine rows of z A, z B, z C and z D."""
+    from the affine rows of z A, z B, z C and z D, all of one shape."""
     def product(p, q):
-        (p0, p1), (q0, q1) = np.moveaxis(p, -1, 0), np.moveaxis(q, -1, 0)
-        return np.stack([p0 * q0, p0 * q1 + p1 * q0, p1 * q1], axis=-1)
+        (p0, p1), (q0, q1) = p.T, q.T
+        return np.array([p0 * q0, p0 * q1 + p1 * q0, p1 * q1]).T
 
     return (product(a, d) - sign * product(b, c)) / kl
 
@@ -165,8 +166,8 @@ def _resultant_samples(tensors, kl, signs, z):
     sign it carries a factor sin beta and vanishes at z = +-1 up to
     rounding."""
     a, b, c, d, l1_sq = _split(_in_length(tensors, z))
-    g0, g1, g2 = np.moveaxis(_mixed(a, b, c, d, kl, signs[:, None, None]),
-                             -1, 0)
+    g = _mixed(a, b, c, d, kl, signs[:, None, None])
+    g0, g1, g2 = g[..., 0], g[..., 1], g[..., 2]
     q = _quadratic_q(g0, g1, g2)
     (a0, a1), (b0, b1), (l0, l1, l2) = a.T, b.T, l1_sq.T
 
@@ -196,7 +197,7 @@ def _known_points(pair: UnsquaredPair, tensors):
     quadratics = np.array([
         [-p.conjugate(), w.conjugate() * d - w * d.conjugate(), p],
         tensors[0, 0] - stiffness / pair.kl * tensors[1, 0]])
-    z = np.stack(_quadratic_roots(*quadratics.T), axis=-1).ravel()
+    z = np.array(_quadratic_roots(*quadratics.T)).T.ravel()
     return z, -w.conjugate() * d - z[:2] * p
 
 
@@ -236,19 +237,18 @@ def newton(pair, tensors, origin, u, z, s, sign):
     for _ in range(NEWTON_STEPS):
         a, b, c, d, l1_sq = terms
         d = sign * d
-        residual = np.stack([z * (a * s - b), z * (c * s - d),
-                             z * (s * s - l1_sq)], axis=-1)
+        residual = np.array([z * (a * s - b), z * (c * s - d),
+                             z * (s * s - l1_sq)]).T
         parts = np.einsum("pkij,ni,nj->pkn", derived, u[:, None] ** powers,
                           z[:, None] ** powers)
         parts[:, 3] *= sign
         (za, _, zc, _, _), (au, bu, cu, du, lu), (az, bz, cz, dz, lz) = parts
-        jacobian = np.stack([au * s - bu, az * s - bz, za,
+        jacobian = np.array([au * s - bu, az * s - bz, za,
                              cu * s - du, cz * s - dz, zc,
-                             -lu, s * s - lz, 2 * z * s],
-                            axis=-1).reshape(-1, 3, 3)
+                             -lu, s * s - lz, 2 * z * s]).T.reshape(-1, 3, 3)
         step = np.linalg.solve(jacobian, residual[..., None])[..., 0]
         if np.all(np.abs(step) <= STEP_TOL * (1 + np.abs(
-                np.stack([u, z, s], axis=-1)))):
+                np.array([u, z, s]).T))):
             break
         u, z, s = u - step[:, 0], z - step[:, 1], s - step[:, 2]
         terms = pair.terms(origin + u, (z + 1 / z) / 2, (z - 1 / z) / 2j)
@@ -278,7 +278,7 @@ def _classify(length, z, s, terms, same_sign, accept_tol) -> dict:
                         c * l1 - d, np.abs(c * l1) + np.abs(d))
 
     fa, fb, ma, mb = a * a * l1_sq, b * b, c * c * l1_sq, d * d
-    rel = unsquared(l1)
+    rel, own = unsquared(np.array([l1, s]))  # principal L1, then own s
     with np.errstate(divide="ignore", invalid="ignore"):
         spring = np.abs(l1) >= TOL_ZERO_LENGTH
         force = np.where(spring, np.abs(a - b / l1), math.inf)
@@ -294,7 +294,7 @@ def _classify(length, z, s, terms, same_sign, accept_tol) -> dict:
         <= 1e-8 * (1 + np.abs(beta) + np.abs(length))[:, None], -1), axis=1)
     note = np.where(accepted, np.where(repeated, "repeated root", ""),
                     np.where(~same_sign, "mixed sign", np.where(
-                        unsquared(s) <= accept_tol, "other branch",
+                        own <= accept_tol, "other branch",
                         "refinement not converged")))
     return dict(
         beta=beta, length=length, residual_force=force,
@@ -348,8 +348,8 @@ def solve_one_nonzero_free_length(params: MechanismParams,
     sign = np.repeat(signs, roots.shape[1])
     z = roots.ravel()
     a, b, c, d, l1_sq = _split(_in_length(tensors, z))
-    candidates = np.stack(_quadratic_roots(
-        *_mixed(a, b, c, d, pair.kl, sign[:, None]).T), axis=-1)
+    candidates = np.array(_quadratic_roots(
+        *_mixed(a, b, c, d, pair.kl, sign[:, None]).T)).T
     a, b, l1_sq = (horner(row[:, None, :], candidates)
                    for row in (a, b, l1_sq))
     pick = np.arange(len(z)), np.argmin(

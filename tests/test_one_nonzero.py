@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import mpmath
@@ -275,6 +276,18 @@ def test_conjugate_closure(solutions_one):
                    < 1e-9 for b, l in accepted)
 
 
+def test_reference_ledger_split(solutions_one, solutions_zero):
+    # the rows of each kind that _classify and the structural rows write
+    one = Counter((s.accepted, s.note) for s in solutions_one)
+    assert one == {(True, ""): 10, (False, "other branch"): 4,
+                   (False, "mixed sign"): 14,
+                   (False, "O2 = O1 (first spring of zero length)"): 8,
+                   (False, "no finite beta (tan-half pole artifact)"): 12}
+    assert sum(s.accepted and s.is_real for s in solutions_one) == 2
+    zero = Counter((s.accepted, s.is_real, s.note) for s in solutions_zero)
+    assert zero == {(True, True, ""): 2, (True, False, ""): 2}
+
+
 def test_pole_artifacts_flagged(solutions_one):
     pole = [s for s in solutions_one if "pole artifact" in s.note]
     assert len(pole) == 12
@@ -490,17 +503,9 @@ def test_operation_loads_no_fft(tmp_path):
     assert (tmp_path / "report.json").is_file()
 
 
-def test_operation_uses_no_svd(monkeypatch, tmp_path):
-    # one operation on each committed config as the CLI runs it, with
-    # numpy's SVD-based solvers made to fail: the deflation is a QR solve
+def _operate_on_committed_configs(tmp_path):
+    """One operation on each committed config as the CLI runs it."""
     root = Path(__file__).resolve().parents[1]
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("an operation called an SVD-based solver")
-
-    for module in (np.linalg, np.linalg._linalg):
-        for name in ("lstsq", "svd", "pinv"):
-            monkeypatch.setattr(module, name, refuse)
     for name, rows in (("one_nonzero_free_length", 48),
                        ("all_zero_free_lengths", 4)):
         out = tmp_path / name
@@ -509,6 +514,29 @@ def test_operation_uses_no_svd(monkeypatch, tmp_path):
         render_svg(report, out)
         assert report.counts["total"] == rows
         assert len((out / "solutions.csv").read_text().splitlines()) == rows + 1
+
+
+def test_operation_uses_no_svd(monkeypatch, tmp_path):
+    # numpy's SVD-based solvers made to fail: the deflation is a QR solve
+    def refuse(*args, **kwargs):
+        raise AssertionError("an operation called an SVD-based solver")
+
+    for module in (np.linalg, np.linalg._linalg):
+        for name in ("lstsq", "svd", "pinv"):
+            monkeypatch.setattr(module, name, refuse)
+    _operate_on_committed_configs(tmp_path)
+
+
+def test_operation_uses_no_stack_or_moveaxis(monkeypatch, tmp_path):
+    # np.stack and np.moveaxis made to fail: on arrays of a few dozen
+    # entries their Python-level checks cost more than the arithmetic, so
+    # the solves build and split arrays with np.array and transposes
+    def refuse(*args, **kwargs):
+        raise AssertionError("an operation called np.stack or np.moveaxis")
+
+    for name in ("stack", "moveaxis"):
+        monkeypatch.setattr(np, name, refuse)
+    _operate_on_committed_configs(tmp_path)
 
 
 # mechanisms whose known factor has the worst-conditioned Toeplitz matrix

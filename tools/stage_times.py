@@ -6,7 +6,8 @@ the first SWEEP_ZERO_INPUTS inputs of the sweep-zero workload (the
 committed zero config, then ``inputs.zero_corpus(SWEEP_ZERO_SEED, ·)``),
 and the times of ``import spring_platform`` and of the first operation
 after it, which every CLI run and every benchmark set-up pay once, and
-the peak resident set size after that first operation::
+the peak resident set size after that first operation; then the solve's
+sub-stages (SUB_STAGES) on the same inputs::
 
     python3 tools/stage_times.py
 
@@ -31,10 +32,13 @@ pages in, per workload, without running the benchmark. It reads
 ``VmHWM`` from ``/proc/self/status`` (Linux), the peak of the
 interpreter's own memory, not ``ru_maxrss``: a process keeps its
 spawner's ``ru_maxrss`` through ``exec``, so in an interpreter this
-script starts it reads this script's peak.
+script starts it reads this script's peak. The sub-stages replay each
+stage's recorded inputs (``sub_stage_times``); their last row is the
+whole solve, timed alongside them, which they add up to within about a
+tenth.
 
 The script reads the ``src/`` and ``bench/`` directories next to it, so a
-copy placed in another checkout measures that checkout. It takes about a
+copy placed in another checkout measures that checkout. It takes under a
 minute.
 """
 
@@ -63,7 +67,9 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 import inputs  # noqa: E402
 from spring_platform import (emit_tables, load_config,  # noqa: E402
-                             output, render_svg, run_analysis)
+                             one_nonzero, output, render_svg, run_analysis,
+                             zero_free_lengths)
+from spring_platform.one_nonzero import UnsquaredPair  # noqa: E402
 
 SWEEP_ZERO_SEED = 1
 SWEEP_ZERO_INPUTS = 100
@@ -72,6 +78,39 @@ REPEATS = 9
 STAGES = ("`load_config`", "`run_analysis` (the solve)",
           "`report.json` and `solutions.csv` text", "SVG text",
           "5 file writes", "whole operation")
+SUB_STAGES = ("set-up: `point_e`, `UnsquaredPair`, `foot`",
+              "`UnsquaredPair.tensors`",
+              "eliminants, deflation and companion roots",
+              "candidates: the starts of `newton`", "`newton`",
+              "`_classify`", "ledger: `structural_rows` and `ledger`")
+# per workload, the solve and the calls that bound its sub-stages, in the
+# order the solve makes them, as (owner, name, sub-stage of the call,
+# sub-stage of the solve's own code that runs just before it), and the
+# sub-stage of the code after the last call. The zero solve has no
+# eliminant to deflate and no _classify: those rows hold its quartic and
+# companion roots and its inline residuals.
+SOLVES = {
+    "reference-one": (
+        lambda config: one_nonzero.solve_one_nonzero_free_length(
+            config.params, config.accept_tol or one_nonzero.ACCEPT_REL_TOL),
+        ((UnsquaredPair, "tensors", 1, 0),
+         (one_nonzero, "_known_points", 2, 1),
+         (one_nonzero, "_eliminants", 2, 2),
+         (one_nonzero, "_deflate", 2, 2),
+         (one_nonzero, "companion_roots", 2, 2),
+         (one_nonzero, "newton", 4, 3),
+         (one_nonzero, "_classify", 5, 4),
+         (one_nonzero, "structural_rows", 6, 6),
+         (one_nonzero, "ledger", 6, 6)), 6),
+    "sweep-zero": (
+        lambda config: zero_free_lengths.solve_zero_free_lengths(
+            config.params),
+        ((UnsquaredPair, "tensors", 1, 0),
+         (zero_free_lengths, "_quartic_roots", 2, 2),
+         (zero_free_lengths, "newton", 4, 3),
+         (zero_free_lengths, "structural_rows", 6, 5),
+         (zero_free_lengths, "ledger", 6, 6)), 6),
+}
 
 
 @contextmanager
@@ -123,6 +162,114 @@ def stage_times(paths: list[Path], out: Path) -> list[tuple[float, float]]:
                   for clock in (0, 1)) for k in range(len(STAGES))]
 
 
+class _Cut(Exception):
+    """Ends a solve at one of its bounding calls."""
+
+
+@contextmanager
+def patched(bounds, make):
+    """Each bounding callable replaced by make(its original)."""
+    originals = [(owner, name, getattr(owner, name))
+                 for owner, name, _, _ in bounds]
+    for owner, name, function in originals:
+        setattr(owner, name, make(function))
+    try:
+        yield
+    finally:
+        for owner, name, function in originals:
+            setattr(owner, name, function)
+
+
+def record(solve, bounds, config) -> list:
+    """(Function, args, kwargs, result) of each bounding call one solve of
+    config makes, in call order."""
+    calls = []
+
+    def recorder(function):
+        def call(*args, **kwargs):
+            entry = [function, args, kwargs, None]
+            calls.append(entry)
+            entry[3] = result = function(*args, **kwargs)
+            return result
+        return call
+
+    with patched(bounds, recorder):
+        solve(config)
+    return calls
+
+
+def replay(calls: list) -> list[tuple[float, float]]:
+    """(Wall, CPU) seconds of each recorded call, replayed in call order."""
+    times = []
+    for function, args, kwargs, _ in calls:
+        wall, cpu = time.perf_counter(), time.process_time()
+        function(*args, **kwargs)
+        times.append((time.perf_counter() - wall, time.process_time() - cpu))
+    return times
+
+
+def sub_stage_times(workload: str, paths: list[Path],
+                    ) -> list[tuple[float, float]]:
+    """Median (wall, CPU) milliseconds per solve of each of SUB_STAGES,
+    then of the whole solve.
+
+    The bounding calls of each solve are replayed on the inputs they were
+    recorded with, in the order the solve made them: each replayed alone,
+    back to back, the calls read 17-25% below their time in the solve,
+    whose other stages evict their code and data from the caches. The
+    solve's own
+    code between two bounding calls is timed by cutting the solve short:
+    every bounding call returns its recorded result at once and the k-th
+    raises, and the code just before call k is the solve cut at k minus
+    the solve cut at k - 1 (cut at 0, it is the set-up; uncut, the last
+    difference is the code after the last call)."""
+    solve, bounds, tail = SOLVES[workload]
+    configs = [load_config(path) for path in paths]
+    records = [record(solve, bounds, config) for config in configs]
+    names = [name for _, name, _, _ in bounds]
+    rows = [bounds[names.index(function.__name__)][2:]
+            for function, _, _, _ in records[0]]
+    state = {}
+
+    def stub(function):
+        def call(*args, **kwargs):
+            k = state["next"]
+            if k == state["cut"]:
+                raise _Cut
+            state["next"] = k + 1
+            return state["results"][k]
+        return call
+
+    def cut(config, calls, k):
+        state.update(next=0, cut=k, results=[call[3] for call in calls])
+        try:
+            solve(config)
+        except _Cut:
+            pass
+
+    rounds = []
+    for _ in range(REPEATS):
+        whole = per_op([lambda c=c: solve(c) for c in configs])
+        replays = [tuple(sum(clocks) / len(records) for clocks in zip(*call))
+                   for call in zip(*map(replay, records))]
+        with patched(bounds, stub):
+            cuts = [per_op([lambda c=c, r=r, k=k: cut(c, r, k)
+                            for c, r in zip(configs, records)])
+                    for k in range(len(rows) + 1)]
+        totals = [[0.0, 0.0] for _ in SUB_STAGES]
+        gaps = [cuts[0]] + [tuple(b - a for a, b in zip(x, y))
+                            for x, y in zip(cuts, cuts[1:])]
+        for (call_row, gap_row), call, gap in zip(
+                rows + [(None, tail)], replays + [(0.0, 0.0)], gaps):
+            for clock in (0, 1):
+                totals[gap_row][clock] += gap[clock]
+                if call_row is not None:
+                    totals[call_row][clock] += call[clock]
+        rounds.append(totals + [whole])
+    return [tuple(1e3 * statistics.median(r[k][clock] for r in rounds)
+                  for clock in (0, 1)) for k in range(len(SUB_STAGES) + 1)]
+
+
 # in a fresh interpreter, prints the wall and CPU seconds of the import
 # (src directory argv[1]) and then of one operation on the config argv[2]
 # into the new directory argv[3], and the peak RSS in MB after it
@@ -171,10 +318,11 @@ def main() -> int:
             tmp / "configs")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            columns = [
-                stage_times([ROOT / inputs.REFERENCE_ONE] * REFERENCE_CALLS,
-                            tmp / "reference-one"),
-                stage_times(zero, tmp / "sweep-zero")]
+            reference = [ROOT / inputs.REFERENCE_ONE] * REFERENCE_CALLS
+            columns = [stage_times(reference, tmp / "reference-one"),
+                       stage_times(zero, tmp / "sweep-zero")]
+            sub_columns = [sub_stage_times("reference-one", reference),
+                           sub_stage_times("sweep-zero", zero)]
         first = first_times([ROOT / inputs.REFERENCE_ONE, zero[0]], tmp)
     print("| stage | reference-one | CPU | sweep-zero | CPU |")
     print("|---|---:|---:|---:|---:|")
@@ -188,6 +336,12 @@ def main() -> int:
     cells = [cell for column in first for cell in (f"{column[4]:.2f} MB", "")]
     print("| peak RSS after the first operation (once per process) | "
           + " | ".join(cells) + " |")
+    print()
+    print("| solve sub-stage | reference-one | CPU | sweep-zero | CPU |")
+    print("|---|---:|---:|---:|---:|")
+    for k, stage in enumerate(SUB_STAGES + ("whole solve, uncut",)):
+        cells = [f"{t:.3f}" for column in sub_columns for t in column[k]]
+        print(f"| {stage} | " + " | ".join(cells) + " |")
     return 0
 
 
