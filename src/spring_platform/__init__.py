@@ -16,7 +16,7 @@ same finite roots plus the pole and O2 = O1 rows; the solve reports all
 
 from .analysis import AnalysisReport, run_analysis
 from .config import (RunConfig, UnsupportedFreeLengthPattern,
-                     config_from_dict, dump_config, load_config)
+                     config_from_dict, load_config)
 from .errors import (AnalysisError, DegenerateQuartic, MechanismError,
                      NotAssemblable, NonZeroFreeLength, ParallelLines,
                      ParseError, ValidationError, WrongFreeLengthPattern,

@@ -6,11 +6,11 @@ from __future__ import annotations
 import time
 from typing import NamedTuple
 
-from .config import CASE_ONE, CASE_ZERO, RunConfig, free_length_case
+from .config import CASE_ONE, CASE_ZERO, RunConfig
 from .errors import AnalysisError, MechanismError
 from .geometry import Point2
 from .mechanism import point_e
-from .one_nonzero import ACCEPT_REL_TOL, solve_one_nonzero_free_length
+from .one_nonzero import solve_one_nonzero_free_length
 from .solutions import EquilibriumSolution, residual_margin
 from .zero_free_lengths import solve_zero_free_lengths
 
@@ -39,7 +39,7 @@ def run_analysis(config: RunConfig) -> AnalysisReport:
     the free lengths imply runs directly.
     """
     t0 = time.perf_counter()
-    case = free_length_case(config.params.free_lengths)
+    case = config.case
     try:
         e = point_e(config.params)
     except MechanismError as exc:
@@ -49,8 +49,7 @@ def run_analysis(config: RunConfig) -> AnalysisReport:
         if case == CASE_ZERO:
             solutions = solve_zero_free_lengths(config.params)
         else:
-            solutions = solve_one_nonzero_free_length(
-                config.params, config.accept_tol or ACCEPT_REL_TOL)
+            solutions = solve_one_nonzero_free_length(config.params)
     except MechanismError as exc:
         raise AnalysisError(f"solve-{case}", exc) from exc
 

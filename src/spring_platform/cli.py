@@ -1,5 +1,7 @@
 """Command line entry point.
 
+The config file gives the mechanism, and its free lengths pick the solver;
+--out and --format override the file's output directory and formats.
 Exit codes: 0 on success, 2 for configuration problems (a config that
 cannot be read or is invalid, or an output path that cannot be written),
 3 for numerical failures.
@@ -12,11 +14,9 @@ import sys
 from dataclasses import replace
 
 from .analysis import run_analysis
-from .config import CASE_ONE, CASE_ZERO, load_config
+from .config import load_config
 from .errors import MechanismError, ParseError, ValidationError
 from .output import emit_tables, render_svg
-
-_CASE_FLAGS = {"auto": "auto", "zero": CASE_ZERO, "one-nonzero": CASE_ONE}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -26,13 +26,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "platform pressed against a rigid surface.")
     parser.add_argument("--config", required=True,
                         help="path to the JSON run configuration")
-    parser.add_argument("--case", choices=sorted(_CASE_FLAGS),
-                        help="override the configured solver case")
     parser.add_argument("--out", help="output directory (default from config)")
     parser.add_argument("--format",
                         help="comma separated subset of json,csv,svg")
-    parser.add_argument("--tol-acc", type=float,
-                        help="override the extraneous-root acceptance tolerance")
     return parser
 
 
@@ -40,15 +36,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = load_config(args.config)
-        if args.case and args.case != "auto":
-            config = replace(config, case=_CASE_FLAGS[args.case])
-        if args.out:
+        if args.out is not None:
             config = replace(config, output_dir=args.out)
-        if args.format:
+        if args.format is not None:
             config = replace(config, formats=tuple(
                 f.strip() for f in args.format.split(",") if f.strip()))
-        if args.tol_acc is not None:
-            config = replace(config, accept_tol=args.tol_acc)
     except (ParseError, ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -2,7 +2,8 @@
 
 Angles enter in degrees and are converted to radians exactly once, here.
 The file schema is strict: the full given-quantity list is required and
-unknown keys are rejected.
+unknown keys are rejected. The free lengths pick the solver case; the
+optional "case" key only asserts it.
 """
 
 from __future__ import annotations
@@ -20,51 +21,40 @@ from .mechanism import MechanismParams
 CASE_AUTO = "auto"
 CASE_ZERO = "zero-free-lengths"
 CASE_ONE = "one-nonzero"
-CASES = (CASE_AUTO, CASE_ZERO, CASE_ONE)
 FORMATS = ("json", "csv", "svg")
 
 REQUIRED_KEYS = ("P_M", "alpha_deg", "P_A1_in1", "P_A2_in2", "P_P_in2",
                  "P_O1", "phi1_deg", "k", "L0")
-OPTIONAL_KEYS = ("case", "output_dir", "formats", "tolerances")
+OPTIONAL_KEYS = ("case", "output_dir", "formats")
 
 
 @dataclass(frozen=True)
 class RunConfig:
     params: MechanismParams
-    case: str = CASE_AUTO
     output_dir: str = "out"
     formats: tuple[str, ...] = FORMATS
-    accept_tol: float | None = None
 
     def __post_init__(self):
         """Checks that config files, the CLI's overrides and direct
-        construction share: the free lengths fit a solver case, the case
-        is auto or that one, the formats are a nonempty subset of FORMATS,
-        and a tolerance is finite, positive and set only for the
-        one-nonzero case, the only solver that takes one."""
-        implied = free_length_case(self.params.free_lengths)
-        if implied is None:
+        construction share: the free lengths fit a solver case, the
+        formats are a nonempty subset of FORMATS and the output directory
+        is named."""
+        if self.case is None:
             raise UnsupportedFreeLengthPattern()
         if not self.formats or any(f not in FORMATS for f in self.formats):
             raise ValidationError(
                 "formats", f"must be a nonempty subset of {FORMATS}")
-        if self.case not in CASES:
-            raise ValidationError("case", f"must be one of {CASES}")
-        if self.case not in (CASE_AUTO, implied):
-            raise ValidationError(
-                "case", f"free lengths {self.params.free_lengths} do not "
-                        f"match requested case {self.case!r}")
-        if self.accept_tol is not None:
-            if implied != CASE_ONE:
-                raise ValidationError("tolerances", "accept applies to the "
-                                      "one-nonzero case only")
-            if not 0 < self.accept_tol < math.inf:
-                raise ValidationError("tolerances",
-                                      "accept must be finite and positive")
+        if not self.output_dir:
+            raise ValidationError("output_dir", "must not be empty")
+
+    @property
+    def case(self) -> str | None:
+        """The solver case the free lengths imply."""
+        return free_length_case(self.params.free_lengths)
 
     def to_dict(self) -> dict:
         p = self.params
-        data = {
+        return {
             "P_M": [p.surface_point.x, p.surface_point.y],
             "alpha_deg": math.degrees(p.surface_angle),
             "P_A1_in1": [p.a1_in_base.x, p.a1_in_base.y],
@@ -78,9 +68,6 @@ class RunConfig:
             "output_dir": self.output_dir,
             "formats": list(self.formats),
         }
-        if self.accept_tol is not None:
-            data["tolerances"] = {"accept": self.accept_tol}
-        return data
 
 
 # the free-length pattern of each solver case, as free_length_case tests it
@@ -91,8 +78,8 @@ CASE_PATTERNS = {CASE_ZERO: "L01 = L02 = L03 = 0",
 class UnsupportedFreeLengthPattern(ValidationError):
     """Free-length pattern fits neither supported solver case."""
 
-    def __init__(self, field: str = "L0"):
-        super().__init__(field, "unsupported free-length pattern (need "
+    def __init__(self):
+        super().__init__("L0", "unsupported free-length pattern (need "
                          + ", or ".join(CASE_PATTERNS.values()) + ")")
 
 
@@ -150,28 +137,22 @@ def config_from_dict(data: dict) -> RunConfig:
     except ValueError as exc:
         raise ValidationError("params", str(exc)) from exc
 
-    case = data.get("case", CASE_AUTO)
-    if case == CASE_AUTO:  # RunConfig rejects None, a pattern with no case
-        case = free_length_case(params.free_lengths)
-
     formats = data.get("formats", FORMATS)
     if not isinstance(formats, (list, tuple)):
         raise ValidationError("formats", "expected a list")
-
-    accept_tol = None
-    tolerances = data.get("tolerances", {})
-    if not isinstance(tolerances, dict) or set(tolerances) - {"accept"}:
-        raise ValidationError("tolerances", "expected an object whose only "
-                              "key is 'accept'")
-    if tolerances:
-        accept_tol = _number(tolerances, "accept")
 
     output_dir = data.get("output_dir", "out")
     if not isinstance(output_dir, str):
         raise ValidationError("output_dir", "must be a string")
 
-    return RunConfig(params=params, case=case, output_dir=output_dir,
-                     formats=tuple(formats), accept_tol=accept_tol)
+    config = RunConfig(params=params, output_dir=output_dir,
+                       formats=tuple(formats))
+    case = data.get("case", CASE_AUTO)
+    if case not in (CASE_AUTO, config.case):
+        raise ValidationError(
+            "case", f"free lengths {params.free_lengths} do not "
+                    f"match requested case {case!r}")
+    return config
 
 
 def _object(pairs) -> dict:
@@ -192,8 +173,3 @@ def load_config(path) -> RunConfig:
     if not isinstance(data, dict):
         raise ParseError(f"{path}: top level must be an object")
     return config_from_dict(data)
-
-
-def dump_config(config: RunConfig, path) -> None:
-    Path(path).write_text(json.dumps(config.to_dict(), indent=2,
-                                     sort_keys=True) + "\n")

@@ -18,7 +18,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .errors import ZeroLengthSpring
-from .geometry import Line2, Point2, intersect_lines, line_through, unit_vector
+from .geometry import Point2, intersect_lines, line_through, unit_vector
 
 TOL_ZERO_LENGTH = 1e-12  # metres; below this a spring direction is undefined
 
@@ -81,16 +81,17 @@ class MechanismParams:
         """Anchor A1 in the fixed frame via the base pose."""
         return self.base_origin + self.d_o1a1 * unit_vector(self.base_angle)
 
-    def base_axis_line(self) -> Line2:
-        return line_through(self.base_origin, self.base_angle)
-
-    def surface_line(self) -> Line2:
-        return line_through(self.surface_point, self.surface_angle)
+    @cached_property
+    def point_e(self) -> Point2:
+        """Intersection of the base-frame X axis with the surface line."""
+        return intersect_lines(
+            line_through(self.base_origin, self.base_angle),
+            line_through(self.surface_point, self.surface_angle))
 
 
 def point_e(params: MechanismParams) -> Point2:
-    """Intersection of the base-frame X axis with the surface line."""
-    return intersect_lines(params.base_axis_line(), params.surface_line())
+    """Point E of the mechanism, computed once and kept on it."""
+    return params.point_e
 
 
 class ContactPose(NamedTuple):

@@ -255,13 +255,13 @@ def newton(pair, tensors, origin, u, z, s, sign):
     return u, z, s, terms
 
 
-def _classify(length, z, s, terms, same_sign, accept_tol) -> dict:
+def _classify(length, z, s, terms, same_sign) -> dict:
     """Ledger columns, keyed by EquilibriumSolution field, of the refined
     roots (L, z, s), from the pair's terms there, as newton returns them.
 
     A root is accepted when the unsquared pair holds with the principal
-    L1 to accept_tol (scale-normalized); a rejected same-sign root lies on
-    the other branch when the pair holds with its own s. The force and
+    L1 to ACCEPT_REL_TOL (scale-normalized); a rejected same-sign root lies
+    on the other branch when the pair holds with its own s. The force and
     moment residuals A - B / L1 and C - D / L1 are those of the spring
     model, infinite where the first spring has no length.
     """
@@ -288,13 +288,13 @@ def _classify(length, z, s, terms, same_sign, accept_tol) -> dict:
     length = np.where(real, length.real, length)
     # where the structure degenerates (a pin at an anchor, say), two
     # starts can converge onto one equilibrium; it is accepted once
-    accepted = rel <= accept_tol
+    accepted = rel <= ACCEPT_REL_TOL
     repeated = accepted & np.any(accepted & np.tril(
         np.abs(beta[:, None] - beta) + np.abs(length[:, None] - length)
         <= 1e-8 * (1 + np.abs(beta) + np.abs(length))[:, None], -1), axis=1)
     note = np.where(accepted, np.where(repeated, "repeated root", ""),
                     np.where(~same_sign, "mixed sign", np.where(
-                        own <= accept_tol, "other branch",
+                        own <= ACCEPT_REL_TOL, "other branch",
                         "refinement not converged")))
     return dict(
         beta=beta, length=length, residual_force=force,
@@ -318,18 +318,17 @@ def structural_rows(beta, length, squared_residual, note: str) -> dict:
                 note=np.full(len(beta), note))
 
 
-def solve_one_nonzero_free_length(params: MechanismParams,
-                                  accept_tol: float = ACCEPT_REL_TOL,
-                                  ) -> list[EquilibriumSolution]:
+def solve_one_nonzero_free_length(
+        params: MechanismParams) -> list[EquilibriumSolution]:
     """All equilibrium candidates for the one-nonzero-free-length case.
 
     Returns the 48 candidates of the degree-48 eliminant with accepted or
     rejected status: accepted roots satisfy the unsquared pair with the
-    principal L1 to accept_tol (scale-normalized). The rejected ones are
-    same-sign roots on the other branch of L1, the mixed-sign roots that
-    squaring introduces, the two O2 = O1 points four times each and the
-    12 tan-half pole roots with no finite beta; the squared-pair residual
-    is recorded for reporting. A LostRoots warning says when fewer than
+    principal L1 to ACCEPT_REL_TOL (scale-normalized), a fixed level. The
+    rejected ones are same-sign roots on the other branch of L1, the
+    mixed-sign roots that squaring introduces, the two O2 = O1 points four
+    times each and the 12 tan-half pole roots with no finite beta; the
+    squared-pair residual is recorded for reporting. A LostRoots warning says when fewer than
     the 14 same-sign roots converged.
     """
     if free_length_case(params.free_lengths) != CASE_ONE:
@@ -358,7 +357,7 @@ def solve_one_nonzero_free_length(params: MechanismParams,
                             b[pick] / a[pick], sign)
 
     same_sign = sign > 0
-    columns = _classify(origin + u, z, s, terms, same_sign, accept_tol)
+    columns = _classify(origin + u, z, s, terms, same_sign)
     converged = np.count_nonzero(same_sign & (
         columns["accepted"] | (columns["note"] == "other branch")))
     if converged < SAME_SIGN_ROOTS:

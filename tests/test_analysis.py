@@ -1,11 +1,13 @@
 import dataclasses
+import math
 import operator
 
 import pytest
 
 from _support import REFERENCE_CONFIG, reference_params
 
-from spring_platform import (MechanismError, NonZeroFreeLength, RunConfig,
+from spring_platform import (AnalysisError, MechanismError,
+                             NonZeroFreeLength, ParallelLines, RunConfig,
                              UnsupportedFreeLengthPattern,
                              WrongFreeLengthPattern, config_from_dict,
                              run_analysis, solve_one_nonzero_free_length,
@@ -44,6 +46,17 @@ def test_counts_consistent():
     assert c["real"] <= c["real_candidates"]
     flagged_real = sum(1 for s in report.solutions if s.is_real)
     assert flagged_real == c["real_candidates"]
+
+
+def test_parallel_base_and_surface():
+    # point E, the intersection of the base axis and the surface, is the
+    # first stage; a parallel pair has none
+    params = dataclasses.replace(reference_params(),
+                                 base_angle=math.radians(150.0))
+    with pytest.raises(AnalysisError) as err:
+        run_analysis(RunConfig(params=params))
+    assert err.value.stage == "point-e"
+    assert isinstance(err.value.cause, ParallelLines)
 
 
 def test_timing_recorded():

@@ -1,5 +1,4 @@
 import json
-import re
 
 from _support import REFERENCE_CONFIG
 
@@ -53,34 +52,37 @@ def test_config_errors_exit_2(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error: ")
 
 
-def test_case_flag_conflict(tmp_path):
-    cfg = write_config(tmp_path)
-    assert main(["--config", str(cfg), "--case", "one-nonzero"]) == 2
+def test_case_flag_conflict(tmp_path, capsys):
+    # the free lengths pick the case; a "case" key that names the other
+    # one is a configuration error
+    cfg = write_config(tmp_path, {"case": "one-nonzero"})
+    assert main(["--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: case: ")
+    assert err.count("\n") == 1
 
 
-def test_bad_format_flag(tmp_path):
+def test_bad_format_flag(tmp_path, capsys, monkeypatch):
+    # an empty override is rejected like any other bad value, before the
+    # solve, so nothing is written: not even to the config's own "out"
+    monkeypatch.chdir(tmp_path)
     cfg = write_config(tmp_path)
-    assert main(["--config", str(cfg), "--format", "pdf"]) == 2
+    for flags in (["--format", "pdf"], ["--format", ""], ["--format=,"],
+                  ["--out="]):
+        assert main(["--config", str(cfg), *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+    assert [path.name for path in tmp_path.iterdir()] == ["run.json"]
 
 
 def test_tolerance_flag(tmp_path, capsys):
-    # the flag sets the one-nonzero acceptance tolerance; the zero case
-    # takes none, so there the flag is a configuration error
-    cfg = write_config(tmp_path, {"L0": [1.0, 0.0, 0.0]})
-    out = tmp_path / "out"
-    accepted = []
-    for flags in ([], ["--tol-acc", "1.0"]):
-        assert main(["--config", str(cfg), "--out", str(out),
-                     "--format", "csv", *flags]) == 0
-        accepted.append(re.search(r"accepted=(\d+)",
-                                  capsys.readouterr().out).group(1))
-    assert accepted == ["10", "24"]
-    # the tolerance must be finite and positive: inf would accept every row
-    for tol in ("-1", "inf"):
-        assert main(["--config", str(cfg), "--tol-acc", tol]) == 2
-        assert capsys.readouterr().err.count("error: ") == 1
-    zero = write_config(tmp_path, name="zero.json")
-    assert main(["--config", str(zero), "--tol-acc", "1e-9"]) == 2
+    # the one-nonzero acceptance level is fixed; a config that sets one is
+    # rejected as having an unknown key
+    cfg = write_config(tmp_path, {"L0": [1.0, 0.0, 0.0],
+                                  "tolerances": {"accept": 1e-6}})
+    assert main(["--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == "error: tolerances: unknown key\n"
 
 
 def test_csv_only_writes_no_svg(tmp_path):

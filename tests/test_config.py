@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 
@@ -6,9 +5,8 @@ import pytest
 
 from _support import REFERENCE_CONFIG
 
-from spring_platform import (ParseError, RunConfig,
-                             UnsupportedFreeLengthPattern, ValidationError,
-                             config_from_dict, dump_config, load_config)
+from spring_platform import (ParseError, UnsupportedFreeLengthPattern,
+                             ValidationError, config_from_dict, load_config)
 from spring_platform.config import CASE_ONE, CASE_ZERO
 
 
@@ -39,16 +37,30 @@ def test_unsupported_pattern_rejected(tmp_path):
 
 
 def test_explicit_case_mismatch_rejected(tmp_path):
-    data = dict(REFERENCE_CONFIG, case="one-nonzero")
-    with pytest.raises(ValidationError):
-        load_config(write_config(tmp_path, data))
+    # the "case" key only asserts the case the free lengths imply
+    one = dict(REFERENCE_CONFIG, L0=[1.0, 0.0, 0.0])
+    assert config_from_dict(dict(one, case="one-nonzero")).case == CASE_ONE
+    for case in ("one-nonzero", "zero", None, 1):
+        with pytest.raises(ValidationError) as err:
+            load_config(write_config(tmp_path, dict(REFERENCE_CONFIG,
+                                                    case=case)))
+        assert err.value.field == "case"
+    # a pattern with no case is named first, then bad formats, then the key
+    bad = dict(case="zero", formats=["pdf"])
+    with pytest.raises(UnsupportedFreeLengthPattern):
+        config_from_dict(dict(REFERENCE_CONFIG, L0=[0.0, 1.0, 0.0], **bad))
+    with pytest.raises(ValidationError) as err:
+        config_from_dict(dict(REFERENCE_CONFIG, **bad))
+    assert err.value.field == "formats"
 
 
 def test_unknown_key_rejected(tmp_path):
-    data = dict(REFERENCE_CONFIG, surprise=1)
-    with pytest.raises(ValidationError) as err:
-        load_config(write_config(tmp_path, data))
-    assert err.value.field == "surprise"
+    # the one-nonzero acceptance level is fixed, so "tolerances" is unknown
+    for key, value in (("surprise", 1), ("tolerances", {"accept": 1e-6})):
+        data = dict(REFERENCE_CONFIG, **{key: value})
+        with pytest.raises(ValidationError) as err:
+            load_config(write_config(tmp_path, data))
+        assert err.value.field == key
 
 
 def test_missing_key_rejected(tmp_path):
@@ -70,75 +82,55 @@ def test_bad_values_rejected():
         config_from_dict(dict(REFERENCE_CONFIG, k=[0.0, 1.0, 1.0]))
     with pytest.raises(ValidationError):
         config_from_dict(dict(REFERENCE_CONFIG, P_A1_in1=[5.5, 0.3]))
+    with pytest.raises(ValidationError) as err:
+        config_from_dict(dict(REFERENCE_CONFIG, output_dir=""))
+    assert err.value.field == "output_dir"
 
 
 def test_parse_error(tmp_path):
     # not JSON, not UTF-8, and a key given twice, at the top level and
-    # nested; without its second copy each of the last two loads, and
-    # json.loads alone would keep the second value
+    # nested; without its second copy the first loads and the second
+    # parses (it fails only as an unknown key), and json.loads alone would
+    # keep the second value
     one = dict(REFERENCE_CONFIG, L0=[1.0, 0.0, 0.0])
-    tolerance = dict(one, tolerances={"accept": 1e-6})
-    for valid in (one, tolerance):
-        assert load_config(write_config(tmp_path, valid)).case == CASE_ONE
+    nested = dict(one, surprise={"accept": 1e-6})
+    assert load_config(write_config(tmp_path, one)).case == CASE_ONE
+    with pytest.raises(ValidationError) as err:
+        load_config(write_config(tmp_path, nested))
+    assert err.value.field == "surprise"
     path = tmp_path / "broken.json"
     for text in (b"{not json", json.dumps(REFERENCE_CONFIG).encode()[:-1]
                  + b'\xff}',
                  json.dumps(one).encode()[:-1] + b', "L0": [0, 0, 0]}',
-                 json.dumps(tolerance).encode()[:-2] + b', "accept": 1}}'):
+                 json.dumps(nested).encode()[:-2] + b', "accept": 1}}'):
         path.write_bytes(text)
         with pytest.raises(ParseError):
             load_config(path)
 
 
-# every number a config reads, as (key, index in its list or None, the
-# config it is set in); json reads NaN, Infinity and -Infinity as floats,
-# and an int past the float range overflows float()
-NUMBER_KEYS = [(key, index, REFERENCE_CONFIG)
-               for key, value in REFERENCE_CONFIG.items()
+# every number a config reads, as (key, index in its list or None); json
+# reads NaN, Infinity and -Infinity as floats, and an int past the float
+# range overflows float()
+NUMBER_KEYS = [(key, index) for key, value in REFERENCE_CONFIG.items()
                for index in (range(len(value)) if isinstance(value, list)
                              else [None])]
-NUMBER_KEYS.append(("accept", None, dict(
-    REFERENCE_CONFIG, L0=[1.0, 0.0, 0.0], tolerances={"accept": 1e-6})))
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10**400],
                          ids=["NaN", "Infinity", "-Infinity", "10**400"])
 @pytest.mark.parametrize(
-    "key, index, config", NUMBER_KEYS,
+    "key, index", NUMBER_KEYS,
     ids=[key if index is None else f"{key}[{index}]"
-         for key, index, _ in NUMBER_KEYS])
-def test_non_finite_numbers_rejected(tmp_path, key, index, config, value):
-    data = json.loads(json.dumps(config))
-    holder = data["tolerances"] if key == "accept" else data
+         for key, index in NUMBER_KEYS])
+def test_non_finite_numbers_rejected(tmp_path, key, index, value):
+    data = json.loads(json.dumps(REFERENCE_CONFIG))
     if index is None:
-        holder[key] = value
+        data[key] = value
     else:
-        holder[key][index] = value
+        data[key][index] = value
     with pytest.raises(ValidationError) as err:
         load_config(write_config(tmp_path, data))
     assert err.value.field == key
-
-
-def test_tolerance_override():
-    one = dict(REFERENCE_CONFIG, L0=[1.0, 0.0, 0.0])
-    cfg = config_from_dict(dict(one, tolerances={"accept": 1e-8}))
-    assert cfg.accept_tol == 1e-8
-    assert config_from_dict(dict(one, tolerances={})).accept_tol is None
-    # a value that is not an object is an error, not "no tolerance"
-    for tolerances in ({"accept": -1}, {"other": 1}, {"accept": "1e-8"},
-                       [], 0, False, None):
-        with pytest.raises(ValidationError) as err:
-            config_from_dict(dict(one, tolerances=tolerances))
-        assert err.value.field in ("tolerances", "accept")
-    # only the one-nonzero solver takes a tolerance: the zero case rejects
-    # one whether it comes from the file, a replace or the constructor
-    with pytest.raises(ValidationError):
-        config_from_dict(dict(REFERENCE_CONFIG, tolerances={"accept": 1e-8}))
-    zero = config_from_dict(REFERENCE_CONFIG)
-    with pytest.raises(ValidationError):
-        dataclasses.replace(zero, accept_tol=1e-8)
-    with pytest.raises(ValidationError):
-        RunConfig(params=zero.params, accept_tol=1e-8)
 
 
 def test_formats_validated():
@@ -151,9 +143,6 @@ def test_formats_validated():
 def test_round_trip(tmp_path):
     original = config_from_dict(dict(REFERENCE_CONFIG, L0=[1.0, 0.0, 0.0],
                                      formats=["json", "csv"],
-                                     tolerances={"accept": 2e-7},
                                      output_dir="results"))
-    path = tmp_path / "echo.json"
-    dump_config(original, path)
-    loaded = load_config(path)
-    assert loaded == original
+    path = write_config(tmp_path, original.to_dict(), name="echo.json")
+    assert load_config(path) == original

@@ -19,6 +19,8 @@ def test_point_e_reference(params_zero):
     o1, m = params_zero.base_origin, params_zero.surface_point
     assert abs((e.x - o1.x) * math.sin(phi1) - (e.y - o1.y) * math.cos(phi1)) < 1e-9
     assert abs((e.x - m.x) * math.sin(alpha) - (e.y - m.y) * math.cos(alpha)) < 1e-9
+    # computed once per mechanism
+    assert point_e(params_zero) is e
 
 
 def test_pose_lands_on_surface(params_zero):

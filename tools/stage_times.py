@@ -92,7 +92,7 @@ SUB_STAGES = ("set-up: `point_e`, `UnsquaredPair`, `foot`",
 SOLVES = {
     "reference-one": (
         lambda config: one_nonzero.solve_one_nonzero_free_length(
-            config.params, config.accept_tol or one_nonzero.ACCEPT_REL_TOL),
+            config.params),
         ((UnsquaredPair, "tensors", 1, 0),
          (one_nonzero, "_known_points", 2, 1),
          (one_nonzero, "_eliminants", 2, 2),
