@@ -1,18 +1,16 @@
-"""Pipeline orchestration: the case solve and its verification
-bookkeeping."""
+"""Pipeline orchestration: the solve and its verification bookkeeping."""
 
 from __future__ import annotations
 
 import time
 from typing import NamedTuple
 
-from .config import CASE_ONE, CASE_ZERO, RunConfig
+from .config import CASE_ONE, RunConfig
 from .errors import AnalysisError, MechanismError
 from .geometry import Point2
 from .mechanism import point_e
-from .one_nonzero import solve_one_nonzero_free_length
 from .solutions import EquilibriumSolution, residual_margin
-from .zero_free_lengths import solve_zero_free_lengths
+from .solver import solve_equilibria
 
 CONTACT_ASSUMED = "assumed"
 
@@ -35,8 +33,8 @@ def run_analysis(config: RunConfig) -> AnalysisReport:
 
     Both supported cases have L02 = L03 = 0, so the legs O1-A2 and A1-A2
     cannot span O1-A1: the platform has no unloaded pose, exists only
-    pressed against the surface, and contact is assumed. The case solver
-    the free lengths imply runs directly.
+    pressed against the surface, and contact is assumed. The solve runs
+    directly; the case the free lengths imply labels the report.
     """
     t0 = time.perf_counter()
     case = config.case
@@ -46,10 +44,7 @@ def run_analysis(config: RunConfig) -> AnalysisReport:
         raise AnalysisError("point-e", exc) from exc
 
     try:
-        if case == CASE_ZERO:
-            solutions = solve_zero_free_lengths(config.params)
-        else:
-            solutions = solve_one_nonzero_free_length(config.params)
+        solutions = solve_equilibria(config.params)
     except MechanismError as exc:
         raise AnalysisError(f"solve-{case}", exc) from exc
 

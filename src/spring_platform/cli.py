@@ -1,6 +1,6 @@
 """Command line entry point.
 
-The config file gives the mechanism, and its free lengths pick the solver;
+The config file gives the mechanism, and its free lengths pick the case;
 --out and --format override the file's output directory and formats.
 Exit codes: 0 on success, 2 for configuration problems (a config that
 cannot be read or is invalid, or an output path that cannot be written),

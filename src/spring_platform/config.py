@@ -38,7 +38,7 @@ class RunConfig:
         """Checks that config files, the CLI's overrides and direct
         construction share: the free lengths fit a solver case, the
         formats are a nonempty subset of FORMATS and the output directory
-        is named."""
+        is named, with no NUL byte, which no file name can hold."""
         if self.case is None:
             raise UnsupportedFreeLengthPattern()
         if not self.formats or any(f not in FORMATS for f in self.formats):
@@ -46,6 +46,8 @@ class RunConfig:
                 "formats", f"must be a nonempty subset of {FORMATS}")
         if not self.output_dir:
             raise ValidationError("output_dir", "must not be empty")
+        if "\0" in self.output_dir:
+            raise ValidationError("output_dir", "must not hold a NUL byte")
 
     @property
     def case(self) -> str | None:

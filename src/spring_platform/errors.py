@@ -17,14 +17,6 @@ class ZeroLengthSpring(MechanismError):
     """A spring has (numerically) zero length, so its direction is undefined."""
 
 
-class NonZeroFreeLength(MechanismError):
-    """Operation requires all spring free lengths to be zero."""
-
-
-class WrongFreeLengthPattern(MechanismError):
-    """Operation requires exactly one nonzero free length, on spring 1."""
-
-
 class DegenerateQuartic(MechanismError):
     """The eliminated polynomial is identically zero; no roots recoverable."""
 

@@ -55,6 +55,12 @@ class MechanismParams:
     free_lengths: tuple[float, float, float]
 
     def __post_init__(self):
+        for name in ("surface_point", "surface_angle", "a1_in_base",
+                     "a2_in_top", "p_in_top", "base_origin", "base_angle"):
+            value = getattr(self, name)
+            if not all(map(math.isfinite, (value.x, value.y) if isinstance(
+                    value, Point2) else (value,))):
+                raise ValueError(f"{name} must be finite, got {value}")
         for i, k in enumerate(self.stiffness, start=1):
             if not (k > 0 and math.isfinite(k)):
                 raise ValueError(f"k{i} must be positive and finite, got {k}")

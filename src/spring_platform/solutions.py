@@ -1,4 +1,4 @@
-"""Solution records shared by the two case solvers, plus conjugate
+"""Solution records of both free-length cases, plus conjugate
 pairing, the ledger that turns solver columns into ordered records, and
 residual-margin helpers."""
 

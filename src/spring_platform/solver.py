@@ -1,5 +1,6 @@
-"""Equilibrium solver for the configuration where only the first spring
-(base origin to top origin) has a nonzero free length.
+"""Equilibrium solver of both supported free-length cases: all three free
+lengths zero, or only the first (base origin to top origin) nonzero. Both
+run one procedure on one engine, and the free lengths pick the eliminant.
 
 The free length makes the force and moment equations rational in the first
 spring length L1. Multiplying through by the signed length s (s^2 = L1^2)
@@ -20,14 +21,27 @@ O2 = O1 and A = B = 0, which are divided out before each root is refined
 by Newton's method on the exact 3x3 system in (L, z, s). Each stage
 works on all roots at once, down to the classification: Newton's last
 evaluation of the pair gives every residual, the spring model's
-A - B / L1 and C - D / L1 included. The all-zero-free-length solver runs
-on the same pair, Newton's method and ledger at k1 L01 = 0.
+A - B / L1 and C - D / L1 included.
 
 The paper squares the pair instead and eliminates over the tan-half
 variable; its degree-48 eliminant has the same roots plus the O2 = O1
 points four times each and 12 roots at the tan-half pole, where beta is
 not finite. The solve reports all 48: 14 same-sign, 14 mixed-sign, 8
 O2 = O1 and 12 pole rows.
+
+With all free lengths zero, k1 L01 = 0 and the right-hand sides vanish
+(B = D = 0), so the force and moment residuals are A and C themselves,
+affine in L. The rows z A and z C have degree 1 in L and at most 2 in z,
+and their 2x2 Sylvester determinant is a quartic in z with no excluded
+angle. The quartic's roots are the eigenvalues of its companion matrix,
+exact roots of monic coefficients moved by a small multiple of their norm
+(Edelman & Murakami, Math. Comp. 64, 1995), after a degree drop: the
+coefficients at or below TRIM_RELATIVE of the largest are dropped from
+both ends. Each coefficient dropped at the low end is a root at z = 0
+and each one dropped at the high end a root at infinity; neither has a
+finite beta. Each other root gives beta = -i log z and L from the force
+row. The same Newton's method refines all roots at once: with B = D = 0
+its roots with s != 0 are exactly those of A = C = 0.
 """
 
 from __future__ import annotations
@@ -37,16 +51,18 @@ import warnings
 
 import numpy as np
 
-from .config import CASE_ONE, CASE_PATTERNS, free_length_case
-from .errors import DegenerateQuartic, LostRoots, WrongFreeLengthPattern
+from .config import (CASE_ZERO, UnsupportedFreeLengthPattern,
+                     free_length_case)
+from .errors import DegenerateQuartic, LostRoots, MechanismError
 from .geometry import Point2
 from .mechanism import (TOL_ZERO_LENGTH, MechanismParams, point_e,
                         pose_frame, pose_points)
-from .polynomials import (_quadratic_q, _quadratic_roots, companion_roots,
-                          horner)
+from .polynomials import (TRIM_RELATIVE, _quadratic_q, _quadratic_roots,
+                          companion_roots, horner)
 from .solutions import EquilibriumSolution, ledger, mark_real
 
-ACCEPT_REL_TOL = 1e-6
+RESIDUAL_REL_TOL = 1e-8      # acceptance level of the all-zero case
+ACCEPT_REL_TOL = 1e-6        # acceptance level of the one-nonzero case
 SAMPLES = 32                 # unit-circle samples of the z eliminants
 SUPPORT = np.arange(3, 26)   # their structural support, z^3 .. z^25
 NEWTON_STEPS = 20            # at most; near-double roots converge slowly
@@ -318,29 +334,102 @@ def structural_rows(beta, length, squared_residual, note: str) -> dict:
                 note=np.full(len(beta), note))
 
 
-def solve_one_nonzero_free_length(
-        params: MechanismParams) -> list[EquilibriumSolution]:
-    """All equilibrium candidates for the one-nonzero-free-length case.
+def _finite(eliminant):
+    """The eliminant, checked finite: the products of an extreme but
+    finite mechanism (a stiffness of 1e160, say) overflow it, and its
+    roots would then fail with no MechanismError."""
+    if not np.all(np.isfinite(eliminant)):
+        raise MechanismError("the eliminant in z overflows floating point")
+    return eliminant
 
-    Returns the 48 candidates of the degree-48 eliminant with accepted or
-    rejected status: accepted roots satisfy the unsquared pair with the
-    principal L1 to ACCEPT_REL_TOL (scale-normalized), a fixed level. The
-    rejected ones are same-sign roots on the other branch of L1, the
-    mixed-sign roots that squaring introduces, the two O2 = O1 points four
-    times each and the 12 tan-half pole roots with no finite beta; the
-    squared-pair residual is recorded for reporting. A LostRoots warning says when fewer than
-    the 14 same-sign roots converged.
+
+def solve_equilibria(params: MechanismParams) -> list[EquilibriumSolution]:
+    """All equilibrium candidates of the mechanism, sorted by beta.
+
+    With all free lengths zero, the quartic's four roots (with
+    multiplicity, complex included); with only L01 nonzero, the 48
+    candidates of the degree-48 eliminant. A free-length pattern that fits
+    neither case raises UnsupportedFreeLengthPattern.
     """
-    if free_length_case(params.free_lengths) != CASE_ONE:
-        raise WrongFreeLengthPattern(
-            f"need {CASE_PATTERNS[CASE_ONE]}, got {params.free_lengths}")
+    case = free_length_case(params.free_lengths)
+    if case is None:
+        raise UnsupportedFreeLengthPattern()
     pair = UnsquaredPair(params, point_e(params))
     origin = pair.foot()
     tensors = pair.tensors(origin)
+    return (_solve_zero if case == CASE_ZERO else _solve_one)(
+        pair, origin, tensors)
+
+
+def _quartic_roots(quartic: np.ndarray) -> tuple[np.ndarray, int, int]:
+    """(The other roots, the count at z = 0, the count at infinity) of the
+    ascending coefficients quartic, after the degree drop described above."""
+    size = np.abs(quartic)
+    low, high = np.flatnonzero(size > TRIM_RELATIVE * size.max())[[0, -1]]
+    return (companion_roots(quartic[low:high + 1]) if high > low else
+            np.empty(0, dtype=complex)), low, len(quartic) - 1 - high
+
+
+def _solve_zero(pair, origin, tensors) -> list[EquilibriumSolution]:
+    """The all-zero-free-length case. A root is accepted when A and C
+    vanish to RESIDUAL_REL_TOL relative to the sum of the magnitudes of
+    their tensor terms there. The z^0 and z^4 coefficients vanish together,
+    exactly when the force residual does not depend on beta; the roots at
+    z = 0 and at infinity of that degree drop have no finite beta and are
+    reported as rejected rows of NaN length."""
+    rows = tensors[[0, 2], :2]
+    (a0, a1), (c0, c1) = rows
+    quartic = _finite(np.convolve(a0, c1) - np.convolve(a1, c0))
+    magnitude = np.convolve(abs(a0), abs(c1)) + np.convolve(abs(a1), abs(c0))
+    if np.max(np.abs(quartic)) <= 1e-14 * np.max(magnitude):
+        raise DegenerateQuartic("eliminated polynomial is identically zero")
+
+    z, at_zero, at_infinity = _quartic_roots(quartic)
+    # L from the force row, whose L coefficient (k1 + k2 + k3) z vanishes
+    # only at z = 0
+    u = -horner(a0, z) / horner(a1, z)
+    # L1^2 from its tensor, the rows of z L1^2 in L at each z
+    l1_sq = horner(horner(tensors[4], z[:, None]), u) / z
+    u, z, _, (force, _, moment, _, _) = newton(pair, tensors, origin, u, z,
+                                               np.sqrt(l1_sq), 1.0)
+
+    beta, length = -1j * np.log(z), origin + u
+    # the sums of the magnitudes of the tensor terms of z A and z C
+    scale = np.einsum("kij,ni,nj->kn", np.abs(rows),
+                      np.abs(u)[:, None] ** np.arange(2),
+                      np.abs(z)[:, None] ** np.arange(3))
+    rel = np.maximum(np.abs(z * force) / scale[0],
+                     np.abs(z * moment) / scale[1])
+    real = mark_real(beta, length)
+    # beta = -i log z runs to +i infinity at z = 0 and to -i infinity as z
+    # does
+    infinite = np.repeat([complex(0, math.inf), complex(0, -math.inf)],
+                         [at_zero, at_infinity])
+    return ledger(
+        dict(beta=np.where(real, beta.real, beta),
+             length=np.where(real, length.real, length),
+             residual_force=np.abs(force), residual_moment=np.abs(moment),
+             rel_residual=rel, is_real=real, accepted=rel <= RESIDUAL_REL_TOL,
+             squared_residual=np.zeros(len(z)), note=np.full(len(z), "")),
+        structural_rows(infinite, np.full(len(infinite), complex("nan")),
+                        0.0, "no finite beta"))
+
+
+def _solve_one(pair, origin, tensors) -> list[EquilibriumSolution]:
+    """The one-nonzero-free-length case: the 48 candidates of the
+    degree-48 eliminant with accepted or rejected status. Accepted roots
+    satisfy the unsquared pair with the principal L1 to ACCEPT_REL_TOL
+    (scale-normalized), a fixed level. The rejected ones are same-sign
+    roots on the other branch of L1, the mixed-sign roots that squaring
+    introduces, the two O2 = O1 points four times each and the 12 tan-half
+    pole roots with no finite beta; the squared-pair residual is recorded
+    for reporting. A LostRoots warning, which names the caller of
+    solve_equilibria, says when fewer than the 14 same-sign roots
+    converged."""
     signs = np.array([1.0, -1.0])
     known_z, coincident_length = _known_points(pair, tensors)
-    roots = companion_roots(_deflate(_eliminants(tensors, pair.kl, signs),
-                                     known_z))
+    roots = companion_roots(_deflate(
+        _finite(_eliminants(tensors, pair.kl, signs)), known_z))
 
     # per root: of the two roots L of G the one where
     # F = (z A)^2 (z L1^2) - z (z B)^2 is smaller, and s = B / A there
@@ -362,7 +451,7 @@ def solve_one_nonzero_free_length(
         columns["accepted"] | (columns["note"] == "other branch")))
     if converged < SAME_SIGN_ROOTS:
         warnings.warn(f"{converged} of the {SAME_SIGN_ROOTS} same-sign roots "
-                      "converged", LostRoots, stacklevel=2)
+                      "converged", LostRoots, stacklevel=3)
     return ledger(
         columns,
         # both squared quartics vanish where O2 = O1
@@ -377,4 +466,3 @@ def solve_one_nonzero_free_length(
                       POLE_ROWS),
             np.full(2 * POLE_ROWS, complex("nan")), math.inf,
             "no finite beta (tan-half pole artifact)"))
-

@@ -10,8 +10,8 @@ import numpy as np
 
 from spring_platform import MechanismParams, Point2
 from spring_platform.mechanism import point_e, pose_from, residual_pair
-from spring_platform.one_nonzero import UnsquaredPair, _in_length, _split
 from spring_platform.polynomials import TRIM_RELATIVE
+from spring_platform.solver import UnsquaredPair, _in_length, _split
 
 # reference mechanism (angles in radians here; configs carry degrees)
 def reference_params(l01=0.0):

@@ -7,8 +7,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from _support import reference_params  # noqa: E402
 
-from spring_platform import (solve_one_nonzero_free_length,
-                             solve_zero_free_lengths)
+from spring_platform import solve_equilibria
 
 
 @pytest.fixture(scope="session")
@@ -23,9 +22,9 @@ def params_one():
 
 @pytest.fixture(scope="session")
 def solutions_zero(params_zero):
-    return solve_zero_free_lengths(params_zero)
+    return solve_equilibria(params_zero)
 
 
 @pytest.fixture(scope="session")
 def solutions_one(params_one):
-    return solve_one_nonzero_free_length(params_one)
+    return solve_equilibria(params_one)

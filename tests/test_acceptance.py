@@ -26,8 +26,7 @@ from _support import (REFERENCE_CONFIG, TABLE_ONE, TABLE_ZERO,
                       tan_half_degree, tan_half_eliminant)
 
 from spring_platform import (NotAssemblable, Point2, dialytic_residual,
-                             residual_margin, solve_one_nonzero_free_length,
-                             solve_zero_free_lengths, solve_o2)
+                             residual_margin, solve_equilibria, solve_o2)
 from spring_platform.cli import main as cli_main
 from spring_platform.polynomials import companion_roots
 
@@ -45,7 +44,7 @@ def criterion(name):
 def test_table_zero_reproduction(params_zero):
     with criterion("table-zero reproduction (4 roots, 5e-4, <0.1 s)"):
         start = time.perf_counter()
-        solutions = solve_zero_free_lengths(params_zero)
+        solutions = solve_equilibria(params_zero)
         elapsed = time.perf_counter() - start
         assert len(solutions) == 4
         betas = [s.beta for s in solutions]
@@ -61,7 +60,7 @@ def test_table_one_reproduction(params_one):
                    "8 real, 1e-3, <10 s)"):
         degree = tan_half_degree(tan_half_eliminant(params_one))
         start = time.perf_counter()
-        solutions = solve_one_nonzero_free_length(params_one)
+        solutions = solve_equilibria(params_one)
         elapsed = time.perf_counter() - start
 
         accepted = [s for s in solutions if s.accepted]
@@ -109,12 +108,12 @@ def test_residual_property_suite():
         rng = np.random.default_rng(101)
         for _ in range(200):
             params = random_params(rng)
-            for s in solve_zero_free_lengths(params):
+            for s in solve_equilibria(params):
                 if math.isfinite(s.rel_residual):
                     assert s.rel_residual <= 1e-8
         for _ in range(20):
             params = random_params(rng, l01=float(rng.uniform(0.2, 2.0)))
-            for s in solve_one_nonzero_free_length(params):
+            for s in solve_equilibria(params):
                 if s.accepted:
                     assert s.rel_residual <= 1e-6
 
@@ -186,7 +185,7 @@ def test_frame_invariance(params_zero, solutions_zero):
         for _ in range(50):
             moved = rigid_frame(params_zero, rng)
             got = sorted(((s.beta, s.length)
-                          for s in solve_zero_free_lengths(moved)),
+                          for s in solve_equilibria(moved)),
                          key=lambda t: (t[0].real, t[0].imag))
             for (b0, l0), (b1, l1) in zip(reference, got):
                 assert abs(b0 - b1) <= 1e-9 * max(1.0, abs(b0))
@@ -198,11 +197,11 @@ def test_frame_invariance(params_zero, solutions_zero):
             params = random_params(corpus,
                                    l01=float(corpus.uniform(0.2, 2.0)))
             reference = [(s.beta, s.length)
-                         for s in solve_one_nonzero_free_length(params)
+                         for s in solve_equilibria(params)
                          if s.accepted]
             for _ in range(4):
                 got = [(s.beta, s.length) for s in
-                       solve_one_nonzero_free_length(rigid_frame(params, frames))
+                       solve_equilibria(rigid_frame(params, frames))
                        if s.accepted]
                 assert len(got) == len(reference)
                 for b0, l0 in reference:

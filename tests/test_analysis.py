@@ -6,12 +6,9 @@ import pytest
 
 from _support import REFERENCE_CONFIG, reference_params
 
-from spring_platform import (AnalysisError, MechanismError,
-                             NonZeroFreeLength, ParallelLines, RunConfig,
-                             UnsupportedFreeLengthPattern,
-                             WrongFreeLengthPattern, config_from_dict,
-                             run_analysis, solve_one_nonzero_free_length,
-                             solve_zero_free_lengths)
+from spring_platform import (AnalysisError, ParallelLines, RunConfig,
+                             UnsupportedFreeLengthPattern, config_from_dict,
+                             run_analysis, solve_equilibria)
 from spring_platform.config import CASE_ONE, CASE_PATTERNS, CASE_ZERO
 
 
@@ -66,32 +63,25 @@ def test_timing_recorded():
 
 # the free-length rule, one row per pattern: the case config_from_dict
 # resolves, the case of run_analysis on a RunConfig built directly, and the
-# row count of each solver, or the error each raises (RunConfig raises for
-# a pattern that fits no case, whether built directly or from a file).
-# Each error's message states the patterns of CASE_PATTERNS it refers to,
-# the rule free_length_case tests
-NO_CASE = (UnsupportedFreeLengthPattern, UnsupportedFreeLengthPattern,
-           WrongFreeLengthPattern, NonZeroFreeLength)
+# row count of the solve, or UnsupportedFreeLengthPattern for a pattern
+# that fits no case (RunConfig raises it too, whether built directly or
+# from a file). Its message states the patterns of CASE_PATTERNS, the rule
+# free_length_case tests
+NO_CASE = (UnsupportedFreeLengthPattern,) * 3
 FREE_LENGTH_RULE = {
-    "all zero": ((0.0, 0.0, 0.0),
-                 (CASE_ZERO, CASE_ZERO, WrongFreeLengthPattern, 4)),
-    "only L01": ((1.0, 0.0, 0.0), (CASE_ONE, CASE_ONE, 48, NonZeroFreeLength)),
+    "all zero": ((0.0, 0.0, 0.0), (CASE_ZERO, CASE_ZERO, 4)),
+    "only L01": ((1.0, 0.0, 0.0), (CASE_ONE, CASE_ONE, 48)),
     "only L02": ((0.0, 1.0, 0.0), NO_CASE),
     "only L03": ((0.0, 0.0, 1.0), NO_CASE),
     "two nonzero": ((1.0, 1.0, 0.0), NO_CASE),
 }
 
 
-RULE_WORDS = {UnsupportedFreeLengthPattern: tuple(CASE_PATTERNS.values()),
-              WrongFreeLengthPattern: (CASE_PATTERNS[CASE_ONE],),
-              NonZeroFreeLength: (CASE_PATTERNS[CASE_ZERO],)}
-
-
 def _outcome(call, read):
     try:
         return read(call())
-    except MechanismError as exc:
-        assert all(words in str(exc) for words in RULE_WORDS[type(exc)])
+    except UnsupportedFreeLengthPattern as exc:
+        assert all(words in str(exc) for words in CASE_PATTERNS.values())
         return type(exc)
 
 
@@ -104,6 +94,5 @@ def test_free_length_rule(free_lengths, expected):
     assert (
         _outcome(lambda: config_from_dict(data), case),
         _outcome(lambda: run_analysis(RunConfig(params=params)), case),
-        _outcome(lambda: solve_one_nonzero_free_length(params), len),
-        _outcome(lambda: solve_zero_free_lengths(params), len),
+        _outcome(lambda: solve_equilibria(params), len),
     ) == expected

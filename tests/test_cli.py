@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from _support import REFERENCE_CONFIG
 
 from spring_platform.cli import main
@@ -38,6 +40,28 @@ def test_invalid_config_exit(tmp_path):
     assert main(["--config", str(cfg)]) == 2
 
 
+# finite values whose products overflow an eliminant: stiffness 1e160 on
+# either committed config, a far base origin and a huge free length
+OVERFLOWS = {"k1 zero": {"k": [1e160, 1.85, 1.45]},
+             "k3 one": {"k": [1.5, 1.85, 1e160], "L0": [1.0, 0.0, 0.0]},
+             "P_O1 zero": {"P_O1": [1e200, 3.5]},
+             "P_O1 one": {"P_O1": [1e200, 3.5], "L0": [1.0, 0.0, 0.0]},
+             "L01": {"L0": [1e300, 0.0, 0.0]}}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("overrides", OVERFLOWS.values(), ids=OVERFLOWS)
+def test_overflowing_eliminant_exit_3(tmp_path, capsys, monkeypatch,
+                                      overrides):
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path, overrides)
+    assert main(["--config", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: solve-")
+    assert err.count("\n") == 1
+    assert [path.name for path in tmp_path.iterdir()] == ["run.json"]
+
+
 def test_config_errors_exit_2(tmp_path, capsys):
     # a file that is not UTF-8, a number json reads as NaN and a key given
     # twice are configuration errors, reported on one error line
@@ -68,7 +92,7 @@ def test_bad_format_flag(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     cfg = write_config(tmp_path)
     for flags in (["--format", "pdf"], ["--format", ""], ["--format=,"],
-                  ["--out="]):
+                  ["--out="], ["--out=o\0ut"]):
         assert main(["--config", str(cfg), *flags]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ")

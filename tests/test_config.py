@@ -82,9 +82,10 @@ def test_bad_values_rejected():
         config_from_dict(dict(REFERENCE_CONFIG, k=[0.0, 1.0, 1.0]))
     with pytest.raises(ValidationError):
         config_from_dict(dict(REFERENCE_CONFIG, P_A1_in1=[5.5, 0.3]))
-    with pytest.raises(ValidationError) as err:
-        config_from_dict(dict(REFERENCE_CONFIG, output_dir=""))
-    assert err.value.field == "output_dir"
+    for output_dir in ("", "o\0ut"):
+        with pytest.raises(ValidationError) as err:
+            config_from_dict(dict(REFERENCE_CONFIG, output_dir=output_dir))
+        assert err.value.field == "output_dir"
 
 
 def test_parse_error(tmp_path):

@@ -211,6 +211,30 @@ def test_invalid_params_rejected():
         dataclasses.replace(good, a2_in_top=Point2(-4.5, 0.0))
 
 
+# each coordinate and angle of MechanismParams, as (field, component)
+COORDINATES = [(name, part) for name in ("surface_point", "a1_in_base",
+                                         "a2_in_top", "p_in_top",
+                                         "base_origin")
+               for part in ("x", "y")] + [("surface_angle", None),
+                                          ("base_angle", None)]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "name, part", COORDINATES,
+    ids=[name if part is None else f"{name}.{part}"
+         for name, part in COORDINATES])
+def test_non_finite_params_rejected(name, part, value):
+    # a NaN anchor y passes the X-axis check (abs(nan) > 0 is False), so
+    # finiteness is checked on its own, before the solve can trip on it
+    good = reference_params()
+    if part is not None:
+        value = dataclasses.replace(getattr(good, name), **{part: value})
+    with pytest.raises(ValueError, match=name):
+        dataclasses.replace(good, **{name: value})
+
+
 def test_complex_pose_evaluation(params_zero):
     e = point_e(params_zero)
     pose = pose_from(6.0 + 8.0j, -0.4 + 1.8j, params_zero, e)

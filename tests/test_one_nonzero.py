@@ -17,25 +17,29 @@ from _support import (nearest_match, product, random_params,
                       reference_params, squared, squared_pair, sylvester,
                       tan_half_degree, tan_half_eliminant)
 
-from spring_platform import (DegenerateQuartic, Point2, WrongFreeLengthPattern,
-                             emit_tables, load_config, render_svg,
-                             residual_margin, run_analysis,
-                             solve_one_nonzero_free_length,
-                             solve_zero_free_lengths)
-from spring_platform import one_nonzero, zero_free_lengths
+from spring_platform import (DegenerateQuartic, Point2, RunConfig,
+                             UnsupportedFreeLengthPattern, emit_tables,
+                             load_config, render_svg, residual_margin,
+                             run_analysis, solve_equilibria, solver)
 from spring_platform.errors import LostRoots
 from spring_platform.mechanism import (point_e, pose_from, pose_from_trig,
                                       residual_pair, spring_state)
-from spring_platform.one_nonzero import UnsquaredPair
 from spring_platform.polynomials import companion_roots
+from spring_platform.solver import UnsquaredPair
 
 
-def test_pattern_enforced(params_zero):
-    with pytest.raises(WrongFreeLengthPattern):
-        solve_one_nonzero_free_length(params_zero)
-    bad = dataclasses.replace(reference_params(), free_lengths=(0.0, 0.5, 0.0))
-    with pytest.raises(WrongFreeLengthPattern):
-        solve_one_nonzero_free_length(bad)
+def test_pattern_enforced(monkeypatch, params_zero):
+    # the eliminant runs only on the one-nonzero pattern: all-zero free
+    # lengths give the quartic's 4 rows, and L02 > 0 fits no case
+    def eliminant(*args):
+        raise AssertionError("the eliminant ran on a zero first free length")
+
+    monkeypatch.setattr(solver, "_solve_one", eliminant)
+    assert len(solve_equilibria(params_zero)) == 4
+    for free_lengths in ((0.0, 0.5, 0.0), (1.0, 0.5, 0.0)):
+        with pytest.raises(UnsupportedFreeLengthPattern):
+            solve_equilibria(dataclasses.replace(reference_params(),
+                                                 free_lengths=free_lengths))
 
 
 def test_degenerate_pins():
@@ -44,7 +48,7 @@ def test_degenerate_pins():
     # returning bad rows
     params = reference_params(l01=1.0)
     with pytest.raises(DegenerateQuartic):
-        solve_one_nonzero_free_length(
+        solve_equilibria(
             dataclasses.replace(params, p_in_top=Point2(0.0, 0.0)))
     # at the anchor A2 the moment equation factors; no equilibrium is
     # accepted twice
@@ -57,14 +61,26 @@ def test_lost_roots_warn():
     params = dataclasses.replace(reference_params(l01=1.0),
                                  p_in_top=Point2(1e-9, 0.0))
     with pytest.warns(LostRoots):
-        solve_one_nonzero_free_length(params)
+        solve_equilibria(params)
+
+
+def test_lost_roots_name_the_caller():
+    # the warning points at the code that asked for the solve: a direct
+    # call names this file, and run_analysis names analysis.py
+    params = reference_params(l01=1e-9)
+    with pytest.warns(LostRoots) as direct:
+        solve_equilibria(params)
+    with pytest.warns(LostRoots) as analysed:
+        run_analysis(RunConfig(params=params))
+    assert [w.filename for w in direct] == [__file__]
+    assert [Path(w.filename).name for w in analysed] == ["analysis.py"]
 
 
 def test_no_lost_roots_on_generic_mechanisms(params_one):
     with warnings.catch_warnings():
         warnings.simplefilter("error", LostRoots)
         for params in [params_one] + corpus(2026, 40):
-            solve_one_nonzero_free_length(params)
+            solve_equilibria(params)
 
 
 def _abs_point(p):
@@ -77,7 +93,7 @@ def test_residual_fields_are_spring_model_residuals(params_one):
     complex_rows = 0
     for params in [params_one] + corpus(2026, 5):
         e = point_e(params)
-        rows = [s for s in solve_one_nonzero_free_length(params)
+        rows = [s for s in solve_equilibria(params)
                 if math.isfinite(s.residual_force)]
         assert len(rows) == 28
         for s in rows:
@@ -295,7 +311,7 @@ def test_pole_artifacts_flagged(solutions_one):
 
 
 def test_deterministic(params_one, solutions_one):
-    again = solve_one_nonzero_free_length(params_one)
+    again = solve_equilibria(params_one)
     # repr comparison keeps unconverged entries with nan lengths comparable
     assert [repr((s.beta, s.length, s.accepted)) for s in again] == \
         [repr((s.beta, s.length, s.accepted)) for s in solutions_one]
@@ -307,9 +323,9 @@ def test_continuity_to_zero_free_length_case(params_zero):
     # structure in this limit (the squared pair degenerates to a shared
     # factor), so conditioning may legitimately lose the real roots
     tiny = dataclasses.replace(params_zero, free_lengths=(1e-4, 0.0, 0.0))
-    reference = [s.beta.real for s in solve_zero_free_lengths(params_zero)
+    reference = [s.beta.real for s in solve_equilibria(params_zero)
                  if s.is_real]
-    solutions = solve_one_nonzero_free_length(tiny)
+    solutions = solve_equilibria(tiny)
     real_accepted = [s for s in solutions if s.accepted and s.is_real]
     if not real_accepted:
         pytest.skip("conditioning prevented real-solution recovery at "
@@ -322,7 +338,7 @@ def test_random_case_sets_accepted_residuals():
     rng = np.random.default_rng(71)
     for _ in range(3):
         params = random_params(rng, l01=float(rng.uniform(0.2, 2.0)))
-        solutions = solve_one_nonzero_free_length(params)
+        solutions = solve_equilibria(params)
         assert len(solutions) >= 46
         for s in solutions:
             if s.accepted:
@@ -402,7 +418,7 @@ def corpus(seed, count):
 def accepted_points(params):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        solutions = solve_one_nonzero_free_length(params)
+        solutions = solve_equilibria(params)
     return [(s.beta, s.length) for s in solutions if s.accepted]
 
 
@@ -449,7 +465,7 @@ def test_seeded_corpus_real_equilibria():
     for index, beta, length in CORPUS_REAL_EQUILIBRIA:
         params = mechanisms[index]
         if index not in solved:
-            solved[index] = solve_one_nonzero_free_length(params)
+            solved[index] = solve_equilibria(params)
         real = [s for s in solved[index] if s.accepted and s.is_real]
         gaps = [abs(s.beta.real - beta) + abs(s.length.real - length)
                 for s in real]
@@ -474,8 +490,8 @@ def test_eliminant_samples_do_not_alias(params_one):
     for params in [params_one] + corpus(2026, 5):
         pair = UnsquaredPair(params, point_e(params))
         tensors = pair.tensors(pair.foot())
-        support = one_nonzero._eliminants(tensors, pair.kl, signs)
-        full = np.fft.fft(one_nonzero._resultant_samples(
+        support = solver._eliminants(tensors, pair.kl, signs)
+        full = np.fft.fft(solver._resultant_samples(
             tensors, pair.kl, signs, z), axis=-1) / 64
         largest = np.max(np.abs(full), axis=1, keepdims=True)
         assert np.all(np.abs(full[:, 29:]) <= 1e-13 * largest)
@@ -554,10 +570,10 @@ def test_deflate_is_the_least_squares_quotient(params_one):
     for params in mechanisms:
         pair = UnsquaredPair(params, point_e(params))
         tensors = pair.tensors(pair.foot())
-        known, _ = one_nonzero._known_points(pair, tensors)
-        coeffs = one_nonzero._eliminants(tensors, pair.kl,
+        known, _ = solver._known_points(pair, tensors)
+        coeffs = solver._eliminants(tensors, pair.kl,
                                          np.array([1.0, -1.0]))
-        got = one_nonzero._deflate(coeffs, known)
+        got = solver._deflate(coeffs, known)
         with mpmath.workdps(40):
             factor = [mpmath.mpc(1)]
             for value in map(mpmath.mpc, known):
@@ -579,10 +595,10 @@ def test_deflate_is_the_least_squares_quotient(params_one):
 
 def _sylvester_dets(tensors, kl, signs, z):
     """np.linalg.det of the 6x6 Sylvester matrices of F and G at z."""
-    a, b, c, d, l1_sq = one_nonzero._split(one_nonzero._in_length(tensors, z))
+    a, b, c, d, l1_sq = solver._split(solver._in_length(tensors, z))
     return np.linalg.det(sylvester(
         squared(a, b, l1_sq, z),
-        one_nonzero._mixed(a, b, c, d, kl, signs[:, None, None])))
+        solver._mixed(a, b, c, d, kl, signs[:, None, None])))
 
 
 def _agree(got, want):
@@ -599,24 +615,24 @@ def test_resultant_samples_are_sylvester_determinants(monkeypatch,
     for params in [params_one] + corpus(2026, 5):
         pair = UnsquaredPair(params, point_e(params))
         tensors = pair.tensors(pair.foot())
-        for z in (one_nonzero._SAMPLE_Z, 0.5 * circle, 2 * circle):
+        for z in (solver._SAMPLE_Z, 0.5 * circle, 2 * circle):
             assert _agree(
-                one_nonzero._resultant_samples(tensors, pair.kl, signs, z),
+                solver._resultant_samples(tensors, pair.kl, signs, z),
                 _sylvester_dets(tensors, pair.kl, signs, z))
 
     # g2 exactly 0.0 at sample 0, for both signs: G's root at infinity
-    mixed = one_nonzero._mixed
+    mixed = solver._mixed
 
     def vanishing_g2(*args):
         g = mixed(*args)
         g[..., 0, 2] = 0.0
         return g
 
-    monkeypatch.setattr(one_nonzero, "_mixed", vanishing_g2)
+    monkeypatch.setattr(solver, "_mixed", vanishing_g2)
     pair = UnsquaredPair(params_one, point_e(params_one))
     tensors = pair.tensors(pair.foot())
-    z = one_nonzero._SAMPLE_Z
-    got = one_nonzero._resultant_samples(tensors, pair.kl, signs, z)
+    z = solver._SAMPLE_Z
+    got = solver._resultant_samples(tensors, pair.kl, signs, z)
     assert np.all(np.isfinite(got[:, 0]))
     assert _agree(got, _sylvester_dets(tensors, pair.kl, signs, z))
 
@@ -636,7 +652,7 @@ def test_product_is_row_convolution():
     a, b, c, d = (rng.normal(size=(4, 6, 2)) + 1j * rng.normal(size=(4, 6, 2))
                   for _ in range(4))
     for sign in (1.0, -1.0):
-        got = one_nonzero._mixed(a, b, c, d, 2.5, sign)
+        got = solver._mixed(a, b, c, d, 2.5, sign)
         for index in np.ndindex(a.shape[:-1]):
             ad, bc = np.convolve(a[index], d[index]), np.convolve(b[index],
                                                                   c[index])
@@ -670,18 +686,16 @@ def test_newton_returns_its_last_evaluation(monkeypatch, params_zero,
     # relative, without taking it, and returns the pair's terms there: the
     # terms are those of the returned point, bit for bit, and one more
     # step from it is at most STEP_TOL relative
-    calls, refine = [], one_nonzero.newton
+    calls, refine = [], solver.newton
 
     def recorded(*args):
         result = refine(*args)
         calls.append((args, result))
         return result
 
-    monkeypatch.setattr(one_nonzero, "newton", recorded)
-    monkeypatch.setattr(zero_free_lengths, "newton", recorded)
-    for params in [params_one] + corpus(2026, 5):
-        solve_one_nonzero_free_length(params)
-    solve_zero_free_lengths(params_zero)
+    monkeypatch.setattr(solver, "newton", recorded)
+    for params in [params_one, params_zero] + corpus(2026, 5):
+        solve_equilibria(params)
     assert len(calls) == 7
     for (pair, tensors, origin, _, _, _, sign), (u, z, s, terms) in calls:
         want = pair.terms(origin + u, (z + 1 / z) / 2, (z - 1 / z) / 2j)
@@ -689,5 +703,5 @@ def test_newton_returns_its_last_evaluation(monkeypatch, params_zero,
             assert got.tobytes() == expected.tobytes()
         step = _newton_step(tensors, origin, u, z, s, sign, terms)
         point = np.stack([u, z, s], axis=-1)
-        assert np.all(np.abs(step) <= one_nonzero.STEP_TOL
+        assert np.all(np.abs(step) <= solver.STEP_TOL
                       * (1 + np.abs(point)))

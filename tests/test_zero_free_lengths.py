@@ -8,13 +8,13 @@ import pytest
 
 from _support import TABLE_ZERO, nearest_match, random_params, reference_params
 
-from spring_platform import (DegenerateQuartic, MechanismParams,
-                             NonZeroFreeLength, Point2, solve_zero_free_lengths)
-from spring_platform import zero_free_lengths
+from spring_platform import (DegenerateQuartic, MechanismParams, Point2,
+                             UnsupportedFreeLengthPattern, solve_equilibria,
+                             solver)
 from spring_platform.mechanism import (point_e, pose_from, residual_pair,
                                        spring_state)
-from spring_platform.one_nonzero import UnsquaredPair
 from spring_platform.polynomials import TRIM_RELATIVE
+from spring_platform.solver import UnsquaredPair
 
 
 def trig_rows(params, beta):
@@ -26,9 +26,18 @@ def trig_rows(params, beta):
     return (f0, f1 - f0), (m0, m1 - m0)
 
 
-def test_linearize_rejects_nonzero_free_length():
-    with pytest.raises(NonZeroFreeLength):
-        solve_zero_free_lengths(reference_params(l01=1.0))
+def test_linearize_rejects_nonzero_free_length(monkeypatch):
+    # a nonzero free length never reaches the quartic: L01 alone gives the
+    # 48 rows of the eliminant, and L02 or L03 alone fits no case
+    def quartic(*args):
+        raise AssertionError("the quartic ran on a nonzero free length")
+
+    monkeypatch.setattr(solver, "_solve_zero", quartic)
+    assert len(solve_equilibria(reference_params(l01=1.0))) == 48
+    for free_lengths in ((0.0, 0.5, 0.0), (0.0, 0.0, 0.5)):
+        with pytest.raises(UnsupportedFreeLengthPattern):
+            solve_equilibria(dataclasses.replace(reference_params(),
+                                                 free_lengths=free_lengths))
 
 
 def test_force_length_coefficient_is_total_stiffness(params_zero):
@@ -84,8 +93,8 @@ def test_complex_roots_conjugate_pair(solutions_zero):
 
 
 def test_deterministic_ordering(params_zero):
-    a = solve_zero_free_lengths(params_zero)
-    b = solve_zero_free_lengths(params_zero)
+    a = solve_equilibria(params_zero)
+    b = solve_equilibria(params_zero)
     assert [(s.beta, s.length) for s in a] == [(s.beta, s.length) for s in b]
 
 
@@ -149,7 +158,7 @@ def test_mirrored_geometry_negates_beta(params_zero, solutions_zero):
         base_origin=reflect(params_zero.base_origin),
         base_angle=2 * alpha - params_zero.base_angle,
         p_in_top=Point2(params_zero.p_in_top.x, -params_zero.p_in_top.y))
-    mirrored_solutions = solve_zero_free_lengths(mirrored)
+    mirrored_solutions = solve_equilibria(mirrored)
     betas = sorted((s.beta for s in solutions_zero),
                    key=lambda z: (z.real, z.imag))
     betas_m = sorted((-s.beta for s in mirrored_solutions),
@@ -169,7 +178,7 @@ def test_random_parameter_sets_verified():
     for _ in range(25):
         params = random_params(rng)
         e = point_e(params)
-        solutions = solve_zero_free_lengths(params)
+        solutions = solve_equilibria(params)
         finite = [s for s in solutions if math.isfinite(s.rel_residual)]
         assert len(finite) >= 4
         for s in finite:
@@ -195,7 +204,7 @@ def test_displaced_roots_rejected_on_the_tensor_scale(monkeypatch, params_zero,
     # the pair's terms at the displaced point. Each row must be rejected,
     # with rel_residual = max(|z A| / S_A, |z C| / S_C) and
     # S_T = sum |t_ij| |u|^i |z|^j over the tensor terms of z T
-    refine = zero_free_lengths.newton
+    refine = solver.newton
 
     def displaced(pair, tensors, origin, u, z, s, sign):
         u, z, s, _ = refine(pair, tensors, origin, u, z, s, sign)
@@ -208,14 +217,14 @@ def test_displaced_roots_rejected_on_the_tensor_scale(monkeypatch, params_zero,
         return u, z, s, pair.terms(origin + u, (z + 1 / z) / 2,
                                    (z - 1 / z) / 2j)
 
-    monkeypatch.setattr(zero_free_lengths, "newton", displaced)
+    monkeypatch.setattr(solver, "newton", displaced)
     rng = np.random.default_rng(61)
     for params in [params_zero] + [random_params(rng) for _ in range(20)]:
         e = point_e(params)
         pair = UnsquaredPair(params, e)
         origin = pair.foot()
         tensors = np.abs(pair.tensors(origin))
-        finite = [s for s in solve_zero_free_lengths(params)
+        finite = [s for s in solve_equilibria(params)
                   if cmath.isfinite(s.beta)]
         assert len(finite) >= 2
         for s in finite:
@@ -258,7 +267,7 @@ def balanced_pin_params(params, shift=0.0):
 def test_real_root_at_beta_pi():
     # a real equilibrium at beta = pi, where the tan-half variable has its
     # pole; the z form finds it among the quartic's roots with no special case
-    solutions = solve_zero_free_lengths(beta_pi_params())
+    solutions = solve_equilibria(beta_pi_params())
     assert len(solutions) == 4
     assert all(s.accepted and s.is_real and s.note == "" for s in solutions)
     at_pi = [s for s in solutions
@@ -270,7 +279,7 @@ def test_real_root_at_beta_pi():
 def test_balanced_pin_has_no_finite_beta_roots(params_zero):
     # with the pin at x = (k2 + k3) d_o2a2 / (k1 + k2 + k3) on the top X
     # axis the force residual does not depend on beta: z^0 and z^4 vanish
-    solutions = solve_zero_free_lengths(balanced_pin_params(params_zero))
+    solutions = solve_equilibria(balanced_pin_params(params_zero))
     assert len(solutions) == 4
     infinite = [s for s in solutions if not cmath.isfinite(s.beta)]
     assert len(infinite) == 2
@@ -319,7 +328,7 @@ def test_degree_drop_agrees_with_poly_roots(params_zero):
                  for shift in shifts]
     drops = set()
     for quartic in quartics:
-        roots, at_zero, at_infinity = zero_free_lengths._quartic_roots(quartic)
+        roots, at_zero, at_infinity = solver._quartic_roots(quartic)
         low, expected = _trimmed_roots(quartic)
         assert at_zero == low
         assert at_infinity == 4 - low - len(expected)
@@ -352,7 +361,7 @@ def test_seeded_corpus_real_roots():
     rng = np.random.default_rng(59)
     real = sum(s.accepted and s.is_real
                for _ in range(100)
-               for s in solve_zero_free_lengths(random_params(rng)))
+               for s in solve_equilibria(random_params(rng)))
     assert real == 242
 
 
@@ -364,7 +373,7 @@ def test_degenerate_inputs_raise():
         reference_params(),
         p_in_top=Point2(1e-30, 1e-30))
     try:
-        solutions = solve_zero_free_lengths(params)
+        solutions = solve_equilibria(params)
     except (DegenerateQuartic, ValueError):
         return
     for s in solutions:

@@ -67,9 +67,8 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 import inputs  # noqa: E402
 from spring_platform import (emit_tables, load_config,  # noqa: E402
-                             one_nonzero, output, render_svg, run_analysis,
-                             zero_free_lengths)
-from spring_platform.one_nonzero import UnsquaredPair  # noqa: E402
+                             output, render_svg, run_analysis, solver)
+from spring_platform.solver import UnsquaredPair  # noqa: E402
 
 SWEEP_ZERO_SEED = 1
 SWEEP_ZERO_INPUTS = 100
@@ -78,7 +77,7 @@ REPEATS = 9
 STAGES = ("`load_config`", "`run_analysis` (the solve)",
           "`report.json` and `solutions.csv` text", "SVG text",
           "5 file writes", "whole operation")
-SUB_STAGES = ("set-up: `point_e`, `UnsquaredPair`, `foot`",
+SUB_STAGES = ("set-up: `free_length_case`, `point_e`, `UnsquaredPair`, `foot`",
               "`UnsquaredPair.tensors`",
               "eliminants, deflation and companion roots",
               "candidates: the starts of `newton`", "`newton`",
@@ -86,30 +85,29 @@ SUB_STAGES = ("set-up: `point_e`, `UnsquaredPair`, `foot`",
 # per workload, the solve and the calls that bound its sub-stages, in the
 # order the solve makes them, as (owner, name, sub-stage of the call,
 # sub-stage of the solve's own code that runs just before it), and the
-# sub-stage of the code after the last call. The zero solve has no
-# eliminant to deflate and no _classify: those rows hold its quartic and
-# companion roots and its inline residuals.
+# sub-stage of the code after the last call. Both workloads run the one
+# solve, and its free-length dispatch is part of the set-up. The zero case
+# has no eliminant to deflate and no _classify: those rows hold its
+# quartic and companion roots and its inline residuals.
 SOLVES = {
     "reference-one": (
-        lambda config: one_nonzero.solve_one_nonzero_free_length(
-            config.params),
+        lambda config: solver.solve_equilibria(config.params),
         ((UnsquaredPair, "tensors", 1, 0),
-         (one_nonzero, "_known_points", 2, 1),
-         (one_nonzero, "_eliminants", 2, 2),
-         (one_nonzero, "_deflate", 2, 2),
-         (one_nonzero, "companion_roots", 2, 2),
-         (one_nonzero, "newton", 4, 3),
-         (one_nonzero, "_classify", 5, 4),
-         (one_nonzero, "structural_rows", 6, 6),
-         (one_nonzero, "ledger", 6, 6)), 6),
+         (solver, "_known_points", 2, 1),
+         (solver, "_eliminants", 2, 2),
+         (solver, "_deflate", 2, 2),
+         (solver, "companion_roots", 2, 2),
+         (solver, "newton", 4, 3),
+         (solver, "_classify", 5, 4),
+         (solver, "structural_rows", 6, 6),
+         (solver, "ledger", 6, 6)), 6),
     "sweep-zero": (
-        lambda config: zero_free_lengths.solve_zero_free_lengths(
-            config.params),
+        lambda config: solver.solve_equilibria(config.params),
         ((UnsquaredPair, "tensors", 1, 0),
-         (zero_free_lengths, "_quartic_roots", 2, 2),
-         (zero_free_lengths, "newton", 4, 3),
-         (zero_free_lengths, "structural_rows", 6, 5),
-         (zero_free_lengths, "ledger", 6, 6)), 6),
+         (solver, "_quartic_roots", 2, 2),
+         (solver, "newton", 4, 3),
+         (solver, "structural_rows", 6, 5),
+         (solver, "ledger", 6, 6)), 6),
 }
 
 
