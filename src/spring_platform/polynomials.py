@@ -31,12 +31,13 @@ def _quadratic_q(c0, c1, c2):
 
 def _quadratic_roots(c0, c1, c2):
     """Both roots of c2 x^2 + c1 x + c0, numerically stable, for complex
-    scalars or elementwise for arrays of coefficients."""
+    scalars or elementwise for arrays of coefficients. Where q = 0 the
+    division c0 / q is computed and discarded; solve_equilibria, the one
+    caller, runs with numpy's floating-point warnings off."""
     c0, c1, c2 = (np.asarray(c, dtype=complex) for c in (c0, c1, c2))
     q = _quadratic_q(c0, c1, c2)
     r1 = q / c2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r2 = np.where(q != 0, c0 / q, -c1 / c2 - r1)
+    r2 = np.where(q != 0, c0 / q, -c1 / c2 - r1)
     return r1[()], r2[()]
 
 

@@ -94,11 +94,13 @@ def ledger(*parts: dict) -> list[EquilibriumSolution]:
 def residual_margin(solutions: list[EquilibriumSolution]):
     """(max accepted rel residual, min rejected rel residual, ratio).
 
-    Ratio is None when either side is empty or the accepted side sits at
-    exactly zero.
+    A repeated root is an accepted equilibrium that a second start
+    converged onto, so it sits on neither side. Ratio is None when either
+    side is empty or the accepted side sits at exactly zero.
     """
     acc = [s.rel_residual for s in solutions if s.accepted]
-    rej = [s.rel_residual for s in solutions if not s.accepted]
+    rej = [s.rel_residual for s in solutions
+           if not s.accepted and s.note != "repeated root"]
     if not acc or not rej:
         return (max(acc) if acc else None,
                 min(rej) if rej else None,

@@ -295,10 +295,9 @@ def _classify(length, z, s, terms, same_sign) -> dict:
 
     fa, fb, ma, mb = a * a * l1_sq, b * b, c * c * l1_sq, d * d
     rel, own = unsquared(np.array([l1, s]))  # principal L1, then own s
-    with np.errstate(divide="ignore", invalid="ignore"):
-        spring = np.abs(l1) >= TOL_ZERO_LENGTH
-        force = np.where(spring, np.abs(a - b / l1), math.inf)
-        moment = np.where(spring, np.abs(c - d / l1), math.inf)
+    spring = np.abs(l1) >= TOL_ZERO_LENGTH
+    force = np.where(spring, np.abs(a - b / l1), math.inf)
+    moment = np.where(spring, np.abs(c - d / l1), math.inf)
     real = mark_real(beta, length)
     beta = np.where(real, beta.real, beta)
     length = np.where(real, length.real, length)
@@ -349,16 +348,20 @@ def solve_equilibria(params: MechanismParams) -> list[EquilibriumSolution]:
     With all free lengths zero, the quartic's four roots (with
     multiplicity, complex included); with only L01 nonzero, the 48
     candidates of the degree-48 eliminant. A free-length pattern that fits
-    neither case raises UnsupportedFreeLengthPattern.
+    neither case raises UnsupportedFreeLengthPattern. numpy's floating-point
+    warnings are off for the whole solve: the zero divisions and the
+    infinities of the spring model's residuals are values of the ledger,
+    and an overflowing eliminant raises one MechanismError.
     """
     case = free_length_case(params.free_lengths)
     if case is None:
         raise UnsupportedFreeLengthPattern()
-    pair = UnsquaredPair(params, point_e(params))
-    origin = pair.foot()
-    tensors = pair.tensors(origin)
-    return (_solve_zero if case == CASE_ZERO else _solve_one)(
-        pair, origin, tensors)
+    with np.errstate(all="ignore"):
+        pair = UnsquaredPair(params, point_e(params))
+        origin = pair.foot()
+        tensors = pair.tensors(origin)
+        return (_solve_zero if case == CASE_ZERO else _solve_one)(
+            pair, origin, tensors)
 
 
 def _quartic_roots(quartic: np.ndarray) -> tuple[np.ndarray, int, int]:

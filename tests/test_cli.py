@@ -1,9 +1,11 @@
 import json
+import warnings
 
 import pytest
 
 from _support import REFERENCE_CONFIG
 
+from spring_platform import MechanismError, load_config, solve_equilibria
 from spring_platform.cli import main
 
 
@@ -49,7 +51,7 @@ OVERFLOWS = {"k1 zero": {"k": [1e160, 1.85, 1.45]},
              "L01": {"L0": [1e300, 0.0, 0.0]}}
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("overrides", OVERFLOWS.values(), ids=OVERFLOWS)
 def test_overflowing_eliminant_exit_3(tmp_path, capsys, monkeypatch,
                                       overrides):
@@ -60,6 +62,16 @@ def test_overflowing_eliminant_exit_3(tmp_path, capsys, monkeypatch,
     assert err.startswith("numerical failure: solve-")
     assert err.count("\n") == 1
     assert [path.name for path in tmp_path.iterdir()] == ["run.json"]
+
+
+@pytest.mark.parametrize("overrides", OVERFLOWS.values(), ids=OVERFLOWS)
+def test_overflowing_eliminant_raises(tmp_path, overrides):
+    # the library says it with the one MechanismError and no numpy warning
+    params = load_config(write_config(tmp_path, overrides)).params
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(MechanismError):
+            solve_equilibria(params)
 
 
 def test_config_errors_exit_2(tmp_path, capsys):

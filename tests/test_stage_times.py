@@ -1,0 +1,45 @@
+import subprocess
+import sys
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "stage_times.py"
+
+# loads tools/stage_times.py (argv[1]) and solves each workload's committed
+# config once with every bounding call of its SOLVES entry counted; a
+# bound called inside another fails, since the in-context timer could not
+# split the two. Prints each workload with the bounds no call reached.
+_BOUNDS = """\
+import runpy, sys
+tool = runpy.run_path(sys.argv[1])
+calls, running = set(), []
+
+def counted(function, bound):
+    def call(*args, **kwargs):
+        assert not running, f"{bound[1]} called inside {running[-1]}"
+        calls.add(bound[1])
+        running.append(bound[1])
+        try:
+            return function(*args, **kwargs)
+        finally:
+            running.pop()
+    return call
+
+for workload, config in (("reference-one", tool["inputs"].REFERENCE_ONE),
+                         ("sweep-zero", tool["inputs"].REFERENCE_ZERO)):
+    solve, bounds, _ = tool["SOLVES"][workload]
+    calls.clear()
+    with tool["patched"](bounds, counted):
+        solve(tool["load_config"](tool["ROOT"] / config))
+    print(workload, *[name for _, name, _, _ in bounds if name not in calls])
+"""
+
+
+def test_stage_times_bounds_are_called():
+    # the sub-stage table wraps solver calls by name: each must still
+    # exist and be called by the solve, outside every other one. The tool
+    # edits sys.path and the BLAS environment when it loads, so it runs in
+    # a fresh interpreter
+    run = subprocess.run([sys.executable, "-c", _BOUNDS, str(TOOL)],
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == ["reference-one", "sweep-zero"]

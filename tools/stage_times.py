@@ -32,10 +32,14 @@ pages in, per workload, without running the benchmark. It reads
 ``VmHWM`` from ``/proc/self/status`` (Linux), the peak of the
 interpreter's own memory, not ``ru_maxrss``: a process keeps its
 spawner's ``ru_maxrss`` through ``exec``, so in an interpreter this
-script starts it reads this script's peak. The sub-stages replay each
-stage's recorded inputs (``sub_stage_times``); their last row is the
-whole solve, timed alongside them, which they add up to within about a
-tenth.
+script starts it reads this script's peak. The sub-stages are timed
+inside the solve (``sub_stage_times``): the calls that bound them
+(SOLVES), none of which runs inside another, mark the clocks as each
+starts and returns, and every interval between two marks goes to one
+sub-stage, so the rows add up to the solve as the marks see it. Their
+last row is the whole solve without the marks, each solve run so just
+before its marked run: the rows' sum exceeds it by the marks' cost, a
+few per cent.
 
 The script reads the ``src/`` and ``bench/`` directories next to it, so a
 copy placed in another checkout measures that checkout. It takes under a
@@ -160,17 +164,13 @@ def stage_times(paths: list[Path], out: Path) -> list[tuple[float, float]]:
                   for clock in (0, 1)) for k in range(len(STAGES))]
 
 
-class _Cut(Exception):
-    """Ends a solve at one of its bounding calls."""
-
-
 @contextmanager
 def patched(bounds, make):
-    """Each bounding callable replaced by make(its original)."""
+    """Each bounding callable replaced by make(its original, its bound)."""
     originals = [(owner, name, getattr(owner, name))
                  for owner, name, _, _ in bounds]
-    for owner, name, function in originals:
-        setattr(owner, name, make(function))
+    for bound, (owner, name, function) in zip(bounds, originals):
+        setattr(owner, name, make(function, bound))
     try:
         yield
     finally:
@@ -178,94 +178,53 @@ def patched(bounds, make):
             setattr(owner, name, function)
 
 
-def record(solve, bounds, config) -> list:
-    """(Function, args, kwargs, result) of each bounding call one solve of
-    config makes, in call order."""
-    calls = []
-
-    def recorder(function):
-        def call(*args, **kwargs):
-            entry = [function, args, kwargs, None]
-            calls.append(entry)
-            entry[3] = result = function(*args, **kwargs)
-            return result
-        return call
-
-    with patched(bounds, recorder):
-        solve(config)
-    return calls
-
-
-def replay(calls: list) -> list[tuple[float, float]]:
-    """(Wall, CPU) seconds of each recorded call, replayed in call order."""
-    times = []
-    for function, args, kwargs, _ in calls:
-        wall, cpu = time.perf_counter(), time.process_time()
-        function(*args, **kwargs)
-        times.append((time.perf_counter() - wall, time.process_time() - cpu))
-    return times
-
-
 def sub_stage_times(workload: str, paths: list[Path],
                     ) -> list[tuple[float, float]]:
     """Median (wall, CPU) milliseconds per solve of each of SUB_STAGES,
-    then of the whole solve.
+    then of the whole solve, uncut.
 
-    The bounding calls of each solve are replayed on the inputs they were
-    recorded with, in the order the solve made them: each replayed alone,
-    back to back, the calls read 17-25% below their time in the solve,
-    whose other stages evict their code and data from the caches. The
-    solve's own
-    code between two bounding calls is timed by cutting the solve short:
-    every bounding call returns its recorded result at once and the k-th
-    raises, and the code just before call k is the solve cut at k minus
-    the solve cut at k - 1 (cut at 0, it is the set-up; uncut, the last
-    difference is the code after the last call)."""
+    The sub-stages are timed where the solve runs them. Each bounding
+    call is wrapped to mark the clocks when it starts, for the sub-stage
+    of the solve's code before it, and when it returns, for its own; the
+    solve's return marks the tail. Each interval between two marks goes
+    to the sub-stage of the mark that closes it, so the rows add up to the
+    wrapped solve. That holds while no bounding call runs inside another:
+    the outer call's code before the inner one would go to the inner one's
+    code-before row. Each solve also runs unwrapped just before, for the
+    last row, so that both see the same load on the host; the rows' sum
+    exceeds it by the cost of the marks."""
     solve, bounds, tail = SOLVES[workload]
     configs = [load_config(path) for path in paths]
-    records = [record(solve, bounds, config) for config in configs]
-    names = [name for _, name, _, _ in bounds]
-    rows = [bounds[names.index(function.__name__)][2:]
-            for function, _, _, _ in records[0]]
-    state = {}
+    marks = []
 
-    def stub(function):
+    def mark(row):
+        marks.append((row, time.perf_counter(), time.process_time()))
+
+    def timed(function, bound):
         def call(*args, **kwargs):
-            k = state["next"]
-            if k == state["cut"]:
-                raise _Cut
-            state["next"] = k + 1
-            return state["results"][k]
+            mark(bound[3])
+            result = function(*args, **kwargs)
+            mark(bound[2])
+            return result
         return call
-
-    def cut(config, calls, k):
-        state.update(next=0, cut=k, results=[call[3] for call in calls])
-        try:
-            solve(config)
-        except _Cut:
-            pass
 
     rounds = []
     for _ in range(REPEATS):
-        whole = per_op([lambda c=c: solve(c) for c in configs])
-        replays = [tuple(sum(clocks) / len(records) for clocks in zip(*call))
-                   for call in zip(*map(replay, records))]
-        with patched(bounds, stub):
-            cuts = [per_op([lambda c=c, r=r, k=k: cut(c, r, k)
-                            for c, r in zip(configs, records)])
-                    for k in range(len(rows) + 1)]
-        totals = [[0.0, 0.0] for _ in SUB_STAGES]
-        gaps = [cuts[0]] + [tuple(b - a for a, b in zip(x, y))
-                            for x, y in zip(cuts, cuts[1:])]
-        for (call_row, gap_row), call, gap in zip(
-                rows + [(None, tail)], replays + [(0.0, 0.0)], gaps):
-            for clock in (0, 1):
-                totals[gap_row][clock] += gap[clock]
-                if call_row is not None:
-                    totals[call_row][clock] += call[clock]
-        rounds.append(totals + [whole])
-    return [tuple(1e3 * statistics.median(r[k][clock] for r in rounds)
-                  for clock in (0, 1)) for k in range(len(SUB_STAGES) + 1)]
+        marks.clear()
+        for config in configs:
+            mark(None)
+            solve(config)
+            mark(len(SUB_STAGES))  # the whole solve, uncut
+            with patched(bounds, timed):
+                mark(None)
+                solve(config)
+                mark(tail)
+        totals = np.zeros((len(SUB_STAGES) + 1, 2))
+        for (_, wall, cpu), (row, wall_end, cpu_end) in zip(marks, marks[1:]):
+            if row is not None:  # None closes the gap between two solves
+                totals[row] += wall_end - wall, cpu_end - cpu
+        rounds.append(1e3 * totals / len(configs))
+    return [tuple(row) for row in np.median(rounds, axis=0)]
 
 
 # in a fresh interpreter, prints the wall and CPU seconds of the import
