@@ -19,11 +19,10 @@ from .analysis import AnalysisReport, run_analysis
 from .config import (RunConfig, UnsupportedFreeLengthPattern,
                      config_from_dict, load_config)
 from .errors import (AnalysisError, DegenerateQuartic, MechanismError,
-                     NotAssemblable, ParallelLines, ParseError,
-                     ValidationError, ZeroLengthSpring)
+                     NotAssemblable, ParseError, ValidationError,
+                     ZeroLengthSpring)
 from .free_pose import dialytic_residual, solve_a2, solve_o2
-from .geometry import (Line2, PlaneSpec, Point2, intersect_lines, line_through,
-                       make_plane)
+from .geometry import Point2
 from .mechanism import (ContactPose, MechanismParams, SpringState, point_e,
                         pose_from, pose_from_trig, residual_pair, spring_state)
 from .output import emit_tables, render_svg, report_to_dict

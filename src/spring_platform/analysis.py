@@ -8,7 +8,6 @@ from typing import NamedTuple
 from .config import CASE_ONE, RunConfig
 from .errors import AnalysisError, MechanismError
 from .geometry import Point2
-from .mechanism import point_e
 from .solutions import EquilibriumSolution, residual_margin
 from .solver import solve_equilibria
 
@@ -34,15 +33,11 @@ def run_analysis(config: RunConfig) -> AnalysisReport:
     Both supported cases have L02 = L03 = 0, so the legs O1-A2 and A1-A2
     cannot span O1-A1: the platform has no unloaded pose, exists only
     pressed against the surface, and contact is assumed. The solve runs
-    directly; the case the free lengths imply labels the report.
+    directly; the case the free lengths imply labels the report, and point
+    E is the one the params computed when they were built.
     """
     t0 = time.perf_counter()
     case = config.case
-    try:
-        e = point_e(config.params)
-    except MechanismError as exc:
-        raise AnalysisError("point-e", exc) from exc
-
     try:
         solutions = solve_equilibria(config.params)
     except MechanismError as exc:
@@ -63,7 +58,8 @@ def run_analysis(config: RunConfig) -> AnalysisReport:
                   "min_rejected_residual": best_rej,
                   "ratio": ratio}
     return AnalysisReport(
-        config=config, contact=CONTACT_ASSUMED, case=case, point_e=e,
+        config=config, contact=CONTACT_ASSUMED, case=case,
+        point_e=config.params.point_e,
         free_pose=None, solutions=solutions, counts=counts, margin=margin,
         timing_s=time.perf_counter() - t0,
         notes=["free pose not assemblable; contact assumed"])

@@ -5,10 +5,6 @@ class MechanismError(Exception):
     """Base class for all solver errors."""
 
 
-class ParallelLines(MechanismError):
-    """Two lines have no (finite) intersection point."""
-
-
 class NotAssemblable(MechanismError):
     """The free-length circle constructions admit no real intersection."""
 

@@ -1,6 +1,6 @@
-"""Mechanism parameters, the contact-constrained pose, spring state, and
-the two equilibrium residuals (force projection along the surface and
-moment about the contact pin).
+"""Mechanism parameters with their point E, the contact-constrained pose,
+spring state, and the two equilibrium residuals (force projection along
+the surface and moment about the contact pin).
 
 Every evaluation here is defined over complex numbers so that candidate
 roots coming out of the elimination stage can be verified by direct
@@ -18,9 +18,10 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .errors import ZeroLengthSpring
-from .geometry import Point2, intersect_lines, line_through, unit_vector
+from .geometry import Point2, unit_vector
 
 TOL_ZERO_LENGTH = 1e-12  # metres; below this a spring direction is undefined
+TOL_PARALLEL = 1e-9      # on the cross product of the base and surface axes
 
 
 def _cos_sin(angle):
@@ -41,7 +42,9 @@ class MechanismParams:
 
     Anchor points a1/a2 are given in their own platform frames and must lie
     on the frame X axes; p_in_top locates the contact pin in the top frame.
-    Angles in radians, lengths in metres, stiffness in N/m.
+    Angles in radians, lengths in metres, stiffness in N/m. Point E is
+    computed at construction, so a base axis parallel to the surface is a
+    ValueError here.
     """
 
     surface_point: Point2         # point M on the surface line
@@ -61,6 +64,10 @@ class MechanismParams:
             if not all(map(math.isfinite, (value.x, value.y) if isinstance(
                     value, Point2) else (value,))):
                 raise ValueError(f"{name} must be finite, got {value}")
+        for name in ("stiffness", "free_lengths"):
+            values = getattr(self, name)
+            if len(values) != 3:
+                raise ValueError(f"{name} must hold 3 values, got {values}")
         for i, k in enumerate(self.stiffness, start=1):
             if not (k > 0 and math.isfinite(k)):
                 raise ValueError(f"k{i} must be positive and finite, got {k}")
@@ -73,6 +80,7 @@ class MechanismParams:
             raise ValueError("distance O1-A1 must be positive")
         if not self.a2_in_top.x > 0:
             raise ValueError("distance O2-A2 must be positive")
+        self.point_e  # cached here: a parallel base axis fails construction
 
     @property
     def d_o1a1(self) -> float:
@@ -89,26 +97,36 @@ class MechanismParams:
 
     @cached_property
     def point_e(self) -> Point2:
-        """Intersection of the base-frame X axis with the surface line."""
-        return intersect_lines(
-            line_through(self.base_origin, self.base_angle),
-            line_through(self.surface_point, self.surface_angle))
+        """Intersection of the base-frame X axis with the surface line.
+
+        Each line is its unit direction (u through O1, v through M) and its
+        moment about the origin, p.x * d.y - p.y * d.x; E solves the two
+        moment equations by Cramer's rule. Raises ValueError when the axes
+        are parallel within TOL_PARALLEL.
+        """
+        o1, m = self.base_origin, self.surface_point
+        ux, uy = math.cos(self.base_angle), math.sin(self.base_angle)
+        vx, vy = math.cos(self.surface_angle), math.sin(self.surface_angle)
+        m1 = o1.x * uy - o1.y * ux
+        m2 = m.x * vy - m.y * vx
+        cross = ux * vy - uy * vx
+        if abs(cross) <= TOL_PARALLEL:
+            raise ValueError("the base X axis is parallel to the surface: "
+                             f"|cross| = {abs(cross):.3e} <= {TOL_PARALLEL:.1e}")
+        return Point2((m1 * -vx - -ux * m2) / cross,
+                      (uy * m2 - m1 * vy) / cross)
 
 
 def point_e(params: MechanismParams) -> Point2:
-    """Point E of the mechanism, computed once and kept on it."""
+    """Point E of the mechanism, computed when it was built."""
     return params.point_e
 
 
 class ContactPose(NamedTuple):
-    """Top-platform pose parametrized by the surface coordinate L and the
-    tilt beta; carries the derived fixed-frame points. Components may be
-    complex during root verification."""
+    """Fixed-frame points of the top platform at one (L, beta): the pin P,
+    the top origin O2 and the anchor A2. Components may be complex during
+    root verification."""
 
-    length: complex
-    cos_beta: complex
-    sin_beta: complex
-    point_e: Point2
     p: Point2
     o2: Point2
     a2: Point2
@@ -143,8 +161,7 @@ def pose_from_trig(length, cos_beta, sin_beta, params: MechanismParams,
     """Pose from L and the cosine/sine of beta (complex allowed)."""
     px, py, o2x, o2y, a2x, a2y = pose_points(pose_frame(params, e), length,
                                              cos_beta, sin_beta)
-    return ContactPose(length, cos_beta, sin_beta, e, Point2(px, py),
-                       Point2(o2x, o2y), Point2(a2x, a2y))
+    return ContactPose(Point2(px, py), Point2(o2x, o2y), Point2(a2x, a2y))
 
 
 def pose_from(length, beta, params: MechanismParams, e: Point2) -> ContactPose:

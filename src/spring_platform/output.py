@@ -8,7 +8,8 @@ sort_keys=True)`` with non-finite floats as null. The json module encodes
 with ``indent`` in pure Python, so here the solution table is formatted
 column by column, one pass per column, each row one %-format of a cached
 template, and the rest goes through a small recursive writer. The SVG is
-written without an XML tree, from points as (x, y) tuples of floats.
+written without an XML tree, from points as (x, y) tuples of floats: each
+drawn pose is the pose_points floats of its real (L, beta).
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .analysis import AnalysisReport
-from .geometry import Point2, make_plane
-from .mechanism import MechanismParams, pose_from_trig
+from .geometry import Point2, unit_vector
+from .mechanism import pose_frame, pose_points
 from .solutions import EquilibriumSolution
 
 CSV_HEADER = ("index,beta_re,beta_im,L_re,L_im,residual_force,"
@@ -188,17 +189,15 @@ def _xy(p: Point2) -> tuple[float, float]:
     return p.x, p.y
 
 
-def _mechanism_points(params: MechanismParams, solution: EquilibriumSolution,
-                      e: Point2):
+def _mechanism_points(frame: tuple, o1, a1, solution: EquilibriumSolution):
     """The named points of a drawn pose, in _POINT_NAMES order, and the
     world coordinates of its three spring zigzags, which every drawing of
-    the pose shares."""
+    the pose shares; frame is the mechanism's pose_frame."""
     beta = solution.beta.real
-    pose = pose_from_trig(solution.length.real, math.cos(beta),
-                          math.sin(beta), params, e)
-    o1, a1, o2, a2 = map(_xy, (params.base_origin, params.a1_fixed, pose.o2,
-                               pose.a2))
-    return (o1, a1, o2, a2, _xy(pose.p)), [
+    px, py, o2x, o2y, a2x, a2y = pose_points(
+        frame, solution.length.real, math.cos(beta), math.sin(beta))
+    o2, a2 = (o2x, o2y), (a2x, a2y)
+    return (o1, a1, o2, a2, (px, py)), [
         _spring_points(*ends) for ends in ((o1, o2), (o1, a2), (a1, a2))]
 
 
@@ -320,8 +319,8 @@ def render_svg(report: AnalysisReport, out_dir) -> list[Path]:
     real_accepted = [(i, s) for i, s in enumerate(report.solutions, start=1)
                      if s.accepted and s.is_real]
     e = _xy(report.point_e)
-    poses = {i: _mechanism_points(params, s, report.point_e)
-             for i, s in real_accepted}
+    frame = pose_frame(params, report.point_e)
+    poses = {i: _mechanism_points(frame, o1, a1, s) for i, s in real_accepted}
     world = [o1, a1, m, e] + [p for pts, _ in poses.values() for p in pts]
 
     for idx, sol in real_accepted:
@@ -334,12 +333,15 @@ def render_svg(report: AnalysisReport, out_dir) -> list[Path]:
                               "".join(parts) + "</svg>"))
 
     canvas, parts = _open_drawing(params, world, world, e)
-    plane = make_plane(params.surface_angle, params.surface_point)
+    # O2's side of the surface: the sign of O2 . n + offset, n the surface
+    # direction turned by -pi/2 and offset = -M . n, zero on the surface
+    n = unit_vector(params.surface_angle - math.pi / 2)
+    offset = -params.surface_point.dot(n)
     sides = {"positive": [], "negative": []}
     for k, (idx, sol) in enumerate(real_accepted):
         pose = poses[idx]
-        o2 = Point2(*pose[0][2])
-        side = "positive" if plane.evaluate(o2) > 0 else "negative"
+        x, y = pose[0][2]
+        side = "positive" if x * n.x + y * n.y + offset > 0 else "negative"
         sides[side].append((idx, pose,
                             SOLUTION_COLORS[k % len(SOLUTION_COLORS)]))
     for side, members in sides.items():

@@ -54,9 +54,8 @@ import numpy as np
 from .config import (CASE_ZERO, UnsupportedFreeLengthPattern,
                      free_length_case)
 from .errors import DegenerateQuartic, LostRoots, MechanismError
-from .geometry import Point2
-from .mechanism import (TOL_ZERO_LENGTH, MechanismParams, point_e,
-                        pose_frame, pose_points)
+from .mechanism import (TOL_ZERO_LENGTH, MechanismParams, pose_frame,
+                        pose_points)
 from .polynomials import (TRIM_RELATIVE, _quadratic_q, _quadratic_roots,
                           companion_roots, horner)
 from .solutions import EquilibriumSolution, ledger, mark_real
@@ -95,8 +94,8 @@ class UnsquaredPair:
     __slots__ = ("frame", "ca", "sa", "ex", "ey", "px2", "py2", "o1x", "o1y",
                  "a1x", "a1y", "k1", "k2", "k3", "kl")
 
-    def __init__(self, params: MechanismParams, e: Point2):
-        self.frame = pose_frame(params, e)
+    def __init__(self, params: MechanismParams):
+        self.frame = pose_frame(params, params.point_e)
         self.ca, self.sa, self.ex, self.ey, self.px2, self.py2, _ = self.frame
         self.o1x, self.o1y = params.base_origin.x, params.base_origin.y
         self.a1x, self.a1y = params.a1_fixed.x, params.a1_fixed.y
@@ -357,7 +356,7 @@ def solve_equilibria(params: MechanismParams) -> list[EquilibriumSolution]:
     if case is None:
         raise UnsupportedFreeLengthPattern()
     with np.errstate(all="ignore"):
-        pair = UnsquaredPair(params, point_e(params))
+        pair = UnsquaredPair(params)
         origin = pair.foot()
         tensors = pair.tensors(origin)
         return (_solve_zero if case == CASE_ZERO else _solve_one)(

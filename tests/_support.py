@@ -148,7 +148,7 @@ def tan_half_eliminant(params):
     eliminant is (1 - i x)^48 P(z). Its leading coefficient is P(-1), its
     pole factor (1 + x^2)^6 is six vanishing coefficients at each end of
     P, and its 36 finite roots are the roots of z^6 .. z^42."""
-    pair = UnsquaredPair(params, point_e(params))
+    pair = UnsquaredPair(params)
     with mpmath.workdps(25):
         tensors = np.vectorize(mpmath.mpc, otypes=[object])(
             pair.tensors(pair.foot()))

@@ -1,14 +1,13 @@
 import dataclasses
-import math
 import operator
 
 import pytest
 
 from _support import REFERENCE_CONFIG, reference_params
 
-from spring_platform import (AnalysisError, ParallelLines, RunConfig,
-                             UnsupportedFreeLengthPattern, config_from_dict,
-                             run_analysis, solve_equilibria)
+from spring_platform import (RunConfig, UnsupportedFreeLengthPattern,
+                             ValidationError, config_from_dict, run_analysis,
+                             solve_equilibria)
 from spring_platform.config import CASE_ONE, CASE_PATTERNS, CASE_ZERO
 
 
@@ -46,14 +45,13 @@ def test_counts_consistent():
 
 
 def test_parallel_base_and_surface():
-    # point E, the intersection of the base axis and the surface, is the
-    # first stage; a parallel pair has none
-    params = dataclasses.replace(reference_params(),
-                                 base_angle=math.radians(150.0))
-    with pytest.raises(AnalysisError) as err:
-        run_analysis(RunConfig(params=params))
-    assert err.value.stage == "point-e"
-    assert isinstance(err.value.cause, ParallelLines)
+    # point E, the intersection of the base axis and the surface, is
+    # computed when the params are built; a parallel pair has none, so the
+    # config is invalid
+    with pytest.raises(ValidationError) as err:
+        config_from_dict(dict(REFERENCE_CONFIG, phi1_deg=150.0))
+    assert err.value.field == "params"
+    assert "parallel" in err.value.reason
 
 
 def test_timing_recorded():

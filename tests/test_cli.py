@@ -88,6 +88,18 @@ def test_config_errors_exit_2(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_parallel_base_exit_2(tmp_path, capsys, monkeypatch):
+    # a base X axis parallel to the surface has no point E: the params are
+    # invalid, reported on one error line before anything is written
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path, {"phi1_deg": 150.0})
+    assert main(["--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: params: ")
+    assert err.count("\n") == 1
+    assert [path.name for path in tmp_path.iterdir()] == ["run.json"]
+
+
 def test_case_flag_conflict(tmp_path, capsys):
     # the free lengths pick the case; a "case" key that names the other
     # one is a configuration error

@@ -209,6 +209,11 @@ def test_invalid_params_rejected():
         dataclasses.replace(good, a1_in_base=Point2(5.5, 0.1))
     with pytest.raises(ValueError):
         dataclasses.replace(good, a2_in_top=Point2(-4.5, 0.0))
+    # two or four values of a three-value field fail here, not in the solve
+    for name in ("stiffness", "free_lengths"):
+        for values in ((1.5, 1.85), (1.5, 1.85, 1.45, 1.0)):
+            with pytest.raises(ValueError, match=name):
+                dataclasses.replace(good, **{name: values})
 
 
 # each coordinate and angle of MechanismParams, as (field, component)

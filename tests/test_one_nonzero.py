@@ -116,7 +116,7 @@ def test_residual_fields_are_spring_model_residuals(params_one):
 def test_unsquared_identity_against_residuals(params_one):
     # A L1 - B must equal L1 times the force residual (same for moments)
     e = point_e(params_one)
-    pair = UnsquaredPair(params_one, e)
+    pair = UnsquaredPair(params_one)
     rng = np.random.default_rng(61)
     for _ in range(50):
         length = rng.uniform(0.5, 12.0)
@@ -132,8 +132,7 @@ def test_unsquared_identity_against_residuals(params_one):
 
 def test_free_length_terms_vanish_in_limit():
     params = reference_params(l01=1e-9)
-    e = point_e(params)
-    a, b, c, d = UnsquaredPair(params, e).terms(
+    a, b, c, d = UnsquaredPair(params).terms(
         5.0, math.cos(0.7), math.sin(0.7))[:4]
     assert abs(b) < 1e-7 and abs(d) < 1e-6
 
@@ -144,7 +143,7 @@ def test_unsquared_pair_at_true_equilibrium(params_one):
     # 1e-2 off these equations (a recorded source conflict), so the pair
     # is small there only at the percent level
     e = point_e(params_one)
-    pair = UnsquaredPair(params_one, e)
+    pair = UnsquaredPair(params_one)
 
     def scaled(beta, length):
         a, b, c, d = pair.terms(length, math.cos(beta), math.sin(beta))[:4]
@@ -162,7 +161,7 @@ def test_unsquared_pair_at_true_equilibrium(params_one):
 
 def test_quartic_pair_interpolates_exactly(params_one):
     e = point_e(params_one)
-    pair = UnsquaredPair(params_one, e)
+    pair = UnsquaredPair(params_one)
     rng = np.random.default_rng(67)
     for _ in range(10):
         beta = rng.uniform(-math.pi, math.pi)
@@ -185,14 +184,14 @@ def test_quartic_pair_interpolates_exactly(params_one):
 
 def test_quartic_degree_bounded(params_one):
     # a sixth probe value must be consistent with the five-node quartic
-    pair = UnsquaredPair(params_one, point_e(params_one))
+    pair = UnsquaredPair(params_one)
     f_coeffs, m_coeffs = squared_pair(pair.tensors(),
                                       (1 + 0.37j) / (1 - 0.37j))
     assert len(f_coeffs) == 5 and len(m_coeffs) == 5
 
 
 def test_published_root_nearly_zeroes_quartics(params_one):
-    pair = UnsquaredPair(params_one, point_e(params_one))
+    pair = UnsquaredPair(params_one)
     f_coeffs, m_coeffs = squared_pair(pair.tensors(), cmath.exp(-0.2255j))
     scale_f = sum(abs(c) * 7.355 ** k for k, c in enumerate(f_coeffs))
     scale_m = sum(abs(c) * 7.355 ** k for k, c in enumerate(m_coeffs))
@@ -376,7 +375,7 @@ def pose_based_terms(length, cos_beta, sin_beta, params, e):
 
 def test_unsquared_pair_is_bit_identical_to_pose_forms(params_one):
     e = point_e(params_one)
-    pair = UnsquaredPair(params_one, e)
+    pair = UnsquaredPair(params_one)
     rng = np.random.default_rng(67)
     lengths, betas = [], []
     for _ in range(40):
@@ -492,7 +491,7 @@ def test_eliminant_samples_do_not_alias(params_one):
     signs = np.array([1.0, -1.0])
     z = np.exp(2j * np.pi * np.arange(64) / 64)
     for params in [params_one] + corpus(2026, 5):
-        pair = UnsquaredPair(params, point_e(params))
+        pair = UnsquaredPair(params)
         tensors = pair.tensors(pair.foot())
         support = solver._eliminants(tensors, pair.kl, signs)
         full = np.fft.fft(solver._resultant_samples(
@@ -572,7 +571,7 @@ def test_deflate_is_the_least_squares_quotient(params_one):
     mechanisms = [params_one] + [corpus(seed, draw + 1)[draw]
                                  for seed, draw in ILL_CONDITIONED_FACTORS]
     for params in mechanisms:
-        pair = UnsquaredPair(params, point_e(params))
+        pair = UnsquaredPair(params)
         tensors = pair.tensors(pair.foot())
         known, _ = solver._known_points(pair, tensors)
         coeffs = solver._eliminants(tensors, pair.kl,
@@ -617,7 +616,7 @@ def test_resultant_samples_are_sylvester_determinants(monkeypatch,
     signs = np.array([1.0, -1.0])
     circle = np.exp(2j * np.pi * np.arange(16) / 16)
     for params in [params_one] + corpus(2026, 5):
-        pair = UnsquaredPair(params, point_e(params))
+        pair = UnsquaredPair(params)
         tensors = pair.tensors(pair.foot())
         for z in (solver._SAMPLE_Z, 0.5 * circle, 2 * circle):
             assert _agree(
@@ -633,7 +632,7 @@ def test_resultant_samples_are_sylvester_determinants(monkeypatch,
         return g
 
     monkeypatch.setattr(solver, "_mixed", vanishing_g2)
-    pair = UnsquaredPair(params_one, point_e(params_one))
+    pair = UnsquaredPair(params_one)
     tensors = pair.tensors(pair.foot())
     z = solver._SAMPLE_Z
     got = solver._resultant_samples(tensors, pair.kl, signs, z)

@@ -270,6 +270,20 @@ def test_svg_structure(tmp_path, l0, drawings):
              if g.get("id", "").startswith("side_")}
     assert set(sides) == {"side_positive", "side_negative"}
     assert sum(sides.values()) == report.counts["real"]
+    # the positive side holds the poses whose O2 lies where the surface
+    # direction turned by -pi/2 points, seen from the surface line
+    params = report.config.params
+    alpha = params.surface_angle
+    normal = Point2(math.sin(alpha), -math.cos(alpha))
+    positive = {
+        f"solution_{i}" for i, s in enumerate(report.solutions, start=1)
+        if s.accepted and s.is_real and normal.dot(pose_from_trig(
+            s.length.real, math.cos(s.beta.real), math.sin(s.beta.real),
+            params, report.point_e).o2 - params.surface_point) > 0}
+    group = next(g for g in overview.findall("svg:g", SVG)
+                 if g.get("id") == "side_positive")
+    assert {g.get("id") for g in group.findall("svg:g", SVG)} == positive
+    assert 0 < len(positive) < report.counts["real"]
 
 
 def test_svg_rerun_removes_stale_drawings(tmp_path):

@@ -8,7 +8,7 @@ import pytest
 
 from _support import TABLE_ZERO, nearest_match, random_params, reference_params
 
-from spring_platform import (DegenerateQuartic, MechanismParams, Point2,
+from spring_platform import (MechanismParams, Point2,
                              UnsupportedFreeLengthPattern, solve_equilibria,
                              solver)
 from spring_platform.mechanism import (point_e, pose_from, residual_pair,
@@ -24,6 +24,20 @@ def trig_rows(params, beta):
     (f0, m0), (f1, m1) = (residual_pair(pose_from(length, beta, params, e),
                                         params) for length in (0.0, 1.0))
     return (f0, f1 - f0), (m0, m1 - m0)
+
+
+def spring_residual(params, e, s) -> float:
+    """Larger of the force and moment residuals of the pose forms at the
+    solution s, independent of the solver's tensors, each over the
+    magnitudes of the spring forces or of their moments."""
+    pose = pose_from(s.length, s.beta, params, e)
+    f, m = residual_pair(pose, params)
+    state = spring_state(pose, params)
+    forces = [abs(force) for force in state.forces]
+    arms = [abs((anchor - pose.p).norm()) for anchor in (
+        params.base_origin, params.base_origin, params.a1_fixed)]
+    return max(abs(f) / sum(forces), abs(m) / sum(
+        force * arm for force, arm in zip(forces, arms)))
 
 
 def test_linearize_rejects_nonzero_free_length(monkeypatch):
@@ -42,7 +56,7 @@ def test_linearize_rejects_nonzero_free_length(monkeypatch):
 
 def test_force_length_coefficient_is_total_stiffness(params_zero):
     # the L coefficient of z A is (k1 + k2 + k3) z
-    pair = UnsquaredPair(params_zero, point_e(params_zero))
+    pair = UnsquaredPair(params_zero)
     assert np.allclose(pair.tensors(pair.foot())[0, 1], [0.0, 4.8, 0.0],
                        rtol=0.0, atol=1e-12)
 
@@ -51,7 +65,7 @@ def test_quartic_formulations_agree(params_zero):
     # the 2x2 Sylvester determinant of the tensor rows of z A and z C
     # against e^{2 i beta} times the trigonometric form of the eliminant,
     # at complex beta
-    pair = UnsquaredPair(params_zero, point_e(params_zero))
+    pair = UnsquaredPair(params_zero)
     (a0, a1), (c0, c1) = pair.tensors(pair.foot())[[0, 2], :2]
     coeffs = np.convolve(a0, c1) - np.convolve(a1, c0)
     rng = np.random.default_rng(53)
@@ -112,11 +126,11 @@ def test_surface_pulls_on_second_real_solution(solutions_zero, params_zero):
     # passive contact can only push the platform back into its own side;
     # a negative reaction coefficient means the surface must pull on the
     # pin to keep the pose in contact
-    from spring_platform.geometry import make_plane
-    from spring_platform.mechanism import spring_state
-
     e = point_e(params_zero)
-    plane = make_plane(params_zero.surface_angle, params_zero.surface_point)
+    # the surface normal: its direction turned by -pi/2, zero on the surface
+    alpha = params_zero.surface_angle
+    normal = Point2(math.cos(alpha - math.pi / 2), math.sin(alpha - math.pi / 2))
+    offset = -params_zero.surface_point.dot(normal)
 
     def reaction(sol):
         pose = pose_from(sol.length.real, sol.beta.real, params_zero, e)
@@ -126,8 +140,8 @@ def test_surface_pulls_on_second_real_solution(solutions_zero, params_zero):
         pull = Point2(
             sum(f * s.x for f, s in zip(state.forces, state.directions)),
             sum(f * s.y for f, s in zip(state.forces, state.directions)))
-        side = 1.0 if plane.evaluate(pose.o2) > 0 else -1.0
-        return side * pull.dot(plane.normal)
+        side = 1.0 if pose.o2.dot(normal) + offset > 0 else -1.0
+        return side * pull.dot(normal)
 
     reals = sorted((s for s in solutions_zero if s.is_real),
                    key=lambda s: s.beta.real)
@@ -137,7 +151,7 @@ def test_surface_pulls_on_second_real_solution(solutions_zero, params_zero):
     sides = []
     for sol in reals:
         pose = pose_from(sol.length.real, sol.beta.real, params_zero, e)
-        sides.append(plane.evaluate(pose.o2) > 0)
+        sides.append(pose.o2.dot(normal) + offset > 0)
     assert sides[0] != sides[1]
 
 
@@ -183,17 +197,7 @@ def test_random_parameter_sets_verified():
         assert len(finite) >= 4
         for s in finite:
             assert s.rel_residual <= 1e-8
-            # the pose forms, independent of the solver's tensors, against
-            # the magnitudes of the spring forces and of their moments
-            pose = pose_from(s.length, s.beta, params, e)
-            f, m = residual_pair(pose, params)
-            state = spring_state(pose, params)
-            forces = [abs(force) for force in state.forces]
-            arms = [abs((anchor - pose.p).norm()) for anchor in (
-                params.base_origin, params.base_origin, params.a1_fixed)]
-            assert abs(f) <= 1e-8 * sum(forces)
-            assert abs(m) <= 1e-8 * sum(
-                force * arm for force, arm in zip(forces, arms))
+            assert spring_residual(params, e, s) <= 1e-8
 
 
 @pytest.mark.parametrize("displace", ["z", "L"])
@@ -221,7 +225,7 @@ def test_displaced_roots_rejected_on_the_tensor_scale(monkeypatch, params_zero,
     rng = np.random.default_rng(61)
     for params in [params_zero] + [random_params(rng) for _ in range(20)]:
         e = point_e(params)
-        pair = UnsquaredPair(params, e)
+        pair = UnsquaredPair(params)
         origin = pair.foot()
         tensors = np.abs(pair.tensors(origin))
         finite = [s for s in solve_equilibria(params)
@@ -291,7 +295,7 @@ def test_balanced_pin_has_no_finite_beta_roots(params_zero):
 
 
 def _quartic(params):
-    pair = UnsquaredPair(params, point_e(params))
+    pair = UnsquaredPair(params)
     (a0, a1), (c0, c1) = pair.tensors(pair.foot())[[0, 2], :2]
     return np.convolve(a0, c1) - np.convolve(a1, c0)
 
@@ -366,16 +370,15 @@ def test_seeded_corpus_real_roots():
 
 
 def test_degenerate_inputs_raise():
-    # a pin at the top origin with symmetric anchors produces an
-    # identically zero elimination for some degenerate stiffness choices;
-    # the solver must refuse rather than return junk
-    params = dataclasses.replace(
-        reference_params(),
-        p_in_top=Point2(1e-30, 1e-30))
-    try:
+    # with the pin at the top origin O2 does not turn with beta. The
+    # one-nonzero eliminants lose their degree there and the solve raises
+    # DegenerateQuartic (test_degenerate_pins); the zero case's quartic
+    # keeps its four roots, and each is an equilibrium of the spring model
+    for pin in (Point2(0.0, 0.0), Point2(1e-30, 1e-30)):
+        params = dataclasses.replace(reference_params(), p_in_top=pin)
         solutions = solve_equilibria(params)
-    except (DegenerateQuartic, ValueError):
-        return
-    for s in solutions:
-        if math.isfinite(s.rel_residual):
-            assert s.rel_residual <= 1e-6
+        assert len(solutions) == 4 and all(s.accepted for s in solutions)
+        assert sum(s.is_real for s in solutions) == 2
+        e = point_e(params)
+        for s in solutions:
+            assert spring_residual(params, e, s) <= 1e-12

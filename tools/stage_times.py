@@ -81,7 +81,7 @@ REPEATS = 9
 STAGES = ("`load_config`", "`run_analysis` (the solve)",
           "`report.json` and `solutions.csv` text", "SVG text",
           "5 file writes", "whole operation")
-SUB_STAGES = ("set-up: `free_length_case`, `point_e`, `UnsquaredPair`, `foot`",
+SUB_STAGES = ("set-up: `free_length_case`, `UnsquaredPair`, `foot`",
               "`UnsquaredPair.tensors`",
               "eliminants, deflation and companion roots",
               "candidates: the starts of `newton`", "`newton`",
