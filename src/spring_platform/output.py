@@ -5,16 +5,17 @@ bytes through os.open/os.write/os.close; re-running a configuration gives
 byte-identical files (timing stays out of the JSON).
 ``report.json`` holds ``json.dumps(report_to_dict(report), indent=2,
 sort_keys=True)`` with non-finite floats as null. The json module encodes
-with ``indent`` in pure Python, so here the solution table is formatted
-column by column, one pass per column, each row one %-format of a cached
-template, and the rest goes through a small recursive writer. The SVG is
-written without an XML tree, from points as (x, y) tuples of floats: each
-drawn pose is the pose_points floats of its real (L, beta).
+with ``indent`` in pure Python, so only the envelope goes through it: the
+solution table is formatted column by column, each row one %-format of a
+cached template. The SVG is written without an XML tree, from points as
+(x, y) tuples of floats: each drawn pose is the pose_points floats of its
+real (L, beta).
 """
 
 from __future__ import annotations
 
 import functools
+import json
 import math
 import os
 import re
@@ -54,17 +55,20 @@ def _row_values(index: int, s: EquilibriumSolution) -> tuple:
             s.squared_residual, s.is_real, s.accepted, s.note)
 
 
-def _report_fields(report: AnalysisReport, solutions: list) -> dict:
-    """report_to_dict with the given solution rows."""
+def _report_fields(report: AnalysisReport) -> dict:
+    """report_to_dict without its solution rows, a non-finite margin
+    value as None."""
     e = report.point_e
+    margin = report.margin and {
+        key: value if value is None or math.isfinite(value) else None
+        for key, value in report.margin.items()}
     return {
         "contact": report.contact,
         "case": report.case,
         "point_E": [e.x, e.y],
         "free_pose": report.free_pose,
         "counts": report.counts,
-        "margin": report.margin,
-        "solutions": solutions,
+        "margin": margin,
         "notes": report.notes,
         "params": report.config.to_dict(),
     }
@@ -72,49 +76,13 @@ def _report_fields(report: AnalysisReport, solutions: list) -> dict:
 
 def report_to_dict(report: AnalysisReport) -> dict:
     """JSON-ready view of the report (timing excluded for determinism)."""
-    return _report_fields(report, [
-        dict(zip(_ROW_KEYS, _row_values(i, s)))
-        for i, s in enumerate(report.solutions, start=1)])
-
-
-class _Encoded(str):
-    """JSON text that _json writes as it is."""
+    fields = _report_fields(report)
+    fields["solutions"] = [dict(zip(_ROW_KEYS, _row_values(i, s)))
+                           for i, s in enumerate(report.solutions, start=1)]
+    return fields
 
 
 _FLAGS = ("false", "true")
-
-
-def _json(obj, indent: str = "\n") -> str:
-    """``json.dumps(obj, indent=2, sort_keys=True)`` with non-finite
-    floats as null, for ``obj`` nested where ``indent``, a newline and the
-    indentation, precedes its closing bracket. Containers are dicts with
-    str keys, lists and tuples; leaves are None, bools, strs, ints and
-    floats, their subclasses written as the json module's C encoder
-    writes them, by ``int.__repr__`` and ``float.__repr__``. _Encoded
-    text is written as it is."""
-    if isinstance(obj, str):
-        return obj if type(obj) is _Encoded else encode_basestring_ascii(obj)
-    if obj is True or obj is False:
-        return _FLAGS[obj]
-    if obj is None:
-        return "null"
-    if isinstance(obj, float):
-        return float.__repr__(obj) if math.isfinite(obj) else "null"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    inner = indent + "  "
-    if isinstance(obj, dict):
-        items = [f"{encode_basestring_ascii(key)}: {_json(obj[key], inner)}"
-                 for key in sorted(obj)]
-        opening, closing = "{}"
-    elif isinstance(obj, (list, tuple)):
-        items = [_json(value, inner) for value in obj]
-        opening, closing = "[]"
-    else:
-        raise TypeError(f"{type(obj).__name__} is not JSON serializable")
-    if not items:
-        return opening + closing
-    return f"{opening}{inner}{f',{inner}'.join(items)}{indent}{closing}"
 
 
 def _numbers(values) -> list[str]:
@@ -169,8 +137,13 @@ def emit_tables(report: AnalysisReport, out_dir,
             map(encode_basestring_ascii, note))))
         rows = map(_ROW_TEMPLATE.__mod__, zip(
             *[columns[key] for key in sorted(_ROW_KEYS)]))
-        written.append(_write(out / "report.json", _json(_report_fields(
-            report, list(map(_Encoded, rows)))) + "\n"))
+        envelope = json.dumps(_report_fields(report), indent=2,
+                              sort_keys=True, allow_nan=False)
+        # "solutions" sorts after every other key, so its rows close the
+        # text, in place of the envelope's closing "\n}"
+        written.append(_write(out / "report.json", (
+            envelope[:-2] + ',\n  "solutions": [\n    '
+            + ",\n    ".join(rows) + "\n  ]\n}\n")))
     return written
 
 

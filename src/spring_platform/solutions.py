@@ -21,8 +21,10 @@ class EquilibriumSolution(NamedTuple):
     one-nonzero-free-length case squared_residual records how well the
     root satisfies the squared quartic pair (the paper's elimination
     object), so roots that squaring introduced are distinguishable in
-    reports; note names the kind of a rejected row (other branch, mixed
-    sign, O2 = O1, no finite beta).
+    reports; note names the kind of a rejected row ("other branch",
+    "mixed sign", "refinement not converged", "O2 = O1 (first spring of
+    zero length)", "no finite beta", "no finite beta (tan-half pole
+    artifact)") or of an accepted root found twice ("repeated root").
     """
 
     beta: complex

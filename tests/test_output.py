@@ -19,7 +19,7 @@ from spring_platform import (Point2, RunConfig, config_from_dict, emit_tables,
 from spring_platform.errors import LostRoots
 from spring_platform.mechanism import (MechanismParams, point_e,
                                        pose_from_trig)
-from spring_platform.output import CSV_HEADER, _json
+from spring_platform.output import CSV_HEADER
 
 SVG = {"svg": "http://www.w3.org/2000/svg"}
 
@@ -59,6 +59,14 @@ def _pin_at_anchor_report():
     return report
 
 
+def _non_finite_margin_report():
+    # a margin of NaN and infinities, which report.json writes as nulls
+    report = _report((1.0, 0.0, 0.0))
+    return report._replace(margin={"max_accepted_residual": math.nan,
+                                   "min_rejected_residual": math.inf,
+                                   "ratio": -math.inf})
+
+
 def _corpus_report(seed, index, one_nonzero):
     """Report of mechanism index of a seed: L01 ~ U(0.2, 2) drawn first
     for one-nonzero mechanisms, all free lengths zero otherwise."""
@@ -79,6 +87,10 @@ def _null_non_finite(obj):
     return obj
 
 
+def _reject_constant(name):
+    raise ValueError(f"report.json holds {name}, which is not JSON")
+
+
 def _csv_line(i, s):
     return ",".join([
         str(i),
@@ -94,6 +106,7 @@ TABLE_REPORTS = {
     "no-finite-beta": _balanced_pin_report,
     "quoted-note": _quoted_note_report,
     "pin-at-anchor": _pin_at_anchor_report,
+    "non-finite-margin": _non_finite_margin_report,
 }
 for _k in range(5):
     TABLE_REPORTS[f"seed-2026-one-{_k}"] = (
@@ -111,51 +124,14 @@ def test_tables_match_json_module_and_csv_format(tmp_path, name):
                                                                 json_path]
     expected = json.dumps(_null_non_finite(report_to_dict(report)),
                           indent=2, sort_keys=True) + "\n"
-    assert json_path.read_text() == expected
+    text = json_path.read_text()
+    assert text == expected
+    # strict JSON: a NaN, Infinity or -Infinity token fails the parse
+    data = json.loads(text, parse_constant=_reject_constant)
+    assert len(data["solutions"]) == len(report.solutions)
     lines = [CSV_HEADER] + [_csv_line(i, s) for i, s in
                             enumerate(report.solutions, start=1)]
     assert csv_path.read_text() == "\n".join(lines) + "\n"
-
-
-_LEAF_FLOATS = (0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324,
-                -2.5e-310, 1e308, -1e308, np.float64(0.1),
-                np.float64(-math.inf), np.float64(math.nan))
-_LEAF_STRINGS = ("", "plain", 'a "quoted" word', "back\\slash\\",
-                 "\x00\x01\x1f\t\n\r\x7f", "caf\u00e9 \u2211 \u03b2",
-                 "\U0001f600 \ud800", "/</")
-
-
-def _random_json(rng, depth):
-    """Nested dicts, lists and tuples, each possibly empty, down to depth,
-    of the leaves above, random floats, big ints, bools and None."""
-    kind = rng.integers(0 if depth else 3, 9)
-    if kind < 3:
-        size = rng.integers(0, 5)
-        values = [_random_json(rng, depth - 1) for _ in range(size)]
-        if kind == 0:
-            return {_LEAF_STRINGS[rng.integers(len(_LEAF_STRINGS))]
-                    + str(k): v for k, v in enumerate(values)}
-        return values if kind == 1 else tuple(values)
-    if kind == 3:
-        return _LEAF_FLOATS[rng.integers(len(_LEAF_FLOATS))]
-    if kind == 4:
-        return float(rng.normal() * 10.0 ** rng.integers(-300, 300))
-    if kind == 5:
-        return int(rng.integers(-2 ** 62, 2 ** 62)) * 3 ** int(
-            rng.integers(0, 200))
-    if kind == 6:
-        return bool(rng.integers(2))
-    if kind == 7:
-        return None
-    return _LEAF_STRINGS[rng.integers(len(_LEAF_STRINGS))]
-
-
-def test_json_writer_matches_json_module():
-    rng = np.random.default_rng(2024)
-    for _ in range(300):
-        obj = _random_json(rng, int(rng.integers(0, 6)))
-        assert _json(obj) == json.dumps(
-            _null_non_finite(obj), indent=2, sort_keys=True)
 
 
 def test_import_loads_no_xml_tree():
