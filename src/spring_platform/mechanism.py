@@ -58,12 +58,14 @@ class MechanismParams:
     free_lengths: tuple[float, float, float]
 
     def __post_init__(self):
+        # an angle is written in degrees, which overflow above ~3.1e306 rad
         for name in ("surface_point", "surface_angle", "a1_in_base",
                      "a2_in_top", "p_in_top", "base_origin", "base_angle"):
             value = getattr(self, name)
             if not all(map(math.isfinite, (value.x, value.y) if isinstance(
-                    value, Point2) else (value,))):
-                raise ValueError(f"{name} must be finite, got {value}")
+                    value, Point2) else (math.degrees(value),))):
+                raise ValueError(f"{name} must be finite, in degrees for an "
+                                 f"angle, got {value}")
         for name in ("stiffness", "free_lengths"):
             values = getattr(self, name)
             if len(values) != 3:

@@ -175,21 +175,16 @@ def _mechanism_points(frame: tuple, o1, a1, solution: EquilibriumSolution):
 
 
 def _spring_points(p_from, p_to) -> list[tuple[float, float]]:
-    """Zigzag between two points with straight lead-in segments, in world
-    coordinates rounded to 4 decimals; a spring of zero length is its one
-    point, unrounded."""
+    """Zigzag of 10 points between two points, with straight lead-in
+    segments, in world coordinates. Each zigzag vertex is offset across the
+    spring by the amplitude times the unit normal, side * _WIDTH_RATIO *
+    (-dy, dx), so a spring of zero length is its 10 points at one place."""
     (x, y), (x_to, y_to) = p_from, p_to
     dx, dy = x_to - x, y_to - y
-    length = math.hypot(dx, dy)
-    if length == 0:
-        return [p_from]
-    nx, ny = -dy / length, dx / length
-    amp = _WIDTH_RATIO * length
-    pts = [p_from, (x + _LEAD * dx, y + _LEAD * dy)]
-    pts += [(x + t * dx + side * amp * nx, y + t * dy + side * amp * ny)
-            for t, side in _COILS]
-    pts += [(x + (1 - _LEAD) * dx, y + (1 - _LEAD) * dy), p_to]
-    return [(round(x, 4), round(y, 4)) for x, y in pts]
+    return [p_from, (x + _LEAD * dx, y + _LEAD * dy),
+            *[(x + t * dx - side * _WIDTH_RATIO * dy,
+               y + t * dy + side * _WIDTH_RATIO * dx) for t, side in _COILS],
+            (x + (1 - _LEAD) * dx, y + (1 - _LEAD) * dy), p_to]
 
 
 def _open_drawing(params, canvas_pts, surface_pts, e):
@@ -223,15 +218,15 @@ def _open_drawing(params, canvas_pts, surface_pts, e):
 
 
 @functools.cache
-def _pose_template(color: str, label_points: bool, counts: tuple) -> str:
+def _pose_template(color: str, label_points: bool) -> str:
     """%-format template of one drawn pose: the base line O1-A1, the
-    platform triangle O2, A2, P, the three springs with their point counts
-    and the named points."""
+    platform triangle O2, A2, P, the three springs of 10 points each and
+    the named points."""
     line = ('<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" stroke="{}" '
             'stroke-width="{}" />')
     parts = [line.format("#333333", "4")] + [line.format(color, "3")] * 3
-    for scolor, count in zip(SPRING_COLORS, counts):
-        points = " ".join(["%.2f,%.2f"] * count)
+    points = " ".join(["%.2f,%.2f"] * 10)
+    for scolor in SPRING_COLORS:
         parts.append(f'<polyline points="{points}" fill="none" '
                      f'stroke="{scolor}" stroke-width="1.5" />')
     for name in _POINT_NAMES:
@@ -257,9 +252,7 @@ def _draw_solution(parts, canvas, pose, color="#1f77b4", label_points=True):
             values += ((x - x0) * scale, (y1 - y) * scale)
     for x, y in mapped:
         values += (x, y, x + 6, y - 6) if label_points else (x, y)
-    parts.append(_pose_template(color, label_points,
-                                tuple(map(len, springs)))
-                 % tuple(values))
+    parts.append(_pose_template(color, label_points) % tuple(values))
 
 
 def _remove_stale_drawings(out: Path, written: list[Path]) -> list[Path]:

@@ -214,6 +214,10 @@ def test_invalid_params_rejected():
         for values in ((1.5, 1.85), (1.5, 1.85, 1.45, 1.0)):
             with pytest.raises(ValueError, match=name):
                 dataclasses.replace(good, **{name: values})
+    # finite in radians but not in degrees, as report.json writes them
+    for name in ("surface_angle", "base_angle"):
+        with pytest.raises(ValueError, match=name):
+            dataclasses.replace(good, **{name: 4e306})
 
 
 # each coordinate and angle of MechanismParams, as (field, component)

@@ -337,6 +337,18 @@ def test_continuity_to_zero_free_length_case(params_zero):
         assert min(abs(s.beta.real - b) for b in reference) < 1e-2
 
 
+@pytest.mark.parametrize("l01", [1e-1, 1e-2, 1e-3])
+def test_small_first_free_length_recall(l01):
+    # below the corpus tests' L01 >= 0.2 and without the skip above, the
+    # reference keeps the rows it has at L01 = 1: 10 accepted, 2 of them
+    # real, and 4 same-sign roots on the other branch
+    solutions = solve_equilibria(reference_params(l01=l01))
+    assert len(solutions) == 48
+    assert sum(s.accepted for s in solutions) == 10
+    assert sum(s.note == "other branch" for s in solutions) == 4
+    assert sum(s.accepted and s.is_real for s in solutions) == 2
+
+
 def test_random_case_sets_accepted_residuals():
     rng = np.random.default_rng(71)
     for _ in range(3):

@@ -277,8 +277,8 @@ def test_svg_rerun_removes_stale_drawings(tmp_path):
 def test_svg_zero_length_spring_is_one_point(tmp_path):
     # a pose with O2 exactly on O1: the surface is y = 0, E lies on it,
     # beta = 0 and L = -E.x put the pin at (0, 0) and O2 at O1 = (0, 2).
-    # The spring O1-O2 is drawn as a polyline of that one point, the others
-    # as zigzags of 10 points
+    # Every spring is drawn as a polyline of 10 points: the spring O1-O2
+    # as 10 points all at O1, the others as zigzags
     params = MechanismParams(
         surface_point=Point2(0.0, 0.0), surface_angle=0.0,
         a1_in_base=Point2(3.0, 0.0), a2_in_top=Point2(1.5, 0.0),
@@ -299,11 +299,11 @@ def test_svg_zero_length_spring_is_one_point(tmp_path):
         root = ET.parse(tmp_path / name).getroot()
         springs = [_points(line)
                    for line in root.findall(".//svg:polyline", SVG)]
-        assert list(map(len, springs)) == [1, 10, 10]
-        # the one point is O1's circle
+        assert list(map(len, springs)) == [10, 10, 10]
+        # each point of the first is O1's circle
         circles = [(float(c.get("cx")), float(c.get("cy")))
                    for c in root.findall(".//svg:circle", SVG)]
-        assert _near(springs[0][0], circles[-5])
+        assert all(_near(point, circles[-5]) for point in springs[0])
 
 
 # --- the write path: every file is written with the flags and mode of

@@ -4,8 +4,11 @@ dump for comparing two versions of the solvers, or of their report files.
 Solves both committed configs, the first 40 mechanisms of
 ``bench/inputs.one_nonzero_mechanisms`` (seed 2026), 160 mechanisms drawn
 from ``numpy.random.default_rng(777)`` (L01 ~ U(0.2, 2) first, then
-``inputs.random_mechanism``) and the first ZERO_MECHANISMS all-zero
-mechanisms of ``inputs.zero_corpus(1, ·)``. It prints one ``repr`` line
+``inputs.random_mechanism``), the first ZERO_MECHANISMS all-zero
+mechanisms of ``inputs.zero_corpus(1, ·)`` and, at each L01 of SMALL_L01,
+the committed one-nonzero config and the first SMALL_L01_MECHANISMS
+mechanisms of ``inputs.one_nonzero_mechanisms`` with their L01 set to it
+(the small-l01 set, below the corpora's 0.2). It prints one ``repr`` line
 per candidate row, an accepted count per set, and the warnings of all
 solves counted by category. Dump the version before a change and the one
 after it, then compare the two dumps::
@@ -42,6 +45,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import dataclasses
 import hashlib
 import re
 import sys
@@ -62,6 +66,8 @@ from spring_platform import (RunConfig, emit_tables, load_config,  # noqa: E402
 MECHANISMS_2026 = 40
 MECHANISMS_777 = 160
 ZERO_MECHANISMS = 100
+SMALL_L01 = (1e-2, 1e-3)
+SMALL_L01_MECHANISMS = 8
 MATCH_REL_TOL = 1e-8         # on |d beta| + |d L| over 1 + |beta| + |L|
 
 _SOLVE = re.compile(r"# (\S+) (\d+)$")
@@ -76,6 +82,15 @@ def seed_777_mechanisms(count: int):
         l01 = float(rng.uniform(*inputs.L01_RANGE))
         out.append(inputs.random_mechanism(rng, l01))
     return out
+
+
+def small_l01_configs() -> list[RunConfig]:
+    reference = load_config(ROOT / inputs.REFERENCE_ONE).params
+    mechanisms = [reference, *inputs.one_nonzero_mechanisms(
+        SMALL_L01_MECHANISMS)]
+    return [RunConfig(params=dataclasses.replace(
+        params, free_lengths=(l01, 0.0, 0.0)))
+        for l01 in SMALL_L01 for params in mechanisms]
 
 
 def read_dump(path) -> tuple[dict, dict]:
@@ -174,6 +189,7 @@ def main(argv=None) -> int:
                       seed_777_mechanisms(MECHANISMS_777)]),
         ("zero-1", [RunConfig(params=p) for p in
                     inputs.zero_corpus(1, ZERO_MECHANISMS)]),
+        ("small-l01", small_l01_configs()),
     ]
     if args.digests:
         return digests(sets)

@@ -1,45 +1,45 @@
-"""Print the stage times of one operation as the benchmark runs it:
-``load_config``, ``run_analysis``, the ``report.json`` and
-``solutions.csv`` text, the SVG text, the five file writes and the whole
-operation, for the committed one-nonzero config (reference-one) and for
-the first SWEEP_ZERO_INPUTS inputs of the sweep-zero workload (the
-committed zero config, then ``inputs.zero_corpus(SWEEP_ZERO_SEED, ·)``),
-and the times of ``import spring_platform`` and of the first operation
+"""Print the stage times of one operation as the benchmark runs it, timed
+inside the operation: ``load_config``, the solve's sub-stages, the
+``report.json`` and ``solutions.csv`` text, the SVG text and the file
+writes (ROWS), for the committed one-nonzero config (reference-one) and
+for the first SWEEP_ZERO_INPUTS inputs of the sweep-zero workload (the
+committed zero config, then ``inputs.zero_corpus(SWEEP_ZERO_SEED, ·)``);
+then the times of ``import spring_platform`` and of the first operation
 after it, which every CLI run and every benchmark set-up pay once, and
-the peak resident set size after that first operation; then the solve's
-sub-stages (SUB_STAGES) on the same inputs::
+the peak resident set size after that first operation::
 
     python3 tools/stage_times.py
 
+An operation is ``load_config``, ``run_analysis``, ``emit_tables`` (json,
+csv) and ``render_svg``, in the order of ``bench/run.py``'s
+``Workload.run``. The calls that bound the rows (BOUNDS), none of which
+runs inside another, mark the clocks as each starts and returns, and
+every interval between two marks goes to one row, so the rows add up to
+the operation as the marks see it. The output layer's marks are its
+directory check, ``output._output_dir``, the first call of
+``emit_tables`` and of ``render_svg``, and its write primitive,
+``output._write``. Each operation also runs without the marks just
+before its marked run, into the same output directory, for the "whole
+operation, uncut" row: the rows' sum exceeds it by the marks' cost, a
+few per cent.
+
 Each figure is the median over REPEATS rounds of the time per operation,
 in milliseconds, wall clock and process CPU time (user + sys), unscaled.
-In each round every stage runs once over the inputs (reference-one:
-REFERENCE_CALLS calls), the stages in turn. The two text stages run with
-the output layer's write primitive, ``output._write``, stubbed out. The
-writes are not timed in isolation: they are the whole operation minus the
-same operation with the writes stubbed, both run in the same round into
-the same output directory, so that they pay for rewriting the files the
-operation wrote before. The import and the first operation after it are
-timed inside REPEATS fresh interpreters per workload. The import is
-timed after numpy's and json's, which the library does not control and
-which vary by more than the library's own import from one interpreter
-to the next. The operation runs on the workload's first input and writes
-into a new directory; it is the part of a benchmark set-up timed after
-the import. The peak RSS row is the median over the same interpreters
-of the peak resident set size after the first operation, in MB (KiB /
+In each round every input runs once (reference-one: REFERENCE_CALLS
+operations). The import and the first operation after it are timed
+inside REPEATS fresh interpreters per workload. The import is timed
+after numpy's and json's, which the library does not control and which
+vary by more than the library's own import from one interpreter to the
+next. The operation runs on the workload's first input and writes into
+a new directory; it is the part of a benchmark set-up timed after the
+import. The peak RSS row is the median over the same interpreters of
+the peak resident set size after the first operation, in MB (KiB /
 1024, as the benchmark's ``peak_rss_mb``): it shows what an operation
 pages in, per workload, without running the benchmark. It reads
 ``VmHWM`` from ``/proc/self/status`` (Linux), the peak of the
 interpreter's own memory, not ``ru_maxrss``: a process keeps its
 spawner's ``ru_maxrss`` through ``exec``, so in an interpreter this
-script starts it reads this script's peak. The sub-stages are timed
-inside the solve (``sub_stage_times``): the calls that bound them
-(SOLVES), none of which runs inside another, mark the clocks as each
-starts and returns, and every interval between two marks goes to one
-sub-stage, so the rows add up to the solve as the marks see it. Their
-last row is the whole solve without the marks, each solve run so just
-before its marked run: the rows' sum exceeds it by the marks' cost, a
-few per cent.
+script starts it reads this script's peak.
 
 The script reads the ``src/`` and ``bench/`` directories next to it, so a
 copy placed in another checkout measures that checkout. It takes under a
@@ -70,98 +70,65 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 import inputs  # noqa: E402
-from spring_platform import (emit_tables, load_config,  # noqa: E402
-                             output, render_svg, run_analysis, solver)
+import spring_platform as lib  # noqa: E402
+from spring_platform import output, solver  # noqa: E402
 from spring_platform.solver import UnsquaredPair  # noqa: E402
 
 SWEEP_ZERO_SEED = 1
 SWEEP_ZERO_INPUTS = 100
 REFERENCE_CALLS = 100
 REPEATS = 9
-STAGES = ("`load_config`", "`run_analysis` (the solve)",
-          "`report.json` and `solutions.csv` text", "SVG text",
-          "5 file writes", "whole operation")
-SUB_STAGES = ("set-up: `free_length_case`, `UnsquaredPair`, `foot`",
-              "`UnsquaredPair.tensors`",
-              "eliminants, deflation and companion roots",
-              "candidates: the starts of `newton`", "`newton`",
-              "`_classify`", "ledger: `structural_rows` and `ledger`")
-# per workload, the solve and the calls that bound its sub-stages, in the
-# order the solve makes them, as (owner, name, sub-stage of the call,
-# sub-stage of the solve's own code that runs just before it), and the
-# sub-stage of the code after the last call. Both workloads run the one
-# solve, and its free-length dispatch is part of the set-up. The zero case
-# has no eliminant to deflate and no _classify: those rows hold its
+ROWS = ("`load_config`",
+        "solve set-up: `free_length_case`, `UnsquaredPair`, `foot`",
+        "`UnsquaredPair.tensors`",
+        "eliminants, deflation and companion roots",
+        "candidates: the starts of `newton`", "`newton`", "`_classify`",
+        "ledger: `structural_rows`, `ledger`, the report's counts",
+        "`report.json` and `solutions.csv` text",
+        "SVG text and the stale-drawing scan",
+        "file writes: `_write` and `_output_dir`")
+LEDGER, WRITES = 7, 10
+WRITER = "writer"  # as the row before a call: see OUTPUT
+# per workload, the calls that bound the solve's sub-stages, in the order
+# the solve makes them, as (owner, name, row of the call, row of the
+# operation's own code that runs just before it). Both workloads run the
+# one solve, and its free-length dispatch is part of the set-up. The zero
+# case has no eliminant to deflate and no _classify: those rows hold its
 # quartic and companion roots and its inline residuals.
 SOLVES = {
     "reference-one": (
-        lambda config: solver.solve_equilibria(config.params),
-        ((UnsquaredPair, "tensors", 1, 0),
-         (solver, "_known_points", 2, 1),
-         (solver, "_eliminants", 2, 2),
-         (solver, "_deflate", 2, 2),
-         (solver, "companion_roots", 2, 2),
-         (solver, "newton", 4, 3),
-         (solver, "_classify", 5, 4),
-         (solver, "structural_rows", 6, 6),
-         (solver, "ledger", 6, 6)), 6),
+        (UnsquaredPair, "tensors", 2, 1),
+        (solver, "_known_points", 3, 2),
+        (solver, "_eliminants", 3, 3),
+        (solver, "_deflate", 3, 3),
+        (solver, "companion_roots", 3, 3),
+        (solver, "newton", 5, 4),
+        (solver, "_classify", 6, 5),
+        (solver, "structural_rows", 7, 7),
+        (solver, "ledger", 7, 7)),
     "sweep-zero": (
-        lambda config: solver.solve_equilibria(config.params),
-        ((UnsquaredPair, "tensors", 1, 0),
-         (solver, "_quartic_roots", 2, 2),
-         (solver, "newton", 4, 3),
-         (solver, "structural_rows", 6, 5),
-         (solver, "ledger", 6, 6)), 6),
+        (UnsquaredPair, "tensors", 2, 1),
+        (solver, "_quartic_roots", 3, 3),
+        (solver, "newton", 5, 4),
+        (solver, "structural_rows", 7, 6),
+        (solver, "ledger", 7, 7)),
 }
-
-
-@contextmanager
-def writes_stubbed():
-    """output._write returns its path and writes nothing."""
-    write = output._write
-    output._write = lambda path, text: path
-    try:
-        yield
-    finally:
-        output._write = write
+# the output layer's bounds. The code before each goes to the row of the
+# writer running: the ledger row until the first _output_dir call returns
+# (the rest of run_analysis), then each _output_dir call opens the next
+# row, the table text and then the SVG text, which also takes the code
+# after the last call
+OUTPUT = ((output, "_output_dir", WRITES, WRITER),
+          (output, "_write", WRITES, WRITER))
+BOUNDS = {workload: ((lib, "load_config", 0, 0),) + solve + OUTPUT
+          for workload, solve in SOLVES.items()}
 
 
 def operation(path: Path, out: Path) -> None:
     """One operation as the benchmark and the CLI run it."""
-    report = run_analysis(load_config(path))
-    emit_tables(report, out, ("json", "csv"))
-    render_svg(report, out)
-
-
-def per_op(calls) -> tuple[float, float]:
-    """(Wall, CPU) seconds per call of the zero-argument callables."""
-    wall, cpu = time.perf_counter(), time.process_time()
-    for call in calls:
-        call()
-    return ((time.perf_counter() - wall) / len(calls),
-            (time.process_time() - cpu) / len(calls))
-
-
-def stage_times(paths: list[Path], out: Path) -> list[tuple[float, float]]:
-    """Median (wall, CPU) milliseconds per operation of each of STAGES."""
-    configs = [load_config(path) for path in paths]
-    reports = [run_analysis(config) for config in configs]
-    operation(paths[0], out)
-    rounds = []
-    for _ in range(REPEATS):
-        load = per_op([lambda p=p: load_config(p) for p in paths])
-        solve = per_op([lambda c=c: run_analysis(c) for c in configs])
-        ops = [lambda p=p: operation(p, out) for p in paths]
-        with writes_stubbed():
-            tables = per_op([lambda r=r: emit_tables(r, out, ("json", "csv"))
-                             for r in reports])
-            svg = per_op([lambda r=r: render_svg(r, out) for r in reports])
-            stubbed = per_op(ops)
-        whole = per_op(ops)
-        writes = tuple(w - s for w, s in zip(whole, stubbed))
-        rounds.append((load, solve, tables, svg, writes, whole))
-    return [tuple(1e3 * statistics.median(r[k][clock] for r in rounds)
-                  for clock in (0, 1)) for k in range(len(STAGES))]
+    report = lib.run_analysis(lib.load_config(path))
+    lib.emit_tables(report, out, ("json", "csv"))
+    lib.render_svg(report, out)
 
 
 @contextmanager
@@ -178,52 +145,54 @@ def patched(bounds, make):
             setattr(owner, name, function)
 
 
-def sub_stage_times(workload: str, paths: list[Path],
+def operation_times(workload: str, paths: list[Path], out: Path,
                     ) -> list[tuple[float, float]]:
-    """Median (wall, CPU) milliseconds per solve of each of SUB_STAGES,
-    then of the whole solve, uncut.
+    """Median (wall, CPU) milliseconds per operation of each of ROWS,
+    then of the whole operation, uncut.
 
-    The sub-stages are timed where the solve runs them. Each bounding
-    call is wrapped to mark the clocks when it starts, for the sub-stage
-    of the solve's code before it, and when it returns, for its own; the
-    solve's return marks the tail. Each interval between two marks goes
-    to the sub-stage of the mark that closes it, so the rows add up to the
-    wrapped solve. That holds while no bounding call runs inside another:
-    the outer call's code before the inner one would go to the inner one's
-    code-before row. Each solve also runs unwrapped just before, for the
-    last row, so that both see the same load on the host; the rows' sum
-    exceeds it by the cost of the marks."""
-    solve, bounds, tail = SOLVES[workload]
-    configs = [load_config(path) for path in paths]
+    Each bounding call is wrapped to mark the clocks when it starts, for
+    the row of the operation's code before it, and when it returns, for
+    its own; the operation's return marks the tail. Each interval between
+    two marks goes to the row of the mark that closes it, so the rows add
+    up to the wrapped operation. That holds while no bounding call runs
+    inside another: the outer call's code before the inner one would go
+    to the inner one's code-before row."""
     marks = []
+    writer = LEDGER
 
     def mark(row):
         marks.append((row, time.perf_counter(), time.process_time()))
 
     def timed(function, bound):
+        _, name, row, before = bound
+
         def call(*args, **kwargs):
-            mark(bound[3])
+            nonlocal writer
+            mark(writer if before == WRITER else before)
             result = function(*args, **kwargs)
-            mark(bound[2])
+            mark(row)
+            if name == "_output_dir":
+                writer += 1
             return result
         return call
 
     rounds = []
     for _ in range(REPEATS):
         marks.clear()
-        for config in configs:
+        for path in paths:
             mark(None)
-            solve(config)
-            mark(len(SUB_STAGES))  # the whole solve, uncut
-            with patched(bounds, timed):
+            operation(path, out)
+            mark(len(ROWS))  # the whole operation, uncut
+            writer = LEDGER
+            with patched(BOUNDS[workload], timed):
                 mark(None)
-                solve(config)
-                mark(tail)
-        totals = np.zeros((len(SUB_STAGES) + 1, 2))
+                operation(path, out)
+                mark(writer)
+        totals = np.zeros((len(ROWS) + 1, 2))
         for (_, wall, cpu), (row, wall_end, cpu_end) in zip(marks, marks[1:]):
-            if row is not None:  # None closes the gap between two solves
+            if row is not None:  # None closes the gap between two runs
                 totals[row] += wall_end - wall, cpu_end - cpu
-        rounds.append(1e3 * totals / len(configs))
+        rounds.append(1e3 * totals / len(paths))
     return [tuple(row) for row in np.median(rounds, axis=0)]
 
 
@@ -276,15 +245,17 @@ def main() -> int:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             reference = [ROOT / inputs.REFERENCE_ONE] * REFERENCE_CALLS
-            columns = [stage_times(reference, tmp / "reference-one"),
-                       stage_times(zero, tmp / "sweep-zero")]
-            sub_columns = [sub_stage_times("reference-one", reference),
-                           sub_stage_times("sweep-zero", zero)]
+            columns = [operation_times("reference-one", reference,
+                                       tmp / "reference-one"),
+                       operation_times("sweep-zero", zero, tmp / "sweep-zero")]
         first = first_times([ROOT / inputs.REFERENCE_ONE, zero[0]], tmp)
     print("| stage | reference-one | CPU | sweep-zero | CPU |")
     print("|---|---:|---:|---:|---:|")
-    for k, stage in enumerate(STAGES):
-        cells = [f"{t:.2f}" for column in columns for t in column[k]]
+    for column in columns:
+        column.insert(len(ROWS), tuple(map(sum, zip(*column[:len(ROWS)]))))
+    for k, stage in enumerate(ROWS + ("the rows' sum: the marked operation",
+                                      "whole operation, uncut")):
+        cells = [f"{t:.3f}" for column in columns for t in column[k]]
         print(f"| {stage} | " + " | ".join(cells) + " |")
     for j, stage in ((0, "`import spring_platform` after numpy"),
                      (2, "first operation after it")):
@@ -293,12 +264,6 @@ def main() -> int:
     cells = [cell for column in first for cell in (f"{column[4]:.2f} MB", "")]
     print("| peak RSS after the first operation (once per process) | "
           + " | ".join(cells) + " |")
-    print()
-    print("| solve sub-stage | reference-one | CPU | sweep-zero | CPU |")
-    print("|---|---:|---:|---:|---:|")
-    for k, stage in enumerate(SUB_STAGES + ("whole solve, uncut",)):
-        cells = [f"{t:.3f}" for column in sub_columns for t in column[k]]
-        print(f"| {stage} | " + " | ".join(cells) + " |")
     return 0
 
 
