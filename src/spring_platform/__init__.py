@@ -18,13 +18,12 @@ same finite roots plus the pole and O2 = O1 rows; the solve reports all
 from .analysis import AnalysisReport, run_analysis
 from .config import (RunConfig, UnsupportedFreeLengthPattern,
                      config_from_dict, load_config)
-from .errors import (AnalysisError, DegenerateQuartic, MechanismError,
-                     NotAssemblable, ParseError, ValidationError,
-                     ZeroLengthSpring)
+from .errors import (DegenerateQuartic, MechanismError, NotAssemblable,
+                     ParseError, ValidationError, ZeroLengthSpring)
 from .free_pose import dialytic_residual, solve_a2, solve_o2
 from .geometry import Point2
 from .mechanism import (ContactPose, MechanismParams, SpringState, point_e,
-                        pose_from, pose_from_trig, residual_pair, spring_state)
+                        pose_from, residual_pair, spring_state)
 from .output import emit_tables, render_svg, report_to_dict
 from .solutions import EquilibriumSolution, residual_margin
 from .solver import solve_equilibria

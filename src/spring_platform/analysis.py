@@ -6,7 +6,6 @@ import time
 from typing import NamedTuple
 
 from .config import CASE_ONE, RunConfig
-from .errors import AnalysisError, MechanismError
 from .geometry import Point2
 from .solutions import EquilibriumSolution, residual_margin
 from .solver import solve_equilibria
@@ -33,15 +32,13 @@ def run_analysis(config: RunConfig) -> AnalysisReport:
     Both supported cases have L02 = L03 = 0, so the legs O1-A2 and A1-A2
     cannot span O1-A1: the platform has no unloaded pose, exists only
     pressed against the surface, and contact is assumed. The solve runs
-    directly; the case the free lengths imply labels the report, and point
-    E is the one the params computed when they were built.
+    directly, and its MechanismError (DegenerateQuartic, say) reaches the
+    caller as raised; the case the free lengths imply labels the report,
+    and point E is the one the params computed when they were built.
     """
     t0 = time.perf_counter()
     case = config.case
-    try:
-        solutions = solve_equilibria(config.params)
-    except MechanismError as exc:
-        raise AnalysisError(f"solve-{case}", exc) from exc
+    solutions = solve_equilibria(config.params)
 
     accepted = sum(1 for s in solutions if s.accepted)
     counts = {

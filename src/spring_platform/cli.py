@@ -4,13 +4,15 @@ The config file gives the mechanism, and its free lengths pick the case;
 --out and --format override the file's output directory and formats.
 Exit codes: 0 on success, 2 for configuration problems (a config that
 cannot be read or is invalid, or an output path that cannot be written),
-3 for numerical failures.
+3 for numerical failures. Each warning of the solve, LostRoots say, is one
+"warning: <category>: <message>" line on stderr; the run still exits 0.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from dataclasses import replace
 
 from .analysis import run_analysis
@@ -45,17 +47,19 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    try:
-        report = run_analysis(config)
-    except MechanismError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            report = run_analysis(config)
+        except MechanismError as exc:
+            print(f"numerical failure: solve-{config.case}: {exc}",
+                  file=sys.stderr)
+            return 3
+    for warning in caught:
+        print(f"warning: {warning.category.__name__}: {warning.message}",
+              file=sys.stderr)
 
-    written = []
-    table_formats = [f for f in config.formats if f in ("json", "csv")]
     try:
-        if table_formats:
-            written += emit_tables(report, config.output_dir, table_formats)
+        written = emit_tables(report, config.output_dir, config.formats)
         if "svg" in config.formats:
             written += render_svg(report, config.output_dir)
     except OSError as exc:

@@ -30,15 +30,6 @@ class ValidationError(MechanismError):
         super().__init__(f"{field}: {reason}")
 
 
-class AnalysisError(MechanismError):
-    """Pipeline failure wrapped with the name of the failing stage."""
-
-    def __init__(self, stage: str, cause: Exception):
-        self.stage = stage
-        self.cause = cause
-        super().__init__(f"{stage}: {cause}")
-
-
 class LostRoots(UserWarning):
     """Fewer roots of the one-nonzero case converged than its equations
     have for a generic mechanism."""

@@ -158,17 +158,11 @@ def pose_points(frame: tuple, length, cos_beta, sin_beta) -> tuple:
     return px, py, o2x, o2y, o2x - d2 * cab, o2y - d2 * sab
 
 
-def pose_from_trig(length, cos_beta, sin_beta, params: MechanismParams,
-                   e: Point2) -> ContactPose:
-    """Pose from L and the cosine/sine of beta (complex allowed)."""
-    px, py, o2x, o2y, a2x, a2y = pose_points(pose_frame(params, e), length,
-                                             cos_beta, sin_beta)
-    return ContactPose(Point2(px, py), Point2(o2x, o2y), Point2(a2x, a2y))
-
-
 def pose_from(length, beta, params: MechanismParams, e: Point2) -> ContactPose:
     """Pose from the (L, beta) parametrization (complex allowed)."""
-    return pose_from_trig(length, *_cos_sin(beta), params, e)
+    px, py, o2x, o2y, a2x, a2y = pose_points(pose_frame(params, e), length,
+                                             *_cos_sin(beta))
+    return ContactPose(Point2(px, py), Point2(o2x, o2y), Point2(a2x, a2y))
 
 
 class SpringState(NamedTuple):
@@ -180,17 +174,17 @@ class SpringState(NamedTuple):
     forces: tuple
 
 
-def _spring_segments(pose: ContactPose, params: MechanismParams):
-    o1 = params.base_origin
-    a1 = params.a1_fixed
-    return ((o1, pose.o2), (o1, pose.a2), (a1, pose.a2))
+def _anchors(params: MechanismParams) -> tuple[Point2, Point2, Point2]:
+    """The fixed ends of the springs O1-O2, O1-A2 and A1-A2."""
+    return params.base_origin, params.base_origin, params.a1_fixed
 
 
 def spring_state(pose: ContactPose, params: MechanismParams) -> SpringState:
     lengths = []
     directions = []
     forces = []
-    for i, (anchor, end) in enumerate(_spring_segments(pose, params)):
+    for i, (anchor, end) in enumerate(zip(_anchors(params),
+                                          (pose.o2, pose.a2, pose.a2))):
         d = end - anchor
         length = _sqrt(d.x * d.x + d.y * d.y)
         if abs(length) < TOL_ZERO_LENGTH:
@@ -205,9 +199,8 @@ def residual_pair(pose: ContactPose, params: MechanismParams):
     """Both equilibrium residuals from one spring evaluation."""
     state = spring_state(pose, params)
     u = unit_vector(params.surface_angle)
-    anchors = (params.base_origin, params.base_origin, params.a1_fixed)
     force = moment = 0.0
-    for anchor, f, s in zip(anchors, state.forces, state.directions):
+    for anchor, f, s in zip(_anchors(params), state.forces, state.directions):
         force = force + f * s.dot(u)
         moment = moment + (anchor - pose.p).cross(f * s)
     return force, moment

@@ -56,8 +56,6 @@ from .config import (CASE_ZERO, UnsupportedFreeLengthPattern,
 from .errors import DegenerateQuartic, LostRoots, MechanismError
 from .mechanism import (TOL_ZERO_LENGTH, MechanismParams, pose_frame,
                         pose_points)
-from .polynomials import (TRIM_RELATIVE, _quadratic_q, _quadratic_roots,
-                          companion_roots, horner)
 from .solutions import EquilibriumSolution, ledger, mark_real
 
 RESIDUAL_REL_TOL = 1e-8      # acceptance level of the all-zero case
@@ -69,6 +67,7 @@ STEP_TOL = 1e-12             # relative Newton step that ends the iteration
 POLE_ROWS = 6                # tan-half pole roots at z = 0, and at infinity
 COINCIDENT_MULTIPLICITY = 4  # of each O2 = O1 point in the degree-48 eliminant
 SAME_SIGN_ROOTS = 14         # of a generic mechanism, on either branch of L1
+TRIM_RELATIVE = 1e-13        # end-coefficient cutoff, relative to the largest
 
 # the eliminants have degree at most 2 * 6 + 4 * 4 = 28 in z (F's rows have
 # degree 6, G's 4), below SAMPLES, so their transform aliases nothing
@@ -79,12 +78,56 @@ _THIRD_ROOTS = np.exp(2j * np.pi * np.arange(3.0) / 3)
 _THIRD_INVERSE = np.conj(_THIRD_ROOTS[None, :] ** np.arange(3)[:, None]) / 3
 
 
+def horner(coeffs, x):
+    """Value at x of the ascending coefficients along the last axis of
+    coeffs; a stack of coefficient rows gives the stack of values. One row
+    at a scalar x evaluates in scalar arithmetic."""
+    columns = coeffs.transpose(-1, *range(coeffs.ndim - 1))
+    acc = columns[-1]
+    for c in columns[-2::-1]:
+        acc = acc * x + c
+    return acc
+
+
+def _quadratic_q(c0, c1, c2):
+    """q = -(c1 +- sqrt(c1^2 - 4 c2 c0)) / 2, the sign chosen so that
+    nothing cancels: the roots of c2 x^2 + c1 x + c0 are q / c2, c0 / q."""
+    disc = np.sqrt(c1 * c1 - 4 * c2 * c0)
+    return -(c1 + np.where(np.abs(c1 + disc) >= np.abs(c1 - disc), disc,
+                           -disc)) / 2
+
+
+def _quadratic_roots(c0, c1, c2):
+    """Both roots of c2 x^2 + c1 x + c0, numerically stable, for complex
+    scalars or elementwise for arrays of coefficients. Where q = 0 the
+    division c0 / q is computed and discarded; solve_equilibria, the one
+    caller, runs with numpy's floating-point warnings off."""
+    c0, c1, c2 = (np.asarray(c, dtype=complex) for c in (c0, c1, c2))
+    q = _quadratic_q(c0, c1, c2)
+    r1 = q / c2
+    r2 = np.where(q != 0, c0 / q, -c1 / c2 - r1)
+    return r1[()], r2[()]
+
+
+def companion_roots(stack: np.ndarray) -> np.ndarray:
+    """Roots of a stack of polynomials of one degree >= 1, given as
+    ascending coefficient rows with a nonzero leading entry: eigenvalues of
+    their companion matrices, built as numpy.roots builds them and
+    computed in one eigvals call. A stack of one is numpy.roots."""
+    desc = np.asarray(stack)[..., ::-1]
+    deg = desc.shape[-1] - 1
+    companion = np.zeros(desc.shape[:-1] + (deg, deg), dtype=desc.dtype)
+    companion[..., np.arange(1, deg), np.arange(deg - 1)] = 1
+    companion[..., 0, :] = -desc[..., 1:] / desc[..., :1]
+    return np.linalg.eigvals(companion)
+
+
 class UnsquaredPair:
     """The pair A L1 = B, C L1 = D of one mechanism as a function of
     (L, cos beta, sin beta), with the squared first-spring length L1^2.
 
     The per-mechanism constants are read once, at construction. The pose
-    is that of pose_from_trig, through the same pose_points, and the rest
+    is that of pose_from, through the same pose_points, and the rest
     is the arithmetic of Point2, operation for operation, without building
     the points, so the values are bit-identical to the pose-based residual
     forms. It accepts complex scalars and, elementwise, complex arrays of

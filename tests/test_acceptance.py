@@ -28,7 +28,7 @@ from _support import (REFERENCE_CONFIG, TABLE_ONE, TABLE_ZERO,
 from spring_platform import (NotAssemblable, Point2, dialytic_residual,
                              residual_margin, solve_equilibria, solve_o2)
 from spring_platform.cli import main as cli_main
-from spring_platform.polynomials import companion_roots
+from spring_platform.solver import companion_roots
 
 
 @contextlib.contextmanager

@@ -5,9 +5,9 @@ import pytest
 
 from _support import REFERENCE_CONFIG, reference_params
 
-from spring_platform import (RunConfig, UnsupportedFreeLengthPattern,
-                             ValidationError, config_from_dict, run_analysis,
-                             solve_equilibria)
+from spring_platform import (DegenerateQuartic, Point2, RunConfig,
+                             UnsupportedFreeLengthPattern, ValidationError,
+                             config_from_dict, run_analysis, solve_equilibria)
 from spring_platform.config import CASE_ONE, CASE_PATTERNS, CASE_ZERO
 
 
@@ -32,6 +32,18 @@ def test_reference_one_nonzero_report():
     assert report.counts["real_candidates"] == 8
     assert report.margin is not None
     assert report.margin["ratio"] > 100
+
+
+def test_solve_error_passes_through():
+    # a pin at the top-frame origin leaves the one-nonzero eliminants
+    # without their structural degree: run_analysis raises the solve's own
+    # DegenerateQuartic, not a wrapper of it
+    params = dataclasses.replace(reference_params(l01=1.0),
+                                 p_in_top=Point2(0.0, 0.0))
+    with pytest.raises(DegenerateQuartic, match="pin is at the top-frame "
+                       "origin") as err:
+        run_analysis(RunConfig(params=params))
+    assert type(err.value) is DegenerateQuartic
 
 
 def test_counts_consistent():

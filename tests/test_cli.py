@@ -1,4 +1,5 @@
 import json
+import re
 import warnings
 
 import pytest
@@ -58,10 +59,35 @@ def test_overflowing_eliminant_exit_3(tmp_path, capsys, monkeypatch,
     monkeypatch.chdir(tmp_path)
     cfg = write_config(tmp_path, overrides)
     assert main(["--config", str(cfg)]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("numerical failure: solve-")
-    assert err.count("\n") == 1
+    assert capsys.readouterr().err == (
+        f"numerical failure: solve-{load_config(cfg).case}: the eliminant "
+        "in z overflows floating point\n")
     assert [path.name for path in tmp_path.iterdir()] == ["run.json"]
+
+
+def test_pin_at_top_origin_exit_3(tmp_path, capsys, monkeypatch):
+    # the solve's own error, named with the case the free lengths pick
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path, {"P_P_in2": [0.0, 0.0],
+                                  "L0": [1.0, 0.0, 0.0]})
+    assert main(["--config", str(cfg)]) == 3
+    assert capsys.readouterr().err == (
+        "numerical failure: solve-one-nonzero: the pin is at the top-frame "
+        "origin: O2 does not turn with beta, so the eliminants in z lose "
+        "their structural degree\n")
+    assert [path.name for path in tmp_path.iterdir()] == ["run.json"]
+
+
+def test_lost_roots_warning_is_one_line(tmp_path, capsys):
+    # at L01 = 1e-9 fewer than the 14 same-sign roots of the reference
+    # converge: the run succeeds and says so on one stderr line
+    cfg = write_config(tmp_path, {"L0": [1e-9, 0.0, 0.0]})
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "out"),
+                 "--format", "json"]) == 0
+    captured = capsys.readouterr()
+    assert re.fullmatch(r"warning: LostRoots: \d+ of the 14 same-sign roots "
+                        r"converged\n", captured.err)
+    assert captured.out.startswith("contact: assumed\n")
 
 
 @pytest.mark.parametrize("overrides", OVERFLOWS.values(), ids=OVERFLOWS)

@@ -86,6 +86,9 @@ def test_bad_values_rejected():
         with pytest.raises(ValidationError) as err:
             config_from_dict(dict(REFERENCE_CONFIG, output_dir=output_dir))
         assert err.value.field == "output_dir"
+    with pytest.raises(ValidationError, match="must be a string") as err:
+        config_from_dict(dict(REFERENCE_CONFIG, output_dir=["out"]))
+    assert err.value.field == "output_dir"
 
 
 def test_parse_error(tmp_path):
@@ -107,6 +110,10 @@ def test_parse_error(tmp_path):
         path.write_bytes(text)
         with pytest.raises(ParseError):
             load_config(path)
+    # valid JSON whose top level is not an object
+    for data in ([REFERENCE_CONFIG], "config", 1.0, None):
+        with pytest.raises(ParseError, match="top level must be an object"):
+            load_config(write_config(tmp_path, data))
 
 
 # every number a config reads, as (key, index in its list or None); json
@@ -139,6 +146,10 @@ def test_formats_validated():
     assert cfg.formats == ("csv",)
     with pytest.raises(ValidationError):
         config_from_dict(dict(REFERENCE_CONFIG, formats=["pdf"]))
+    # a string is not a list of formats, even one that names a format
+    with pytest.raises(ValidationError, match="expected a list") as err:
+        config_from_dict(dict(REFERENCE_CONFIG, formats="csv"))
+    assert err.value.field == "formats"
 
 
 def test_round_trip(tmp_path):

@@ -209,6 +209,9 @@ def test_invalid_params_rejected():
         dataclasses.replace(good, a1_in_base=Point2(5.5, 0.1))
     with pytest.raises(ValueError):
         dataclasses.replace(good, a2_in_top=Point2(-4.5, 0.0))
+    for a1 in (Point2(0.0, 0.0), Point2(-5.5, 0.0)):
+        with pytest.raises(ValueError, match="distance O1-A1 must be positive"):
+            dataclasses.replace(good, a1_in_base=a1)
     # two or four values of a three-value field fail here, not in the solve
     for name in ("stiffness", "free_lengths"):
         for values in ((1.5, 1.85), (1.5, 1.85, 1.45, 1.0)):

@@ -22,10 +22,10 @@ from spring_platform import (DegenerateQuartic, Point2, RunConfig,
                              load_config, render_svg, residual_margin,
                              run_analysis, solve_equilibria, solver)
 from spring_platform.errors import LostRoots
-from spring_platform.mechanism import (point_e, pose_from, pose_from_trig,
-                                      residual_pair, spring_state)
-from spring_platform.polynomials import companion_roots
-from spring_platform.solver import UnsquaredPair
+from spring_platform.mechanism import (point_e, pose_frame, pose_from,
+                                      pose_points, residual_pair,
+                                      spring_state)
+from spring_platform.solver import UnsquaredPair, companion_roots
 
 
 def test_pattern_enforced(monkeypatch, params_zero):
@@ -367,16 +367,18 @@ def pose_based_terms(length, cos_beta, sin_beta, params, e):
     sa = math.sin(params.surface_angle)
     k1, k2, k3 = params.stiffness
     l01 = params.free_lengths[0]
-    pose = pose_from_trig(length, cos_beta, sin_beta, params, e)
+    px, py, o2x, o2y, a2x, a2y = pose_points(pose_frame(params, e), length,
+                                             cos_beta, sin_beta)
+    p, o2, a2 = Point2(px, py), Point2(o2x, o2y), Point2(a2x, a2y)
     o1 = params.base_origin
     a1 = params.a1_fixed
-    d_o2 = pose.o2 - o1
-    d_a2o1 = pose.a2 - o1
-    d_a2a1 = pose.a2 - a1
+    d_o2 = o2 - o1
+    d_a2o1 = a2 - o1
+    d_a2a1 = a2 - a1
     force_coef = ((k1 * d_o2.x + k2 * d_a2o1.x + k3 * d_a2a1.x) * ca
                   + (k1 * d_o2.y + k2 * d_a2o1.y + k3 * d_a2a1.y) * sa)
-    r1 = o1 - pose.p
-    r3 = a1 - pose.p
+    r1 = o1 - p
+    r3 = a1 - p
     moment_coef = (r1.cross(k1 * d_o2) + r1.cross(k2 * d_a2o1)
                    + r3.cross(k3 * d_a2a1))
     force_rhs = k1 * l01 * (d_o2.x * ca + d_o2.y * sa)

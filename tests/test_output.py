@@ -17,8 +17,7 @@ import spring_platform
 from spring_platform import (Point2, RunConfig, config_from_dict, emit_tables,
                              render_svg, report_to_dict, run_analysis)
 from spring_platform.errors import LostRoots
-from spring_platform.mechanism import (MechanismParams, point_e,
-                                       pose_from_trig)
+from spring_platform.mechanism import MechanismParams, point_e, pose_from
 from spring_platform.output import CSV_HEADER
 
 SVG = {"svg": "http://www.w3.org/2000/svg"}
@@ -253,9 +252,9 @@ def test_svg_structure(tmp_path, l0, drawings):
     normal = Point2(math.sin(alpha), -math.cos(alpha))
     positive = {
         f"solution_{i}" for i, s in enumerate(report.solutions, start=1)
-        if s.accepted and s.is_real and normal.dot(pose_from_trig(
-            s.length.real, math.cos(s.beta.real), math.sin(s.beta.real),
-            params, report.point_e).o2 - params.surface_point) > 0}
+        if s.accepted and s.is_real and normal.dot(pose_from(
+            s.length.real, s.beta.real, params, report.point_e).o2
+            - params.surface_point) > 0}
     group = next(g for g in overview.findall("svg:g", SVG)
                  if g.get("id") == "side_positive")
     assert {g.get("id") for g in group.findall("svg:g", SVG)} == positive
@@ -287,7 +286,7 @@ def test_svg_zero_length_spring_is_one_point(tmp_path):
         free_lengths=(0.0, 0.0, 0.0))
     e = point_e(params)
     assert e.y == 0.0
-    pose = pose_from_trig(-e.x, 1.0, 0.0, params, e)
+    pose = pose_from(-e.x, 0.0, params, e)
     assert (pose.o2.x, pose.o2.y) == (0.0, 2.0)
     report = _report()
     solution = report.solutions[0]._replace(

@@ -2,7 +2,7 @@ import numpy as np
 
 from _support import dialytic, sample_recoverable_roots
 
-from spring_platform.polynomials import companion_roots
+from spring_platform.solver import companion_roots
 
 
 def sorted_roots(values):

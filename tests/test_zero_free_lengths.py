@@ -13,8 +13,7 @@ from spring_platform import (MechanismParams, Point2,
                              solver)
 from spring_platform.mechanism import (point_e, pose_from, residual_pair,
                                        spring_state)
-from spring_platform.polynomials import TRIM_RELATIVE
-from spring_platform.solver import UnsquaredPair
+from spring_platform.solver import TRIM_RELATIVE, UnsquaredPair
 
 
 def trig_rows(params, beta):

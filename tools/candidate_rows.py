@@ -5,10 +5,11 @@ Solves both committed configs, the first 40 mechanisms of
 ``bench/inputs.one_nonzero_mechanisms`` (seed 2026), 160 mechanisms drawn
 from ``numpy.random.default_rng(777)`` (L01 ~ U(0.2, 2) first, then
 ``inputs.random_mechanism``), the first ZERO_MECHANISMS all-zero
-mechanisms of ``inputs.zero_corpus(1, ·)`` and, at each L01 of SMALL_L01,
-the committed one-nonzero config and the first SMALL_L01_MECHANISMS
-mechanisms of ``inputs.one_nonzero_mechanisms`` with their L01 set to it
-(the small-l01 set, below the corpora's 0.2). It prints one ``repr`` line
+mechanisms of ``inputs.zero_corpus(1, ·)`` and, at each L01 of SMALL_L01
+(10^-k for k = 2 .. 12), the committed one-nonzero config and the first
+SMALL_L01_MECHANISMS mechanisms of ``inputs.one_nonzero_mechanisms`` with
+their L01 set to it (the small-l01 set, 99 solves below the corpora's
+0.2, down to where rounding loses roots). It prints one ``repr`` line
 per candidate row, an accepted count per set, and the warnings of all
 solves counted by category. Dump the version before a change and the one
 after it, then compare the two dumps::
@@ -66,7 +67,7 @@ from spring_platform import (RunConfig, emit_tables, load_config,  # noqa: E402
 MECHANISMS_2026 = 40
 MECHANISMS_777 = 160
 ZERO_MECHANISMS = 100
-SMALL_L01 = (1e-2, 1e-3)
+SMALL_L01 = tuple(10.0 ** -k for k in range(2, 13))
 SMALL_L01_MECHANISMS = 8
 MATCH_REL_TOL = 1e-8         # on |d beta| + |d L| over 1 + |beta| + |L|
 
