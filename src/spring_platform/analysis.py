@@ -6,7 +6,6 @@ import time
 from typing import NamedTuple
 
 from .config import CASE_ONE, RunConfig
-from .geometry import Point2
 from .solutions import EquilibriumSolution, residual_margin
 from .solver import solve_equilibria
 
@@ -16,8 +15,6 @@ CONTACT_ASSUMED = "assumed"
 class AnalysisReport(NamedTuple):
     config: RunConfig
     contact: str
-    case: str
-    point_e: Point2
     free_pose: dict | None
     solutions: list[EquilibriumSolution]
     counts: dict
@@ -32,12 +29,9 @@ def run_analysis(config: RunConfig) -> AnalysisReport:
     Both supported cases have L02 = L03 = 0, so the legs O1-A2 and A1-A2
     cannot span O1-A1: the platform has no unloaded pose, exists only
     pressed against the surface, and contact is assumed. The solve runs
-    directly, and its MechanismError (DegenerateQuartic, say) reaches the
-    caller as raised; the case the free lengths imply labels the report,
-    and point E is the one the params computed when they were built.
+    directly; its MechanismError (DegenerateQuartic, say) is not caught.
     """
     t0 = time.perf_counter()
-    case = config.case
     solutions = solve_equilibria(config.params)
 
     accepted = sum(1 for s in solutions if s.accepted)
@@ -49,14 +43,13 @@ def run_analysis(config: RunConfig) -> AnalysisReport:
         "real_candidates": sum(1 for s in solutions if s.is_real),
     }
     margin = None
-    if case == CASE_ONE:
+    if config.case == CASE_ONE:
         worst_acc, best_rej, ratio = residual_margin(solutions)
         margin = {"max_accepted_residual": worst_acc,
                   "min_rejected_residual": best_rej,
                   "ratio": ratio}
     return AnalysisReport(
-        config=config, contact=CONTACT_ASSUMED, case=case,
-        point_e=config.params.point_e,
-        free_pose=None, solutions=solutions, counts=counts, margin=margin,
+        config=config, contact=CONTACT_ASSUMED, free_pose=None,
+        solutions=solutions, counts=counts, margin=margin,
         timing_s=time.perf_counter() - t0,
         notes=["free pose not assemblable; contact assumed"])

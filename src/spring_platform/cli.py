@@ -68,7 +68,7 @@ def main(argv=None) -> int:
 
     c = report.counts
     print(f"contact: {report.contact}")
-    print(f"case: {report.case}")
+    print(f"case: {config.case}")
     print(f"solutions: total={c['total']} accepted={c['accepted']} "
           f"rejected={c['rejected']} real={c['real']}")
     if report.margin and report.margin["ratio"] is not None:

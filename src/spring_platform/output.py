@@ -58,14 +58,13 @@ def _row_values(index: int, s: EquilibriumSolution) -> tuple:
 def _report_fields(report: AnalysisReport) -> dict:
     """report_to_dict without its solution rows, a non-finite margin
     value as None."""
-    e = report.point_e
     margin = report.margin and {
         key: value if value is None or math.isfinite(value) else None
         for key, value in report.margin.items()}
     return {
         "contact": report.contact,
-        "case": report.case,
-        "point_E": [e.x, e.y],
+        "case": report.config.case,
+        "point_E": list(_xy(report.config.params.point_e)),
         "free_pose": report.free_pose,
         "counts": report.counts,
         "margin": margin,
@@ -261,14 +260,11 @@ def _remove_stale_drawings(out: Path, written: list[Path]) -> list[Path]:
     are returned."""
     keep = {path.name for path in written}
     with os.scandir(out) as entries:
-        stale = [entry.path for entry in entries
+        stale = [out / entry.name for entry in entries
                  if entry.name not in keep and _DRAWING.fullmatch(entry.name)
                  and not entry.is_dir(follow_symlinks=False)]
     for path in stale:
-        try:
-            os.unlink(path)
-        except FileNotFoundError:
-            pass
+        path.unlink(missing_ok=True)
     return written
 
 
@@ -284,8 +280,8 @@ def render_svg(report: AnalysisReport, out_dir) -> list[Path]:
     written: list[Path] = []
     real_accepted = [(i, s) for i, s in enumerate(report.solutions, start=1)
                      if s.accepted and s.is_real]
-    e = _xy(report.point_e)
-    frame = pose_frame(params, report.point_e)
+    e = _xy(params.point_e)
+    frame = pose_frame(params, params.point_e)
     poses = {i: _mechanism_points(frame, o1, a1, s) for i, s in real_accepted}
     world = [o1, a1, m, e] + [p for pts, _ in poses.values() for p in pts]
 

@@ -33,15 +33,15 @@ With all free lengths zero, k1 L01 = 0 and the right-hand sides vanish
 (B = D = 0), so the force and moment residuals are A and C themselves,
 affine in L. The rows z A and z C have degree 1 in L and at most 2 in z,
 and their 2x2 Sylvester determinant is a quartic in z with no excluded
-angle. The quartic's roots are the eigenvalues of its companion matrix,
-exact roots of monic coefficients moved by a small multiple of their norm
-(Edelman & Murakami, Math. Comp. 64, 1995), after a degree drop: the
-coefficients at or below TRIM_RELATIVE of the largest are dropped from
-both ends. Each coefficient dropped at the low end is a root at z = 0
-and each one dropped at the high end a root at infinity; neither has a
-finite beta. Each other root gives beta = -i log z and L from the force
-row. The same Newton's method refines all roots at once: with B = D = 0
-its roots with s != 0 are exactly those of A = C = 0.
+angle. The quartic's roots are the eigenvalues of its companion matrix
+(numpy.roots), exact roots of monic coefficients moved by a small
+multiple of their norm (Edelman & Murakami, Math. Comp. 64, 1995), after
+a degree drop: the coefficients at or below TRIM_RELATIVE of the largest
+are dropped from both ends. Each coefficient dropped at the low end is a
+root at z = 0 and each one dropped at the high end a root at infinity;
+neither has a finite beta. Each other root gives beta = -i log z and L
+from the force row. The same Newton's method refines all roots at once:
+with B = D = 0 its roots with s != 0 are exactly those of A = C = 0.
 """
 
 from __future__ import annotations
@@ -107,19 +107,6 @@ def _quadratic_roots(c0, c1, c2):
     r1 = q / c2
     r2 = np.where(q != 0, c0 / q, -c1 / c2 - r1)
     return r1[()], r2[()]
-
-
-def companion_roots(stack: np.ndarray) -> np.ndarray:
-    """Roots of a stack of polynomials of one degree >= 1, given as
-    ascending coefficient rows with a nonzero leading entry: eigenvalues of
-    their companion matrices, built as numpy.roots builds them and
-    computed in one eigvals call. A stack of one is numpy.roots."""
-    desc = np.asarray(stack)[..., ::-1]
-    deg = desc.shape[-1] - 1
-    companion = np.zeros(desc.shape[:-1] + (deg, deg), dtype=desc.dtype)
-    companion[..., np.arange(1, deg), np.arange(deg - 1)] = 1
-    companion[..., 0, :] = -desc[..., 1:] / desc[..., :1]
-    return np.linalg.eigvals(companion)
 
 
 class UnsquaredPair:
@@ -323,7 +310,6 @@ def _classify(length, z, s, terms, same_sign) -> dict:
     moment residuals A - B / L1 and C - D / L1 are those of the spring
     model, infinite where the first spring has no length.
     """
-    beta = -1j * np.log(z)
     a, b, c, d, l1_sq = terms
     l1 = np.sqrt(l1_sq)
 
@@ -340,9 +326,7 @@ def _classify(length, z, s, terms, same_sign) -> dict:
     spring = np.abs(l1) >= TOL_ZERO_LENGTH
     force = np.where(spring, np.abs(a - b / l1), math.inf)
     moment = np.where(spring, np.abs(c - d / l1), math.inf)
-    real = mark_real(beta, length)
-    beta = np.where(real, beta.real, beta)
-    length = np.where(real, length.real, length)
+    beta, length, real = _pose_columns(z, length)
     # where the structure degenerates (a pin at an anchor, say), two
     # starts can converge onto one equilibrium; it is accepted once
     accepted = rel <= ACCEPT_REL_TOL
@@ -362,6 +346,15 @@ def _classify(length, z, s, terms, same_sign) -> dict:
         note=note)
 
 
+def _pose_columns(z, length):
+    """(beta, L, real flag) of the refined roots (L, z): beta = -i log z,
+    and both cast to real where mark_real finds them real."""
+    beta = -1j * np.log(z)
+    real = mark_real(beta, length)
+    return (np.where(real, beta.real, beta),
+            np.where(real, length.real, length), real)
+
+
 def structural_rows(beta, length, squared_residual, note: str) -> dict:
     """Ledger columns of rejected candidates known in closed form, whose
     unsquared residuals are undefined (a zero-length first spring or no
@@ -373,6 +366,15 @@ def structural_rows(beta, length, squared_residual, note: str) -> dict:
                 accepted=np.zeros(len(beta), dtype=bool),
                 squared_residual=np.full(len(beta), squared_residual),
                 note=np.full(len(beta), note))
+
+
+def _no_finite_beta(at_zero, at_infinity, squared_residual, note: str):
+    """structural_rows of NaN length of the roots at z = 0, where beta =
+    -i log z is +i infinity, and at z = oo, where it is -i infinity."""
+    beta = np.repeat([complex(0, math.inf), complex(0, -math.inf)],
+                     [at_zero, at_infinity])
+    return structural_rows(beta, np.full(len(beta), complex("nan")),
+                           squared_residual, note)
 
 
 def _finite(eliminant):
@@ -411,8 +413,7 @@ def _quartic_roots(quartic: np.ndarray) -> tuple[np.ndarray, int, int]:
     ascending coefficients quartic, after the degree drop described above."""
     size = np.abs(quartic)
     low, high = np.flatnonzero(size > TRIM_RELATIVE * size.max())[[0, -1]]
-    return (companion_roots(quartic[low:high + 1]) if high > low else
-            np.empty(0, dtype=complex)), low, len(quartic) - 1 - high
+    return np.roots(quartic[low:high + 1][::-1]), low, len(quartic) - 1 - high
 
 
 def _solve_zero(pair, origin, tensors) -> list[EquilibriumSolution]:
@@ -421,7 +422,8 @@ def _solve_zero(pair, origin, tensors) -> list[EquilibriumSolution]:
     their tensor terms there. The z^0 and z^4 coefficients vanish together,
     exactly when the force residual does not depend on beta; the roots at
     z = 0 and at infinity of that degree drop have no finite beta and are
-    reported as rejected rows of NaN length."""
+    rejected rows of NaN length, the other rejected roots "refinement not
+    converged"."""
     rows = tensors[[0, 2], :2]
     (a0, a1), (c0, c1) = rows
     quartic = _finite(np.convolve(a0, c1) - np.convolve(a1, c0))
@@ -438,26 +440,20 @@ def _solve_zero(pair, origin, tensors) -> list[EquilibriumSolution]:
     u, z, _, (force, _, moment, _, _) = newton(pair, tensors, origin, u, z,
                                                np.sqrt(l1_sq), 1.0)
 
-    beta, length = -1j * np.log(z), origin + u
     # the sums of the magnitudes of the tensor terms of z A and z C
     scale = np.einsum("kij,ni,nj->kn", np.abs(rows),
                       np.abs(u)[:, None] ** np.arange(2),
                       np.abs(z)[:, None] ** np.arange(3))
     rel = np.maximum(np.abs(z * force) / scale[0],
                      np.abs(z * moment) / scale[1])
-    real = mark_real(beta, length)
-    # beta = -i log z runs to +i infinity at z = 0 and to -i infinity as z
-    # does
-    infinite = np.repeat([complex(0, math.inf), complex(0, -math.inf)],
-                         [at_zero, at_infinity])
+    beta, length, real = _pose_columns(z, origin + u)
+    accepted = rel <= RESIDUAL_REL_TOL
     return ledger(
-        dict(beta=np.where(real, beta.real, beta),
-             length=np.where(real, length.real, length),
-             residual_force=np.abs(force), residual_moment=np.abs(moment),
-             rel_residual=rel, is_real=real, accepted=rel <= RESIDUAL_REL_TOL,
-             squared_residual=np.zeros(len(z)), note=np.full(len(z), "")),
-        structural_rows(infinite, np.full(len(infinite), complex("nan")),
-                        0.0, "no finite beta"))
+        dict(beta=beta, length=length, residual_force=np.abs(force),
+             residual_moment=np.abs(moment), rel_residual=rel, is_real=real,
+             accepted=accepted, squared_residual=np.zeros(len(z)),
+             note=np.where(accepted, "", "refinement not converged")),
+        _no_finite_beta(at_zero, at_infinity, 0.0, "no finite beta"))
 
 
 def _solve_one(pair, origin, tensors) -> list[EquilibriumSolution]:
@@ -473,8 +469,8 @@ def _solve_one(pair, origin, tensors) -> list[EquilibriumSolution]:
     converged."""
     signs = np.array([1.0, -1.0])
     known_z, coincident_length = _known_points(pair, tensors)
-    roots = companion_roots(_deflate(
-        _finite(_eliminants(tensors, pair.kl, signs)), known_z))
+    roots = np.array([np.roots(row[::-1]) for row in _deflate(
+        _finite(_eliminants(tensors, pair.kl, signs)), known_z)])
 
     # per root: of the two roots L of G the one where
     # F = (z A)^2 (z L1^2) - z (z B)^2 is smaller, and s = B / A there
@@ -504,10 +500,5 @@ def _solve_one(pair, origin, tensors) -> list[EquilibriumSolution]:
             np.repeat(-1j * np.log(known_z[:2]), COINCIDENT_MULTIPLICITY),
             np.repeat(coincident_length, COINCIDENT_MULTIPLICITY), 0.0,
             "O2 = O1 (first spring of zero length)"),
-        # beta = -i log z runs to +i infinity at z = 0 and -i infinity at
-        # z = oo
-        structural_rows(
-            np.repeat([complex(0, math.inf), complex(0, -math.inf)],
-                      POLE_ROWS),
-            np.full(2 * POLE_ROWS, complex("nan")), math.inf,
-            "no finite beta (tan-half pole artifact)"))
+        _no_finite_beta(POLE_ROWS, POLE_ROWS, math.inf,
+                        "no finite beta (tan-half pole artifact)"))

@@ -14,18 +14,17 @@ from spring_platform.config import CASE_ONE, CASE_PATTERNS, CASE_ZERO
 def test_reference_zero_case_report():
     report = run_analysis(config_from_dict(dict(REFERENCE_CONFIG)))
     assert report.contact == "assumed"
-    assert report.case == CASE_ZERO
+    assert report.config.case == CASE_ZERO
     assert report.counts["total"] == 4
     assert report.counts["accepted"] == 4
     assert report.counts["real"] == 2
-    assert report.point_e is not None
-    assert abs(report.point_e.x - 16.814870) < 1e-5
+    assert abs(report.config.params.point_e.x - 16.814870) < 1e-5
 
 
 def test_reference_one_nonzero_report():
     report = run_analysis(config_from_dict(
         dict(REFERENCE_CONFIG, L0=[1.0, 0.0, 0.0])))
-    assert report.case == CASE_ONE
+    assert report.config.case == CASE_ONE
     assert report.counts["total"] == 48
     assert report.counts["rejected"] >= 12
     assert report.counts["real"] == 2
@@ -103,6 +102,7 @@ def test_free_length_rule(free_lengths, expected):
     case = operator.attrgetter("case")
     assert (
         _outcome(lambda: config_from_dict(data), case),
-        _outcome(lambda: run_analysis(RunConfig(params=params)), case),
+        _outcome(lambda: run_analysis(RunConfig(params=params)),
+                 operator.attrgetter("config.case")),
         _outcome(lambda: solve_equilibria(params), len),
     ) == expected

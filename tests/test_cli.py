@@ -1,6 +1,10 @@
 import json
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +12,8 @@ from _support import REFERENCE_CONFIG
 
 from spring_platform import MechanismError, load_config, solve_equilibria
 from spring_platform.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def write_config(tmp_path, overrides=None, name="run.json"):
@@ -31,6 +37,26 @@ def test_zero_case_end_to_end(tmp_path, capsys):
     svgs = list(out.glob("solution_*.svg"))
     assert len(svgs) == 2
     assert (out / "overview.svg").exists()
+
+
+def test_module_entry_point_is_solve(tmp_path, capsys):
+    # python -m spring_platform is the solve command: the same lines on
+    # stdout but the elapsed time, for the same arguments
+    args = ["--config", str(ROOT / "configs" / "all_zero_free_lengths.json"),
+            "--out", str(tmp_path)]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-m", "spring_platform", *args],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert main(args) == 0
+
+    def timeless(text):
+        return [line for line in text.splitlines()
+                if not line.startswith("elapsed:")]
+
+    assert timeless(run.stdout) == timeless(capsys.readouterr().out)
+    assert "wrote" in run.stdout
 
 
 def test_missing_config_is_validation_exit(tmp_path, capsys):

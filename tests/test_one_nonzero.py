@@ -25,7 +25,7 @@ from spring_platform.errors import LostRoots
 from spring_platform.mechanism import (point_e, pose_frame, pose_from,
                                       pose_points, residual_pair,
                                       spring_state)
-from spring_platform.solver import UnsquaredPair, companion_roots
+from spring_platform.solver import UnsquaredPair
 
 
 def test_pattern_enforced(monkeypatch, params_zero):
@@ -228,7 +228,7 @@ def test_tan_half_roots_are_the_ledger_rows(params_one, solutions_one):
     # ledger's 14 same-sign and 14 mixed-sign rows and its two O2 = O1
     # points four times each; a fourfold root moves with the fourth root
     # of the coefficient rounding
-    roots = list(companion_roots(tan_half_eliminant(params_one)[6:43]))
+    roots = list(np.roots(tan_half_eliminant(params_one)[6:43][::-1]))
     coincident = "O2 = O1 (first spring of zero length)"
     rows = {"": [], "mixed sign": [], coincident: []}
     for s in solutions_one:

@@ -253,7 +253,7 @@ def test_svg_structure(tmp_path, l0, drawings):
     positive = {
         f"solution_{i}" for i, s in enumerate(report.solutions, start=1)
         if s.accepted and s.is_real and normal.dot(pose_from(
-            s.length.real, s.beta.real, params, report.point_e).o2
+            s.length.real, s.beta.real, params, params.point_e).o2
             - params.surface_point) > 0}
     group = next(g for g in overview.findall("svg:g", SVG)
                  if g.get("id") == "side_positive")
@@ -292,7 +292,7 @@ def test_svg_zero_length_spring_is_one_point(tmp_path):
     solution = report.solutions[0]._replace(
         beta=0j, length=complex(-e.x), is_real=True, accepted=True)
     report = report._replace(
-        config=RunConfig(params=params), point_e=e, solutions=[solution])
+        config=RunConfig(params=params), solutions=[solution])
     render_svg(report, tmp_path)
     for name in ("solution_1.svg", "overview.svg"):
         root = ET.parse(tmp_path / name).getroot()

@@ -293,6 +293,18 @@ def test_balanced_pin_has_no_finite_beta_roots(params_zero):
     assert all(s.accepted and s.rel_residual <= 1e-8 for s in finite)
 
 
+@pytest.mark.parametrize("shift", [1e-6, -1e-6, 2e-6])
+def test_rejected_quartic_roots_are_named(params_zero, shift):
+    # just off the balanced pin z^0 and z^4 are kept just above the cutoff:
+    # two roots lie near z = 0 and z = oo and do not refine to the
+    # acceptance level. Each rejected row with a finite beta names its kind
+    solutions = solve_equilibria(balanced_pin_params(params_zero, shift))
+    rejected = [s for s in solutions
+                if not s.accepted and cmath.isfinite(s.beta)]
+    assert rejected
+    assert all(s.note == "refinement not converged" for s in rejected)
+
+
 def _quartic(params):
     pair = UnsquaredPair(params)
     (a0, a1), (c0, c1) = pair.tensors(pair.foot())[[0, 2], :2]

@@ -69,6 +69,11 @@ MECHANISMS_777 = 160
 ZERO_MECHANISMS = 100
 SMALL_L01 = tuple(10.0 ** -k for k in range(2, 13))
 SMALL_L01_MECHANISMS = 8
+SCALE_EXPONENTS = range(-12, 14)
+# the points of MechanismParams, the config's P_M, P_A1_in1, P_A2_in2,
+# P_P_in2 and P_O1: with L0, every length of a mechanism
+POINTS = ("surface_point", "a1_in_base", "a2_in_top", "p_in_top",
+          "base_origin")
 MATCH_REL_TOL = 1e-8         # on |d beta| + |d L| over 1 + |beta| + |L|
 
 _SOLVE = re.compile(r"# (\S+) (\d+)$")
@@ -92,6 +97,21 @@ def small_l01_configs() -> list[RunConfig]:
     return [RunConfig(params=dataclasses.replace(
         params, free_lengths=(l01, 0.0, 0.0)))
         for l01 in SMALL_L01 for params in mechanisms]
+
+
+def scale_configs() -> list[RunConfig]:
+    """The two committed configs, zero first, with every length times 10^k
+    for each k of SCALE_EXPONENTS."""
+    mechanisms = [load_config(ROOT / path).params
+                  for path in (inputs.REFERENCE_ZERO, inputs.REFERENCE_ONE)]
+    configs = []
+    for factor in (10.0 ** k for k in SCALE_EXPONENTS):
+        for params in mechanisms:
+            points = {name: factor * getattr(params, name) for name in POINTS}
+            configs.append(RunConfig(params=dataclasses.replace(
+                params, **points, free_lengths=tuple(
+                    factor * l0 for l0 in params.free_lengths))))
+    return configs
 
 
 def read_dump(path) -> tuple[dict, dict]:
@@ -191,6 +211,7 @@ def main(argv=None) -> int:
         ("zero-1", [RunConfig(params=p) for p in
                     inputs.zero_corpus(1, ZERO_MECHANISMS)]),
         ("small-l01", small_l01_configs()),
+        ("scale", scale_configs()),
     ]
     if args.digests:
         return digests(sets)

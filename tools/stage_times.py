@@ -81,7 +81,7 @@ REPEATS = 9
 ROWS = ("`load_config`",
         "solve set-up: `free_length_case`, `UnsquaredPair`, `foot`",
         "`UnsquaredPair.tensors`",
-        "eliminants, deflation and companion roots",
+        "eliminants, deflation and `numpy.roots`",
         "candidates: the starts of `newton`", "`newton`", "`_classify`",
         "ledger: `structural_rows`, `ledger`, the report's counts",
         "`report.json` and `solutions.csv` text",
@@ -94,14 +94,14 @@ WRITER = "writer"  # as the row before a call: see OUTPUT
 # operation's own code that runs just before it). Both workloads run the
 # one solve, and its free-length dispatch is part of the set-up. The zero
 # case has no eliminant to deflate and no _classify: those rows hold its
-# quartic and companion roots and its inline residuals.
+# quartic and its roots and its inline residuals.
 SOLVES = {
     "reference-one": (
         (UnsquaredPair, "tensors", 2, 1),
         (solver, "_known_points", 3, 2),
         (solver, "_eliminants", 3, 3),
         (solver, "_deflate", 3, 3),
-        (solver, "companion_roots", 3, 3),
+        (np, "roots", 3, 3),
         (solver, "newton", 5, 4),
         (solver, "_classify", 6, 5),
         (solver, "structural_rows", 7, 7),
