@@ -1,8 +1,9 @@
 """Report emission: CSV and JSON tables plus SVG configuration drawings.
 
 Each file is built as text and written by one primitive, _write, as
-bytes through os.open/os.write/os.close; re-running a configuration gives
-byte-identical files (timing stays out of the JSON).
+bytes through os.open/os.write/os.ftruncate/os.close, in place over the
+file an earlier run left; re-running a configuration gives byte-identical
+files (timing stays out of the JSON).
 ``report.json`` holds ``json.dumps(report_to_dict(report), indent=2,
 sort_keys=True)`` with non-finite floats as null. The json module encodes
 with ``indent`` in pure Python, so only the envelope goes through it: the
@@ -90,14 +91,19 @@ def _numbers(values) -> list[str]:
 
 
 def _write(path: Path, text: str) -> Path:
-    """Write text to path, UTF-8 encoded, with the flags and mode of
-    open(path, "w"): made with 0o666 less the umask, truncated when it
-    exists (ext4 then flushes the rewrite), a symlink written through."""
+    """Write text to path, UTF-8 encoded, in place: a new file is made with
+    0o666 less the umask, an existing one is overwritten from its start
+    and then cut to the new length, so it keeps its inode, mode and hard
+    links, and a symlink is written through. Nothing truncates the file to
+    size 0 first, so ext4 does not flush a rewrite when it is closed; a
+    power loss before writeback can leave a mix of old and new pages."""
     data = text.encode()
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    size = len(data)
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     try:
         while data:
             data = data[os.write(fd, data):]
+        os.ftruncate(fd, size)
     finally:
         os.close(fd)
     return path

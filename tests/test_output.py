@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import runpy
 import stat
 import subprocess
 import sys
@@ -15,7 +16,8 @@ from _support import REFERENCE_CONFIG, random_params, reference_params
 
 import spring_platform
 from spring_platform import (Point2, RunConfig, config_from_dict, emit_tables,
-                             render_svg, report_to_dict, run_analysis)
+                             load_config, render_svg, report_to_dict,
+                             run_analysis)
 from spring_platform.errors import LostRoots
 from spring_platform.mechanism import MechanismParams, point_e, pose_from
 from spring_platform.output import CSV_HEADER
@@ -305,11 +307,71 @@ def test_svg_zero_length_spring_is_one_point(tmp_path):
         assert all(_near(point, circles[-5]) for point in springs[0])
 
 
-# --- the write path: every file is written with the flags and mode of
-# open(path, "w")
+# --- the write path: every file is written in place through its path. A
+# new file gets the mode of open(path, "w"); an existing one keeps its
+# inode, mode and hard links and is cut to the new length
+
+ROOT = Path(__file__).resolve().parents[1]
+
 
 def _write_all(report, out):
     return emit_tables(report, out) + render_svg(report, out)
+
+
+def _files(out):
+    return {path.name: path.read_bytes() for path in out.iterdir()}
+
+
+def test_rewrite_keeps_each_files_inode_and_mode(tmp_path):
+    first = _write_all(_report((1.0, 0.0, 0.0)), tmp_path)
+    for path in first:
+        path.chmod(0o600)
+    inodes = {path.name: path.stat().st_ino for path in first}
+    second = _write_all(_report(), tmp_path)
+    kept = [path for path in second if path.name in inodes]
+    assert {path.name for path in kept} >= {"report.json", "solutions.csv",
+                                            "overview.svg"}
+    for path in kept:
+        assert path.stat().st_ino == inodes[path.name]
+        assert stat.S_IMODE(path.stat().st_mode) == 0o600
+
+
+def test_hard_link_to_report_json_reads_the_new_bytes(tmp_path):
+    expected = emit_tables(_report(), tmp_path / "alone", ("json",))[0]
+    out = tmp_path / "out"
+    emit_tables(_report((1.0, 0.0, 0.0)), out, ("json",))
+    link = tmp_path / "link.json"
+    os.link(out / "report.json", link)
+    emit_tables(_report(), out, ("json",))
+    assert link.read_bytes() == expected.read_bytes()
+    assert link.stat().st_nlink == 2
+
+
+def test_reports_written_in_turn_into_one_directory(tmp_path):
+    # five sweep-zero mechanisms and both committed configs, written one
+    # after another into one directory: after each write the directory
+    # holds exactly the files of that report written alone into a fresh
+    # one. The one-nonzero config's longer files are rewritten by shorter
+    # ones, and the drawn solution indices change, so drawings go stale
+    inputs = runpy.run_path(str(ROOT / "bench" / "inputs.py"))
+    zero = [RunConfig(params=p) for p in inputs["zero_corpus"](1, 5)]
+    configs = [*zero[:2], load_config(ROOT / inputs["REFERENCE_ONE"]),
+               zero[2], load_config(ROOT / inputs["REFERENCE_ZERO"]),
+               *zero[3:]]
+    shared = tmp_path / "shared"
+    shrunk = removed = 0
+    before = {}
+    for i, config in enumerate(configs):
+        report = run_analysis(config)
+        _write_all(report, tmp_path / f"alone_{i}")
+        _write_all(report, shared)
+        after = _files(shared)
+        assert after == _files(tmp_path / f"alone_{i}")
+        shrunk += any(len(data) < len(before[name])
+                      for name, data in after.items() if name in before)
+        removed += bool(before.keys() - after.keys())
+        before = after
+    assert shrunk and removed
 
 
 def test_shorter_rewrite_leaves_only_its_bytes(tmp_path):

@@ -9,9 +9,13 @@ mechanisms of ``inputs.zero_corpus(1, ·)`` and, at each L01 of SMALL_L01
 (10^-k for k = 2 .. 12), the committed one-nonzero config and the first
 SMALL_L01_MECHANISMS mechanisms of ``inputs.one_nonzero_mechanisms`` with
 their L01 set to it (the small-l01 set, 99 solves below the corpora's
-0.2, down to where rounding loses roots). It prints one ``repr`` line
-per candidate row, an accepted count per set, and the warnings of all
-solves counted by category. Dump the version before a change and the one
+0.2, down to where rounding loses roots) and, for each k of
+SCALE_EXPONENTS, both committed configs with every length times 10^k (the
+scale set). It prints one ``repr`` line per candidate row, an accepted
+count and an error count per set, and the warnings of all solves counted
+by category. A solve that raises a ``MechanismError`` prints one
+``# error <set> <index> <Class>: <message>`` line in place of its rows,
+and the next solve runs. Dump the version before a change and the one
 after it, then compare the two dumps::
 
     python3 tools/candidate_rows.py > after.txt
@@ -21,18 +25,22 @@ The comparison matches the accepted roots of each solve as sets, to
 MATCH_REL_TOL relative, since a change of rounding moves every residual
 and a byte diff then shows nothing. For the same reason it compares, per
 solve, the count of rows of each class (accepted, real, note), which
-shows a row that changed its class. It prints the accepted count of each
-set in both dumps, every unmatched root, every solve whose class counts
-changed and the worst matched gap, and exits 1 when an accepted root of
-the first dump has no match in the second or a solve's class counts
-changed.
+shows a row that changed its class. It prints the accepted and error counts
+of each set in both dumps, every unmatched root, every solve whose class
+counts changed, every solve that fails in one dump only and the worst
+matched gap, and exits 1 when an accepted root of the first dump has no
+match in the second, a solve's class counts changed or a solve fails in
+one dump only.
 
-``--digests`` prints the report files instead of the rows. For each solve
-of the corpus above it writes the files the CLI writes
-(``solutions.csv``, ``report.json`` and the SVG drawings) into a temporary
-directory and prints one ``sha256  <solve> <file>`` line per file, then
-the file count. A plain ``diff`` of the dumps of two versions is the
-byte-identity check of the output layer::
+``--digests`` prints the report files instead of the rows. It writes the
+solves of each set in order into one temporary directory per set, as the
+CLI writes them (``solutions.csv``, ``report.json`` and the SVG
+drawings), so every solve after a set's first rewrites the files of the
+one before it. Right after each solve it prints one
+``sha256  <solve> <file>`` line per file it wrote; the last line is the
+file count. A failing solve prints its error line and writes nothing. A
+plain ``diff`` of the dumps of two versions is the byte-identity check of
+the output layer, rewrites included::
 
     python3 tools/candidate_rows.py --digests > after.txt
     diff before.txt after.txt
@@ -61,15 +69,16 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 import inputs  # noqa: E402
-from spring_platform import (RunConfig, emit_tables, load_config,  # noqa: E402
-                             render_svg, run_analysis)
+from spring_platform import (MechanismError, RunConfig,  # noqa: E402
+                             emit_tables, load_config, render_svg,
+                             run_analysis)
 
 MECHANISMS_2026 = 40
 MECHANISMS_777 = 160
 ZERO_MECHANISMS = 100
 SMALL_L01 = tuple(10.0 ** -k for k in range(2, 13))
 SMALL_L01_MECHANISMS = 8
-SCALE_EXPONENTS = range(-12, 14)
+SCALE_EXPONENTS = range(-12, 17)
 # the points of MechanismParams, the config's P_M, P_A1_in1, P_A2_in2,
 # P_P_in2 and P_O1: with L0, every length of a mechanism
 POINTS = ("surface_point", "a1_in_base", "a2_in_top", "p_in_top",
@@ -77,6 +86,7 @@ POINTS = ("surface_point", "a1_in_base", "a2_in_top", "p_in_top",
 MATCH_REL_TOL = 1e-8         # on |d beta| + |d L| over 1 + |beta| + |L|
 
 _SOLVE = re.compile(r"# (\S+) (\d+)$")
+_ERROR = re.compile(r"# error (\S+) (\d+) (.*)$")
 _ROW = re.compile(r"beta=([^,]+), length=([^,]+),.* is_real=(True|False), "
                   r"accepted=(True|False),.* note=(.*)\)$")
 
@@ -114,13 +124,33 @@ def scale_configs() -> list[RunConfig]:
     return configs
 
 
-def read_dump(path) -> tuple[dict, dict]:
-    """Accepted (beta, L) of every solve of a dump, and its count of rows
-    per (accepted, real, note), both keyed by (set, index)."""
+def analyses(name: str, configs, caught: Counter):
+    """(index, report) of each config of a set in order, the warnings of
+    each solve counted by category in caught. A solve that raises a
+    MechanismError prints its error line and gives report None."""
+    for index, config in enumerate(configs):
+        report = None
+        with warnings.catch_warnings(record=True) as log:
+            warnings.simplefilter("always")
+            try:
+                report = run_analysis(config)
+            except MechanismError as exc:
+                print(f"# error {name} {index} {type(exc).__name__}: {exc}")
+        caught.update(w.category.__name__ for w in log)
+        yield index, report
+
+
+def read_dump(path) -> tuple[dict, dict, dict]:
+    """Accepted (beta, L) of every solve of a dump, its count of rows per
+    (accepted, real, note), and the error of every failed solve, all keyed
+    by (set, index)."""
     solves: dict = {}
     classes: dict = {}
+    errors: dict = {}
     for line in Path(path).read_text().splitlines():
-        if header := _SOLVE.match(line):
+        if error := _ERROR.match(line):
+            errors[error[1], int(error[2])] = error[3]
+        elif header := _SOLVE.match(line):
             key = (header[1], int(header[2]))
             solves[key], classes[key] = [], Counter()
         elif row := _ROW.search(line):
@@ -128,18 +158,28 @@ def read_dump(path) -> tuple[dict, dict]:
                          ast.literal_eval(row[5])] += 1
             if row[4] == "True":
                 solves[key].append((complex(row[1]), complex(row[2])))
-    return solves, classes
+    return solves, classes, errors
 
 
 def compare(before_path, after_path) -> int:
-    (before, before_classes), (after, after_classes) = (
+    (before, before_classes, before_errors), (
+        after, after_classes, after_errors) = (
         read_dump(before_path), read_dump(after_path))
-    for name in dict.fromkeys(name for name, _ in before | after):
+    for name in dict.fromkeys(name for name, _ in (
+            before | after | before_errors | after_errors)):
         counts = [sum(len(points) for (set_name, _), points in dump.items()
                       if set_name == name) for dump in (before, after)]
-        print(f"# {name}: {counts[0]} accepted before, {counts[1]} after")
+        failed = [sum(set_name == name for set_name, _ in errors)
+                  for errors in (before_errors, after_errors)]
+        print(f"# {name}: {counts[0]} accepted before, {counts[1]} after; "
+              f"{failed[0]} errors before, {failed[1]} after")
+    one_sided = before_errors.keys() ^ after_errors.keys()
+    for key in sorted(one_sided):
+        side, error = (("before", before_errors[key]) if key in before_errors
+                       else ("after", after_errors[key]))
+        print(f"fails in {side} only: {key[0]} {key[1]} {error}")
     missing = worst = 0
-    for key in sorted(before.keys() | after.keys()):
+    for key in sorted((before.keys() | after.keys()) - one_sided):
         unmatched = list(after.get(key, []))
         for beta, length in before.get(key, []):
             gaps = [(abs(beta - b) + abs(length - l))
@@ -155,15 +195,17 @@ def compare(before_path, after_path) -> int:
         for beta, length in unmatched:
             print(f"new in after: {key[0]} {key[1]} beta={beta} L={length}")
     changed = 0
-    for key in sorted(before_classes.keys() | after_classes.keys()):
+    for key in sorted((before_classes.keys() | after_classes.keys())
+                      - one_sided):
         old, new = before_classes.get(key), after_classes.get(key)
         if old != new:
             changed += 1
             print(f"classes changed: {key[0]} {key[1]} "
                   f"before {_classes(old)} after {_classes(new)}")
     print(f"# worst matched gap {worst:.2e}, {missing} missing, "
-          f"{changed} solves with changed row classes")
-    return 1 if missing or changed else 0
+          f"{changed} solves with changed row classes, {len(one_sided)} "
+          "solves failing in one dump only")
+    return 1 if missing or changed or one_sided else 0
 
 
 def _classes(counts) -> str:
@@ -174,15 +216,15 @@ def _classes(counts) -> str:
 
 
 def digests(sets) -> int:
-    """Print the sha256 of every report file each solve writes."""
+    """Print the sha256 of every report file each solve writes, the solves
+    of a set written in turn into one directory."""
     files = 0
     with tempfile.TemporaryDirectory() as tmp:
         for name, configs in sets:
-            for index, config in enumerate(configs):
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore")
-                    report = run_analysis(config)
-                out = Path(tmp) / f"{name}-{index}"
+            out = Path(tmp) / name
+            for index, report in analyses(name, configs, Counter()):
+                if report is None:
+                    continue
                 for path in (emit_tables(report, out, ("json", "csv"))
                              + render_svg(report, out)):
                     digest = hashlib.sha256(path.read_bytes()).hexdigest()
@@ -217,17 +259,16 @@ def main(argv=None) -> int:
         return digests(sets)
     caught: Counter = Counter()
     for name, configs in sets:
-        accepted = 0
-        for index, config in enumerate(configs):
-            with warnings.catch_warnings(record=True) as log:
-                warnings.simplefilter("always")
-                report = run_analysis(config)
-            caught.update(w.category.__name__ for w in log)
+        accepted = errors = 0
+        for index, report in analyses(name, configs, caught):
+            if report is None:
+                errors += 1
+                continue
             print(f"# {name} {index}")
             for row in report.solutions:
                 print(repr(row))
             accepted += report.counts["accepted"]
-        print(f"# {name}: {accepted} accepted")
+        print(f"# {name}: {accepted} accepted, {errors} errors")
     for category, count in sorted(caught.items()):
         print(f"# warnings {category}: {count}")
     return 0
