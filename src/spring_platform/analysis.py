@@ -34,14 +34,15 @@ def run_analysis(config: RunConfig) -> AnalysisReport:
     t0 = time.perf_counter()
     solutions = solve_equilibria(config.params)
 
-    accepted = sum(1 for s in solutions if s.accepted)
-    counts = {
-        "total": len(solutions),
-        "accepted": accepted,
-        "rejected": len(solutions) - accepted,
-        "real": sum(1 for s in solutions if s.is_real and s.accepted),
-        "real_candidates": sum(1 for s in solutions if s.is_real),
-    }
+    accepted = real = real_candidates = 0
+    for s in solutions:
+        accepted += s.accepted
+        if s.is_real:
+            real_candidates += 1
+            real += s.accepted
+    counts = {"total": len(solutions), "accepted": accepted,
+              "rejected": len(solutions) - accepted, "real": real,
+              "real_candidates": real_candidates}
     margin = None
     if config.case == CASE_ONE:
         worst_acc, best_rej, ratio = residual_margin(solutions)

@@ -10,18 +10,18 @@ machine precision. In z = exp(i beta) each of z A, z B, z C, z D and
 z L1^2 is a polynomial of degree at most 2 in L and in z, recovered
 exactly from a 3x3 grid of samples.
 
-Eliminating s leaves F = z^3 (A^2 L1^2 - B^2), quartic in L, and
-G = z^2 (A D - B C) / (k1 L01), quadratic in L. Their 6x6 Sylvester
-determinant, sampled in the product form g2^4 F(r1) F(r2) over the roots
-r of G, is a polynomial in z whose roots are the equilibria with one sign
-of s in both equations; G with A D + B C gives the mixed-sign roots,
-which squaring the pair also admits. Both
-eliminants carry two point pairs known in closed form as double roots,
-O2 = O1 and A = B = 0, which are divided out before each root is refined
-by Newton's method on the exact 3x3 system in (L, z, s). Each stage
-works on all roots at once, down to the classification: Newton's last
-evaluation of the pair gives every residual, the spring model's
-A - B / L1 and C - D / L1 included.
+Eliminating s leaves F = z^3 (A^2 L1^2 - B^2), quartic in L, and G = z^2
+(A D - B C) / (k1 L01), quadratic in L. Their 6x6 Sylvester determinant,
+sampled in the product form g2^4 F(r1) F(r2) over the roots r of G, is a
+polynomial in z whose roots are the equilibria with one sign of s in both
+equations; G with A D + B C gives the mixed-sign roots, which squaring the
+pair also admits. Both eliminants carry two point pairs known in closed
+form as double roots, O2 = O1 and A = B = 0, which are divided out; the
+roots of both quotients come from one eigvals call on their stacked
+companion matrices (as below), and each is refined by Newton's method on
+the exact 3x3 system in (L, z, s). Each stage works on all roots at once,
+down to the classification: Newton's last evaluation of the pair gives
+every residual, the spring model's A - B / L1 and C - D / L1 included.
 
 The paper squares the pair instead and eliminates over the tan-half
 variable; its degree-48 eliminant has the same roots plus the O2 = O1
@@ -33,15 +33,16 @@ With all free lengths zero, k1 L01 = 0 and the right-hand sides vanish
 (B = D = 0), so the force and moment residuals are A and C themselves,
 affine in L. The rows z A and z C have degree 1 in L and at most 2 in z,
 and their 2x2 Sylvester determinant is a quartic in z with no excluded
-angle. The quartic's roots are the eigenvalues of its companion matrix
-(numpy.roots), exact roots of monic coefficients moved by a small
-multiple of their norm (Edelman & Murakami, Math. Comp. 64, 1995), after
-a degree drop: the coefficients at or below TRIM_RELATIVE of the largest
-are dropped from both ends. Each coefficient dropped at the low end is a
-root at z = 0 and each one dropped at the high end a root at infinity;
-neither has a finite beta. Each other root gives beta = -i log z and L
-from the force row. The same Newton's method refines all roots at once:
-with B = D = 0 its roots with s != 0 are exactly those of A = C = 0.
+angle. The quartic's roots are the eigenvalues of its companion matrix,
+built as numpy.roots builds it, exact roots of monic coefficients moved
+by a small multiple of their norm (Edelman & Murakami, Math. Comp. 64,
+1995), after a degree drop: the coefficients at or below TRIM_RELATIVE
+of the largest are dropped from both ends. Each coefficient dropped at
+the low end is a root at z = 0 and each one dropped at the high end a
+root at infinity; neither has a finite beta. Each other root gives
+beta = -i log z and L from the force row. The same Newton's method
+refines all roots at once: with B = D = 0 its roots with s != 0 are
+exactly those of A = C = 0.
 """
 
 from __future__ import annotations
@@ -73,8 +74,10 @@ TRIM_RELATIVE = 1e-13        # end-coefficient cutoff, relative to the largest
 # degree 6, G's 4), below SAMPLES, so their transform aliases nothing
 _SAMPLE_Z = np.exp(2j * np.pi * np.arange(SAMPLES) / SAMPLES)
 _SAMPLE_DFT = np.conj(_SAMPLE_Z)[:, None] ** SUPPORT / SAMPLES
-# the third roots of unity and the inverse of their 3x3 transform
+# the third roots of unity, cos and sin beta there, and their inverse 3x3 DFT
 _THIRD_ROOTS = np.exp(2j * np.pi * np.arange(3.0) / 3)
+_THIRD_COS = (_THIRD_ROOTS + 1 / _THIRD_ROOTS) / 2
+_THIRD_SIN = (_THIRD_ROOTS - 1 / _THIRD_ROOTS) / 2j
 _THIRD_INVERSE = np.conj(_THIRD_ROOTS[None, :] ** np.arange(3)[:, None]) / 3
 
 
@@ -165,10 +168,9 @@ class UnsquaredPair:
         T = (A, B, C, D, L1^2) and z = exp(i beta), all of degree <= 2 in
         both: the inverse discrete transform of their values on a grid of
         third roots of unity."""
-        z = _THIRD_ROOTS[None, :]
         values = np.array(self.terms(origin + _THIRD_ROOTS[:, None],
-                                     (z + 1 / z) / 2, (z - 1 / z) / 2j))
-        return _THIRD_INVERSE @ (values * z) @ _THIRD_INVERSE.T
+                                     _THIRD_COS, _THIRD_SIN))
+        return _THIRD_INVERSE @ (values * _THIRD_ROOTS) @ _THIRD_INVERSE.T
 
 
 def _in_length(tensors, z):
@@ -330,9 +332,11 @@ def _classify(length, z, s, terms, same_sign) -> dict:
     # where the structure degenerates (a pin at an anchor, say), two
     # starts can converge onto one equilibrium; it is accepted once
     accepted = rel <= ACCEPT_REL_TOL
-    repeated = accepted & np.any(accepted & np.tril(
-        np.abs(beta[:, None] - beta) + np.abs(length[:, None] - length)
-        <= 1e-8 * (1 + np.abs(beta) + np.abs(length))[:, None], -1), axis=1)
+    b, l = beta[accepted], length[accepted]
+    repeated = np.zeros_like(accepted)
+    repeated[accepted] = np.any(np.tril(
+        np.abs(b[:, None] - b) + np.abs(l[:, None] - l)
+        <= 1e-8 * (1 + np.abs(b) + np.abs(l))[:, None], -1), axis=1)
     note = np.where(accepted, np.where(repeated, "repeated root", ""),
                     np.where(~same_sign, "mixed sign", np.where(
                         own <= ACCEPT_REL_TOL, "other branch",
@@ -377,13 +381,33 @@ def _no_finite_beta(at_zero, at_infinity, squared_residual, note: str):
                            squared_residual, note)
 
 
+# the 12 tan-half pole rows, the same for every mechanism
+_POLE_COLUMNS = _no_finite_beta(POLE_ROWS, POLE_ROWS, math.inf,
+                                "no finite beta (tan-half pole artifact)")
+for _column in _POLE_COLUMNS.values():
+    _column.flags.writeable = False
+
+
 def _finite(eliminant):
-    """The eliminant, checked finite: the products of an extreme but
-    finite mechanism (a stiffness of 1e160, say) overflow it, and its
-    roots would then fail with no MechanismError."""
+    """The eliminant or its quotient, checked finite: the products of an
+    extreme but finite mechanism (a stiffness of 1e160, say) overflow it,
+    and its roots would then fail with no MechanismError."""
     if not np.all(np.isfinite(eliminant)):
         raise MechanismError("the eliminant in z overflows floating point")
     return eliminant
+
+
+def _companion_roots(rows):
+    """Roots of each row of ascending coefficients, all of one length with
+    a nonzero leading entry, checked finite: the eigenvalues of their
+    companion matrices, built as numpy.roots builds them, from one eigvals
+    call. A row of one coefficient has no roots."""
+    desc = _finite(rows)[:, ::-1]
+    degree = desc.shape[1] - 1
+    companion = np.zeros((len(desc), degree, degree), dtype=desc.dtype)
+    companion[:, np.arange(1, degree), np.arange(degree - 1)] = 1
+    companion[:, :1] = _finite(-desc[:, 1:] / desc[:, :1])[:, None]
+    return np.linalg.eigvals(companion)
 
 
 def solve_equilibria(params: MechanismParams) -> list[EquilibriumSolution]:
@@ -413,7 +437,8 @@ def _quartic_roots(quartic: np.ndarray) -> tuple[np.ndarray, int, int]:
     ascending coefficients quartic, after the degree drop described above."""
     size = np.abs(quartic)
     low, high = np.flatnonzero(size > TRIM_RELATIVE * size.max())[[0, -1]]
-    return np.roots(quartic[low:high + 1][::-1]), low, len(quartic) - 1 - high
+    return (_companion_roots(quartic[None, low:high + 1])[0], low,
+            len(quartic) - 1 - high)
 
 
 def _solve_zero(pair, origin, tensors) -> list[EquilibriumSolution]:
@@ -469,8 +494,8 @@ def _solve_one(pair, origin, tensors) -> list[EquilibriumSolution]:
     converged."""
     signs = np.array([1.0, -1.0])
     known_z, coincident_length = _known_points(pair, tensors)
-    roots = np.array([np.roots(row[::-1]) for row in _deflate(
-        _finite(_eliminants(tensors, pair.kl, signs)), known_z)])
+    roots = _companion_roots(_deflate(
+        _finite(_eliminants(tensors, pair.kl, signs)), known_z))
 
     # per root: of the two roots L of G the one where
     # F = (z A)^2 (z L1^2) - z (z B)^2 is smaller, and s = B / A there
@@ -500,5 +525,4 @@ def _solve_one(pair, origin, tensors) -> list[EquilibriumSolution]:
             np.repeat(-1j * np.log(known_z[:2]), COINCIDENT_MULTIPLICITY),
             np.repeat(coincident_length, COINCIDENT_MULTIPLICITY), 0.0,
             "O2 = O1 (first spring of zero length)"),
-        _no_finite_beta(POLE_ROWS, POLE_ROWS, math.inf,
-                        "no finite beta (tan-half pole artifact)"))
+        _POLE_COLUMNS)

@@ -70,12 +70,17 @@ def test_invalid_config_exit(tmp_path):
 
 
 # finite values whose products overflow an eliminant: stiffness 1e160 on
-# either committed config, a far base origin and a huge free length
+# either committed config, a far base origin and a huge free length; and
+# two whose one-nonzero eliminant is finite but its quotient by the known
+# double roots is not: a pin 1e-200 off the top origin, a stiffness 1e22
 OVERFLOWS = {"k1 zero": {"k": [1e160, 1.85, 1.45]},
              "k3 one": {"k": [1.5, 1.85, 1e160], "L0": [1.0, 0.0, 0.0]},
              "P_O1 zero": {"P_O1": [1e200, 3.5]},
              "P_O1 one": {"P_O1": [1e200, 3.5], "L0": [1.0, 0.0, 0.0]},
-             "L01": {"L0": [1e300, 0.0, 0.0]}}
+             "L01": {"L0": [1e300, 0.0, 0.0]},
+             "P_P quotient": {"P_P_in2": [1e-200, 0.0],
+                              "L0": [1.0, 0.0, 0.0]},
+             "k1 quotient": {"k": [1e22, 1.85, 1.45], "L0": [1.0, 0.0, 0.0]}}
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

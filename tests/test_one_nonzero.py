@@ -17,10 +17,11 @@ from _support import (nearest_match, product, random_params,
                       reference_params, squared, squared_pair, sylvester,
                       tan_half_degree, tan_half_eliminant)
 
-from spring_platform import (DegenerateQuartic, Point2, RunConfig,
-                             UnsupportedFreeLengthPattern, emit_tables,
-                             load_config, render_svg, residual_margin,
-                             run_analysis, solve_equilibria, solver)
+from spring_platform import (DegenerateQuartic, MechanismError, Point2,
+                             RunConfig, UnsupportedFreeLengthPattern,
+                             emit_tables, load_config, render_svg,
+                             residual_margin, run_analysis, solve_equilibria,
+                             solver)
 from spring_platform.errors import LostRoots
 from spring_platform.mechanism import (point_e, pose_frame, pose_from,
                                       pose_points, residual_pair,
@@ -608,6 +609,73 @@ def test_deflate_is_the_least_squares_quotient(params_one):
                 for row in coeffs])
         largest = np.max(np.abs(want), axis=1, keepdims=True)
         assert np.all(np.abs(got - want) <= 1e-11 * largest)
+
+
+def test_companion_roots_are_numpy_roots(params_one, params_zero):
+    # one eigvals call on the stacked companion matrices gives numpy.roots
+    # of each row, bit for bit and in its order: both deflated eliminants
+    # of the reference and of five corpus mechanisms, and the reference's
+    # zero-case quartic trimmed to degree 4 down to 0, which has no roots
+    stacks = []
+    for params in [params_one] + corpus(2026, 5):
+        pair = UnsquaredPair(params)
+        tensors = pair.tensors(pair.foot())
+        known, _ = solver._known_points(pair, tensors)
+        stacks.append(solver._deflate(solver._eliminants(
+            tensors, pair.kl, np.array([1.0, -1.0])), known))
+    pair = UnsquaredPair(params_zero)
+    (a0, a1), (c0, c1) = pair.tensors(pair.foot())[[0, 2], :2]
+    quartic = np.convolve(a0, c1) - np.convolve(a1, c0)
+    stacks += [quartic[None, :size] for size in range(5, 0, -1)]
+    stacks.append(np.array([quartic[1:4], quartic[2:5]]))
+    for rows in stacks:
+        got = solver._companion_roots(rows)
+        assert got.shape == (len(rows), rows.shape[1] - 1)
+        for row, roots in zip(rows, got):
+            assert np.array_equal(roots, np.roots(row[::-1]))
+    assert np.array_equal(solver._quartic_roots(quartic)[0],
+                          np.roots(quartic[::-1]))
+    # a row that is not finite, or whose companion overflows, is the
+    # solve's one MechanismError
+    for row in ([1.0, np.inf, 1.0], [1.0, 2.0, np.inf], [1.0, np.nan],
+                [1e300, 1e-300]):
+        with np.errstate(all="ignore"), pytest.raises(MechanismError,
+                                                      match="overflows"):
+            solver._companion_roots(np.array([row], dtype=complex))
+
+
+def test_classify_marks_repeated_accepted_roots_only():
+    # five refined roots at one (L, z): an accepted root found again is a
+    # repeated root, and a rejected root there keeps its own note, before
+    # the accepted one or after it
+    count = 5
+    z = np.full(count, np.exp(0.3j))
+    length = np.full(count, 2.0 + 0j)
+    length[4] = 3.0  # a second accepted root, elsewhere
+    one = np.ones(count, dtype=complex)
+    b = np.array([3.0, 2.0, 2.0, 3.0, 2.0]) + 0j
+    s = np.array([3.0, 2.0, 2.0, 3.0, 2.0]) + 0j
+    same_sign = np.array([True, True, True, False, True])
+    columns = solver._classify(length, z, s, (one, b, one, b, 4 * one),
+                               same_sign)
+    assert columns["accepted"].tolist() == [False, True, False, False, True]
+    assert columns["note"].tolist() == ["other branch", "", "repeated root",
+                                        "mixed sign", ""]
+
+
+def test_pole_rows_are_built_once_and_read_only(params_one):
+    # the 12 tan-half pole rows are shared by every solve: no solve may
+    # write to them, and none does
+    before = {name: column.tobytes()
+              for name, column in solver._POLE_COLUMNS.items()}
+    solutions = solve_equilibria(params_one)
+    assert sum(s.note == "no finite beta (tan-half pole artifact)"
+               for s in solutions) == 2 * solver.POLE_ROWS
+    for name, column in solver._POLE_COLUMNS.items():
+        assert len(column) == 2 * solver.POLE_ROWS
+        assert column.tobytes() == before[name]
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = column[1]
 
 
 def _sylvester_dets(tensors, kl, signs, z):

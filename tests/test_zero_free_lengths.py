@@ -291,6 +291,12 @@ def test_balanced_pin_has_no_finite_beta_roots(params_zero):
         assert s.note == "no finite beta"
     finite = [s for s in solutions if cmath.isfinite(s.beta)]
     assert all(s.accepted and s.rel_residual <= 1e-8 for s in finite)
+    # a surface point far out on both axes leaves one coefficient of the
+    # quartic above the cutoff: its four roots have no finite beta
+    far = dataclasses.replace(params_zero, surface_point=Point2(1e24, 1e24))
+    solutions = solve_equilibria(far)
+    assert [s.note for s in solutions] == ["no finite beta"] * 4
+    assert not any(s.accepted or cmath.isfinite(s.beta) for s in solutions)
 
 
 @pytest.mark.parametrize("shift", [1e-6, -1e-6, 2e-6])

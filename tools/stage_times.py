@@ -81,7 +81,7 @@ REPEATS = 9
 ROWS = ("`load_config`",
         "solve set-up: `free_length_case`, `UnsquaredPair`, `foot`",
         "`UnsquaredPair.tensors`",
-        "eliminants, deflation and `numpy.roots`",
+        "eliminants, deflation and companion roots",
         "candidates: the starts of `newton`", "`newton`", "`_classify`",
         "ledger: `structural_rows`, `ledger`, the report's counts",
         "`report.json` and `solutions.csv` text",
@@ -101,7 +101,7 @@ SOLVES = {
         (solver, "_known_points", 3, 2),
         (solver, "_eliminants", 3, 3),
         (solver, "_deflate", 3, 3),
-        (np, "roots", 3, 3),
+        (solver, "_companion_roots", 3, 3),
         (solver, "newton", 5, 4),
         (solver, "_classify", 6, 5),
         (solver, "structural_rows", 7, 7),
