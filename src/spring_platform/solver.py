@@ -7,8 +7,9 @@ spring length L1. Multiplying through by the signed length s (s^2 = L1^2)
 gives the unsquared pair A s = B and C s = D, built here from the exact
 zero-free-length residual forms so the defining identities hold to
 machine precision. In z = exp(i beta) each of z A, z B, z C, z D and
-z L1^2 is a polynomial of degree at most 2 in L and in z, recovered
-exactly from a 3x3 grid of samples.
+z L1^2 is a polynomial of degree at most 2 in L and in z, whose
+coefficients are written in closed form from the complex coordinates of
+the springs.
 
 Eliminating s leaves F = z^3 (A^2 L1^2 - B^2), quartic in L, and G = z^2
 (A D - B C) / (k1 L01), quadratic in L. Their 6x6 Sylvester determinant,
@@ -74,11 +75,6 @@ TRIM_RELATIVE = 1e-13        # end-coefficient cutoff, relative to the largest
 # degree 6, G's 4), below SAMPLES, so their transform aliases nothing
 _SAMPLE_Z = np.exp(2j * np.pi * np.arange(SAMPLES) / SAMPLES)
 _SAMPLE_DFT = np.conj(_SAMPLE_Z)[:, None] ** SUPPORT / SAMPLES
-# the third roots of unity, cos and sin beta there, and their inverse 3x3 DFT
-_THIRD_ROOTS = np.exp(2j * np.pi * np.arange(3.0) / 3)
-_THIRD_COS = (_THIRD_ROOTS + 1 / _THIRD_ROOTS) / 2
-_THIRD_SIN = (_THIRD_ROOTS - 1 / _THIRD_ROOTS) / 2j
-_THIRD_INVERSE = np.conj(_THIRD_ROOTS[None, :] ** np.arange(3)[:, None]) / 3
 
 
 def horner(coeffs, x):
@@ -124,16 +120,23 @@ class UnsquaredPair:
     any precision.
     """
 
-    __slots__ = ("frame", "ca", "sa", "ex", "ey", "px2", "py2", "o1x", "o1y",
-                 "a1x", "a1y", "k1", "k2", "k3", "kl")
+    __slots__ = ("frame", "ca", "sa", "d2", "o1x", "o1y", "a1x", "a1y", "k1",
+                 "k2", "k3", "kl", "w", "e", "p", "o1", "a1")
 
     def __init__(self, params: MechanismParams):
         self.frame = pose_frame(params, params.point_e)
-        self.ca, self.sa, self.ex, self.ey, self.px2, self.py2, _ = self.frame
+        self.ca, self.sa, ex, ey, px2, py2, self.d2 = self.frame
         self.o1x, self.o1y = params.base_origin.x, params.base_origin.y
         self.a1x, self.a1y = params.a1_fixed.x, params.a1_fixed.y
         self.k1, self.k2, self.k3 = params.stiffness
         self.kl = self.k1 * params.free_lengths[0]
+        # in complex coordinates: w = exp(i alpha) along the surface, point
+        # E, the pin P in the top frame, O1 and A1
+        self.w = complex(self.ca, self.sa)
+        self.e = complex(ex, ey)
+        self.p = complex(px2, py2)
+        self.o1 = complex(self.o1x, self.o1y)
+        self.a1 = complex(self.a1x, self.a1y)
 
     def terms(self, length, cos_beta, sin_beta):
         """(A, B, C, D, L1^2) at one sample."""
@@ -161,16 +164,51 @@ class UnsquaredPair:
     def foot(self) -> float:
         """L of the pin position closest to O1, the origin that balances
         the coefficients of polynomials in L."""
-        return (self.o1x - self.ex) * self.ca + (self.o1y - self.ey) * self.sa
+        return ((self.o1 - self.e) * self.w.conjugate()).real
 
     def tensors(self, origin=0.0) -> np.ndarray:
         """Coefficients t[k, i, j] of (L - origin)^i z^j in z T_k, for
         T = (A, B, C, D, L1^2) and z = exp(i beta), all of degree <= 2 in
-        both: the inverse discrete transform of their values on a grid of
-        third roots of unity."""
-        values = np.array(self.terms(origin + _THIRD_ROOTS[:, None],
-                                     _THIRD_COS, _THIRD_SIN))
-        return _THIRD_INVERSE @ (values * _THIRD_ROOTS) @ _THIRD_INVERSE.T
+        both, in closed form.
+
+        In complex coordinates, with E moved along the surface to L =
+        origin, the spring vectors O1->O2, O1->A2 and A1->A2 are X = c + w
+        (L - origin) + n z and the arms P->O1, P->A1 are r = c' - w (L -
+        origin). A spring's force along the surface is k (X w* + X* w) / 2
+        and its moment about P k (r* X - r X*) / 2i, with * the conjugate
+        continued to complex L and beta; L1^2 = X1 X1*."""
+        w = self.w
+        e = self.e + origin * w
+        to_o2, to_a2 = w * self.p, w * (self.p - self.d2)  # from P at z = 1
+        springs = ((e - self.o1, w, to_o2), (e - self.o1, w, to_a2),
+                   (e - self.a1, w, to_a2))
+        arms = ((self.o1 - e, -w, 0j),) * 2 + ((self.a1 - e, -w, 0j),)
+        along = (w, 0j, 0j)
+        force = [[(xw + wx) / 2 for xw, wx in zip(_z_product(x, along),
+                                                  _z_product(along, x))]
+                 for x in springs]
+        moment = [[(xr - rx) / 2j for xr, rx in zip(_z_product(x, r),
+                                                    _z_product(r, x))]
+                  for x, r in zip(springs, arms)]
+        k1, k2, k3, kl = self.k1, self.k2, self.k3, self.kl
+        return np.array([
+            [k1 * f1 + k2 * f2 + k3 * f3 for f1, f2, f3 in zip(*force)],
+            [kl * f1 for f1 in force[0]],
+            [k1 * m1 + k2 * m2 + k3 * m3 for m1, m2, m3 in zip(*moment)],
+            [kl * m1 for m1 in moment[0]],
+            _z_product(springs[0], springs[0])]).reshape(5, 3, 3)
+
+
+def _z_product(x, y) -> tuple:
+    """Coefficients of L^i z^j, i and j < 3 in row-major order, in z X Y*
+    for the points X = c + m L + n z and Y = d + e L + f z given as (c, m,
+    n) and (d, e, f), where Y* = conj(d) + conj(e) L + conj(f) / z is the
+    conjugate of Y continued to complex L and beta."""
+    c, m, n = x
+    d, e, f = y[0].conjugate(), y[1].conjugate(), y[2].conjugate()
+    return (c * f, c * d + n * f, n * d,
+            m * f, c * e + m * d, n * e,
+            0j, m * e, 0j)
 
 
 def _in_length(tensors, z):
@@ -233,9 +271,7 @@ def _known_points(pair: UnsquaredPair, tensors):
     conjugates continued to complex beta, O2 - O1 = d + L w + w z p and its
     conjugate both vanish at the first; A - (k1 + k2 + k3) B / (k1 L01)
     does not depend on L and vanishes at the others."""
-    w = complex(pair.ca, pair.sa)
-    d = complex(pair.ex - pair.o1x, pair.ey - pair.o1y)
-    p = complex(pair.px2, pair.py2)
+    w, d, p = pair.w, pair.e - pair.o1, pair.p
     if p == 0:
         raise DegenerateQuartic("the pin is at the top-frame origin: O2 does "
                                 "not turn with beta, so the eliminants in z "
@@ -268,24 +304,38 @@ def _deflate(coeffs, known):
 
 def newton(pair, tensors, origin, u, z, s, sign):
     """Newton's method on z (A s - B), z (C s - sign D) and z (s^2 - L1^2)
-    in (u, z, s), L = origin + u, run on a stack of starts. It stops at the
-    first point where every step it computes is at most STEP_TOL relative,
-    without taking that step, or at the point NEWTON_STEPS steps reach,
-    and returns that point with the pair's terms there, (A, B, C, D, L1^2)
-    as UnsquaredPair.terms gives them. The residuals are the exact pose
-    forms; the Jacobian comes from the tensors."""
+    in (u, z, s), L = origin + u, run on a stack of starts. Each step
+    applies the inverse of the Jacobian at its point. From the next point
+    the same inverse gives the simplified-Newton correction J(x_k)^-1
+    F(x_k+1) (Deuflhard, Newton Methods for Nonlinear Problems, 2004); the
+    iteration stops there when every correction is at most STEP_TOL
+    relative, without taking it, and forms a new Jacobian only when one is
+    larger. It also stops where every step is that small, or at the point
+    NEWTON_STEPS steps reach, and returns that point with the pair's terms
+    there, (A, B, C, D, L1^2) as UnsquaredPair.terms gives them. The
+    residuals are the exact pose forms; the Jacobian comes from the
+    tensors. A start with an exactly singular Jacobian raises
+    MechanismError."""
     powers = np.arange(3)
     # the tensors of z T, d(z T)/du and d(z T)/dz in the powers of u and z
     derived = np.zeros((3,) + tensors.shape, dtype=tensors.dtype)
     derived[0] = tensors
     derived[1, :, :2] = tensors[:, 1:] * powers[1:, None]
     derived[2, :, :, :2] = tensors[:, :, 1:] * powers[1:]
+
+    def converged(step):
+        return np.all(np.abs(step) <= STEP_TOL * (1 + np.abs(
+            np.array([u, z, s]).T)))
+
     terms = pair.terms(origin + u, (z + 1 / z) / 2, (z - 1 / z) / 2j)
+    inverse = None
     for _ in range(NEWTON_STEPS):
         a, b, c, d, l1_sq = terms
         d = sign * d
         residual = np.array([z * (a * s - b), z * (c * s - d),
-                             z * (s * s - l1_sq)]).T
+                             z * (s * s - l1_sq)]).T[..., None]
+        if inverse is not None and converged((inverse @ residual)[..., 0]):
+            break
         parts = np.einsum("pkij,ni,nj->pkn", derived, u[:, None] ** powers,
                           z[:, None] ** powers)
         parts[:, 3] *= sign
@@ -293,9 +343,13 @@ def newton(pair, tensors, origin, u, z, s, sign):
         jacobian = np.array([au * s - bu, az * s - bz, za,
                              cu * s - du, cz * s - dz, zc,
                              -lu, s * s - lz, 2 * z * s]).T.reshape(-1, 3, 3)
-        step = np.linalg.solve(jacobian, residual[..., None])[..., 0]
-        if np.all(np.abs(step) <= STEP_TOL * (1 + np.abs(
-                np.array([u, z, s]).T))):
+        try:
+            inverse = np.linalg.inv(jacobian)
+        except np.linalg.LinAlgError:
+            raise MechanismError(
+                "a Newton start has a singular Jacobian") from None
+        step = (inverse @ residual)[..., 0]
+        if converged(step):
             break
         u, z, s = u - step[:, 0], z - step[:, 1], s - step[:, 2]
         terms = pair.terms(origin + u, (z + 1 / z) / 2, (z - 1 / z) / 2j)

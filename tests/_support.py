@@ -129,6 +129,22 @@ def squared(a, b, l1_sq, z):
     return out
 
 
+# the third roots of unity and their inverse 3x3 discrete transform
+THIRD_ROOTS = np.exp(2j * np.pi * np.arange(3.0) / 3)
+THIRD_INVERSE = np.conj(THIRD_ROOTS[None, :] ** np.arange(3)[:, None]) / 3
+
+
+def sampled_tensors(pair, origin=0.0):
+    """UnsquaredPair.tensors by interpolation, the reference for its closed
+    form: z T from UnsquaredPair.terms on the grid L = origin + w, z = w'
+    of third roots of unity w and w', and the inverse discrete transform
+    of those values, exact for degree <= 2 in both."""
+    z = THIRD_ROOTS
+    values = np.array(pair.terms(origin + THIRD_ROOTS[:, None],
+                                 (z + 1 / z) / 2, (z - 1 / z) / 2j))
+    return THIRD_INVERSE @ (values * z) @ THIRD_INVERSE.T
+
+
 def squared_pair(tensors, z):
     """The paper's squared pair z^3 (A^2 L1^2 - B^2), z^3 (C^2 L1^2 - D^2)
     at the z values, as coefficients in L, from UnsquaredPair tensors."""

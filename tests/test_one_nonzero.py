@@ -14,8 +14,9 @@ import pytest
 from numpy.polynomial import polynomial as P
 
 from _support import (nearest_match, product, random_params,
-                      reference_params, squared, squared_pair, sylvester,
-                      tan_half_degree, tan_half_eliminant)
+                      reference_params, sampled_tensors, squared,
+                      squared_pair, sylvester, tan_half_degree,
+                      tan_half_eliminant)
 
 from spring_platform import (DegenerateQuartic, MechanismError, Point2,
                              RunConfig, UnsupportedFreeLengthPattern,
@@ -790,3 +791,54 @@ def test_newton_returns_its_last_evaluation(monkeypatch, params_zero,
         point = np.stack([u, z, s], axis=-1)
         assert np.all(np.abs(step) <= solver.STEP_TOL
                       * (1 + np.abs(point)))
+
+
+def test_newton_singular_jacobian_is_a_mechanism_error(params_zero):
+    # with B = D = 0 a start at s = 0 has the Jacobian rows (0, 0, z A) and
+    # (0, 0, z C), exactly singular beside a regular start: the solve's
+    # MechanismError, not numpy's LinAlgError
+    pair = UnsquaredPair(params_zero)
+    origin = pair.foot()
+    u, z, s = (np.array(values, dtype=complex)
+               for values in ([0.5, 1.0], [1.0, 1j], [1.0, 0.0]))
+    with pytest.raises(MechanismError, match="singular Jacobian"):
+        solver.newton(pair, pair.tensors(origin), origin, u, z, s, 1.0)
+
+
+def test_tensors_match_the_sampled_interpolation(params_zero, params_one):
+    # the closed form against UnsquaredPair.terms interpolated on a 3x3 grid
+    # of third roots of unity, to 1e-14 of each tensor's largest entry, with
+    # L measured from 0 and from the foot point
+    for params in [params_zero, params_one] + corpus(2026, 10):
+        pair = UnsquaredPair(params)
+        for origin in (0.0, pair.foot()):
+            got, want = pair.tensors(origin), sampled_tensors(pair, origin)
+            largest = np.max(np.abs(want), axis=(1, 2), keepdims=True)
+            assert np.all(np.abs(got - want) <= 1e-14 * largest)
+
+
+# the points of MechanismParams: with the free lengths, every length
+POINTS = ("surface_point", "a1_in_base", "a2_in_top", "p_in_top",
+          "base_origin")
+
+
+@pytest.mark.parametrize("k", [-12, -8, 6, 10, 13])
+def test_solve_does_not_depend_on_the_unit_of_length(k):
+    # both committed configs with every length times 10^k accept their 4 and
+    # 10 roots. Up to k = 6 two of each are real and no root is lost; above
+    # that the absolute REAL_IMAG_TOL no longer marks them real
+    root = Path(__file__).resolve().parent.parent / "configs"
+    factor = 10.0 ** k
+    for name, count in (("all_zero_free_lengths", 4),
+                        ("one_nonzero_free_length", 10)):
+        params = load_config(root / f"{name}.json").params
+        scaled = dataclasses.replace(params, **{
+            point: factor * getattr(params, point) for point in POINTS},
+            free_lengths=tuple(factor * l0 for l0 in params.free_lengths))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            accepted = [s for s in solve_equilibria(scaled) if s.accepted]
+        assert len(accepted) == count
+        if k <= 6:
+            assert sum(s.is_real for s in accepted) == 2
+            assert not [w for w in caught if w.category is LostRoots]

@@ -49,14 +49,24 @@ def _quoted_note_report():
 
 def _pin_at_anchor_report():
     # a degenerate one-nonzero mechanism whose rows include the notes
-    # "repeated root" and "refinement not converged"
+    # "other branch" and "refinement not converged"
     params = reference_params(l01=1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", LostRoots)
         report = run_analysis(RunConfig(params=dataclasses.replace(
             params, p_in_top=params.a2_in_top)))
     notes = {s.note for s in report.solutions}
-    assert {"repeated root", "refinement not converged"} <= notes
+    assert {"other branch", "refinement not converged"} <= notes
+    return report
+
+
+def _repeated_root_report():
+    # the reference at L01 = 1e-8, where two starts converge onto one
+    # accepted root: a row with the note "repeated root"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", LostRoots)
+        report = run_analysis(RunConfig(params=reference_params(l01=1e-8)))
+    assert "repeated root" in {s.note for s in report.solutions}
     return report
 
 
@@ -107,6 +117,7 @@ TABLE_REPORTS = {
     "no-finite-beta": _balanced_pin_report,
     "quoted-note": _quoted_note_report,
     "pin-at-anchor": _pin_at_anchor_report,
+    "repeated-root": _repeated_root_report,
     "non-finite-margin": _non_finite_margin_report,
 }
 for _k in range(5):

@@ -291,23 +291,60 @@ def test_balanced_pin_has_no_finite_beta_roots(params_zero):
         assert s.note == "no finite beta"
     finite = [s for s in solutions if cmath.isfinite(s.beta)]
     assert all(s.accepted and s.rel_residual <= 1e-8 for s in finite)
-    # a surface point far out on both axes leaves one coefficient of the
-    # quartic above the cutoff: its four roots have no finite beta
+    # a surface point far out on both axes: at 80 digits the quartic's
+    # coefficients are about [1e-24, 1, 0, 1, 1e-24] of the largest, so
+    # the end ones fall below the cutoff and two roots have no finite
+    # beta. None of the four is accepted
     far = dataclasses.replace(params_zero, surface_point=Point2(1e24, 1e24))
+    size = _quartic_magnitudes(far)
+    kept = [k for k, c in enumerate(size) if c > TRIM_RELATIVE * max(size)]
+    assert kept == [1, 3]
     solutions = solve_equilibria(far)
-    assert [s.note for s in solutions] == ["no finite beta"] * 4
-    assert not any(s.accepted or cmath.isfinite(s.beta) for s in solutions)
+    infinite = [s for s in solutions if not cmath.isfinite(s.beta)]
+    assert len(solutions) == 4 and len(infinite) == 4 - len(kept)
+    assert all(s.note == "no finite beta" for s in infinite)
+    assert not any(s.accepted for s in solutions)
+
+
+def _quartic_magnitudes(params) -> list[float]:
+    """|z^k| of the quartic a0 c1 - a1 c0 over the largest, at 80 digits:
+    the rows z A and z C interpolated from UnsquaredPair.terms at the third
+    roots of unity in mpmath, as tests/_support.sampled_tensors does in
+    doubles."""
+    pair = UnsquaredPair(params)
+    with mpmath.workdps(80):
+        roots = np.array(mpmath.unitroots(3), dtype=object)
+        values = np.array(pair.terms(
+            pair.foot() + roots[:, None], (roots + 1 / roots) / 2,
+            (roots - 1 / roots) / mpmath.mpc(0, 2)))
+        inverse = np.array([[mpmath.conj(r ** k) / 3 for r in roots]
+                            for k in range(3)], dtype=object)
+        tensors = inverse @ (values * roots) @ inverse.T
+        (a0, a1), (c0, c1) = tensors[0, :2], tensors[2, :2]
+        quartic = [abs(sum(a0[i] * c1[k - i] - a1[i] * c0[k - i]
+                           for i in range(3) if 0 <= k - i < 3))
+                   for k in range(5)]
+        return [float(c / max(quartic)) for c in quartic]
 
 
 @pytest.mark.parametrize("shift", [1e-6, -1e-6, 2e-6])
 def test_rejected_quartic_roots_are_named(params_zero, shift):
-    # just off the balanced pin z^0 and z^4 are kept just above the cutoff:
-    # two roots lie near z = 0 and z = oo and do not refine to the
-    # acceptance level. Each rejected row with a finite beta names its kind
+    # just off the balanced pin z^0 and z^4 are kept just above the cutoff,
+    # and two roots lie near z = 0 and z = oo (|Im beta| about 26). That far
+    # pair is accepted to 1e-8 and is exactly conjugate, so every row is
+    # accepted
     solutions = solve_equilibria(balanced_pin_params(params_zero, shift))
-    rejected = [s for s in solutions
-                if not s.accepted and cmath.isfinite(s.beta)]
-    assert rejected
+    assert len(solutions) == 4 and all(s.accepted for s in solutions)
+    far = [s for s in solutions if abs(s.beta.imag) > 20]
+    assert len(far) == 2 and all(s.rel_residual <= 1e-8 for s in far)
+    assert far[0].beta == far[1].beta.conjugate()
+    assert far[0].length == far[1].length.conjugate()
+    # with the surface point far out on both axes two roots with a finite
+    # beta are rejected: each such row names its kind
+    rejected = [s for s in solve_equilibria(dataclasses.replace(
+        params_zero, surface_point=Point2(1e24, 1e24)))
+        if not s.accepted and cmath.isfinite(s.beta)]
+    assert len(rejected) == 2
     assert all(s.note == "refinement not converged" for s in rejected)
 
 

@@ -26,11 +26,14 @@ MATCH_REL_TOL relative, since a change of rounding moves every residual
 and a byte diff then shows nothing. For the same reason it compares, per
 solve, the count of rows of each class (accepted, real, note), which
 shows a row that changed its class. It prints the accepted and error counts
-of each set in both dumps, every unmatched root, every solve whose class
-counts changed, every solve that fails in one dump only and the worst
-matched gap, and exits 1 when an accepted root of the first dump has no
-match in the second, a solve's class counts changed or a solve fails in
-one dump only.
+of each set in both dumps, every unmatched root with the other dump's row
+at its point (its note and rel_residual) or the word that there is none,
+every solve whose class counts changed, every solve that fails in one dump
+only and the worst matched gap. An accepted root of the first dump with no
+match in the second is "reclassified" when the second has a row at its
+point and "lost" when it has none; the two are counted apart. It exits 1
+when such a root exists, a solve's class counts changed or a solve fails
+in one dump only.
 
 ``--digests`` prints the report files instead of the rows. It writes the
 solves of each set in order into one temporary directory per set, as the
@@ -87,8 +90,9 @@ MATCH_REL_TOL = 1e-8         # on |d beta| + |d L| over 1 + |beta| + |L|
 
 _SOLVE = re.compile(r"# (\S+) (\d+)$")
 _ERROR = re.compile(r"# error (\S+) (\d+) (.*)$")
-_ROW = re.compile(r"beta=([^,]+), length=([^,]+),.* is_real=(True|False), "
-                  r"accepted=(True|False),.* note=(.*)\)$")
+_ROW = re.compile(r"beta=([^,]+), length=([^,]+),.* rel_residual=([^,]+), "
+                  r"is_real=(True|False), accepted=(True|False),.* "
+                  r"note=(.*)\)$")
 
 
 def seed_777_mechanisms(count: int):
@@ -141,9 +145,9 @@ def analyses(name: str, configs, caught: Counter):
 
 
 def read_dump(path) -> tuple[dict, dict, dict]:
-    """Accepted (beta, L) of every solve of a dump, its count of rows per
-    (accepted, real, note), and the error of every failed solve, all keyed
-    by (set, index)."""
+    """Every row of every solve of a dump as (beta, L, accepted,
+    rel_residual, note), its count of rows per (accepted, real, note), and
+    the error of every failed solve, all keyed by (set, index)."""
     solves: dict = {}
     classes: dict = {}
     errors: dict = {}
@@ -154,11 +158,30 @@ def read_dump(path) -> tuple[dict, dict, dict]:
             key = (header[1], int(header[2]))
             solves[key], classes[key] = [], Counter()
         elif row := _ROW.search(line):
-            classes[key][row[4] == "True", row[3] == "True",
-                         ast.literal_eval(row[5])] += 1
-            if row[4] == "True":
-                solves[key].append((complex(row[1]), complex(row[2])))
+            accepted, note = row[5] == "True", ast.literal_eval(row[6])
+            classes[key][accepted, row[4] == "True", note] += 1
+            solves[key].append((complex(row[1]), complex(row[2]), accepted,
+                                float(row[3]), note))
     return solves, classes, errors
+
+
+def _gap(beta, length, row) -> float:
+    """Distance from (beta, L) to a row's point, relative to its size."""
+    return ((abs(beta - row[0]) + abs(length - row[1]))
+            / (1 + abs(beta) + abs(length)))
+
+
+def _row_at(rows, beta, length):
+    """The row of rows nearest to (beta, L) within MATCH_REL_TOL, or None."""
+    near = [row for row in rows if _gap(beta, length, row) <= MATCH_REL_TOL]
+    return min(near, key=lambda row: _gap(beta, length, row), default=None)
+
+
+def _describe(row, side: str) -> str:
+    if row is None:
+        return f"no row in {side}"
+    return (f"{side}: accepted={row[2]}, note={row[4]!r}, "
+            f"rel_residual={row[3]:.2e}")
 
 
 def compare(before_path, after_path) -> int:
@@ -167,8 +190,9 @@ def compare(before_path, after_path) -> int:
         read_dump(before_path), read_dump(after_path))
     for name in dict.fromkeys(name for name, _ in (
             before | after | before_errors | after_errors)):
-        counts = [sum(len(points) for (set_name, _), points in dump.items()
-                      if set_name == name) for dump in (before, after)]
+        counts = [sum(row[2] for (set_name, _), rows in dump.items()
+                      if set_name == name for row in rows)
+                  for dump in (before, after)]
         failed = [sum(set_name == name for set_name, _ in errors)
                   for errors in (before_errors, after_errors)]
         print(f"# {name}: {counts[0]} accepted before, {counts[1]} after; "
@@ -178,22 +202,24 @@ def compare(before_path, after_path) -> int:
         side, error = (("before", before_errors[key]) if key in before_errors
                        else ("after", after_errors[key]))
         print(f"fails in {side} only: {key[0]} {key[1]} {error}")
-    missing = worst = 0
+    reclassified = lost = worst = 0
     for key in sorted((before.keys() | after.keys()) - one_sided):
-        unmatched = list(after.get(key, []))
-        for beta, length in before.get(key, []):
-            gaps = [(abs(beta - b) + abs(length - l))
-                    / (1 + abs(beta) + abs(length)) for b, l in unmatched]
-            best = min(range(len(gaps)), key=gaps.__getitem__, default=None)
-            if best is not None and gaps[best] <= MATCH_REL_TOL:
-                worst = max(worst, gaps[best])
-                del unmatched[best]
-            else:
-                missing += 1
-                print(f"missing in after: {key[0]} {key[1]} beta={beta} "
-                      f"L={length}")
-        for beta, length in unmatched:
-            print(f"new in after: {key[0]} {key[1]} beta={beta} L={length}")
+        old, new = before.get(key, []), after.get(key, [])
+        unmatched = [row for row in new if row[2]]
+        for beta, length, *_ in (row for row in old if row[2]):
+            match = _row_at(unmatched, beta, length)
+            if match is not None:
+                worst = max(worst, _gap(beta, length, match))
+                unmatched.remove(match)
+                continue
+            row = _row_at(new, beta, length)
+            reclassified += row is not None
+            lost += row is None
+            print(f"missing in after: {key[0]} {key[1]} beta={beta} "
+                  f"L={length}; {_describe(row, 'after')}")
+        for beta, length, *_ in unmatched:
+            print(f"new in after: {key[0]} {key[1]} beta={beta} L={length}; "
+                  f"{_describe(_row_at(old, beta, length), 'before')}")
     changed = 0
     for key in sorted((before_classes.keys() | after_classes.keys())
                       - one_sided):
@@ -202,9 +228,11 @@ def compare(before_path, after_path) -> int:
             changed += 1
             print(f"classes changed: {key[0]} {key[1]} "
                   f"before {_classes(old)} after {_classes(new)}")
-    print(f"# worst matched gap {worst:.2e}, {missing} missing, "
-          f"{changed} solves with changed row classes, {len(one_sided)} "
-          "solves failing in one dump only")
+    missing = reclassified + lost
+    print(f"# worst matched gap {worst:.2e}, {missing} missing "
+          f"({reclassified} reclassified, {lost} lost), {changed} solves "
+          f"with changed row classes, {len(one_sided)} solves failing in one "
+          "dump only")
     return 1 if missing or changed or one_sided else 0
 
 
