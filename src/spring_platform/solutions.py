@@ -39,9 +39,10 @@ class EquilibriumSolution(NamedTuple):
 
 
 def mark_real(beta, length):
-    """Whether (beta, L) is real to REAL_IMAG_TOL, elementwise."""
-    return ((np.abs(np.imag(beta)) <= REAL_IMAG_TOL)
-            & (np.abs(np.imag(length)) <= REAL_IMAG_TOL))
+    """Whether (beta, L) is real, elementwise: |Im beta| <= REAL_IMAG_TOL
+    and, whatever the unit of length, |Im L| <= REAL_IMAG_TOL (1 + |L|)."""
+    return ((np.abs(np.imag(beta)) <= REAL_IMAG_TOL) & (
+        np.abs(np.imag(length)) <= REAL_IMAG_TOL * (1 + np.abs(length))))
 
 
 def pair_conjugate_points(beta: np.ndarray, length: np.ndarray,

@@ -17,12 +17,13 @@ sampled in the product form g2^4 F(r1) F(r2) over the roots r of G, is a
 polynomial in z whose roots are the equilibria with one sign of s in both
 equations; G with A D + B C gives the mixed-sign roots, which squaring the
 pair also admits. Both eliminants carry two point pairs known in closed
-form as double roots, O2 = O1 and A = B = 0, which are divided out; the
-roots of both quotients come from one eigvals call on their stacked
-companion matrices (as below), and each is refined by Newton's method on
-the exact 3x3 system in (L, z, s). Each stage works on all roots at once,
-down to the classification: Newton's last evaluation of the pair gives
-every residual, the spring model's A - B / L1 and C - D / L1 included.
+form as double roots, O2 = O1 and A = B = 0, divided out at the samples,
+which are turned away from them, before the transform; the roots of both
+quotients come from one eigvals call on their stacked companion matrices
+(as below), and each is refined by Newton's method on the exact 3x3
+system in (L, z, s). Each stage works on all roots at once, down to the
+classification: Newton's last evaluation of the pair gives every
+residual, the spring model's A - B / L1 and C - D / L1 included.
 
 The paper squares the pair instead and eliminates over the tan-half
 variable; its degree-48 eliminant has the same roots plus the O2 = O1
@@ -63,7 +64,7 @@ from .solutions import EquilibriumSolution, ledger, mark_real
 RESIDUAL_REL_TOL = 1e-8      # acceptance level of the all-zero case
 ACCEPT_REL_TOL = 1e-6        # acceptance level of the one-nonzero case
 SAMPLES = 32                 # unit-circle samples of the z eliminants
-SUPPORT = np.arange(3, 26)   # their structural support, z^3 .. z^25
+TURNS = 5                    # turns of them, 1 / TURNS of a spacing apart
 NEWTON_STEPS = 20            # at most; near-double roots converge slowly
 STEP_TOL = 1e-12             # relative Newton step that ends the iteration
 POLE_ROWS = 6                # tan-half pole roots at z = 0, and at infinity
@@ -71,10 +72,14 @@ COINCIDENT_MULTIPLICITY = 4  # of each O2 = O1 point in the degree-48 eliminant
 SAME_SIGN_ROOTS = 14         # of a generic mechanism, on either branch of L1
 TRIM_RELATIVE = 1e-13        # end-coefficient cutoff, relative to the largest
 
-# the eliminants have degree at most 2 * 6 + 4 * 4 = 28 in z (F's rows have
-# degree 6, G's 4), below SAMPLES, so their transform aliases nothing
-_SAMPLE_Z = np.exp(2j * np.pi * np.arange(SAMPLES) / SAMPLES)
-_SAMPLE_DFT = np.conj(_SAMPLE_Z)[:, None] ** SUPPORT / SAMPLES
+# the eliminants E = z^3 f Q have degree at most 2 * 6 + 4 * 4 = 28 in z
+# and the known factor f degree 8, so the transform of the samples of z^3 Q,
+# of degree 17 < SAMPLES, aliases nothing. Turned by w, the samples are
+# w z_k and the transform's column of z^j carries the factor w^-j
+_QUOTIENT = np.arange(3, 18)
+_TURNED_Z = np.exp(2j * np.pi * (np.arange(TURNS)[:, None] + TURNS
+                                 * np.arange(SAMPLES)) / (TURNS * SAMPLES))
+_TURNED_DFT = np.conj(_TURNED_Z)[..., None] ** _QUOTIENT / SAMPLES
 
 
 def horner(coeffs, x):
@@ -234,12 +239,19 @@ def _mixed(a, b, c, d, kl, sign):
     return (product(a, d) - sign * product(b, c)) / kl
 
 
-def _eliminants(tensors, kl, signs):
-    """Coefficients in z of the Sylvester eliminant of (F, G) for each sign
-    of G: its samples on the unit circle, transformed and cut to the
-    structural support. The end coefficients can sit many decades below
-    the largest one, so no magnitude threshold decides the degree."""
-    return _resultant_samples(tensors, kl, signs, _SAMPLE_Z) @ _SAMPLE_DFT
+def _quotients(tensors, kl, signs, known):
+    """Coefficient rows of Q, z^0 .. z^14, for each sign of G, where the
+    eliminant of (F, G) is E = z^3 f Q and f the product of (z - r)^2 over
+    the known double roots r: E / f at the samples, transformed, at the
+    turn where min |f| / max |f| over them is largest. In angle a root lies
+    within a tenth of a spacing of a sample at one turn at most, so with
+    four roots some turn keeps that distance from all. Dividing the roots
+    out keeps the roots beside them well conditioned, which picking the
+    computed roots nearest to r does not."""
+    factor = np.prod(_TURNED_Z - known[:, None, None], axis=0) ** 2
+    turn = np.argmax(np.abs(factor).min(1) / np.abs(factor).max(1))
+    samples = _resultant_samples(tensors, kl, signs, _TURNED_Z[turn])
+    return samples / factor[turn] @ _TURNED_DFT[turn]
 
 
 def _resultant_samples(tensors, kl, signs, z):
@@ -282,24 +294,6 @@ def _known_points(pair: UnsquaredPair, tensors):
         tensors[0, 0] - stiffness / pair.kl * tensors[1, 0]])
     z = np.array(_quadratic_roots(*quadratics.T)).T.ravel()
     return z, -w.conjugate() * d - z[:2] * p
-
-
-def _deflate(coeffs, known):
-    """Coefficient rows divided by the product of (z - r)^2 over the known
-    double roots r: the least-squares quotient, solved by Householder QR
-    of the Toeplitz matrix that multiplies by that monic factor (full
-    column rank, so R is invertible) and one solve of R q = Q^H c. Dividing
-    the roots out exactly keeps the roots beside them well conditioned,
-    which picking the computed roots nearest to r does not."""
-    factor = np.ones(1, dtype=complex)
-    for value in known:
-        factor = np.convolve(factor, [value * value, -2 * value, 1])
-    width = coeffs.shape[-1] - len(factor) + 1
-    product = np.zeros((coeffs.shape[-1], width), dtype=complex)
-    for shift in range(width):
-        product[shift:shift + len(factor), shift] = factor
-    q, r = np.linalg.qr(product)
-    return np.linalg.solve(r, q.conj().T @ coeffs.T).T
 
 
 def newton(pair, tensors, origin, u, z, s, sign):
@@ -356,15 +350,18 @@ def newton(pair, tensors, origin, u, z, s, sign):
     return u, z, s, terms
 
 
-def _classify(length, z, s, terms, same_sign) -> dict:
+def _classify(tensors, origin, u, z, s, terms, same_sign) -> dict:
     """Ledger columns, keyed by EquilibriumSolution field, of the refined
-    roots (L, z, s), from the pair's terms there, as newton returns them.
+    roots (origin + u, z, s), from the pair's terms there, as newton
+    returns them.
 
     A root is accepted when the unsquared pair holds with the principal
     L1 to ACCEPT_REL_TOL (scale-normalized); a rejected same-sign root lies
-    on the other branch when the pair holds with its own s. The force and
-    moment residuals A - B / L1 and C - D / L1 are those of the spring
-    model, infinite where the first spring has no length.
+    on the other branch when the pair holds with its own s and z (s^2 -
+    L1^2) vanishes to STEP_TOL of its tensor terms' magnitudes and |z s^2|
+    (near z = 0, A and B grow like 1/z and the pair holds with a wrong s).
+    The force and moment residuals A - B / L1 and C - D / L1 are those of
+    the spring model, infinite where the first spring has no length.
     """
     a, b, c, d, l1_sq = terms
     l1 = np.sqrt(l1_sq)
@@ -382,7 +379,7 @@ def _classify(length, z, s, terms, same_sign) -> dict:
     spring = np.abs(l1) >= TOL_ZERO_LENGTH
     force = np.where(spring, np.abs(a - b / l1), math.inf)
     moment = np.where(spring, np.abs(c - d / l1), math.inf)
-    beta, length, real = _pose_columns(z, length)
+    beta, length, real = _pose_columns(z, origin + u)
     # where the structure degenerates (a pin at an anchor, say), two
     # starts can converge onto one equilibrium; it is accepted once
     accepted = rel <= ACCEPT_REL_TOL
@@ -391,9 +388,12 @@ def _classify(length, z, s, terms, same_sign) -> dict:
     repeated[accepted] = np.any(np.tril(
         np.abs(b[:, None] - b) + np.abs(l[:, None] - l)
         <= 1e-8 * (1 + np.abs(b) + np.abs(l))[:, None], -1), axis=1)
+    branch = np.abs(z * (s * s - l1_sq)) <= STEP_TOL * (np.einsum(
+        "ij,ni,nj->n", np.abs(tensors[4]), np.abs(u)[:, None] ** np.arange(3),
+        np.abs(z)[:, None] ** np.arange(3)) + np.abs(z * s * s))
     note = np.where(accepted, np.where(repeated, "repeated root", ""),
                     np.where(~same_sign, "mixed sign", np.where(
-                        own <= ACCEPT_REL_TOL, "other branch",
+                        (own <= ACCEPT_REL_TOL) & branch, "other branch",
                         "refinement not converged")))
     return dict(
         beta=beta, length=length, residual_force=force,
@@ -548,8 +548,7 @@ def _solve_one(pair, origin, tensors) -> list[EquilibriumSolution]:
     converged."""
     signs = np.array([1.0, -1.0])
     known_z, coincident_length = _known_points(pair, tensors)
-    roots = _companion_roots(_deflate(
-        _finite(_eliminants(tensors, pair.kl, signs)), known_z))
+    roots = _companion_roots(_quotients(tensors, pair.kl, signs, known_z))
 
     # per root: of the two roots L of G the one where
     # F = (z A)^2 (z L1^2) - z (z B)^2 is smaller, and s = B / A there
@@ -566,7 +565,7 @@ def _solve_one(pair, origin, tensors) -> list[EquilibriumSolution]:
                             b[pick] / a[pick], sign)
 
     same_sign = sign > 0
-    columns = _classify(origin + u, z, s, terms, same_sign)
+    columns = _classify(tensors, origin, u, z, s, terms, same_sign)
     converged = np.count_nonzero(same_sign & (
         columns["accepted"] | (columns["note"] == "other branch")))
     if converged < SAME_SIGN_ROOTS:

@@ -2,6 +2,7 @@ import cmath
 import dataclasses
 import math
 import os
+import runpy
 import subprocess
 import sys
 import warnings
@@ -500,21 +501,32 @@ def test_seeded_corpus_real_equilibria():
             abs(f) * (a - pose.p).norm() for f, a in zip(forces, arms))
 
 
+def _eliminant_coefficients(tensors, kl, signs):
+    """Coefficients z^3 .. z^25 of both eliminants: the transform of their
+    samples on the unturned 32-point circle."""
+    samples = solver._resultant_samples(tensors, kl, signs,
+                                        solver._TURNED_Z[0])
+    return (np.fft.fft(samples, axis=-1) / solver.SAMPLES)[:, 3:26]
+
+
 def test_eliminant_samples_do_not_alias(params_one):
-    # the z eliminants have degree at most 28: a 64-point FFT of their
-    # samples has nothing above z^28, and its structural support
-    # z^3..z^25 is what the 32-point transform gives
+    # the eliminants divided by the known factor f are z^3 Q, of degree
+    # 17: a 64-point FFT of their quotient samples has nothing outside
+    # z^3..z^17, and there it is what the turned 32-point transform gives
     signs = np.array([1.0, -1.0])
     z = np.exp(2j * np.pi * np.arange(64) / 64)
     for params in [params_one] + corpus(2026, 5):
         pair = UnsquaredPair(params)
         tensors = pair.tensors(pair.foot())
-        support = solver._eliminants(tensors, pair.kl, signs)
+        known, _ = solver._known_points(pair, tensors)
+        quotients = solver._quotients(tensors, pair.kl, signs, known)
+        factor = np.prod((z[:, None] - known) ** 2, axis=1)
         full = np.fft.fft(solver._resultant_samples(
-            tensors, pair.kl, signs, z), axis=-1) / 64
+            tensors, pair.kl, signs, z) / factor, axis=-1) / 64
         largest = np.max(np.abs(full), axis=1, keepdims=True)
-        assert np.all(np.abs(full[:, 29:]) <= 1e-13 * largest)
-        assert np.all(np.abs(full[:, 3:26] - support) <= 1e-12 * largest)
+        outside = np.r_[0:3, 18:64]
+        assert np.all(np.abs(full[:, outside]) <= 1e-12 * largest)
+        assert np.all(np.abs(full[:, 3:18] - quotients) <= 1e-12 * largest)
 
 
 def test_operation_loads_no_fft(tmp_path):
@@ -552,12 +564,13 @@ def _operate_on_committed_configs(tmp_path):
 
 
 def test_operation_uses_no_svd(monkeypatch, tmp_path):
-    # numpy's SVD-based solvers made to fail: the deflation is a QR solve
+    # numpy's SVD-based solvers, QR and linear solve made to fail: the
+    # known roots are divided out at the eliminants' samples
     def refuse(*args, **kwargs):
-        raise AssertionError("an operation called an SVD-based solver")
+        raise AssertionError("an operation called a least-squares solver")
 
     for module in (np.linalg, np.linalg._linalg):
-        for name in ("lstsq", "svd", "pinv"):
+        for name in ("lstsq", "svd", "pinv", "qr", "solve"):
             monkeypatch.setattr(module, name, refuse)
     _operate_on_committed_configs(tmp_path)
 
@@ -575,24 +588,24 @@ def test_operation_uses_no_stack_or_moveaxis(monkeypatch, tmp_path):
 
 
 # mechanisms whose known factor has the worst-conditioned Toeplitz matrix
-# in tools/candidate_rows.py's sets (condition numbers about 2.8e3 and
-# 4.8e3), as (seed, draw)
+# of multiplication in tools/candidate_rows.py's sets (condition numbers
+# about 2.8e3 and 4.8e3), as (seed, draw)
 ILL_CONDITIONED_FACTORS = ((2026, 38), (777, 15))
 
 
-def test_deflate_is_the_least_squares_quotient(params_one):
-    # both signs' rows against the least-squares quotient by the monic
-    # known factor, that factor, its Toeplitz matrix and their Householder
-    # QR solve all in 40 digits
+def test_sampled_quotient_is_the_least_squares_quotient(params_one):
+    # both signs' quotient rows against the least-squares quotient of the
+    # eliminants' coefficients by the monic known factor, that factor, its
+    # Toeplitz matrix and their Householder QR solve all in 40 digits
+    signs = np.array([1.0, -1.0])
     mechanisms = [params_one] + [corpus(seed, draw + 1)[draw]
                                  for seed, draw in ILL_CONDITIONED_FACTORS]
     for params in mechanisms:
         pair = UnsquaredPair(params)
         tensors = pair.tensors(pair.foot())
         known, _ = solver._known_points(pair, tensors)
-        coeffs = solver._eliminants(tensors, pair.kl,
-                                         np.array([1.0, -1.0]))
-        got = solver._deflate(coeffs, known)
+        coeffs = _eliminant_coefficients(tensors, pair.kl, signs)
+        got = solver._quotients(tensors, pair.kl, signs, known)
         with mpmath.workdps(40):
             factor = [mpmath.mpc(1)]
             for value in map(mpmath.mpc, known):
@@ -612,9 +625,31 @@ def test_deflate_is_the_least_squares_quotient(params_one):
         assert np.all(np.abs(got - want) <= 1e-11 * largest)
 
 
+@pytest.mark.parametrize("offset", [0.0, 1e-9, 1e-6])
+def test_known_root_on_a_sample_angle(params_one, offset):
+    # the reference rebuilt as tools/candidate_rows.py's circle set builds
+    # it, with an O2 = O1 pose on the sample angle beta = 2 pi 3 / 32, and
+    # with O1 moved off it along x: the turned samples keep the division
+    # away from that root, so the solve accepts the same 8 roots, 2 of them
+    # real, on the circle and off it
+    tool = Path(__file__).resolve().parents[1] / "tools" / "candidate_rows.py"
+    params = runpy.run_path(str(tool))["on_sample"](params_one, 3)
+    params = dataclasses.replace(
+        params, base_origin=params.base_origin + Point2(offset, 0.0))
+    pair = UnsquaredPair(params)
+    known, _ = solver._known_points(pair, pair.tensors(pair.foot()))
+    assert np.min(np.abs(known - solver._TURNED_Z[0, 3])) <= 1e-5
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        accepted = [s for s in solve_equilibria(params) if s.accepted]
+    assert len(accepted) == 8
+    assert sum(s.is_real for s in accepted) == 2
+    assert not [w for w in caught if w.category is LostRoots]
+
+
 def test_companion_roots_are_numpy_roots(params_one, params_zero):
     # one eigvals call on the stacked companion matrices gives numpy.roots
-    # of each row, bit for bit and in its order: both deflated eliminants
+    # of each row, bit for bit and in its order: both eliminant quotients
     # of the reference and of five corpus mechanisms, and the reference's
     # zero-case quartic trimmed to degree 4 down to 0, which has no roots
     stacks = []
@@ -622,8 +657,8 @@ def test_companion_roots_are_numpy_roots(params_one, params_zero):
         pair = UnsquaredPair(params)
         tensors = pair.tensors(pair.foot())
         known, _ = solver._known_points(pair, tensors)
-        stacks.append(solver._deflate(solver._eliminants(
-            tensors, pair.kl, np.array([1.0, -1.0])), known))
+        stacks.append(solver._quotients(tensors, pair.kl,
+                                        np.array([1.0, -1.0]), known))
     pair = UnsquaredPair(params_zero)
     (a0, a1), (c0, c1) = pair.tensors(pair.foot())[[0, 2], :2]
     quartic = np.convolve(a0, c1) - np.convolve(a1, c0)
@@ -646,22 +681,56 @@ def test_companion_roots_are_numpy_roots(params_one, params_zero):
 
 
 def test_classify_marks_repeated_accepted_roots_only():
-    # five refined roots at one (L, z): an accepted root found again is a
-    # repeated root, and a rejected root there keeps its own note, before
-    # the accepted one or after it
+    # five refined roots at one (L, z), where L1^2 = 4: an accepted root
+    # found again is a repeated root, and a rejected root there keeps its
+    # own note, before the accepted one or after it
     count = 5
     z = np.full(count, np.exp(0.3j))
     length = np.full(count, 2.0 + 0j)
     length[4] = 3.0  # a second accepted root, elsewhere
     one = np.ones(count, dtype=complex)
-    b = np.array([3.0, 2.0, 2.0, 3.0, 2.0]) + 0j
-    s = np.array([3.0, 2.0, 2.0, 3.0, 2.0]) + 0j
+    b = np.array([-2.0, 2.0, 2.0, 3.0, 2.0]) + 0j
+    s = np.array([-2.0, 2.0, 2.0, 3.0, 2.0]) + 0j
     same_sign = np.array([True, True, True, False, True])
-    columns = solver._classify(length, z, s, (one, b, one, b, 4 * one),
-                               same_sign)
+    tensors = np.zeros((5, 3, 3), dtype=complex)
+    tensors[4, 0, 1] = 4.0  # z L1^2 = 4 z
+    columns = solver._classify(tensors, 0.0, length, z, s,
+                               (one, b, one, b, 4 * one), same_sign)
     assert columns["accepted"].tolist() == [False, True, False, False, True]
     assert columns["note"].tolist() == ["other branch", "", "repeated root",
                                         "mixed sign", ""]
+
+
+def test_other_branch_rows_hold_their_own_length(monkeypatch):
+    # the reference with L01 = 1 and the pin at A2: far rows near z = 0,
+    # where A and B both grow like 1/z, hold the pair with their own s but
+    # not s^2 = L1^2, and are not on the other branch. Every "other branch"
+    # row holds s^2 = L1^2 to 1e-12 relative to the magnitudes of the terms
+    # of z L1^2 and of z s^2 there
+    refined, refine, classify = [], solver.newton, solver._classify
+
+    def recorded_newton(*args):
+        refined.append((args[1], refine(*args)))
+        return refined[-1][1]
+
+    def recorded_classify(*args):
+        columns = classify(*args)
+        refined.append(columns["note"])
+        return columns
+
+    monkeypatch.setattr(solver, "newton", recorded_newton)
+    monkeypatch.setattr(solver, "_classify", recorded_classify)
+    params = reference_params(l01=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", LostRoots)
+        solve_equilibria(dataclasses.replace(params,
+                                             p_in_top=params.a2_in_top))
+    (tensors, (u, z, s, terms)), note = refined
+    scale = np.einsum("ij,ni,nj->n", np.abs(tensors[4]),
+                      np.abs(u)[:, None] ** np.arange(3),
+                      np.abs(z)[:, None] ** np.arange(3)) + np.abs(z * s * s)
+    ratio = np.abs(z * (s * s - terms[4])) / scale
+    assert np.all(ratio[note == "other branch"] <= 1e-12)
 
 
 def test_pole_rows_are_built_once_and_read_only(params_one):
@@ -701,7 +770,7 @@ def test_resultant_samples_are_sylvester_determinants(monkeypatch,
     for params in [params_one] + corpus(2026, 5):
         pair = UnsquaredPair(params)
         tensors = pair.tensors(pair.foot())
-        for z in (solver._SAMPLE_Z, 0.5 * circle, 2 * circle):
+        for z in (solver._TURNED_Z[0], 0.5 * circle, 2 * circle):
             assert _agree(
                 solver._resultant_samples(tensors, pair.kl, signs, z),
                 _sylvester_dets(tensors, pair.kl, signs, z))
@@ -717,7 +786,7 @@ def test_resultant_samples_are_sylvester_determinants(monkeypatch,
     monkeypatch.setattr(solver, "_mixed", vanishing_g2)
     pair = UnsquaredPair(params_one)
     tensors = pair.tensors(pair.foot())
-    z = solver._SAMPLE_Z
+    z = solver._TURNED_Z[0]
     got = solver._resultant_samples(tensors, pair.kl, signs, z)
     assert np.all(np.isfinite(got[:, 0]))
     assert _agree(got, _sylvester_dets(tensors, pair.kl, signs, z))
@@ -825,8 +894,8 @@ POINTS = ("surface_point", "a1_in_base", "a2_in_top", "p_in_top",
 @pytest.mark.parametrize("k", [-12, -8, 6, 10, 13])
 def test_solve_does_not_depend_on_the_unit_of_length(k):
     # both committed configs with every length times 10^k accept their 4 and
-    # 10 roots. Up to k = 6 two of each are real and no root is lost; above
-    # that the absolute REAL_IMAG_TOL no longer marks them real
+    # 10 roots, two of each real, and lose no root: the real flag's test of
+    # Im L is relative to |L|
     root = Path(__file__).resolve().parent.parent / "configs"
     factor = 10.0 ** k
     for name, count in (("all_zero_free_lengths", 4),
@@ -839,6 +908,5 @@ def test_solve_does_not_depend_on_the_unit_of_length(k):
             warnings.simplefilter("always")
             accepted = [s for s in solve_equilibria(scaled) if s.accepted]
         assert len(accepted) == count
-        if k <= 6:
-            assert sum(s.is_real for s in accepted) == 2
-            assert not [w for w in caught if w.category is LostRoots]
+        assert sum(s.is_real for s in accepted) == 2
+        assert not [w for w in caught if w.category is LostRoots]

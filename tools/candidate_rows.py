@@ -9,9 +9,15 @@ mechanisms of ``inputs.zero_corpus(1, ·)`` and, at each L01 of SMALL_L01
 (10^-k for k = 2 .. 12), the committed one-nonzero config and the first
 SMALL_L01_MECHANISMS mechanisms of ``inputs.one_nonzero_mechanisms`` with
 their L01 set to it (the small-l01 set, 99 solves below the corpora's
-0.2, down to where rounding loses roots) and, for each k of
+0.2, down to where rounding loses roots), for each k of
 SCALE_EXPONENTS, both committed configs with every length times 10^k (the
-scale set). It prints one ``repr`` line per candidate row, an accepted
+scale set) and, for each k of CIRCLE_SAMPLES, the committed one-nonzero
+config and the first CIRCLE_MECHANISMS mechanisms of
+``inputs.one_nonzero_mechanisms`` rebuilt so that an O2 = O1 pose sits on
+the eliminants' sample angle beta = 2 pi k / SAMPLES (the circle set, 27
+solves): O1 = M + w (3 + z_k p), with w = exp(i alpha), p the pin in the
+top frame and the base angle arg(M - O1), so E = M and O2 = O1 at L = 3,
+z = z_k. It prints one ``repr`` line per candidate row, an accepted
 count and an error count per set, and the warnings of all solves counted
 by category. A solve that raises a ``MechanismError`` prints one
 ``# error <set> <index> <Class>: <message>`` line in place of its rows,
@@ -57,8 +63,10 @@ from __future__ import annotations
 
 import argparse
 import ast
+import cmath
 import dataclasses
 import hashlib
+import math
 import re
 import sys
 import tempfile
@@ -72,9 +80,10 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 import inputs  # noqa: E402
-from spring_platform import (MechanismError, RunConfig,  # noqa: E402
-                             emit_tables, load_config, render_svg,
+from spring_platform import (MechanismError, Point2,  # noqa: E402
+                             RunConfig, emit_tables, load_config, render_svg,
                              run_analysis)
+from spring_platform.solver import SAMPLES  # noqa: E402
 
 MECHANISMS_2026 = 40
 MECHANISMS_777 = 160
@@ -82,6 +91,8 @@ ZERO_MECHANISMS = 100
 SMALL_L01 = tuple(10.0 ** -k for k in range(2, 13))
 SMALL_L01_MECHANISMS = 8
 SCALE_EXPONENTS = range(-12, 17)
+CIRCLE_SAMPLES = (1, 3, 5)
+CIRCLE_MECHANISMS = 8
 # the points of MechanismParams, the config's P_M, P_A1_in1, P_A2_in2,
 # P_P_in2 and P_O1: with L0, every length of a mechanism
 POINTS = ("surface_point", "a1_in_base", "a2_in_top", "p_in_top",
@@ -126,6 +137,24 @@ def scale_configs() -> list[RunConfig]:
                 params, **points, free_lengths=tuple(
                     factor * l0 for l0 in params.free_lengths))))
     return configs
+
+
+def on_sample(params, k: int):
+    """The mechanism rebuilt so that O2 = O1 at L = 3 and beta = 2 pi k /
+    SAMPLES: O1 = M + w (3 + z_k p), the base axis through M, so E = M."""
+    m = complex(params.surface_point.x, params.surface_point.y)
+    p = complex(params.p_in_top.x, params.p_in_top.y)
+    o1 = m + cmath.exp(1j * params.surface_angle) * (
+        3 + cmath.exp(2j * math.pi * k / SAMPLES) * p)
+    return dataclasses.replace(params, base_origin=Point2(o1.real, o1.imag),
+                               base_angle=cmath.phase(m - o1))
+
+
+def circle_configs() -> list[RunConfig]:
+    mechanisms = [load_config(ROOT / inputs.REFERENCE_ONE).params,
+                  *inputs.one_nonzero_mechanisms(CIRCLE_MECHANISMS)]
+    return [RunConfig(params=on_sample(params, k))
+            for k in CIRCLE_SAMPLES for params in mechanisms]
 
 
 def analyses(name: str, configs, caught: Counter):
@@ -282,6 +311,7 @@ def main(argv=None) -> int:
                     inputs.zero_corpus(1, ZERO_MECHANISMS)]),
         ("small-l01", small_l01_configs()),
         ("scale", scale_configs()),
+        ("circle", circle_configs()),
     ]
     if args.digests:
         return digests(sets)
