@@ -26,10 +26,11 @@ class AnalysisReport(NamedTuple):
 def run_analysis(config: RunConfig) -> AnalysisReport:
     """Full analysis for one configuration.
 
-    Both supported cases have L02 = L03 = 0, so the legs O1-A2 and A1-A2
-    cannot span O1-A1: the platform has no unloaded pose, exists only
-    pressed against the surface, and contact is assumed. The solve runs
-    directly; its MechanismError (DegenerateQuartic, say) is not caught.
+    Both supported cases have L02 = L03 = 0, so no pose has every spring
+    at its free length: A2 would sit at O1 and at A1. The unloaded pose,
+    the minimum of the spring energy, is not computed: contact is assumed
+    and the solve runs directly. Its MechanismError (DegenerateQuartic,
+    say) is not caught.
     """
     t0 = time.perf_counter()
     solutions = solve_equilibria(config.params)

@@ -5,10 +5,6 @@ class MechanismError(Exception):
     """Base class for all solver errors."""
 
 
-class NotAssemblable(MechanismError):
-    """The free-length circle constructions admit no real intersection."""
-
-
 class ZeroLengthSpring(MechanismError):
     """A spring has (numerically) zero length, so its direction is undefined."""
 

@@ -18,15 +18,13 @@ import time
 import xml.etree.ElementTree as ET
 
 import numpy as np
-import pytest
 
 from _support import (REFERENCE_CONFIG, TABLE_ONE, TABLE_ZERO,
                       brute_force_real_equilibria, dialytic, nearest_match,
                       random_params, sample_recoverable_roots,
                       tan_half_degree, tan_half_eliminant)
 
-from spring_platform import (NotAssemblable, Point2, dialytic_residual,
-                             residual_margin, solve_equilibria, solve_o2)
+from spring_platform import Point2, residual_margin, solve_equilibria
 from spring_platform.cli import main as cli_main
 
 
@@ -126,36 +124,6 @@ def test_brute_force_oracle_equivalence(params_zero, solutions_zero):
             f"returned {len(quartic_reals)}"
         for beta, length in found:
             assert min(abs(beta - b) for b in quartic_reals) < 1e-3
-
-
-def test_free_pose_suite():
-    with criterion("free-pose suite (100 random, residuals <= 1e-9)"):
-        rng = np.random.default_rng(103)
-        count = 0
-        while count < 100:
-            a2 = Point2(rng.uniform(-5, 5), rng.uniform(0.3, 5.0))
-            o2 = Point2(rng.uniform(-5, 5), rng.uniform(-5, 5))
-            r1 = float(o2.norm())
-            r2 = float((o2 - a2).norm())
-            if min(r1, r2, a2.norm()) < 1e-2:
-                continue
-            candidates = solve_o2(a2, r1, r2)
-            for p, _ in candidates:
-                assert abs(p.norm() ** 2 - r1 ** 2) <= 1e-9 * max(1.0, r1 ** 2)
-                assert abs((p - a2).norm() ** 2 - r2 ** 2) \
-                    <= 1e-9 * max(1.0, r2 ** 2)
-                a = -2.0 * a2.y
-                b = p.x ** 2 - 2 * p.x * a2.x + a2.norm() ** 2 - r2 ** 2
-                c = p.x ** 2 - r1 ** 2
-                scale = max(1.0, b * b, c * c, abs(a * a * c))
-                assert abs(dialytic_residual(a, b, c)) <= 1e-9 * scale
-            count += 1
-        # non-assemblable inputs raise
-        with pytest.raises(NotAssemblable):
-            solve_o2(Point2(10.0, 0.0), 1.0, 1.0)
-        from spring_platform import solve_a2
-        with pytest.raises(NotAssemblable):
-            solve_a2(1.0, 1.0, 5.0)
 
 
 def rigid_frame(params, rng):

@@ -324,27 +324,23 @@ def test_deterministic(params_one, solutions_one):
 
 
 def test_continuity_to_zero_free_length_case(params_zero):
-    # with a tiny first free length every real accepted solution stays
-    # near one of the zero-free-length equilibria; the eliminant loses all
-    # structure in this limit (the squared pair degenerates to a shared
-    # factor), so conditioning may legitimately lose the real roots
+    # with a tiny first free length the real accepted solutions are the
+    # zero-free-length equilibria moved a little: one beside each
     tiny = dataclasses.replace(params_zero, free_lengths=(1e-4, 0.0, 0.0))
-    reference = [s.beta.real for s in solve_equilibria(params_zero)
-                 if s.is_real]
-    solutions = solve_equilibria(tiny)
-    real_accepted = [s for s in solutions if s.accepted and s.is_real]
-    if not real_accepted:
-        pytest.skip("conditioning prevented real-solution recovery at "
-                    "L01 = 1e-4 (documented limitation)")
-    for s in real_accepted:
-        assert min(abs(s.beta.real - b) for b in reference) < 1e-2
+    reference = sorted(s.beta.real for s in solve_equilibria(params_zero)
+                       if s.is_real)
+    found = sorted(s.beta.real for s in solve_equilibria(tiny)
+                   if s.accepted and s.is_real)
+    assert len(found) == len(reference) == 2
+    for beta, beta_ref in zip(found, reference):
+        assert abs(beta - beta_ref) < 1e-2
 
 
 @pytest.mark.parametrize("l01", [1e-1, 1e-2, 1e-3])
 def test_small_first_free_length_recall(l01):
-    # below the corpus tests' L01 >= 0.2 and without the skip above, the
-    # reference keeps the rows it has at L01 = 1: 10 accepted, 2 of them
-    # real, and 4 same-sign roots on the other branch
+    # below the corpus tests' L01 >= 0.2, the reference keeps the rows it
+    # has at L01 = 1: 10 accepted, 2 of them real, and 4 same-sign roots
+    # on the other branch
     solutions = solve_equilibria(reference_params(l01=l01))
     assert len(solutions) == 48
     assert sum(s.accepted for s in solutions) == 10
