@@ -4,12 +4,11 @@ run one procedure on one engine, and the free lengths pick the eliminant.
 
 The free length makes the force and moment equations rational in the first
 spring length L1. Multiplying through by the signed length s (s^2 = L1^2)
-gives the unsquared pair A s = B and C s = D, built here from the exact
-zero-free-length residual forms so the defining identities hold to
-machine precision. In z = exp(i beta) each of z A, z B, z C, z D and
-z L1^2 is a polynomial of degree at most 2 in L and in z, whose
-coefficients are written in closed form from the complex coordinates of
-the springs.
+gives the unsquared pair A s = B and C s = D. Both are built from one
+description of the springs in complex coordinates, each spring vector
+affine in L and in z = exp(i beta): their values factored, spring vector
+first, and z A, z B, z C, z D and z L1^2 expanded as polynomials of
+degree at most 2 in L and in z, with coefficients in closed form.
 
 Eliminating s leaves F = z^3 (A^2 L1^2 - B^2), quartic in L, and G = z^2
 (A D - B C) / (k1 L01), quadratic in L. Their 6x6 Sylvester determinant,
@@ -57,8 +56,7 @@ import numpy as np
 from .config import (CASE_ZERO, UnsupportedFreeLengthPattern,
                      free_length_case)
 from .errors import DegenerateQuartic, LostRoots, MechanismError
-from .mechanism import (TOL_ZERO_LENGTH, MechanismParams, pose_frame,
-                        pose_points)
+from .mechanism import TOL_ZERO_LENGTH, MechanismParams
 from .solutions import EquilibriumSolution, ledger, mark_real
 
 RESIDUAL_REL_TOL = 1e-8      # acceptance level of the all-zero case
@@ -117,77 +115,66 @@ class UnsquaredPair:
     """The pair A L1 = B, C L1 = D of one mechanism as a function of
     (L, cos beta, sin beta), with the squared first-spring length L1^2.
 
-    The per-mechanism constants are read once, at construction. The pose
-    is that of pose_from, through the same pose_points, and the rest
-    is the arithmetic of Point2, operation for operation, without building
-    the points, so the values are bit-identical to the pose-based residual
-    forms. It accepts complex scalars and, elementwise, complex arrays of
-    any precision.
+    In complex coordinates, with w = exp(i alpha) along the surface and z =
+    exp(i beta), spring i is X = d + w L + n z, with d = E - anchor and n
+    the top point measured from P at z = 1, and its arm is r = -d - w L. Its
+    force along the surface is k (X w* + X* w) / 2 and its moment about P
+    k (r* X - r X*) / 2i, with * the conjugate continued to complex L and
+    beta, X* = d* + w* L + n* / z; L1^2 = X1 X1*. The springs' (d, n) and
+    w, read once at construction, are its only geometry, so no evaluation
+    subtracts absolute coordinates. It accepts complex scalars and,
+    elementwise, complex arrays of any precision; at real (L, beta) every
+    imaginary part is exactly 0.
     """
 
-    __slots__ = ("frame", "ca", "sa", "d2", "o1x", "o1y", "a1x", "a1y", "k1",
-                 "k2", "k3", "kl", "w", "e", "p", "o1", "a1")
+    __slots__ = ("k1", "k2", "k3", "kl", "w", "springs")
 
     def __init__(self, params: MechanismParams):
-        self.frame = pose_frame(params, params.point_e)
-        self.ca, self.sa, ex, ey, px2, py2, self.d2 = self.frame
-        self.o1x, self.o1y = params.base_origin.x, params.base_origin.y
-        self.a1x, self.a1y = params.a1_fixed.x, params.a1_fixed.y
         self.k1, self.k2, self.k3 = params.stiffness
         self.kl = self.k1 * params.free_lengths[0]
-        # in complex coordinates: w = exp(i alpha) along the surface, point
-        # E, the pin P in the top frame, O1 and A1
-        self.w = complex(self.ca, self.sa)
-        self.e = complex(ex, ey)
-        self.p = complex(px2, py2)
-        self.o1 = complex(self.o1x, self.o1y)
-        self.a1 = complex(self.a1x, self.a1y)
+        alpha = params.surface_angle
+        self.w = w = complex(math.cos(alpha), math.sin(alpha))
+        e, p = params.point_e, params.p_in_top
+        d1, d3 = (complex(e.x - o.x, e.y - o.y)
+                  for o in (params.base_origin, params.a1_fixed))
+        n1, n2 = w * complex(p.x, p.y), w * complex(p.x - params.d_o2a2, p.y)
+        # (d, n) of the springs O1-O2, O1-A2 and A1-A2
+        self.springs = ((d1, n1), (d1, n2), (d3, n2))
 
     def terms(self, length, cos_beta, sin_beta):
         """(A, B, C, D, L1^2) at one sample."""
-        ca, sa = self.ca, self.sa
-        px, py, o2x, o2y, a2x, a2y = pose_points(self.frame, length,
-                                                 cos_beta, sin_beta)
-        # spring vectors O1->O2, O1->A2, A1->A2 and arms P->O1, P->A1
-        x1, y1 = o2x - self.o1x, o2y - self.o1y
-        x2, y2 = a2x - self.o1x, a2y - self.o1y
-        x3, y3 = a2x - self.a1x, a2y - self.a1y
-        # the spring forces k (x, y), shared by the force and moment sums
-        k1, k2, k3 = self.k1, self.k2, self.k3
-        f1x, f1y, f2x, f2y = k1 * x1, k1 * y1, k2 * x2, k2 * y2
-        f3x, f3y = k3 * x3, k3 * y3
-        force_coef = (f1x + f2x + f3x) * ca + (f1y + f2y + f3y) * sa
-        r1x, r1y = self.o1x - px, self.o1y - py
-        r3x, r3y = self.a1x - px, self.a1y - py
-        moment_coef = ((r1x * f1y - r1y * f1x) + (r1x * f2y - r1y * f2x)
-                       + (r3x * f3y - r3y * f3x))
-        force_rhs = self.kl * (x1 * ca + y1 * sa)
-        moment_rhs = self.kl * (r1x * y1 - r1y * x1)
-        l1_sq = x1 * x1 + y1 * y1
-        return force_coef, force_rhs, moment_coef, moment_rhs, l1_sq
+        w, w_ = self.w, self.w.conjugate()
+        z, z_ = cos_beta + 1j * sin_beta, cos_beta - 1j * sin_beta
+        (d1, n1), (_, n2), (d3, _) = self.springs
+        # d + w L and its conjugate, the arm negated, at O1 for springs 1
+        # and 2 and at A1 for spring 3
+        o, o_ = d1 + w * length, d1.conjugate() + w_ * length
+        a, a_ = d3 + w * length, d3.conjugate() + w_ * length
+        x1, x1_ = o + n1 * z, o_ + n1.conjugate() * z_
+        x2, x2_ = o + n2 * z, o_ + n2.conjugate() * z_
+        x3, x3_ = a + n2 * z, a_ + n2.conjugate() * z_
+        springs = ((o, o_, x1, x1_), (o, o_, x2, x2_), (a, a_, x3, x3_))
+        # each spring's force along the surface, and its moment about P,
+        # (r* X - r X*) / 2i with r = -(d + w L)
+        p1, p2, p3 = ((x * w_ + x_ * w) / 2 for _, _, x, x_ in springs)
+        m1, m2, m3 = ((q * x_ - q_ * x) / 2j for q, q_, x, x_ in springs)
+        k1, k2, k3, kl = self.k1, self.k2, self.k3, self.kl
+        return (k1 * p1 + k2 * p2 + k3 * p3, kl * p1,
+                k1 * m1 + k2 * m2 + k3 * m3, kl * m1, x1 * x1_)
 
     def foot(self) -> float:
         """L of the pin position closest to O1, the origin that balances
         the coefficients of polynomials in L."""
-        return ((self.o1 - self.e) * self.w.conjugate()).real
+        return -(self.springs[0][0] * self.w.conjugate()).real
 
     def tensors(self, origin=0.0) -> np.ndarray:
         """Coefficients t[k, i, j] of (L - origin)^i z^j in z T_k, for
         T = (A, B, C, D, L1^2) and z = exp(i beta), all of degree <= 2 in
-        both, in closed form.
-
-        In complex coordinates, with E moved along the surface to L =
-        origin, the spring vectors O1->O2, O1->A2 and A1->A2 are X = c + w
-        (L - origin) + n z and the arms P->O1, P->A1 are r = c' - w (L -
-        origin). A spring's force along the surface is k (X w* + X* w) / 2
-        and its moment about P k (r* X - r X*) / 2i, with * the conjugate
-        continued to complex L and beta; L1^2 = X1 X1*."""
+        both, in closed form: the springs' X and r as terms evaluates them,
+        with d moved by origin w, expanded by _z_product."""
         w = self.w
-        e = self.e + origin * w
-        to_o2, to_a2 = w * self.p, w * (self.p - self.d2)  # from P at z = 1
-        springs = ((e - self.o1, w, to_o2), (e - self.o1, w, to_a2),
-                   (e - self.a1, w, to_a2))
-        arms = ((self.o1 - e, -w, 0j),) * 2 + ((self.a1 - e, -w, 0j),)
+        springs = [(d + origin * w, w, n) for d, n in self.springs]
+        arms = [(-d, -w, 0j) for d, _, _ in springs]
         along = (w, 0j, 0j)
         force = [[(xw + wx) / 2 for xw, wx in zip(_z_product(x, along),
                                                   _z_product(along, x))]
@@ -278,22 +265,22 @@ def _resultant_samples(tensors, kl, signs, z):
 
 def _known_points(pair: UnsquaredPair, tensors):
     """z of the two poses where O2 coincides with O1, then of the two with
-    A = B = 0, and L at the first two. In complex coordinates, w = exp(i
-    alpha) along the surface, d = E - O1 and p = P in the top frame, with
-    conjugates continued to complex beta, O2 - O1 = d + L w + w z p and its
-    conjugate both vanish at the first; A - (k1 + k2 + k3) B / (k1 L01)
-    does not depend on L and vanishes at the others."""
-    w, d, p = pair.w, pair.e - pair.o1, pair.p
-    if p == 0:
+    A = B = 0, and L at the first two. With conjugates continued to complex
+    beta, O2 - O1 = X1 = d1 + w L + n1 z and X1* both vanish at the first,
+    and so does w* X1 - w X1*, which is free of L; A - (k1 + k2 + k3) B /
+    (k1 L01) does not depend on L and vanishes at the others."""
+    w, (d, n) = pair.w, pair.springs[0]
+    if n == 0:
         raise DegenerateQuartic("the pin is at the top-frame origin: O2 does "
                                 "not turn with beta, so the eliminants in z "
                                 "lose their structural degree")
     stiffness = pair.k1 + pair.k2 + pair.k3
     quadratics = np.array([
-        [-p.conjugate(), w.conjugate() * d - w * d.conjugate(), p],
+        [-w * n.conjugate(), w.conjugate() * d - w * d.conjugate(),
+         w.conjugate() * n],
         tensors[0, 0] - stiffness / pair.kl * tensors[1, 0]])
     z = np.array(_quadratic_roots(*quadratics.T)).T.ravel()
-    return z, -w.conjugate() * d - z[:2] * p
+    return z, -w.conjugate() * (d + z[:2] * n)
 
 
 def newton(pair, tensors, origin, u, z, s, sign):
@@ -307,7 +294,7 @@ def newton(pair, tensors, origin, u, z, s, sign):
     larger. It also stops where every step is that small, or at the point
     NEWTON_STEPS steps reach, and returns that point with the pair's terms
     there, (A, B, C, D, L1^2) as UnsquaredPair.terms gives them. The
-    residuals are the exact pose forms; the Jacobian comes from the
+    residuals are the springs' factored forms; the Jacobian comes from the
     tensors. A start with an exactly singular Jacobian raises
     MechanismError."""
     powers = np.arange(3)

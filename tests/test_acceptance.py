@@ -15,7 +15,9 @@ import contextlib
 import json
 import math
 import time
+import warnings
 import xml.etree.ElementTree as ET
+from collections import Counter
 
 import numpy as np
 
@@ -26,6 +28,7 @@ from _support import (REFERENCE_CONFIG, TABLE_ONE, TABLE_ZERO,
 
 from spring_platform import Point2, residual_margin, solve_equilibria
 from spring_platform.cli import main as cli_main
+from spring_platform.errors import LostRoots
 
 
 @contextlib.contextmanager
@@ -126,15 +129,14 @@ def test_brute_force_oracle_equivalence(params_zero, solutions_zero):
             assert min(abs(beta - b) for b in quartic_reals) < 1e-3
 
 
-def rigid_frame(params, rng):
-    """params seen from a random rigid frame (rotation and shift)."""
+def moved(params, theta, shift):
+    """params seen from a rigid frame: turned by theta, then shifted."""
     import dataclasses
-    theta = rng.uniform(-math.pi, math.pi)
-    t = Point2(*rng.uniform(-20, 20, 2))
     c, s = math.cos(theta), math.sin(theta)
 
     def rot(p):
-        return Point2(c * p.x - s * p.y + t.x, s * p.x + c * p.y + t.y)
+        return Point2(c * p.x - s * p.y + shift.x,
+                      s * p.x + c * p.y + shift.y)
 
     return dataclasses.replace(
         params, surface_point=rot(params.surface_point),
@@ -143,16 +145,34 @@ def rigid_frame(params, rng):
         base_angle=params.base_angle + theta)
 
 
-def test_frame_invariance(params_zero, solutions_zero):
+def rigid_frame(params, rng):
+    """params seen from a random rigid frame (rotation and shift)."""
+    theta = rng.uniform(-math.pi, math.pi)
+    return moved(params, theta, Point2(*rng.uniform(-20, 20, 2)))
+
+
+def ledger_classes(params):
+    """The solve's count of rows per (accepted, real, note), and its count
+    of LostRoots warnings."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        solutions = solve_equilibria(params)
+    return (Counter((s.accepted, s.is_real, s.note) for s in solutions),
+            sum(w.category is LostRoots for w in caught))
+
+
+def test_frame_invariance(params_zero, solutions_zero, params_one):
     with criterion("frame invariance (50 rigid transforms, 1e-9; 5 "
-                   "one-nonzero mechanisms x 4, accepted sets to 1e-8)"):
+                   "one-nonzero mechanisms x 4, accepted sets to 1e-8; 5 "
+                   "one-nonzero mechanisms shifted by 1e6, class counts, "
+                   "no LostRoots)"):
         rng = np.random.default_rng(107)
         reference = sorted(((s.beta, s.length) for s in solutions_zero),
                            key=lambda t: (t[0].real, t[0].imag))
         for _ in range(50):
-            moved = rigid_frame(params_zero, rng)
+            moved_zero = rigid_frame(params_zero, rng)
             got = sorted(((s.beta, s.length)
-                          for s in solve_equilibria(moved)),
+                          for s in solve_equilibria(moved_zero)),
                          key=lambda t: (t[0].real, t[0].imag))
             for (b0, l0), (b1, l1) in zip(reference, got):
                 assert abs(b0 - b1) <= 1e-9 * max(1.0, abs(b0))
@@ -160,9 +180,11 @@ def test_frame_invariance(params_zero, solutions_zero):
         # one-nonzero mechanisms: the accepted set does not move either
         corpus = np.random.default_rng(2026)
         frames = np.random.default_rng(113)
+        mechanisms = []
         for _ in range(5):
             params = random_params(corpus,
                                    l01=float(corpus.uniform(0.2, 2.0)))
+            mechanisms.append(params)
             reference = [(s.beta, s.length)
                          for s in solve_equilibria(params)
                          if s.accepted]
@@ -174,6 +196,12 @@ def test_frame_invariance(params_zero, solutions_zero):
                 for b0, l0 in reference:
                     assert min(abs(b0 - b1) + abs(l0 - l1) for b1, l1 in got) \
                         <= 1e-8 * (1.0 + abs(b0) + abs(l0))
+        # far from the origin no row changes its class and no root is lost
+        shift = Point2(0.6e6, 0.8e6)
+        for params in [params_one] + mechanisms[:4]:
+            classes, lost = ledger_classes(params)
+            assert ledger_classes(moved(params, 0.0, shift)) == (classes, 0)
+            assert lost == 0
 
 
 def test_resultant_engine():

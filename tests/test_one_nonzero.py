@@ -360,8 +360,8 @@ def test_random_case_sets_accepted_residuals():
 
 
 def pose_based_terms(length, cos_beta, sin_beta, params, e):
-    """(A, B, C, D, L1^2) written against the pose and Point2 arithmetic:
-    the reference the allocation-free evaluation reproduces bit for bit."""
+    """(A, B, C, D, L1^2) written against the pose and Point2 arithmetic in
+    absolute coordinates: the reference the springs' constants reproduce."""
     ca = math.cos(params.surface_angle)
     sa = math.sin(params.surface_angle)
     k1, k2, k3 = params.stiffness
@@ -386,10 +386,17 @@ def pose_based_terms(length, cos_beta, sin_beta, params, e):
     return force_coef, force_rhs, moment_coef, moment_rhs, l1_sq
 
 
-def test_unsquared_pair_is_bit_identical_to_pose_forms(params_one):
+def test_unsquared_pair_agrees_with_pose_forms(params_one):
+    # the springs' constants give the pose forms' values to 1e-12 relative,
+    # in the precision and type of the input, and exactly real at real
+    # (L, beta)
     e = point_e(params_one)
     pair = UnsquaredPair(params_one)
     rng = np.random.default_rng(67)
+
+    def agree(got, want):
+        return all(abs(g - w) <= 1e-12 * abs(w) for g, w in zip(got, want))
+
     lengths, betas = [], []
     for _ in range(40):
         length = complex(rng.uniform(-5, 15), rng.uniform(-8, 8))
@@ -400,9 +407,11 @@ def test_unsquared_pair_is_bit_identical_to_pose_forms(params_one):
             trig = (math.cos, math.sin) if kind is float else (cmath.cos, cmath.sin)
             cb, sb = (kind(f(value_b)) for f in trig)
             got = pair.terms(value_l, cb, sb)
-            want = pose_based_terms(value_l, cb, sb, params_one, e)
-            for g, w in zip(got, want):
-                assert type(g) is type(w) and g == w
+            assert agree(got, pose_based_terms(value_l, cb, sb, params_one, e))
+            if kind is float:
+                assert all(g.imag == 0 for g in got)
+            else:
+                assert all(type(g) is kind for g in got)
         lengths.append(length)
         betas.append(beta)
     # elementwise over extended-precision arrays
@@ -411,9 +420,10 @@ def test_unsquared_pair_is_bit_identical_to_pose_forms(params_one):
     cbs = np.array([cmath.cos(b) for b in betas], dtype=wide)
     sbs = np.array([cmath.sin(b) for b in betas], dtype=wide)
     arrays = pair.terms(ls, cbs, sbs)
+    assert all(g.dtype == wide for g in arrays)
     for k in range(len(lengths)):
         want = pose_based_terms(ls[k], cbs[k], sbs[k], params_one, e)
-        assert all(g[k] == w for g, w in zip(arrays, want))
+        assert agree([g[k] for g in arrays], want)
 
 
 # accepted roots of the first ten mechanisms of the seed-2026 corpus: the

@@ -17,12 +17,26 @@ config and the first CIRCLE_MECHANISMS mechanisms of
 the eliminants' sample angle beta = 2 pi k / SAMPLES (the circle set, 27
 solves): O1 = M + w (3 + z_k p), with w = exp(i alpha), p the pin in the
 top frame and the base angle arg(M - O1), so E = M and O2 = O1 at L = 3,
-z = z_k. It prints one ``repr`` line per candidate row, an accepted
-count and an error count per set, and the warnings of all solves counted
-by category. A solve that raises a ``MechanismError`` prints one
-``# error <set> <index> <Class>: <message>`` line in place of its rows,
-and the next solve runs. Dump the version before a change and the one
-after it, then compare the two dumps::
+z = z_k. Last comes the invariance set (123 solves): the committed
+one-nonzero config and the first MECHANISMS_2026 mechanisms of
+``inputs.one_nonzero_mechanisms`` rotated by pi about the origin (points
+negated, angles plus pi), mirrored in the x axis (y and angles negated,
+the pin's top-frame y too) and translated by INVARIANCE_SHIFT. None of
+these moves an equilibrium relative to the mechanism, so each solve
+should have the count of rows per (accepted, real, note) of the
+untransformed solve. It prints one ``repr`` line per candidate row, an
+accepted count and an error count per set, and the warnings of all
+solves counted by category. After the invariance set's counts it prints,
+per transform, the number of solves whose class counts differ from the
+untransformed solve's and the number of LostRoots warnings of its own
+solves::
+
+    # invariance: rotated 0 changed, 0 LostRoots; mirrored 0 changed, ...
+
+A solve that raises a ``MechanismError`` prints one ``# error <set>
+<index> <Class>: <message>`` line in place of its rows, and the next solve
+runs. Dump the version before a change and the one after it, then compare
+the two dumps::
 
     python3 tools/candidate_rows.py > after.txt
     python3 tools/candidate_rows.py --compare before.txt after.txt
@@ -45,11 +59,12 @@ in one dump only.
 solves of each set in order into one temporary directory per set, as the
 CLI writes them (``solutions.csv``, ``report.json`` and the SVG
 drawings), so every solve after a set's first rewrites the files of the
-one before it. Right after each solve it prints one
-``sha256  <solve> <file>`` line per file it wrote; the last line is the
-file count. A failing solve prints its error line and writes nothing. A
-plain ``diff`` of the dumps of two versions is the byte-identity check of
-the output layer, rewrites included::
+one before it; the invariance set, whose reports are those of moved
+copies of other sets' mechanisms, is left out. Right after each solve it
+prints one ``sha256  <solve> <file>`` line per file it wrote; the last
+line is the file count. A failing solve prints its error line and writes
+nothing. A plain ``diff`` of the dumps of two versions is the
+byte-identity check of the output layer, rewrites included::
 
     python3 tools/candidate_rows.py --digests > after.txt
     diff before.txt after.txt
@@ -97,6 +112,7 @@ CIRCLE_MECHANISMS = 8
 # P_P_in2 and P_O1: with L0, every length of a mechanism
 POINTS = ("surface_point", "a1_in_base", "a2_in_top", "p_in_top",
           "base_origin")
+INVARIANCE_SHIFT = (0.6e6, 0.8e6)
 MATCH_REL_TOL = 1e-8         # on |d beta| + |d L| over 1 + |beta| + |L|
 
 _SOLVE = re.compile(r"# (\S+) (\d+)$")
@@ -157,10 +173,10 @@ def circle_configs() -> list[RunConfig]:
             for k in CIRCLE_SAMPLES for params in mechanisms]
 
 
-def analyses(name: str, configs, caught: Counter):
-    """(index, report) of each config of a set in order, the warnings of
-    each solve counted by category in caught. A solve that raises a
-    MechanismError prints its error line and gives report None."""
+def analyses(name: str, configs):
+    """(index, report, warning categories) of each config of a set in
+    order. A solve that raises a MechanismError prints its error line and
+    gives report None."""
     for index, config in enumerate(configs):
         report = None
         with warnings.catch_warnings(record=True) as log:
@@ -169,8 +185,70 @@ def analyses(name: str, configs, caught: Counter):
                 report = run_analysis(config)
             except MechanismError as exc:
                 print(f"# error {name} {index} {type(exc).__name__}: {exc}")
-        caught.update(w.category.__name__ for w in log)
-        yield index, report
+        yield index, report, [w.category.__name__ for w in log]
+
+
+def rotated(params):
+    """params turned by pi about the origin: points negated, angles + pi."""
+    return dataclasses.replace(
+        params, surface_point=-1.0 * params.surface_point,
+        base_origin=-1.0 * params.base_origin,
+        surface_angle=params.surface_angle + math.pi,
+        base_angle=params.base_angle + math.pi)
+
+
+def mirrored(params):
+    """params mirrored in the x axis: y and angles negated, the pin's
+    top-frame y too, so beta becomes -beta."""
+    def flip(point):
+        return Point2(point.x, -point.y)
+
+    return dataclasses.replace(
+        params, surface_point=flip(params.surface_point),
+        base_origin=flip(params.base_origin), p_in_top=flip(params.p_in_top),
+        surface_angle=-params.surface_angle, base_angle=-params.base_angle)
+
+
+def translated(params):
+    """params shifted by INVARIANCE_SHIFT."""
+    shift = Point2(*INVARIANCE_SHIFT)
+    return dataclasses.replace(
+        params, surface_point=params.surface_point + shift,
+        base_origin=params.base_origin + shift)
+
+
+TRANSFORMS = (rotated, mirrored, translated)
+
+
+def invariance_mechanisms():
+    """The untransformed mechanisms of the invariance set."""
+    return [load_config(ROOT / inputs.REFERENCE_ONE).params,
+            *inputs.one_nonzero_mechanisms(MECHANISMS_2026)]
+
+
+def _ledger(report):
+    """A solve's count of rows per (accepted, real, note), or None."""
+    if report is None:
+        return None
+    return Counter((row.accepted, row.is_real, row.note)
+                   for row in report.solutions)
+
+
+def invariance_summary(ledgers, lost_roots) -> str:
+    """Per transform, the count of solves whose class counts differ from
+    the untransformed solve's, and of their LostRoots warnings; ledgers
+    and lost_roots hold the invariance set's solves in order."""
+    originals = [_ledger(report) for _, report, _ in analyses(
+        "invariance-original", [RunConfig(params=params)
+                                for params in invariance_mechanisms()])]
+    count = len(originals)
+    parts = []
+    for k, transform in enumerate(TRANSFORMS):
+        solves = slice(k * count, (k + 1) * count)
+        changed = sum(a != b for a, b in zip(ledgers[solves], originals))
+        parts.append(f"{transform.__name__} {changed} changed, "
+                     f"{sum(lost_roots[solves])} LostRoots")
+    return "# invariance: " + "; ".join(parts)
 
 
 def read_dump(path) -> tuple[dict, dict, dict]:
@@ -279,7 +357,7 @@ def digests(sets) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         for name, configs in sets:
             out = Path(tmp) / name
-            for index, report in analyses(name, configs, Counter()):
+            for index, report, _ in analyses(name, configs):
                 if report is None:
                     continue
                 for path in (emit_tables(report, out, ("json", "csv"))
@@ -315,10 +393,17 @@ def main(argv=None) -> int:
     ]
     if args.digests:
         return digests(sets)
+    sets.append(("invariance", [
+        RunConfig(params=transform(params)) for transform in TRANSFORMS
+        for params in invariance_mechanisms()]))
     caught: Counter = Counter()
     for name, configs in sets:
         accepted = errors = 0
-        for index, report in analyses(name, configs, caught):
+        ledgers, lost_roots = [], []
+        for index, report, categories in analyses(name, configs):
+            caught.update(categories)
+            ledgers.append(_ledger(report))
+            lost_roots.append(categories.count("LostRoots"))
             if report is None:
                 errors += 1
                 continue
@@ -327,6 +412,8 @@ def main(argv=None) -> int:
                 print(repr(row))
             accepted += report.counts["accepted"]
         print(f"# {name}: {accepted} accepted, {errors} errors")
+        if name == "invariance":
+            print(invariance_summary(ledgers, lost_roots))
     for category, count in sorted(caught.items()):
         print(f"# warnings {category}: {count}")
     return 0
