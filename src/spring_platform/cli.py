@@ -1,7 +1,8 @@
 """Command line entry point.
 
 The config file gives the mechanism, and its free lengths pick the case;
---out and --format override the file's output directory and formats.
+--out (default "out") and --format (default json,csv,svg) alone say where
+and in which formats the report is written.
 Exit codes: 0 on success, 2 for configuration problems (a config that
 cannot be read or is invalid, or an output path that cannot be written),
 3 for numerical failures. Each warning of the solve, LostRoots say, is one
@@ -13,12 +14,13 @@ from __future__ import annotations
 import argparse
 import sys
 import warnings
-from dataclasses import replace
 
 from .analysis import run_analysis
 from .config import load_config
 from .errors import MechanismError, ParseError, ValidationError
 from .output import emit_tables, render_svg
+
+FORMATS = ("json", "csv", "svg")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -28,9 +30,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "platform pressed against a rigid surface.")
     parser.add_argument("--config", required=True,
                         help="path to the JSON run configuration")
-    parser.add_argument("--out", help="output directory (default from config)")
-    parser.add_argument("--format",
-                        help="comma separated subset of json,csv,svg")
+    parser.add_argument("--out", default="out",
+                        help="output directory (default: %(default)s)")
+    parser.add_argument("--format", default=",".join(FORMATS),
+                        help="comma separated formats (default: %(default)s)")
     return parser
 
 
@@ -38,11 +41,15 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = load_config(args.config)
-        if args.out is not None:
-            config = replace(config, output_dir=args.out)
-        if args.format is not None:
-            config = replace(config, formats=tuple(
-                f.strip() for f in args.format.split(",") if f.strip()))
+        # a directory must be named, and no file name can hold a NUL byte
+        if not args.out:
+            raise ValidationError("output_dir", "must not be empty")
+        if "\0" in args.out:
+            raise ValidationError("output_dir", "must not hold a NUL byte")
+        formats = [f.strip() for f in args.format.split(",") if f.strip()]
+        if not formats or any(f not in FORMATS for f in formats):
+            raise ValidationError(
+                "formats", f"must be a nonempty subset of {FORMATS}")
     except (ParseError, ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -59,9 +66,9 @@ def main(argv=None) -> int:
               file=sys.stderr)
 
     try:
-        written = emit_tables(report, config.output_dir, config.formats)
-        if "svg" in config.formats:
-            written += render_svg(report, config.output_dir)
+        written = emit_tables(report, args.out, formats)
+        if "svg" in formats:
+            written += render_svg(report, args.out)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

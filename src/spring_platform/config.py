@@ -1,9 +1,11 @@
 """Run configuration: the JSON schema boundary.
 
-Angles enter in degrees and are converted to radians exactly once, here.
-The file schema is strict: the full given-quantity list is required and
-unknown keys are rejected. The free lengths pick the solver case; the
-optional "case" key only asserts it.
+A config file gives the mechanism and nothing else; where a run writes
+its report, and in which file types, is the command line's. Angles enter in
+degrees and are converted to radians exactly once, here. The file schema
+is strict: the full given-quantity list is required and unknown keys are
+rejected. The free lengths pick the solver case; the optional "case" key
+only asserts it.
 """
 
 from __future__ import annotations
@@ -21,33 +23,29 @@ from .mechanism import MechanismParams
 CASE_AUTO = "auto"
 CASE_ZERO = "zero-free-lengths"
 CASE_ONE = "one-nonzero"
-FORMATS = ("json", "csv", "svg")
 
-REQUIRED_KEYS = ("P_M", "alpha_deg", "P_A1_in1", "P_A2_in2", "P_P_in2",
-                 "P_O1", "phi1_deg", "k", "L0")
-OPTIONAL_KEYS = ("case", "output_dir", "formats")
+# each mechanism key of a config file, in reading order, with the
+# MechanismParams field it sets and its count of numbers: 2 for a point, 3
+# per spring, and 1 for an angle, in degrees in the file, radians in params
+MECHANISM_KEYS = (
+    ("P_M", "surface_point", 2), ("alpha_deg", "surface_angle", 1),
+    ("P_A1_in1", "a1_in_base", 2), ("P_A2_in2", "a2_in_top", 2),
+    ("P_P_in2", "p_in_top", 2), ("P_O1", "base_origin", 2),
+    ("phi1_deg", "base_angle", 1), ("k", "stiffness", 3),
+    ("L0", "free_lengths", 3))
+REQUIRED_KEYS = tuple(key for key, _, _ in MECHANISM_KEYS)
+OPTIONAL_KEYS = ("case",)
 
 
 @dataclass(frozen=True)
 class RunConfig:
     params: MechanismParams
-    output_dir: str = "out"
-    formats: tuple[str, ...] = FORMATS
 
     def __post_init__(self):
-        """Checks that config files, the CLI's overrides and direct
-        construction share: the free lengths fit a solver case, the
-        formats are a nonempty subset of FORMATS and the output directory
-        is named, with no NUL byte, which no file name can hold."""
+        """The free lengths fit a solver case, for a config file and for
+        direct construction alike."""
         if self.case is None:
             raise UnsupportedFreeLengthPattern()
-        if not self.formats or any(f not in FORMATS for f in self.formats):
-            raise ValidationError(
-                "formats", f"must be a nonempty subset of {FORMATS}")
-        if not self.output_dir:
-            raise ValidationError("output_dir", "must not be empty")
-        if "\0" in self.output_dir:
-            raise ValidationError("output_dir", "must not hold a NUL byte")
 
     @property
     def case(self) -> str | None:
@@ -55,21 +53,11 @@ class RunConfig:
         return free_length_case(self.params.free_lengths)
 
     def to_dict(self) -> dict:
-        p = self.params
-        return {
-            "P_M": [p.surface_point.x, p.surface_point.y],
-            "alpha_deg": math.degrees(p.surface_angle),
-            "P_A1_in1": [p.a1_in_base.x, p.a1_in_base.y],
-            "P_A2_in2": [p.a2_in_top.x, p.a2_in_top.y],
-            "P_P_in2": [p.p_in_top.x, p.p_in_top.y],
-            "P_O1": [p.base_origin.x, p.base_origin.y],
-            "phi1_deg": math.degrees(p.base_angle),
-            "k": list(p.stiffness),
-            "L0": list(p.free_lengths),
-            "case": self.case,
-            "output_dir": self.output_dir,
-            "formats": list(self.formats),
-        }
+        """The config file of this mechanism, with its resolved case."""
+        data = {key: _echo(getattr(self.params, field), count)
+                for key, field, count in MECHANISM_KEYS}
+        data["case"] = self.case
+        return data
 
 
 # the free-length pattern of each solver case, as free_length_case tests it
@@ -101,19 +89,25 @@ def _is_number(value) -> bool:
             and abs(value) <= sys.float_info.max)
 
 
-def _floats(data, key, count: int) -> tuple[float, ...]:
+def _read(data, key, count: int):
+    """The value of a mechanism key as its MechanismParams field holds it."""
     value = data[key]
+    if count == 1:
+        if not _is_number(value):
+            raise ValidationError(key, "expected a finite number")
+        return math.radians(float(value))
     if (not isinstance(value, (list, tuple)) or len(value) != count
             or not all(_is_number(v) for v in value)):
         raise ValidationError(key, f"expected {count} finite numbers")
-    return tuple(map(float, value))
+    values = tuple(map(float, value))
+    return Point2(*values) if count == 2 else values
 
 
-def _number(data, key) -> float:
-    value = data[key]
-    if not _is_number(value):
-        raise ValidationError(key, "expected a finite number")
-    return float(value)
+def _echo(value, count: int):
+    """A MechanismParams field as its config key writes it: _read's inverse."""
+    if count == 1:
+        return math.degrees(value)
+    return [value.x, value.y] if count == 2 else list(value)
 
 
 def config_from_dict(data: dict) -> RunConfig:
@@ -124,31 +118,14 @@ def config_from_dict(data: dict) -> RunConfig:
     if missing:
         raise ValidationError(missing[0], "required key missing")
 
+    fields = {field: _read(data, key, count)
+              for key, field, count in MECHANISM_KEYS}
     try:
-        params = MechanismParams(
-            surface_point=Point2(*_floats(data, "P_M", 2)),
-            surface_angle=math.radians(_number(data, "alpha_deg")),
-            a1_in_base=Point2(*_floats(data, "P_A1_in1", 2)),
-            a2_in_top=Point2(*_floats(data, "P_A2_in2", 2)),
-            p_in_top=Point2(*_floats(data, "P_P_in2", 2)),
-            base_origin=Point2(*_floats(data, "P_O1", 2)),
-            base_angle=math.radians(_number(data, "phi1_deg")),
-            stiffness=_floats(data, "k", 3),
-            free_lengths=_floats(data, "L0", 3),
-        )
+        params = MechanismParams(**fields)
     except ValueError as exc:
         raise ValidationError("params", str(exc)) from exc
 
-    formats = data.get("formats", FORMATS)
-    if not isinstance(formats, (list, tuple)):
-        raise ValidationError("formats", "expected a list")
-
-    output_dir = data.get("output_dir", "out")
-    if not isinstance(output_dir, str):
-        raise ValidationError("output_dir", "must be a string")
-
-    config = RunConfig(params=params, output_dir=output_dir,
-                       formats=tuple(formats))
+    config = RunConfig(params=params)
     case = data.get("case", CASE_AUTO)
     if case not in (CASE_AUTO, config.case):
         raise ValidationError(

@@ -37,7 +37,11 @@ SOLUTION_COLORS = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728",
                    "#9467bd", "#8c564b", "#e377c2", "#7f7f7f")
 _POINT_NAMES = ("O1", "A1", "O2", "A2", "P")
 _DRAWING = re.compile(r"solution_\d+\.svg")
-_PAD = 1.5  # world margin around a drawing
+# a drawing's margin and the least half-length of its surface line (before
+# the 1.2 stretch), as fractions of its extent, the longer side of the box
+# around its points, so that a drawing does not depend on the unit of length
+_PAD = 0.1
+_SURFACE_MIN = 0.35
 
 
 # the keys of a solution row of report.json, in the order of _row_values
@@ -198,12 +202,15 @@ def _open_drawing(params, canvas_pts, surface_pts, e):
     the XML declaration, the svg start tag, the surface through M over 1.2
     times the extent of surface_pts and point E."""
     xs, ys = zip(*canvas_pts)
-    x0, x1 = min(xs) - _PAD, max(xs) + _PAD
-    y0, y1 = min(ys) - _PAD, max(ys) + _PAD
-    scale = 640.0 / max(x1 - x0, 1e-9)
+    extent = max(max(xs) - min(xs), max(ys) - min(ys))
+    pad = _PAD * extent
+    x0, x1 = min(xs) - pad, max(xs) + pad
+    y0, y1 = min(ys) - pad, max(ys) + pad
+    scale = 640.0 / ((x1 - x0) or 1.0)
     width, height = (x1 - x0) * scale, (y1 - y0) * scale
     xs, ys = zip(*surface_pts)
-    span = max(max(xs) - min(xs), max(ys) - min(ys), 5.0) * 1.2
+    span = max(max(xs) - min(xs), max(ys) - min(ys),
+               _SURFACE_MIN * extent) * 1.2
     dx = math.cos(params.surface_angle) * span
     dy = math.sin(params.surface_angle) * span
     mx, my = _xy(params.surface_point)

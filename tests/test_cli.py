@@ -10,7 +10,8 @@ import pytest
 
 from _support import REFERENCE_CONFIG
 
-from spring_platform import MechanismError, load_config, solve_equilibria
+from spring_platform import (MechanismError, config_from_dict, load_config,
+                             solve_equilibria)
 from spring_platform.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -182,12 +183,27 @@ def test_bad_format_flag(tmp_path, capsys, monkeypatch):
 
 
 def test_tolerance_flag(tmp_path, capsys):
-    # the one-nonzero acceptance level is fixed; a config that sets one is
+    # the one-nonzero acceptance level is fixed, and the output directory
+    # and formats are the command line's; a config that sets one is
     # rejected as having an unknown key
-    cfg = write_config(tmp_path, {"L0": [1.0, 0.0, 0.0],
-                                  "tolerances": {"accept": 1e-6}})
-    assert main(["--config", str(cfg)]) == 2
-    assert capsys.readouterr().err == "error: tolerances: unknown key\n"
+    for key, value in (("tolerances", {"accept": 1e-6}),
+                       ("output_dir", "out"), ("formats", ["json"])):
+        cfg = write_config(tmp_path, {"L0": [1.0, 0.0, 0.0], key: value})
+        assert main(["--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"error: {key}: unknown key\n"
+
+
+def test_report_does_not_depend_on_output_options(tmp_path):
+    # report.json is the same wherever, and in whichever formats, it is
+    # written, and its params block loads as the config it was run from
+    cfg = ROOT / "configs" / "one_nonzero_free_length.json"
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "A"),
+                 "--format", "json"]) == 0
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "B")]) == 0
+    report = (tmp_path / "A" / "report.json").read_bytes()
+    assert report == (tmp_path / "B" / "report.json").read_bytes()
+    assert (config_from_dict(json.loads(report)["params"])
+            == load_config(cfg))
 
 
 def test_csv_only_writes_no_svg(tmp_path):

@@ -45,13 +45,13 @@ def test_explicit_case_mismatch_rejected(tmp_path):
             load_config(write_config(tmp_path, dict(REFERENCE_CONFIG,
                                                     case=case)))
         assert err.value.field == "case"
-    # a pattern with no case is named first, then bad formats, then the key
-    bad = dict(case="zero", formats=["pdf"])
+    # a pattern with no case is named first, then the key
     with pytest.raises(UnsupportedFreeLengthPattern):
-        config_from_dict(dict(REFERENCE_CONFIG, L0=[0.0, 1.0, 0.0], **bad))
+        config_from_dict(dict(REFERENCE_CONFIG, L0=[0.0, 1.0, 0.0],
+                              case="zero"))
     with pytest.raises(ValidationError) as err:
-        config_from_dict(dict(REFERENCE_CONFIG, **bad))
-    assert err.value.field == "formats"
+        config_from_dict(dict(REFERENCE_CONFIG, case="zero"))
+    assert err.value.field == "case"
 
 
 def test_unknown_key_rejected(tmp_path):
@@ -82,13 +82,6 @@ def test_bad_values_rejected():
         config_from_dict(dict(REFERENCE_CONFIG, k=[0.0, 1.0, 1.0]))
     with pytest.raises(ValidationError):
         config_from_dict(dict(REFERENCE_CONFIG, P_A1_in1=[5.5, 0.3]))
-    for output_dir in ("", "o\0ut"):
-        with pytest.raises(ValidationError) as err:
-            config_from_dict(dict(REFERENCE_CONFIG, output_dir=output_dir))
-        assert err.value.field == "output_dir"
-    with pytest.raises(ValidationError, match="must be a string") as err:
-        config_from_dict(dict(REFERENCE_CONFIG, output_dir=["out"]))
-    assert err.value.field == "output_dir"
 
 
 def test_parse_error(tmp_path):
@@ -141,20 +134,7 @@ def test_non_finite_numbers_rejected(tmp_path, key, index, value):
     assert err.value.field == key
 
 
-def test_formats_validated():
-    cfg = config_from_dict(dict(REFERENCE_CONFIG, formats=["csv"]))
-    assert cfg.formats == ("csv",)
-    with pytest.raises(ValidationError):
-        config_from_dict(dict(REFERENCE_CONFIG, formats=["pdf"]))
-    # a string is not a list of formats, even one that names a format
-    with pytest.raises(ValidationError, match="expected a list") as err:
-        config_from_dict(dict(REFERENCE_CONFIG, formats="csv"))
-    assert err.value.field == "formats"
-
-
 def test_round_trip(tmp_path):
-    original = config_from_dict(dict(REFERENCE_CONFIG, L0=[1.0, 0.0, 0.0],
-                                     formats=["json", "csv"],
-                                     output_dir="results"))
+    original = config_from_dict(dict(REFERENCE_CONFIG, L0=[1.0, 0.0, 0.0]))
     path = write_config(tmp_path, original.to_dict(), name="echo.json")
     assert load_config(path) == original

@@ -280,6 +280,26 @@ def test_svg_structure(tmp_path, l0, drawings):
     assert 0 < len(positive) < report.counts["real"]
 
 
+@pytest.mark.parametrize("factor", [2.0 ** -10, 1.0, 2.0 ** 10])
+def test_svg_does_not_depend_on_unit_of_length(tmp_path, factor):
+    # the reference one-nonzero mechanism with every length times factor:
+    # each drawing of a solution spreads its points over at least half the
+    # canvas in x or in y
+    lengths = ("P_M", "P_A1_in1", "P_A2_in2", "P_P_in2", "P_O1", "L0")
+    data = dict(REFERENCE_CONFIG, L0=[1.0, 0.0, 0.0])
+    data.update({key: [v * factor for v in data[key]] for key in lengths})
+    drawings = [path for path in render_svg(
+        run_analysis(config_from_dict(data)), tmp_path)
+        if path.name.startswith("solution_")]
+    assert drawings
+    for path in drawings:
+        root = ET.parse(path).getroot()
+        xs, ys = zip(*[(float(c.get("cx")), float(c.get("cy")))
+                       for c in root.findall("svg:circle", SVG)])
+        assert (max(xs) - min(xs) >= float(root.get("width")) / 2
+                or max(ys) - min(ys) >= float(root.get("height")) / 2)
+
+
 def test_svg_rerun_removes_stale_drawings(tmp_path):
     # the two configs draw different solution indices; a second run into
     # the same directory leaves only its own drawings, and files that are
