@@ -35,6 +35,7 @@ MECHANISM_KEYS = (
     ("L0", "free_lengths", 3))
 REQUIRED_KEYS = tuple(key for key, _, _ in MECHANISM_KEYS)
 OPTIONAL_KEYS = ("case",)
+_KNOWN_KEYS = frozenset(REQUIRED_KEYS + OPTIONAL_KEYS)
 
 
 @dataclass(frozen=True)
@@ -111,7 +112,7 @@ def _echo(value, count: int):
 
 
 def config_from_dict(data: dict) -> RunConfig:
-    unknown = set(data) - set(REQUIRED_KEYS) - set(OPTIONAL_KEYS)
+    unknown = set(data) - _KNOWN_KEYS
     if unknown:
         raise ValidationError(sorted(unknown)[0], "unknown key")
     missing = [k for k in REQUIRED_KEYS if k not in data]

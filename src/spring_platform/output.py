@@ -6,11 +6,12 @@ file an earlier run left; re-running a configuration gives byte-identical
 files (timing stays out of the JSON).
 ``report.json`` holds ``json.dumps(report_to_dict(report), indent=2,
 sort_keys=True)`` with non-finite floats as null. The json module encodes
-with ``indent`` in pure Python, so only the envelope goes through it: the
-solution table is formatted column by column, each row one %-format of a
-cached template. The SVG is written without an XML tree, from points as
-(x, y) tuples of floats: each drawn pose is the pose_points floats of its
-real (L, beta).
+with ``indent`` in pure Python, so only layouts go through it: the
+envelope fills, in one %-format, a layout that json.dumps makes once per
+shape of its fields, and the solution table is formatted column by
+column, each row one %-format of a cached template. The SVG is written
+without an XML tree, from points as (x, y) tuples of floats: each drawn
+pose is the pose_points floats of its real (L, beta).
 """
 
 from __future__ import annotations
@@ -48,10 +49,11 @@ _SURFACE_MIN = 0.35
 _ROW_KEYS = ("index", "beta_re", "beta_im", "L_re", "L_im", "residual_force",
              "residual_moment", "rel_residual", "squared_residual", "real",
              "accepted", "note")
+_SORTED_ROW_KEYS = sorted(_ROW_KEYS)
 # a solution row as report.json nests it, two levels deep: one %s per key,
 # in sorted order
 _ROW_TEMPLATE = ("{\n      " + ",\n      ".join(
-    f'"{key}": %s' for key in sorted(_ROW_KEYS)) + "\n    }")
+    f'"{key}": %s' for key in _SORTED_ROW_KEYS) + "\n    }")
 
 
 def _row_values(index: int, s: EquilibriumSolution) -> tuple:
@@ -92,6 +94,59 @@ _FLAGS = ("false", "true")
 def _numbers(values) -> list[str]:
     """JSON text of each number: its repr, or null when it is not finite."""
     return [float.__repr__(v) if v - v == 0 else "null" for v in values]
+
+
+def _walk(value, shape: list, leaves: list) -> None:
+    """Append the shape of a JSON value to shape and its scalars to leaves,
+    in the order json.dumps with sort_keys writes them: a dict as the tuple
+    of its sorted keys, a list as its length, each followed by its items,
+    and a scalar as None."""
+    if isinstance(value, dict):
+        keys = sorted(value)
+        shape.append(tuple(keys))
+        for key in keys:
+            _walk(value[key], shape, leaves)
+    elif isinstance(value, (list, tuple)):
+        shape.append(len(value))
+        for item in value:
+            _walk(item, shape, leaves)
+    else:
+        shape.append(None)
+        leaves.append(value)
+
+
+def _skeleton(shape):
+    """The JSON value of the shape, an iterator over _walk's entries, each
+    scalar the string NUL."""
+    entry = next(shape)
+    if entry is None:
+        return "\0"
+    if isinstance(entry, int):
+        return [_skeleton(shape) for _ in range(entry)]
+    return {key: _skeleton(shape) for key in entry}
+
+
+@functools.lru_cache(maxsize=64)
+def _layout(shape: tuple) -> str:
+    """%-format template of json.dumps(value, indent=2, sort_keys=True) for
+    every value of the shape, one %s per scalar; no key of the envelope
+    holds a NUL."""
+    text = json.dumps(_skeleton(iter(shape)), indent=2, sort_keys=True)
+    return text.replace("%", "%%").replace('"\\u0000"', "%s")
+
+
+# the JSON texts of a list of scalars joined by NUL, which none holds (a
+# string's control characters are escaped), with json.dumps's errors: a
+# ValueError for a non-finite float, a TypeError for a type json cannot
+# encode. Without indent the json module encodes in C
+_SCALARS = json.JSONEncoder(separators=("\0", ": "), allow_nan=False).encode
+
+
+def _envelope(fields: dict) -> str:
+    """json.dumps(fields, indent=2, sort_keys=True, allow_nan=False)."""
+    shape, leaves = [], []
+    _walk(fields, shape, leaves)
+    return _layout(tuple(shape)) % tuple(_SCALARS(leaves)[1:-1].split("\0"))
 
 
 def _write(path: Path, text: str) -> Path:
@@ -145,9 +200,8 @@ def emit_tables(report: AnalysisReport, out_dir,
             map(flag, real), map(flag, accepted),
             map(encode_basestring_ascii, note))))
         rows = map(_ROW_TEMPLATE.__mod__, zip(
-            *[columns[key] for key in sorted(_ROW_KEYS)]))
-        envelope = json.dumps(_report_fields(report), indent=2,
-                              sort_keys=True, allow_nan=False)
+            *[columns[key] for key in _SORTED_ROW_KEYS]))
+        envelope = _envelope(_report_fields(report))
         # "solutions" sorts after every other key, so its rows close the
         # text, in place of the envelope's closing "\n}"
         written.append(_write(out / "report.json", (

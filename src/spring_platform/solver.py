@@ -48,6 +48,7 @@ exactly those of A = C = 0.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 
@@ -403,30 +404,37 @@ def _pose_columns(z, length):
 def structural_rows(beta, length, squared_residual, note: str) -> dict:
     """Ledger columns of rejected candidates known in closed form, whose
     unsquared residuals are undefined (a zero-length first spring or no
-    finite beta)."""
-    undefined = np.full(len(beta), math.inf)
-    return dict(beta=beta, length=length, residual_force=undefined,
-                residual_moment=undefined, rel_residual=undefined,
-                is_real=mark_real(beta, length),
-                accepted=np.zeros(len(beta), dtype=bool),
-                squared_residual=np.full(len(beta), squared_residual),
-                note=np.full(len(beta), note))
+    finite beta): beta, L and the real flag, with the read-only columns
+    that only their count, squared_residual and note set."""
+    return dict(_constant_columns(len(beta), squared_residual, note),
+                beta=beta, length=length, is_real=mark_real(beta, length))
 
 
+@functools.cache
+def _constant_columns(count: int, squared_residual, note: str) -> dict:
+    undefined = np.full(count, math.inf)
+    return _read_only(dict(
+        residual_force=undefined, residual_moment=undefined,
+        rel_residual=undefined, accepted=np.zeros(count, dtype=bool),
+        squared_residual=np.full(count, squared_residual),
+        note=np.full(count, note)))
+
+
+@functools.cache
 def _no_finite_beta(at_zero, at_infinity, squared_residual, note: str):
     """structural_rows of NaN length of the roots at z = 0, where beta =
-    -i log z is +i infinity, and at z = oo, where it is -i infinity."""
+    -i log z is +i infinity, and at z = oo, where it is -i infinity; every
+    mechanism with these counts shares them, so they are read-only."""
     beta = np.repeat([complex(0, math.inf), complex(0, -math.inf)],
                      [at_zero, at_infinity])
-    return structural_rows(beta, np.full(len(beta), complex("nan")),
-                           squared_residual, note)
+    return _read_only(structural_rows(
+        beta, np.full(len(beta), complex("nan")), squared_residual, note))
 
 
-# the 12 tan-half pole rows, the same for every mechanism
-_POLE_COLUMNS = _no_finite_beta(POLE_ROWS, POLE_ROWS, math.inf,
-                                "no finite beta (tan-half pole artifact)")
-for _column in _POLE_COLUMNS.values():
-    _column.flags.writeable = False
+def _read_only(columns: dict) -> dict:
+    for column in columns.values():
+        column.flags.writeable = False
+    return columns
 
 
 def _finite(eliminant):
@@ -565,4 +573,5 @@ def _solve_one(pair, origin, tensors) -> list[EquilibriumSolution]:
             np.repeat(-1j * np.log(known_z[:2]), COINCIDENT_MULTIPLICITY),
             np.repeat(coincident_length, COINCIDENT_MULTIPLICITY), 0.0,
             "O2 = O1 (first spring of zero length)"),
-        _POLE_COLUMNS)
+        _no_finite_beta(POLE_ROWS, POLE_ROWS, math.inf,
+                        "no finite beta (tan-half pole artifact)"))

@@ -739,19 +739,32 @@ def test_other_branch_rows_hold_their_own_length(monkeypatch):
     assert np.all(ratio[note == "other branch"] <= 1e-12)
 
 
-def test_pole_rows_are_built_once_and_read_only(params_one):
-    # the 12 tan-half pole rows are shared by every solve: no solve may
-    # write to them, and none does
-    before = {name: column.tobytes()
-              for name, column in solver._POLE_COLUMNS.items()}
-    solutions = solve_equilibria(params_one)
-    assert sum(s.note == "no finite beta (tan-half pole artifact)"
-               for s in solutions) == 2 * solver.POLE_ROWS
-    for name, column in solver._POLE_COLUMNS.items():
-        assert len(column) == 2 * solver.POLE_ROWS
-        assert column.tobytes() == before[name]
-        with pytest.raises(ValueError, match="read-only"):
-            column[0] = column[1]
+def test_pole_rows_are_built_once_and_read_only(params_zero, params_one):
+    # the rows of no finite beta are cached by their counts and shared by
+    # every solve with those counts: the 12 tan-half pole rows, the zero
+    # reference's empty ones and a balanced pin's one root at z = 0 and one
+    # at infinity. Each solve finds its rows in the cache, and no solve
+    # may write to them
+    k1, k2, k3 = params_zero.stiffness
+    balanced = dataclasses.replace(params_zero, p_in_top=Point2(
+        (k2 + k3) * params_zero.d_o2a2 / (k1 + k2 + k3), 0.0))
+    for params, key in (
+            (params_one, (solver.POLE_ROWS, solver.POLE_ROWS, math.inf,
+                          "no finite beta (tan-half pole artifact)")),
+            (params_zero, (0, 0, 0.0, "no finite beta")),
+            (balanced, (1, 1, 0.0, "no finite beta"))):
+        rows = solver._no_finite_beta(*key)
+        before = {name: column.tobytes() for name, column in rows.items()}
+        calls = solver._no_finite_beta.cache_info()
+        solutions = solve_equilibria(params)
+        after = solver._no_finite_beta.cache_info()
+        assert (after.hits - calls.hits, after.misses - calls.misses) == (1, 0)
+        assert sum(s.note == key[3] for s in solutions) == key[0] + key[1]
+        for name, column in rows.items():
+            assert len(column) == key[0] + key[1]
+            assert column.tobytes() == before[name]
+            with pytest.raises(ValueError, match="read-only"):
+                column[...] = column
 
 
 def _sylvester_dets(tensors, kl, signs, z):

@@ -152,6 +152,22 @@ def test_tables_match_json_module_and_csv_format(tmp_path, name):
     assert csv_path.read_text() == "\n".join(lines) + "\n"
 
 
+def test_envelope_raises_as_json_module(tmp_path):
+    # report.json's envelope fills a layout cached per shape: a value that
+    # json.dumps(allow_nan=False) refuses still raises its error once the
+    # layout of that shape is made, a non-finite float outside margin as
+    # ValueError and a numpy int64 count as TypeError
+    report = _report()
+    emit_tables(report, tmp_path, ("json",))
+    for total, error in ((math.nan, ValueError), (-math.inf, ValueError),
+                         (np.int64(4), TypeError)):
+        bad = report._replace(counts=dict(report.counts, total=total))
+        with pytest.raises(error):
+            json.dumps(report_to_dict(bad), allow_nan=False)
+        with pytest.raises(error):
+            emit_tables(bad, tmp_path, ("json",))
+
+
 def test_import_loads_no_xml_tree():
     src = Path(spring_platform.__file__).resolve().parents[1]
     code = ("import sys, spring_platform; "

@@ -83,7 +83,7 @@ ROWS = ("`load_config`",
         "`UnsquaredPair.tensors`",
         "eliminant quotients and companion roots",
         "candidates: the starts of `newton`", "`newton`", "`_classify`",
-        "ledger: `structural_rows`, `ledger`, the report's counts",
+        "ledger: the structural rows, `ledger`, the report's counts",
         "`report.json` and `solutions.csv` text",
         "SVG text and the stale-drawing scan",
         "file writes: `_write` and `_output_dir`")
@@ -94,7 +94,8 @@ WRITER = "writer"  # as the row before a call: see OUTPUT
 # operation's own code that runs just before it). Both workloads run the
 # one solve, and its free-length dispatch is part of the set-up. The zero
 # case has no eliminant to divide and no _classify: those rows hold its
-# quartic and its roots and its inline residuals.
+# quartic and its roots and its inline residuals, which end at its call of
+# the cached _no_finite_beta (structural_rows runs only on a cache miss).
 SOLVES = {
     "reference-one": (
         (UnsquaredPair, "tensors", 2, 1),
@@ -109,7 +110,7 @@ SOLVES = {
         (UnsquaredPair, "tensors", 2, 1),
         (solver, "_quartic_roots", 3, 3),
         (solver, "newton", 5, 4),
-        (solver, "structural_rows", 7, 6),
+        (solver, "_no_finite_beta", 7, 6),
         (solver, "ledger", 7, 7)),
 }
 # the output layer's bounds. The code before each goes to the row of the
