@@ -149,7 +149,7 @@ def _envelope(fields: dict) -> str:
     return _layout(tuple(shape)) % tuple(_SCALARS(leaves)[1:-1].split("\0"))
 
 
-def _write(path: Path, text: str) -> Path:
+def _write(path: str, text: str) -> str:
     """Write text to path, UTF-8 encoded, in place: a new file is made with
     0o666 less the umask, an existing one is overwritten from its start
     and then cut to the new length, so it keeps its inode, mode and hard
@@ -168,11 +168,12 @@ def _write(path: Path, text: str) -> Path:
     return path
 
 
-def _output_dir(out_dir) -> Path:
-    """out_dir, made with its parents when it is not a directory."""
+def _output_dir(out_dir) -> str:
+    """out_dir as a str, made with its parents when it is not a directory;
+    the files are joined to it as strings."""
     if not os.path.isdir(out_dir):
         os.makedirs(out_dir, exist_ok=True)
-    return Path(out_dir)
+    return os.fspath(out_dir)
 
 
 def emit_tables(report: AnalysisReport, out_dir,
@@ -191,7 +192,8 @@ def emit_tables(report: AnalysisReport, out_dir,
         lines += map(_CSV_ROW.__mod__, zip(
             index, beta_re, beta_im, length_re, length_im, force, moment,
             real, accepted))
-        written.append(_write(out / "solutions.csv", "\n".join(lines) + "\n"))
+        written.append(_write(os.path.join(out, "solutions.csv"),
+                              "\n".join(lines) + "\n"))
     if "json" in formats:
         flag = _FLAGS.__getitem__
         columns = dict(zip(_ROW_KEYS, (
@@ -204,10 +206,10 @@ def emit_tables(report: AnalysisReport, out_dir,
         envelope = _envelope(_report_fields(report))
         # "solutions" sorts after every other key, so its rows close the
         # text, in place of the envelope's closing "\n}"
-        written.append(_write(out / "report.json", (
+        written.append(_write(os.path.join(out, "report.json"), (
             envelope[:-2] + ',\n  "solutions": [\n    '
             + ",\n    ".join(rows) + "\n  ]\n}\n")))
-    return written
+    return list(map(Path, written))
 
 
 # --- SVG rendering -------------------------------------------------------
@@ -321,18 +323,19 @@ def _draw_solution(parts, canvas, pose, color="#1f77b4", label_points=True):
     parts.append(_pose_template(color, label_points) % tuple(values))
 
 
-def _remove_stale_drawings(out: Path, written: list[Path]) -> list[Path]:
+def _remove_stale_drawings(out: str, written: list[str]) -> None:
     """Delete the drawings solution_<k>.svg in out that are not among the
-    files just written, left there by an earlier run; the written files
-    are returned."""
-    keep = {path.name for path in written}
+    files just written, left there by an earlier run."""
+    keep = {os.path.basename(path) for path in written}
     with os.scandir(out) as entries:
-        stale = [out / entry.name for entry in entries
+        stale = [entry.path for entry in entries
                  if entry.name not in keep and _DRAWING.fullmatch(entry.name)
                  and not entry.is_dir(follow_symlinks=False)]
     for path in stale:
-        path.unlink(missing_ok=True)
-    return written
+        try:
+            os.unlink(path)
+        except FileNotFoundError:
+            pass
 
 
 def render_svg(report: AnalysisReport, out_dir) -> list[Path]:
@@ -344,7 +347,7 @@ def render_svg(report: AnalysisReport, out_dir) -> list[Path]:
     params = report.config.params
     o1, a1, m = map(_xy, (params.base_origin, params.a1_fixed,
                           params.surface_point))
-    written: list[Path] = []
+    written = []
     real_accepted = [(i, s) for i, s in enumerate(report.solutions, start=1)
                      if s.accepted and s.is_real]
     e = _xy(params.point_e)
@@ -358,7 +361,7 @@ def render_svg(report: AnalysisReport, out_dir) -> list[Path]:
         _draw_solution(parts, canvas, poses[idx])
         parts.append(f"<title>solution {idx}: beta={sol.beta.real:.4f}, "
                      f"L={sol.length.real:.4f}</title>")
-        written.append(_write(out / f"solution_{idx}.svg",
+        written.append(_write(os.path.join(out, f"solution_{idx}.svg"),
                               "".join(parts) + "</svg>"))
 
     canvas, parts = _open_drawing(params, world, world, e)
@@ -383,5 +386,7 @@ def render_svg(report: AnalysisReport, out_dir) -> list[Path]:
             parts.append("</g>")
         if members:
             parts.append("</g>")
-    written.append(_write(out / "overview.svg", "".join(parts) + "</svg>"))
-    return _remove_stale_drawings(out, written)
+    written.append(_write(os.path.join(out, "overview.svg"),
+                          "".join(parts) + "</svg>"))
+    _remove_stale_drawings(out, written)
+    return list(map(Path, written))

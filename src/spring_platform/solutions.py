@@ -1,9 +1,11 @@
 """Solution records of both free-length cases, plus conjugate
-pairing, the ledger that turns solver columns into ordered records, and
-residual-margin helpers."""
+pairing, the ledger that turns a solve's refined roots and its rows
+known in closed form into ordered records, and residual-margin helpers.
+The ledger is the one place that flags a row real and casts it."""
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -77,21 +79,36 @@ def pair_conjugate_points(beta: np.ndarray, length: np.ndarray,
     return beta, length
 
 
-def ledger(*parts: dict) -> list[EquilibriumSolution]:
-    """The records of the candidates in parts, each a dict of columns keyed
-    by every EquilibriumSolution field: the parts joined, near-conjugate
-    complex pairs symmetrized by pair_conjugate_points, and ordered by
-    (beta.re, beta.im, L.re, L.im) in one np.lexsort. A NaN key sorts after
-    every number in its place (numpy's order), and rows equal in all four
-    keys keep the order of parts."""
-    columns = {name: np.concatenate([part[name] for part in parts])
-               for name in EquilibriumSolution._fields}
+def ledger(found: dict, *known: tuple) -> list[EquilibriumSolution]:
+    """The records of a solve's candidates: the refined roots in found, a
+    dict of columns keyed by every EquilibriumSolution field but is_real,
+    then the rows of each known group (beta, L, squared_residual, note),
+    rejected candidates known in closed form whose residuals are undefined
+    (infinite). Here alone rows are flagged real, by mark_real, and the
+    real rows' beta and L cast to real; near-conjugate complex pairs are
+    symmetrized by pair_conjugate_points, and the rows ordered by (beta.re,
+    beta.im, L.re, L.im) in one np.lexsort. A NaN key sorts after every
+    number in its place (numpy's order), and rows equal in all four keys
+    keep the order of found and the groups."""
+    beta = np.concatenate([found["beta"], *(group[0] for group in known)])
+    length = np.concatenate([found["length"], *(group[1] for group in known)])
+    real = mark_real(beta, length)
     beta, length = pair_conjugate_points(
-        columns["beta"], columns["length"], columns["is_real"])
-    columns["beta"], columns["length"] = beta, length
+        np.where(real, beta.real, beta), np.where(real, length.real, length),
+        real)
+    rows = list(zip(*(found[name].tolist() for name in (
+        "residual_force", "residual_moment", "rel_residual", "accepted",
+        "squared_residual", "note"))))
+    for _, group_length, squared_residual, note in known:
+        rows += [(math.inf, math.inf, math.inf, False, squared_residual,
+                  note)] * len(group_length)
     order = np.lexsort((length.imag, length.real, beta.imag, beta.real))
-    return list(map(EquilibriumSolution._make, zip(
-        *(column[order].tolist() for column in columns.values()))))
+    rows = map(rows.__getitem__, order.tolist())
+    return [EquilibriumSolution(b, l, force, moment, rel, is_real, accepted,
+                                squared, note)
+            for b, l, is_real, (force, moment, rel, accepted, squared, note)
+            in zip(beta[order].tolist(), length[order].tolist(),
+                   real[order].tolist(), rows)]
 
 
 def residual_margin(solutions: list[EquilibriumSolution]):

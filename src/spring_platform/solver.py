@@ -28,7 +28,9 @@ The paper squares the pair instead and eliminates over the tan-half
 variable; its degree-48 eliminant has the same roots plus the O2 = O1
 points four times each and 12 roots at the tan-half pole, where beta is
 not finite. The solve reports all 48: 14 same-sign, 14 mixed-sign, 8
-O2 = O1 and 12 pole rows.
+O2 = O1 and 12 pole rows, the last 20 known in closed form. Each beta and
+L goes to solutions.ledger uncast; the ledger alone flags and casts the
+real rows.
 
 With all free lengths zero, k1 L01 = 0 and the right-hand sides vanish
 (B = D = 0), so the force and moment residuals are A and C themselves,
@@ -58,7 +60,7 @@ from .config import (CASE_ZERO, UnsupportedFreeLengthPattern,
                      free_length_case)
 from .errors import DegenerateQuartic, LostRoots, MechanismError
 from .mechanism import TOL_ZERO_LENGTH, MechanismParams
-from .solutions import EquilibriumSolution, ledger, mark_real
+from .solutions import EquilibriumSolution, ledger
 
 RESIDUAL_REL_TOL = 1e-8      # acceptance level of the all-zero case
 ACCEPT_REL_TOL = 1e-6        # acceptance level of the one-nonzero case
@@ -339,9 +341,9 @@ def newton(pair, tensors, origin, u, z, s, sign):
 
 
 def _classify(tensors, origin, u, z, s, terms, same_sign) -> dict:
-    """Ledger columns, keyed by EquilibriumSolution field, of the refined
-    roots (origin + u, z, s), from the pair's terms there, as newton
-    returns them.
+    """Ledger columns, keyed by EquilibriumSolution field but is_real, of
+    the refined roots (origin + u, z, s), from the pair's terms there, as
+    newton returns them, with beta = -i log z.
 
     A root is accepted when the unsquared pair holds with the principal
     L1 to ACCEPT_REL_TOL (scale-normalized); a rejected same-sign root lies
@@ -367,7 +369,7 @@ def _classify(tensors, origin, u, z, s, terms, same_sign) -> dict:
     spring = np.abs(l1) >= TOL_ZERO_LENGTH
     force = np.where(spring, np.abs(a - b / l1), math.inf)
     moment = np.where(spring, np.abs(c - d / l1), math.inf)
-    beta, length, real = _pose_columns(z, origin + u)
+    beta, length = -1j * np.log(z), origin + u
     # where the structure degenerates (a pin at an anchor, say), two
     # starts can converge onto one equilibrium; it is accepted once
     accepted = rel <= ACCEPT_REL_TOL
@@ -385,56 +387,23 @@ def _classify(tensors, origin, u, z, s, terms, same_sign) -> dict:
                         "refinement not converged")))
     return dict(
         beta=beta, length=length, residual_force=force,
-        residual_moment=moment, rel_residual=rel, is_real=real,
+        residual_moment=moment, rel_residual=rel,
         accepted=accepted & ~repeated,
         squared_residual=relative(fa - fb, np.abs(fa) + np.abs(fb),
                                   ma - mb, np.abs(ma) + np.abs(mb)),
         note=note)
 
 
-def _pose_columns(z, length):
-    """(beta, L, real flag) of the refined roots (L, z): beta = -i log z,
-    and both cast to real where mark_real finds them real."""
-    beta = -1j * np.log(z)
-    real = mark_real(beta, length)
-    return (np.where(real, beta.real, beta),
-            np.where(real, length.real, length), real)
-
-
-def structural_rows(beta, length, squared_residual, note: str) -> dict:
-    """Ledger columns of rejected candidates known in closed form, whose
-    unsquared residuals are undefined (a zero-length first spring or no
-    finite beta): beta, L and the real flag, with the read-only columns
-    that only their count, squared_residual and note set."""
-    return dict(_constant_columns(len(beta), squared_residual, note),
-                beta=beta, length=length, is_real=mark_real(beta, length))
-
-
 @functools.cache
-def _constant_columns(count: int, squared_residual, note: str) -> dict:
-    undefined = np.full(count, math.inf)
-    return _read_only(dict(
-        residual_force=undefined, residual_moment=undefined,
-        rel_residual=undefined, accepted=np.zeros(count, dtype=bool),
-        squared_residual=np.full(count, squared_residual),
-        note=np.full(count, note)))
-
-
-@functools.cache
-def _no_finite_beta(at_zero, at_infinity, squared_residual, note: str):
-    """structural_rows of NaN length of the roots at z = 0, where beta =
-    -i log z is +i infinity, and at z = oo, where it is -i infinity; every
+def _no_finite_beta(at_zero, at_infinity):
+    """(beta, L) of the roots at z = 0, where beta = -i log z is +i
+    infinity, and at z = oo, where it is -i infinity, of NaN length; every
     mechanism with these counts shares them, so they are read-only."""
     beta = np.repeat([complex(0, math.inf), complex(0, -math.inf)],
                      [at_zero, at_infinity])
-    return _read_only(structural_rows(
-        beta, np.full(len(beta), complex("nan")), squared_residual, note))
-
-
-def _read_only(columns: dict) -> dict:
-    for column in columns.values():
-        column.flags.writeable = False
-    return columns
+    length = np.full(len(beta), complex("nan"))
+    beta.flags.writeable = length.flags.writeable = False
+    return beta, length
 
 
 def _finite(eliminant):
@@ -520,14 +489,14 @@ def _solve_zero(pair, origin, tensors) -> list[EquilibriumSolution]:
                       np.abs(z)[:, None] ** np.arange(3))
     rel = np.maximum(np.abs(z * force) / scale[0],
                      np.abs(z * moment) / scale[1])
-    beta, length, real = _pose_columns(z, origin + u)
     accepted = rel <= RESIDUAL_REL_TOL
     return ledger(
-        dict(beta=beta, length=length, residual_force=np.abs(force),
-             residual_moment=np.abs(moment), rel_residual=rel, is_real=real,
-             accepted=accepted, squared_residual=np.zeros(len(z)),
+        dict(beta=-1j * np.log(z), length=origin + u,
+             residual_force=np.abs(force), residual_moment=np.abs(moment),
+             rel_residual=rel, accepted=accepted,
+             squared_residual=np.zeros(len(z)),
              note=np.where(accepted, "", "refinement not converged")),
-        _no_finite_beta(at_zero, at_infinity, 0.0, "no finite beta"))
+        (*_no_finite_beta(at_zero, at_infinity), 0.0, "no finite beta"))
 
 
 def _solve_one(pair, origin, tensors) -> list[EquilibriumSolution]:
@@ -569,9 +538,8 @@ def _solve_one(pair, origin, tensors) -> list[EquilibriumSolution]:
     return ledger(
         columns,
         # both squared quartics vanish where O2 = O1
-        structural_rows(
-            np.repeat(-1j * np.log(known_z[:2]), COINCIDENT_MULTIPLICITY),
-            np.repeat(coincident_length, COINCIDENT_MULTIPLICITY), 0.0,
-            "O2 = O1 (first spring of zero length)"),
-        _no_finite_beta(POLE_ROWS, POLE_ROWS, math.inf,
-                        "no finite beta (tan-half pole artifact)"))
+        (np.repeat(-1j * np.log(known_z[:2]), COINCIDENT_MULTIPLICITY),
+         np.repeat(coincident_length, COINCIDENT_MULTIPLICITY), 0.0,
+         "O2 = O1 (first spring of zero length)"),
+        (*_no_finite_beta(POLE_ROWS, POLE_ROWS), math.inf,
+         "no finite beta (tan-half pole artifact)"))

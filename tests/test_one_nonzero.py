@@ -647,10 +647,15 @@ def test_known_root_on_a_sample_angle(params_one, offset):
     assert np.min(np.abs(known - solver._TURNED_Z[0, 3])) <= 1e-5
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        accepted = [s for s in solve_equilibria(params) if s.accepted]
+        solutions = solve_equilibria(params)
+    accepted = [s for s in solutions if s.accepted]
     assert len(accepted) == 8
     assert sum(s.is_real for s in accepted) == 2
     assert not [w for w in caught if w.category is LostRoots]
+    # every row flagged real is exactly real, the O2 = O1 rows included
+    real = [s for s in solutions if s.is_real]
+    assert sum(s.note.startswith("O2 = O1") for s in real) == 8
+    assert all(s.beta.imag == 0 and s.length.imag == 0 for s in real)
 
 
 def test_companion_roots_are_numpy_roots(params_one, params_zero):
@@ -740,29 +745,29 @@ def test_other_branch_rows_hold_their_own_length(monkeypatch):
 
 
 def test_pole_rows_are_built_once_and_read_only(params_zero, params_one):
-    # the rows of no finite beta are cached by their counts and shared by
-    # every solve with those counts: the 12 tan-half pole rows, the zero
-    # reference's empty ones and a balanced pin's one root at z = 0 and one
-    # at infinity. Each solve finds its rows in the cache, and no solve
-    # may write to them
+    # the (beta, L) of the rows of no finite beta are cached by their
+    # counts and shared by every solve with those counts: the 12 tan-half
+    # pole rows, the zero reference's empty ones and a balanced pin's one
+    # root at z = 0 and one at infinity. Each solve finds its rows in the
+    # cache, and no solve may write to them
     k1, k2, k3 = params_zero.stiffness
     balanced = dataclasses.replace(params_zero, p_in_top=Point2(
         (k2 + k3) * params_zero.d_o2a2 / (k1 + k2 + k3), 0.0))
-    for params, key in (
-            (params_one, (solver.POLE_ROWS, solver.POLE_ROWS, math.inf,
-                          "no finite beta (tan-half pole artifact)")),
-            (params_zero, (0, 0, 0.0, "no finite beta")),
-            (balanced, (1, 1, 0.0, "no finite beta"))):
-        rows = solver._no_finite_beta(*key)
-        before = {name: column.tobytes() for name, column in rows.items()}
+    for params, key, note in (
+            (params_one, (solver.POLE_ROWS, solver.POLE_ROWS),
+             "no finite beta (tan-half pole artifact)"),
+            (params_zero, (0, 0), "no finite beta"),
+            (balanced, (1, 1), "no finite beta")):
+        columns = solver._no_finite_beta(*key)
+        before = [column.tobytes() for column in columns]
         calls = solver._no_finite_beta.cache_info()
         solutions = solve_equilibria(params)
         after = solver._no_finite_beta.cache_info()
         assert (after.hits - calls.hits, after.misses - calls.misses) == (1, 0)
-        assert sum(s.note == key[3] for s in solutions) == key[0] + key[1]
-        for name, column in rows.items():
-            assert len(column) == key[0] + key[1]
-            assert column.tobytes() == before[name]
+        assert sum(s.note == note for s in solutions) == sum(key)
+        for column, data in zip(columns, before, strict=True):
+            assert len(column) == sum(key)
+            assert column.tobytes() == data
             with pytest.raises(ValueError, match="read-only"):
                 column[...] = column
 

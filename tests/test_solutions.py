@@ -7,13 +7,13 @@ from spring_platform.solutions import EquilibriumSolution, ledger
 
 
 def records(*candidates):
-    """The ledger of candidates (beta, L, accepted), all flagged complex."""
+    """The ledger of candidates (beta, L, accepted), none of them real."""
     beta, length, accepted = (np.array(column) for column in zip(*candidates))
     zeros = np.zeros(len(candidates))
     return ledger(dict(
         beta=beta.astype(complex), length=length.astype(complex),
         residual_force=zeros, residual_moment=zeros, rel_residual=zeros,
-        is_real=zeros.astype(bool), accepted=accepted, squared_residual=zeros,
+        accepted=accepted, squared_residual=zeros,
         note=np.full(len(candidates), "")))
 
 
@@ -52,7 +52,10 @@ def test_pair_conjugates_prefers_the_finite_partner():
 def test_ledger_order_is_the_record_key_order():
     # rows in the order of the key (beta.re, beta.im, L.re, L.im) over the
     # records: ties in beta.re, -0.0 against 0.0, and rows of infinite
-    # beta_im and NaN length, flagged real so that no pairing moves them
+    # beta_im and NaN length, which no pairing moves, found and known. The
+    # found row (1.5 - 0j, 9 + 1j) is complex, so no cast drops its -0.0.
+    # Of the known groups, the one real row comes out cast and the empty
+    # group adds no row
     inf, nan = math.inf, math.nan
     candidates = [
         (complex(0.0, inf), complex(nan, nan)),
@@ -62,7 +65,7 @@ def test_ledger_order_is_the_record_key_order():
         (complex(0.0, -inf), complex(nan, nan)),
         (complex(1.5, 2.0), 2 + 5j),
         (complex(0.0, 0.5), 6 + 0j),
-        (complex(1.5, -0.0), 9 + 0j),
+        (complex(1.5, -0.0), 9 + 1j),
         (complex(-3.0, 0.0), 1 + 0j),
         (complex(1.5, 0.0), 8 + 0j),
         (complex(0.0, -inf), complex(nan, nan)),
@@ -70,13 +73,21 @@ def test_ledger_order_is_the_record_key_order():
     beta, length = (np.array(column) for column in zip(*candidates))
     count = len(candidates)
     zeros = np.zeros(count)
-    out = ledger(dict(
-        beta=beta, length=length, residual_force=zeros,
-        residual_moment=zeros, rel_residual=np.arange(count, dtype=float),
-        is_real=np.ones(count, dtype=bool), accepted=zeros.astype(bool),
-        squared_residual=zeros, note=np.full(count, "")))
-    records = [EquilibriumSolution(b, l, 0.0, 0.0, float(k), True, False)
+    empty = np.zeros(0, dtype=complex)
+    out = ledger(
+        dict(beta=beta, length=length, residual_force=zeros,
+             residual_moment=zeros, rel_residual=np.arange(count, dtype=float),
+             accepted=zeros.astype(bool), squared_residual=zeros,
+             note=np.full(count, "")),
+        (np.array([complex(1.5, 1e-17)]), np.array([complex(8.0, -1e-17)]),
+         0.5, "known"),
+        (empty, empty, inf, "empty"))
+    records = [EquilibriumSolution(b, l, 0.0, 0.0, float(k),
+                                   b.imag == l.imag == 0, False)
                for k, (b, l) in enumerate(candidates)]
+    records.append(EquilibriumSolution(complex(1.5, 0.0), complex(8.0, 0.0),
+                                       inf, inf, inf, True, False, 0.5,
+                                       "known"))
     expected = sorted(records, key=lambda s: (s.beta.real, s.beta.imag,
                                               s.length.real, s.length.imag))
     assert [s.rel_residual for s in out] == \
@@ -95,7 +106,6 @@ def test_ledger_puts_nan_keys_last():
         beta=beta.astype(complex), length=length.astype(complex),
         residual_force=zeros, residual_moment=zeros,
         rel_residual=np.arange(len(beta), dtype=float),
-        is_real=np.ones(len(beta), dtype=bool),
         accepted=zeros.astype(bool), squared_residual=zeros,
         note=np.full(len(beta), "")))
     assert [s.rel_residual for s in out] == [4.0, 1.0, 2.0, 0.0, 3.0]

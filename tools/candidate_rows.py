@@ -26,10 +26,16 @@ these moves an equilibrium relative to the mechanism, so each solve
 should have the count of rows per (accepted, real, note) of the
 untransformed solve. It prints one ``repr`` line per candidate row, an
 accepted count and an error count per set, and the warnings of all
-solves counted by category. After the invariance set's counts it prints,
-per transform, the number of solves whose class counts differ from the
-untransformed solve's and the number of LostRoots warnings of its own
-solves::
+solves counted by category. After each set's counts it prints how many
+of its rows break either of two invariants: a row flagged real has beta
+and L exactly real, and a complex row with finite beta and L has another
+row at exactly its conjugate point::
+
+    # seed-2026 invariants: 0 real rows not exactly real, 0 of 984 ...
+
+After the invariance set's counts it prints, per transform, the number
+of solves whose class counts differ from the untransformed solve's and
+the number of LostRoots warnings of its own solves::
 
     # invariance: rotated 0 changed, 0 LostRoots; mirrored 0 changed, ...
 
@@ -234,6 +240,26 @@ def _ledger(report):
                    for row in report.solutions)
 
 
+def invariants(report) -> tuple[int, int, int]:
+    """A solve's count of rows flagged real whose beta or L has a nonzero
+    imaginary part, of complex rows with finite beta and L, and of those
+    with no other row at exactly their conjugate point."""
+    if report is None:
+        return 0, 0, 0
+    inexact = sum(row.is_real and (row.beta.imag != 0 or row.length.imag != 0)
+                  for row in report.solutions)
+    points = Counter((row.beta, row.length) for row in report.solutions
+                     if not row.is_real and cmath.isfinite(row.beta)
+                     and cmath.isfinite(row.length))
+    unpaired = 0
+    for point, count in points.items():
+        conjugate = tuple(value.conjugate() for value in point)
+        # a point that is its own conjugate needs a second row there
+        if points[conjugate] <= (conjugate == point):
+            unpaired += count
+    return inexact, sum(points.values()), unpaired
+
+
 def invariance_summary(ledgers, lost_roots) -> str:
     """Per transform, the count of solves whose class counts differ from
     the untransformed solve's, and of their LostRoots warnings; ledgers
@@ -400,10 +426,12 @@ def main(argv=None) -> int:
     for name, configs in sets:
         accepted = errors = 0
         ledgers, lost_roots = [], []
+        totals = np.zeros(3, dtype=int)  # of invariants' counts
         for index, report, categories in analyses(name, configs):
             caught.update(categories)
             ledgers.append(_ledger(report))
             lost_roots.append(categories.count("LostRoots"))
+            totals += invariants(report)
             if report is None:
                 errors += 1
                 continue
@@ -412,6 +440,10 @@ def main(argv=None) -> int:
                 print(repr(row))
             accepted += report.counts["accepted"]
         print(f"# {name}: {accepted} accepted, {errors} errors")
+        inexact, finite, unpaired = totals
+        print(f"# {name} invariants: {inexact} real rows not exactly real, "
+              f"{unpaired} of {finite} complex finite rows without an exact "
+              "conjugate")
         if name == "invariance":
             print(invariance_summary(ledgers, lost_roots))
     for category, count in sorted(caught.items()):

@@ -95,7 +95,7 @@ WRITER = "writer"  # as the row before a call: see OUTPUT
 # one solve, and its free-length dispatch is part of the set-up. The zero
 # case has no eliminant to divide and no _classify: those rows hold its
 # quartic and its roots and its inline residuals, which end at its call of
-# the cached _no_finite_beta (structural_rows runs only on a cache miss).
+# the cached _no_finite_beta.
 SOLVES = {
     "reference-one": (
         (UnsquaredPair, "tensors", 2, 1),
@@ -104,7 +104,6 @@ SOLVES = {
         (solver, "_companion_roots", 3, 3),
         (solver, "newton", 5, 4),
         (solver, "_classify", 6, 5),
-        (solver, "structural_rows", 7, 7),
         (solver, "ledger", 7, 7)),
     "sweep-zero": (
         (UnsquaredPair, "tensors", 2, 1),
