@@ -35,10 +35,6 @@ class Point2:
         """z-component of the 3D cross product."""
         return self.x * other.y - self.y * other.x
 
-    def norm(self):
-        """Principal square root of x**2 + y**2 (Euclidean for real input)."""
-        return (self.x * self.x + self.y * self.y) ** 0.5
-
 
 def unit_vector(angle: float) -> Point2:
     return Point2(math.cos(angle), math.sin(angle))

@@ -5,13 +5,14 @@ bytes through os.open/os.write/os.ftruncate/os.close, in place over the
 file an earlier run left; re-running a configuration gives byte-identical
 files (timing stays out of the JSON).
 ``report.json`` holds ``json.dumps(report_to_dict(report), indent=2,
-sort_keys=True)`` with non-finite floats as null. The json module encodes
-with ``indent`` in pure Python, so only layouts go through it: the
-envelope fills, in one %-format, a layout that json.dumps makes once per
-shape of its fields, and the solution table is formatted column by
-column, each row one %-format of a cached template. The SVG is written
-without an XML tree, from points as (x, y) tuples of floats: each drawn
-pose is the pose_points floats of its real (L, beta).
+sort_keys=True)`` with non-finite floats in the margin and the solution
+rows as null. The json module encodes with ``indent`` in pure Python, so
+only layouts go through it: json.dumps makes one layout per shape of the
+envelope's fields and count of solution rows, and each report fills it in
+one %-format with the texts of its scalars, which json's C encoder writes
+in one call. The SVG is written without an XML tree, from points as
+(x, y) tuples of floats: each drawn pose is the pose_points floats of its
+real (L, beta).
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import json
 import math
 import os
 import re
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .analysis import AnalysisReport
@@ -50,10 +50,6 @@ _ROW_KEYS = ("index", "beta_re", "beta_im", "L_re", "L_im", "residual_force",
              "residual_moment", "rel_residual", "squared_residual", "real",
              "accepted", "note")
 _SORTED_ROW_KEYS = sorted(_ROW_KEYS)
-# a solution row as report.json nests it, two levels deep: one %s per key,
-# in sorted order
-_ROW_TEMPLATE = ("{\n      " + ",\n      ".join(
-    f'"{key}": %s' for key in _SORTED_ROW_KEYS) + "\n    }")
 
 
 def _row_values(index: int, s: EquilibriumSolution) -> tuple:
@@ -88,14 +84,6 @@ def report_to_dict(report: AnalysisReport) -> dict:
     return fields
 
 
-_FLAGS = ("false", "true")
-
-
-def _numbers(values) -> list[str]:
-    """JSON text of each number: its repr, or null when it is not finite."""
-    return [float.__repr__(v) if v - v == 0 else "null" for v in values]
-
-
 def _walk(value, shape: list, leaves: list) -> None:
     """Append the shape of a JSON value to shape and its scalars to leaves,
     in the order json.dumps with sort_keys writes them: a dict as the tuple
@@ -127,12 +115,15 @@ def _skeleton(shape):
 
 
 @functools.lru_cache(maxsize=64)
-def _layout(shape: tuple) -> str:
-    """%-format template of json.dumps(value, indent=2, sort_keys=True) for
-    every value of the shape, one %s per scalar; no key of the envelope
-    holds a NUL."""
-    text = json.dumps(_skeleton(iter(shape)), indent=2, sort_keys=True)
-    return text.replace("%", "%%").replace('"\\u0000"', "%s")
+def _layout(shape: tuple, rows: int) -> str:
+    """%-format template of json.dumps(value, indent=2, sort_keys=True)
+    plus a newline, for every value whose fields have the shape and whose
+    "solutions" are rows solution rows, one %s per scalar; no key holds a
+    NUL."""
+    value = _skeleton(iter(shape))
+    value["solutions"] = [dict.fromkeys(_ROW_KEYS, "\0")] * rows
+    text = json.dumps(value, indent=2, sort_keys=True)
+    return text.replace("%", "%%").replace('"\\u0000"', "%s") + "\n"
 
 
 # the JSON texts of a list of scalars joined by NUL, which none holds (a
@@ -140,13 +131,6 @@ def _layout(shape: tuple) -> str:
 # ValueError for a non-finite float, a TypeError for a type json cannot
 # encode. Without indent the json module encodes in C
 _SCALARS = json.JSONEncoder(separators=("\0", ": "), allow_nan=False).encode
-
-
-def _envelope(fields: dict) -> str:
-    """json.dumps(fields, indent=2, sort_keys=True, allow_nan=False)."""
-    shape, leaves = [], []
-    _walk(fields, shape, leaves)
-    return _layout(tuple(shape)) % tuple(_SCALARS(leaves)[1:-1].split("\0"))
 
 
 def _write(path: str, text: str) -> str:
@@ -195,20 +179,18 @@ def emit_tables(report: AnalysisReport, out_dir,
         written.append(_write(os.path.join(out, "solutions.csv"),
                               "\n".join(lines) + "\n"))
     if "json" in formats:
-        flag = _FLAGS.__getitem__
         columns = dict(zip(_ROW_KEYS, (
-            index, *map(_numbers, (beta_re, beta_im, length_re, length_im,
-                                   force, moment, rel, squared)),
-            map(flag, real), map(flag, accepted),
-            map(encode_basestring_ascii, note))))
-        rows = map(_ROW_TEMPLATE.__mod__, zip(
-            *[columns[key] for key in _SORTED_ROW_KEYS]))
-        envelope = _envelope(_report_fields(report))
-        # "solutions" sorts after every other key, so its rows close the
-        # text, in place of the envelope's closing "\n}"
-        written.append(_write(os.path.join(out, "report.json"), (
-            envelope[:-2] + ',\n  "solutions": [\n    '
-            + ",\n    ".join(rows) + "\n  ]\n}\n")))
+            index, *([v if v - v == 0 else None for v in column]
+                     for column in (beta_re, beta_im, length_re, length_im,
+                                    force, moment, rel, squared)),
+            real, accepted, note)))
+        shape, leaves = [], []
+        _walk(_report_fields(report), shape, leaves)
+        for row in zip(*[columns[key] for key in _SORTED_ROW_KEYS]):
+            leaves += row
+        text = _layout(tuple(shape), len(beta)) % tuple(
+            _SCALARS(leaves)[1:-1].split("\0"))
+        written.append(_write(os.path.join(out, "report.json"), text))
     return list(map(Path, written))
 
 

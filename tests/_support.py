@@ -1,7 +1,8 @@
 """Shared fixtures-in-spirit: reference inputs, published solution tables,
 random parameter generators, the brute-force equilibrium oracle and the
-paper's degree-48 tan-half eliminant."""
+paper's degree-48 tan-half eliminant, and planted equilibria."""
 
+import dataclasses
 import functools
 import math
 
@@ -9,6 +10,7 @@ import mpmath
 import numpy as np
 
 from spring_platform import MechanismParams, Point2
+from spring_platform.geometry import unit_vector
 from spring_platform.mechanism import point_e, pose_from, residual_pair
 from spring_platform.solver import (TRIM_RELATIVE, UnsquaredPair, _in_length,
                                     _split)
@@ -283,6 +285,47 @@ def brute_force_real_equilibria(params, beta_span=(-math.pi, math.pi),
         if not any(abs(beta - b) < 1e-6 for b, _ in deduped):
             deduped.append((beta, length))
     return deduped
+
+
+def plant(geometry, length, beta, l01=None):
+    """The mechanism of the geometry's points with a real equilibrium at
+    exactly (length, beta), or None: an oracle that uses no elimination,
+    only mechanism.pose_from at the real pose.
+
+    Per spring, X = end - anchor gives the force per unit stiffness X . u
+    and the moment (anchor - P) x X, and the free-length column is minus
+    spring 1's pair over its length l1: a 2 x 4 system in (k1, k2, k3,
+    k1 L01), linear at a fixed pose. Its null space is 2-D; with l01
+    given, k1 L01 is folded into column 1 and it is 1-D. In the 2-D case
+    each component of cos(t) n1 + sin(t) n2 is positive on a half circle
+    of t, and the plant is the middle of the arc where all four are. None
+    when no positive vector exists or a stiffness is below 1e-2 of the
+    largest."""
+    pose = pose_from(length, beta, geometry, geometry.point_e)
+    u = unit_vector(geometry.surface_angle)
+    o1 = geometry.base_origin
+    columns = [((end - anchor).dot(u), (anchor - pose.p).cross(end - anchor))
+               for anchor, end in ((o1, pose.o2), (o1, pose.a2),
+                                   (geometry.a1_fixed, pose.a2))]
+    l1 = math.hypot(pose.o2.x - o1.x, pose.o2.y - o1.y)
+    system = np.array(columns + [(-columns[0][0] / l1, -columns[0][1] / l1)]).T
+    if l01 is not None:
+        system = np.column_stack([system[:, 0] + l01 * system[:, 3],
+                                  system[:, 1:3]])
+    null = np.linalg.svd(system)[2][2:]
+    if len(null) == 1:
+        v = null[0] * np.sign(null[0][0])
+    else:
+        phase = np.arctan2(null[1], null[0])
+        spread = np.angle(np.exp(1j * (phase - phase[0])))
+        t = phase[0] + (spread.max() + spread.min()) / 2
+        v = math.cos(t) * null[0] + math.sin(t) * null[1]
+    k = v[:3]
+    if not np.all(v > 0) or k.min() < 1e-2 * k.max():
+        return None
+    return dataclasses.replace(
+        geometry, stiffness=tuple(map(float, k / k.max())),
+        free_lengths=(float(v[3] / v[0]) if l01 is None else l01, 0.0, 0.0))
 
 
 def nearest_match(target, values):

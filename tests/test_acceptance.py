@@ -23,12 +23,13 @@ import numpy as np
 
 from _support import (REFERENCE_CONFIG, TABLE_ONE, TABLE_ZERO,
                       brute_force_real_equilibria, dialytic, nearest_match,
-                      random_params, sample_recoverable_roots,
+                      plant, random_params, sample_recoverable_roots,
                       tan_half_degree, tan_half_eliminant)
 
 from spring_platform import Point2, residual_margin, solve_equilibria
 from spring_platform.cli import main as cli_main
 from spring_platform.errors import LostRoots
+from spring_platform.solver import UnsquaredPair
 
 
 @contextlib.contextmanager
@@ -129,6 +130,32 @@ def test_brute_force_oracle_equivalence(params_zero, solutions_zero):
             assert min(abs(beta - b) for b in quartic_reals) < 1e-3
 
 
+def test_planted_equilibria_are_found():
+    with criterion("planted recall (40 generic, 20 at L01 = 1e-3, 20 at "
+                   "1e-5: each an accepted row to 1e-10, <1 s)"):
+        rng = np.random.default_rng(18)
+        start = time.perf_counter()
+        tries = 0
+        for l01, count in ((None, 40), (1e-3, 20), (1e-5, 20)):
+            planted = 0
+            while planted < count:
+                tries += 1
+                geometry = random_params(rng)
+                length = UnsquaredPair(geometry).foot() + rng.uniform(-10, 10)
+                beta = rng.uniform(-math.pi, math.pi)
+                params = plant(geometry, length, beta, l01)
+                if params is None:
+                    continue
+                planted += 1
+                gap = min(abs(s.beta - beta) + abs(s.length - length)
+                          for s in solve_equilibria(params) if s.accepted)
+                assert gap <= 1e-10 * (1 + abs(beta) + abs(length)), \
+                    f"planted root (L={length}, beta={beta}) of " \
+                    f"{params} missed by {gap:.2e}"
+        elapsed = time.perf_counter() - start
+        assert elapsed < 1.0, f"runtime {elapsed:.3f} s ({tries} tries)"
+
+
 def moved(params, theta, shift):
     """params seen from a rigid frame: turned by theta, then shifted."""
     import dataclasses
@@ -164,8 +191,8 @@ def ledger_classes(params):
 def test_frame_invariance(params_zero, solutions_zero, params_one):
     with criterion("frame invariance (50 rigid transforms, 1e-9; 5 "
                    "one-nonzero mechanisms x 4, accepted sets to 1e-8; 5 "
-                   "one-nonzero mechanisms shifted by 1e6, class counts, "
-                   "no LostRoots)"):
+                   "one-nonzero mechanisms shifted by 1e6 and 2 turned by "
+                   "3.1416 and 1 rad, class counts, no LostRoots)"):
         rng = np.random.default_rng(107)
         reference = sorted(((s.beta, s.length) for s in solutions_zero),
                            key=lambda t: (t[0].real, t[0].imag))
@@ -196,11 +223,20 @@ def test_frame_invariance(params_zero, solutions_zero, params_one):
                 for b0, l0 in reference:
                     assert min(abs(b0 - b1) + abs(l0 - l1) for b1, l1 in got) \
                         <= 1e-8 * (1.0 + abs(b0) + abs(l0))
-        # far from the origin no row changes its class and no root is lost
-        shift = Point2(0.6e6, 0.8e6)
-        for params in [params_one] + mechanisms[:4]:
+        # far from the origin, or turned about it by a rounded pi and by
+        # 1 rad, no row changes its class and no root is lost (mechanism 21
+        # turned by a rounded pi once raised a false LostRoots)
+        while len(mechanisms) < 22:
+            mechanisms.append(random_params(
+                corpus, l01=float(corpus.uniform(0.2, 2.0))))
+        moves = [(params, 0.0, Point2(0.6e6, 0.8e6))
+                 for params in [params_one] + mechanisms[:4]]
+        moves += [(params, theta, Point2(0.0, 0.0))
+                  for params in (params_one, mechanisms[21])
+                  for theta in (3.1416, 1.0)]
+        for params, theta, shift in moves:
             classes, lost = ledger_classes(params)
-            assert ledger_classes(moved(params, 0.0, shift)) == (classes, 0)
+            assert ledger_classes(moved(params, theta, shift)) == (classes, 0)
             assert lost == 0
 
 

@@ -504,7 +504,8 @@ def test_seeded_corpus_real_equilibria():
         arms = (params.base_origin, params.base_origin, params.a1_fixed)
         assert abs(force) <= 1e-9 * sum(abs(f) for f in forces)
         assert abs(moment) <= 1e-9 * sum(
-            abs(f) * (a - pose.p).norm() for f, a in zip(forces, arms))
+            abs(f) * (a - pose.p).dot(a - pose.p) ** 0.5
+            for f, a in zip(forces, arms))
 
 
 def _eliminant_coefficients(tensors, kl, signs):

@@ -54,6 +54,15 @@ def _quoted_note_report():
     return report._replace(notes=report.notes + ['a "quoted" note'])
 
 
+def _escaped_row_notes_report():
+    # solution notes with a %, a %s, a double quote, a NUL and an é, which
+    # report.json must escape as json.dumps does and not read as formats
+    report = _report()
+    notes = ("50 % off", "%s and %%s", 'a "quoted" \0 note', "é")
+    return report._replace(solutions=[
+        s._replace(note=note) for s, note in zip(report.solutions, notes)])
+
+
 def _pin_at_anchor_report():
     # a degenerate one-nonzero mechanism whose rows include the note
     # "refinement not converged"
@@ -122,6 +131,7 @@ TABLE_REPORTS = {
     "reference-one": _reference_one_report,
     "no-finite-beta": _balanced_pin_report,
     "quoted-note": _quoted_note_report,
+    "escaped-row-notes": _escaped_row_notes_report,
     "pin-at-anchor": _pin_at_anchor_report,
     "repeated-root": _repeated_root_report,
     "non-finite-margin": _non_finite_margin_report,

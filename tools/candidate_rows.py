@@ -17,11 +17,13 @@ config and the first CIRCLE_MECHANISMS mechanisms of
 the eliminants' sample angle beta = 2 pi k / SAMPLES (the circle set, 27
 solves): O1 = M + w (3 + z_k p), with w = exp(i alpha), p the pin in the
 top frame and the base angle arg(M - O1), so E = M and O2 = O1 at L = 3,
-z = z_k. Last comes the invariance set (123 solves): the committed
+z = z_k. Last comes the invariance set (164 solves): the committed
 one-nonzero config and the first MECHANISMS_2026 mechanisms of
 ``inputs.one_nonzero_mechanisms`` rotated by pi about the origin (points
 negated, angles plus pi), mirrored in the x axis (y and angles negated,
-the pin's top-frame y too) and translated by INVARIANCE_SHIFT. None of
+the pin's top-frame y too), translated by INVARIANCE_SHIFT and turned by
+TURN_ANGLE about the origin, where no coordinate keeps its value up to
+sign. None of
 these moves an equilibrium relative to the mechanism, so each solve
 should have the count of rows per (accepted, real, note) of the
 untransformed solve. It prints one ``repr`` line per candidate row, an
@@ -38,6 +40,7 @@ of solves whose class counts differ from the untransformed solve's and
 the number of LostRoots warnings of its own solves::
 
     # invariance: rotated 0 changed, 0 LostRoots; mirrored 0 changed, ...
+    # ...; turned 0 changed, 0 LostRoots
 
 A solve that raises a ``MechanismError`` prints one ``# error <set>
 <index> <Class>: <message>`` line in place of its rows, and the next solve
@@ -119,6 +122,7 @@ CIRCLE_MECHANISMS = 8
 POINTS = ("surface_point", "a1_in_base", "a2_in_top", "p_in_top",
           "base_origin")
 INVARIANCE_SHIFT = (0.6e6, 0.8e6)
+TURN_ANGLE = 1.0
 MATCH_REL_TOL = 1e-8         # on |d beta| + |d L| over 1 + |beta| + |L|
 
 _SOLVE = re.compile(r"# (\S+) (\d+)$")
@@ -223,7 +227,21 @@ def translated(params):
         base_origin=params.base_origin + shift)
 
 
-TRANSFORMS = (rotated, mirrored, translated)
+def turned(params):
+    """params turned by TURN_ANGLE about the origin."""
+    c, s = math.cos(TURN_ANGLE), math.sin(TURN_ANGLE)
+
+    def turn(point):
+        return Point2(c * point.x - s * point.y, s * point.x + c * point.y)
+
+    return dataclasses.replace(
+        params, surface_point=turn(params.surface_point),
+        base_origin=turn(params.base_origin),
+        surface_angle=params.surface_angle + TURN_ANGLE,
+        base_angle=params.base_angle + TURN_ANGLE)
+
+
+TRANSFORMS = (rotated, mirrored, translated, turned)
 
 
 def invariance_mechanisms():
